@@ -30,16 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.persistence.errors import SnapshotFormatError
-from repro.persistence.records import (
-    AdmitRecord,
-    ClearRecord,
-    EvictRecord,
-    encode_record,
-    iter_frames,
-    region_from_dict,
-    region_to_dict,
-)
+from repro.persistence.image import admit_records, load_image, replay_admits
+from repro.persistence.records import AdmitRecord, encode_record, iter_frames
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.proxy import FunctionProxy
@@ -82,25 +74,12 @@ def export_records(
     Entries are exported in ``entry_id`` order, so the same cache
     always serializes to the same byte stream.
     """
-    version = getattr(proxy.origin, "data_version", None)
-    records = []
-    for entry in sorted(proxy.cache.entries(), key=lambda e: e.entry_id):
-        template_id, param_items = entry.cache_key
-        records.append(
-            AdmitRecord(
-                entry_id=entry.entry_id,
-                template_id=template_id,
-                params=dict(param_items),
-                region=region_to_dict(entry.region),
-                signature=entry.signature,
-                truncated=entry.truncated,
-                result_xml=entry.result.to_xml(),
-                data_version=version,
-                ts_ms=now_ms,
-                shard=shard_id,
-            )
-        )
-    return tuple(records)
+    return admit_records(
+        proxy.cache.entries(),
+        getattr(proxy.origin, "data_version", None),
+        now_ms,
+        shard_id,
+    )
 
 
 def persisted_records(
@@ -113,24 +92,8 @@ def persisted_records(
     applied): what comes back is what the shard durably held at its
     last append — the only thing a crash did not destroy.
     """
-    image: dict[int, AdmitRecord] = {}
-    try:
-        snapshot = persister.load_snapshot()
-    except SnapshotFormatError:
-        snapshot = None
-    if snapshot is not None:
-        for record in snapshot.entries:
-            image[record.entry_id] = record
-    for record in persister.journal.read().records:
-        if isinstance(record, AdmitRecord):
-            image[record.entry_id] = record
-        elif isinstance(record, EvictRecord):
-            image.pop(record.entry_id, None)
-        elif isinstance(record, ClearRecord):
-            image.clear()
-    return tuple(
-        image[entry_id] for entry_id in sorted(image)
-    )
+    admits = load_image(persister).admits
+    return tuple(admits[entry_id] for entry_id in sorted(admits))
 
 
 def encode_handoff(records: tuple[AdmitRecord, ...]) -> bytes:
@@ -170,41 +133,21 @@ def replay_records(
     an entry that no longer binds is dropped as an error — one bad
     record never aborts the handoff.
     """
-    from repro.relational.result import ResultTable
-
-    version = getattr(proxy.origin, "data_version", None)
-    replayed = stale = errors = rejected = evicted = 0
-    for record in records:
-        if version is not None and record.data_version != version:
-            stale += 1
-            continue
-        try:
-            region = region_from_dict(record.region)
-            result = ResultTable.from_xml(record.result_xml)
-            bound = proxy.templates.bind(record.template_id, record.params)
-            if bound.region != region:
-                raise ValueError(
-                    "re-bound region disagrees with the exported region"
-                )
-        except Exception:  # defensive: skip, never abort the handoff
-            errors += 1
-            continue
-        entry, maintenance = proxy.cache.store(
-            bound, result, record.signature, record.truncated
-        )
-        evicted += maintenance.evicted_entries
-        if entry is None:
-            rejected += 1
-        else:
-            replayed += 1
+    tally = replay_admits(
+        records,
+        proxy.cache,
+        proxy.templates,
+        getattr(proxy.origin, "data_version", None),
+        accept_foreign=True,
+    )
     return HandoffReport(
         source=source,
         target=target,
         entries=len(records),
-        replayed=replayed,
-        stale=stale,
-        errors=errors,
-        rejected=rejected,
-        evicted=evicted,
+        replayed=tally.restored,
+        stale=tally.stale,
+        errors=tally.error,
+        rejected=tally.rejected,
+        evicted=tally.evicted,
         bytes_total=bytes_total,
     )

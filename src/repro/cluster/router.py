@@ -66,6 +66,7 @@ from repro.obs.timeseries import NULL_TIMESERIES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.proxy import FunctionProxy, ProxyResponse
+    from repro.persistence.records import AdmitRecord
     from repro.templates.manager import BoundQuery
 
 #: The structured-rejection reason a query sheds with when its shard
@@ -534,17 +535,30 @@ class ShardRouter:
             shard.proxy.cache.clear()
         if not self.config.handoff_on_crash or persister is None:
             return
-        records = persisted_records(persister)
-        target = self._successor(shard_id, now_ms)
+        self._hand_off(shard_id, persisted_records(persister), now_ms)
+
+    def _hand_off(
+        self,
+        source: str,
+        records: tuple[AdmitRecord, ...],
+        now_ms: float,
+    ) -> HandoffReport | None:
+        """Replay ``records`` into ``source``'s first live successor.
+
+        The one movement crash and drain share: replay through the
+        successor's ``cache.store``, log the report, emit EV14.
+        Returns ``None`` (nothing moved, nothing logged) when no
+        successor is live.
+        """
+        target = self._successor(source, now_ms)
         if target is None:
-            return
-        data = encode_handoff(records)
+            return None
         report = replay_records(
             records,
             self._shards[target].proxy,
-            source=shard_id,
+            source=source,
             target=target,
-            bytes_total=len(data),
+            bytes_total=len(encode_handoff(records)),
         )
         with self._lock:
             self.handoffs.append(report)
@@ -557,6 +571,7 @@ class ShardRouter:
             replayed=report.replayed,
             stale=report.stale,
         )
+        return report
 
     def _successor(self, shard_id: str, now_ms: float) -> str | None:
         """The first live, undrained ring successor of ``shard_id``."""
@@ -594,8 +609,8 @@ class ShardRouter:
         records = export_records(
             self._shards[shard_id].proxy, shard_id, now_ms
         )
-        target = self._successor(shard_id, now_ms)
-        if target is None:
+        report = self._hand_off(shard_id, records, now_ms)
+        if report is None:
             report = HandoffReport(
                 source=shard_id,
                 target="",
@@ -607,26 +622,8 @@ class ShardRouter:
                 evicted=0,
                 bytes_total=0,
             )
-        else:
-            data = encode_handoff(records)
-            report = replay_records(
-                records,
-                self._shards[target].proxy,
-                source=shard_id,
-                target=target,
-                bytes_total=len(data),
-            )
-            self.events.emit(
-                EV_HANDOFF_COMPLETED,
-                at_ms=now_ms,
-                source=report.source,
-                target=report.target,
-                entries=report.entries,
-                replayed=report.replayed,
-                stale=report.stale,
-            )
-        with self._lock:
-            self.handoffs.append(report)
+            with self._lock:
+                self.handoffs.append(report)
         return report
 
     def drained(self) -> tuple[str, ...]:

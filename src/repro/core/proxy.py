@@ -424,11 +424,10 @@ class FunctionProxy:
                         # the description probe and the result read).
                         # The query is still answerable — treat it as
                         # a miss and forward.
-                        if observation.decision is not None:
-                            observation.decision.note(
-                                "cache entry evicted mid-serve "
-                                f"({exc}); forwarded instead"
-                            )
+                        decision.note(
+                            "cache entry evicted mid-serve "
+                            f"({exc}); forwarded instead"
+                        )
                         response = self._forward_and_cache(
                             bound, observation, QueryStatus.FORWARDED
                         )
@@ -532,19 +531,16 @@ class FunctionProxy:
         degraded = self.templates.is_degraded(bound.template_id)
         if policy.caches and deterministic and not degraded:
             return False
-        if decision is not None:
-            if not policy.caches:
-                decision.note("tunneled: scheme never caches")
-            if not deterministic:
-                decision.note(
-                    "tunneled: embedded function is not "
-                    "deterministic"
-                )
-            if degraded:
-                decision.note(
-                    "tunneled: template admitted degraded by "
-                    "the analyzer"
-                )
+        if not policy.caches:
+            decision.note("tunneled: scheme never caches")
+        if not deterministic:
+            decision.note(
+                "tunneled: embedded function is not deterministic"
+            )
+        if degraded:
+            decision.note(
+                "tunneled: template admitted degraded by the analyzer"
+            )
         return True
 
     def _stage_cache_probe(self, bound, observation, policy) -> ProxyResponse:
@@ -667,8 +663,9 @@ class FunctionProxy:
                     )
                 else:
                     entry, report = None, MaintenanceReport()
-            if not admissible and observation.decision is not None:
-                observation.decision.note(
+            decision = observation.decision
+            if not admissible:
+                decision.note(
                     "admission fenced: origin data version changed "
                     "while the query was in flight"
                 )
@@ -695,19 +692,17 @@ class FunctionProxy:
                     admitted=entry is not None,
                     evicted=report.evicted_entries,
                 )
-            decision = observation.decision
-            if decision is not None:
-                for eviction in report.evictions:
-                    decision.record_eviction(eviction)
-                if consolidate is not None:
-                    decision.record_admission(
-                        entry is not None,
-                        [v.entry_id for v in consolidate]
-                        if entry is not None
-                        else None,
-                    )
-                else:
-                    decision.record_admission(entry is not None)
+            for eviction in report.evictions:
+                decision.record_eviction(eviction)
+            if consolidate is not None:
+                decision.record_admission(
+                    entry is not None,
+                    [v.entry_id for v in consolidate]
+                    if entry is not None
+                    else None,
+                )
+            else:
+                decision.record_admission(entry is not None)
         if report.evicted_entries >= EVICTION_STORM_THRESHOLD:
             self.obs.telemetry_event(
                 EV_EVICTION_STORM,
@@ -744,23 +739,21 @@ class FunctionProxy:
             usable = []
             for entry in candidates:
                 if entry.signature != signature:
-                    if decision is not None:
-                        decision.record_candidate(
-                            entry.entry_id,
-                            "skipped",
-                            entry.region,
-                            rows=entry.row_count,
-                            note="residual-predicate signature mismatch",
-                        )
+                    decision.record_candidate(
+                        entry.entry_id,
+                        "skipped",
+                        entry.region,
+                        rows=entry.row_count,
+                        note="residual-predicate signature mismatch",
+                    )
                 elif entry.truncated:
-                    if decision is not None:
-                        decision.record_candidate(
-                            entry.entry_id,
-                            "skipped",
-                            entry.region,
-                            rows=entry.row_count,
-                            note="truncated entry (exact matches only)",
-                        )
+                    decision.record_candidate(
+                        entry.entry_id,
+                        "skipped",
+                        entry.region,
+                        rows=entry.row_count,
+                        note="truncated entry (exact matches only)",
+                    )
                 else:
                     usable.append(entry)
             with self.tracer.span("relate", pairs=len(usable)):
@@ -770,14 +763,13 @@ class FunctionProxy:
                         for entry in usable
                     ]
                     relate_stage.count("pairs", len(usable))
-            if decision is not None:
-                for entry, relation in zip(usable, relations):
-                    decision.record_candidate(
-                        entry.entry_id,
-                        relation.value,
-                        entry.region,
-                        rows=entry.row_count,
-                    )
+            for entry, relation in zip(usable, relations):
+                decision.record_candidate(
+                    entry.entry_id,
+                    relation.value,
+                    entry.region,
+                    rows=entry.row_count,
+                )
             check.charge(
                 probe_ms + self.costs.check_per_candidate_ms * len(usable)
             )
@@ -829,14 +821,13 @@ class FunctionProxy:
         stage under ``proxy.cache`` (pinned): reading it here instead
         would race a concurrent eviction of ``entry``."""
         outcome = self._cache_answer_outcome()
-        if observation.decision is not None:
-            observation.decision.record_candidate(
-                entry.entry_id,
-                "exact",
-                entry.region,
-                rows=entry.row_count,
-                note="identical cached query",
-            )
+        observation.decision.record_candidate(
+            entry.entry_id,
+            "exact",
+            entry.region,
+            rows=entry.row_count,
+            note="identical cached query",
+        )
         self.cache.touch(entry)
         observation.charge(
             "read", self.costs.read_per_tuple_ms * len(result)
@@ -856,11 +847,10 @@ class FunctionProxy:
         answer_outcome = self._cache_answer_outcome()
         # Any subsuming entry works; scan the smallest result.
         entry = min(entries, key=lambda e: e.row_count)
-        if observation.decision is not None:
-            observation.decision.note(
-                f"evaluated locally over entry {entry.entry_id} "
-                "(smallest subsuming result)"
-            )
+        observation.decision.note(
+            f"evaluated locally over entry {entry.entry_id} "
+            "(smallest subsuming result)"
+        )
         self.cache.touch(entry)
         outcome = self._stage_local_eval(bound, [entry], observation)
         result = self.evaluator.finalize(bound, outcome.result)
@@ -896,10 +886,9 @@ class FunctionProxy:
             remainder = build_remainder(bound, [e.region for e in used])
             build.annotate(holes=remainder.n_holes)
             build.count("holes", remainder.n_holes)
-        if observation.decision is not None:
-            observation.decision.record_remainder(
-                remainder.geometry(), sql=remainder.sql
-            )
+        observation.decision.record_remainder(
+            remainder.geometry(), sql=remainder.sql
+        )
         try:
             origin_response, retries = self._origin_fetch(
                 observation,
@@ -969,11 +958,10 @@ class FunctionProxy:
         origin, so the client gets the cached portion only (``206``
         at the HTTP layer).  Nothing is cached — the merged region was
         never completed."""
-        if observation.decision is not None:
-            observation.decision.note(
-                f"remainder fetch failed ({exc.reason}); served the "
-                "cached portion only"
-            )
+        observation.decision.note(
+            f"remainder fetch failed ({exc.reason}); served the "
+            "cached portion only"
+        )
         result = self.evaluator.finalize(bound, probe.result)
         status = (
             QueryStatus.REGION_CONTAINMENT
@@ -1106,12 +1094,8 @@ class FunctionProxy:
         )
         trace_id = observation.trace_id
         decision = observation.decision
-        if decision is not None:
-            decision.finish(
-                status.value, outcome.value, trace_id=trace_id
-            )
-            self.obs.decisions.record(decision)
-            observation.decision = None
+        decision.finish(status.value, outcome.value, trace_id=trace_id)
+        self.obs.decisions.record(decision)
         self.obs.observe_record(record, trace_id=trace_id)
         self.obs.sample_telemetry(self.telemetry_clock.now_ms)
         return ProxyResponse(result=result, record=record)

@@ -35,6 +35,7 @@ from random import Random
 from typing import Any, Mapping
 
 from repro.faults.errors import FaultPlanError
+from repro.faults.plan import parse_plan
 
 #: The damage kinds a crash can inflict on the journal tail.
 DAMAGE_KINDS = ("none", "truncate", "bitflip")
@@ -86,20 +87,11 @@ class CrashPlan:
 
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> "CrashPlan":
-        if not isinstance(payload, Mapping):
-            raise FaultPlanError(
-                "crash plan must be a JSON object, got "
-                f"{type(payload).__name__}"
-            )
         known = {
             "seed", "crash_after_records", "damage", "tail_window_bytes",
         }
-        unknown = set(payload) - known
-        if unknown:
-            raise FaultPlanError(
-                f"unknown crash plan fields: {sorted(unknown)}"
-            )
-        try:
+
+        def build(payload: Mapping[str, Any]) -> CrashPlan:
             return CrashPlan(
                 seed=int(payload.get("seed", 0)),
                 crash_after_records=tuple(
@@ -108,10 +100,8 @@ class CrashPlan:
                 damage=str(payload.get("damage", "truncate")),
                 tail_window_bytes=int(payload.get("tail_window_bytes", 64)),
             )
-        except FaultPlanError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise FaultPlanError(f"malformed crash plan: {exc}") from exc
+
+        return parse_plan("crash plan", payload, known, build)
 
 
 class CrashSession:

@@ -21,18 +21,48 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 from repro.faults.errors import FaultPlanError
 
+_Plan = TypeVar("_Plan")
 
-def _check_window(start_ms: float, end_ms: float) -> None:
+
+def check_window(start_ms: float, end_ms: float | None) -> None:
+    """Validate a half-open window; ``end_ms=None`` is open-ended."""
     if start_ms < 0:
         raise FaultPlanError(f"window starts before t=0: {start_ms}")
-    if end_ms <= start_ms:
+    if end_ms is not None and end_ms <= start_ms:
         raise FaultPlanError(
             f"empty or inverted window: [{start_ms}, {end_ms})"
         )
+
+
+def parse_plan(
+    label: str,
+    payload: Any,
+    known: set[str],
+    build: Callable[[Mapping[str, Any]], _Plan],
+) -> _Plan:
+    """The envelope every plan's ``from_dict`` shares.
+
+    The wire form must be a JSON object carrying only ``known``
+    fields; whatever ``build`` trips over while reading them surfaces
+    as a :class:`FaultPlanError` naming the plan kind (``label``).
+    """
+    if not isinstance(payload, Mapping):
+        raise FaultPlanError(
+            f"{label} must be a JSON object, got {type(payload).__name__}"
+        )
+    unknown = set(payload) - known
+    if unknown:
+        raise FaultPlanError(f"unknown {label} fields: {sorted(unknown)}")
+    try:
+        return build(payload)
+    except FaultPlanError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FaultPlanError(f"malformed {label}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -44,7 +74,7 @@ class OutageWindow:
     end_ms: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start_ms, self.end_ms)
+        check_window(self.start_ms, self.end_ms)
 
     def active(self, now_ms: float) -> bool:
         return self.start_ms <= now_ms < self.end_ms
@@ -60,7 +90,7 @@ class SlowdownWindow:
     factor: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start_ms, self.end_ms)
+        check_window(self.start_ms, self.end_ms)
         if self.factor < 1.0:
             raise FaultPlanError(
                 f"slowdown factor must be >= 1: {self.factor}"
@@ -129,20 +159,12 @@ class FaultPlan:
     def from_dict(payload: Mapping[str, Any]) -> "FaultPlan":
         """Parse the ``POST /faults`` body; raises
         :class:`FaultPlanError` on anything malformed."""
-        if not isinstance(payload, Mapping):
-            raise FaultPlanError(
-                f"fault plan must be a JSON object, got {type(payload).__name__}"
-            )
         known = {
             "seed", "outages", "slowdowns", "error_rate", "timeout_rate",
             "version_bumps",
         }
-        unknown = set(payload) - known
-        if unknown:
-            raise FaultPlanError(
-                f"unknown fault plan fields: {sorted(unknown)}"
-            )
-        try:
+
+        def build(payload: Mapping[str, Any]) -> FaultPlan:
             outages = tuple(
                 OutageWindow(
                     start_ms=float(w["start_ms"]),
@@ -168,10 +190,8 @@ class FaultPlan:
                     float(b) for b in payload.get("version_bumps", ())
                 ),
             )
-        except FaultPlanError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FaultPlanError(f"malformed fault plan: {exc}") from exc
+
+        return parse_plan("fault plan", payload, known, build)
 
 
 class FaultKind(enum.Enum):

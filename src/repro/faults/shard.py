@@ -30,6 +30,7 @@ from random import Random
 from typing import Any, Mapping
 
 from repro.faults.errors import FaultPlanError
+from repro.faults.plan import check_window, parse_plan
 
 #: The pinned shard-fault kinds (wire values of ``ShardFaultWindow.kind``).
 SHARD_FAULT_KINDS = ("crash", "hang", "slow")
@@ -57,15 +58,7 @@ class ShardFaultWindow:
                 f"unknown shard fault kind {self.kind!r}; expected one "
                 f"of {SHARD_FAULT_KINDS}"
             )
-        if self.start_ms < 0:
-            raise FaultPlanError(
-                f"window starts before t=0: {self.start_ms}"
-            )
-        if self.end_ms is not None and self.end_ms <= self.start_ms:
-            raise FaultPlanError(
-                f"empty or inverted window: [{self.start_ms}, "
-                f"{self.end_ms})"
-            )
+        check_window(self.start_ms, self.end_ms)
         if self.kind == "slow" and self.factor < 1.0:
             raise FaultPlanError(
                 f"slowdown factor must be >= 1: {self.factor}"
@@ -116,18 +109,8 @@ class ShardCrashPlan:
     def from_dict(payload: Mapping[str, Any]) -> "ShardCrashPlan":
         """Parse a wire-form plan; raises :class:`FaultPlanError` on
         anything malformed."""
-        if not isinstance(payload, Mapping):
-            raise FaultPlanError(
-                "shard crash plan must be a JSON object, got "
-                f"{type(payload).__name__}"
-            )
-        known = {"seed", "faults", "error_rate"}
-        unknown = set(payload) - known
-        if unknown:
-            raise FaultPlanError(
-                f"unknown shard crash plan fields: {sorted(unknown)}"
-            )
-        try:
+
+        def build(payload: Mapping[str, Any]) -> ShardCrashPlan:
             faults = tuple(
                 ShardFaultWindow(
                     shard_id=str(w["shard_id"]),
@@ -147,12 +130,13 @@ class ShardCrashPlan:
                 faults=faults,
                 error_rate=float(payload.get("error_rate", 0.0)),
             )
-        except FaultPlanError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FaultPlanError(
-                f"malformed shard crash plan: {exc}"
-            ) from exc
+
+        return parse_plan(
+            "shard crash plan",
+            payload,
+            {"seed", "faults", "error_rate"},
+            build,
+        )
 
 
 class ShardFaultKind(enum.Enum):

@@ -123,6 +123,10 @@ class QueryObservation:
     the proxy's admission order — is fixed at construction.
     """
 
+    #: The explain-layer trace the proxy fills while deciding; the
+    #: proxy binds it (``DecisionLog.begin``) before any stage runs.
+    decision: DecisionTrace
+
     __slots__ = (
         "index",
         "steps",
@@ -147,8 +151,6 @@ class QueryObservation:
         self.index = index
         self.steps: dict[str, float] = {}
         self.check_wall_ms = 0.0
-        #: The explain-layer trace the proxy fills while deciding.
-        self.decision: DecisionTrace | None = None
         #: The origin data version the query was admitted under — the
         #: proxy's admission stage re-checks it before caching (the
         #: data-version fence).
@@ -243,15 +245,13 @@ class QueryObservation:
     def annotate(self, **attrs: Any) -> None:
         self._root.annotate(**attrs)
 
-    def charge_root(self, sim_ms: float) -> None:
-        self._root.charge(sim_ms)
-
 
 @unshared(
     "tracer", "profiler", "timeseries", "events", "health", "_queue_limit"
 )
-class ProxyInstrumentation:
-    """The proxy's metric families, tracer, decision log, and hooks.
+class TelemetryBundle:
+    """What the proxy's and the origin's instrumentation share: one
+    registry, a tracer, a profiler, and the live-telemetry trio.
 
     ``tracer`` / ``profiler`` — and the telemetry trio ``timeseries``
     / ``events`` / ``health`` — are rebound only during
@@ -263,6 +263,70 @@ class ProxyInstrumentation:
 
     def __init__(
         self,
+        registry: MetricsRegistry | None,
+        tracer: Any,
+        profiler: Any,
+        timeseries: Any,
+        events: Any,
+        slo: SloTracker | None = None,
+    ) -> None:
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.tracer = tracer if tracer is not None else NullTracer()
+        self.profiler = profiler if profiler is not None else NULL_PROFILER
+        self.slo = slo
+        self.timeseries = (
+            timeseries if timeseries is not None else NULL_TIMESERIES
+        )
+        self.events = events if events is not None else NULL_EVENTS
+        self.timeseries.bind(self.registry)
+        self._queue_limit: int | None = None
+        self.health = self._build_health()
+
+    def _build_health(self) -> Any:
+        """The health monitor matching the current telemetry wiring."""
+        if not self.timeseries.enabled:
+            return NULL_HEALTH
+        return HealthMonitor(
+            self.timeseries,
+            self.events,
+            slo=self.slo,
+            queue_limit=self._queue_limit,
+        )
+
+    def sample_telemetry(self, now_ms: float) -> None:
+        """Serve-path hook: advance the time series to ``now_ms``.
+
+        When the call lands a new sample (an interval boundary was
+        crossed) the health rules are re-evaluated against the updated
+        series, so verdict flips land at window granularity.  With the
+        null recorder this is one no-op method call per query.
+        """
+        if self.timeseries.maybe_sample(now_ms) is not None:
+            self.health.evaluate(now_ms)
+
+    def install_telemetry(
+        self, timeseries: Any = None, events: Any = None
+    ) -> None:
+        """Deployment wiring: swap in live telemetry recorders.
+
+        Like tracer/profiler rebinding, legal only during
+        single-threaded wiring before any request thread starts.
+        """
+        if timeseries is not None:
+            self.timeseries = timeseries
+            self.timeseries.bind(self.registry)
+        if events is not None:
+            self.events = events
+        self.health = self._build_health()
+
+
+class ProxyInstrumentation(TelemetryBundle):
+    """The proxy's metric families, tracer, decision log, and hooks."""
+
+    slo: SloTracker
+
+    def __init__(
+        self,
         registry: MetricsRegistry | None = None,
         tracer: Any = None,
         decision_capacity: int = 256,
@@ -271,18 +335,17 @@ class ProxyInstrumentation:
         timeseries: Any = None,
         events: Any = None,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.decisions = DecisionLog(capacity=decision_capacity)
-        self.slo = SloTracker(self.registry, objective=slo)
-        self.timeseries = (
-            timeseries if timeseries is not None else NULL_TIMESERIES
+        if registry is None:
+            registry = MetricsRegistry()
+        super().__init__(
+            registry,
+            tracer,
+            profiler,
+            timeseries,
+            events,
+            slo=SloTracker(registry, objective=slo),
         )
-        self.events = events if events is not None else NULL_EVENTS
-        self.timeseries.bind(self.registry)
-        self._queue_limit: int | None = None
-        self.health = self._build_health()
+        self.decisions = DecisionLog(capacity=decision_capacity)
         r = self.registry
         self.queries = r.counter(
             "proxy_queries_total",
@@ -432,25 +495,6 @@ class ProxyInstrumentation:
         )
 
     # --------------------------------------------------------- telemetry
-    def _build_health(self) -> Any:
-        """The health monitor matching the current telemetry wiring."""
-        if not self.timeseries.enabled:
-            return NULL_HEALTH
-        monitor = HealthMonitor(self.timeseries, self.events, slo=self.slo)
-        monitor.set_queue_limit(self._queue_limit)
-        return monitor
-
-    def sample_telemetry(self, now_ms: float) -> None:
-        """Serve-path hook: advance the time series to ``now_ms``.
-
-        When the call lands a new sample (an interval boundary was
-        crossed) the health rules are re-evaluated against the updated
-        series, so verdict flips land at window granularity.  With the
-        null recorder this is one no-op method call per query.
-        """
-        if self.timeseries.maybe_sample(now_ms) is not None:
-            self.health.evaluate(now_ms)
-
     def telemetry_event(
         self,
         code: str,
@@ -467,21 +511,6 @@ class ProxyInstrumentation:
             query_index=query_index,
             **payload,
         )
-
-    def install_telemetry(
-        self, timeseries: Any = None, events: Any = None
-    ) -> None:
-        """Deployment wiring: swap in live telemetry recorders.
-
-        Like tracer/profiler rebinding, legal only during
-        single-threaded wiring before any request thread starts.
-        """
-        if timeseries is not None:
-            self.timeseries = timeseries
-            self.timeseries.bind(self.registry)
-        if events is not None:
-            self.events = events
-        self.health = self._build_health()
 
     def set_admission_queue_limit(self, limit: int | None) -> None:
         """Admission wiring: the accept queue's depth limit (HR04)."""
@@ -648,13 +677,8 @@ class ProxyInstrumentation:
         self.transfer_bytes.labels(hop=hop).inc(n_bytes)
 
 
-@unshared("tracer", "profiler", "timeseries", "events", "health")
-class OriginInstrumentation:
-    """The origin server's metric families and tracer.
-
-    Same waiver as :class:`ProxyInstrumentation`: rebound only during
-    single-threaded deployment wiring.
-    """
+class OriginInstrumentation(TelemetryBundle):
+    """The origin server's metric families and tracer."""
 
     def __init__(
         self,
@@ -664,15 +688,7 @@ class OriginInstrumentation:
         timeseries: Any = None,
         events: Any = None,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.timeseries = (
-            timeseries if timeseries is not None else NULL_TIMESERIES
-        )
-        self.events = events if events is not None else NULL_EVENTS
-        self.timeseries.bind(self.registry)
-        self.health = self._build_health()
+        super().__init__(registry, tracer, profiler, timeseries, events)
         r = self.registry
         self.requests = r.counter(
             "origin_requests_total",
@@ -695,27 +711,6 @@ class OriginInstrumentation:
             "origin_data_version", "Current base-data version."
         )
         self.data_version.set(1)
-
-    def _build_health(self) -> Any:
-        if not self.timeseries.enabled:
-            return NULL_HEALTH
-        return HealthMonitor(self.timeseries, self.events)
-
-    def sample_telemetry(self, now_ms: float) -> None:
-        """Request-path hook: advance the time series to ``now_ms``."""
-        if self.timeseries.maybe_sample(now_ms) is not None:
-            self.health.evaluate(now_ms)
-
-    def install_telemetry(
-        self, timeseries: Any = None, events: Any = None
-    ) -> None:
-        """Deployment wiring: swap in live telemetry recorders."""
-        if timeseries is not None:
-            self.timeseries = timeseries
-            self.timeseries.bind(self.registry)
-        if events is not None:
-            self.events = events
-        self.health = self._build_health()
 
     def observe(self, kind: str, result_bytes: int, server_ms: float) -> None:
         self.requests.labels(kind=kind).inc()

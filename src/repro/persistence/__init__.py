@@ -15,6 +15,9 @@ makes it restart warm:
   :class:`~repro.persistence.persister.CachePersister` mutation-log
   hook the cache manager reports to, with snapshot cadence and
   seeded crash injection (:class:`~repro.faults.crash.CrashPlan`);
+* :mod:`repro.persistence.image` — the one cache-image codec, disk
+  walk, and fence → re-bind → ``cache.store`` replay loop that
+  recovery, crash handoff, and drain all run;
 * :mod:`repro.persistence.recovery` — warm-restart replay: snapshot +
   journal prefix, version fencing against the origin's current data
   version, and the structured

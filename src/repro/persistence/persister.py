@@ -33,13 +33,9 @@ from repro.faults.errors import SimulatedCrash
 from repro.locking import guarded_by, named_lock, unshared
 from repro.obs.events import EV_SNAPSHOT_CHECKPOINT
 from repro.persistence.errors import PersistenceError
+from repro.persistence.image import admit_record, admit_records
 from repro.persistence.journal import Journal
-from repro.persistence.records import (
-    AdmitRecord,
-    ClearRecord,
-    EvictRecord,
-    region_to_dict,
-)
+from repro.persistence.records import ClearRecord, EvictRecord
 from repro.persistence.snapshot import (
     Snapshot,
     load_snapshot,
@@ -187,7 +183,11 @@ class CachePersister:
         """Cache-manager hook: ``entry`` just entered the cache."""
         if self.suspended:
             return
-        self._append(self._admit_record(entry))
+        self._append(
+            admit_record(
+                entry, self._version_of(), self._now_ms(), self.shard_id
+            )
+        )
 
     def removed(self, entry: "CacheEntry", reason: str) -> None:
         """Cache-manager hook: ``entry`` left the cache for ``reason``."""
@@ -239,11 +239,11 @@ class CachePersister:
             raise PersistenceError(
                 "persister is not bound to a cache; call bind() first"
             )
-        entries = tuple(
-            self._admit_record(entry)
-            for entry in sorted(
-                self._cache.entries(), key=lambda e: e.entry_id
-            )
+        entries = admit_records(
+            self._cache.entries(),
+            self._version_of(),
+            self._now_ms(),
+            self.shard_id,
         )
         snapshot = Snapshot(
             data_version=self._version_of(),
@@ -300,21 +300,6 @@ class CachePersister:
         }
 
     # ------------------------------------------------------------ private
-    def _admit_record(self, entry: "CacheEntry") -> AdmitRecord:
-        template_id, param_items = entry.cache_key
-        return AdmitRecord(
-            entry_id=entry.entry_id,
-            template_id=template_id,
-            params=dict(param_items),
-            region=region_to_dict(entry.region),
-            signature=entry.signature,
-            truncated=entry.truncated,
-            result_xml=entry.result.to_xml(),
-            data_version=self._version_of(),
-            ts_ms=self._now_ms(),
-            shard=self.shard_id,
-        )
-
     def _now_ms(self) -> float:
         return 0.0 if self._clock is None else self._clock.now_ms
 

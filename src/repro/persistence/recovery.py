@@ -26,6 +26,11 @@ own tracer span:
    byte-budgeted cache may evict during restore exactly as it would
    during traffic.
 
+The phases themselves live in :mod:`repro.persistence.image`
+(``load_image`` is phases 1–2, ``replay_admits`` phases 3–4), shared
+with the cluster's crash handoff and drain; this module adds what only
+a restart needs — the report, the spans, the metrics, the re-checkpoint.
+
 The structured :class:`RecoveryReport` captures every disposition and
 feeds ``recovery_entries_total{disposition}`` plus the
 ``GET /persistence`` endpoint.  Recovery never raises for damaged
@@ -38,13 +43,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.persistence.errors import SnapshotFormatError
-from repro.persistence.records import (
-    AdmitRecord,
-    ClearRecord,
-    EvictRecord,
-    region_from_dict,
-)
+from repro.persistence.image import load_image, replay_admits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cache import CacheManager
@@ -126,46 +125,23 @@ def recover_cache(
     report.data_version = persister.current_version()
 
     with _span(obs, "recovery"):
-        # Phase 1: snapshot -------------------------------------------------
-        with _span(obs, "snapshot_load"):
-            try:
-                snapshot = persister.load_snapshot()
-            except SnapshotFormatError as exc:
-                snapshot = None
-                report.snapshot_error = str(exc)
-            image: dict[int, AdmitRecord] = {}
-            if snapshot is not None:
-                report.snapshot_loaded = True
-                report.snapshot_entries = len(snapshot.entries)
-                for record in snapshot.entries:
-                    image[record.entry_id] = record
-
-        # Phase 2: journal replay ------------------------------------------
-        with _span(obs, "journal_replay") as replay_span:
-            read = persister.journal.read()
-            report.records_replayed = len(read.records)
-            report.bytes_replayed = read.bytes_replayed
-            report.bytes_total = read.bytes_total
-            report.stop_reason = read.stop_reason
-            report.stop_detail = read.stop_detail
-            for record in read.records:
-                report.record_counts[record.type] = (
-                    report.record_counts.get(record.type, 0) + 1
-                )
-                if obs is not None:
-                    obs.journal_replayed(record.type)
-                if isinstance(record, AdmitRecord):
-                    image[record.entry_id] = record
-                elif isinstance(record, EvictRecord):
-                    image.pop(record.entry_id, None)
-                elif isinstance(record, ClearRecord):
-                    image.clear()
-            if replay_span is not None and hasattr(replay_span, "annotate"):
-                replay_span.annotate(
-                    records=report.records_replayed,
-                    bytes=report.bytes_replayed,
-                    stop=report.stop_reason or "clean",
-                )
+        # Phases 1+2: snapshot, then the journal's intact prefix ----------
+        image = load_image(persister, lambda name: _span(obs, name))
+        report.snapshot_loaded = image.snapshot_entries is not None
+        report.snapshot_entries = image.snapshot_entries or 0
+        report.snapshot_error = image.snapshot_error
+        read = image.journal
+        report.records_replayed = len(read.records)
+        report.bytes_replayed = read.bytes_replayed
+        report.bytes_total = read.bytes_total
+        report.stop_reason = read.stop_reason
+        report.stop_detail = read.stop_detail
+        for record in read.records:
+            report.record_counts[record.type] = (
+                report.record_counts.get(record.type, 0) + 1
+            )
+            if obs is not None:
+                obs.journal_replayed(record.type)
 
         # Phases 3+4: fence versions, then materialize ---------------------
         with _span(obs, "materialize"):
@@ -173,28 +149,28 @@ def recover_cache(
             # not hold the persister lock while calling cache.store
             # (that would invert the cache -> journal lock order).
             persister.set_suspended(True)
-            local_shard = persister.shard_id
             try:
-                for record in image.values():
-                    # Foreign-tagged records (a handoff file replayed
-                    # on the wrong shard, or a copied directory) are
-                    # skipped, not re-admitted: the ring owner serves
-                    # them now.
-                    if (
-                        record.shard is not None
-                        and record.shard != local_shard
-                    ):
-                        report.entries_foreign += 1
-                        continue
-                    if (
-                        report.data_version is not None
-                        and record.data_version != report.data_version
-                    ):
-                        report.entries_stale += 1
-                        continue
-                    _materialize(record, cache, templates, report)
+                # Foreign-tagged records (a handoff file replayed on
+                # the wrong shard, or a copied directory) are skipped,
+                # not re-admitted: the ring owner serves them now.
+                tally = replay_admits(
+                    image.admits.values(),
+                    cache,
+                    templates,
+                    report.data_version,
+                    accept_foreign=False,
+                    local_shard=persister.shard_id,
+                )
             finally:
                 persister.set_suspended(False)
+        report.entries_restored = tally.restored
+        report.entries_stale = tally.stale
+        report.entries_foreign = tally.foreign
+        report.entries_error = tally.error
+        report.entries_rejected = tally.rejected
+        report.entries_evicted = tally.evicted
+        report.evictions = [e.to_dict() for e in tally.evictions]
+        report.errors = tally.errors
 
     if obs is not None:
         obs.recovery_disposition("restored", report.entries_restored)
@@ -208,40 +184,3 @@ def recover_cache(
     # the (possibly damaged) journal is truncated behind it.
     persister.checkpoint()
     return report
-
-
-def _materialize(
-    record: AdmitRecord,
-    cache: "CacheManager",
-    templates: "TemplateManager",
-    report: RecoveryReport,
-) -> None:
-    """Re-admit one journal/snapshot entry through the cache manager."""
-    from repro.relational.result import ResultTable
-
-    try:
-        region = region_from_dict(record.region)
-        result = ResultTable.from_xml(record.result_xml)
-        bound = templates.bind(record.template_id, record.params)
-        if bound.region != region:
-            raise ValueError(
-                "re-bound region disagrees with the journaled region "
-                "(template changed across restart?)"
-            )
-    except Exception as exc:  # defensive: one bad entry must not abort
-        report.entries_error += 1
-        if len(report.errors) < 8:
-            report.errors.append(
-                f"entry {record.entry_id} ({record.template_id}): {exc}"
-            )
-        return
-    entry, maintenance = cache.store(
-        bound, result, record.signature, record.truncated
-    )
-    report.entries_evicted += maintenance.evicted_entries
-    for eviction in maintenance.evictions:
-        report.evictions.append(eviction.to_dict())
-    if entry is None:
-        report.entries_rejected += 1
-    else:
-        report.entries_restored += 1

@@ -14,6 +14,7 @@ rewrite and forward queries textually.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.relational.errors import ExecutionError
@@ -173,15 +174,17 @@ class SelectStatement:
         return " ".join(parts)
 
     # ------------------------------------------------------- templates
-    def parameter_names(self) -> list[str]:
-        """All ``$name`` placeholders, in first-appearance order."""
+    @cached_property
+    def _parameter_names(self) -> tuple[str, ...]:
+        # Walked once per statement: the AST is frozen, and a template
+        # statement is bound once per query.
         names: list[str] = []
         self._walk_parameters(lambda p: names.append(p.name))
-        deduped: list[str] = []
-        for name in names:
-            if name not in deduped:
-                deduped.append(name)
-        return deduped
+        return tuple(dict.fromkeys(names))
+
+    def parameter_names(self) -> list[str]:
+        """All ``$name`` placeholders, in first-appearance order."""
+        return list(self._parameter_names)
 
     def _walk_parameters(self, visit) -> None:
         def walk_expr(expr: Expression) -> None:
@@ -217,7 +220,7 @@ class SelectStatement:
         placeholder has no value; extra values are ignored (a template
         info file may carry defaults for parameters a form omits).
         """
-        missing = [n for n in self.parameter_names() if n not in values]
+        missing = [n for n in self._parameter_names if n not in values]
         if missing:
             raise ExecutionError(
                 f"missing template parameter(s): {', '.join(missing)}"

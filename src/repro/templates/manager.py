@@ -264,7 +264,7 @@ class TemplateManager:
         template = self.query_template(template_id)
         params = dict(params)
         statement = template.bind_statement(params)
-        region = template.region_for(params)
+        region = template.region_of(statement)
         return BoundQuery(
             template=template,
             params=params,

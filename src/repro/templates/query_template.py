@@ -133,20 +133,29 @@ class QueryTemplate:
         return self.statement.bind(dict(params))
 
     def function_params(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Values of the *function template's* parameters for a binding.
+        """Values of the *function template's* parameters for a binding."""
+        return self.function_params_of(self.bind_statement(params))
+
+    def function_params_of(self, bound: SelectStatement) -> dict[str, Any]:
+        """The same values, read off an already-bound statement.
 
         The query template's function call arguments are expressions
         over the query parameters; evaluating each bound argument gives
         the positional function arguments, which are zipped with the
         function template's declared parameter names.
         """
-        source = self.statement.source
+        source = bound.source
         assert isinstance(source, FunctionSource)
-        bound = self.bind_statement(params).source
-        assert isinstance(bound, FunctionSource)
-        values = bound.argument_values()
-        return dict(zip(self.function_template.params, values))
+        return dict(
+            zip(self.function_template.params, source.argument_values())
+        )
 
     def region_for(self, params: Mapping[str, Any]):
         """The spatial region a concrete binding selects."""
-        return self.function_template.region_for(self.function_params(params))
+        return self.region_of(self.bind_statement(params))
+
+    def region_of(self, bound: SelectStatement):
+        """The region an already-bound statement selects (no re-bind)."""
+        return self.function_template.region_for(
+            self.function_params_of(bound)
+        )

@@ -15,6 +15,11 @@ proxy servlet that talks HTTP to the origin web site:
   tier's front door: ``/search/<form>`` routed over the consistent-
   hash ring, plus ``/shards``, ``/health``, ``/decisions``, and
   ``POST /drain/<shard_id>``;
+* :mod:`~repro.webapp.surface` — what the three apps share: the
+  telemetry routes (``/metrics``, ``/timeseries``, ``/events``, and
+  ``/trace/recent`` / ``/profile`` where a tracer and profiler exist),
+  the outcome → HTTP response mapping of ``/search``, and the recorder
+  swap behind the factories' capacity arguments;
 * :class:`~repro.webapp.http_origin.HttpOriginClient` — an
   origin-server adapter that forwards over HTTP, so a
   :class:`~repro.core.proxy.FunctionProxy` can front a *remote* origin

@@ -47,17 +47,14 @@ from __future__ import annotations
 
 from repro.analysis.analyzer import analyze_manager
 from repro.network.clock import SimulatedClock
-from repro.obs.events import EventRecorder
-from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
-from repro.obs.profiling import Profiler
 from repro.obs.propagation import parse_traceparent
-from repro.obs.spans import SpanTracer
-from repro.obs.timeseries import ORIGIN_LANES, TimeSeriesRecorder
+from repro.obs.timeseries import ORIGIN_LANES
 from repro.relational.errors import RelationalError
 from repro.server.origin import OriginServer
 from repro.sqlparser.errors import ParseError
 from repro.sqlparser.parser import parse_select
 from repro.templates.errors import TemplateError
+from repro.webapp.surface import add_telemetry_routes, install_recorders
 
 
 def create_origin_app(
@@ -87,26 +84,14 @@ def create_origin_app(
         ) from None
 
     app = Flask("repro-origin")
-    if trace_capacity is not None:
-        origin.instrumentation.tracer = SpanTracer(capacity=trace_capacity)
-    if profile_top_k is not None:
-        origin.instrumentation.profiler = Profiler(top_k=profile_top_k)
-    if timeseries_interval_ms is not None or event_capacity is not None:
-        origin.instrumentation.install_telemetry(
-            timeseries=(
-                TimeSeriesRecorder(
-                    interval_ms=timeseries_interval_ms,
-                    lanes=ORIGIN_LANES,
-                )
-                if timeseries_interval_ms is not None
-                else None
-            ),
-            events=(
-                EventRecorder(capacity=event_capacity)
-                if event_capacity is not None
-                else None
-            ),
-        )
+    install_recorders(
+        origin.instrumentation,
+        trace_capacity,
+        profile_top_k,
+        timeseries_interval_ms,
+        event_capacity,
+        lanes=ORIGIN_LANES,
+    )
     # The origin has no work clock of its own; its telemetry axis is
     # the cumulative simulated server time it has charged.
     served_clock = SimulatedClock()
@@ -181,35 +166,7 @@ def create_origin_app(
             payload["info_files"].append(info.to_xml())
         return payload
 
-    @app.get("/metrics")
-    def metrics():
-        return (
-            origin.instrumentation.registry.exposition(),
-            200,
-            {"Content-Type": PROMETHEUS_CONTENT_TYPE},
-        )
-
-    @app.get("/trace/recent")
-    def trace_recent():
-        tracer = origin.instrumentation.tracer
-        limit = request.args.get("n", default=20, type=int)
-        return {"enabled": tracer.enabled, "spans": tracer.recent(limit)}
-
-    @app.get("/profile")
-    def profile():
-        profiler = origin.instrumentation.profiler
-        fmt = request.args.get("format", "json")
-        if fmt == "text":
-            try:
-                text = profiler.render_text(
-                    sort=request.args.get("sort", "cum")
-                )
-            except ValueError as exc:
-                return {"error": str(exc)}, 400
-            return text, 200, {"Content-Type": "text/plain; charset=utf-8"}
-        if fmt != "json":
-            return {"error": f"unknown format {fmt!r}; use json or text"}, 400
-        return profiler.snapshot()
+    add_telemetry_routes(app, origin.instrumentation)
 
     @app.get("/analyze")
     def analyze():
@@ -231,13 +188,5 @@ def create_origin_app(
         )
         status_code = 503 if report["status"] == "unhealthy" else 200
         return report, status_code
-
-    @app.get("/timeseries")
-    def timeseries():
-        return origin.instrumentation.timeseries.snapshot()
-
-    @app.get("/events")
-    def events():
-        return origin.instrumentation.events.snapshot()
 
     return app

@@ -89,20 +89,18 @@ The HTTP face of :class:`~repro.core.proxy.FunctionProxy`:
 
 from __future__ import annotations
 
-from repro.admission.config import retry_after_seconds
 from repro.analysis.analyzer import analyze_manager
 from repro.core.proxy import FunctionProxy
-from repro.core.stats import QueryOutcome
 from repro.faults.errors import FaultPlanError
 from repro.faults.plan import FaultPlan
-from repro.obs.events import EventRecorder
-from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
-from repro.obs.profiling import Profiler
-from repro.obs.spans import SpanTracer
-from repro.obs.timeseries import TimeSeriesRecorder
 from repro.relational.errors import RelationalError
 from repro.sqlparser.errors import ParseError
 from repro.templates.errors import TemplateError
+from repro.webapp.surface import (
+    add_telemetry_routes,
+    install_recorders,
+    search_response,
+)
 
 
 def create_proxy_app(
@@ -134,32 +132,19 @@ def create_proxy_app(
         ) from None
 
     app = Flask("repro-proxy")
+    install_recorders(
+        proxy.obs,
+        trace_capacity,
+        profile_top_k,
+        timeseries_interval_ms,
+        event_capacity,
+    )
     if trace_capacity is not None:
-        proxy.obs.tracer = SpanTracer(capacity=trace_capacity)
         binder = getattr(proxy.origin, "bind_tracer", None)
         if callable(binder):
             binder(proxy.obs.tracer)
     if explain_capacity is not None:
         proxy.obs.decisions.resize(explain_capacity)
-    if profile_top_k is not None:
-        proxy.obs.profiler = Profiler(top_k=profile_top_k)
-    if timeseries_interval_ms is not None or event_capacity is not None:
-        proxy.obs.install_telemetry(
-            timeseries=(
-                TimeSeriesRecorder(interval_ms=timeseries_interval_ms)
-                if timeseries_interval_ms is not None
-                else None
-            ),
-            events=(
-                EventRecorder(capacity=event_capacity)
-                if event_capacity is not None
-                else None
-            ),
-        )
-        if proxy.admission is not None:
-            proxy.obs.set_admission_queue_limit(
-                proxy.admission.config.max_queue_depth
-            )
 
     def _function_registry():
         catalog = getattr(proxy.origin, "catalog", None)
@@ -183,56 +168,7 @@ def create_proxy_app(
             # Proxy-side binding/parsing problems; origin-side query
             # errors surface as a structured ``failed`` outcome below.
             return {"error": str(exc)}, 400
-        record = response.record
-        headers = {
-            "X-Proxy-Ms": f"{record.response_ms:.3f}",
-            "X-Cache-Status": record.status.value,
-            "X-Cache-Efficiency": f"{record.cache_efficiency:.4f}",
-            "X-Proxy-Outcome": record.outcome.value,
-            "X-Proxy-Retries": str(record.retries),
-        }
-        if record.outcome in (
-            QueryOutcome.SHED,
-            QueryOutcome.QUEUED_TIMEOUT,
-        ):
-            # Admission turned the query away: 429 for a live shed
-            # (back off and retry), 503 for a queued request whose
-            # deadline passed before a serve slot freed up.  Either
-            # way the client gets a Retry-After derived from the
-            # overload breaker's cooldown.
-            status_code = (
-                429 if record.outcome is QueryOutcome.SHED else 503
-            )
-            if proxy.admission is not None:
-                headers["Retry-After"] = str(
-                    retry_after_seconds(proxy.admission.config)
-                )
-            return (
-                {
-                    "error": "proxy overloaded",
-                    "reason": record.failure_reason,
-                },
-                status_code,
-                headers,
-            )
-        if record.outcome is QueryOutcome.FAILED:
-            status_code = (
-                400 if record.failure_reason == "query-error" else 503
-            )
-            return (
-                {
-                    "error": "origin unavailable"
-                    if status_code == 503
-                    else "origin rejected the query",
-                    "reason": record.failure_reason,
-                    "retries": record.retries,
-                },
-                status_code,
-                headers,
-            )
-        status_code = 206 if record.outcome is QueryOutcome.PARTIAL else 200
-        headers["Content-Type"] = "application/xml"
-        return response.result.to_xml(), status_code, headers
+        return search_response(response, proxy.admission)
 
     @app.get("/stats")
     def stats():
@@ -264,38 +200,7 @@ def create_proxy_app(
             "check_wall_ms": trace_stats.check_wall_summary(),
         }
 
-    @app.get("/metrics")
-    def metrics():
-        with_exemplars = request.args.get("exemplars") in ("1", "true")
-        return (
-            proxy.metrics.exposition(exemplars=with_exemplars),
-            200,
-            {"Content-Type": PROMETHEUS_CONTENT_TYPE},
-        )
-
-    @app.get("/profile")
-    def profile():
-        profiler = proxy.obs.profiler
-        fmt = request.args.get("format", "json")
-        if fmt == "text":
-            try:
-                text = profiler.render_text(
-                    sort=request.args.get("sort", "cum")
-                )
-            except ValueError as exc:
-                return {"error": str(exc)}, 400
-            return text, 200, {"Content-Type": "text/plain; charset=utf-8"}
-        if fmt != "json":
-            return {"error": f"unknown format {fmt!r}; use json or text"}, 400
-        return profiler.snapshot()
-
-    @app.get("/trace/recent")
-    def trace_recent():
-        limit = request.args.get("n", default=20, type=int)
-        return {
-            "enabled": proxy.tracer.enabled,
-            "spans": proxy.tracer.recent(limit),
-        }
+    add_telemetry_routes(app, proxy.obs)
 
     @app.get("/explain/recent")
     def explain_recent():
@@ -388,18 +293,6 @@ def create_proxy_app(
             }
         payload = controller.snapshot()
         payload["enabled"] = True
-        return payload
-
-    @app.get("/timeseries")
-    def timeseries():
-        return proxy.timeseries.snapshot()
-
-    @app.get("/events")
-    def events():
-        limit = request.args.get("n", type=int)
-        payload = proxy.events.snapshot()
-        if limit is not None:
-            payload["events"] = payload["events"][-max(0, limit):]
         return payload
 
     @app.get("/health")

@@ -31,16 +31,20 @@ tier's load balancer would expose:
     Administratively retire a shard, warm-handing its live cache to
     the first live ring successor; answers the handoff report, or
     ``409`` when the shard was already drained.
+
+``GET /metrics`` / ``GET /timeseries`` / ``GET /events?n=``
+    The tier's own telemetry, on the routes (and from the code) the
+    proxy and origin apps use: the ``router_*`` metric families, the
+    ``ROUTER_LANES`` time series, and the flight recorder's EV12–EV14.
 """
 
 from __future__ import annotations
 
-from repro.admission.config import retry_after_seconds
 from repro.cluster import ShardRouter
-from repro.core.stats import QueryOutcome
 from repro.relational.errors import RelationalError
 from repro.sqlparser.errors import ParseError
 from repro.templates.errors import TemplateError
+from repro.webapp.surface import add_telemetry_routes, search_response
 
 
 def create_router_app(router: ShardRouter):
@@ -57,17 +61,6 @@ def create_router_app(router: ShardRouter):
     # one origin), so any shard can bind the form for routing.
     templates = router.shard(router.shard_ids[0]).proxy.templates
 
-    def _retry_after(shard_id: str | None) -> int | None:
-        """The Retry-After for a turned-away query, from the admission
-        config of the shard that shed it (the primary when nothing was
-        dispatched)."""
-        if shard_id is None:
-            return None
-        controller = router.shard(shard_id).proxy.admission
-        if controller is None:
-            return None
-        return retry_after_seconds(controller.config)
-
     @app.get("/search/<form_name>")
     def search(form_name: str):
         tenant = request.headers.get("X-Tenant", "default")
@@ -76,45 +69,23 @@ def create_router_app(router: ShardRouter):
         except (TemplateError, ParseError, RelationalError) as exc:
             return {"error": str(exc)}, 400
         response, decision = router.serve_routed(bound, tenant=tenant)
-        record = response.record
-        headers = {
-            "X-Proxy-Ms": f"{record.response_ms:.3f}",
-            "X-Cache-Status": record.status.value,
-            "X-Proxy-Outcome": record.outcome.value,
-            "X-Shard": decision.dispatched or "-",
-            "X-Shard-Rerouted": "1" if decision.rerouted else "0",
-        }
-        if record.outcome in (
-            QueryOutcome.SHED,
-            QueryOutcome.QUEUED_TIMEOUT,
-        ):
-            status_code = (
-                429 if record.outcome is QueryOutcome.SHED else 503
-            )
-            retry = _retry_after(decision.dispatched or decision.primary)
-            if retry is not None:
-                headers["Retry-After"] = str(retry)
-            return (
-                {
-                    "error": "shard tier overloaded",
-                    "reason": record.failure_reason,
-                    "shard": decision.dispatched or decision.primary,
-                },
-                status_code,
-                headers,
-            )
-        if record.outcome is QueryOutcome.FAILED:
-            return (
-                {
-                    "error": "origin unavailable",
-                    "reason": record.failure_reason,
-                },
-                503,
-                headers,
-            )
-        headers["Content-Type"] = "application/xml"
-        status_code = 206 if record.outcome is QueryOutcome.PARTIAL else 200
-        return response.result.to_xml(), status_code, headers
+        # A turned-away query reports (and takes its Retry-After from)
+        # the shard that shed it — the primary when nothing dispatched.
+        shard_id = decision.dispatched or decision.primary
+        return search_response(
+            response,
+            router.shard(shard_id).proxy.admission,
+            extra_headers={
+                "X-Shard": decision.dispatched or "-",
+                "X-Shard-Rerouted": "1" if decision.rerouted else "0",
+            },
+            overload_body={
+                "error": "shard tier overloaded",
+                "shard": shard_id,
+            },
+        )
+
+    add_telemetry_routes(app, router)
 
     @app.get("/shards")
     def shards():

@@ -130,6 +130,9 @@ class TestAdmissionFence:
             index, bound.template_id, clock=proxy.clock
         )
         observation.data_version = fence
+        observation.decision = proxy.obs.decisions.begin(
+            index, bound.template_id
+        )
         return observation
 
     def test_in_flight_result_is_fenced_after_a_flush(

@@ -14,6 +14,10 @@ from repro.cluster import RouterConfig, Shard, ShardRouter
 from repro.core.proxy import FunctionProxy
 from repro.core.schemes import CachingScheme
 from repro.faults.shard import ShardCrashPlan, ShardFaultWindow
+from repro.obs.events import EV_SHARD_CRASH, EventRecorder
+from repro.obs.timeseries import ROUTER_LANES, TimeSeriesRecorder
+from repro.sqlparser.errors import ParseError
+from repro.webapp.proxy_app import create_proxy_app
 from repro.webapp.router_app import create_router_app
 
 QUOTA_CONFIG = AdmissionConfig(
@@ -98,6 +102,118 @@ class TestRoutedSearch:
         payload = response.get_json()
         assert payload["reason"] == "quota"
         assert payload["shard"]
+
+
+class RejectingOrigin:
+    """An origin whose executor refuses every query as malformed."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def execute_bound(self, bound):
+        raise ParseError("bad SQL")
+
+
+class TestSingleProxyParity:
+    """The router answers a search exactly as a single proxy would:
+    one outcome -> response mapping serves both apps."""
+
+    def test_carries_every_single_proxy_header(self, client, origin):
+        routed = radial(client)
+        single = radial(
+            create_proxy_app(
+                FunctionProxy(origin, origin.templates)
+            ).test_client()
+        )
+        proxy_headers = {h for h in single.headers.keys() if h[:2] == "X-"}
+        assert {"X-Proxy-Retries", "X-Cache-Efficiency"} <= proxy_headers
+        assert proxy_headers <= set(routed.headers.keys())
+        assert routed.headers["X-Proxy-Retries"] == "0"
+        assert routed.headers["X-Cache-Efficiency"] == "0.0000"
+        assert routed.data == single.data
+
+    def test_origin_query_error_is_400_like_the_proxy_app(
+        self, router, client, origin
+    ):
+        for shard_id in router.shard_ids:
+            router.shard(shard_id).proxy.origin = RejectingOrigin(origin)
+        single_proxy = FunctionProxy(origin, origin.templates)
+        single_proxy.origin = RejectingOrigin(origin)
+        single = radial(create_proxy_app(single_proxy).test_client())
+        routed = radial(client)
+        assert single.status_code == routed.status_code == 400
+        assert routed.headers["X-Proxy-Outcome"] == "failed"
+        assert routed.get_json() == single.get_json() == {
+            "error": "origin rejected the query",
+            "reason": "query-error",
+            "retries": 0,
+        }
+
+
+class TestRouterTelemetryEndpoints:
+    """The tier serves its own registry, time series and flight
+    recorder — the same three routes the proxy and origin apps do."""
+
+    @pytest.fixture()
+    def live(self, origin):
+        router = make_router(
+            origin,
+            events=EventRecorder(capacity=8),
+            timeseries=TimeSeriesRecorder(
+                interval_ms=1_000.0, lanes=ROUTER_LANES
+            ),
+            crash_plan=ShardCrashPlan(
+                faults=(
+                    ShardFaultWindow("shard-0", "hang", 0.0),
+                    ShardFaultWindow("shard-1", "hang", 0.0, 10.0),
+                )
+            ),
+        )
+        return router, create_router_app(router).test_client()
+
+    def test_metrics_exposes_the_router_families(self, client):
+        radial(client)
+        response = client.get("/metrics")
+        assert response.status_code == 200
+        assert (
+            response.headers["Content-Type"]
+            == "text/plain; version=0.0.4; charset=utf-8"
+        )
+        text = response.get_data(as_text=True)
+        assert "router_queries_total 1" in text
+        assert "router_shards_up 3" in text
+
+    def test_timeseries_samples_the_router_lanes(self, live):
+        router, client = live
+        radial(client)
+        router.clock.advance(1_000.0)
+        radial(client)
+        payload = client.get("/timeseries").get_json()
+        assert payload["enabled"] is True
+        assert payload["lanes"]["gauges"] == ["shards_up", "shards_total"]
+        assert payload["samples"]
+
+    def test_events_honours_n(self, live):
+        _router, client = live
+        radial(client)
+        payload = client.get("/events").get_json()
+        assert [e["code"] for e in payload["events"]] == [
+            EV_SHARD_CRASH, EV_SHARD_CRASH,
+        ]
+        limited = client.get("/events?n=1").get_json()
+        assert len(limited["events"]) == 1
+        assert limited["total"] == 2
+
+    def test_recorders_are_off_by_default(self, client):
+        assert client.get("/timeseries").get_json()["enabled"] is False
+        assert client.get("/events").get_json()["enabled"] is False
+
+    def test_no_tracer_no_trace_route(self, client):
+        assert client.get("/trace/recent").status_code == 404
+        assert client.get("/profile").status_code == 404
 
 
 class TestShardsEndpoint:

@@ -164,6 +164,14 @@ class TestOriginTelemetry:
         assert payload["enabled"] is True
         assert payload["events"] == []
 
+    def test_events_honours_n_like_the_proxy_app(self, origin, origin_client):
+        recorder = origin.instrumentation.events
+        recorder.emit(EV_BREAKER_OPEN, at_ms=10.0)
+        recorder.emit(EV_SHED_ACTIVATED, at_ms=20.0)
+        limited = origin_client.get("/events?n=1").get_json()
+        assert [e["code"] for e in limited["events"]] == ["EV04"]
+        assert limited["total"] == 2
+
     def test_health_merges_status_fields(self, origin_client):
         origin_client.get(RADIAL)
         response = origin_client.get("/health")
