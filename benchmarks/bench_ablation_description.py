@@ -43,18 +43,15 @@ def ablation(runner, record_result, bench_report):
     return result
 
 
-def test_description_claims(ablation, runner):
-    # Checking is always fast in real time with the R-tree; the array's
-    # linear scan honours the paper's 100 ms bound at the paper's own
-    # description sizes but (consistently with the scalability
-    # ablation) blows past it once the description reaches thousands
-    # of entries — which happens at the full paper-scale trace, where
-    # this Python implementation's per-entry cost exceeds the paper's
-    # Java servlet's.  So the array bound is asserted only below that
-    # regime.
+def test_description_claims(ablation):
+    # Checking is always fast in real time, with or without the R-tree,
+    # at every scale: each entry's box is built once at admit, so the
+    # array's linear scan compares plain floats (the scalability
+    # ablation has the per-entry cost) and stays far inside the paper's
+    # 100 ms even over the thousands of entries the full paper-scale
+    # trace accumulates.
     assert ablation.max_check_wall_ms["rtree"] < 100.0
-    if runner.scale.name != "paper":
-        assert ablation.max_check_wall_ms["array"] < 100.0
+    assert ablation.max_check_wall_ms["array"] < 100.0
     # R-tree maintenance costs more than the array's (simulated charge).
     assert ablation.mean_maintenance_sim_ms["rtree"] > (
         ablation.mean_maintenance_sim_ms["array"]

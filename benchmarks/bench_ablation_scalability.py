@@ -1,12 +1,13 @@
-"""Ablation: where the array/R-tree crossover would fall.
+"""Ablation: where the array/R-tree crossover falls.
 
-The paper finds the R-tree useless because "the size of the cache
-description is small so that a linear search and a tree search have
-similar main memory performance".  That is a statement about *scale*:
-with a few hundred cached queries a linear scan is fine.  This ablation
+The paper keeps the array because "the size of the cache description is
+small so that a linear search and a tree search have similar main
+memory performance".  That is a statement about *scale*.  This ablation
 sweeps the description size by an order of magnitude beyond the paper's
-regime and measures real probe time for both structures, locating the
-crossover the paper predicts but never reaches.
+regime and measures, in real time, one probe and one add/remove for
+both structures: the probe locates the crossover the paper predicts but
+never reaches, the add/remove makes "the maintenance of the R-tree
+index is more costly than that of an array" a measured number.
 
 Synthetic entries are used (regions on a grid), so the sweep isolates
 the description structures from trace replay.
@@ -57,6 +58,8 @@ def build(description, entries):
 #: gate an honest IQR.
 SAMPLES = 5
 REPETITIONS = 50
+#: Entries added and taken out again per add/remove sample.
+CHURN = 50
 
 
 def probe_samples(description, probe):
@@ -73,6 +76,28 @@ def probe_samples(description, probe):
     return samples
 
 
+def churn_samples(description, fresh):
+    """µs per ``add`` and per ``remove`` at the description's size.
+
+    Each sample adds the ``fresh`` entries and takes them out again, so
+    the description is the same size for every sample.
+    """
+    from repro.obs.wallclock import Stopwatch
+
+    added, removed = [], []
+    watch = Stopwatch()
+    for _ in range(SAMPLES):
+        watch.restart()
+        for entry in fresh:
+            description.add(entry)
+        added.append(watch.elapsed_s / len(fresh) * 1e6)
+        watch.restart()
+        for entry in fresh:
+            description.remove(entry)
+        removed.append(watch.elapsed_s / len(fresh) * 1e6)
+    return added, removed
+
+
 @pytest.fixture(scope="module")
 def crossover_table(record_result, bench_report):
     from repro.perf.schema import median
@@ -81,44 +106,63 @@ def crossover_table(record_result, bench_report):
     report = bench_report("ablation_scalability")
     ratio_samples = None
     for count in SIZES:
-        entries = synthetic_entries(count)
+        entries = synthetic_entries(count + CHURN)
+        entries, fresh = entries[:count], entries[count:]
         probe = entries[count // 2].region
-        timings = {}
+        samples = {}
         for label, description in (
             ("array", build(ArrayDescription(), entries)),
             ("rtree", build(RTreeDescription(), entries)),
         ):
-            samples = probe_samples(description, probe)
-            timings[label] = samples
-            # Raw probe time is machine-bound: trajectory-only.
-            report.metric(
-                f"{label}_probe_us_{count}",
-                samples,
-                unit="us",
-                gated=False,
+            samples[label, "probe"] = probe_samples(description, probe)
+            samples[label, "add"], samples[label, "remove"] = (
+                churn_samples(description, fresh)
             )
-        array_us = median(tuple(timings["array"]))
-        rtree_us = median(tuple(timings["rtree"]))
-        rows.append([count, array_us, rtree_us, array_us / rtree_us])
+        # Raw times are machine-bound: trajectory-only.
+        for (label, what), values in samples.items():
+            report.metric(
+                f"{label}_{what}_us_{count}", values, unit="us", gated=False
+            )
+        us = {key: median(tuple(values)) for key, values in samples.items()}
+        rows.append(
+            [
+                count,
+                us["array", "probe"],
+                us["rtree", "probe"],
+                us["array", "probe"] / us["rtree", "probe"],
+                us["array", "add"],
+                us["array", "remove"],
+                us["rtree", "add"],
+                us["rtree", "remove"],
+            ]
+        )
         if count == SIZES[-1]:
             ratio_samples = [
                 a / r
-                for a, r in zip(timings["array"], timings["rtree"])
+                for a, r in zip(
+                    samples["array", "probe"], samples["rtree", "probe"]
+                )
             ]
-    # The gated claim is relative — at 10k entries the linear scan
-    # pays a multiple of the R-tree probe — so it survives machine
-    # speed differences that sink absolute wall-clock gates.
+    # The gated claim is relative, so it survives machine speed
+    # differences that sink absolute wall-clock gates: what the linear
+    # scan pays over the R-tree probe at 10x the paper's regime.  Lower
+    # is better — it rises when the scan regains per-entry work — and
+    # ``test_crossover_exists`` holds it above 1.
     report.metric(
         f"array_over_rtree_{SIZES[-1]}",
         ratio_samples,
         unit="ratio",
-        polarity="higher",
+        polarity="lower",
     )
     report.finish()
     text = render_table(
-        "Ablation: real probe time vs description size (the paper's "
-        "regime is the first row; the R-tree pays off only beyond it)",
-        ["entries", "array probe us", "rtree probe us", "array/rtree"],
+        "Ablation: real probe and add/remove time vs description size "
+        "(the paper's regime is the first row)",
+        [
+            "entries", "array probe us", "rtree probe us", "array/rtree",
+            "array add us", "array remove us",
+            "rtree add us", "rtree remove us",
+        ],
         rows,
     )
     record_result("ablation_scalability", text)
@@ -127,7 +171,7 @@ def crossover_table(record_result, bench_report):
 
 def test_crossover_exists(crossover_table):
     # In the paper's regime (hundreds of entries) the structures are
-    # comparable; at 10k entries the R-tree must win clearly.
+    # comparable; at 10k entries the R-tree must still win.
     array_large, rtree_large = crossover_table[SIZES[-1]]
     assert rtree_large < array_large, (
         "R-tree should beat linear scan at 10k entries"

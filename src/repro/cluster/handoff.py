@@ -72,13 +72,13 @@ def export_records(
     """The live cache of ``proxy`` as shard-tagged admit records.
 
     Entries are exported in ``entry_id`` order, so the same cache
-    always serializes to the same byte stream.
+    always serializes to the same byte stream.  They carry the version
+    the cache was admitted under, not the origin's current one: a shard
+    that has not yet noticed a bump hands over stale rows, and the
+    successor's replay must fence them as it fences a stale disk image.
     """
     return admit_records(
-        proxy.cache.entries(),
-        getattr(proxy.origin, "data_version", None),
-        now_ms,
-        shard_id,
+        proxy.cache.entries(), proxy.seen_data_version, now_ms, shard_id
     )
 
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Protocol
 
 from repro.core.costs import ProxyCostModel
 from repro.core.rtree import RTree
-from repro.geometry.regions import Region
+from repro.geometry.regions import EPSILON, Region
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.cache import CacheEntry
@@ -57,17 +57,24 @@ class CacheDescription(Protocol):
 
 
 class ArrayDescription:
-    """Flat per-template entry lists, scanned linearly (ACNR)."""
+    """Flat per-template entry lists, scanned linearly (ACNR).
+
+    Each entry's bounding box is built once, at ``add``, and kept
+    beside it as one flat row ``(entry, *lows, *highs)`` of plain
+    floats; a probe builds only the query's own box and compares
+    numbers.
+    """
 
     kind = "array"
 
     def __init__(self, costs: ProxyCostModel | None = None) -> None:
         self.costs = costs or ProxyCostModel()
-        self._by_template: dict[str, dict[int, "CacheEntry"]] = {}
+        self._by_template: dict[str, dict[int, tuple]] = {}
 
     def add(self, entry: "CacheEntry") -> float:
+        box = entry.region.bounding_box()
         bucket = self._by_template.setdefault(entry.template_id, {})
-        bucket[entry.entry_id] = entry
+        bucket[entry.entry_id] = (entry, *box.lows, *box.highs)
         return self.costs.array_update_ms
 
     def remove(self, entry: "CacheEntry") -> float:
@@ -79,18 +86,36 @@ class ArrayDescription:
         self, template_id: str, region: Region
     ) -> tuple[list["CacheEntry"], float]:
         bucket = self._by_template.get(template_id, {})
-        entries = list(bucket.values())
-        # Linear scan: every entry of the template is touched; the cheap
-        # bounding-box rejection below mirrors the real implementation's
-        # per-entry comparison before the exact check.
-        probe_ms = self.costs.check_per_array_entry_ms * len(entries)
+        # One C-level copy: ``store`` mutates the bucket under
+        # ``proxy.cache`` while this probe runs outside it.
+        rows = list(bucket.values())
+        # Linear scan: every entry of the template is touched, so every
+        # entry is charged.
+        probe_ms = self.costs.check_per_array_entry_ms * len(rows)
         box = region.bounding_box()
-        survivors = [
-            entry
-            for entry in entries
-            if entry.region.bounding_box().intersect(box) is not None
-        ]
-        return survivors, probe_ms
+        dims = len(box.lows)
+        # ``entry.region.bounding_box().intersect(box) is not None``,
+        # one axis at a time over the rows still standing.  Two boxes
+        # are apart on an axis iff ``max(lo, q_lo) > min(hi, q_hi) +
+        # EPSILON``; float addition is monotone, so that is the four
+        # ``>`` tests below (one of them on the query alone), which
+        # also reject a box that is itself empty and, like
+        # ``intersect``, never reject on a NaN.
+        for axis, (q_lo, q_hi) in enumerate(zip(box.lows, box.highs), 1):
+            q_hi += EPSILON
+            if q_lo > q_hi:
+                return [], probe_ms
+            high = axis + dims
+            rows = [
+                row
+                for row in rows
+                if not (
+                    row[axis] > q_hi
+                    or q_lo > row[high] + EPSILON
+                    or row[axis] > row[high] + EPSILON
+                )
+            ]
+        return [row[0] for row in rows], probe_ms
 
 
 class RTreeDescription:
@@ -141,5 +166,8 @@ class RTreeDescription:
             return [], 0.0
         ids = tree.search(region.bounding_box())
         probe_ms = self.costs.check_per_rtree_node_ms * tree.nodes_visited
-        bucket = self._entries.get(template_id, {})
-        return [bucket[entry_id] for entry_id in ids], probe_ms
+        # ``.get``: this probe runs outside ``proxy.cache``, so an
+        # entry the search just found can be evicted before it is
+        # looked up.
+        found = map(self._entries.get(template_id, {}).get, ids)
+        return [entry for entry in found if entry is not None], probe_ms

@@ -305,6 +305,15 @@ class FunctionProxy:
         """The proxy's health monitor (``GET /health`` source)."""
         return self.obs.health
 
+    @property
+    def seen_data_version(self) -> int | None:
+        """The origin data version the cache's entries were admitted under.
+
+        Trails ``origin.data_version`` between a bump and the next
+        serve, which is when the proxy notices and flushes.
+        """
+        return self._seen_data_version
+
     def _on_breaker_transition(self, state: BreakerState) -> None:
         """Origin-breaker callback: gauge update plus an EV01-03 event.
 

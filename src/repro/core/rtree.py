@@ -16,42 +16,78 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.geometry.regions import HyperRect
+from repro.geometry.regions import EPSILON, HyperRect
+
+#: A box inside the tree: ``(lows, highs)``, the two corner tuples of a
+#: checked :class:`HyperRect`, read once at ``insert`` / ``search``.
+#: Every operation below compares and combines these plain floats; no
+#: ``HyperRect`` is built per node or per entry.
+Box = tuple[tuple[float, ...], tuple[float, ...]]
 
 
 class RTreeError(Exception):
     """Structural misuse: duplicate ids, unknown deletions, bad arity."""
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _Node:
     leaf: bool
     entries: list["_Entry"] = field(default_factory=list)
     parent: "_Node | None" = None
 
-    def mbr(self) -> HyperRect:
+    def mbr(self) -> Box:
         box = self.entries[0].box
         for entry in self.entries[1:]:
-            box = box.union_box(entry.box)
+            box = _union(box, entry.box)
         return box
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _Entry:
-    box: HyperRect
+    box: Box
     child: "_Node | None" = None  # internal entries
     key: Any = None  # leaf entries
 
 
-def _area(box: HyperRect) -> float:
+def _union(a: Box, b: Box) -> Box:
+    """The minimum box enclosing both (``HyperRect.union_box``)."""
+    return tuple(map(min, a[0], b[0])), tuple(map(max, a[1], b[1]))
+
+
+def _disjoint(a: Box, b: Box) -> bool:
+    """``HyperRect.intersect(...) is None``: apart on some axis, or
+    either box itself empty (``low > high``)."""
+    for lo, hi, other_lo, other_hi in zip(*a, *b):
+        if max(lo, other_lo) > min(hi, other_hi) + EPSILON:
+            return True
+    return False
+
+
+def _covers(outer: Box, inner: Box) -> bool:
+    """Corner by corner, exactly: an MBR is made by ``min``/``max`` alone."""
+    for lo, hi, inner_lo, inner_hi in zip(*outer, *inner):
+        if inner_lo < lo or inner_hi > hi:
+            return False
+    return True
+
+
+def _area(box: Box) -> float:
     area = 1.0
-    for length in box.side_lengths():
-        area *= max(length, 0.0)
+    for lo, hi in zip(*box):
+        area *= max(hi - lo, 0.0)
     return area
 
 
-def _enlargement(box: HyperRect, extra: HyperRect) -> float:
-    return _area(box.union_box(extra)) - _area(box)
+def _union_area(a: Box, b: Box) -> float:
+    """``_area(_union(a, b))`` without building the union."""
+    area = 1.0
+    for lo, hi, other_lo, other_hi in zip(*a, *b):
+        area *= max(max(hi, other_hi) - min(lo, other_lo), 0.0)
+    return area
+
+
+def _enlargement(box: Box, extra: Box) -> float:
+    return _union_area(box, extra) - _area(box)
 
 
 class RTree:
@@ -61,6 +97,9 @@ class RTree:
     tracks ``nodes_visited`` (reset per operation) so the proxy cost
     model can charge search and maintenance work, and
     ``maintenance_ops`` cumulative splits/condenses for diagnostics.
+
+    Callers hand in :class:`HyperRect` boxes; the tree reads their
+    corners once and works on plain float tuples from there on.
     """
 
     def __init__(self, dims: int, max_entries: int = 8) -> None:
@@ -72,7 +111,7 @@ class RTree:
         self.max_entries = max_entries
         self.min_entries = max(2, max_entries // 2 - 1)
         self._root = _Node(leaf=True)
-        self._boxes: dict[Any, HyperRect] = {}
+        self._boxes: dict[Any, Box] = {}
         self.nodes_visited = 0
         self.maintenance_ops = 0
 
@@ -92,13 +131,13 @@ class RTree:
         self._check_dims(box)
         self.nodes_visited = 0
         found: list[Any] = []
-        self._search(self._root, box, found)
+        self._search(self._root, (box.lows, box.highs), found)
         return found
 
-    def _search(self, node: _Node, box: HyperRect, found: list[Any]) -> None:
+    def _search(self, node: _Node, box: Box, found: list[Any]) -> None:
         self.nodes_visited += 1
         for entry in node.entries:
-            if entry.box.intersect(box) is None:
+            if _disjoint(entry.box, box):
                 continue
             if node.leaf:
                 found.append(entry.key)
@@ -113,9 +152,9 @@ class RTree:
         self._check_dims(box)
         if key in self._boxes:
             raise RTreeError(f"duplicate key {key!r}")
-        self._boxes[key] = box
+        flat = self._boxes[key] = (box.lows, box.highs)
         self.nodes_visited = 0
-        self._insert_entry(_Entry(box=box, key=key), into_leaf=True)
+        self._insert_entry(_Entry(box=flat, key=key), into_leaf=True)
 
     def _insert_entry(self, entry: _Entry, into_leaf: bool) -> None:
         node = self._choose_node(entry.box, into_leaf)
@@ -125,7 +164,11 @@ class RTree:
         if len(node.entries) > self.max_entries:
             self._split(node)
 
-    def _choose_node(self, box: HyperRect, into_leaf: bool) -> _Node:
+    def _choose_node(self, box: Box, into_leaf: bool) -> _Node:
+        def cost(entry: _Entry) -> tuple[float, float]:
+            area = _area(entry.box)
+            return _union_area(entry.box, box) - area, area
+
         node = self._root
         while not node.leaf:
             self.nodes_visited += 1
@@ -134,11 +177,8 @@ class RTree:
                 # level above the subtree's height; for simplicity we only
                 # re-insert leaf entries, so this branch never triggers.
                 raise RTreeError("internal re-insertion is not supported")
-            best = min(
-                node.entries,
-                key=lambda e: (_enlargement(e.box, box), _area(e.box)),
-            )
-            best.box = best.box.union_box(box)
+            best = min(node.entries, key=cost)
+            best.box = _union(best.box, box)
             node = best.child
         self.nodes_visited += 1
         return node
@@ -160,15 +200,9 @@ class RTree:
             need_b = self.min_entries - len(group_b)
             if need_a >= len(remaining):
                 group_a.extend(remaining)
-                for entry in remaining:
-                    box_a = box_a.union_box(entry.box)
-                remaining = []
                 break
             if need_b >= len(remaining):
                 group_b.extend(remaining)
-                for entry in remaining:
-                    box_b = box_b.union_box(entry.box)
-                remaining = []
                 break
             best = max(
                 remaining,
@@ -179,10 +213,10 @@ class RTree:
             remaining.remove(best)
             if _enlargement(box_a, best.box) <= _enlargement(box_b, best.box):
                 group_a.append(best)
-                box_a = box_a.union_box(best.box)
+                box_a = _union(box_a, best.box)
             else:
                 group_b.append(best)
-                box_b = box_b.union_box(best.box)
+                box_b = _union(box_b, best.box)
 
         node.entries = group_a
         sibling = _Node(leaf=node.leaf, entries=group_b, parent=node.parent)
@@ -206,13 +240,13 @@ class RTree:
             self._split(parent)
 
     def _pick_seeds(self, entries: list[_Entry]) -> tuple[_Entry, _Entry]:
+        areas = [_area(entry.box) for entry in entries]
         worst_pair = (entries[0], entries[1])
         worst_waste = float("-inf")
         for i, a in enumerate(entries):
-            for b in entries[i + 1:]:
-                waste = (
-                    _area(a.box.union_box(b.box)) - _area(a.box) - _area(b.box)
-                )
+            for j in range(i + 1, len(entries)):
+                b = entries[j]
+                waste = _union_area(a.box, b.box) - areas[i] - areas[j]
                 if waste > worst_waste:
                     worst_waste = waste
                     worst_pair = (a, b)
@@ -233,14 +267,17 @@ class RTree:
             self._root = self._root.entries[0].child
             self._root.parent = None
 
-    def _find_leaf(self, node: _Node, key: Any, box: HyperRect) -> _Node | None:
+    def _find_leaf(self, node: _Node, key: Any, box: Box) -> _Node | None:
         self.nodes_visited += 1
         if node.leaf:
             if any(entry.key == key for entry in node.entries):
                 return node
             return None
         for entry in node.entries:
-            if entry.box.intersect(box) is not None:
+            # A box that is itself empty (low > high) intersects
+            # nothing, not even its ancestors; they still cover it.
+            # For any other box, covered implies intersecting.
+            if not _disjoint(entry.box, box) or _covers(entry.box, box):
                 found = self._find_leaf(entry.child, key, box)
                 if found is not None:
                     return found
@@ -317,13 +354,7 @@ class RTree:
                 child = entry.child
                 if child.parent is not node:
                     raise RTreeError("broken parent pointer")
-                child_mbr = child.mbr()
-                for lo, hi, clo, chi in zip(
-                    entry.box.lows,
-                    entry.box.highs,
-                    child_mbr.lows,
-                    child_mbr.highs,
-                ):
+                for lo, hi, clo, chi in zip(*entry.box, *child.mbr()):
                     if clo < lo - 1e-9 or chi > hi + 1e-9:
                         raise RTreeError("entry box does not cover child")
                 self._check_node(child, keys, is_root=False)

@@ -76,6 +76,26 @@ class TestHyperRect:
         rect = HyperRect.from_center((1.0, 1.0), (0.5, 2.0))
         assert rect == HyperRect((0.5, -1.0), (1.5, 3.0))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: HyperRect.from_center((1.0, 1.0), (0.5,)),
+            lambda: HyperRect.from_center((), ()),
+            lambda: HyperRect([0, 1], [1]),
+            lambda: HyperSphere((), 1.0),
+        ],
+    )
+    def test_every_public_route_to_a_box_checks_its_bounds(self, build):
+        # The cache descriptions read ``lows``/``highs`` unchecked; the
+        # constructors are the only place arity is looked at.
+        with pytest.raises(GeometryError):
+            build()
+
+    def test_bounds_are_coerced_to_float_tuples(self):
+        rect = HyperRect([0, 1], [2, 3])
+        assert rect.lows == (0.0, 1.0) and rect.highs == (2.0, 3.0)
+        assert all(type(x) is float for x in rect.lows + rect.highs)
+
     def test_side_lengths(self):
         rect = HyperRect((0.0, 1.0), (2.0, 4.0))
         assert rect.side_lengths() == (2.0, 3.0)

@@ -395,3 +395,25 @@ def test_unnoticed_version_bump_fences_the_whole_disk_image(private_origin):
     assert report.stale == restarted.recovery_report.entries_stale == held
     assert report.replayed == restarted.recovery_report.entries_restored == 0
     assert len(handed.cache) == len(restarted.cache) == 0
+
+
+def test_unnoticed_version_bump_fences_the_whole_drain(private_origin):
+    """The same for the live path: a shard drained before it has
+    served across the bump exports its cache under the version it was
+    admitted at, and the successor fences out every record."""
+    origin = private_origin
+    with tempfile.TemporaryDirectory() as tmp:
+        source = build_source(origin, Path(tmp), 7, snapshot_every=16)
+    held = len(source.cache)
+    origin.bump_data_version()
+    drained = successor(origin, None)
+    report = replay_records(
+        export_records(source, SHARD, source.clock.now_ms),
+        drained,
+        source=SHARD,
+        target="shard-b",
+    )
+    assert held > 0
+    assert report.stale == held
+    assert report.replayed == 0
+    assert len(drained.cache) == 0
