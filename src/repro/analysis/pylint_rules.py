@@ -75,15 +75,13 @@ Invariants the generic tools cannot express:
   ``repro/cluster/`` (and tests) only the package surface
   ``repro.cluster`` may be imported — shard-to-shard traffic must go
   through the :class:`~repro.cluster.router.ShardRouter`.
-* **FP306 — spans are context managers.**  Calling
-  ``Span.__enter__`` / ``Span.__exit__`` by hand breaks the tracer's
-  open-span stack on any exception path (the span never pops, and
-  every later span nests under a corpse).  ``with tracer.span(...)``
+* **FP306 — stages are context managers.**  Calling
+  ``Stage.__enter__`` / ``Stage.__exit__`` by hand breaks the
+  open-stage stack on any exception path (the stage never pops, and
+  every later stage nests under a corpse).  ``with obs.scope(...)``
   is the only sanctioned form; the rule flags *any* manual
   ``.__enter__()`` / ``.__exit__()`` attribute call outside ``obs/``
-  (where :class:`~repro.obs.instrument.QueryObservation` legitimately
-  delegates its own context-manager protocol to its root span) and
-  test code.
+  and test code.
 
 ``run_lint`` walks Python files, applies every rule, and returns an
 :class:`AnalysisReport`; ``tools/lint.py`` is the CI driver.
@@ -452,11 +450,11 @@ def manual_context_rule(module: ModuleUnderLint) -> Iterator[Diagnostic]:
         ):
             yield module.diagnostic(
                 "FP306",
-                f"manual {func.attr}() call; spans (and context "
+                f"manual {func.attr}() call; stages (and context "
                 "managers generally) must be entered with `with` so "
-                "exception paths unwind the tracer's span stack",
+                "exception paths unwind the open-stage stack",
                 node,
-                hint="rewrite as `with tracer.span(...) as span:` (or "
+                hint="rewrite as `with obs.scope(...) as stage:` (or "
                 "contextlib.ExitStack for dynamic lifetimes)",
             )
 

@@ -36,13 +36,13 @@ Soundness guards beyond the paper's text:
 
 Observability: every query runs under a
 :class:`~repro.obs.instrument.QueryObservation` — the one mechanism
-that accumulates the simulated per-step charges (feeding
-:class:`~repro.core.stats.QueryRecord` and ``TraceStats``), mirrors
-each step as a nested span when tracing is enabled, and updates the
-proxy's metric families ("the proxy servlet records timing information
-in each step of query processing").  The default instrumentation uses
-a :class:`~repro.obs.spans.NullTracer`, so the hot path pays only the
-step-charge dict updates.
+that times each step ("the proxy servlet records timing information
+in each step of query processing").  Each step is one stage of the
+query's stage tree; the simulated per-step charges (feeding
+:class:`~repro.core.stats.QueryRecord` and ``TraceStats``), the trace
+and the profile are all read from that tree, and with the default
+instrumentation (tracer and profiler off) it is dropped when the query
+ends.
 
 Resilience: the proxy never talks to the origin directly — every hop
 goes through an :class:`~repro.faults.resilience.OriginGateway`
@@ -174,9 +174,9 @@ class FunctionProxy:
         self.obs = instrumentation or ProxyInstrumentation()
         # Origins that speak HTTP propagate the proxy's trace context
         # (the W3C traceparent header) on every fetch they make for us.
-        binder = getattr(origin, "bind_tracer", None)
+        binder = getattr(origin, "bind_scopes", None)
         if callable(binder):
-            binder(self.obs.tracer)
+            binder(self.obs)
         # Diagnostics from templates registered before this proxy existed,
         # then a live feed for everything registered after.
         for diagnostic in templates.analysis_diagnostics():
@@ -360,7 +360,7 @@ class FunctionProxy:
         tenant: str = "default",
     ) -> ProxyResponse:
         """Serve a raw HTML form request (the HTTP listener's path)."""
-        with self.tracer.span("bind", form=form_name):
+        with self.obs.scope("bind", form=form_name):
             bound = self.templates.bind_form(form_name, form_values)
         return self.serve(bound, tenant=tenant)
 
@@ -475,7 +475,7 @@ class FunctionProxy:
             observation.decision = decision
             if queue_wait_ms > 0:
                 observation.charge("admit.queue", queue_wait_ms)
-            with observation.stage("admit.shed"):
+            with observation.stage("admit.shed", hidden=True):
                 decision.note(f"admission turned the query away: {reason}")
             response = self._respond(
                 bound,
@@ -739,7 +739,7 @@ class FunctionProxy:
             # The probe sub-stage carries calls, wall time, and region
             # counters; its simulated cost is charged to the enclosing
             # ``check`` step (the cost model's unit of account).
-            with observation.stage(probe_stage) as probe:
+            with observation.stage(probe_stage, hidden=True) as probe:
                 candidates, probe_ms = description.candidates(
                     bound.template_id, bound.region
                 )
@@ -765,13 +765,13 @@ class FunctionProxy:
                     )
                 else:
                     usable.append(entry)
-            with self.tracer.span("relate", pairs=len(usable)):
-                with observation.stage("relate") as relate_stage:
-                    relations = [
-                        relate(bound.region, entry.region)
-                        for entry in usable
-                    ]
-                    relate_stage.count("pairs", len(usable))
+            with observation.stage(
+                "relate", pairs=len(usable)
+            ) as relate_stage:
+                relations = [
+                    relate(bound.region, entry.region) for entry in usable
+                ]
+                relate_stage.count("pairs", len(usable))
             for entry, relation in zip(usable, relations):
                 decision.record_candidate(
                     entry.entry_id,
@@ -783,7 +783,6 @@ class FunctionProxy:
                 probe_ms + self.costs.check_per_candidate_ms * len(usable)
             )
             check.annotate(candidates=len(candidates), usable=len(usable))
-        observation.check_wall_ms += check.wall_ms
         return usable, relations
 
     def _is_deterministic(self, bound: BoundQuery) -> bool:

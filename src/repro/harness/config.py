@@ -64,13 +64,14 @@ class ObservabilityConfig:
     """Harness-side observability knobs.
 
     ``tracing`` turns on a real :class:`~repro.obs.spans.SpanTracer`
-    (the default stays the free null tracer); the capacities bound the
-    span ring buffer and the decision-explain log; ``id_seed`` makes
-    trace/span ids reproducible run to run (``None``: OS entropy).
-    ``profiling`` swaps the no-op profiler for a real
-    :class:`~repro.obs.profiling.Profiler` aggregating the hot-path
-    stages, with ``profile_top_k`` slowest queries retained; the
-    runner then writes a ``profile-<label>.json`` artifact per run.
+    (by default each query's stage tree is dropped when it ends); the
+    capacities bound the trace ring buffer and the decision-explain
+    log; ``id_seed`` makes trace/span ids reproducible run to run
+    (``None``: OS entropy).  ``profiling`` turns on a real
+    :class:`~repro.obs.profiling.Profiler` folding the same trees into
+    per-stage aggregates, with ``profile_top_k`` slowest queries
+    retained; the runner then writes a ``profile-<label>.json``
+    artifact per run.
     ``timeseries`` / ``events`` install live telemetry recorders
     (:mod:`repro.obs.timeseries` / :mod:`repro.obs.events`) on the
     proxy, producing ``timeseries-<label>.json`` (with the embedded

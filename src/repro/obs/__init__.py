@@ -5,10 +5,12 @@ servlet records timing information in each step of query processing")
 and a real-time micro-claim (description checks "always under 100
 milliseconds").  This package is the one mechanism behind all of that:
 
-* :mod:`repro.obs.spans` — a span tracer that nests each query's
-  lifecycle (parse → bind → check → relate → probe → remainder →
-  origin → merge → admit) with wall-clock and simulated durations,
-  exportable as JSONL;
+* :mod:`repro.obs.spans` — the one timed scope (``Stage``) that nests
+  each query's lifecycle (parse → bind → check → relate → probe →
+  remainder → origin → merge → admit) with wall-clock and simulated
+  durations, and the tracer that retains finished trees (JSONL);
+* :mod:`repro.obs.profiling` — the per-stage aggregate folded from
+  the same trees (``GET /profile``);
 * :mod:`repro.obs.propagation` — W3C ``traceparent`` trace-context
   propagation, stitching proxy- and origin-side spans into one
   end-to-end tree across the HTTP hop;
@@ -29,9 +31,9 @@ milliseconds").  This package is the one mechanism behind all of that:
   ``GET /trace/recent``, ``GET /explain/...``) and snapshotted by the
   harness.
 
-Everything is stdlib-only, and tracing is off by default: the
-:class:`~repro.obs.spans.NullTracer` records nothing and costs a
-no-op method call per step.
+Everything is stdlib-only, and tracing and profiling are off by
+default: the stage tree that times each query is then dropped when its
+root closes.
 """
 
 from repro.obs.decisions import (
@@ -66,7 +68,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.propagation import IdGenerator, TraceContext, parse_traceparent
 from repro.obs.slo import SloObjective, SloTracker
-from repro.obs.spans import NULL_SPAN, NullTracer, Span, SpanTracer
+from repro.obs.spans import NullTracer, ScopeStack, SpanTracer, Stage
 from repro.obs.timeseries import (
     NULL_TIMESERIES,
     ORIGIN_LANES,
@@ -101,7 +103,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_EVENTS",
     "NULL_HEALTH",
-    "NULL_SPAN",
     "NULL_TIMESERIES",
     "NullEventRecorder",
     "NullHealthMonitor",
@@ -114,8 +115,9 @@ __all__ = [
     "QueryObservation",
     "SloObjective",
     "SloTracker",
-    "Span",
+    "ScopeStack",
     "SpanTracer",
+    "Stage",
     "TimeSeriesRecorder",
     "TraceContext",
     "action_for",

@@ -30,10 +30,11 @@ and shed-policy transitions that caused them.
 
 :func:`evaluate_samples` is a pure function over exported samples —
 the ``repro.obs.report`` CLI re-runs it offline on a
-``timeseries-<label>.json`` artifact.  :class:`HealthMonitor` wraps it
-with state (the last verdict, for EV11) guarded by the
-``proxy.telemetry`` lock; :class:`NullHealthMonitor` is the shared
-no-op default.
+``timeseries-<label>.json`` artifact.  :class:`HealthMonitor` runs the
+same rules over what its recorder kept ready at sample time (each
+window's hit ratio, computed once; the newest few samples), with state
+(the last verdict, for EV11) guarded by the ``proxy.telemetry`` lock;
+:class:`NullHealthMonitor` is the shared no-op default.
 """
 
 from __future__ import annotations
@@ -84,20 +85,30 @@ def _rule(rule_id: str, status: str, detail: str) -> dict[str, Any]:
     }
 
 
-def _hit_ratios(samples: list[dict[str, Any]]) -> list[float]:
-    ratios = []
-    for sample in samples:
-        rates = sample.get("rates", {})
-        throughput = float(rates.get("throughput_qps", 0.0) or 0.0)
-        if throughput <= 0.0:
-            continue
-        origin = float(rates.get("origin_per_s", 0.0) or 0.0)
-        ratios.append(min(1.0, max(0.0, 1.0 - origin / throughput)))
-    return ratios
+def hit_ratio(sample: Mapping[str, Any]) -> float | None:
+    """One window's cache hit ratio (1 − origin rate / throughput), or
+    ``None`` for a window without traffic."""
+    rates = sample.get("rates", {})
+    throughput = float(rates.get("throughput_qps", 0.0) or 0.0)
+    if throughput <= 0.0:
+        return None
+    origin = float(rates.get("origin_per_s", 0.0) or 0.0)
+    return min(1.0, max(0.0, 1.0 - origin / throughput))
 
 
-def _hit_ratio_collapse(samples: list[dict[str, Any]]) -> dict[str, Any]:
-    ratios = _hit_ratios(samples)
+def summarize(
+    samples: list[dict[str, Any]],
+) -> tuple[list[float], list[dict[str, Any]], int]:
+    """What the rules read of a series: the hit ratio of every window
+    with traffic (oldest first), the newest samples HR02–HR05 look at,
+    and the window count.  A live recorder keeps the same triple ready
+    (:meth:`~repro.obs.timeseries.TimeSeriesRecorder.health_window`).
+    """
+    ratios = [r for r in map(hit_ratio, samples) if r is not None]
+    return ratios, samples[-QUEUE_SATURATION_WINDOWS:], len(samples)
+
+
+def _hit_ratio_collapse(ratios: list[float]) -> dict[str, Any]:
     if len(ratios) < MIN_BASELINE_WINDOWS:
         return _rule(
             "HR01",
@@ -165,21 +176,20 @@ def _latency_slo(
 
 
 def _queue_saturation(
-    samples: list[dict[str, Any]], queue_limit: int | None
+    newest: list[dict[str, Any]], windows: int, queue_limit: int | None
 ) -> dict[str, Any]:
     if queue_limit is None or queue_limit <= 0:
         return _rule("HR04", HEALTHY, "no queue limit configured")
-    if len(samples) < QUEUE_SATURATION_WINDOWS:
+    if windows < QUEUE_SATURATION_WINDOWS:
         return _rule(
             "HR04",
             HEALTHY,
-            f"insufficient data ({len(samples)} windows, need "
+            f"insufficient data ({windows} windows, need "
             f"{QUEUE_SATURATION_WINDOWS})",
         )
-    window = samples[-QUEUE_SATURATION_WINDOWS:]
     depths = [
         float(sample.get("gauges", {}).get("queue_depth", 0.0) or 0.0)
-        for sample in window
+        for sample in newest
     ]
     detail = (
         f"queue depth {[round(d) for d in depths]} of limit {queue_limit} "
@@ -238,12 +248,29 @@ def evaluate_samples(
     router; a single proxy leaves them ``None`` and HR06 stays
     inactive.
     """
+    return _evaluate(
+        summarize(samples),
+        latency_slo_ms,
+        queue_limit,
+        shards_down,
+        shards_total,
+    )
+
+
+def _evaluate(
+    summary: tuple[list[float], list[dict[str, Any]], int],
+    latency_slo_ms: float | None,
+    queue_limit: int | None,
+    shards_down: int | None = None,
+    shards_total: int | None = None,
+) -> dict[str, Any]:
+    ratios, newest, windows = summary
     rules = [
-        _hit_ratio_collapse(samples),
-        _shed_spike(samples),
-        _latency_slo(samples, latency_slo_ms),
-        _queue_saturation(samples, queue_limit),
-        _breaker_open(samples),
+        _hit_ratio_collapse(ratios),
+        _shed_spike(newest),
+        _latency_slo(newest, latency_slo_ms),
+        _queue_saturation(newest, windows, queue_limit),
+        _breaker_open(newest),
         _shard_down(shards_down, shards_total),
     ]
     status = max(
@@ -251,7 +278,7 @@ def evaluate_samples(
         key=lambda verdict: _SEVERITY[str(verdict)],
         default=HEALTHY,
     )
-    return {"status": status, "rules": rules, "windows": len(samples)}
+    return {"status": status, "rules": rules, "windows": windows}
 
 
 def strictest_latency_objective(slo: SloTracker | None) -> float | None:
@@ -273,11 +300,12 @@ def strictest_latency_objective(slo: SloTracker | None) -> float | None:
 class HealthMonitor:
     """Stateful wrapper: evaluate, remember, fire EV11 on change.
 
-    Reads the samples its :class:`~repro.obs.timeseries.
-    TimeSeriesRecorder` retained, so callers evaluate against exactly
-    what ``GET /timeseries`` shows.  The queue limit arrives late (the
-    proxy learns it when the admission controller binds), hence the
-    setter.
+    Judges exactly the windows ``GET /timeseries`` shows, without
+    re-reading them: a :class:`~repro.obs.timeseries.
+    TimeSeriesRecorder` hands over its ``health_window()``; any other
+    source of ``samples()`` (an exported series) is summarized on the
+    spot.  The queue limit arrives late (the proxy learns it when the
+    admission controller binds), hence the setter.
     """
 
     enabled = True
@@ -308,10 +336,13 @@ class HealthMonitor:
         """One full rule pass at simulated time ``now_ms``."""
         with self._lock:
             queue_limit = self._queue_limit
-        report = evaluate_samples(
-            self.timeseries.samples(),
-            latency_slo_ms=self.latency_slo_ms,
-            queue_limit=queue_limit,
+        window = getattr(self.timeseries, "health_window", None)
+        report = _evaluate(
+            window()
+            if window is not None
+            else summarize(self.timeseries.samples()),
+            self.latency_slo_ms,
+            queue_limit,
         )
         status = str(report["status"])
         with self._lock:

@@ -13,30 +13,26 @@ also implements the two hook interfaces the lower layers call:
   that :class:`repro.network.link.Topology` notifies per round trip.
 
 :class:`QueryObservation` is the per-query handle that replaced the
-proxy's bespoke ``steps_ms`` dict: one mechanism accumulates the
-simulated step charges (which still feed
-:class:`repro.core.stats.QueryRecord` and ``TraceStats``), mirrors
-each step as a span under the query's root span, and measures the
-real wall clock of phases that do real work (the description check).
-With the default :class:`~repro.obs.spans.NullTracer` a step costs a
-dict update plus a no-op call.
+proxy's bespoke ``steps_ms`` dict.  Every step of a query opens (or
+appends) one :class:`~repro.obs.spans.Stage` on the bundle's stack;
+the finished tree is what the tracer retains, what the profiler folds,
+and what fills ``steps`` (feeding
+:class:`repro.core.stats.QueryRecord` and ``TraceStats``) and the real
+wall clock of the description check.  With the tracer and the profiler
+off the tree is dropped when the query's root closes.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from types import TracebackType
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro.locking import read_only, unshared
 from repro.obs.decisions import DecisionLog, DecisionTrace
 from repro.obs.events import NULL_EVENTS
 from repro.obs.health import NULL_HEALTH, HealthMonitor
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import NULL_PROFILER
 from repro.obs.slo import SloObjective, SloTracker
-from repro.obs.spans import NullTracer
+from repro.obs.spans import ScopeStack, Stage
 from repro.obs.timeseries import NULL_TIMESERIES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,59 +56,15 @@ BYTES_BUCKETS = (
 )
 
 
-@unshared("sim_ms", "wall_ms")
-class _PhaseHandle:
-    """What an instrumented phase yields: charge sim time, annotate.
-
-    A handle lives inside one phase of one query on one thread —
-    never shared, hence the ``unshared`` registration.
-    """
-
-    __slots__ = ("name", "span", "sim_ms", "wall_ms", "_clock", "_frame")
-
-    def __init__(
-        self, name: str, span: Any, clock: Any = None, frame: Any = None
-    ) -> None:
-        self.name = name
-        self.span = span
-        self.sim_ms = 0.0
-        self.wall_ms = 0.0
-        self._clock = clock
-        self._frame = frame
-
-    def charge(self, sim_ms: float) -> None:
-        """Add simulated milliseconds to this phase's step charge.
-
-        Advances the observation's simulated clock immediately, so
-        time-dependent machinery (fault windows, breaker cooldowns)
-        sees intra-phase progress in charge order.  The charge also
-        lands on the phase's profiler stage frame right away, so the
-        profile reflects work charged before an in-phase failure.
-        """
-        self.sim_ms += sim_ms
-        if self._frame is not None:
-            self._frame.add_sim(sim_ms)
-        if self._clock is not None:
-            self._clock.advance(sim_ms)
-
-    def annotate(self, **attrs: Any) -> None:
-        self.span.annotate(**attrs)
-
-    def count(self, counter: str, n: float = 1) -> None:
-        """Bump an operator counter on this phase's profiler stage."""
-        if self._frame is not None:
-            self._frame.count(counter, n)
-
-
-@unshared("steps", "check_wall_ms", "decision", "data_version")
+@unshared("steps", "decision", "data_version")
 @read_only("index")
-class QueryObservation:
-    """One query's lifecycle: step charges + nested spans.
+class QueryObservation(Stage):
+    """One query's lifecycle: the root ``query`` stage of its tree.
 
-    The proxy opens one observation per query (it is a context manager
-    whose scope is the root ``query`` span), charges each processing
-    step to it, and reads back ``steps`` / ``check_wall_ms`` when
-    building the :class:`~repro.core.stats.QueryRecord`.
+    The proxy opens one observation per query (a context manager, like
+    every stage), charges each processing step to it, and reads back
+    ``steps`` / ``check_wall_ms`` when building the
+    :class:`~repro.core.stats.QueryRecord`.
 
     When built with a ``clock`` (the proxy's simulated clock), every
     simulated charge also advances it, making the observation the one
@@ -127,131 +79,88 @@ class QueryObservation:
     #: proxy binds it (``DecisionLog.begin``) before any stage runs.
     decision: DecisionTrace
 
-    __slots__ = (
-        "index",
-        "steps",
-        "check_wall_ms",
-        "decision",
-        "data_version",
-        "_tracer",
-        "_root",
-        "_clock",
-        "_profiler",
-    )
+    __slots__ = ("index", "steps", "decision", "data_version")
 
     def __init__(
         self,
-        tracer: Any,
+        scopes: ScopeStack,
         *,
         index: int,
         template_id: str,
         clock: Any = None,
-        profiler: Any = None,
     ) -> None:
+        Stage.__init__(
+            self,
+            scopes._opened(),
+            "query",
+            {"index": index, "template": template_id},
+            sim_clock=clock,
+        )
         self.index = index
         self.steps: dict[str, float] = {}
-        self.check_wall_ms = 0.0
         #: The origin data version the query was admitted under — the
         #: proxy's admission stage re-checks it before caching (the
         #: data-version fence).
         self.data_version: Any = None
-        self._tracer = tracer
-        self._clock = clock
-        self._profiler = profiler if profiler is not None else NULL_PROFILER
-        self._root = tracer.span("query", index=index, template=template_id)
-
-    def __enter__(self) -> "QueryObservation":
-        self._root.__enter__()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        return bool(self._root.__exit__(exc_type, exc, tb))
 
     @property
-    def trace_id(self) -> str | None:
-        """The distributed trace id of this query's root span."""
-        trace_id = getattr(self._root, "trace_id", None)
-        return trace_id if isinstance(trace_id, str) else None
+    def check_wall_ms(self) -> float:
+        """Real wall-clock time of the description checks closed so
+        far (the paper's "< 100 ms" claim is about real time)."""
+        return sum(
+            (c.wall_ms for c in self.children if c.name == "check"), 0.0
+        )
 
-    def _accumulate(
-        self,
-        step: str,
-        sim_ms: float,
-        record: bool = True,
-        profile: bool = True,
+    def charge(  # type: ignore[override]
+        self, step: str, sim_ms: float, **attrs: Any
     ) -> None:
-        """The single step-accumulation path.
+        """Record a purely simulated step (no interesting wall time).
 
-        Every simulated charge — immediate (:meth:`charge`) or
-        deferred to a phase's exit (:meth:`phase`) — lands here: into
-        the profiler (which routes it to the innermost open stage
-        frame of that name, or flat), and, unless ``record=False``,
-        into the ``steps`` dict that becomes
-        :attr:`~repro.core.stats.QueryRecord.steps_ms`.  A phase
-        passes ``profile=False`` because its handle already charged
-        the stage frame live.
+        The root is charged by step name: each charge is a flat child
+        of whatever stage is open, never the root's own time.
         """
-        if profile:
-            self._profiler.accumulate(step, sim_ms)
-        if record:
-            self.steps[step] = self.steps.get(step, 0.0) + sim_ms
+        self.steps[step] = self.steps.get(step, 0.0) + sim_ms
+        if self._sim_clock is not None:
+            self._sim_clock.advance(sim_ms)
+        self._open.event(step, sim_ms, attrs)
 
-    def charge(self, step: str, sim_ms: float, **attrs: Any) -> None:
-        """Record a purely simulated step (no interesting wall time)."""
-        self._accumulate(step, sim_ms)
-        if self._clock is not None:
-            self._clock.advance(sim_ms)
-        self._tracer.event(step, sim_ms=sim_ms, **attrs)
+    def stage(self, name: str, hidden: bool = False, **attrs: Any) -> Stage:
+        """A sub-stage inside a phase, with no step key of its own.
 
-    def stage(self, name: str) -> Any:
-        """Open a bare profiler sub-stage (no tracer span, no step key).
-
-        For hot-path sections *inside* a phase that deserve their own
-        profile row — the description probe and the exact relation
-        checks inside ``check`` — without widening ``steps_ms``.
+        For hot-path sections that deserve their own profile row — the
+        description probe and the exact relation checks inside
+        ``check`` — without widening ``steps_ms``.  ``hidden`` keeps
+        it out of the trace as well.
         """
-        return self._profiler.stage(name)
+        return Stage(self._open, name, attrs, hidden)
 
-    @contextmanager
-    def phase(
-        self, step: str, record: bool = True, **attrs: Any
-    ) -> Iterator[_PhaseHandle]:
-        """A step that does real work: spans it and times the wall.
+    def phase(self, step: str, record: bool = True, **attrs: Any) -> Stage:
+        """A step that does real work: one stage, timed on the wall.
 
-        Wall time is measured here (not only in the span) so it is
-        available even under the null tracer — the description-check
-        wall clock backs the paper's "< 100 ms" claim regardless of
-        whether tracing is on.  ``record=False`` spans a stage without
-        adding a step key to the record (auxiliary stages that carry
-        no simulated charge of their own, e.g. remainder building).
+        The wall time is measured whether or not anything reads the
+        tree — the description-check wall clock backs the paper's
+        "< 100 ms" claim regardless of whether tracing is on.  Closing
+        the stage writes its ``wall_ms`` attribute and adds its charge
+        to ``steps`` — also when the body raised.  ``record=False``
+        keeps the step key out of the record (auxiliary stages that
+        carry no simulated charge of their own, e.g. remainder
+        building): the charge goes to a dict nobody reads.
         """
-        start = time.perf_counter()
-        with self._profiler.stage(step) as frame:
-            with self._tracer.span(step, **attrs) as span:
-                handle = _PhaseHandle(step, span, self._clock, frame)
-                try:
-                    yield handle
-                finally:
-                    handle.wall_ms = (time.perf_counter() - start) * 1000.0
-                    span.charge(handle.sim_ms)
-                    span.annotate(wall_ms=round(handle.wall_ms, 6))
-        self._accumulate(step, handle.sim_ms, record, profile=False)
-
-    def annotate(self, **attrs: Any) -> None:
-        self._root.annotate(**attrs)
+        return Stage(
+            self._open,
+            step,
+            attrs,
+            False,
+            self.steps if record else {},
+            self._sim_clock,
+        )
 
 
-@unshared(
-    "tracer", "profiler", "timeseries", "events", "health", "_queue_limit"
-)
-class TelemetryBundle:
+@unshared("timeseries", "events", "health", "_queue_limit")
+class TelemetryBundle(ScopeStack):
     """What the proxy's and the origin's instrumentation share: one
-    registry, a tracer, a profiler, and the live-telemetry trio.
+    registry, the stage stack with its two readers (tracer and
+    profiler), and the live-telemetry trio.
 
     ``tracer`` / ``profiler`` — and the telemetry trio ``timeseries``
     / ``events`` / ``health`` — are rebound only during
@@ -270,9 +179,8 @@ class TelemetryBundle:
         events: Any,
         slo: SloTracker | None = None,
     ) -> None:
+        super().__init__(tracer, profiler)
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.slo = slo
         self.timeseries = (
             timeseries if timeseries is not None else NULL_TIMESERIES
@@ -553,7 +461,8 @@ class ProxyInstrumentation(TelemetryBundle):
     def admission_shed(self, reason: str) -> None:
         """Admission hook: one query was turned away."""
         self.admission_sheds.labels(reason=reason).inc()
-        self.profiler.hit("admit.shed")
+        if self.profiler.enabled:
+            self.profiler.hit("admit.shed")
 
     def admission_quota_denied(self, tenant: str) -> None:
         """Admission hook: a tenant's token bucket denied a query."""
@@ -578,11 +487,7 @@ class ProxyInstrumentation(TelemetryBundle):
         self, index: int, template_id: str, clock: Any = None
     ) -> QueryObservation:
         return QueryObservation(
-            self.tracer,
-            index=index,
-            template_id=template_id,
-            clock=clock,
-            profiler=self.profiler,
+            self, index=index, template_id=template_id, clock=clock
         )
 
     def observe_record(
@@ -622,12 +527,13 @@ class ProxyInstrumentation(TelemetryBundle):
         )
         if record.outcome.value != "served":
             self.degraded_responses.labels(kind=record.outcome.value).inc()
-        self.profiler.record_query(
-            record.index,
-            record.template_id,
-            record.response_ms,
-            status=record.status.value,
-        )
+        if self.profiler.enabled:
+            self.profiler.record_query(
+                record.index,
+                record.template_id,
+                record.response_ms,
+                status=record.status.value,
+            )
 
     # -------------------------------------------------- persistence hooks
     def journal_append(self, record_type: str) -> None:
@@ -635,14 +541,16 @@ class ProxyInstrumentation(TelemetryBundle):
         self.journal_records.labels(
             type=record_type, direction="append"
         ).inc()
-        self.profiler.hit("journal.append")
+        if self.profiler.enabled:
+            self.profiler.hit("journal.append")
 
     def journal_replayed(self, record_type: str) -> None:
         """Recovery hook: one journal record was replayed."""
         self.journal_records.labels(
             type=record_type, direction="replay"
         ).inc()
-        self.profiler.hit("journal.replay")
+        if self.profiler.enabled:
+            self.profiler.hit("journal.replay")
 
     def recovery_disposition(self, disposition: str, count: int) -> None:
         """Recovery hook: ``count`` entries ended as ``disposition``."""
@@ -666,7 +574,8 @@ class ProxyInstrumentation(TelemetryBundle):
             self.cache_removals.inc()
         elif kind == "clear":
             self.cache_invalidations.inc()
-        self.profiler.hit(f"cache.{kind}")
+        if self.profiler.enabled:
+            self.profiler.hit(f"cache.{kind}")
         self.cache_bytes.set(current_bytes)
         self.cache_entries.set(entries)
 
@@ -716,6 +625,7 @@ class OriginInstrumentation(TelemetryBundle):
         self.requests.labels(kind=kind).inc()
         self.server_ms.labels(kind=kind).observe(server_ms)
         self.result_bytes.labels(kind=kind).observe(result_bytes)
-        # Calls were counted by the execution stage frame; here only
-        # the simulated server cost (known post-execution) is charged.
-        self.profiler.add_sim(f"origin.{kind}", server_ms, calls=0)
+        # Calls were counted by the execution stage; here only the
+        # simulated server cost (known post-execution) is charged.
+        if self.profiler.enabled:
+            self.profiler.add_sim(f"origin.{kind}", server_ms, calls=0)

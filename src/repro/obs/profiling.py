@@ -1,49 +1,68 @@
 """A deterministic hierarchical profiler for the hot paths.
 
-Where :mod:`repro.obs.spans` records *individual* query lifecycles (a
-tree per query, bounded ring buffer), the profiler *aggregates*: one
+Where the tracer keeps *individual* query lifecycles (a tree per
+query, bounded ring buffer), the profiler *aggregates*: one
 :class:`StageStats` per named stage, accumulating call counts,
 cumulative and self time on both clocks (simulated milliseconds charged
 by the cost models, real wall-clock milliseconds measured around the
 stage), and free-form operator counters (rows read, regions probed,
-tuples merged).  The proxy and origin attach it through their
-instrumentation bundles (:mod:`repro.obs.instrument`); ``GET /profile``
-serves the aggregate as JSON or a ``pprof``-style flat text table, and
-the harness writes it per run as ``profile-<label>.json``.
+tuples merged).  It does not time anything itself: the serve path
+builds one :class:`~repro.obs.spans.Stage` tree per query and
+:meth:`Profiler.fold` reads the finished tree when its root closes.
+``GET /profile`` serves the aggregate as JSON or a ``pprof``-style flat
+text table, and the harness writes it per run as
+``profile-<label>.json``.
 
 Self vs cumulative follows the classic profiler convention: a stage's
 *cumulative* time includes the stages opened inside it, its *self* time
 excludes them.  Re-entrant stages (the same name open twice on the
 stack) count one call per entry but contribute to cumulative time only
-at the outermost frame, so recursion cannot double-count.
+at the outermost one, so recursion cannot double-count.  An
+instantaneous simulated charge (a ``flat`` stage) whose name equals an
+enclosing open stage's lands on that stage's own time and counts no
+call (the gateway charging ``origin`` inside the ``origin`` phase); any
+other charge is a flat call of its own (``parse``, ``read``,
+``transfer``).
+
+Rows that are counts rather than scopes — cache mutations, journal
+writes, relational operator counters, the origin's simulated server
+cost — are written directly with :meth:`Profiler.hit` /
+:meth:`~Profiler.count` / :meth:`~Profiler.add_sim`.
 
 The profiler also keeps the top-K *slowest queries* by simulated
 response time — the capture that turns "p95 moved" into "these are the
 queries that moved it".
 
-Two implementations share the interface:
-
-* :class:`Profiler` — records everything;
-* :class:`NullProfiler` — the default off switch: ``stage()`` hands
-  back a shared do-nothing frame, so instrumented code pays one method
-  call and no allocation per stage.
+:class:`NullProfiler` is the disabled default: every writer checks
+``enabled`` first, and it serves the pinned "disabled" payloads.
 
 Stage names are stable identifiers (pinned in DESIGN.md, like the
 diagnostic codes): renaming one is a breaking change for anything
-filtering profiles or baselines by stage.  Profilers are not
-thread-safe; each proxy/origin owns its own, matching the tracers.
+filtering profiles or baselines by stage.  All aggregate state is
+guarded by the ``proxy.telemetry`` named lock (a pure sink: nothing is
+acquired under it), so threaded serves fold concurrently.
 """
 
 from __future__ import annotations
 
 import time
-from types import TracebackType
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
+
+from repro.locking import guarded_by, named_lock
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.spans import Stage
 
 #: The stable stage-name registry (see DESIGN.md).  Instrumented code
 #: is not limited to these, but the hot-path stages the acceptance
 #: criteria and baselines key on must keep these exact names.
 STAGE_NAMES = (
+    "query",            # one served (or turned away) query, root scope
+    "bind",             # form binding ahead of a query (``serve_form``)
+    "recovery",         # warm-restart replay, root scope
+    "snapshot_load",    # recovery: reading the snapshot
+    "journal_replay",   # recovery: walking the journal's intact prefix
+    "materialize",      # recovery: re-admitting the surviving entries
     "admit.queue",      # simulated wait in the admission accept queue
     "admit.shed",       # admission turn-away bookkeeping (count-only)
     "parse",            # query parsing charge
@@ -118,44 +137,7 @@ class StageStats:
         )
 
 
-class StageFrame:
-    """One open stage; a context manager bound to its profiler."""
-
-    __slots__ = ("name", "_profiler", "_start", "own_sim", "child_sim",
-                 "child_wall")
-
-    def __init__(self, profiler: "Profiler", name: str) -> None:
-        self.name = name
-        self._profiler = profiler
-        self._start = 0.0
-        self.own_sim = 0.0
-        self.child_sim = 0.0
-        self.child_wall = 0.0
-
-    def __enter__(self) -> "StageFrame":
-        self._profiler._push(self)
-        self._start = self._profiler._clock()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        elapsed_ms = (self._profiler._clock() - self._start) * 1000.0
-        self._profiler._pop(self, elapsed_ms)
-        return False
-
-    def add_sim(self, sim_ms: float) -> None:
-        """Charge simulated milliseconds to this frame."""
-        self.own_sim += sim_ms
-
-    def count(self, counter: str, n: float = 1) -> None:
-        """Bump an operator counter on this frame's stage."""
-        self._profiler.count(self.name, counter, n)
-
-
+@guarded_by("proxy.telemetry", "_stats", "_slowest")
 class Profiler:
     """Aggregating hierarchical profiler (see the module docstring)."""
 
@@ -169,17 +151,13 @@ class Profiler:
         if top_k < 1:
             raise ValueError(f"top_k must be positive: {top_k}")
         self.top_k = top_k
+        #: What a :class:`~repro.obs.spans.ScopeStack` times its
+        #: stages on when this profiler is its only enabled reader.
         self._clock = clock
+        self._lock = named_lock("proxy.telemetry")
         self._stats: dict[str, StageStats] = {}
-        self._stack: list[StageFrame] = []
-        self._open_by_name: dict[str, int] = {}
         #: Slowest queries, sorted slowest first.
         self._slowest: list[dict[str, Any]] = []
-
-    # ------------------------------------------------------------ stages
-    def stage(self, name: str) -> StageFrame:
-        """A new stage frame; aggregates into ``name`` when exited."""
-        return StageFrame(self, name)
 
     def _stats_for(self, name: str) -> StageStats:
         stats = self._stats.get(name)
@@ -187,69 +165,76 @@ class Profiler:
             stats = self._stats[name] = StageStats(name)
         return stats
 
-    def _push(self, frame: StageFrame) -> None:
-        self._stack.append(frame)
-        self._open_by_name[frame.name] = (
-            self._open_by_name.get(frame.name, 0) + 1
-        )
+    # -------------------------------------------------------------- fold
+    def fold(self, root: "Stage") -> None:
+        """Aggregate one finished stage tree (a closed root)."""
+        with self._lock:
+            self._fold(root, [], [])
 
-    def _pop(self, frame: StageFrame, elapsed_ms: float) -> None:
-        # Tolerate out-of-order exits by unwinding to the frame, the
-        # same discipline the span tracer applies.
-        while self._stack:
-            top = self._stack.pop()
-            self._open_by_name[top.name] -= 1
-            if top is frame:
-                break
-        stats = self._stats_for(frame.name)
+    def _fold(
+        self, stage: "Stage", names: list[str], routed: list[float]
+    ) -> float:
+        """Fold ``stage`` under its open ancestors — ``names``, and the
+        charges ``routed`` to each so far; returns the simulated time
+        it adds to its parent's cumulative.
+
+        Children fold before their parent and in order, so each row's
+        sums run in the order the stages closed.
+        """
+        name = stage.name
+        if stage.flat:
+            if name in names:
+                innermost = len(names) - 1 - names[::-1].index(name)
+                routed[innermost] += stage.sim_ms
+            else:
+                self._add_sim(name, stage.sim_ms, 1)
+            return 0.0
+        names.append(name)
+        routed.append(0.0)
+        child_sim = child_wall = 0.0
+        for child in stage.children:
+            child_sim += self._fold(child, names, routed)
+            child_wall += child.wall_ms
+        names.pop()
+        own_sim = routed.pop() + stage.sim_ms
+        total_sim = own_sim + child_sim
+        stats = self._stats_for(name)
         stats.calls += 1
-        total_sim = frame.own_sim + frame.child_sim
-        stats.self_sim_ms += frame.own_sim
-        stats.self_wall_ms += max(0.0, elapsed_ms - frame.child_wall)
-        if self._open_by_name.get(frame.name, 0) == 0:
-            # Outermost frame of this name: cumulative time counts once
+        stats.self_sim_ms += own_sim
+        stats.self_wall_ms += max(0.0, stage.wall_ms - child_wall)
+        if name not in names:
+            # Outermost stage of this name: cumulative time counts once
             # however deep the re-entrancy went.
             stats.cum_sim_ms += total_sim
-            stats.cum_wall_ms += elapsed_ms
-        if self._stack:
-            parent = self._stack[-1]
-            parent.child_sim += total_sim
-            parent.child_wall += elapsed_ms
+            stats.cum_wall_ms += stage.wall_ms
+        if stage.counters:
+            for counter, n in stage.counters.items():
+                stats.counters[counter] = stats.counters.get(counter, 0) + n
+        return total_sim
 
-    # ------------------------------------------------------ accumulation
-    def accumulate(self, name: str, sim_ms: float) -> None:
-        """Charge simulated time to ``name``, open frame or not.
-
-        The single accumulation path behind
-        :meth:`~repro.obs.instrument.QueryObservation._accumulate`:
-        when a frame with that name is open the charge lands on it
-        (and is counted at frame exit); otherwise the charge lands
-        flat, counting one call — a purely simulated step with no
-        interesting wall time ("parse", "read", "transfer").
-        """
-        if self._open_by_name.get(name, 0):
-            for frame in reversed(self._stack):
-                if frame.name == name:
-                    frame.own_sim += sim_ms
-                    return
-        self.add_sim(name, sim_ms)
-
-    def add_sim(self, name: str, sim_ms: float, calls: int = 1) -> None:
-        """Flat accumulation: ``sim_ms`` and ``calls`` onto ``name``."""
+    # --------------------------------------------------- direct count rows
+    def _add_sim(self, name: str, sim_ms: float, calls: int) -> None:
         stats = self._stats_for(name)
         stats.calls += calls
         stats.self_sim_ms += sim_ms
         stats.cum_sim_ms += sim_ms
 
+    def add_sim(self, name: str, sim_ms: float, calls: int = 1) -> None:
+        """Flat accumulation: ``sim_ms`` and ``calls`` onto ``name``."""
+        with self._lock:
+            self._add_sim(name, sim_ms, calls)
+
     def hit(self, name: str, n: int = 1) -> None:
         """Count ``n`` calls of a stage that carries no time of its own
         (cache mutation events, journal writes)."""
-        self._stats_for(name).calls += n
+        with self._lock:
+            self._stats_for(name).calls += n
 
     def count(self, name: str, counter: str, n: float = 1) -> None:
         """Bump an operator counter (rows, regions, tuples) on a stage."""
-        counters = self._stats_for(name).counters
-        counters[counter] = counters.get(counter, 0) + n
+        with self._lock:
+            counters = self._stats_for(name).counters
+            counters[counter] = counters.get(counter, 0) + n
 
     # ---------------------------------------------------- slowest queries
     def record_query(
@@ -271,28 +256,32 @@ class Profiler:
         }
         if status:
             entry["status"] = status
-        slowest = self._slowest
-        position = len(slowest)
-        while position > 0 and (
-            float(slowest[position - 1]["response_sim_ms"]) < sim_ms
-        ):
-            position -= 1
-        slowest.insert(position, entry)
-        if len(slowest) > self.top_k:
-            slowest.pop()
+        with self._lock:
+            slowest = self._slowest
+            position = len(slowest)
+            while position > 0 and (
+                float(slowest[position - 1]["response_sim_ms"]) < sim_ms
+            ):
+                position -= 1
+            slowest.insert(position, entry)
+            if len(slowest) > self.top_k:
+                slowest.pop()
 
     # ------------------------------------------------------------ export
     def snapshot(self) -> dict[str, Any]:
         """The whole profile as a JSON-able dict."""
-        return {
-            "enabled": True,
-            "top_k": self.top_k,
-            "stages": {
-                name: self._stats[name].to_dict()
-                for name in sorted(self._stats)
-            },
-            "slowest_queries": [dict(entry) for entry in self._slowest],
-        }
+        with self._lock:
+            return {
+                "enabled": True,
+                "top_k": self.top_k,
+                "stages": {
+                    name: self._stats[name].to_dict()
+                    for name in sorted(self._stats)
+                },
+                "slowest_queries": [
+                    dict(entry) for entry in self._slowest
+                ],
+            }
 
     def render_text(self, sort: str = "cum") -> str:
         """A ``pprof``-style flat table of every stage.
@@ -317,9 +306,8 @@ class Profiler:
             f"{'cum_sim_ms':>12} {'self_wall_ms':>13} {'cum_wall_ms':>12}"
         )
         lines = [f"profile (sorted by {sort})", header, "-" * len(header)]
-        ordered = sorted(
-            self._stats.values(), key=key, reverse=True
-        )
+        with self._lock:
+            ordered = sorted(self._stats.values(), key=key, reverse=True)
         for stats in ordered:
             lines.append(
                 f"{stats.name:<18} {stats.calls:>8} "
@@ -355,73 +343,18 @@ class Profiler:
 
     def reset(self) -> None:
         """Drop every aggregate and the slowest-query capture."""
-        self._stats.clear()
-        self._slowest.clear()
-
-
-class _NullFrame:
-    """The shared do-nothing frame the :class:`NullProfiler` hands out."""
-
-    __slots__ = ()
-    name = ""
-    own_sim = 0.0
-    child_sim = 0.0
-    child_wall = 0.0
-
-    def __enter__(self) -> "_NullFrame":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        return False
-
-    def add_sim(self, sim_ms: float) -> None:
-        return None
-
-    def count(self, counter: str, n: float = 1) -> None:
-        return None
-
-    def __repr__(self) -> str:
-        return "<NullFrame>"
-
-
-#: The singleton no-op frame.
-NULL_FRAME = _NullFrame()
+        with self._lock:
+            self._stats.clear()
+            self._slowest.clear()
 
 
 class NullProfiler:
-    """The disabled profiler: aggregates nothing, stores nothing."""
+    """The disabled profiler: nothing is folded into it or counted on
+    it (every writer checks ``enabled``); it serves the pinned
+    "disabled" payloads."""
 
     enabled = False
-    top_k = 0
-
-    def stage(self, name: str) -> _NullFrame:
-        return NULL_FRAME
-
-    def accumulate(self, name: str, sim_ms: float) -> None:
-        return None
-
-    def add_sim(self, name: str, sim_ms: float, calls: int = 1) -> None:
-        return None
-
-    def hit(self, name: str, n: int = 1) -> None:
-        return None
-
-    def count(self, name: str, counter: str, n: float = 1) -> None:
-        return None
-
-    def record_query(
-        self,
-        index: int,
-        template_id: str,
-        sim_ms: float,
-        status: str = "",
-    ) -> None:
-        return None
+    _clock = staticmethod(time.perf_counter)
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -433,12 +366,6 @@ class NullProfiler:
 
     def render_text(self, sort: str = "cum") -> str:
         return "profiler disabled (no-op default)\n"
-
-    def stats(self, name: str) -> StageStats | None:
-        return None
-
-    def reset(self) -> None:
-        return None
 
 
 #: The singleton no-op profiler instrumentation defaults to.

@@ -17,6 +17,9 @@ interval boundary on the sim/event time axis it takes one sample:
 Samples land in a bounded ring buffer (the newest ``capacity``
 survive) and are aligned to the interval grid: a sample's ``t_ms`` is
 always a multiple of ``interval_ms``, however unevenly queries arrive.
+Beside each sample the recorder keeps the window's cache hit ratio,
+computed once when the sample is taken, so the health monitor judges
+a new window without re-reading the old ones.
 When the clock jumps several intervals at once, one sample covers the
 whole gap with rates averaged over it — the buffer never floods on a
 time warp.
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.locking import guarded_by, named_lock, read_only
+from repro.obs.health import QUEUE_SATURATION_WINDOWS, hit_ratio
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -156,6 +160,7 @@ def _window_quantiles(
     "proxy.telemetry",
     "_registry",
     "_samples",
+    "_hit_ratios",
     "_last_t_ms",
     "_counter_totals",
     "_bucket_counts",
@@ -190,6 +195,9 @@ class TimeSeriesRecorder:
         self._lock = named_lock("proxy.telemetry")
         self._registry: MetricsRegistry | None = None
         self._samples: deque[dict[str, Any]] = deque(maxlen=capacity)
+        #: Each retained sample's hit ratio (``None``: no traffic), in
+        #: a ring of the same capacity so the two evict together.
+        self._hit_ratios: deque[float | None] = deque(maxlen=capacity)
         self._last_t_ms: float | None = None
         self._counter_totals: dict[str, float] = {}
         self._bucket_counts: dict[str, list[int]] = {}
@@ -223,6 +231,7 @@ class TimeSeriesRecorder:
             sample = self._take(registry, aligned, aligned - self._last_t_ms)
             self._last_t_ms = aligned
             self._samples.append(sample)
+            self._hit_ratios.append(hit_ratio(sample))
             return dict(sample)
 
     def _seed_baselines(self, registry: MetricsRegistry) -> None:
@@ -296,6 +305,23 @@ class TimeSeriesRecorder:
         """The retained samples, oldest first (copies)."""
         with self._lock:
             return [dict(sample) for sample in self._samples]
+
+    def health_window(
+        self,
+    ) -> tuple[list[float], list[dict[str, Any]], int]:
+        """What the health rules read, kept ready: the hit ratio of
+        every retained window with traffic (oldest first), copies of
+        the newest few samples, and the retained-window count — the
+        triple :func:`repro.obs.health.summarize` derives from
+        :meth:`samples`."""
+        with self._lock:
+            windows = len(self._samples)
+            newest = [
+                dict(self._samples[i])
+                for i in range(-min(QUEUE_SATURATION_WINDOWS, windows), 0)
+            ]
+            ratios = [r for r in self._hit_ratios if r is not None]
+        return ratios, newest, windows
 
     def snapshot(self) -> dict[str, Any]:
         """The wire format (see DESIGN.md): config, lanes, samples."""

@@ -17,10 +17,10 @@ here, so the cache description is rebuilt by exactly one piece of code:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
+from repro.obs.spans import ScopeStack
 from repro.persistence.errors import SnapshotFormatError
 from repro.persistence.journal import JournalReadResult
 from repro.persistence.records import (
@@ -89,25 +89,22 @@ class CacheImage:
     journal: JournalReadResult
 
 
-def _no_span(name: str) -> Any:
-    return nullcontext()
-
-
 def load_image(
-    persister: "CachePersister",
-    span: Callable[[str], Any] = _no_span,
+    persister: "CachePersister", scopes: ScopeStack | None = None
 ) -> CacheImage:
     """Snapshot, then the journal's intact prefix applied on top.
 
     A malformed snapshot is diagnosed and treated as absent; the
     journal walk stops cleanly at the first torn or CRC-failing record
     (a crash loses at most the mutations past the tear, never the
-    prefix).  ``span`` opens the ``snapshot_load`` / ``journal_replay``
-    tracer spans when the caller traces.
+    prefix).  The ``snapshot_load`` / ``journal_replay`` stages open
+    on ``scopes`` (the caller's telemetry bundle, when it has one).
     """
+    if scopes is None:
+        scopes = ScopeStack()
     admits: dict[int, AdmitRecord] = {}
     snapshot_error = ""
-    with span("snapshot_load"):
+    with scopes.scope("snapshot_load"):
         try:
             snapshot = persister.load_snapshot()
         except SnapshotFormatError as exc:
@@ -116,7 +113,7 @@ def load_image(
         if snapshot is not None:
             for record in snapshot.entries:
                 admits[record.entry_id] = record
-    with span("journal_replay") as replay_span:
+    with scopes.scope("journal_replay") as replay:
         read = persister.journal.read()
         for record in read.records:
             if isinstance(record, AdmitRecord):
@@ -125,12 +122,11 @@ def load_image(
                 admits.pop(record.entry_id, None)
             elif isinstance(record, ClearRecord):
                 admits.clear()
-        if replay_span is not None and hasattr(replay_span, "annotate"):
-            replay_span.annotate(
-                records=len(read.records),
-                bytes=read.bytes_replayed,
-                stop=read.stop_reason or "clean",
-            )
+        replay.annotate(
+            records=len(read.records),
+            bytes=read.bytes_replayed,
+            stop=read.stop_reason or "clean",
+        )
     return CacheImage(
         admits=admits,
         snapshot_entries=(

@@ -2,7 +2,7 @@
 
 ``recover_cache`` replays persistence state into a fresh
 :class:`~repro.core.cache.CacheManager` in four phases, each under its
-own tracer span:
+own stage:
 
 1. **snapshot load** — the last full cache image, or nothing (a
    malformed snapshot is diagnosed and treated as absent, never fatal);
@@ -29,7 +29,7 @@ own tracer span:
 The phases themselves live in :mod:`repro.persistence.image`
 (``load_image`` is phases 1–2, ``replay_admits`` phases 3–4), shared
 with the cluster's crash handoff and drain; this module adds what only
-a restart needs — the report, the spans, the metrics, the re-checkpoint.
+a restart needs — the report, the stages, the metrics, the re-checkpoint.
 
 The structured :class:`RecoveryReport` captures every disposition and
 feeds ``recovery_entries_total{disposition}`` plus the
@@ -39,10 +39,10 @@ state — only for programmer errors (an unbound persister).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.obs.spans import ScopeStack
 from repro.persistence.image import load_image, replay_admits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -102,13 +102,6 @@ class RecoveryReport:
         }
 
 
-def _span(obs: Any, name: str, **attrs: Any) -> Any:
-    tracer = getattr(obs, "tracer", None)
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, **attrs)
-
-
 def recover_cache(
     persister: "CachePersister",
     cache: "CacheManager",
@@ -124,9 +117,10 @@ def recover_cache(
     report = RecoveryReport()
     report.data_version = persister.current_version()
 
-    with _span(obs, "recovery"):
+    scopes = obs if obs is not None else ScopeStack()
+    with scopes.scope("recovery"):
         # Phases 1+2: snapshot, then the journal's intact prefix ----------
-        image = load_image(persister, lambda name: _span(obs, name))
+        image = load_image(persister, scopes)
         report.snapshot_loaded = image.snapshot_entries is not None
         report.snapshot_entries = image.snapshot_entries or 0
         report.snapshot_error = image.snapshot_error
@@ -144,7 +138,7 @@ def recover_cache(
                 obs.journal_replayed(record.type)
 
         # Phases 3+4: fence versions, then materialize ---------------------
-        with _span(obs, "materialize"):
+        with scopes.scope("materialize"):
             # Locked setters, not raw attribute writes: recovery must
             # not hold the persister lock while calling cache.store
             # (that would invert the cache -> journal lock order).

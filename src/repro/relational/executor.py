@@ -55,17 +55,18 @@ class Executor:
 
     def __init__(self, catalog: Catalog, profiler: Any = None) -> None:
         self.catalog = catalog
-        # Operator counters land here (``executor.*`` stages).  The
-        # origin re-points this at its instrumentation's profiler per
-        # request, so the default stays a shared no-op.
+        # Operator counters land here (``executor.*`` rows); the
+        # origin builds one executor per request around its bundle's
+        # current profiler.
         self.profiler = profiler if profiler is not None else NULL_PROFILER
 
     # ------------------------------------------------------------ public
     def execute(self, statement: SelectStatement) -> ResultTable:
         profiler = self.profiler
         source_schema, rows = self._materialize_source(statement.source)
-        profiler.hit("executor.scan")
-        profiler.count("executor.scan", "rows", len(rows))
+        if profiler.enabled:
+            profiler.hit("executor.scan")
+            profiler.count("executor.scan", "rows", len(rows))
         schemas = [(statement.source.binding_name, source_schema)]
 
         for join in statement.joins:
@@ -81,9 +82,10 @@ class Executor:
             predicate = statement.where
             rows_in = len(rows)
             rows = [env for env in rows if predicate.evaluate(env) is True]
-            profiler.hit("executor.filter")
-            profiler.count("executor.filter", "rows_in", rows_in)
-            profiler.count("executor.filter", "rows_out", len(rows))
+            if profiler.enabled:
+                profiler.hit("executor.filter")
+                profiler.count("executor.filter", "rows_in", rows_in)
+                profiler.count("executor.filter", "rows_out", len(rows))
 
         if statement.group_by or self._has_aggregates(statement):
             return self._execute_grouped(rows, schemas, statement)
@@ -182,9 +184,10 @@ class Executor:
         return self._count_join("nested_loop", joined)
 
     def _count_join(self, strategy: str, joined: list[Env]) -> list[Env]:
-        self.profiler.hit("executor.join")
-        self.profiler.count("executor.join", strategy, 1)
-        self.profiler.count("executor.join", "rows_out", len(joined))
+        if self.profiler.enabled:
+            self.profiler.hit("executor.join")
+            self.profiler.count("executor.join", strategy, 1)
+            self.profiler.count("executor.join", "rows_out", len(joined))
         return joined
 
     def _equi_join_columns(
@@ -309,8 +312,9 @@ class Executor:
             )
             for group_rows in groups.values()
         ]
-        self.profiler.hit("executor.aggregate")
-        self.profiler.count("executor.aggregate", "groups", len(groups))
+        if self.profiler.enabled:
+            self.profiler.hit("executor.aggregate")
+            self.profiler.count("executor.aggregate", "groups", len(groups))
         schema = Schema(
             tuple(
                 Column(
@@ -454,8 +458,9 @@ class Executor:
         projected = [
             tuple(expr.evaluate(env) for expr in expressions) for env in rows
         ]
-        self.profiler.hit("executor.project")
-        self.profiler.count("executor.project", "rows", len(projected))
+        if self.profiler.enabled:
+            self.profiler.hit("executor.project")
+            self.profiler.count("executor.project", "rows", len(projected))
         return ResultTable(schema, projected)
 
     def _output_type(

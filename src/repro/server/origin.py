@@ -4,7 +4,8 @@ Each origin carries an
 :class:`~repro.obs.instrument.OriginInstrumentation` — request counts,
 simulated server cost and result-size histograms by request kind, and
 a data-version gauge — surfaced by the origin web app's ``/metrics``.
-Pass a bundle with a real tracer to also span every execution.
+Pass a bundle with a real tracer or profiler to also trace or profile
+every execution.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class OriginServer:
         self.catalog = catalog
         self.templates = templates
         self.costs = costs or ServerCostModel()
-        self.executor = Executor(catalog)
         self.instrumentation = instrumentation or OriginInstrumentation()
         self.queries_served = 0
         self.remainders_served = 0
@@ -92,20 +92,14 @@ class OriginServer:
 
     # ----------------------------------------------------------- serving
     def _execute(self, statement: SelectStatement, kind: str, **attrs):
-        """Execute one statement under an ``origin.<kind>`` span."""
-        # Re-point the executor's operator counters at whatever profiler
-        # the instrumentation currently holds (web apps swap it in when
-        # profiling is requested after construction).
-        self.executor.profiler = self.instrumentation.profiler
-        with self.instrumentation.tracer.span(
-            f"origin.{kind}", **attrs
-        ) as span:
-            with self.instrumentation.profiler.stage(
-                f"origin.{kind}"
-            ) as stage:
-                result = self.executor.execute(statement)
-                stage.count("rows", len(result))
-            span.annotate(rows=len(result))
+        """Execute one statement under an ``origin.<kind>`` stage."""
+        obs = self.instrumentation
+        with obs.scope(f"origin.{kind}", **attrs) as stage:
+            # The operator counters go to whatever profiler the bundle
+            # holds now (web apps swap one in after construction).
+            result = Executor(self.catalog, obs.profiler).execute(statement)
+            stage.count("rows", len(result))
+            stage.annotate(rows=len(result))
         return result
 
     def _respond(self, result, kind: str, server_ms: float) -> OriginResponse:

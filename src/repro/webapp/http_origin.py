@@ -20,10 +20,10 @@ each origin response, so the proxy notices a flush-worthy change on
 its next origin contact (a cache-only stretch keeps serving the prior
 snapshot — the same window any TTL-free HTTP cache has).
 
-Trace propagation: :meth:`HttpOriginClient.bind_tracer` attaches the
-proxy's span tracer (the :class:`~repro.core.proxy.FunctionProxy`
+Trace propagation: :meth:`HttpOriginClient.bind_scopes` attaches the
+proxy's stage stack (the :class:`~repro.core.proxy.FunctionProxy`
 constructor does this automatically); every remainder/full fetch then
-carries the W3C ``traceparent`` header for the currently open span, so
+carries the W3C ``traceparent`` header for the currently open stage, so
 the origin app parents its execution spans under the proxy's
 ``origin`` phase and both ``/trace/recent`` endpoints stitch into one
 end-to-end tree.
@@ -77,19 +77,19 @@ class HttpOriginClient:
         self.timeout_s = timeout_s
         self.templates = TemplateManager()
         self.data_version: int | None = None
-        self._tracer = None
+        self._scopes = None
         self._bootstrap_templates()
         self._fetch_data_version()
 
-    def bind_tracer(self, tracer) -> None:
-        """Propagate ``tracer``'s open trace context on every fetch.
+    def bind_scopes(self, scopes) -> None:
+        """Propagate ``scopes``' open trace context on every fetch.
 
-        The proxy calls this with its span tracer; each subsequent
-        origin request carries the W3C ``traceparent`` header for the
-        span open at fetch time (the ``origin`` phase), stitching
-        proxy- and origin-side spans into one tree.
+        The proxy calls this with its instrumentation bundle; each
+        subsequent origin request carries the W3C ``traceparent``
+        header for the stage open at fetch time (the ``origin``
+        phase), stitching proxy- and origin-side stages into one tree.
         """
-        self._tracer = tracer
+        self._scopes = scopes
 
     def _fetch_data_version(self) -> None:
         import json
@@ -144,8 +144,8 @@ class HttpOriginClient:
         )
         if n_holes is not None:
             request.add_header("X-Remainder-Holes", str(n_holes))
-        if self._tracer is not None:
-            traceparent = self._tracer.current_traceparent()
+        if self._scopes is not None:
+            traceparent = self._scopes.current_traceparent()
             if traceparent is not None:
                 request.add_header("traceparent", traceparent)
         try:

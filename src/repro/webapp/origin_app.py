@@ -119,9 +119,8 @@ def create_origin_app(
 
     @app.get("/search/<form_name>")
     def search(form_name: str):
-        tracer = origin.instrumentation.tracer
         try:
-            with tracer.remote_context(incoming_context()):
+            with origin.instrumentation.remote_context(incoming_context()):
                 response = origin.execute_form(form_name, request.args)
         except (TemplateError, ParseError, RelationalError) as exc:
             return {"error": str(exc)}, 400
@@ -131,9 +130,8 @@ def create_origin_app(
     def sql():
         text = request.get_data(as_text=True)
         holes_header = request.headers.get("X-Remainder-Holes")
-        tracer = origin.instrumentation.tracer
         try:
-            with tracer.remote_context(incoming_context()):
+            with origin.instrumentation.remote_context(incoming_context()):
                 if holes_header is not None:
                     statement = parse_select(text)
                     response = origin.execute_remainder(

@@ -139,10 +139,6 @@ def create_proxy_app(
         timeseries_interval_ms,
         event_capacity,
     )
-    if trace_capacity is not None:
-        binder = getattr(proxy.origin, "bind_tracer", None)
-        if callable(binder):
-            binder(proxy.obs.tracer)
     if explain_capacity is not None:
         proxy.obs.decisions.resize(explain_capacity)
 

@@ -1,10 +1,12 @@
-"""Span tracer: nesting, ordering, ring buffer, JSONL, null mode."""
+"""Stages and the tracer: nesting, ordering, ring buffer, JSONL, and
+the stack with no reader on."""
 
 import json
 
 import pytest
 
-from repro.obs.spans import NULL_SPAN, NullTracer, SpanTracer
+from repro.obs import ProxyInstrumentation
+from repro.obs.spans import NullTracer, ScopeStack, SpanTracer
 
 
 class FakeClock:
@@ -44,12 +46,17 @@ class TestSpanTracer:
         assert root["wall_ms"] == pytest.approx(1.0)
 
     def test_charge_accumulates_simulated_ms(self):
-        tracer = SpanTracer()
-        with tracer.span("origin") as span:
-            span.charge(100.0)
-            span.charge(50.0)
-        [root] = tracer.recent()
-        assert root["sim_ms"] == pytest.approx(150.0)
+        # Charging is what a query's phases do; the charge is the
+        # stage's ``sim_ms`` in the retained tree.
+        obs = ProxyInstrumentation(tracer=SpanTracer())
+        with obs.observe_query(1, "Radial") as query:
+            with query.phase("origin") as origin:
+                origin.charge(100.0)
+                origin.charge(50.0)
+        [root] = obs.tracer.recent()
+        [origin] = root["children"]
+        assert origin["sim_ms"] == pytest.approx(150.0)
+        assert query.steps == {"origin": pytest.approx(150.0)}
 
     def test_event_is_a_zero_duration_child(self):
         tracer = SpanTracer(clock=FakeClock(step_s=0.0))
@@ -117,23 +124,42 @@ class TestSpanTracer:
 
 class TestNullTracer:
     def test_emits_nothing_and_adds_no_spans(self):
-        tracer = NullTracer()
-        assert not tracer.enabled
-        with tracer.span("query", index=1) as span:
-            span.charge(10.0).annotate(status="exact")
-            with tracer.span("check"):
-                tracer.event("parse", sim_ms=2.0)
+        # A stack with no reader on still nests and times its stages;
+        # the finished tree is dropped when the root closes.
+        stack = ScopeStack()
+        tracer = stack.tracer
+        assert isinstance(tracer, NullTracer) and not tracer.enabled
+        with stack.scope("query", index=1) as root:
+            root.annotate(status="exact")
+            with stack.scope("check") as check:
+                stack.event("parse", sim_ms=2.0)
+        assert [c.name for c in root.children] == ["check"]
+        assert [c.name for c in check.children] == ["parse"]
+        assert root.trace_id is None and check.span_id is None
+        assert stack.current_traceparent() is None
         assert tracer.spans_started == 0
         assert tracer.recent() == []
         assert tracer.export_jsonl() == ""
-        assert list(tracer.iter_jsonl()) == []
 
-    def test_hands_out_the_shared_singleton(self):
-        tracer = NullTracer()
-        assert tracer.span("a") is NULL_SPAN
-        assert tracer.span("b") is NULL_SPAN
 
-    def test_write_jsonl_writes_nothing(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        assert NullTracer().write_jsonl(path) == 0
-        assert not path.exists()
+class TestHiddenStages:
+    def test_hidden_stage_is_left_out_of_the_trace(self):
+        tracer = SpanTracer()
+        with tracer.span("check"):
+            with tracer.scope("probe.array", hidden=True) as probe:
+                probe.count("candidates", 3)
+            with tracer.span("relate"):
+                pass
+        [root] = tracer.recent()
+        assert [c["name"] for c in root["children"]] == ["relate"]
+        # No identity was drawn for it, and it is not a started span.
+        assert probe.span_id is None
+        assert tracer.spans_started == 2
+
+    def test_only_hidden_children_leave_no_children_key(self):
+        tracer = SpanTracer()
+        with tracer.span("query"):
+            with tracer.scope("admit.shed", hidden=True):
+                pass
+        [root] = tracer.recent()
+        assert "children" not in root
