@@ -468,10 +468,6 @@ class AdmissionController:
     def overload_state(self) -> BreakerState:
         return self._overload.state
 
-    def shed_counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._shed_by_reason)
-
     def quota_denials(self) -> dict[str, int]:
         with self._lock:
             return dict(self._quota_denials)

@@ -638,25 +638,6 @@ class Project:
                     queue.append(parent)
         return None
 
-    def registration_of(
-        self, klass: ClassModel, attr: str
-    ) -> Registration | None:
-        queue = [klass]
-        visited: set[str] = set()
-        while queue:
-            current = queue.pop(0)
-            if current.name in visited:
-                continue
-            visited.add(current.name)
-            if attr in current.registrations:
-                return current.registrations[attr]
-            for base in current.bases:
-                parent = self.resolve_class(base)
-                if parent is not None:
-                    queue.append(parent)
-        return None
-
-
 def collect_files(paths: list[pathlib.Path]) -> list[pathlib.Path]:
     files: list[pathlib.Path] = []
     for path in paths:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import Protocol
 
 from repro.analysis.codes import severity_of
 from repro.analysis.diagnostics import (
@@ -32,7 +32,7 @@ from repro.relational.expressions import (
     Expression,
     FuncCall,
 )
-from repro.sqlparser.ast import FunctionSource, Parameter, SelectStatement
+from repro.sqlparser.ast import FunctionSource, Parameter
 from repro.sqlparser.parser import parse_expression
 from repro.templates.function_template import FunctionTemplate, Shape
 from repro.templates.info_file import TemplateInfoFile
@@ -93,34 +93,16 @@ class PassContext:
 
 
 # ------------------------------------------------------------------ walking
-def iter_expression_nodes(expr: Expression) -> Iterator[Expression]:
-    """Every node of an expression tree, root first."""
-    yield expr
-    for attr in vars(expr).values():
-        if isinstance(attr, Expression):
-            yield from iter_expression_nodes(attr)
-        elif isinstance(attr, tuple):
-            for element in attr:
-                if isinstance(element, Expression):
-                    yield from iter_expression_nodes(element)
-
-
 def parameter_refs(expr: Expression) -> set[str]:
     """All ``$``-parameter names referenced by ``expr``."""
     return {
-        node.name
-        for node in iter_expression_nodes(expr)
-        if isinstance(node, Parameter)
+        node.name for node in expr.walk() if isinstance(node, Parameter)
     }
 
 
 def function_calls(expr: Expression) -> list[FuncCall]:
     """All scalar function calls inside ``expr``."""
-    return [
-        node
-        for node in iter_expression_nodes(expr)
-        if isinstance(node, FuncCall)
-    ]
+    return [node for node in expr.walk() if isinstance(node, FuncCall)]
 
 
 def region_expressions(template: FunctionTemplate) -> list[Expression]:
@@ -134,22 +116,6 @@ def region_expressions(template: FunctionTemplate) -> list[Expression]:
     for spec in template.halfspace_specs:
         exprs.extend(spec.normal)
         exprs.append(spec.offset)
-    return exprs
-
-
-def statement_expressions(statement: SelectStatement) -> list[Expression]:
-    """Every expression of a statement the scalar-determinism pass scans."""
-    exprs: list[Expression] = [
-        item.expression for item in statement.select_items
-    ]
-    if isinstance(statement.source, FunctionSource):
-        exprs.extend(statement.source.args)
-    for join in statement.joins:
-        exprs.append(join.condition)
-    if statement.where is not None:
-        exprs.append(statement.where)
-    exprs.extend(statement.group_by)
-    exprs.extend(item.expression for item in statement.order_by)
     return exprs
 
 
@@ -589,7 +555,7 @@ def check_against_registry(
     if not callable(has_scalar):
         return
     seen: set[str] = set()
-    for expr in statement_expressions(template.statement):
+    for expr in template.statement.expressions():
         for call in function_calls(expr):
             key = call.name.lower()
             if key in seen or key in SCALAR_BUILTINS:

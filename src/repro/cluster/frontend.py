@@ -60,9 +60,6 @@ class ClusterFrontend:
         """The tier's template manager (shared by every shard)."""
         return self.router.shard(self.router.shard_ids[0]).proxy.templates
 
-    def shard_frontend(self, shard_id: str) -> ProxyFrontend:
-        return self._shard_frontends[shard_id]
-
     def submit(
         self,
         bound: Any,

@@ -20,7 +20,7 @@ from typing import Iterable
 from repro.core.cache import CacheEntry
 from repro.core.rewrite import to_result_scope
 from repro.geometry.regions import Region
-from repro.relational.result import ResultTable
+from repro.relational.result import ResultTable, sort_rows
 from repro.templates.manager import BoundQuery
 
 
@@ -95,21 +95,18 @@ class LocalEvaluator:
         statement = bound.statement
         if statement.order_by:
             names = [name.lower() for name in result.column_names]
-            rows = list(result.rows)
-            for item in reversed(statement.order_by):
+
+            def key(item):
                 expr = to_result_scope(bound.template, item.expression)
-                rows.sort(
-                    key=lambda row: self._sort_key(
-                        expr, dict(zip(names, row))
-                    ),
-                    reverse=item.descending,
+                return (
+                    lambda row: expr.evaluate(dict(zip(names, row))),
+                    item.descending,
                 )
-            result = ResultTable(result.schema, rows)
+
+            result = ResultTable(
+                result.schema,
+                sort_rows(result.rows, [key(i) for i in statement.order_by]),
+            )
         if statement.top is not None:
             result = result.top_n(statement.top)
         return result
-
-    @staticmethod
-    def _sort_key(expr, env):
-        value = expr.evaluate(env)
-        return (value is None, value)

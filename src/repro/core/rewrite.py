@@ -29,36 +29,16 @@ def _mappings(template: QueryTemplate) -> tuple[dict, dict]:
             f"template {template.template_id!r}: scope rewriting needs an "
             "explicit select list, not SELECT *"
         )
-    to_output: dict[str, str] = {}
-    to_statement: dict[str, Expression] = {}
-    for item in statement.select_items:
-        output = item.output_name().lower()
-        to_output[item.expression.to_sql().lower()] = output
-        to_statement[output] = item.expression
-    return to_output, to_statement
+    return statement.output_scope
 
 
 def _rewrite(expr: Expression, transform) -> Expression:
-    """Structurally rebuild ``expr`` with ``transform`` applied to each
-    node bottom-up (leaves first)."""
-    changes = {}
-    for name, attr in vars(expr).items():
-        if isinstance(attr, Expression):
-            changes[name] = _rewrite(attr, transform)
-        elif isinstance(attr, tuple) and any(
-            isinstance(element, Expression) for element in attr
-        ):
-            changes[name] = tuple(
-                _rewrite(element, transform)
-                if isinstance(element, Expression)
-                else element
-                for element in attr
-            )
-    if changes:
-        fields = dict(vars(expr))
-        fields.update(changes)
-        expr = type(expr)(**fields)
-    return transform(expr)
+    """Rebuild ``expr`` bottom-up: the children first, then ``transform``
+    applied to the *rebuilt* node (its SQL text is what
+    :func:`to_result_scope` matches on)."""
+    return transform(
+        expr.map_children(lambda child: _rewrite(child, transform))
+    )
 
 
 def to_result_scope(

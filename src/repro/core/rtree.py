@@ -14,7 +14,7 @@ choice, condense-on-delete with reinsertion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.geometry.regions import EPSILON, HyperRect
 
@@ -143,9 +143,6 @@ class RTree:
                 found.append(entry.key)
             else:
                 self._search(entry.child, box, found)
-
-    def all_keys(self) -> Iterator[Any]:
-        return iter(self._boxes)
 
     # ------------------------------------------------------------ insert
     def insert(self, key: Any, box: HyperRect) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.geometry.regions import EPSILON, GeometryError, HyperRect
+from repro.geometry.regions import GeometryError, HyperRect
 
 
 def subtract_rect(base: HyperRect, hole: HyperRect) -> list[HyperRect]:
@@ -79,10 +79,3 @@ def total_volume(pieces: Sequence[HyperRect]) -> float:
     from repro.geometry.measure import region_volume
 
     return sum(region_volume(piece) for piece in pieces)
-
-
-def covers_point_strictly(
-    pieces: Sequence[HyperRect], point, tolerance: float = EPSILON
-) -> bool:
-    """Whether any piece contains ``point`` (used by property tests)."""
-    return any(piece.contains_point(point) for piece in pieces)

@@ -22,7 +22,6 @@ from pathlib import Path
 from repro.locking import guarded_by, named_lock, unshared
 from repro.persistence.errors import PersistenceError
 from repro.persistence.records import (
-    FrameOutcome,
     JournalRecord,
     encode_record,
     iter_frames,
@@ -165,8 +164,3 @@ class Journal:
             consumed += outcome.consumed
             result.bytes_replayed += outcome.consumed
         return consumed
-
-
-def frame_outcomes(data: bytes) -> list[FrameOutcome]:
-    """Expose the raw frame walk (tests and tooling)."""
-    return list(iter_frames(data))

@@ -35,17 +35,7 @@ def is_aggregate_call(expr: Expression) -> bool:
 
 def contains_aggregate(expr: Expression) -> bool:
     """Whether any subexpression is an aggregate call."""
-    if is_aggregate_call(expr):
-        return True
-    for attr in vars(expr).values():
-        if isinstance(attr, Expression) and contains_aggregate(attr):
-            return True
-        if isinstance(attr, tuple) and any(
-            isinstance(element, Expression) and contains_aggregate(element)
-            for element in attr
-        ):
-            return True
-    return False
+    return any(is_aggregate_call(node) for node in expr.walk())
 
 
 def _aggregate_value(expr, envs: Sequence[dict]) -> Any:
@@ -93,21 +83,4 @@ def evaluate_with_aggregates(
 def _fold_aggregates(expr: Expression, envs: Sequence[dict]) -> Expression:
     if is_aggregate_call(expr):
         return Literal(_aggregate_value(expr, envs))
-    changes = {}
-    for name, attr in vars(expr).items():
-        if isinstance(attr, Expression):
-            changes[name] = _fold_aggregates(attr, envs)
-        elif isinstance(attr, tuple) and any(
-            isinstance(element, Expression) for element in attr
-        ):
-            changes[name] = tuple(
-                _fold_aggregates(element, envs)
-                if isinstance(element, Expression)
-                else element
-                for element in attr
-            )
-    if not changes:
-        return expr
-    fields = dict(vars(expr))
-    fields.update(changes)
-    return type(expr)(**fields)
+    return expr.map_children(lambda child: _fold_aggregates(child, envs))

@@ -21,6 +21,7 @@ for scalar calls inside expressions.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from repro.obs.profiling import NULL_PROFILER
@@ -36,10 +37,10 @@ from repro.relational.expressions import (
     ColumnRef,
     Expression,
 )
-from repro.relational.result import ResultTable
+from repro.relational.result import ResultTable, sort_rows
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
-from repro.relational.types import ColumnType, infer_type
+from repro.relational.types import ColumnType, infer_type, is_finite
 from repro.sqlparser.ast import (
     FunctionSource,
     SelectItem,
@@ -94,7 +95,13 @@ class Executor:
             return self._execute_distinct(rows, schemas, statement)
 
         if statement.order_by:
-            rows = self._sort(rows, statement)
+            rows = sort_rows(
+                rows,
+                [
+                    (item.expression.evaluate, item.descending)
+                    for item in statement.order_by
+                ],
+            )
 
         if statement.top is not None:
             rows = rows[: statement.top]
@@ -124,6 +131,12 @@ class Executor:
                 raise ExecutionError(
                     f"non-constant argument to {source.name}: {exc}"
                 ) from None
+            # Free SQL is outside input (``1e400`` parses to infinity).
+            for arg in args:
+                if isinstance(arg, (int, float)) and not is_finite(arg):
+                    raise ExecutionError(
+                        f"non-finite argument to {source.name}: {arg!r}"
+                    )
             raw_rows = functions.call_table(source.name, self.catalog, args)
             schema = functions.table(source.name).schema
             prefix = source.binding_name.lower()
@@ -402,26 +415,13 @@ class Executor:
                     "list in a DISTINCT or aggregate query"
                 )
             positions.append((index, order_item.descending))
-        rows = list(result.rows)
-        for position, descending in reversed(positions):
-            rows.sort(
-                key=lambda row: (row[position] is None, row[position]),
-                reverse=descending,
-            )
-        return ResultTable(result.schema, rows)
-
-    def _sort(self, rows: list[Env], statement: SelectStatement) -> list[Env]:
-        decorated = list(rows)
-        for item in reversed(statement.order_by):
-            expr = item.expression
-            decorated.sort(
-                key=lambda env: (
-                    expr.evaluate(env) is None,
-                    expr.evaluate(env),
-                ),
-                reverse=item.descending,
-            )
-        return decorated
+        return ResultTable(
+            result.schema,
+            sort_rows(
+                result.rows,
+                [(itemgetter(p), descending) for p, descending in positions],
+            ),
+        )
 
     def _project(
         self,

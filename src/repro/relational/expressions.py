@@ -26,16 +26,44 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+import operator
+from dataclasses import dataclass, replace
+from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
 
 from repro.relational.errors import ExecutionError
 
 Environment = Mapping[str, Any]
 
 
+#: The two ways a field annotation marks a sub-expression slot, mapped
+#: to "holds a tuple of them".  Annotations are read as source text:
+#: the node modules postpone their evaluation.
+_CHILD_ANNOTATIONS = {"Expression": False, "tuple[Expression, ...]": True}
+
+
+@dataclass(frozen=True)
 class Expression:
-    """Base class for all expression nodes."""
+    """Base class for all expression nodes.
+
+    The only code that knows which fields of a node hold
+    sub-expressions lives here: every traversal goes through
+    :meth:`children` / :meth:`walk`, every rebuild through
+    :meth:`map_children`.
+    """
+
+    _child_slots: ClassVar[tuple[tuple[str, bool], ...]] = ()
+
+    def __init_subclass__(cls) -> None:
+        # Derived once per node class.  A field that mentions Expression
+        # in any other form (optional, list) is a KeyError here, at
+        # import, not a subtree some walk silently skips.
+        cls._child_slots = tuple(
+            (name, _CHILD_ANNOTATIONS[annotation])
+            for name, annotation in cls.__dict__.get(
+                "__annotations__", {}
+            ).items()
+            if "Expression" in annotation
+        )
 
     def evaluate(self, env: Environment) -> Any:
         raise NotImplementedError
@@ -43,14 +71,46 @@ class Expression:
     def to_sql(self) -> str:
         raise NotImplementedError
 
+    def children(self) -> tuple[Expression, ...]:
+        """Direct sub-expressions, in field order."""
+        found: list[Expression] = []
+        for name, many in self._child_slots:
+            if many:
+                found.extend(getattr(self, name))
+            else:
+                found.append(getattr(self, name))
+        return tuple(found)
+
+    def walk(self) -> Iterator[Expression]:
+        """Every node of the tree, this one first."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
+
+    def map_children(
+        self, fn: Callable[[Expression], Expression]
+    ) -> Expression:
+        """This node with ``fn`` applied to each child.
+
+        ``self`` when no child changed, so a rebuild shares every
+        subtree it did not touch instead of copying it.
+        """
+        changes: dict[str, Any] = {}
+        for name, many in self._child_slots:
+            old = getattr(self, name)
+            new: Any = tuple(map(fn, old)) if many else fn(old)
+            same = all(map(operator.is_, new, old)) if many else new is old
+            if not same:
+                changes[name] = new
+        return replace(self, **changes) if changes else self
+
     def column_refs(self) -> set[str]:
         """All column names referenced anywhere in this expression."""
-        refs: set[str] = set()
-        self._collect_refs(refs)
-        return refs
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        raise NotImplementedError
+        return {
+            node.name.lower()
+            for node in self.walk()
+            if isinstance(node, ColumnRef)
+        }
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.to_sql()
@@ -81,9 +141,6 @@ class Literal(Expression):
     def to_sql(self) -> str:
         return _sql_literal(self.value)
 
-    def _collect_refs(self, refs: set[str]) -> None:
-        pass
-
 
 @dataclass(frozen=True)
 class ColumnRef(Expression):
@@ -107,9 +164,6 @@ class ColumnRef(Expression):
 
     def to_sql(self) -> str:
         return self.name
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        refs.add(self.name.lower())
 
 
 class BinaryOperator(enum.Enum):
@@ -169,10 +223,6 @@ class BinaryOp(Expression):
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op.value} {self.right.to_sql()})"
 
-    def _collect_refs(self, refs: set[str]) -> None:
-        self.left._collect_refs(refs)
-        self.right._collect_refs(refs)
-
 
 @dataclass(frozen=True)
 class And(Expression):
@@ -192,10 +242,6 @@ class And(Expression):
 
     def to_sql(self) -> str:
         return "(" + " AND ".join(op.to_sql() for op in self.operands) + ")"
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        for operand in self.operands:
-            operand._collect_refs(refs)
 
 
 @dataclass(frozen=True)
@@ -217,10 +263,6 @@ class Or(Expression):
     def to_sql(self) -> str:
         return "(" + " OR ".join(op.to_sql() for op in self.operands) + ")"
 
-    def _collect_refs(self, refs: set[str]) -> None:
-        for operand in self.operands:
-            operand._collect_refs(refs)
-
 
 @dataclass(frozen=True)
 class Not(Expression):
@@ -236,9 +278,6 @@ class Not(Expression):
 
     def to_sql(self) -> str:
         return f"(NOT {self.operand.to_sql()})"
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        self.operand._collect_refs(refs)
 
 
 @dataclass(frozen=True)
@@ -257,9 +296,6 @@ class Negate(Expression):
         # The space keeps a negative literal operand from fusing into
         # the SQL line-comment token "--".
         return f"(- {self.operand.to_sql()})"
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        self.operand._collect_refs(refs)
 
 
 @dataclass(frozen=True)
@@ -284,11 +320,6 @@ class Between(Expression):
             f"AND {self.high.to_sql()})"
         )
 
-    def _collect_refs(self, refs: set[str]) -> None:
-        self.operand._collect_refs(refs)
-        self.low._collect_refs(refs)
-        self.high._collect_refs(refs)
-
 
 @dataclass(frozen=True)
 class IsNull(Expression):
@@ -304,9 +335,6 @@ class IsNull(Expression):
     def to_sql(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.operand.to_sql()} {suffix})"
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        self.operand._collect_refs(refs)
 
 
 @dataclass(frozen=True)
@@ -332,11 +360,6 @@ class InList(Expression):
     def to_sql(self) -> str:
         inner = ", ".join(choice.to_sql() for choice in self.choices)
         return f"({self.operand.to_sql()} IN ({inner}))"
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        self.operand._collect_refs(refs)
-        for choice in self.choices:
-            choice._collect_refs(refs)
 
 
 # Scalar builtins available inside expressions.  The SkyServer templates
@@ -402,10 +425,6 @@ class FuncCall(Expression):
         inner = ", ".join(arg.to_sql() for arg in self.args)
         return f"{self.name}({inner})"
 
-    def _collect_refs(self, refs: set[str]) -> None:
-        for arg in self.args:
-            arg._collect_refs(refs)
-
 
 @dataclass(frozen=True)
 class CountStar(Expression):
@@ -420,9 +439,6 @@ class CountStar(Expression):
 
     def to_sql(self) -> str:
         return "COUNT(*)"
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        pass
 
 
 def conjoin(parts: Sequence[Expression]) -> Expression | None:

@@ -12,7 +12,8 @@ performs when combining a probe result with a remainder result.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.relational.errors import ExecutionError, SchemaError
 from repro.relational.schema import Schema
@@ -25,6 +26,31 @@ from repro.relational.types import ColumnType
 _ROW_OVERHEAD_BYTES = 16
 _CELL_OVERHEAD_BYTES = 8
 _HEADER_OVERHEAD_BYTES = 128
+
+Row = TypeVar("Row")
+
+
+def sort_rows(
+    rows: Iterable[Row], keys: Sequence[tuple[Callable[[Row], Any], bool]]
+) -> list[Row]:
+    """ORDER BY: a stable multi-key sort.
+
+    ``keys`` are ``(value of a row, descending)`` pairs, the dominant
+    key first; whatever a row is (a tuple, an environment), each key is
+    computed once per row.  NULL sorts as the largest value: last
+    ascending, first descending.
+    """
+    ordered = list(rows)
+    # Right to left, so the leftmost key dominates: the sort is stable,
+    # under ``reverse`` too.
+    for value_of, descending in reversed(keys):
+
+        def nulls_last(row: Row) -> tuple[bool, Any]:
+            value = value_of(row)
+            return (value is None, value)
+
+        ordered.sort(key=nulls_last, reverse=descending)
+    return ordered
 
 
 class ResultTable:
@@ -102,16 +128,11 @@ class ResultTable:
         """Stable multi-key sort (NULLs last, per SQL Server default)."""
         if descending is None:
             descending = [False] * len(names)
-        rows = list(self._rows)
-        # Apply keys right-to-left so the leftmost key dominates
-        # (relies on sort stability).
-        for name, desc in reversed(list(zip(names, descending))):
-            position = self.schema.position(name)
-            rows.sort(
-                key=lambda row: (row[position] is None, row[position]),
-                reverse=desc,
-            )
-        return ResultTable(self.schema, rows)
+        keys = [
+            (itemgetter(self.schema.position(name)), desc)
+            for name, desc in zip(names, descending)
+        ]
+        return ResultTable(self.schema, sort_rows(self._rows, keys))
 
     def merge_dedup(self, other: "ResultTable", key: str) -> "ResultTable":
         """Union with ``other``, deduplicating on ``key`` (first wins).

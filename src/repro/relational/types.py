@@ -11,6 +11,7 @@ silently" rule.
 from __future__ import annotations
 
 import enum
+import sys
 from typing import Any
 
 from repro.relational.errors import SchemaError
@@ -78,3 +79,15 @@ def infer_type(value: Any) -> ColumnType:
     if isinstance(value, str):
         return ColumnType.STR
     raise SchemaError(f"cannot infer a column type for {value!r}")
+
+
+def is_finite(value: int | float) -> bool:
+    """False for NaN, for either infinity, and for an int beyond float
+    range (compared exactly, never converted, so nothing overflows).
+
+    Numbers arriving from outside — form fields, free SQL — pass through
+    this before they become a region or a table-function argument: NaN
+    passes every ``low > high`` style check and would surface layers
+    later, as a crash in whatever first rounds it.
+    """
+    return abs(value) <= sys.float_info.max

@@ -15,32 +15,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Callable, Mapping
 
 from repro.relational.errors import ExecutionError
-from repro.relational.expressions import Expression, _sql_literal
+from repro.relational.expressions import Environment, Expression, Literal
 
 
 @dataclass(frozen=True)
 class Parameter(Expression):
     """A template placeholder ``$name``.
 
-    Parameters appear only inside *templates*; binding
-    (:meth:`SelectStatement.bind`) replaces them with literals before a
-    statement reaches the executor.  Evaluating an unbound parameter is a
-    programming error and raises immediately.
+    Parameters appear only inside *templates*.  A statement is bound
+    (:meth:`SelectStatement.bind`) by replacing them with literals
+    before it reaches the executor; a function template's region
+    expressions are instead evaluated as they stand, the parameter
+    reading its value from the environment under its own ``$name``
+    spelling (:func:`parameter_environment`).  No column can be spelled
+    that way — ``$`` never starts an identifier — so executor row
+    environments never carry such a key and a ``$name`` in free SQL
+    stays an error.
     """
 
     name: str
 
-    def evaluate(self, env) -> Any:
-        raise ExecutionError(f"unbound template parameter ${self.name}")
+    def evaluate(self, env: Environment) -> Any:
+        try:
+            return env[self.to_sql()]
+        except KeyError:
+            raise ExecutionError(
+                f"unbound template parameter ${self.name}"
+            ) from None
 
     def to_sql(self) -> str:
         return f"${self.name}"
 
-    def _collect_refs(self, refs: set[str]) -> None:
-        pass
+
+def parameter_environment(values: Mapping[str, Any]) -> dict[str, Any]:
+    """The environment in which each ``$name`` evaluates to its value."""
+    return {f"${name}": value for name, value in values.items()}
 
 
 @dataclass(frozen=True)
@@ -174,44 +186,87 @@ class SelectStatement:
         return " ".join(parts)
 
     # ------------------------------------------------------- templates
+    def expressions(self) -> list[Expression]:
+        """Every expression of the statement, clause by clause.
+
+        Select items, function-source arguments, join conditions,
+        WHERE, GROUP BY, ORDER BY — the one list of a statement's
+        clauses, and the order :meth:`parameter_names` reports first
+        appearances in.  :meth:`map_expressions` is its rebuilding twin.
+        """
+        source = self.source
+        return [
+            *(item.expression for item in self.select_items),
+            *(source.args if isinstance(source, FunctionSource) else ()),
+            *(join.condition for join in self.joins),
+            *(() if self.where is None else (self.where,)),
+            *self.group_by,
+            *(item.expression for item in self.order_by),
+        ]
+
+    def map_expressions(
+        self, fn: Callable[[Expression], Expression]
+    ) -> "SelectStatement":
+        """This statement with ``fn`` applied to each of
+        :meth:`expressions`, in that order."""
+        source = self.source
+        return SelectStatement(
+            select_items=tuple(
+                SelectItem(fn(i.expression), i.alias)
+                for i in self.select_items
+            ),
+            source=(
+                FunctionSource(
+                    source.name, tuple(map(fn, source.args)), source.alias
+                )
+                if isinstance(source, FunctionSource)
+                else source
+            ),
+            joins=tuple(
+                JoinClause(j.table, fn(j.condition)) for j in self.joins
+            ),
+            where=None if self.where is None else fn(self.where),
+            group_by=tuple(map(fn, self.group_by)),
+            order_by=tuple(
+                OrderItem(fn(o.expression), o.descending)
+                for o in self.order_by
+            ),
+            top=self.top,
+            star=self.star,
+            distinct=self.distinct,
+        )
+
+    @cached_property
+    def output_scope(self) -> tuple[dict[str, str], dict[str, Expression]]:
+        """The select list read both ways, lower-cased: (item SQL ->
+        output name, output name -> item expression).  Built once per
+        statement; :mod:`repro.core.rewrite` translates through it per
+        ORDER BY key and per remainder hole."""
+        items = [
+            (item.output_name().lower(), item.expression)
+            for item in self.select_items
+        ]
+        return (
+            {expr.to_sql().lower(): name for name, expr in items},
+            dict(items),
+        )
+
     @cached_property
     def _parameter_names(self) -> tuple[str, ...]:
         # Walked once per statement: the AST is frozen, and a template
         # statement is bound once per query.
-        names: list[str] = []
-        self._walk_parameters(lambda p: names.append(p.name))
-        return tuple(dict.fromkeys(names))
+        return tuple(
+            dict.fromkeys(
+                node.name
+                for expr in self.expressions()
+                for node in expr.walk()
+                if isinstance(node, Parameter)
+            )
+        )
 
     def parameter_names(self) -> list[str]:
         """All ``$name`` placeholders, in first-appearance order."""
         return list(self._parameter_names)
-
-    def _walk_parameters(self, visit) -> None:
-        def walk_expr(expr: Expression) -> None:
-            if isinstance(expr, Parameter):
-                visit(expr)
-                return
-            for attr in vars(expr).values():
-                if isinstance(attr, Expression):
-                    walk_expr(attr)
-                elif isinstance(attr, tuple):
-                    for element in attr:
-                        if isinstance(element, Expression):
-                            walk_expr(element)
-
-        for item in self.select_items:
-            walk_expr(item.expression)
-        if isinstance(self.source, FunctionSource):
-            for arg in self.source.args:
-                walk_expr(arg)
-        for join in self.joins:
-            walk_expr(join.condition)
-        if self.where is not None:
-            walk_expr(self.where)
-        for expr in self.group_by:
-            walk_expr(expr)
-        for item in self.order_by:
-            walk_expr(item.expression)
 
     def bind(self, values: dict[str, Any]) -> "SelectStatement":
         """Substitute literals for parameters, returning a new statement.
@@ -225,72 +280,20 @@ class SelectStatement:
             raise ExecutionError(
                 f"missing template parameter(s): {', '.join(missing)}"
             )
-
-        def rebuild(expr: Expression) -> Expression:
-            return bind_expression(expr, values)
-
-        source = self.source
-        if isinstance(source, FunctionSource):
-            source = FunctionSource(
-                source.name,
-                tuple(rebuild(a) for a in source.args),
-                source.alias,
-            )
-        return SelectStatement(
-            select_items=tuple(
-                SelectItem(rebuild(i.expression), i.alias)
-                for i in self.select_items
-            ),
-            source=source,
-            joins=tuple(
-                JoinClause(j.table, rebuild(j.condition)) for j in self.joins
-            ),
-            where=None if self.where is None else rebuild(self.where),
-            order_by=tuple(
-                OrderItem(rebuild(o.expression), o.descending)
-                for o in self.order_by
-            ),
-            top=self.top,
-            star=self.star,
-            distinct=self.distinct,
-            group_by=tuple(rebuild(g) for g in self.group_by),
+        return self.map_expressions(
+            lambda expr: bind_expression(expr, values)
         )
 
 
 def bind_expression(expr: Expression, values: dict[str, Any]) -> Expression:
     """Substitute literals for every :class:`Parameter` in ``expr``.
 
-    Shared by :meth:`SelectStatement.bind` and the function-template
-    evaluator (center/radius/bound expressions are written over ``$``
-    parameters, exactly like the query templates).  A parameter without
-    a value raises :class:`~repro.relational.errors.ExecutionError`.
+    A parameter is replaced where it is met; subtrees without one are
+    shared with ``expr``, not copied.  A parameter without a value
+    raises :class:`~repro.relational.errors.ExecutionError`.
     """
-    from repro.relational.expressions import Literal
-
     if isinstance(expr, Parameter):
         if expr.name not in values:
             raise ExecutionError(f"missing template parameter ${expr.name}")
         return Literal(values[expr.name])
-    changes = {}
-    for name, attr in vars(expr).items():
-        if isinstance(attr, Expression):
-            changes[name] = bind_expression(attr, values)
-        elif isinstance(attr, tuple) and any(
-            isinstance(element, Expression) for element in attr
-        ):
-            changes[name] = tuple(
-                bind_expression(element, values)
-                if isinstance(element, Expression)
-                else element
-                for element in attr
-            )
-    if not changes:
-        return expr
-    fields = dict(vars(expr))
-    fields.update(changes)
-    return type(expr)(**fields)
-
-
-def sql_literal(value: Any) -> str:
-    """Render a Python value as a SQL literal (shared with templates)."""
-    return _sql_literal(value)
+    return expr.map_children(lambda child: bind_expression(child, values))

@@ -34,7 +34,8 @@ from repro.geometry.regions import (
 )
 from repro.relational.errors import ExecutionError
 from repro.relational.expressions import Expression
-from repro.sqlparser.ast import bind_expression
+from repro.relational.types import is_finite
+from repro.sqlparser.ast import parameter_environment
 from repro.sqlparser.parser import parse_expression
 from repro.templates.errors import TemplateError
 
@@ -54,17 +55,25 @@ def _parse(text: str) -> Expression:
         raise TemplateError(f"bad template expression {text!r}: {exc}") from exc
 
 
-def _evaluate_constant(expr: Expression, params: Mapping[str, Any]) -> float:
-    """Bind ``$``-parameters and evaluate to a number."""
-    bound = bind_expression(expr, dict(params))
+def _evaluate_constant(expr: Expression, env: Mapping[str, Any]) -> float:
+    """Evaluate a region expression in a ``$``-parameter environment.
+
+    Every centre, radius, bound, normal and offset of every shape comes
+    through here, so this is where a region is kept finite.
+    """
     try:
-        value = bound.evaluate({})
-    except ExecutionError as exc:
+        value = expr.evaluate(env)
+    except (ExecutionError, OverflowError) as exc:
         raise TemplateError(f"cannot evaluate {expr.to_sql()}: {exc}") from exc
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise TemplateError(
             f"template expression {expr.to_sql()} produced {value!r}, "
             "expected a number"
+        )
+    if not is_finite(value):
+        raise TemplateError(
+            f"template expression {expr.to_sql()} produced {value!r}, "
+            "expected a finite number"
         )
     return float(value)
 
@@ -153,23 +162,24 @@ class FunctionTemplate:
             raise TemplateError(
                 f"{self.name}: missing parameter(s) {', '.join(missing)}"
             )
+        env = parameter_environment(params)
         if self.shape is Shape.HYPERSPHERE:
             center = tuple(
-                _evaluate_constant(e, params) for e in self.center_exprs
+                _evaluate_constant(e, env) for e in self.center_exprs
             )
-            radius = _evaluate_constant(self.radius_expr, params)
+            radius = _evaluate_constant(self.radius_expr, env)
             if radius < 0:
                 raise TemplateError(f"{self.name}: negative radius {radius}")
             return HyperSphere(center, radius)
-        lows = tuple(_evaluate_constant(e, params) for e in self.low_exprs)
-        highs = tuple(_evaluate_constant(e, params) for e in self.high_exprs)
+        lows = tuple(_evaluate_constant(e, env) for e in self.low_exprs)
+        highs = tuple(_evaluate_constant(e, env) for e in self.high_exprs)
         box = HyperRect(lows, highs)
         if self.shape is Shape.HYPERRECT:
             return box
         halfspaces = tuple(
             Halfspace(
-                tuple(_evaluate_constant(n, params) for n in spec.normal),
-                _evaluate_constant(spec.offset, params),
+                tuple(_evaluate_constant(n, env) for n in spec.normal),
+                _evaluate_constant(spec.offset, env),
             )
             for spec in self.halfspace_specs
         )

@@ -1,5 +1,7 @@
 """Function proxy dispositions and soundness guards."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.proxy import FunctionProxy
@@ -241,6 +243,40 @@ class TestSoundnessGuards:
             # Keep the session-scoped origin clean for other tests.
             origin.templates._query_templates.pop("t.random")
             origin.templates._function_templates.pop("frandomsample")
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_function_argument_is_a_structured_failure(
+        self, make_proxy, bind, bad
+    ):
+        """``bind`` refuses a non-finite region; a hand-built bound
+        query is the one way past it.  The origin's executor is the
+        second layer, and ``serve`` still never raises."""
+        from repro.core.stats import QueryOutcome
+        from repro.relational.expressions import Literal
+        from repro.sqlparser.ast import FunctionSource
+        from repro.templates.manager import BoundQuery
+
+        good = bind()
+        source = good.statement.source
+        forged = BoundQuery(
+            template=good.template,
+            params=dict(good.params, ra=bad),
+            statement=dataclasses.replace(
+                good.statement,
+                source=FunctionSource(
+                    source.name,
+                    (Literal(bad), *source.args[1:]),
+                    source.alias,
+                ),
+            ),
+            region=good.region,
+        )
+        proxy = make_proxy()
+        response = proxy.serve(forged)
+        assert response.record.outcome is QueryOutcome.FAILED
+        assert response.record.failure_reason == "query-error"
+        assert len(proxy.cache) == 0
+        assert proxy.serve(good).record.outcome is QueryOutcome.SERVED
 
     def test_cache_budget_is_respected(self, make_proxy, bind):
         proxy = make_proxy(cache_bytes=6_000)

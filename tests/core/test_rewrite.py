@@ -55,6 +55,17 @@ class TestToStatementScope:
         assert expr == ColumnRef("mystery")
 
 
+class TestScopeMapsAreBuiltOncePerTemplate:
+    def test_both_directions_read_one_cached_pair(self, template):
+        to_output, to_statement = template.statement.output_scope
+        assert to_output["n.distance"] == "distance"
+        assert to_statement["cx"] == ColumnRef("p.cx")
+        to_result_scope(template, parse_expression("n.distance"))
+        to_statement_scope(template, parse_expression("cx"))
+        assert template.statement.output_scope[0] is to_output
+        assert template.statement.output_scope[1] is to_statement
+
+
 class TestSelectStarRejected:
     def test_star_template_cannot_rewrite(self):
         template = QueryTemplate.from_sql(

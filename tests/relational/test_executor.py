@@ -132,6 +132,13 @@ class TestOrderAndTop:
     def test_top_zero(self, execute):
         assert len(execute("SELECT TOP 0 name FROM Users")) == 0
 
+    def test_order_by_two_keys_one_descending(self, execute):
+        result = execute("SELECT name FROM Users ORDER BY city DESC, age")
+        # NULL sorts as the largest value: first under DESC.
+        assert result.column_values("name") == [
+            "edsger", "ada", "alan", "grace",
+        ]
+
     def test_order_by_expression_not_in_select_list(self, execute):
         result = execute("SELECT name FROM Users ORDER BY age * -1")
         assert result.column_values("name")[0] == "grace"
@@ -189,6 +196,18 @@ class TestTableFunctions:
     def test_tvf_with_parameter_arg_fails(self, execute):
         with pytest.raises(ExecutionError, match="non-constant"):
             execute("SELECT id FROM fTopUsers($age)")
+
+    @pytest.mark.parametrize(
+        "argument",
+        ["1e400", "-1e400", "1e400 - 1e400", "1" + "0" * 400],
+        ids=["inf", "-inf", "nan", "huge-int"],
+    )
+    def test_tvf_with_non_finite_argument_fails(self, execute, argument):
+        """Free SQL is outside input: ``1e400`` parses to infinity."""
+        with pytest.raises(
+            ExecutionError, match="non-finite argument to fTopUsers"
+        ):
+            execute(f"SELECT id FROM fTopUsers({argument})")
 
 
 class TestErrors:

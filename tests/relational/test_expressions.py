@@ -1,7 +1,10 @@
 """Expression evaluation, including SQL three-valued logic."""
 
+import dataclasses
+
 import pytest
 
+import repro.sqlparser.ast  # noqa: F401 - defines the Parameter node
 from repro.relational.errors import ExecutionError
 from repro.relational.expressions import (
     And,
@@ -9,6 +12,7 @@ from repro.relational.expressions import (
     BinaryOp,
     BinaryOperator,
     ColumnRef,
+    Expression,
     FuncCall,
     InList,
     IsNull,
@@ -194,3 +198,80 @@ class TestConjoin:
         combined = conjoin([lit(True), lit(False)])
         assert isinstance(combined, And)
         assert combined.evaluate({}) is False
+
+
+NODE_MODULES = ("repro.relational.expressions", "repro.sqlparser.ast")
+PLAIN_VALUES = {
+    "str": "x",
+    "bool": False,
+    "Any": 1,
+    "BinaryOperator": BinaryOperator.ADD,
+}
+
+
+def node_classes():
+    found, queue = [], [Expression]
+    while queue:
+        for cls in queue.pop().__subclasses__():
+            queue.append(cls)
+            if cls.__module__ in NODE_MODULES:
+                found.append(cls)
+    return found
+
+
+class TestChildren:
+    """``children()`` is the one definition of a node's shape: it must
+    cover every field that can hold a sub-expression."""
+
+    def test_every_node_class_is_covered(self):
+        names = {cls.__name__ for cls in node_classes()}
+        assert {"BinaryOp", "InList", "FuncCall", "Parameter"} <= names
+
+    @pytest.mark.parametrize(
+        "cls", node_classes(), ids=lambda cls: cls.__name__
+    )
+    def test_every_expression_field_is_a_child(self, cls):
+        """A new node type with an ``Expression | None`` or
+        ``list[Expression]`` field must fail here (or earlier, at
+        import), not silently lose its subtree in every walk."""
+        values, expected = {}, []
+        for field in dataclasses.fields(cls):
+            annotation = str(field.type)
+            if "Expression" not in annotation:
+                values[field.name] = PLAIN_VALUES[annotation]
+            elif annotation.startswith(("tuple", "list")):
+                pair = [ColumnRef("first"), ColumnRef("second")]
+                values[field.name] = (
+                    tuple(pair) if annotation.startswith("tuple") else pair
+                )
+                expected += pair
+            else:
+                values[field.name] = ColumnRef(field.name)
+                expected.append(values[field.name])
+        children = cls(**values).children()
+        assert len(children) == len(expected)
+        assert all(a is b for a, b in zip(children, expected))
+
+    def test_unsupported_child_annotation_fails_at_class_creation(self):
+        with pytest.raises(KeyError, match=r"Expression \| None"):
+
+            @dataclasses.dataclass(frozen=True)
+            class Maybe(Expression):
+                operand: "Expression | None"
+
+    def test_walk_is_root_first(self):
+        expr = Between(ColumnRef("r"), lit(1), Negate(ColumnRef("hi")))
+        assert [type(node).__name__ for node in expr.walk()] == [
+            "Between", "ColumnRef", "Literal", "Negate", "ColumnRef",
+        ]
+
+    def test_map_children_shares_untouched_subtrees(self):
+        left = BinaryOp(BinaryOperator.ADD, ColumnRef("a"), lit(1))
+        right = InList(ColumnRef("b"), (lit(1), lit(2)))
+        expr = And((left, right))
+        assert expr.map_children(lambda child: child) is expr
+        swapped = expr.map_children(
+            lambda child: lit(True) if child is left else child
+        )
+        assert swapped == And((lit(True), right))
+        assert swapped.operands[1] is right

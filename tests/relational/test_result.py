@@ -3,7 +3,7 @@
 import pytest
 
 from repro.relational.errors import ExecutionError, SchemaError
-from repro.relational.result import ResultTable
+from repro.relational.result import ResultTable, sort_rows
 from repro.relational.schema import Schema
 from repro.relational.types import ColumnType
 
@@ -84,6 +84,28 @@ class TestOperations:
     def test_sorted_by_descending(self):
         result = table(SAMPLE).sorted_by(["score"], descending=[True])
         assert [row[2] for row in result.rows] == [3.5, 2.5, 1.5]
+
+    def test_sorted_by_leftmost_key_dominates(self):
+        rows = [(1, "b", 1.0), (2, "a", 1.0), (3, None, 2.0), (4, "a", 2.0)]
+        result = table(rows).sorted_by(["score", "name"], [True, False])
+        assert [row[0] for row in result.rows] == [4, 3, 2, 1]
+
+    def test_sort_rows_is_stable_and_reads_each_key_once_per_row(self):
+        """The one ORDER BY: the executor sorts environments with it,
+        the proxy cached tuples; ties keep their input order, under
+        DESC too, and a key costs one evaluation per row."""
+        rows = [{"k": 1, "id": "a"}, {"k": 2, "id": "b"}, {"k": 1, "id": "c"}]
+        reads = []
+
+        def key(row):
+            reads.append(row["id"])
+            return row["k"]
+
+        assert [r["id"] for r in sort_rows(rows, [(key, True)])] == [
+            "b", "a", "c",
+        ]
+        assert sorted(reads) == ["a", "b", "c"]
+        assert sort_rows(rows, []) == rows
 
     def test_merge_dedup_prefers_first(self):
         left = table([(1, "left", 1.0)])

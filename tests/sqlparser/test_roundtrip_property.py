@@ -11,6 +11,7 @@ produces.  Literal floats use ``repr`` so the round-trip is exact.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.relational.errors import ExecutionError
 from repro.relational.expressions import (
     And,
     Between,
@@ -18,6 +19,7 @@ from repro.relational.expressions import (
     BinaryOperator,
     ColumnRef,
     CountStar,
+    Expression,
     FuncCall,
     InList,
     IsNull,
@@ -34,6 +36,8 @@ from repro.sqlparser.ast import (
     SelectItem,
     SelectStatement,
     TableSource,
+    bind_expression,
+    parameter_environment,
 )
 from repro.sqlparser.parser import parse_expression, parse_select
 
@@ -173,3 +177,204 @@ def test_expression_roundtrip(expr):
 @settings(max_examples=300, deadline=None)
 def test_statement_roundtrip(stmt):
     assert parse_select(stmt.to_sql()) == stmt
+
+
+# ------------------------------------------------------------------------
+# The one walker (``Expression.children`` / ``map_children``,
+# ``SelectStatement.expressions`` / ``map_expressions``) against the
+# reflective walks it replaced, kept here as the oracle.
+
+
+def reference_children(expr):
+    """Which fields hold sub-expressions, re-derived by reflection."""
+    found = []
+    for value in vars(expr).values():
+        if isinstance(value, Expression):
+            found.append(value)
+        elif isinstance(value, tuple):
+            found.extend(v for v in value if isinstance(v, Expression))
+    return tuple(found)
+
+
+def reference_walk(expr):
+    yield expr
+    for child in reference_children(expr):
+        yield from reference_walk(child)
+
+
+def reference_bind(expr, values):
+    """Substitute every parameter, copy every node."""
+    if isinstance(expr, Parameter):
+        return Literal(values[expr.name])
+
+    def rebuilt(value):
+        if isinstance(value, Expression):
+            return reference_bind(value, values)
+        if isinstance(value, tuple):
+            return tuple(rebuilt(element) for element in value)
+        return value
+
+    return type(expr)(
+        **{name: rebuilt(value) for name, value in vars(expr).items()}
+    )
+
+
+def reference_clauses(stmt):
+    """Select items, function arguments, join conditions, WHERE,
+    GROUP BY, ORDER BY."""
+    clauses = [item.expression for item in stmt.select_items]
+    if isinstance(stmt.source, FunctionSource):
+        clauses += stmt.source.args
+    clauses += [join.condition for join in stmt.joins]
+    if stmt.where is not None:
+        clauses.append(stmt.where)
+    clauses += stmt.group_by
+    clauses += [item.expression for item in stmt.order_by]
+    return clauses
+
+
+def reference_bind_statement(stmt, values):
+    def rebuilt(expr):
+        return reference_bind(expr, values)
+
+    source = stmt.source
+    if isinstance(source, FunctionSource):
+        source = FunctionSource(
+            source.name, tuple(map(rebuilt, source.args)), source.alias
+        )
+    return SelectStatement(
+        select_items=tuple(
+            SelectItem(rebuilt(i.expression), i.alias)
+            for i in stmt.select_items
+        ),
+        source=source,
+        joins=tuple(
+            JoinClause(j.table, rebuilt(j.condition)) for j in stmt.joins
+        ),
+        where=None if stmt.where is None else rebuilt(stmt.where),
+        order_by=tuple(
+            OrderItem(rebuilt(o.expression), o.descending)
+            for o in stmt.order_by
+        ),
+        top=stmt.top,
+        star=stmt.star,
+        distinct=stmt.distinct,
+        group_by=tuple(map(rebuilt, stmt.group_by)),
+    )
+
+
+@given(expr=expressions(3))
+@settings(max_examples=300, deadline=None)
+def test_children_match_the_reflective_walk(expr):
+    assert list(expr.walk()) == list(reference_walk(expr))
+    for node in expr.walk():
+        children = node.children()
+        assert len(children) == len(reference_children(node))
+        assert all(
+            a is b for a, b in zip(children, reference_children(node))
+        )
+
+
+@given(expr=expressions(3))
+@settings(max_examples=300, deadline=None)
+def test_identity_map_shares_the_whole_tree(expr):
+    assert expr.map_children(lambda child: child) is expr
+
+
+bound_values = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="abc'", max_size=4),
+    st.none(),
+)
+
+
+@given(stmt=statements, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_statement_bind_matches_substitute_everything(stmt, data):
+    names = stmt.parameter_names()
+    assert stmt.expressions() == reference_clauses(stmt)
+    assert names == list(
+        dict.fromkeys(
+            node.name
+            for clause in reference_clauses(stmt)
+            for node in reference_walk(clause)
+            if isinstance(node, Parameter)
+        )
+    )
+    values = {name: data.draw(bound_values, label=name) for name in names}
+    bound = stmt.bind(values)
+    reference = reference_bind_statement(stmt, values)
+    assert bound == reference
+    assert bound.to_sql() == reference.to_sql()
+    assert bound.parameter_names() == []
+    visited = []
+
+    def visit(expr):
+        visited.append(expr)
+        return expr
+
+    assert stmt.map_expressions(visit) == stmt
+    assert all(a is b for a, b in zip(visited, stmt.expressions()))
+    assert len(visited) == len(stmt.expressions())
+
+
+numbers = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+def arithmetic(depth: int = 3):
+    """Arithmetic over ``$``-parameters only: a function template's
+    centre / radius expressions."""
+    atoms = st.one_of(
+        st.sampled_from(["ra", "dec", "radius"]).map(Parameter),
+        numbers.map(Literal),
+    )
+    if depth == 0:
+        return atoms
+    inner = arithmetic(depth - 1)
+    return st.one_of(
+        atoms,
+        st.builds(
+            BinaryOp,
+            st.sampled_from(
+                [
+                    BinaryOperator.ADD,
+                    BinaryOperator.SUB,
+                    BinaryOperator.MUL,
+                    BinaryOperator.DIV,
+                ]
+            ),
+            inner,
+            inner,
+        ),
+        st.builds(Negate, inner),
+        st.builds(
+            lambda name, arg: FuncCall(name, (arg,)),
+            st.sampled_from(["cos", "sin", "radians", "sqrt", "abs"]),
+            inner,
+        ),
+        st.builds(
+            lambda a, b, c: FuncCall("least", (a, b, c)), inner, inner, inner
+        ),
+    )
+
+
+@given(expr=arithmetic(), ra=numbers, dec=numbers, radius=numbers)
+@settings(max_examples=300, deadline=None)
+def test_parameter_environment_equals_substitution(expr, ra, dec, radius):
+    """Reading ``$name`` from the environment computes, bit for bit,
+    what substituting literals and evaluating the copy did."""
+    values = {"ra": ra, "dec": dec, "radius": radius}
+
+    def outcome(evaluate):
+        try:
+            return repr(evaluate())  # exact for floats: NaN, -0.0, 1 vs 1.0
+        except ExecutionError:
+            return "error"
+
+    assert outcome(
+        lambda: expr.evaluate(parameter_environment(values))
+    ) == outcome(lambda: bind_expression(expr, values).evaluate({}))

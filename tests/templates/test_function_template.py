@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from repro.extensions.triangle import triangle_function_template
 from repro.geometry.regions import HyperRect, HyperSphere
+from repro.relational.expressions import Literal
 from repro.sqlparser.parser import parse_expression
 from repro.templates.errors import TemplateError
 from repro.templates.function_template import (
@@ -194,3 +196,98 @@ class TestValidation:
         )
         with pytest.raises(TemplateError, match="expected a number"):
             template.region_for({"a": "not-a-number"})
+
+
+GOOD_PARAMS = {
+    "sphere": (
+        radial_function_template,
+        {"ra": 164.0, "dec": 8.0, "radius": 10.0},
+    ),
+    "rect": (
+        rect_function_template,
+        {"ra_min": 163.0, "ra_max": 165.0, "dec_min": 7.0, "dec_max": 9.0},
+    ),
+    "polytope": (
+        triangle_function_template,
+        {
+            "ra1": 163.0, "dec1": 7.0,
+            "ra2": 165.0, "dec2": 7.0,
+            "ra3": 164.0, "dec3": 9.0,
+        },
+    ),
+}
+# ``1e400`` is how an infinity is spelled in a form field or in SQL
+# text; an int too large for a float is the same hole by another door.
+NON_FINITE = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+    "1e400": float("1e400"),
+    "10**400": 10**400,
+}
+
+
+class TestNonFiniteRegionsAreRejected:
+    """A region is finite or it is not built: NaN passes every
+    ``low > high`` check, so a NaN bound used to travel three layers and
+    crash in the origin's grid index."""
+
+    @pytest.mark.parametrize(
+        "value", NON_FINITE.values(), ids=list(NON_FINITE)
+    )
+    @pytest.mark.parametrize(
+        "shape,position",
+        [
+            (shape, position)
+            for shape, (_, params) in GOOD_PARAMS.items()
+            for position in params
+        ],
+    )
+    def test_each_position_of_each_shape(self, shape, position, value):
+        build, params = GOOD_PARAMS[shape]
+        build().region_for(params)  # the untouched binding is fine
+        with pytest.raises(TemplateError, match=r"\$"):
+            build().region_for({**params, position: value})
+
+    def test_error_names_the_expression_and_the_value(self):
+        with pytest.raises(
+            TemplateError,
+            match=r"\$ra_max produced inf, expected a finite number",
+        ):
+            rect_function_template().region_for(
+                {**GOOD_PARAMS["rect"][1], "ra_max": float("inf")}
+            )
+
+
+class TestRegionIsEvaluatedInPlace:
+    def test_region_for_builds_no_expression_node(self, monkeypatch):
+        """Parameters are environment values of the template's own
+        tree: nothing is copied, no literal is spliced in."""
+        template, params = radial_function_template(), GOOD_PARAMS["sphere"][1]
+        built = []
+        original = Literal.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Literal, "__init__", counting)
+        assert Literal(1) and len(built) == 1  # the counter counts
+        for _ in range(100):
+            template.region_for(params)
+        assert len(built) == 1
+
+    def test_undeclared_parameter_is_a_template_error(self):
+        template = FunctionTemplate(
+            name="f",
+            params=("a",),
+            shape=Shape.HYPERRECT,
+            dims=1,
+            point_exprs=(parse_expression("x"),),
+            low_exprs=(parse_expression("$a"),),
+            high_exprs=(parse_expression("$a + $undeclared"),),
+        )
+        with pytest.raises(
+            TemplateError, match=r"unbound template parameter \$undeclared"
+        ):
+            template.region_for({"a": 1.0})

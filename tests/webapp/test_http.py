@@ -58,6 +58,21 @@ class TestOriginApp:
         response = origin_client.post("/sql", data="DROP TABLE x")
         assert response.status_code == 400
 
+    @pytest.mark.parametrize("ra", ["1e400", "1e400 - 1e400"])
+    def test_non_finite_function_argument_is_400(self, origin_client, ra):
+        """``1e400`` parses to infinity (their difference to NaN), which
+        used to crash the grid index as an unhandled OverflowError."""
+        response = origin_client.post(
+            "/sql",
+            data=f"SELECT n.objID FROM fGetNearbyObjEq({ra}, 0, 1) n",
+        )
+        assert response.status_code == 400
+        assert "non-finite argument" in response.get_json()["error"]
+
+    def test_non_finite_form_field_is_400(self, origin_client):
+        response = origin_client.get("/search/Radial?ra=nan&dec=1&radius=1")
+        assert response.status_code == 400
+
     def test_free_sql_supports_aggregates(self, origin_client):
         response = origin_client.post(
             "/sql",
@@ -126,6 +141,28 @@ class TestProxyApp:
 
     def test_bad_form_is_400(self, proxy_client):
         assert proxy_client.get("/search/Nope?x=1").status_code == 400
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "/search/Radial?ra=nan&dec=1&radius=1",
+            "/search/Radial?ra=164&dec=8&radius=nan",
+            "/search/Rectangular?min_ra=163&max_ra=inf&min_dec=7&max_dec=9",
+            "/search/Rectangular?min_ra=-1e400&max_ra=9&min_dec=7&max_dec=9",
+        ],
+    )
+    def test_non_finite_region_is_400_not_a_crash(self, proxy_client, url):
+        """``float("nan")`` parses, ``cos(nan)`` does not raise and NaN
+        passes every bound check: the region is refused at bind."""
+        response = proxy_client.get(url)
+        assert response.status_code == 400
+        assert "finite" in response.get_json()["error"]
+        # Refused before a query existed: nothing recorded, and the
+        # proxy serves the next request as if nothing happened.
+        assert proxy_client.get("/stats").get_json()["queries"] == 0
+        ok = proxy_client.get("/search/Radial?ra=164&dec=8&radius=10")
+        assert ok.status_code == 200
+        assert proxy_client.get("/stats").get_json()["queries"] == 1
 
 
 class TestHttpOriginClient:

@@ -72,6 +72,21 @@ class TestRoutedSearch:
     def test_bad_form_is_400(self, client):
         assert client.get("/search/NoSuchForm?x=1").status_code == 400
 
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "/search/Radial?ra=nan&dec=1&radius=1",
+            "/search/Rectangular?min_ra=163&max_ra=inf&min_dec=7&max_dec=9",
+        ],
+    )
+    def test_non_finite_region_is_400_not_a_crash(self, client, router, url):
+        assert client.get(url).status_code == 400
+        assert all(
+            len(router.shard(shard_id).proxy.stats) == 0
+            for shard_id in router.shard_ids
+        )
+        assert radial(client).status_code == 200
+
     def test_reroute_header_on_crashed_primary(self, origin):
         probe = make_router(origin)
         bound = origin.templates.bind_form(
