@@ -38,8 +38,8 @@ Observability: every query runs under a
 :class:`~repro.obs.instrument.QueryObservation` — the one mechanism
 that times each step ("the proxy servlet records timing information
 in each step of query processing").  Each step is one stage of the
-query's stage tree; the simulated per-step charges (feeding
-:class:`~repro.core.stats.QueryRecord` and ``TraceStats``), the trace
+query's stage tree; the simulated per-step charges (the ``steps_ms``
+of the query's :class:`~repro.core.stats.QueryRecord`), the trace
 and the profile are all read from that tree, and with the default
 instrumentation (tracer and profiler off) it is dropped when the query
 ends.
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.admission.controller import AdmissionController
 from repro.core.cache import CacheEntry, CacheManager, MaintenanceReport
@@ -120,6 +120,24 @@ class ProxyResponse:
         return self.record.response_ms
 
 
+class Answer(NamedTuple):
+    """What a cache case decided.  Everything else a record holds is
+    written where it happens (the fetch) or read when it is closed."""
+
+    result: ResultTable
+    status: QueryStatus
+    tuples_from_cache: int
+    outcome: QueryOutcome = QueryOutcome.SERVED
+    failure_reason: str = ""
+
+    @classmethod
+    def empty(
+        cls, status: QueryStatus, outcome: QueryOutcome, reason: str
+    ) -> "Answer":
+        """No rows: the query failed or was turned away."""
+        return cls(ResultTable.empty(Schema.of()), status, 0, outcome, reason)
+
+
 @guarded_by(
     "proxy.state",
     "origin",
@@ -142,6 +160,13 @@ class FunctionProxy:
     guarded by the outermost ``proxy.state`` named lock; everything
     else a stage touches synchronizes in the component that owns it
     (cache, templates, decision log, persister).
+
+    Each query has one :class:`~repro.core.stats.QueryRecord`, created
+    with the query (``_open_record``) and bound to its observation.
+    ``_origin_fetch`` writes what it fetched onto it, each cache case
+    returns the :class:`Answer` it decided, and ``_respond`` closes
+    the record and hands it — once — to the decision log, the metrics
+    fold, the time-series sample and ``stats``.
     """
 
     def __init__(
@@ -397,53 +422,25 @@ class FunctionProxy:
         overload path that skips all cache work.
         """
         index, data_version = self._begin_query()
-        policy = self.scheme.policy
         with self.obs.observe_query(
             index, bound.template_id, clock=self.clock
         ) as observation:
             observation.data_version = data_version
-            decision = self.obs.decisions.begin(
-                index,
-                bound.template_id,
-                query_region=region_summary(bound.region),
-                scheme=self.scheme.value,
-                policy=policy.describe(),
-            )
-            observation.decision = decision
-            if queue_wait_ms > 0:
-                observation.charge("admit.queue", queue_wait_ms)
+            self._open_record(bound, observation, queue_wait_ms)
             try:
-                if degrade:
-                    decision.note(
-                        "admission overload: degraded to tunnel "
-                        "(no cache work)"
-                    )
-                    observation.charge("parse", self.costs.parse_ms)
-                    response = self._tunnel(bound, observation)
-                elif self._stage_parse_bind(bound, observation, policy):
-                    response = self._tunnel(bound, observation)
-                else:
-                    try:
-                        response = self._stage_cache_probe(
-                            bound, observation, policy
-                        )
-                    except ResultStoreError as exc:
-                        # A cache-hit path lost its entry mid-serve (a
-                        # concurrent store evicted a candidate between
-                        # the description probe and the result read).
-                        # The query is still answerable — treat it as
-                        # a miss and forward.
-                        decision.note(
-                            "cache entry evicted mid-serve "
-                            f"({exc}); forwarded instead"
-                        )
-                        response = self._forward_and_cache(
-                            bound, observation, QueryStatus.FORWARDED
-                        )
+                answer = self._classify(bound, observation, degrade)
             except (OriginUnavailable, OriginQueryError) as exc:
-                response = self._respond_failure(bound, observation, exc)
-        self.stats.add(response.record)
-        return response
+                # The promise that ``serve`` never raises for origin
+                # trouble: a structured, empty ``failed`` answer.  It
+                # counts as an origin contact even when nothing was
+                # fetched (stale-disallowed): the origin was needed.
+                record = observation.record
+                record.contacted_origin = True
+                record.retries = exc.retries
+                answer = Answer.empty(
+                    QueryStatus.FAILED, QueryOutcome.FAILED, exc.reason
+                )
+            return self._respond(observation, answer)
 
     def reject(
         self,
@@ -461,34 +458,18 @@ class FunctionProxy:
         deliberately not consulted (a rejected query must not trigger
         a cache flush).
         """
-        index = self._next_index()
         with self.obs.observe_query(
-            index, bound.template_id, clock=self.clock
+            self._next_index(), bound.template_id, clock=self.clock
         ) as observation:
-            decision = self.obs.decisions.begin(
-                index,
-                bound.template_id,
-                query_region=region_summary(bound.region),
-                scheme=self.scheme.value,
-                policy=self.scheme.policy.describe(),
-            )
-            observation.decision = decision
-            if queue_wait_ms > 0:
-                observation.charge("admit.queue", queue_wait_ms)
+            self._open_record(bound, observation, queue_wait_ms)
             with observation.stage("admit.shed", hidden=True):
-                decision.note(f"admission turned the query away: {reason}")
-            response = self._respond(
-                bound,
-                ResultTable(Schema.of(), []),
-                QueryStatus.REJECTED,
+                observation.decision.note(
+                    f"admission turned the query away: {reason}"
+                )
+            return self._respond(
                 observation,
-                tuples_from_cache=0,
-                contacted_origin=False,
-                outcome=outcome,
-                failure_reason=reason,
+                Answer.empty(QueryStatus.REJECTED, outcome, reason),
             )
-        self.stats.add(response.record)
-        return response
 
     # ------------------------------------------------------------ stages
     def _next_index(self) -> int:
@@ -526,6 +507,52 @@ class FunctionProxy:
             )
         return index, version
 
+    def _open_record(self, bound, observation, queue_wait_ms) -> None:
+        """What every query starts with, served or turned away: its
+        record, its decision trace and the queue-wait charge.
+
+        Runs inside the entered observation, so the charge lands on
+        the query's root stage.  The record's ``steps_ms`` is the
+        observation's own ``steps`` — one dict, written by the stages.
+        """
+        observation.record = QueryRecord(
+            observation.index, bound.template_id, steps_ms=observation.steps
+        )
+        observation.decision = self.obs.decisions.begin(
+            observation.index,
+            bound.template_id,
+            query_region=region_summary(bound.region),
+            scheme=self.scheme.value,
+            policy=self.scheme.policy.describe(),
+        )
+        if queue_wait_ms > 0:
+            observation.charge("admit.queue", queue_wait_ms)
+
+    def _classify(self, bound, observation, degrade) -> Answer:
+        """Stages 1-2: tunnel, or dispatch on the cache relation."""
+        policy = self.scheme.policy
+        if degrade:
+            observation.decision.note(
+                "admission overload: degraded to tunnel (no cache work)"
+            )
+            observation.charge("parse", self.costs.parse_ms)
+            return self._tunnel(bound, observation)
+        if self._stage_parse_bind(bound, observation, policy):
+            return self._tunnel(bound, observation)
+        try:
+            return self._stage_cache_probe(bound, observation, policy)
+        except ResultStoreError as exc:
+            # A cache-hit path lost its entry mid-serve (a concurrent
+            # store evicted a candidate between the description probe
+            # and the result read).  The query is still answerable —
+            # treat it as a miss and forward.
+            observation.decision.note(
+                f"cache entry evicted mid-serve ({exc}); forwarded instead"
+            )
+            return self._forward_and_cache(
+                bound, observation, QueryStatus.FORWARDED
+            )
+
     def _stage_parse_bind(self, bound, observation, policy) -> bool:
         """Stage 1 (parse/bind): charge parsing, classify tunneling.
 
@@ -552,7 +579,7 @@ class FunctionProxy:
             )
         return True
 
-    def _stage_cache_probe(self, bound, observation, policy) -> ProxyResponse:
+    def _stage_cache_probe(self, bound, observation, policy) -> Answer:
         """Stage 2 (cache probe): dispatch on the cache relation."""
         exact = self.cache.exact_match_pinned(bound)
         if exact is not None:
@@ -564,29 +591,18 @@ class FunctionProxy:
             )
         return self._serve_active(bound, observation, policy)
 
-    def _serve_active(self, bound, observation, policy) -> ProxyResponse:
+    def _serve_active(self, bound, observation, policy) -> Answer:
         candidates, relations = self._check_description(bound, observation)
-
-        contained_in = [
-            entry
-            for entry, relation in zip(candidates, relations)
-            if relation
-            in (RegionRelation.CONTAINED, RegionRelation.EQUAL)
-        ]
+        contained_in, subsumed, overlapping = [], [], []
+        for entry, relation in zip(candidates, relations):
+            if relation in (RegionRelation.CONTAINED, RegionRelation.EQUAL):
+                contained_in.append(entry)
+            elif relation is RegionRelation.CONTAINS:
+                subsumed.append(entry)
+            elif relation is RegionRelation.OVERLAP:
+                overlapping.append(entry)
         if contained_in:
             return self._serve_contained(bound, contained_in, observation)
-
-        subsumed = [
-            entry
-            for entry, relation in zip(candidates, relations)
-            if relation is RegionRelation.CONTAINS
-        ]
-        overlapping = [
-            entry
-            for entry, relation in zip(candidates, relations)
-            if relation is RegionRelation.OVERLAP
-        ]
-
         if (subsumed or overlapping) and self._attempt_overlap(
             bound, subsumed, overlapping
         ):
@@ -809,22 +825,32 @@ class FunctionProxy:
             raise OriginUnavailable("stale-disallowed")
         return QueryOutcome.DEGRADED
 
-    def _origin_fetch(self, observation, kind, fn):
+    def _origin_fetch(self, observation, kind, fn) -> ResultTable:
         """One resilient origin request under an ``origin`` phase.
 
-        Returns ``(origin_response, retries)``; raises the gateway's
-        structured errors when the origin cannot or will not answer.
+        The one place that knows a fetch happened, so it writes the
+        fetch's facts onto the query's record: the contact (before the
+        attempt — a failed one still contacted the origin), then
+        retries, bytes shipped and the ``transfer`` charge.  Returns
+        the rows; raises the gateway's structured errors when the
+        origin cannot or will not answer.
         """
+        record = observation.record
+        record.contacted_origin = True
         with observation.phase("origin", kind=kind) as origin_fetch:
-            origin_response, retries = self.gateway.call(fn, observation)
-            origin_fetch.charge(origin_response.server_ms)
-            origin_fetch.annotate(retries=retries)
-        return origin_response, retries
+            response, record.retries = self.gateway.call(fn, observation)
+            origin_fetch.charge(response.server_ms)
+            origin_fetch.annotate(retries=record.retries)
+        record.origin_bytes = response.result.byte_size()
+        observation.charge(
+            "transfer", self.topology.origin_round_trip_ms(record.origin_bytes)
+        )
+        return response.result
 
     # ------------------------------------------------------ case (a)
     def _serve_exact(
         self, bound, entry: CacheEntry, result: ResultTable, observation
-    ) -> ProxyResponse:
+    ) -> Answer:
         """``result`` is the entry's stored result, read by the probe
         stage under ``proxy.cache`` (pinned): reading it here instead
         would race a concurrent eviction of ``entry``."""
@@ -840,19 +866,11 @@ class FunctionProxy:
         observation.charge(
             "read", self.costs.read_per_tuple_ms * len(result)
         )
-        return self._respond(
-            bound,
-            result,
-            QueryStatus.EXACT,
-            observation,
-            tuples_from_cache=len(result),
-            contacted_origin=False,
-            outcome=outcome,
-        )
+        return Answer(result, QueryStatus.EXACT, len(result), outcome)
 
     # ------------------------------------------------------ case (b)
-    def _serve_contained(self, bound, entries, observation) -> ProxyResponse:
-        answer_outcome = self._cache_answer_outcome()
+    def _serve_contained(self, bound, entries, observation) -> Answer:
+        outcome = self._cache_answer_outcome()
         # Any subsuming entry works; scan the smallest result.
         entry = min(entries, key=lambda e: e.row_count)
         observation.decision.note(
@@ -860,22 +878,14 @@ class FunctionProxy:
             "(smallest subsuming result)"
         )
         self.cache.touch(entry)
-        outcome = self._stage_local_eval(bound, [entry], observation)
-        result = self.evaluator.finalize(bound, outcome.result)
-        return self._respond(
-            bound,
-            result,
-            QueryStatus.CONTAINED,
-            observation,
-            tuples_from_cache=len(result),
-            contacted_origin=False,
-            outcome=answer_outcome,
-        )
+        local = self._stage_local_eval(bound, [entry], observation)
+        result = self.evaluator.finalize(bound, local.result)
+        return Answer(result, QueryStatus.CONTAINED, len(result), outcome)
 
     # ------------------------------------------------------ case (c)
     def _serve_overlap(
         self, bound, subsumed, overlapping, observation
-    ) -> ProxyResponse:
+    ) -> Answer:
         # The entries used as remainder holes, largest results first to
         # maximize the cached share, capped to keep the remainder SQL sane.
         used = sorted(
@@ -887,6 +897,11 @@ class FunctionProxy:
         ]
         for entry in used:
             self.cache.touch(entry)
+        status = (
+            QueryStatus.REGION_CONTAINMENT
+            if not overlapping
+            else QueryStatus.OVERLAP
+        )
 
         probe = self._stage_local_eval(bound, used, observation)
 
@@ -898,7 +913,7 @@ class FunctionProxy:
             remainder.geometry(), sql=remainder.sql
         )
         try:
-            origin_response, retries = self._origin_fetch(
+            origin_result = self._origin_fetch(
                 observation,
                 "remainder",
                 lambda: self.origin.execute_remainder(
@@ -908,18 +923,21 @@ class FunctionProxy:
         except OriginUnavailable as exc:
             if not self.resilience.degradation.partial_ok:
                 raise
-            return self._serve_partial(
-                bound, probe, overlapping, observation, exc
+            # Overlap degradation: the client gets the cached portion
+            # only (``206`` at the HTTP layer).  Nothing is cached —
+            # the merged region was never completed.
+            observation.decision.note(
+                f"remainder fetch failed ({exc.reason}); served the "
+                "cached portion only"
             )
-        observation.charge(
-            "transfer",
-            self.topology.origin_round_trip_ms(
-                origin_response.result.byte_size()
-            ),
-        )
+            observation.record.retries = exc.retries
+            result = self.evaluator.finalize(bound, probe.result)
+            return Answer(
+                result, status, len(result), QueryOutcome.PARTIAL, exc.reason
+            )
 
         merged = self._stage_merge(
-            bound, probe.result, origin_response.result, observation
+            bound, probe.result, origin_result, observation
         )
         result = self.evaluator.finalize(bound, merged)
 
@@ -936,100 +954,23 @@ class FunctionProxy:
         # Cache the merged full-region result and consolidate subsumed
         # entries into it (the paper's region-containment maintenance).
         self._stage_admit(
-            bound,
-            merged,
-            origin_response.result,
-            observation,
-            consolidate=used_subsumed,
+            bound, merged, origin_result, observation, used_subsumed
         )
-
-        status = (
-            QueryStatus.REGION_CONTAINMENT
-            if not overlapping
-            else QueryStatus.OVERLAP
-        )
-        return self._respond(
-            bound,
-            result,
-            status,
-            observation,
-            tuples_from_cache=from_cache,
-            contacted_origin=True,
-            origin_bytes=origin_response.result.byte_size(),
-            retries=retries,
-        )
-
-    def _serve_partial(
-        self, bound, probe, overlapping, observation, exc
-    ) -> ProxyResponse:
-        """Overlap degradation: the remainder could not reach the
-        origin, so the client gets the cached portion only (``206``
-        at the HTTP layer).  Nothing is cached — the merged region was
-        never completed."""
-        observation.decision.note(
-            f"remainder fetch failed ({exc.reason}); served the "
-            "cached portion only"
-        )
-        result = self.evaluator.finalize(bound, probe.result)
-        status = (
-            QueryStatus.REGION_CONTAINMENT
-            if not overlapping
-            else QueryStatus.OVERLAP
-        )
-        return self._respond(
-            bound,
-            result,
-            status,
-            observation,
-            tuples_from_cache=len(result),
-            contacted_origin=True,
-            outcome=QueryOutcome.PARTIAL,
-            retries=exc.retries,
-            failure_reason=exc.reason,
-        )
+        return Answer(result, status, from_cache)
 
     # ------------------------------------------------------ case (d)
-    def _forward_and_cache(self, bound, observation, status) -> ProxyResponse:
-        origin_response, retries = self._origin_fetch(
+    def _forward_and_cache(self, bound, observation, status) -> Answer:
+        result = self._origin_fetch(
             observation, "forward", lambda: self.origin.execute_bound(bound)
         )
-        result = origin_response.result
-        observation.charge(
-            "transfer",
-            self.topology.origin_round_trip_ms(result.byte_size()),
-        )
         self._stage_admit(bound, result, result, observation)
-        return self._respond(
-            bound,
-            result,
-            status,
-            observation,
-            tuples_from_cache=0,
-            contacted_origin=True,
-            origin_bytes=result.byte_size(),
-            retries=retries,
-        )
+        return Answer(result, status, 0)
 
-    def _tunnel(self, bound, observation) -> ProxyResponse:
-        origin_response, retries = self._origin_fetch(
+    def _tunnel(self, bound, observation) -> Answer:
+        result = self._origin_fetch(
             observation, "tunnel", lambda: self.origin.execute_bound(bound)
         )
-        observation.charge(
-            "transfer",
-            self.topology.origin_round_trip_ms(
-                origin_response.result.byte_size()
-            ),
-        )
-        return self._respond(
-            bound,
-            origin_response.result,
-            QueryStatus.NO_CACHE,
-            observation,
-            tuples_from_cache=0,
-            contacted_origin=True,
-            origin_bytes=origin_response.result.byte_size(),
-            retries=retries,
-        )
+        return Answer(result, QueryStatus.NO_CACHE, 0)
 
     # ---------------------------------------------------------- helpers
     def _check_data_version(self) -> int | None:
@@ -1063,37 +1004,23 @@ class FunctionProxy:
         return top is not None and len(origin_result) >= top
 
     def _respond(
-        self,
-        bound,
-        result,
-        status,
-        observation: QueryObservation,
-        tuples_from_cache: int,
-        contacted_origin: bool,
-        origin_bytes: int = 0,
-        outcome: QueryOutcome = QueryOutcome.SERVED,
-        retries: int = 0,
-        failure_reason: str = "",
+        self, observation: QueryObservation, answer: Answer
     ) -> ProxyResponse:
-        steps = observation.steps
-        record = QueryRecord(
-            index=observation.index,
-            template_id=bound.template_id,
-            status=status,
-            response_ms=sum(steps.values()),
-            tuples_total=len(result),
-            tuples_from_cache=tuples_from_cache,
-            result_bytes=result.byte_size(),
-            origin_bytes=origin_bytes,
-            contacted_origin=contacted_origin,
-            steps_ms=dict(steps),
-            check_wall_ms=observation.check_wall_ms,
-            cache_bytes_after=self.cache.current_bytes,
-            cache_entries_after=len(self.cache),
-            outcome=outcome,
-            retries=retries,
-            failure_reason=failure_reason,
-        )
+        """Close the query's record and hand it over, once, to
+        everything that counts queries — the only place a record
+        leaves the serve path."""
+        result, status, from_cache, outcome, reason = answer
+        record = observation.record
+        record.status = status
+        record.outcome = outcome
+        record.failure_reason = reason
+        record.tuples_from_cache = from_cache
+        record.tuples_total = len(result)
+        record.result_bytes = result.byte_size()
+        record.response_ms = sum(record.steps_ms.values())
+        record.check_wall_ms = observation.check_wall_ms
+        record.cache_bytes_after = self.cache.current_bytes
+        record.cache_entries_after = len(self.cache)
         observation.annotate(
             status=status.value,
             outcome=outcome.value,
@@ -1106,22 +1033,5 @@ class FunctionProxy:
         self.obs.decisions.record(decision)
         self.obs.observe_record(record, trace_id=trace_id)
         self.obs.sample_telemetry(self.telemetry_clock.now_ms)
+        self.stats.add(record)
         return ProxyResponse(result=result, record=record)
-
-    def _respond_failure(
-        self, bound, observation: QueryObservation, exc
-    ) -> ProxyResponse:
-        """Turn a structured origin failure into an empty ``failed``
-        response — the proxy's promise that ``serve`` never raises for
-        origin trouble."""
-        return self._respond(
-            bound,
-            ResultTable(Schema.of(), []),
-            QueryStatus.FAILED,
-            observation,
-            tuples_from_cache=0,
-            contacted_origin=True,
-            outcome=QueryOutcome.FAILED,
-            retries=exc.retries,
-            failure_reason=exc.reason,
-        )

@@ -160,57 +160,3 @@ def build_remainder(
     )
     region = DifferenceRegion(bound.region, tuple(holes))
     return RemainderQuery(rewritten, region, len(holes))
-
-
-def build_box_remainders(
-    bound: BoundQuery, holes: Sequence[Region]
-) -> list[SelectStatement]:
-    """The remainder as several simple box queries (rect templates only).
-
-    Instead of one query with NOT-predicates, the uncovered part of a
-    *rectangular* query is decomposed into disjoint boxes
-    (:func:`repro.geometry.decompose.decompose_difference`) and one
-    plain region-membership query is built per box.  Some origins
-    prefer several index-friendly range queries over one NOT-laden
-    rewrite; the proxy's default path remains NOT-predicates, exactly
-    like the paper's use of the SkyServer free-SQL page.
-
-    Results of the returned statements may share boundary tuples (the
-    boxes are closed); callers merge with key deduplication as usual.
-    Raises :class:`TemplateError` when the query or any hole is not a
-    hyperrectangle.
-    """
-    if not isinstance(bound.region, HyperRect):
-        raise TemplateError(
-            "box remainders need a hyperrectangular query region"
-        )
-    rect_holes = []
-    for hole in holes:
-        if not isinstance(hole, HyperRect):
-            raise TemplateError(
-                "box remainders need hyperrectangular cached regions"
-            )
-        rect_holes.append(hole)
-    from repro.geometry.decompose import decompose_difference
-
-    template = bound.template
-    ftemplate = template.function_template
-    statement = bound.statement
-    pieces = decompose_difference(bound.region, rect_holes)
-    remainders = []
-    for piece in pieces:
-        membership = to_statement_scope(
-            template, region_predicate(ftemplate, piece)
-        )
-        remainders.append(
-            SelectStatement(
-                select_items=statement.select_items,
-                source=statement.source,
-                joins=statement.joins,
-                where=conjoin([statement.where, membership]),
-                order_by=statement.order_by,
-                top=statement.top,
-                star=statement.star,
-            )
-        )
-    return remainders

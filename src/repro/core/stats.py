@@ -71,17 +71,24 @@ ANSWERED_OUTCOMES = (
 @unshared("response_ms", "steps_ms")
 @dataclass
 class QueryRecord:
-    """Everything measured about one query."""
+    """Everything measured about one query.
+
+    The proxy creates the record when the query is admitted and every
+    step writes its facts onto it where they happen (the origin fetch:
+    contact, retries, bytes); only ``index`` and ``template_id`` are
+    known up front, and the fields the answer decides are filled in
+    when the record is closed, just before it is handed over.
+    """
 
     index: int
     template_id: str
-    status: QueryStatus
-    response_ms: float
-    tuples_total: int
-    tuples_from_cache: int
-    result_bytes: int
-    origin_bytes: int  # bytes shipped from the origin for this query
-    contacted_origin: bool
+    status: QueryStatus = QueryStatus.FAILED  # until a cache case decides
+    response_ms: float = 0.0
+    tuples_total: int = 0
+    tuples_from_cache: int = 0
+    result_bytes: int = 0
+    origin_bytes: int = 0  # bytes shipped from the origin for this query
+    contacted_origin: bool = False
     steps_ms: dict[str, float] = field(default_factory=dict)
     check_wall_ms: float = 0.0
     cache_bytes_after: int = 0

@@ -19,7 +19,6 @@ from repro.geometry.regions import (
     HyperRect,
     HyperSphere,
     Region,
-    UnionRegion,
 )
 from repro.geometry.relations import RegionRelation, relate
 from repro.geometry.measure import region_volume
@@ -32,7 +31,6 @@ __all__ = [
     "HyperSphere",
     "Region",
     "RegionRelation",
-    "UnionRegion",
     "region_volume",
     "relate",
 ]

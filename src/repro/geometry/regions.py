@@ -333,39 +333,3 @@ class DifferenceRegion(Region):
 
     def bounding_box(self) -> HyperRect:
         return self.base.bounding_box()
-
-
-@dataclass(frozen=True)
-class UnionRegion(Region):
-    """A union of regions.
-
-    Used when the proxy assembles the *cached portion* of an overlapping
-    query from several cache entries (the region-containment case of
-    Section 3.2 merges all subsumed entries with the remainder result).
-    """
-
-    parts: tuple[Region, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise GeometryError("a union needs at least one part")
-        first = self.parts[0]
-        for part in self.parts[1:]:
-            _check_dims(first, part)
-        object.__setattr__(self, "parts", tuple(self.parts))
-
-    @property
-    def dims(self) -> int:  # type: ignore[override]
-        return self.parts[0].dims
-
-    def is_empty(self) -> bool:
-        return all(part.is_empty() for part in self.parts)
-
-    def contains_point(self, point: Point) -> bool:
-        return any(part.contains_point(point) for part in self.parts)
-
-    def bounding_box(self) -> HyperRect:
-        box = self.parts[0].bounding_box()
-        for part in self.parts[1:]:
-            box = box.union_box(part.bounding_box())
-        return box

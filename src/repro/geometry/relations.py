@@ -66,9 +66,9 @@ def relate(first: Region, second: Region) -> RegionRelation:
     """Classify the relationship between two regions.
 
     Dispatches on the shape pair.  Raises :class:`GeometryError` on
-    dimension mismatch or an unsupported shape (difference and union
-    regions are transient query-evaluation artifacts, not cacheable
-    shapes, and are deliberately rejected here).
+    dimension mismatch or an unsupported shape (a difference region
+    is a transient query-evaluation artifact, not a cacheable shape,
+    and is deliberately rejected here).
     """
     if first.dims != second.dims:
         raise GeometryError(

@@ -56,15 +56,17 @@ BYTES_BUCKETS = (
 )
 
 
-@unshared("steps", "decision", "data_version")
+@unshared("steps", "decision", "data_version", "record")
 @read_only("index")
 class QueryObservation(Stage):
     """One query's lifecycle: the root ``query`` stage of its tree.
 
     The proxy opens one observation per query (a context manager, like
-    every stage), charges each processing step to it, and reads back
-    ``steps`` / ``check_wall_ms`` when building the
-    :class:`~repro.core.stats.QueryRecord`.
+    every stage), binds the query's
+    :class:`~repro.core.stats.QueryRecord` to it (``record``, whose
+    ``steps_ms`` *is* this observation's ``steps``) and charges each
+    processing step to it; ``check_wall_ms`` is read back when the
+    record is closed.
 
     When built with a ``clock`` (the proxy's simulated clock), every
     simulated charge also advances it, making the observation the one
@@ -78,8 +80,11 @@ class QueryObservation(Stage):
     #: The explain-layer trace the proxy fills while deciding; the
     #: proxy binds it (``DecisionLog.begin``) before any stage runs.
     decision: DecisionTrace
+    #: The query's record, bound by the proxy next to ``decision``
+    #: (``repro.obs`` does not import ``repro.core``).
+    record: Any
 
-    __slots__ = ("index", "steps", "decision", "data_version")
+    __slots__ = ("index", "steps", "decision", "data_version", "record")
 
     def __init__(
         self,

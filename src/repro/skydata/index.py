@@ -55,12 +55,25 @@ class SkyGridIndex:
         The grid may return extra candidates near cell borders; callers
         must apply the exact predicate.  RA wraparound at 360 degrees is
         not handled — the synthetic catalog and workloads stay away from
-        the wrap point (documented in DESIGN.md).
+        the wrap point (documented in DESIGN.md).  Never visits more
+        cells than are occupied, however large the box.
         """
         lo_i = int(math.floor(ra_min / self.cell_deg))
         hi_i = int(math.floor(ra_max / self.cell_deg))
         lo_j = int(math.floor(dec_min / self.cell_deg))
         hi_j = int(math.floor(dec_max / self.cell_deg))
+        if (hi_i - lo_i + 1) * (hi_j - lo_j + 1) > len(self._cells):
+            # A box of more cells than the index holds (a radius of
+            # many degrees widens RA by up to 1/cos(89.9)): walk the
+            # occupied cells instead, in the order the loops below
+            # would reach them — i-major, j-minor.
+            for key in sorted(
+                key
+                for key in self._cells
+                if lo_i <= key[0] <= hi_i and lo_j <= key[1] <= hi_j
+            ):
+                yield from self._cells[key]
+            return
         for i in range(lo_i, hi_i + 1):
             for j in range(lo_j, hi_j + 1):
                 yield from self._cells.get((i, j), ())

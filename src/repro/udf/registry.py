@@ -5,11 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro.relational.errors import RelationalError
 from repro.relational.schema import Schema
 
 
-class UdfError(Exception):
-    """Unknown functions, arity mismatches, or registration conflicts."""
+class UdfError(RelationalError):
+    """Unknown functions, arity mismatches, registration conflicts, and
+    arguments a function rejects.
+
+    A :class:`~repro.relational.errors.RelationalError`, because that
+    is how it reaches a caller — through the executor running a query
+    — and every layer above (origin app, gateway, proxy) already turns
+    that root into a 400 / ``query-error`` instead of a crash.
+    """
 
 
 @dataclass(frozen=True)

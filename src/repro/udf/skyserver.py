@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import itemgetter
 from typing import Any
 
 from repro.relational.schema import Schema
@@ -25,7 +26,12 @@ from repro.relational.table import Table
 from repro.relational.types import ColumnType
 from repro.skydata.generator import PHOTO_FLAGS, TYPE_GALAXY, TYPE_STAR
 from repro.skydata.index import SkyGridIndex
-from repro.skydata.sphere import angular_distance_arcmin
+from repro.skydata.sphere import (
+    ARCMIN_PER_DEGREE,
+    angular_distance_arcmin,
+    chord_to_arcmin,
+    radec_to_unit,
+)
 from repro.udf.registry import (
     FunctionRegistry,
     ScalarFunction,
@@ -59,6 +65,11 @@ RECT_OBJ_SCHEMA = Schema.of(
 
 PHOTO_TYPES = {"GALAXY": TYPE_GALAXY, "STAR": TYPE_STAR}
 
+#: Beyond 180 degrees a cone is the whole sphere, and the chord the
+#: radial template describes it by (``2 sin(r / 2)``) stops growing
+#: with the radius — the proxy would cache the sky under a tiny region.
+MAX_RADIUS_ARCMIN = 180.0 * ARCMIN_PER_DEGREE
+
 
 def _photo_flags(name: Any) -> int:
     try:
@@ -85,36 +96,38 @@ def register_skyserver_functions(
     server can report its size in diagnostics.
     """
     index = index or SkyGridIndex(photo_primary)
-    schema = photo_primary.schema
-    positions = {
-        name: schema.position(name)
-        for name in ("objID", "ra", "dec", "cx", "cy", "cz", "type")
-    }
+    position = photo_primary.schema.position
+    ra_at, dec_at = position("ra"), position("dec")
+    #: A table row's share of a result tuple (``RECT_OBJ_SCHEMA``).
+    project = itemgetter(
+        position("objID"), ra_at, dec_at,
+        position("cx"), position("cy"), position("cz"), position("type"),
+    )
+    #: The unit vector stored with each object — ``radec_to_unit`` of
+    #: its (ra, dec), written once by the catalogue generator.
+    unit_vector = itemgetter(position("cx"), position("cy"), position("cz"))
 
     def nearby_rows(
         ra: float, dec: float, radius_arcmin: float
     ) -> list[tuple[Any, ...]]:
         if radius_arcmin < 0:
             raise UdfError(f"negative search radius: {radius_arcmin}")
+        if radius_arcmin > MAX_RADIUS_ARCMIN:
+            raise UdfError(
+                f"search radius beyond 180 degrees: {radius_arcmin}"
+            )
+        # ``angular_distance_arcmin`` with the centre's vector built
+        # once and each object's read, not recomputed: same floats.
+        centre = radec_to_unit(ra, dec)
+        table_rows = photo_primary.rows
         rows = []
         for row_index in index.candidates_in_circle(ra, dec, radius_arcmin):
-            row = photo_primary.rows[row_index]
-            distance = angular_distance_arcmin(
-                ra, dec, row[positions["ra"]], row[positions["dec"]]
+            row = table_rows[row_index]
+            distance = chord_to_arcmin(
+                min(math.dist(centre, unit_vector(row)), 2.0)
             )
             if distance <= radius_arcmin:
-                rows.append(
-                    (
-                        row[positions["objID"]],
-                        row[positions["ra"]],
-                        row[positions["dec"]],
-                        row[positions["cx"]],
-                        row[positions["cy"]],
-                        row[positions["cz"]],
-                        row[positions["type"]],
-                        distance,
-                    )
-                )
+                rows.append((*project(row), distance))
         rows.sort(key=lambda r: r[-1])  # nearest first, as the real one does
         return rows
 
@@ -140,20 +153,11 @@ def register_skyserver_functions(
             ra_min, ra_max, dec_min, dec_max
         ):
             row = photo_primary.rows[row_index]
-            ra = row[positions["ra"]]
-            dec = row[positions["dec"]]
-            if ra_min <= ra <= ra_max and dec_min <= dec <= dec_max:
-                rows.append(
-                    (
-                        row[positions["objID"]],
-                        ra,
-                        dec,
-                        row[positions["cx"]],
-                        row[positions["cy"]],
-                        row[positions["cz"]],
-                        row[positions["type"]],
-                    )
-                )
+            if (
+                ra_min <= row[ra_at] <= ra_max
+                and dec_min <= row[dec_at] <= dec_max
+            ):
+                rows.append(project(row))
         rows.sort(key=lambda r: r[0])  # deterministic order by objID
         return rows
 
@@ -225,18 +229,7 @@ def register_skyserver_functions(
         rows = []
         n = len(photo_primary)
         for _ in range(max(count, 0)):
-            row = photo_primary.rows[sample_rng.randrange(n)]
-            rows.append(
-                (
-                    row[positions["objID"]],
-                    row[positions["ra"]],
-                    row[positions["dec"]],
-                    row[positions["cx"]],
-                    row[positions["cy"]],
-                    row[positions["cz"]],
-                    row[positions["type"]],
-                )
-            )
+            rows.append(project(photo_primary.rows[sample_rng.randrange(n)]))
         return rows
 
     registry.register_table(

@@ -20,6 +20,15 @@ each origin response, so the proxy notices a flush-worthy change on
 its next origin contact (a cache-only stretch keeps serving the prior
 snapshot — the same window any TTL-free HTTP cache has).
 
+Failures take the types the proxy's resilience layer already reacts
+to (:mod:`repro.faults.errors`), so a real outage retries, backs off,
+trips the breaker and ends as a structured ``failed`` outcome exactly
+like an injected one: a refused / reset / unresolvable connection or
+an origin 5xx is ``OriginUnavailableError(reason="unreachable")``, a
+connect or read timeout is ``OriginTimeoutError``, and an origin 4xx
+is :class:`HttpOriginError`, a ``RelationalError`` (``query-error``,
+not retried, breaker untouched).
+
 Trace propagation: :meth:`HttpOriginClient.bind_scopes` attaches the
 proxy's stage stack (the :class:`~repro.core.proxy.FunctionProxy`
 constructor does this automatically); every remainder/full fetch then
@@ -31,9 +40,12 @@ end-to-end tree.
 
 from __future__ import annotations
 
+import http.client
 import urllib.parse
 import urllib.request
 
+from repro.faults.errors import OriginTimeoutError, OriginUnavailableError
+from repro.relational.errors import RelationalError
 from repro.relational.result import ResultTable
 from repro.server.origin import OriginResponse
 from repro.sqlparser.ast import SelectStatement
@@ -42,8 +54,10 @@ from repro.templates.manager import BoundQuery, TemplateManager
 from repro.templates.query_template import QueryTemplate
 
 
-class HttpOriginError(RuntimeError):
-    """The remote origin rejected a request or returned garbage."""
+class HttpOriginError(RelationalError):
+    """The remote origin rejected a request (a 4xx): the origin is
+    alive and the query is bad, which is what the engine's own errors
+    mean in process — hence the shared root."""
 
 
 class _RemoteFunctions:
@@ -158,9 +172,19 @@ class HttpOriginClient:
                 if version is not None:
                     self.data_version = int(version)
         except urllib.error.HTTPError as exc:
-            raise HttpOriginError(
-                f"origin rejected query ({exc.code}): "
-                f"{exc.read().decode('utf-8', 'replace')}"
+            detail = f"({exc.code}): {exc.read().decode('utf-8', 'replace')}"
+            if exc.code >= 500:
+                raise OriginUnavailableError(
+                    f"origin failed {detail}", reason="unreachable"
+                ) from None
+            raise HttpOriginError(f"origin rejected query {detail}") from None
+        except (OSError, http.client.HTTPException) as exc:
+            # Refused, reset, unresolvable, cut off mid-response — or,
+            # raw or as a URLError's reason, a connect / read timeout.
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                raise OriginTimeoutError(f"origin timed out: {exc}") from None
+            raise OriginUnavailableError(
+                f"origin unreachable: {exc}", reason="unreachable"
             ) from None
         return OriginResponse(ResultTable.from_xml(body), server_ms)
 

@@ -278,6 +278,49 @@ class TestSoundnessGuards:
         assert len(proxy.cache) == 0
         assert proxy.serve(good).record.outcome is QueryOutcome.SERVED
 
+    def test_a_cone_past_180_degrees_is_refused_and_never_cached(
+        self, make_proxy, bind, origin
+    ):
+        """The radial template's chord ``2 sin(r / 2)`` folds back past
+        180 degrees: ``radius=21600`` binds to a region of radius
+        2.4e-16.  Cached under it, the whole sky would be copied —
+        "fully subsumed", untested — into every later query at that
+        centre and labelled ``served``."""
+        from repro.core.stats import QueryOutcome
+
+        proxy = make_proxy()
+        record = proxy.serve(bind(radius=21600.0)).record
+        assert record.outcome is QueryOutcome.FAILED
+        assert record.failure_reason == "query-error"
+        assert len(proxy.cache) == 0
+        small = bind(radius=1.0)
+        response = proxy.serve(small)
+        assert response.record.outcome is QueryOutcome.SERVED
+        assert response.result.rows == origin.execute_bound(small).result.rows
+
+    def test_what_the_function_rejects_is_a_structured_failure(
+        self, make_proxy, templates
+    ):
+        """An inverted rectangle binds (the region is merely empty);
+        the site's function refuses it, and ``serve`` never raises."""
+        from repro.core.stats import QueryOutcome
+        from repro.templates.skyserver_templates import RECT_TEMPLATE_ID
+
+        proxy = make_proxy()
+        inverted = templates.bind(
+            RECT_TEMPLATE_ID,
+            {
+                "ra_min": 165.0, "ra_max": 163.0,
+                "dec_min": 7.0, "dec_max": 9.0,
+                "r_min": -9999.0, "r_max": 9999.0,
+            },
+        )
+        record = proxy.serve(inverted).record
+        assert record.outcome is QueryOutcome.FAILED
+        assert record.failure_reason == "query-error"
+        assert record.retries == 0
+        assert len(proxy.cache) == 0
+
     def test_cache_budget_is_respected(self, make_proxy, bind):
         proxy = make_proxy(cache_bytes=6_000)
         for i in range(8):

@@ -11,7 +11,6 @@ from repro.geometry.regions import (
     Halfspace,
     HyperRect,
     HyperSphere,
-    UnionRegion,
 )
 
 
@@ -197,24 +196,6 @@ class TestCompositeRegions:
         base = HyperRect((0.0,), (4.0,))
         difference = DifferenceRegion(base, (HyperRect((1.0,), (2.0,)),))
         assert difference.bounding_box() == base
-
-    def test_union_membership(self):
-        union = UnionRegion(
-            (HyperRect((0.0,), (1.0,)), HyperRect((2.0,), (3.0,)))
-        )
-        assert union.contains_point((0.5,))
-        assert union.contains_point((2.5,))
-        assert not union.contains_point((1.5,))
-
-    def test_union_bounding_box(self):
-        union = UnionRegion(
-            (HyperRect((0.0,), (1.0,)), HyperRect((2.0,), (3.0,)))
-        )
-        assert union.bounding_box() == HyperRect((0.0,), (3.0,))
-
-    def test_empty_union_raises(self):
-        with pytest.raises(GeometryError):
-            UnionRegion(())
 
     def test_difference_dim_mismatch_raises(self):
         with pytest.raises(GeometryError):

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.relational.catalog import Catalog
-from repro.relational.errors import CatalogError, ExecutionError
+from repro.relational.errors import (
+    CatalogError,
+    ExecutionError,
+    RelationalError,
+)
 from repro.relational.executor import Executor
 from repro.relational.schema import Schema
 from repro.relational.table import Table
@@ -208,6 +212,40 @@ class TestTableFunctions:
             ExecutionError, match="non-finite argument to fTopUsers"
         ):
             execute(f"SELECT id FROM fTopUsers({argument})")
+
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "fGetNearbyObjEq(1, 1, -1)",
+            "fGetNearbyObjEq(1, 1, 10800.5)",
+            "fGetObjFromRect(10, 5, 1, 2)",
+            "fGetNearbyObjXYZ(0, 0, 0, 1)",
+            "fGetNearbyObjEq(1, 1)",
+            "fNoSuch(1)",
+        ],
+        ids=[
+            "negative-radius", "radius-past-180", "inverted-rectangle",
+            "zero-vector", "wrong-arity", "unknown-function",
+        ],
+    )
+    def test_what_a_function_rejects_is_an_engine_error(self, origin, source):
+        """``UdfError`` reaches callers through the executor, and every
+        caller (origin app, gateway) handles the engine's one root: it
+        must not be a bare ``Exception`` that becomes a 500."""
+        with pytest.raises(RelationalError):
+            Executor(origin.catalog).execute(
+                parse_select(f"SELECT n.objID FROM {source} n")
+            )
+
+    def test_what_a_scalar_rejects_is_an_engine_error(self, origin):
+        with pytest.raises(RelationalError):
+            Executor(origin.catalog).execute(
+                parse_select(
+                    "SELECT objID FROM PhotoPrimary "
+                    "WHERE flags = fPhotoFlags('NOT_A_FLAG')"
+                )
+            )
 
 
 class TestErrors:

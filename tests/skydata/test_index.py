@@ -88,3 +88,72 @@ def test_circle_candidates_cover_all_members(table, index):
 def test_circle_prunes_far_cells(table, index):
     few = list(index.candidates_in_circle(103.0, 3.0, 5.0))
     assert len(few) < len(table)
+
+
+class CountingCells(dict):
+    """The index's cell map; refuses the lookup that would exceed one
+    per occupied cell (so an unbounded walk fails at once instead of
+    running for minutes)."""
+
+    lookups = 0
+
+    def _count(self):
+        self.lookups += 1
+        assert self.lookups <= len(self), "visited more cells than exist"
+
+    def get(self, key, default=None):
+        self._count()
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self._count()
+        return super().__getitem__(key)
+
+
+class PretendsToBeTiny(dict):
+    """A cell map whose size always trips the occupied-cell walk."""
+
+    def __len__(self):
+        return 0
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        (-1e9, 1e9, -1e9, 1e9),  # everything: ~6e19 cells
+        (-1e5, 103.0, 2.0, 1e4),  # a quarter-plane cutting the catalogue
+        (5e4, 6e4, 5e4, 6e4),  # huge and nowhere near the catalogue
+    ],
+)
+def test_a_huge_box_visits_no_more_cells_than_are_occupied(table, box):
+    """The walk is bounded by the index, not by the box: a cone of many
+    degrees (RA widened by up to 1/cos 89.9) used to visit 10^8..10^9
+    empty cells — a minute of CPU for one unauthenticated request."""
+    index = SkyGridIndex(table, cell_deg=0.25)
+    index._cells = cells = CountingCells(index._cells)
+    got = set(index.candidates_in_rect(*box))
+    ra_pos = table.schema.position("ra")
+    dec_pos = table.schema.position("dec")
+    inside = {
+        i
+        for i, row in enumerate(table.rows)
+        if box[0] <= row[ra_pos] <= box[1] and box[2] <= row[dec_pos] <= box[3]
+    }
+    assert inside <= got
+    if box[0] == -1e9:
+        assert got == set(range(len(table)))
+    if box[0] == 5e4:
+        assert got == set()
+
+
+def test_the_occupied_cell_walk_keeps_the_cell_by_cell_order(table, index):
+    """Ties in distance keep their order downstream, so the two walks
+    must yield the same candidates in the same order (i-major,
+    j-minor): force each on the same boxes."""
+    sparse = SkyGridIndex(table, cell_deg=0.25)
+    sparse._cells = PretendsToBeTiny(sparse._cells)
+    for box in [(101.3, 103.9, 0.7, 4.2), (99.0, 107.0, -1.0, 7.0),
+                (103.0, 101.0, 1.0, 2.0)]:
+        by_cell = list(index.candidates_in_rect(*box))
+        assert list(sparse.candidates_in_rect(*box)) == by_cell
+        assert bool(by_cell) == (box[0] < box[1])

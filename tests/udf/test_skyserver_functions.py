@@ -1,7 +1,10 @@
 """SkyServer function library vs brute force over the catalog."""
 
+import random
+
 import pytest
 
+from repro.skydata.index import SkyGridIndex
 from repro.skydata.sphere import angular_distance_arcmin
 from repro.udf.registry import UdfError
 
@@ -57,6 +60,76 @@ class TestNearbyObjEq:
             functions.call_table(
                 "fGetNearbyObjEq", origin.catalog, [164.0, 8.0, -1.0]
             )
+
+
+    def test_half_the_sphere_is_the_largest_cone(self, origin, functions):
+        """180 degrees is the whole sky; past it the radial template's
+        chord ``2 sin(r / 2)`` shrinks again and would describe the
+        sky by a tiny region, so the function refuses."""
+        everything = functions.call_table(
+            "fGetNearbyObjEq", origin.catalog, [164.0, 8.0, 10800.0]
+        )
+        assert len(everything) == len(origin.catalog.table("PhotoPrimary"))
+        with pytest.raises(UdfError, match="beyond 180 degrees"):
+            functions.call_table(
+                "fGetNearbyObjEq", origin.catalog, [164.0, 8.0, 10800.0001]
+            )
+
+    def test_rows_equal_the_per_candidate_reference(
+        self, origin, photo_primary, functions
+    ):
+        """The function reads each object's stored unit vector and
+        builds the centre's once; the reference recomputes both from
+        degrees for every candidate.  Whole tuples, float distance
+        included, must be ``==``."""
+        index = SkyGridIndex(photo_primary)
+        schema = photo_primary.schema
+        at = {name: schema.position(name) for name in schema.names}
+
+        def reference(ra, dec, radius):
+            rows = []
+            for i in index.candidates_in_circle(ra, dec, radius):
+                row = photo_primary.rows[i]
+                distance = angular_distance_arcmin(
+                    ra, dec, row[at["ra"]], row[at["dec"]]
+                )
+                if distance <= radius:
+                    rows.append(
+                        tuple(
+                            row[at[name]]
+                            for name in (
+                                "objID", "ra", "dec", "cx", "cy", "cz", "type"
+                            )
+                        )
+                        + (distance,)
+                    )
+            rows.sort(key=lambda r: r[-1])
+            return rows
+
+        rng = random.Random(339)
+        cases = [
+            (
+                rng.uniform(159.0, 169.0),
+                rng.uniform(4.0, 12.0),
+                rng.choice((0.5, 3.0, 10.0, 30.0, 90.0)),
+            )
+            for _ in range(500)
+        ]
+        # The antipode (every chord within rounding of 2.0), the pole
+        # (the RA widening at its clamp) and the largest cone.
+        cases += [
+            (344.0, -8.0, 10800.0),
+            (164.0, 89.95, 5000.0),
+            (164.0, 8.0, 10800.0),
+        ]
+        compared = 0
+        for ra, dec, radius in cases:
+            got = functions.call_table(
+                "fGetNearbyObjEq", origin.catalog, [ra, dec, radius]
+            )
+            assert got == reference(ra, dec, radius), (ra, dec, radius)
+            compared += len(got)
+        assert compared > 10_000
 
 
 class TestNearbyObjXYZ:

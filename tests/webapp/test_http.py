@@ -1,18 +1,35 @@
 """HTTP deployment: origin app, proxy app, and the HTTP origin client."""
 
+import socket
 import threading
-from wsgiref.simple_server import make_server
+from wsgiref.simple_server import WSGIRequestHandler, make_server
 
 import pytest
 
 flask = pytest.importorskip("flask")
 
 from repro.core.proxy import FunctionProxy
-from repro.core.stats import QueryStatus
+from repro.core.stats import QueryOutcome, QueryStatus
+from repro.faults.resilience import BreakerState
 from repro.relational.result import ResultTable
 from repro.webapp.http_origin import HttpOriginClient, HttpOriginError
 from repro.webapp.origin_app import create_origin_app
 from repro.webapp.proxy_app import create_proxy_app
+
+
+class QuietHandler(WSGIRequestHandler):
+    def log_message(self, *args):
+        pass
+
+
+#: Searches the site's functions refuse (400) or can only serve by
+#: walking the whole index (200) — each used to be a 500, or a minute
+#: of CPU spent visiting empty grid cells.
+OUT_OF_RANGE_SEARCHES = [
+    ("/search/Rectangular?min_ra=10&max_ra=5&min_dec=1&max_dec=2", 400),
+    ("/search/Radial?ra=152.5&dec=25.7&radius=4800", 200),
+    ("/search/Radial?ra=152.5&dec=25.7&radius=21600", 400),
+]
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +85,30 @@ class TestOriginApp:
         )
         assert response.status_code == 400
         assert "non-finite argument" in response.get_json()["error"]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "fGetNearbyObjEq(1, 1, -1)",
+            "fGetObjFromRect(10, 5, 1, 2)",
+            "fGetNearbyObjEq(1, 1)",
+            "fNoSuch(1)",
+        ],
+    )
+    def test_what_a_function_rejects_is_400(self, origin_client, source):
+        response = origin_client.post(
+            "/sql", data=f"SELECT n.objID FROM {source} n"
+        )
+        assert response.status_code == 400
+        assert response.get_json()["error"]
+
+    @pytest.mark.parametrize("url, status", OUT_OF_RANGE_SEARCHES)
+    def test_out_of_range_search_is_answered_at_once(
+        self, origin_client, url, status
+    ):
+        assert origin_client.get(url).status_code == status
+        ok = origin_client.get("/search/Radial?ra=164&dec=8&radius=10")
+        assert ok.status_code == 200
 
     def test_non_finite_form_field_is_400(self, origin_client):
         response = origin_client.get("/search/Radial?ra=nan&dec=1&radius=1")
@@ -165,6 +206,20 @@ class TestProxyApp:
         assert proxy_client.get("/stats").get_json()["queries"] == 1
 
 
+    @pytest.mark.parametrize("url, status", OUT_OF_RANGE_SEARCHES)
+    def test_out_of_range_search_is_answered_at_once(
+        self, proxy_client, url, status
+    ):
+        response = proxy_client.get(url)
+        assert response.status_code == status
+        if status == 400:
+            assert response.headers["X-Proxy-Outcome"] == "failed"
+            assert response.get_json()["reason"] == "query-error"
+            assert proxy_client.get("/stats").get_json()["cache_entries"] == 0
+        ok = proxy_client.get("/search/Radial?ra=164&dec=8&radius=10")
+        assert ok.status_code == 200
+
+
 class TestHttpOriginClient:
     @pytest.fixture(scope="class")
     def live_origin_url(self, origin):
@@ -225,3 +280,136 @@ class TestHttpOriginClient:
             # Keep the shared session origin's version stable for
             # other tests (proxies snapshot it at construction).
             origin.data_version = 1
+
+
+class TestHttpOriginFailures:
+    """A real origin failing over a real socket takes the path injected
+    faults take: retries, breaker, a structured record — never a 500."""
+
+    @pytest.fixture()
+    def deployment(self, origin):
+        """(stop_origin, client, proxy, proxy_app) around a live
+        loopback origin that the test may shut down."""
+        server = make_server(
+            "127.0.0.1",
+            0,
+            create_origin_app(origin),
+            handler_class=QuietHandler,
+        )
+        thread = threading.Thread(
+            target=server.serve_forever, args=(0.02,), daemon=True
+        )
+        thread.start()
+
+        def stop_origin():
+            if thread.is_alive():
+                server.shutdown()
+                server.server_close()  # the port now refuses connections
+                thread.join()
+
+        client = HttpOriginClient(
+            f"http://127.0.0.1:{server.server_port}", timeout_s=0.3
+        )
+        proxy = FunctionProxy(client, client.templates)
+        yield stop_origin, client, proxy, create_proxy_app(proxy).test_client()
+        stop_origin()
+
+    def test_origin_down_is_a_structured_failure(
+        self, deployment, radial_params
+    ):
+        stop_origin, client, proxy, _app = deployment
+        stop_origin()
+        bound = client.templates.bind("skyserver.radial", radial_params)
+        record = proxy.serve(bound).record  # must not raise
+        assert record.status is QueryStatus.FAILED
+        assert record.outcome is QueryOutcome.FAILED
+        assert record.failure_reason == "unreachable"
+        assert record.retries == proxy.resilience.retry.max_attempts - 1
+        assert record.contacted_origin
+
+    def test_cache_keeps_answering_through_a_real_outage(self, deployment):
+        stop_origin, _client, proxy, app = deployment
+        warm = app.get("/search/Radial?ra=164&dec=8&radius=10")
+        assert warm.status_code == 200
+        stop_origin()
+        # Cached answers are served while the breaker is still closed...
+        exact = app.get("/search/Radial?ra=164&dec=8&radius=10")
+        assert exact.status_code == 200
+        assert exact.headers["X-Proxy-Outcome"] == "served"
+        # ...uncached ones fail as 503s until the breaker opens...
+        for ra in (150, 151, 152):
+            missed = app.get(f"/search/Radial?ra={ra}&dec=8&radius=1")
+            assert missed.status_code == 503
+            assert missed.headers["X-Proxy-Outcome"] == "failed"
+        assert missed.get_json()["reason"] == "breaker-open"
+        assert proxy.breaker.state is BreakerState.OPEN
+        # ...after which cache hits are marked degraded, still 200.
+        exact = app.get("/search/Radial?ra=164&dec=8&radius=10")
+        contained = app.get("/search/Radial?ra=164&dec=8&radius=4")
+        for response in (exact, contained):
+            assert response.status_code == 200
+            assert response.headers["X-Proxy-Outcome"] == "degraded"
+        assert contained.headers["X-Cache-Status"] == "contained"
+
+    def test_origin_that_never_answers_is_a_timeout(
+        self, deployment, radial_params
+    ):
+        _stop, client, proxy, _app = deployment
+        # Accepts connections (the kernel's backlog does) and says nothing.
+        with socket.socket() as black_hole:
+            black_hole.bind(("127.0.0.1", 0))
+            black_hole.listen(8)
+            client.base_url = f"http://127.0.0.1:{black_hole.getsockname()[1]}"
+            bound = client.templates.bind("skyserver.radial", radial_params)
+            record = proxy.serve(bound).record
+        assert record.outcome is QueryOutcome.FAILED
+        assert record.failure_reason == "timeout"
+        assert record.retries == proxy.resilience.retry.max_attempts - 1
+        # Each hung attempt was charged the per-attempt timeout.
+        assert record.steps_ms["origin"] == pytest.approx(
+            proxy.resilience.retry.attempt_timeout_ms
+            * proxy.resilience.retry.max_attempts
+        )
+
+    def test_origin_4xx_is_a_query_error_not_an_outage(self, deployment):
+        _stop, _client, proxy, app = deployment
+        # Binds at the proxy; the origin's function refuses the radius.
+        response = app.get("/search/Radial?ra=164&dec=8&radius=21600")
+        assert response.status_code == 400
+        assert response.headers["X-Proxy-Outcome"] == "failed"
+        assert response.get_json()["reason"] == "query-error"
+        assert response.headers["X-Proxy-Retries"] == "0"
+        assert proxy.breaker.state is BreakerState.CLOSED
+        assert len(proxy.cache) == 0
+        assert app.get(
+            "/search/Radial?ra=164&dec=8&radius=10"
+        ).status_code == 200
+
+    def test_origin_5xx_is_retried_as_unreachable(
+        self, deployment, radial_params
+    ):
+        _stop, client, proxy, _app = deployment
+
+        def broken(environ, start_response):
+            start_response(
+                "500 Internal Server Error", [("Content-Type", "text/plain")]
+            )
+            return [b"boom"]
+
+        server = make_server(
+            "127.0.0.1", 0, broken, handler_class=QuietHandler
+        )
+        thread = threading.Thread(
+            target=server.serve_forever, args=(0.02,), daemon=True
+        )
+        thread.start()
+        try:
+            client.base_url = f"http://127.0.0.1:{server.server_port}"
+            bound = client.templates.bind("skyserver.radial", radial_params)
+            record = proxy.serve(bound).record
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert record.outcome is QueryOutcome.FAILED
+        assert record.failure_reason == "unreachable"
+        assert record.retries == proxy.resilience.retry.max_attempts - 1

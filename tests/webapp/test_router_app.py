@@ -87,6 +87,27 @@ class TestRoutedSearch:
         )
         assert radial(client).status_code == 200
 
+    @pytest.mark.parametrize(
+        "url, status",
+        [
+            ("/search/Rectangular?min_ra=10&max_ra=5&min_dec=1&max_dec=2", 400),
+            ("/search/Radial?ra=152.5&dec=25.7&radius=4800", 200),
+            ("/search/Radial?ra=152.5&dec=25.7&radius=21600", 400),
+        ],
+    )
+    def test_out_of_range_search_is_answered_at_once(
+        self, client, url, status
+    ):
+        """What the site's functions refuse is a ``query-error`` (400),
+        a cone of many degrees costs milliseconds, and neither takes
+        the tier down for the next request."""
+        response = client.get(url)
+        assert response.status_code == status
+        if status == 400:
+            assert response.headers["X-Proxy-Outcome"] == "failed"
+            assert response.get_json()["reason"] == "query-error"
+        assert radial(client).status_code == 200
+
     def test_reroute_header_on_crashed_primary(self, origin):
         probe = make_router(origin)
         bound = origin.templates.bind_form(
