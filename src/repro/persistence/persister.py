@@ -239,16 +239,15 @@ class CachePersister:
             raise PersistenceError(
                 "persister is not bound to a cache; call bind() first"
             )
+        # Read once: the header and every entry carry the same version
+        # and instant even if the origin bumps mid-checkpoint.
+        data_version = self._version_of()
+        ts_ms = self._now_ms()
         entries = admit_records(
-            self._cache.entries(),
-            self._version_of(),
-            self._now_ms(),
-            self.shard_id,
+            self._cache.entries(), data_version, ts_ms, self.shard_id
         )
         snapshot = Snapshot(
-            data_version=self._version_of(),
-            ts_ms=self._now_ms(),
-            entries=entries,
+            data_version=data_version, ts_ms=ts_ms, entries=entries
         )
         write_snapshot(self.snapshot_path, snapshot)
         with self._lock:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.persistence.atomic import atomic_write_text
+from repro.persistence.atomic import atomic_write_bytes
 from repro.persistence.errors import SnapshotFormatError
 from repro.persistence.records import WIRE_FORMAT_VERSION, AdmitRecord
 
@@ -47,8 +47,9 @@ class Snapshot:
 def write_snapshot(path: str | Path, snapshot: Snapshot) -> int:
     """Atomically replace the snapshot file; returns its byte size."""
     text = json.dumps(snapshot.to_dict(), sort_keys=True) + "\n"
-    atomic_write_text(path, text, durable=True)
-    return len(text.encode("utf-8"))
+    data = text.encode("utf-8")
+    atomic_write_bytes(path, data, durable=True)
+    return len(data)
 
 
 def load_snapshot(path: str | Path) -> Snapshot | None:

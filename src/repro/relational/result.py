@@ -30,6 +30,37 @@ _HEADER_OVERHEAD_BYTES = 128
 Row = TypeVar("Row")
 
 
+# The wire format is written as text, not through a DOM.  Escaping and
+# the empty-element form are ElementTree's, which wrote the journals and
+# snapshots already on disk: ``& < >`` in character data; in attribute
+# values also ``"`` and the whitespace a parser would normalize away.
+_TEXT = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
+_ATTRIBUTE = _TEXT + (
+    ('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;")
+)
+
+
+def _escape(text: str, references: tuple[tuple[str, str], ...]) -> str:
+    for char, reference in references:
+        text = text.replace(char, reference)
+    return text
+
+
+def _element(tag: str, content: str) -> str:
+    return f"<{tag}>{content}</{tag}>" if content else f"<{tag} />"
+
+
+def _cell_xml(value: Any) -> str:
+    if value is None:
+        return '<C null="1" />'
+    text = str(value)
+    if not text:
+        return "<C />"
+    if "&" in text or "<" in text or ">" in text:
+        text = _escape(text, _TEXT)
+    return f"<C>{text}</C>"
+
+
 def sort_rows(
     rows: Iterable[Row], keys: Sequence[tuple[Callable[[Row], Any], bool]]
 ) -> list[Row]:
@@ -60,6 +91,7 @@ class ResultTable:
         self.schema = schema
         self._rows: list[tuple[Any, ...]] = [tuple(row) for row in rows]
         self._byte_size: int | None = None
+        self._xml: str | None = None
 
     # ------------------------------------------------------------ basics
     def __len__(self) -> int:
@@ -158,23 +190,33 @@ class ResultTable:
 
     # ------------------------------------------------------- wire format
     def to_xml(self) -> str:
-        """Serialize to the XML wire format used by the HTTP deployment."""
-        root = ET.Element("ResultTable")
-        columns = ET.SubElement(root, "Columns")
-        for column in self.schema.columns:
-            ET.SubElement(
-                columns, "Column", name=column.name, type=column.type.value
-            )
-        rows_el = ET.SubElement(root, "Rows")
-        for row in self._rows:
-            row_el = ET.SubElement(rows_el, "R")
-            for value in row:
-                cell = ET.SubElement(row_el, "C")
-                if value is None:
-                    cell.set("null", "1")
-                else:
-                    cell.text = str(value)
-        return ET.tostring(root, encoding="unicode")
+        """Serialize to the XML wire format used by the HTTP deployment.
+
+        Rendered once per table and kept, like :meth:`byte_size`: the
+        journal append, every snapshot that still holds the entry, a
+        handoff export and an HTTP response all hand out this string.
+        """
+        if self._xml is None:
+            self._xml = self._render_xml()
+        return self._xml
+
+    def _render_xml(self) -> str:
+        columns = "".join(
+            [
+                f'<Column name="{_escape(column.name, _ATTRIBUTE)}"'
+                f' type="{column.type.value}" />'
+                for column in self.schema.columns
+            ]
+        )
+        rows = "".join(
+            [_element("R", "".join(map(_cell_xml, row))) for row in self._rows]
+        )
+        return (
+            "<ResultTable>"
+            + _element("Columns", columns)
+            + _element("Rows", rows)
+            + "</ResultTable>"
+        )
 
     @staticmethod
     def from_xml(text: str) -> "ResultTable":

@@ -31,13 +31,17 @@ class PersistenceRig:
         policy=None,
         crash_plan=None,
         recovered: bool = False,
+        shard_id: str | None = None,
     ) -> None:
         self.origin = origin
         self.templates = templates
         self.clock = SimulatedClock()
         self.data_version = 1
         self.persister = CachePersister(
-            directory, snapshot_every=snapshot_every, crash_plan=crash_plan
+            directory,
+            snapshot_every=snapshot_every,
+            crash_plan=crash_plan,
+            shard_id=shard_id,
         )
         self.cache = CacheManager(
             ArrayDescription(), max_bytes=max_bytes, policy=policy

@@ -127,6 +127,20 @@ class TestSnapshotCadence:
         assert rig.persister.journal.read().records == []
         assert entry.entry_id in {e.entry_id for e in snapshot.entries}
 
+    def test_checkpoint_header_and_entries_agree_on_the_version(
+        self, make_rig, bind_radial
+    ):
+        rig = make_rig()
+        rig.admit(bind_radial())
+        versions = iter(range(10, 100))
+        rig.persister.bind(
+            rig.cache, rig.clock, version_of=lambda: next(versions)
+        )
+        snapshot = rig.persister.checkpoint()
+        assert {e.data_version for e in snapshot.entries} == {
+            snapshot.data_version
+        }
+
     def test_checkpoint_requires_bind(self, tmp_path):
         persister = CachePersister(tmp_path)
         with pytest.raises(PersistenceError, match="not bound"):
