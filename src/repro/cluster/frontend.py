@@ -80,8 +80,6 @@ class ClusterFrontend:
         self.submitted += 1
 
         def finish(response: ProxyResponse) -> None:
-            if decision.dispatched is not None and decision.slowdown > 1.0:
-                self.router._apply_slowdown(response, decision.slowdown)
             if response.record.outcome in _REJECT_OUTCOMES:
                 self.rejected += 1
             else:

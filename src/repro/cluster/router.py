@@ -436,8 +436,6 @@ class ShardRouter:
         if decision.dispatched is not None:
             shard = self._shards[decision.dispatched]
             response = shard.proxy.serve(bound, tenant=tenant)
-            if decision.slowdown > 1.0:
-                self._apply_slowdown(response, decision.slowdown)
         else:
             response = self.undispatched_response(bound, tenant, decision)
         self.sample_telemetry(self.clock.now_ms, statuses)
@@ -472,17 +470,6 @@ class ShardRouter:
         return primary.proxy.reject(
             bound, REASON_SHARD_DOWN, QueryOutcome.SHED
         )
-
-    def _apply_slowdown(
-        self, response: "ProxyResponse", slowdown: float
-    ) -> None:
-        """Charge an active slow window to the served record."""
-        record = response.record
-        extra = record.response_ms * (slowdown - 1.0)
-        record.steps_ms["router.slow"] = (
-            record.steps_ms.get("router.slow", 0.0) + extra
-        )
-        record.response_ms += extra
 
     # ------------------------------------------------------------ faults
     def check_faults(self, now_ms: float) -> None:

@@ -91,7 +91,6 @@ from repro.geometry.relations import RegionRelation, relate
 from repro.locking import guarded_by, named_lock
 from repro.network.clock import SimulatedClock
 from repro.network.link import Topology
-from repro.obs.decisions import region_summary
 from repro.obs.events import (
     BREAKER_EVENT_CODES,
     EV_DATA_VERSION_FLUSH,
@@ -195,6 +194,8 @@ class FunctionProxy:
         self.origin = origin
         self.templates = templates
         self.scheme = scheme
+        #: What every decision trace says the scheme was allowed to try.
+        self._scheme_flags = scheme.policy.describe()
         self.costs = costs or ProxyCostModel()
         self.obs = instrumentation or ProxyInstrumentation()
         # Origins that speak HTTP propagate the proxy's trace context
@@ -521,9 +522,9 @@ class FunctionProxy:
         observation.decision = self.obs.decisions.begin(
             observation.index,
             bound.template_id,
-            query_region=region_summary(bound.region),
+            query_region=bound.region,
             scheme=self.scheme.value,
-            policy=self.scheme.policy.describe(),
+            policy=self._scheme_flags,
         )
         if queue_wait_ms > 0:
             observation.charge("admit.queue", queue_wait_ms)
@@ -909,9 +910,7 @@ class FunctionProxy:
             remainder = build_remainder(bound, [e.region for e in used])
             build.annotate(holes=remainder.n_holes)
             build.count("holes", remainder.n_holes)
-        observation.decision.record_remainder(
-            remainder.geometry(), sql=remainder.sql
-        )
+        observation.decision.record_remainder(remainder)
         try:
             origin_result = self._origin_fetch(
                 observation,

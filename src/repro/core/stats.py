@@ -65,9 +65,9 @@ ANSWERED_OUTCOMES = (
 )
 
 
-# A record is only ever written by the one thread serving its query
-# (the router's slow-window penalty included); aggregate readers wait
-# for the run to finish, hence unshared rather than a lock.
+# A record is only ever written by the one thread serving its query;
+# aggregate readers wait for the run to finish, hence unshared rather
+# than a lock.
 @unshared("response_ms", "steps_ms")
 @dataclass
 class QueryRecord:

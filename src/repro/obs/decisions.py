@@ -31,7 +31,10 @@ Code      Action               Meaning
 
 Everything here is plain data + a bounded ring buffer; the proxy's
 instrumentation owns one :class:`DecisionLog` and the query processor
-fills one :class:`DecisionTrace` as it works.  This module must stay
+fills one :class:`DecisionTrace` as it works.  A trace keeps what it
+was told — the (frozen) regions and the remainder query themselves —
+and renders them only when someone reads it (``to_dict``), so a query
+nobody explains pays for no rendering.  This module must stay
 importable from anywhere below :mod:`repro.core` (it only depends on
 :mod:`repro.geometry`), so the core layers can describe regions
 without import cycles.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.geometry.regions import (
     ConvexPolytope,
@@ -177,7 +180,7 @@ class CandidateVerdict:
 
     entry_id: int
     relation: str
-    entry_region: dict[str, Any]
+    entry_region: Region
     rows: int = 0
     note: str = ""
 
@@ -185,7 +188,7 @@ class CandidateVerdict:
         payload: dict[str, Any] = {
             "entry_id": self.entry_id,
             "relation": self.relation,
-            "entry_region": self.entry_region,
+            "entry_region": region_summary(self.entry_region),
             "rows": self.rows,
         }
         if self.note:
@@ -230,15 +233,19 @@ class DecisionTrace:
     A trace in flight belongs to the single query (and thread) being
     served — hence the ``unshared`` registration; it becomes shared
     only once sealed and handed to :meth:`DecisionLog.record`.
+
+    A retained trace keeps alive the regions it compared and, on an
+    overlap, the remainder query (``geometry()`` and ``sql`` are asked
+    for in :meth:`to_dict`) — bounded by the log's capacity.
     """
 
     query_id: int
     template_id: str
-    query_region: dict[str, Any] | None = None
+    query_region: Region | None = None
     scheme: str = ""
-    policy: dict[str, bool] = field(default_factory=dict)
+    policy: Mapping[str, bool] = field(default_factory=dict)
     candidates: list[CandidateVerdict] = field(default_factory=list)
-    remainder: dict[str, Any] | None = None
+    remainder: Any = None
     evictions: list[EvictionRecord] = field(default_factory=list)
     consolidated: list[int] = field(default_factory=list)
     admitted: bool | None = None
@@ -265,18 +272,16 @@ class DecisionTrace:
             CandidateVerdict(
                 entry_id=entry_id,
                 relation=relation,
-                entry_region=region_summary(entry_region),
+                entry_region=entry_region,
                 rows=rows,
                 note=note,
             )
         )
 
-    def record_remainder(
-        self, geometry: dict[str, Any], sql: str = ""
-    ) -> None:
-        self.remainder = dict(geometry)
-        if sql:
-            self.remainder["sql"] = sql
+    def record_remainder(self, remainder: Any) -> None:
+        """``remainder`` answers ``geometry()`` and ``sql``
+        (:class:`repro.core.remainder.RemainderQuery`)."""
+        self.remainder = remainder
 
     def record_eviction(self, eviction: EvictionRecord) -> None:
         self.evictions.append(eviction)
@@ -314,9 +319,12 @@ class DecisionTrace:
             "notes": list(self.notes),
         }
         if self.query_region is not None:
-            payload["query_region"] = self.query_region
+            payload["query_region"] = region_summary(self.query_region)
         if self.remainder is not None:
-            payload["remainder"] = self.remainder
+            payload["remainder"] = dict(self.remainder.geometry())
+            sql = self.remainder.sql  # rendered from the statement: once
+            if sql:
+                payload["remainder"]["sql"] = sql
         if self.admitted is not None:
             payload["admitted"] = self.admitted
         if self.trace_id is not None:
@@ -324,16 +332,16 @@ class DecisionTrace:
         return payload
 
 
-@guarded_by("proxy.decisions", "_capacity", "_traces", "_by_id")
+@guarded_by("proxy.decisions", "_capacity", "_traces")
 class DecisionLog:
     """A bounded ring buffer of finished decision traces.
 
-    Indexed by query id for ``GET /explain/<query_id>``; the index
-    drops entries as the ring evicts them, so memory stays bounded by
-    ``capacity`` regardless of trace length.  Mutators (``record`` /
-    ``resize`` / ``clear``) take the ``proxy.decisions`` lock; reads
-    copy under it so the explain endpoints can render while queries
-    keep recording.
+    One insertion-ordered dict by query id (``GET
+    /explain/<query_id>``) that evicts its first key, so memory stays
+    bounded by ``capacity`` regardless of trace length.  Mutators
+    (``record`` / ``resize`` / ``clear``) take the ``proxy.decisions``
+    lock; reads copy under it so the explain endpoints can render
+    while queries keep recording.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -341,8 +349,7 @@ class DecisionLog:
             raise ValueError(f"capacity must be positive: {capacity}")
         self._lock = named_lock("proxy.decisions")
         self._capacity = capacity
-        self._traces: list[DecisionTrace] = []
-        self._by_id: dict[int, DecisionTrace] = {}
+        self._traces: dict[int, DecisionTrace] = {}
 
     @property
     def capacity(self) -> int:
@@ -355,23 +362,24 @@ class DecisionLog:
         self,
         query_id: int,
         template_id: str,
-        query_region: dict[str, Any] | None = None,
+        query_region: Region | None = None,
         scheme: str = "",
-        policy: dict[str, bool] | None = None,
+        policy: Mapping[str, bool] | None = None,
     ) -> DecisionTrace:
-        """A fresh trace; it enters the ring only when ``record``-ed."""
+        """A fresh trace; it enters the ring only when ``record``-ed.
+
+        ``policy`` is kept, not copied (``to_dict`` copies): the proxy
+        hands every query the one description of its scheme.
+        """
         return DecisionTrace(
-            query_id=query_id,
-            template_id=template_id,
-            query_region=query_region,
-            scheme=scheme,
-            policy=dict(policy or {}),
+            query_id, template_id, query_region, scheme, policy or {}
         )
 
     def record(self, trace: DecisionTrace) -> None:
         with self._lock:
-            self._traces.append(trace)
-            self._by_id[trace.query_id] = trace
+            # A re-recorded id replaces its older trace, as the newest.
+            self._traces.pop(trace.query_id, None)
+            self._traces[trace.query_id] = trace
             self._trim()
 
     def resize(self, capacity: int) -> None:
@@ -384,17 +392,15 @@ class DecisionLog:
 
     def _trim(self) -> None:
         while len(self._traces) > self._capacity:
-            evicted = self._traces.pop(0)
-            if self._by_id.get(evicted.query_id) is evicted:
-                del self._by_id[evicted.query_id]
+            del self._traces[next(iter(self._traces))]
 
     def get(self, query_id: int) -> DecisionTrace | None:
-        return self._by_id.get(query_id)
+        return self._traces.get(query_id)
 
     def recent(self, n: int | None = None) -> list[dict[str, Any]]:
         """The most recent decisions as dicts, oldest first."""
         with self._lock:
-            traces = list(self._traces)
+            traces = list(self._traces.values())
         if n is not None:
             traces = traces[-n:] if n > 0 else []
         return [trace.to_dict() for trace in traces]
@@ -402,7 +408,7 @@ class DecisionLog:
     def action_counts(self) -> dict[str, int]:
         """How many retained decisions took each action."""
         with self._lock:
-            traces = list(self._traces)
+            traces = list(self._traces.values())
         counts: dict[str, int] = {}
         for trace in traces:
             if trace.action is not None:
@@ -413,4 +419,3 @@ class DecisionLog:
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
-            self._by_id.clear()

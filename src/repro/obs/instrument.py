@@ -161,6 +161,23 @@ class QueryObservation(Stage):
         )
 
 
+class _HeldChildren(dict[Any, Any]):
+    """Label children by ``(family, *label values)``, each resolved
+    through ``labels()`` — which validates the label set and creates
+    the child, so ``/metrics`` lists exactly what was observed — the
+    first time it is asked for, and kept: from then on a lookup is one
+    dict get.  Unlocked: a lost race re-reads the child ``labels()``
+    already holds for that key.
+    """
+
+    def __missing__(self, key: tuple[Any, ...]) -> Any:
+        family, *values = key
+        child = self[key] = family.labels(
+            **dict(zip(family.labelnames, values))
+        )
+        return child
+
+
 @unshared("timeseries", "events", "health", "_queue_limit")
 class TelemetryBundle(ScopeStack):
     """What the proxy's and the origin's instrumentation share: one
@@ -186,6 +203,7 @@ class TelemetryBundle(ScopeStack):
     ) -> None:
         super().__init__(tracer, profiler)
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._held = _HeldChildren()
         self.slo = slo
         self.timeseries = (
             timeseries if timeseries is not None else NULL_TIMESERIES
@@ -433,9 +451,8 @@ class ProxyInstrumentation(TelemetryBundle):
     # ------------------------------------------------- analysis observation
     def record_diagnostic(self, diagnostic: Any) -> None:
         """Template-manager analysis hook; counts one diagnostic."""
-        self.analysis_diagnostics.labels(
-            code=diagnostic.code, severity=diagnostic.severity.value
-        ).inc()
+        severity = diagnostic.severity.value
+        self._held[self.analysis_diagnostics, diagnostic.code, severity].inc()
 
     # --------------------------------------------------- resilience hooks
     def origin_retry(self) -> None:
@@ -444,7 +461,7 @@ class ProxyInstrumentation(TelemetryBundle):
 
     def origin_failure(self, reason: str) -> None:
         """Gateway hook: an origin request was given up on."""
-        self.origin_failures.labels(reason=reason).inc()
+        self._held[self.origin_failures, reason].inc()
 
     def breaker_transition(self, value: int) -> None:
         """Breaker hook: the state gauge's new encoded value."""
@@ -461,17 +478,17 @@ class ProxyInstrumentation(TelemetryBundle):
 
     def admission_quota_tokens(self, tenant: str, tokens: float) -> None:
         """Admission hook: a tenant bucket's current token level."""
-        self.admission_quota.labels(tenant=tenant).set(tokens)
+        self._held[self.admission_quota, tenant].set(tokens)
 
     def admission_shed(self, reason: str) -> None:
         """Admission hook: one query was turned away."""
-        self.admission_sheds.labels(reason=reason).inc()
+        self._held[self.admission_sheds, reason].inc()
         if self.profiler.enabled:
             self.profiler.hit("admit.shed")
 
     def admission_quota_denied(self, tenant: str) -> None:
         """Admission hook: a tenant's token bucket denied a query."""
-        self.admission_quota_denials.labels(tenant=tenant).inc()
+        self._held[self.admission_quota_denials, tenant].inc()
 
     def admission_queue_wait(self, sim_ms: float) -> None:
         """Admission hook: an admitted query's simulated queue wait."""
@@ -502,13 +519,16 @@ class ProxyInstrumentation(TelemetryBundle):
 
         ``trace_id`` (the query's root span trace) becomes the exemplar
         on every latency-histogram bucket the record lands in, linking
-        a p95 bucket to the trace that caused it.
+        a p95 bucket to the trace that caused it.  A steady-state fold
+        is dict gets and ``inc`` / ``observe`` / ``set``: every label
+        child it needs is held after its first resolution.
         """
-        self.queries.labels(
-            status=record.status.value, template=record.template_id
-        ).inc()
+        held = self._held
+        held[
+            self.queries, record.status.value, record.template_id
+        ].inc()
         for step, sim_ms in record.steps_ms.items():
-            self.step_ms.labels(step=step).observe(sim_ms, trace_id=trace_id)
+            held[self.step_ms, step].observe(sim_ms, trace_id=trace_id)
         self.response_ms.observe(record.response_ms, trace_id=trace_id)
         if "check" in record.steps_ms:
             self.check_wall_ms.observe(
@@ -524,14 +544,12 @@ class ProxyInstrumentation(TelemetryBundle):
         if record.contacted_origin:
             self.origin_requests.inc()
             self.origin_bytes.inc(record.origin_bytes)
-        self.tuples_served.labels(source="cache").inc(
-            record.tuples_from_cache
-        )
-        self.tuples_served.labels(source="origin").inc(
+        held[self.tuples_served, "cache"].inc(record.tuples_from_cache)
+        held[self.tuples_served, "origin"].inc(
             record.tuples_total - record.tuples_from_cache
         )
         if record.outcome.value != "served":
-            self.degraded_responses.labels(kind=record.outcome.value).inc()
+            held[self.degraded_responses, record.outcome.value].inc()
         if self.profiler.enabled:
             self.profiler.record_query(
                 record.index,
@@ -543,24 +561,20 @@ class ProxyInstrumentation(TelemetryBundle):
     # -------------------------------------------------- persistence hooks
     def journal_append(self, record_type: str) -> None:
         """Persister hook: one record was appended to the journal."""
-        self.journal_records.labels(
-            type=record_type, direction="append"
-        ).inc()
+        self._held[self.journal_records, record_type, "append"].inc()
         if self.profiler.enabled:
             self.profiler.hit("journal.append")
 
     def journal_replayed(self, record_type: str) -> None:
         """Recovery hook: one journal record was replayed."""
-        self.journal_records.labels(
-            type=record_type, direction="replay"
-        ).inc()
+        self._held[self.journal_records, record_type, "replay"].inc()
         if self.profiler.enabled:
             self.profiler.hit("journal.replay")
 
     def recovery_disposition(self, disposition: str, count: int) -> None:
         """Recovery hook: ``count`` entries ended as ``disposition``."""
         if count:
-            self.recovery_entries.labels(disposition=disposition).inc(count)
+            self._held[self.recovery_entries, disposition].inc(count)
 
     def set_snapshot_age(self, seconds: float) -> None:
         """Persister hook: the snapshot-age gauge's new value."""
@@ -587,8 +601,8 @@ class ProxyInstrumentation(TelemetryBundle):
     # ----------------------------------------------- network observation
     def record_transfer(self, hop: str, n_bytes: int, ms: float) -> None:
         """Topology hook; ``hop`` is ``origin`` or ``client``."""
-        self.transfer_ms.labels(hop=hop).observe(ms)
-        self.transfer_bytes.labels(hop=hop).inc(n_bytes)
+        self._held[self.transfer_ms, hop].observe(ms)
+        self._held[self.transfer_bytes, hop].inc(n_bytes)
 
 
 class OriginInstrumentation(TelemetryBundle):
@@ -627,9 +641,9 @@ class OriginInstrumentation(TelemetryBundle):
         self.data_version.set(1)
 
     def observe(self, kind: str, result_bytes: int, server_ms: float) -> None:
-        self.requests.labels(kind=kind).inc()
-        self.server_ms.labels(kind=kind).observe(server_ms)
-        self.result_bytes.labels(kind=kind).observe(result_bytes)
+        self._held[self.requests, kind].inc()
+        self._held[self.server_ms, kind].observe(server_ms)
+        self._held[self.result_bytes, kind].observe(result_bytes)
         # Calls were counted by the execution stage; here only the
         # simulated server cost (known post-execution) is charged.
         if self.profiler.enabled:

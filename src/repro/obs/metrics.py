@@ -105,12 +105,15 @@ class _Metric:
         return child
 
     def _default_child(self) -> Any:
-        if self.labelnames:
-            raise MetricError(
-                f"{self.name} carries labels {self.labelnames}; "
-                "use .labels(...)"
-            )
-        return self.labels()
+        child = self._children.get(())
+        if child is None:
+            if self.labelnames:
+                raise MetricError(
+                    f"{self.name} carries labels {self.labelnames}; "
+                    "use .labels(...)"
+                )
+            child = self.labels()
+        return child
 
     def _new_child(self) -> Any:  # pragma: no cover - overridden
         raise NotImplementedError

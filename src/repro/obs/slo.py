@@ -57,12 +57,33 @@ class SloObjective:
 
 
 class _TemplateTally:
-    __slots__ = ("queries", "hits", "within_latency")
+    """One template's counts and the four metric children they feed
+    (``SloTracker._families`` order; resolved once, when the template
+    is first seen)."""
 
-    def __init__(self) -> None:
+    __slots__ = ("queries", "hits", "within_latency", "children")
+
+    def __init__(self, children: list[Any]) -> None:
         self.queries = 0
         self.hits = 0
         self.within_latency = 0
+        self.children = children
+
+    def ratios(self, objective: SloObjective) -> tuple[float, float, float]:
+        """``(hit_ratio, hit_burn_rate, latency_burn_rate)`` so far."""
+        return (
+            self.hits / self.queries,
+            _burn_rate(
+                self.queries - self.hits,
+                self.queries,
+                objective.target_hit_ratio,
+            ),
+            _burn_rate(
+                self.queries - self.within_latency,
+                self.queries,
+                objective.latency_target_ratio,
+            ),
+        )
 
 
 def _burn_rate(violations: int, total: int, target: float) -> float:
@@ -88,25 +109,29 @@ class SloTracker:
         self.objective = objective if objective is not None else SloObjective()
         self.overrides = dict(overrides or {})
         self._tallies: dict[str, _TemplateTally] = {}
-        self.hit_ratio = registry.gauge(
-            "slo_hit_ratio",
-            "Observed fraction of queries served without the origin.",
-            ("template",),
-        )
-        self.hit_burn_rate = registry.gauge(
-            "slo_hit_burn_rate",
-            "Cache-miss rate over the miss budget (1 = on budget).",
-            ("template",),
-        )
-        self.latency_burn_rate = registry.gauge(
-            "slo_latency_burn_rate",
-            "Over-latency response rate over its budget (1 = on budget).",
-            ("template",),
-        )
-        self.queries = registry.counter(
-            "slo_queries_total",
-            "Queries counted toward each template's SLO.",
-            ("template",),
+        #: The three ratio gauges in ``_TemplateTally.ratios`` order,
+        #: then the sample-size counter.
+        self._families = (
+            registry.gauge(
+                "slo_hit_ratio",
+                "Observed fraction of queries served without the origin.",
+                ("template",),
+            ),
+            registry.gauge(
+                "slo_hit_burn_rate",
+                "Cache-miss rate over the miss budget (1 = on budget).",
+                ("template",),
+            ),
+            registry.gauge(
+                "slo_latency_burn_rate",
+                "Over-latency response rate over its budget (1 = on budget).",
+                ("template",),
+            ),
+            registry.counter(
+                "slo_queries_total",
+                "Queries counted toward each template's SLO.",
+                ("template",),
+            ),
         )
 
     def objective_for(self, template_id: str) -> SloObjective:
@@ -116,52 +141,33 @@ class SloTracker:
         """Fold one finished query into its template's SLO gauges."""
         tally = self._tallies.get(template_id)
         if tally is None:
-            tally = self._tallies[template_id] = _TemplateTally()
+            tally = self._tallies[template_id] = _TemplateTally(
+                [f.labels(template=template_id) for f in self._families]
+            )
         objective = self.objective_for(template_id)
         tally.queries += 1
         if hit:
             tally.hits += 1
         if latency_ms <= objective.latency_objective_ms:
             tally.within_latency += 1
-        self.queries.labels(template=template_id).inc()
-        self.hit_ratio.labels(template=template_id).set(
-            tally.hits / tally.queries
-        )
-        self.hit_burn_rate.labels(template=template_id).set(
-            _burn_rate(
-                tally.queries - tally.hits,
-                tally.queries,
-                objective.target_hit_ratio,
-            )
-        )
-        self.latency_burn_rate.labels(template=template_id).set(
-            _burn_rate(
-                tally.queries - tally.within_latency,
-                tally.queries,
-                objective.latency_target_ratio,
-            )
-        )
+        *gauges, queries = tally.children
+        queries.inc()
+        for gauge, value in zip(gauges, tally.ratios(objective)):
+            gauge.set(value)
 
     def snapshot(self) -> dict[str, Any]:
         """Per-template tallies and burn rates, JSON-able."""
         out: dict[str, Any] = {}
         for template_id, tally in sorted(self._tallies.items()):
             objective = self.objective_for(template_id)
+            hit_ratio, hit_burn, latency_burn = tally.ratios(objective)
             out[template_id] = {
                 "queries": tally.queries,
                 "hits": tally.hits,
                 "within_latency": tally.within_latency,
-                "hit_ratio": tally.hits / tally.queries,
-                "hit_burn_rate": _burn_rate(
-                    tally.queries - tally.hits,
-                    tally.queries,
-                    objective.target_hit_ratio,
-                ),
-                "latency_burn_rate": _burn_rate(
-                    tally.queries - tally.within_latency,
-                    tally.queries,
-                    objective.latency_target_ratio,
-                ),
+                "hit_ratio": hit_ratio,
+                "hit_burn_rate": hit_burn,
+                "latency_burn_rate": latency_burn,
                 "objective": {
                     "target_hit_ratio": objective.target_hit_ratio,
                     "latency_objective_ms": objective.latency_objective_ms,

@@ -99,6 +99,14 @@ class FunctionTemplate:
     * HYPERRECT: ``low_exprs`` and ``high_exprs`` (one per dimension)
     * POLYTOPE: ``halfspace_specs`` plus ``low_exprs``/``high_exprs``
       giving an enclosing box (used for the R-tree description)
+
+    ``domains`` are optional ``(param, low, high)`` closed numeric
+    ranges (``-inf`` / ``inf`` for an open side; ``min`` / ``max``
+    attributes of ``<Param>`` in the XML form): the calls the region
+    expressions describe.  Outside one the expressions may still
+    evaluate (a chord folds back past 180 degrees) to a region that is
+    not what the function selects, so :meth:`region_for` refuses the
+    call instead.
     """
 
     name: str
@@ -112,10 +120,16 @@ class FunctionTemplate:
     high_exprs: tuple[Expression, ...] = ()
     halfspace_specs: tuple[HalfspaceSpec, ...] = ()
     description: str = ""
+    domains: tuple[tuple[str, float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.dims < 1:
             raise TemplateError(f"dims must be positive, got {self.dims}")
+        for param, low, high in self.domains:
+            if param not in self.params or not low <= high:
+                raise TemplateError(
+                    f"{self.name}: bad domain [{low}, {high}] for {param!r}"
+                )
         if len(self.point_exprs) != self.dims:
             raise TemplateError(
                 f"{self.name}: need {self.dims} point expressions, "
@@ -162,6 +176,16 @@ class FunctionTemplate:
             raise TemplateError(
                 f"{self.name}: missing parameter(s) {', '.join(missing)}"
             )
+        for param, low, high in self.domains:
+            value = params[param]
+            # Only a finite number is judged here; anything else is
+            # refused, with its own message, when it is evaluated.
+            finite = isinstance(value, (int, float)) and is_finite(value)
+            if finite and not low <= value <= high:
+                raise TemplateError(
+                    f"{self.name}: ${param}={value!r} is outside "
+                    f"[{low}, {high}]"
+                )
         env = parameter_environment(params)
         if self.shape is Shape.HYPERSPHERE:
             center = tuple(
@@ -216,6 +240,10 @@ class FunctionTemplate:
         params_el = ET.SubElement(root, "Params")
         for param in self.params:
             ET.SubElement(params_el, "Param").text = param
+        for param, *bounds in self.domains:
+            for attr, bound in zip(("min", "max"), bounds):
+                if is_finite(bound):
+                    params_el[self.params.index(param)].set(attr, repr(bound))
         ET.SubElement(root, "Shape").text = self.shape.value
         ET.SubElement(root, "NumDimensions").text = str(self.dims)
         if self.shape is Shape.HYPERSPHERE:
@@ -278,6 +306,14 @@ class FunctionTemplate:
             (child.text or "").strip() for child in params_el.findall("Param")
         )
         try:
+            domains = tuple(
+                (p, float(el.get("min", "-inf")), float(el.get("max", "inf")))
+                for p, el in zip(params, params_el.findall("Param"))
+                if {"min", "max"} & set(el.keys())
+            )
+        except ValueError:
+            raise TemplateError("<Param> min / max: not a number") from None
+        try:
             shape = Shape(text_of("Shape"))
         except ValueError:
             raise TemplateError(
@@ -314,4 +350,5 @@ class FunctionTemplate:
             description=(description_el.text or "").strip()
             if description_el is not None
             else "",
+            domains=domains,
         )

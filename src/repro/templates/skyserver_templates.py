@@ -88,6 +88,10 @@ def radial_function_template() -> FunctionTemplate:
             "All objects within $radius arcminutes of ($ra, $dec): a 3-d "
             "hypersphere around the search direction's unit vector."
         ),
+        # Past 180 degrees the chord folds back: the sphere would
+        # describe a *smaller* cap than the function searches.  (Below
+        # zero the radius check in ``region_for`` already refuses.)
+        domains=(("radius", float("-inf"), 10800.0),),
     )
 
 

@@ -86,3 +86,48 @@ def test_no_call_restates_a_record_fact():
         if keyword.arg in RECORD_FACTS
     ]
     assert offenders == []
+
+
+def test_the_proxy_renders_no_region_for_the_explain_trace():
+    """The trace is handed regions and renders them when it is read."""
+    tree = ast.parse(PROXY.read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "region_summary" not in imported
+    assert "region_summary" not in {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+    }
+
+
+def test_nothing_above_the_proxy_edits_an_emitted_record():
+    """``_respond`` already gave the record to ``/metrics``, the SLO
+    tracker, the time series and ``stats``: a later write would make
+    the shard's account and its record disagree."""
+    offenders = []
+    for package in ("cluster", "sched"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                targets = (
+                    node.targets
+                    if isinstance(node, ast.Assign)
+                    else [node.target]
+                    if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                    else []
+                )
+                for target in targets:
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and target.attr == "response_ms"
+                    ):
+                        offenders.append(f"{path.name}:{target.lineno}")
+                if (
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "steps_ms"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -145,8 +145,17 @@ class TestFailover:
         router = make_tier(persist=False, crash_plan=plan)
         response, decision = router.serve_routed(bind())
         assert decision.dispatched == primary
-        assert decision.slowdown == pytest.approx(4.0)
-        assert response.record.steps_ms["router.slow"] > 0.0
+        # The window is reported where routing reports everything else;
+        # the record the shard already emitted is left alone, so the
+        # shard's own account agrees with it.
+        assert decision.slowdown == 4.0
+        assert decision.to_dict()["slowdown"] == 4.0
+        record = response.record
+        assert "router.slow" not in record.steps_ms
+        assert record.response_ms == sum(record.steps_ms.values())
+        shard_metrics = router.shard(primary).proxy.metrics
+        emitted = shard_metrics.get("proxy_response_sim_ms")
+        assert emitted.snapshot_values()[""]["sum"] == record.response_ms
 
 
 class TestCrashHandoff:

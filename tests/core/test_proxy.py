@@ -279,17 +279,41 @@ class TestSoundnessGuards:
         assert proxy.serve(good).record.outcome is QueryOutcome.SERVED
 
     def test_a_cone_past_180_degrees_is_refused_and_never_cached(
-        self, make_proxy, bind, origin
+        self, make_proxy, bind, origin, radial_params
     ):
         """The radial template's chord ``2 sin(r / 2)`` folds back past
-        180 degrees: ``radius=21600`` binds to a region of radius
+        180 degrees: ``radius=21600`` would bind to a region of radius
         2.4e-16.  Cached under it, the whole sky would be copied —
         "fully subsumed", untested — into every later query at that
-        centre and labelled ``served``."""
+        centre and labelled ``served``.  The template declares the
+        radius it can describe, so binding refuses (guard 8); for a
+        site whose template does not, the function's own refusal still
+        keeps the answer out of the cache (guard 7)."""
         from repro.core.stats import QueryOutcome
+        from repro.templates.errors import TemplateError
+        from repro.templates.manager import TemplateManager
+        from repro.templates.skyserver_templates import (
+            radial_query_template,
+        )
 
+        with pytest.raises(TemplateError, match=r"\$radius=21600"):
+            bind(radius=21600.0)
+
+        declared = radial_query_template()
+        undeclared = TemplateManager()
+        undeclared.register_query_template(
+            dataclasses.replace(
+                declared,
+                function_template=dataclasses.replace(
+                    declared.function_template, domains=()
+                ),
+            )
+        )
         proxy = make_proxy()
-        record = proxy.serve(bind(radius=21600.0)).record
+        folded = undeclared.bind(
+            RADIAL_TEMPLATE_ID, dict(radial_params, radius=21600.0)
+        )
+        record = proxy.serve(folded).record
         assert record.outcome is QueryOutcome.FAILED
         assert record.failure_reason == "query-error"
         assert len(proxy.cache) == 0

@@ -1,6 +1,7 @@
 """Decision-explain layer: action mapping, ring buffer, SLO burn rates."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -87,7 +88,7 @@ class TestDecisionTrace:
         trace = log.begin(
             1,
             "skyserver.radial",
-            query_region=region_summary(HyperSphere((0.0, 0.0), 5.0)),
+            query_region=HyperSphere((0.0, 0.0), 5.0),
             scheme="ac-full",
             policy={"cache": True},
         )
@@ -104,8 +105,12 @@ class TestDecisionTrace:
             note="truncated entry (exact matches only)",
         )
         trace.record_remainder(
-            {"base": region_summary(HyperSphere((0.0, 0.0), 5.0))},
-            sql="SELECT ...",
+            SimpleNamespace(
+                geometry=lambda: {
+                    "base": region_summary(HyperSphere((0.0, 0.0), 5.0))
+                },
+                sql="SELECT ...",
+            )
         )
         trace.record_eviction(
             EvictionRecord(
@@ -125,6 +130,7 @@ class TestDecisionTrace:
         assert [c["entry_id"] for c in payload["candidates"]] == [7, 8]
         assert payload["candidates"][0]["relation"] == "overlap"
         assert payload["candidates"][1]["note"].startswith("truncated")
+        assert payload["query_region"]["radius"] == 5.0
         assert payload["remainder"]["sql"] == "SELECT ..."
         assert payload["evictions"][0]["rationale"] == "least recently used"
         assert payload["consolidated"] == [7]
@@ -168,6 +174,22 @@ class TestDecisionLog:
         newer = self._finished(log, 1, status="exact")
         self._finished(log, 2)  # evicts the *old* query-1 trace
         assert log.get(1) is newer
+
+    def test_one_container_keeps_one_trace_per_id(self):
+        log = DecisionLog(capacity=3)
+        for query_id in range(1, 6):
+            self._finished(log, query_id)
+        assert log.get(1) is None and log.get(2) is None
+        assert [d["query_id"] for d in log.recent()] == [3, 4, 5]
+        # Re-recording an id replaces its trace and makes it the newest.
+        again = self._finished(log, 3, status="disjoint")
+        assert len(log) == 3
+        assert log.get(3) is again
+        assert [d["query_id"] for d in log.recent()] == [4, 5, 3]
+        assert log.action_counts() == {"exact": 2, "miss": 1}
+        log.resize(1)
+        assert len(log) == 1
+        assert log.get(3) is again and log.get(5) is None
 
     def test_resize_trims(self):
         log = DecisionLog(capacity=10)

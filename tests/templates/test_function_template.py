@@ -1,5 +1,6 @@
 """Function templates: regions, points, XML round-trip, validation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -291,3 +292,91 @@ class TestRegionIsEvaluatedInPlace:
             TemplateError, match=r"unbound template parameter \$undeclared"
         ):
             template.region_for({"a": 1.0})
+
+
+class TestParameterDomains:
+    """A call the region expressions cannot describe is refused, not
+    bound: past 180 degrees the radial chord folds back, so the sphere
+    would be a smaller cap than the one the function searches."""
+
+    CALL = {"ra": 164.0, "dec": 8.0, "radius": 10.0}
+
+    def test_radius_beyond_the_sphere_is_a_template_error(self):
+        template = radial_function_template()
+        template.region_for({**self.CALL, "radius": 10800.0})  # closed
+        with pytest.raises(TemplateError, match=r"\$radius=21600"):
+            template.region_for({**self.CALL, "radius": 21600})
+        # The wrong region it used to build: 360 degrees is no cap at all.
+        unbounded = FunctionTemplate.from_xml(
+            template.to_xml().replace(' max="10800.0"', "")
+        )
+        assert unbounded.domains == ()
+        folded = unbounded.region_for({**self.CALL, "radius": 21600})
+        assert folded.radius < template.region_for(self.CALL).radius
+
+    def test_bind_refuses_before_any_proxy_sees_the_query(self, templates):
+        params = {**self.CALL, "r_min": -9999.0, "r_max": 9999.0}
+        templates.bind("skyserver.radial", params)
+        for template_id in ("skyserver.radial", "skyserver.nearest"):
+            with pytest.raises(TemplateError, match="outside"):
+                templates.bind(template_id, {**params, "radius": 21600.0})
+
+    @pytest.mark.parametrize("radius", ["10", None, float("nan"), 1e400])
+    def test_what_is_not_a_finite_number_keeps_its_own_refusal(self, radius):
+        unbounded = dataclasses.replace(
+            radial_function_template(), domains=()
+        )
+        with pytest.raises(TemplateError) as undeclared:
+            unbounded.region_for({**self.CALL, "radius": radius})
+        with pytest.raises(TemplateError) as declared:
+            radial_function_template().region_for(
+                {**self.CALL, "radius": radius}
+            )
+        assert str(declared.value) == str(undeclared.value)
+
+    def test_xml_round_trip_keeps_the_domain(self):
+        template = radial_function_template()
+        xml = template.to_xml()
+        assert '<Param max="10800.0">radius</Param>' in xml
+        assert "<Param>ra</Param>" in xml
+        restored = FunctionTemplate.from_xml(xml)
+        assert restored.domains == template.domains
+        assert restored.to_xml() == xml
+        both = FunctionTemplate.from_xml(
+            xml.replace('max="10800.0"', 'min="0" max="10800"')
+        )
+        assert both.domains == (("radius", 0.0, 10800.0),)
+        assert '<Param min="0.0" max="10800.0">radius</Param>' in (
+            both.to_xml()
+        )
+
+    def test_templates_without_a_domain_are_unchanged(self):
+        for template in (
+            rect_function_template(), triangle_function_template()
+        ):
+            assert template.domains == ()
+            assert "min=" not in template.to_xml()
+            assert "max=" not in template.to_xml()
+
+    @pytest.mark.parametrize(
+        "attrs", ['min="wide"', 'max=""', 'min="5" max="1"', 'max="nan"']
+    )
+    def test_a_bad_domain_is_a_template_error(self, attrs):
+        xml = radial_function_template().to_xml().replace(
+            'max="10800.0"', attrs
+        )
+        with pytest.raises(TemplateError):
+            FunctionTemplate.from_xml(xml)
+
+    def test_a_domain_names_a_declared_parameter(self):
+        with pytest.raises(TemplateError, match="bad domain"):
+            FunctionTemplate(
+                name="f",
+                params=("a",),
+                shape=Shape.HYPERRECT,
+                dims=1,
+                point_exprs=(parse_expression("x"),),
+                low_exprs=(parse_expression("$a"),),
+                high_exprs=(parse_expression("$a"),),
+                domains=(("b", 0.0, 1.0),),
+            )

@@ -99,11 +99,14 @@ class TestRoutedSearch:
         self, client, url, status
     ):
         """What the site's functions refuse is a ``query-error`` (400),
-        a cone of many degrees costs milliseconds, and neither takes
-        the tier down for the next request."""
+        a radius the template cannot describe is refused at binding
+        (400), a cone of many degrees costs milliseconds, and none of
+        them takes the tier down for the next request."""
         response = client.get(url)
         assert response.status_code == status
-        if status == 400:
+        if "radius=21600" in url:
+            assert "$radius=21600" in response.get_json()["error"]
+        elif status == 400:
             assert response.headers["X-Proxy-Outcome"] == "failed"
             assert response.get_json()["reason"] == "query-error"
         assert radial(client).status_code == 200
