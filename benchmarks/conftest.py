@@ -105,7 +105,7 @@ def runner(scale) -> ExperimentRunner:
 
 @pytest.fixture(scope="session")
 def bench_report(scale):
-    """Factory for the one sanctioned result emitter (FP308).
+    """Factory for the one sanctioned result emitter.
 
     ``bench_report("fig5")`` returns a
     :class:`~repro.perf.reporter.BenchReporter` wired to this run's

@@ -9,17 +9,14 @@ at admission time and turns every violation into a structured
 :class:`Diagnostic` with a stable code, a severity, a source span, and
 a fix hint.
 
-Two prongs:
-
-* **Domain analyzer** (``analyze_*``) — pass pipelines over function
-  template XML, query templates, and info files (codes ``FP1xx`` /
-  ``FP2xx``).  Wired into :class:`repro.templates.manager.TemplateManager`
-  registration (strict mode rejects, permissive mode degrades the
-  template to pass-through), the Flask apps' ``GET /analyze``, and the
-  offline CLI ``python -m repro.analysis``.
-* **Repository lint** (:mod:`repro.analysis.pylint_rules`) — custom AST
-  rules enforcing repo invariants (codes ``FP3xx``), driven by
-  ``tools/lint.py`` in CI.
+The analyzer (``analyze_*``) is a set of pass pipelines over function
+template XML, query templates, and info files (codes ``FP1xx`` /
+``FP2xx``), wired into :class:`repro.templates.manager.TemplateManager`
+registration (strict mode rejects, permissive mode degrades the
+template to pass-through), the Flask apps' ``GET /analyze``, and the
+offline CLI ``python -m repro.analysis``.  The repository's own lint
+(``FP3xx`` / ``FP401``) lives outside the package, in ``tools/lint.py``;
+it shares this package's diagnostic model and code registry.
 
 Diagnostic counts feed the metrics registry as
 ``analysis_diagnostics_total{code=...,severity=...}``.
@@ -45,10 +42,8 @@ from repro.analysis.diagnostics import (
     span_of,
     whole_span,
 )
-from repro.analysis.pylint_rules import ALL_RULES, lint_file, run_lint
 
 __all__ = [
-    "ALL_RULES",
     "AnalysisReport",
     "CODES",
     "CodeInfo",
@@ -63,9 +58,7 @@ __all__ = [
     "analyze_path",
     "analyze_query_template",
     "code_info",
-    "lint_file",
     "merge_reports",
-    "run_lint",
     "severity_of",
     "span_at",
     "span_of",

@@ -1,6 +1,6 @@
 """The stable diagnostic-code registry.
 
-Every finding the analyzer or the repo linter can produce is declared
+Every finding the analyzer or the repository lint can produce is declared
 here with a fixed code, default severity, one-line title, and — where
 applicable — the paper property (Section 3.1) it enforces:
 
@@ -13,9 +13,8 @@ Code blocks:
 
 * ``FP1xx`` — function-template structure and semantics (XML layer);
 * ``FP2xx`` — query-template / info-file checks against the properties;
-* ``FP3xx`` — repository lint rules (:mod:`repro.analysis.pylint_rules`);
-* ``FP4xx`` — concurrency-safety checks
-  (:mod:`repro.analysis.concurrency`).
+* ``FP3xx`` — repository lint rules (``tools/lint.py``);
+* ``FP4xx`` — the shared-state inventory (``tools/lint.py``).
 
 The table is pinned by a golden test; changing a code's meaning is a
 breaking change for anyone filtering diagnostics by code.
@@ -128,71 +127,23 @@ CODES: dict[str, CodeInfo] = {
             "FP301", _E,
             "wall-clock call outside network/clock.py and obs/",
         ),
-        CodeInfo(
-            "FP302", _E,
-            "float equality comparison outside geometry/",
-        ),
-        CodeInfo(
-            "FP303", _E,
-            "raised exception does not come from an errors module",
-        ),
         CodeInfo("FP304", _E, "Python source file does not parse"),
         CodeInfo(
             "FP305", _E,
             "unseeded or module-level randomness outside tests", 1,
         ),
         CodeInfo(
-            "FP306", _E,
-            "manual __enter__/__exit__ call; use a with block",
-        ),
-        CodeInfo(
             "FP307", _E,
             "non-atomic whole-file write outside persistence/",
-        ),
-        CodeInfo(
-            "FP308", _E,
-            "benchmark prints results outside BenchReporter",
         ),
         CodeInfo(
             "FP309", _E,
             "raw threading.Lock/RLock outside repro/locking.py",
         ),
-        CodeInfo(
-            "FP310", _E,
-            "unbounded queue or deque in a serve-path module",
-        ),
-        CodeInfo(
-            "FP311", _E,
-            "event emission with a code outside EVENT_CODES",
-        ),
-        CodeInfo(
-            "FP312", _E,
-            "direct shard-internal import outside repro.cluster",
-        ),
-        # --------------------------------------- FP4xx: concurrency safety
+        # ------------------------------------- FP4xx: shared-state inventory
         CodeInfo(
             "FP401", _E,
             "shared mutable state without a concurrency registration",
-        ),
-        CodeInfo(
-            "FP402", _E,
-            "write to a guarded attribute outside its lock",
-        ),
-        CodeInfo(
-            "FP403", _E,
-            "read-only attribute mutated after __init__",
-        ),
-        CodeInfo(
-            "FP404", _E,
-            "lock-acquisition-order cycle (potential deadlock)",
-        ),
-        CodeInfo(
-            "FP405", _E,
-            "guarded-by registration names an unknown lock",
-        ),
-        CodeInfo(
-            "FP406", _W,
-            "guarded attribute is never written (stale registration)",
         ),
     )
 }

@@ -1,9 +1,9 @@
 """The sharded proxy tier: ring, router, warm handoff, event frontend.
 
-This package is the tier's *only* public surface: the FP312 lint rule
-forbids importing ``repro.cluster.<module>`` internals from outside the
-package, so shard-to-shard movement always goes through the router and
-handoff machinery re-exported here.
+This package is the tier's *only* public surface: nothing outside it
+imports ``repro.cluster.<module>`` internals, so shard-to-shard
+movement always goes through the router and handoff machinery
+re-exported here.
 """
 
 from repro.cluster.frontend import ClusterFrontend

@@ -31,8 +31,8 @@ Locking: ``router.state`` guards the routing sequence, the decision
 log, the drained/crash bookkeeping, and the fault session's rng.  The
 router never calls into a shard proxy, emits an event, or bumps a
 metric while holding it — shard-side locks (``proxy.*``) are acquired
-only after ``router.state`` is released, so the lock-order graph gains
-no edge out of ``router.state`` at all.
+only after ``router.state`` is released, so
+:data:`repro.locking.LOCK_ORDER` has no edge out of ``router.state``.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ Design notes
 * **Locking**: every mutation happens under the ``proxy.cache`` named
   lock (reentrant), taken by the public mutators (``store`` /
   ``clear`` / ``remove`` / ``touch``); the private helpers are only
-  ever called from inside those scopes, which the concurrency analyzer
-  verifies (see DESIGN.md, FP4xx).  The cache *description* is owned
+  ever called from inside those scopes (see DESIGN.md, lock roles).
+  The cache *description* is owned
   by this manager and mutated only under the same lock — that
   ownership convention is why ``core/description.py`` itself carries
   no registrations.  Multi-step lookups also take the lock:

@@ -11,7 +11,7 @@ timings stay honest.
 
 Time comes exclusively from the proxy's
 :class:`~repro.network.clock.SimulatedClock`; the wrappers never read
-the wall clock (lint rule FP301).
+the wall clock (lint rule FP301, ``tools/lint.py``).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Determinism contract: given the same plan and the same sequence of
 — it draws exactly one random number per attempt regardless of the
 configured rates, so enabling one fault kind never perturbs another's
 draws.  Nothing in this module may read the wall clock (lint rule
-FP301) or use unseeded randomness (lint rule FP305).
+FP301) or use unseeded randomness (lint rule FP305; ``tools/lint.py``).
 """
 
 from __future__ import annotations

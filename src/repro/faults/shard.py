@@ -9,7 +9,7 @@ JSON-round-trippable, a :class:`ShardCrashSession` owns the seeded
 exactly one random number per routing attempt regardless of the
 configured rates, so enabling one fault kind never perturbs another's
 draws.  Nothing here may read the wall clock (FP301) or use unseeded
-randomness (FP305).
+randomness (FP305; both ``tools/lint.py``).
 
 Fault kinds, per window:
 

@@ -1,30 +1,35 @@
 """Named locks, guarded-state registration, and the order sanitizer.
 
-The concurrency-safety story has three legs, and this module is the
-runtime leg (the other two are the static analyzer
-:mod:`repro.analysis.concurrency` and the ``FP309`` lint rule):
+The concurrency-safety story has two legs, and this module is the
+runtime one (the other is ``tools/lint.py``: ``FP309`` makes every lock
+a :class:`NamedLock`, ``FP401`` makes every piece of shared serve-path
+state carry a registration):
 
 * :func:`named_lock` is the **one sanctioned way to construct a lock**.
   Every lock carries a stable *role name* (``"proxy.cache"``,
-  ``"persistence.journal"``, ...) so the static analyzer can reason
-  about lock identity across classes and files, and the runtime
-  sanitizer can talk about acquisition order in the same vocabulary.
-  Constructing ``threading.Lock()`` / ``threading.RLock()`` anywhere
-  else in the repository is flagged as ``FP309``.
+  ``"persistence.journal"``, ...) so :data:`LOCK_ORDER`, the
+  registrations and the runtime sanitizer all talk about acquisition
+  order in the same vocabulary.  Constructing ``threading.Lock()`` /
+  ``threading.RLock()`` anywhere else in the repository is flagged as
+  ``FP309``.
 
 * :func:`guarded_by` / :func:`unshared` / :func:`read_only` register a
-  class's shared mutable attributes for the analyzer (the decorator
-  form of the ``# guarded-by: <lock>`` comment convention).  The
-  decorators also leave the registration on the class
+  class's shared mutable attributes (the decorator form of the
+  ``# guarded-by: <lock>`` comment convention); ``FP401`` reads them.
+  The decorators also leave the registration on the class
   (``__concurrency_guards__``) so tests and tooling can introspect it.
+
+* :data:`LOCK_ORDER` is the **declared acquisition order**: every
+  ``(outer, inner)`` pair of roles the code may nest.  It is the only
+  statement of lock order in the repository.
 
 * :class:`LockOrderSanitizer` is the **debug-mode runtime check**: when
   enabled (tests; never the default), every :class:`NamedLock`
   acquisition records *held-lock -> acquired-lock* edges on a
   per-thread stack and raises :class:`LockOrderError` the moment two
-  locks are ever taken in both orders — the dynamic mirror of the
-  analyzer's static FP404 cycle check, catching interleavings that a
-  deadlock would otherwise only reveal under load.
+  locks are taken in both orders — or in the reverse of a declared
+  :data:`LOCK_ORDER` pair, at its first acquisition — catching
+  interleavings that a deadlock would otherwise only reveal under load.
 
 Lock names are roles, not instances: every ``CacheManager`` constructs
 its own ``named_lock("proxy.cache")``.  Re-acquiring a *name* a thread
@@ -45,6 +50,26 @@ GUARDED = "guarded"
 UNSHARED = "unshared"
 READ_ONLY = "read-only"
 
+#: The declared lock-acquisition order: ``(outer, inner)`` means code
+#: may acquire ``inner`` while holding ``outer``, never the reverse.
+#: Acyclic.  ``proxy.telemetry`` and ``proxy.trace`` are pure sinks:
+#: entered under any role, never holding one (DESIGN.md, lock roles).
+LOCK_ORDER: frozenset[tuple[str, str]] = frozenset(
+    {
+        # every journal append writes the file under the journal lock
+        ("persistence.journal", "persistence.journal.file"),
+        # the overload breaker's event clock, fast-forwarded on admit
+        ("proxy.admission", "proxy.clock"),
+        # admissions and evictions are journaled under the cache lock
+        ("proxy.cache", "persistence.journal"),
+        ("proxy.cache", "persistence.journal.file"),
+        # the data-version fence: admits and flushes under proxy.state
+        ("proxy.state", "persistence.journal"),
+        ("proxy.state", "persistence.journal.file"),
+        ("proxy.state", "proxy.cache"),
+    }
+)
+
 
 class LockOrderError(RuntimeError):
     """Two locks were acquired in both orders (potential deadlock)."""
@@ -56,25 +81,24 @@ class LockOrderSanitizer:
     Keeps one held-lock stack per thread and a process-wide set of
     observed ``(outer, inner)`` name pairs.  Acquiring ``B`` while
     holding ``A`` records ``A -> B`` for every held ``A``; if ``B -> A``
-    was ever observed (or statically declared via ``edges``), the
-    acquisition raises :class:`LockOrderError` instead of deadlocking
-    later.  The observed set is what tests assert against the static
-    lock-order graph built by :mod:`repro.analysis.concurrency`.
+    was ever observed (or declared via ``edges``), the acquisition
+    raises :class:`LockOrderError` instead of deadlocking later.  The
+    observed set — declared edges are not in it — is what tests assert
+    is a subset of :data:`LOCK_ORDER`.
     """
 
     def __init__(
-        self, edges: Iterable[tuple[str, str]] | None = None
+        self, edges: Iterable[tuple[str, str]] = ()
     ) -> None:
         # The sanitizer's own lock is infrastructure, not a registry
         # lock: it guards the observed-edge set below and must never
         # itself participate in ordering.
         self._mutex = threading.Lock()
         self._held = threading.local()  # unshared: per-thread stack
+        self._declared = frozenset(
+            (str(outer), str(inner)) for outer, inner in edges
+        )
         self._observed: set[tuple[str, str]] = set()  # guarded-by: _mutex
-        if edges is not None:
-            self._observed.update(
-                (str(outer), str(inner)) for outer, inner in edges
-            )
 
     # ------------------------------------------------------------ state
     def _stack(self) -> list[str]:
@@ -112,7 +136,7 @@ class LockOrderSanitizer:
         with self._mutex:
             for edge in attempt:
                 inverse = (edge[1], edge[0])
-                if inverse in self._observed:
+                if inverse in self._observed or inverse in self._declared:
                     raise LockOrderError(
                         f"lock order inversion: acquiring {name!r} while "
                         f"holding {edge[0]!r}, but {inverse[0]!r} -> "
@@ -154,20 +178,19 @@ class LockOrderSanitizer:
                 return
 
     def assert_consistent_with(
-        self, edges: Iterable[tuple[str, str]]
+        self, edges: Iterable[tuple[str, str]] = LOCK_ORDER
     ) -> None:
-        """Every observed edge must appear in the static graph.
+        """Every observed edge must appear in ``edges``.
 
-        ``edges`` is the edge set of the analyzer's static
-        lock-acquisition-order graph; an observed edge outside it means
-        runtime behavior the analysis did not predict.
+        An observed edge outside the declared order is a nesting the
+        code acquired but nobody declared.
         """
-        static = {(str(a), str(b)) for a, b in edges}
-        unexpected = sorted(self.observed_edges() - static)
+        declared = {(str(a), str(b)) for a, b in edges}
+        unexpected = sorted(self.observed_edges() - declared)
         if unexpected:
             raise LockOrderError(
-                "runtime acquisition edges missing from the static "
-                f"lock-order graph: {unexpected}"
+                "runtime acquisition edges missing from the declared "
+                f"lock order: {unexpected}"
             )
 
 
@@ -182,12 +205,12 @@ def enable_lock_sanitizer(
 ) -> LockOrderSanitizer:
     """Install (and return) a fresh process-wide sanitizer.
 
-    ``edges`` pre-declares a static acquisition order, so an inversion
-    of a *declared* edge trips even if the straight order was never
-    exercised at runtime.
+    ``edges`` (default :data:`LOCK_ORDER`) pre-declares the acquisition
+    order, so an inversion of a *declared* edge trips even if the
+    straight order was never exercised at runtime.
     """
     global _sanitizer
-    _sanitizer = LockOrderSanitizer(edges)
+    _sanitizer = LockOrderSanitizer(LOCK_ORDER if edges is None else edges)
     return _sanitizer
 
 
@@ -205,12 +228,10 @@ def current_sanitizer() -> LockOrderSanitizer | None:
 class NamedLock:
     """A reentrant lock with a stable role name.
 
-    The name is the analyzer's unit of lock identity: a ``# guarded-by:
-    proxy.cache`` annotation refers to whichever :class:`NamedLock`
-    instance carries that role in the owning object.  Use as a context
-    manager (``with self._lock:``) — the FP306 lint rule already bans
-    manual ``__enter__`` calls, and the analyzer recognizes
-    ``acquire()``/``release()`` pairs only for the try/finally idiom.
+    The name is the unit of lock identity: a ``# guarded-by:
+    proxy.cache`` annotation and a :data:`LOCK_ORDER` pair refer to
+    whichever :class:`NamedLock` instance carries that role.  Use as a
+    context manager (``with self._lock:``).
     """
 
     __slots__ = ("name", "_lock")
@@ -251,9 +272,8 @@ class NamedLock:
 def named_lock(name: str) -> NamedLock:
     """The one sanctioned lock constructor (see FP309).
 
-    Locks constructed here are nameable by the static analyzer; a raw
-    ``threading.Lock()`` is anonymous and invisible to both the
-    guarded-write check and the lock-order graph.
+    A raw ``threading.Lock()`` is anonymous: the sanitizer cannot see
+    it, so no :data:`LOCK_ORDER` pair can be checked against it.
     """
     return NamedLock(name)
 
@@ -273,9 +293,9 @@ def guarded_by(
 ) -> Callable[[type[_T]], type[_T]]:
     """Class decorator: ``attrs`` may only be written under ``lock``.
 
-    The decorator form of the ``# guarded-by: <lock>`` comment; the
-    static analyzer reads either.  ``lock`` is a role name constructed
-    somewhere via :func:`named_lock`.
+    The decorator form of the ``# guarded-by: <lock>`` comment; FP401
+    reads either.  ``lock`` is a role name constructed somewhere via
+    :func:`named_lock`.
     """
 
     def decorate(cls: type[_T]) -> type[_T]:
@@ -288,8 +308,8 @@ def unshared(*attrs: str) -> Callable[[type[_T]], type[_T]]:
     """Class decorator: ``attrs`` are never shared across threads.
 
     The explicit waiver for per-query / per-thread state (spans,
-    decision traces in flight) — the analyzer inventories the attribute
-    but skips the guarded-write check.
+    decision traces in flight): FP401 counts the attribute as
+    registered.
     """
 
     def decorate(cls: type[_T]) -> type[_T]:
@@ -299,11 +319,7 @@ def unshared(*attrs: str) -> Callable[[type[_T]], type[_T]]:
 
 
 def read_only(*attrs: str) -> Callable[[type[_T]], type[_T]]:
-    """Class decorator: ``attrs`` are set during init and never again.
-
-    The analyzer enforces the claim: any post-``__init__`` write to a
-    read-only attribute is FP403.
-    """
+    """Class decorator: ``attrs`` are set during init and never again."""
 
     def decorate(cls: type[_T]) -> type[_T]:
         return _register(cls, READ_ONLY, None, attrs)
@@ -313,6 +329,7 @@ def read_only(*attrs: str) -> Callable[[type[_T]], type[_T]]:
 
 __all__ = [
     "GUARDED",
+    "LOCK_ORDER",
     "LockOrderError",
     "LockOrderSanitizer",
     "NamedLock",

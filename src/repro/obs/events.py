@@ -12,7 +12,8 @@ artifact expose the buffer.
 
 Event codes are stable identifiers pinned in DESIGN.md, exactly like
 the FP diagnostic codes and the profiler stage names: emitting an
-ad-hoc string instead of a registry code is flagged as ``FP311``.
+ad-hoc string instead of a registry code raises in
+:meth:`EventRecorder.emit`.
 Renaming a code is a breaking change for dashboards and tests keyed
 on it.
 

@@ -27,9 +27,9 @@ time warp.
 The recorder is clock-agnostic: callers pass ``now_ms`` (the proxy
 passes its simulated work clock; tests may drive it from an event
 loop).  State is guarded by the ``proxy.telemetry`` named lock — a
-pure sink in the lock-order graph.  :class:`NullTimeSeries` is the
-shared no-op default, keeping the PR 6 disabled-overhead contract
-(one method call per query, no allocation).
+pure sink in the lock order (:data:`repro.locking.LOCK_ORDER`).
+:class:`NullTimeSeries` is the shared no-op default, keeping the
+disabled-overhead contract (one method call per query, no allocation).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The one sanctioned way to measure real elapsed time.
 
 Experiment code must be reproducible, so the FP301 lint rule
-(:mod:`repro.analysis.pylint_rules`) bans raw wall-clock reads outside
+(``tools/lint.py``) bans raw wall-clock reads outside
 ``network/clock.py`` (the simulated clock) and ``obs/``.  Code that
 legitimately needs to time real work — progress reporting, the
 description-check measurement — uses :class:`Stopwatch` from here,

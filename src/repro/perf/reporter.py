@@ -4,10 +4,10 @@ A :class:`BenchReporter` collects metrics during a bench, then
 :meth:`~BenchReporter.finish` validates them against the canonical
 schema, writes ``<results_dir>/<bench_id>.bench.json`` (atomically),
 appends a compact entry to the ``BENCH_<bench_id>.json`` trajectory at
-the repo root, and prints a one-table summary.  The FP308 lint rule
-forbids ``bench_*.py`` files from printing results themselves — all
-human- and machine-readable output funnels through here, so every
-bench stays comparable and gateable.
+the repo root, and prints a one-table summary.  ``bench_*.py`` files
+do not print results themselves — all human- and machine-readable
+output funnels through here, so every bench stays comparable and
+gateable.
 """
 
 from __future__ import annotations

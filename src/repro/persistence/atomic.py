@@ -4,7 +4,8 @@ Every artifact the repository writes whole (snapshots, benchmark
 tables, JSON dumps, trace files, stored result files) goes through
 these helpers so an interrupted writer can never leave a truncated
 file behind: readers see either the previous complete version or the
-new complete version, nothing in between.  Lint rule FP307 forbids
+new complete version, nothing in between.  Lint rule FP307
+(``tools/lint.py``) forbids
 bare ``open(..., "w")`` / ``Path.write_text`` everywhere outside this
 package; this module is the sanctioned replacement.
 

@@ -221,7 +221,7 @@ def register_skyserver_functions(
 
     # Deliberately non-deterministic *across calls* (the proxy must
     # refuse to cache it), but seeded so whole-experiment replays stay
-    # reproducible (FP305).
+    # reproducible (FP305, tools/lint.py).
     sample_rng = random.Random(0xF5A)
 
     def f_random_sample(catalog, args) -> list[tuple[Any, ...]]:

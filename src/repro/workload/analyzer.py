@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geometry.regions import Region
+from repro.geometry.regions import EPSILON, Region
 from repro.geometry.relations import RegionRelation, relate
 from repro.templates.manager import TemplateManager
 from repro.workload.trace import Trace
@@ -63,8 +63,13 @@ class _RegionSet:
 
     def _cells(self, region: Region):
         box = region.bounding_box()
+        # Boxes intersect to within EPSILON (HyperRect.intersect), so
+        # the cell span must be widened by the same tolerance.
         spans = [
-            range(int(lo // self.cell), int(hi // self.cell) + 1)
+            range(
+                int((lo - EPSILON) // self.cell),
+                int((hi + EPSILON) // self.cell) + 1,
+            )
             for lo, hi in zip(box.lows, box.highs)
         ]
         # Regions here are 2-d or 3-d; enumerate the small cell product.

@@ -38,23 +38,11 @@ GOLDEN = {
     "FP213": (Severity.ERROR, None),
     "FP214": (Severity.WARNING, None),
     "FP301": (Severity.ERROR, None),
-    "FP302": (Severity.ERROR, None),
-    "FP303": (Severity.ERROR, None),
     "FP304": (Severity.ERROR, None),
     "FP305": (Severity.ERROR, 1),
-    "FP306": (Severity.ERROR, None),
     "FP307": (Severity.ERROR, None),
-    "FP308": (Severity.ERROR, None),
     "FP309": (Severity.ERROR, None),
-    "FP310": (Severity.ERROR, None),
-    "FP311": (Severity.ERROR, None),
-    "FP312": (Severity.ERROR, None),
     "FP401": (Severity.ERROR, None),
-    "FP402": (Severity.ERROR, None),
-    "FP403": (Severity.ERROR, None),
-    "FP404": (Severity.ERROR, None),
-    "FP405": (Severity.ERROR, None),
-    "FP406": (Severity.WARNING, None),
 }
 
 
@@ -76,7 +64,7 @@ def test_codes_are_numerically_ordered_and_blocked():
     numbers = [int(code[2:]) for code in CODES]
     assert numbers == sorted(numbers)
     for code in CODES:
-        # template / query / repo-lint / concurrency blocks
+        # template / query / repo-lint / shared-state blocks
         assert code[2] in "1234"
 
 

@@ -8,23 +8,22 @@ tree under its own lock: the profile of N queries is the same whether
 one thread served them or eight.
 """
 
-import pathlib
 import random
 import sys
 import threading
 
 import pytest
 
-from repro.analysis.concurrency import build_lock_graph
 from repro.core.proxy import FunctionProxy
-from repro.locking import disable_lock_sanitizer, enable_lock_sanitizer
+from repro.locking import (
+    LOCK_ORDER,
+    disable_lock_sanitizer,
+    enable_lock_sanitizer,
+)
 from repro.obs import ProxyInstrumentation
 from repro.obs.profiling import Profiler
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 
-SRC_REPRO = (
-    pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-)
 #: Pure sinks: emitters may enter them holding their own role, and
 #: nothing is ever acquired under them (DESIGN.md, lock roles).
 SINKS = {"proxy.telemetry", "proxy.trace"}
@@ -47,23 +46,14 @@ def eager_switching():
     sys.setswitchinterval(previous)
 
 
-@pytest.fixture(scope="module")
-def static_edges():
-    graph = build_lock_graph([SRC_REPRO])
-    assert graph.cycles == []
-    return graph.edge_set()
-
-
-def assert_sinks_stay_sinks(sanitizer, static_edges):
+def assert_sinks_stay_sinks(sanitizer):
     observed = sanitizer.observed_edges()
-    unpredicted = observed - static_edges
+    unpredicted = observed - LOCK_ORDER
     assert all(inner in SINKS for _, inner in unpredicted), unpredicted
     assert not any(outer in SINKS for outer, _ in observed), observed
 
 
-def test_stages_of_two_threads_do_not_nest_or_share_charges(
-    sanitizer, static_edges
-):
+def test_stages_of_two_threads_do_not_nest_or_share_charges(sanitizer):
     """Thread A holds ``check`` open while thread B runs a whole query
     of its own: a ``local_eval`` phase, then a flat ``check`` charge."""
     obs = ProxyInstrumentation(profiler=Profiler())
@@ -112,7 +102,7 @@ def test_stages_of_two_threads_do_not_nest_or_share_charges(
     assert stages["check"]["self_sim_ms"] == pytest.approx(101.0)
     assert stages["local_eval"]["calls"] == 1
     assert stages["local_eval"]["cum_sim_ms"] == pytest.approx(10.0)
-    assert_sinks_stay_sinks(sanitizer, static_edges)
+    assert_sinks_stay_sinks(sanitizer)
 
 
 def disjoint_queries(templates, n, seed):
@@ -176,7 +166,7 @@ def profile_of(origin, queries, workers):
 
 
 def test_eight_threads_profile_like_one(
-    origin, sanitizer, static_edges, eager_switching
+    origin, sanitizer, eager_switching
 ):
     queries = disjoint_queries(origin.templates, 32, seed=339)
     serial = profile_of(origin, queries, workers=1)
@@ -194,4 +184,4 @@ def test_eight_threads_profile_like_one(
             assert threaded[name][field] == pytest.approx(
                 serial[name][field]
             ), (name, field)
-    assert_sinks_stay_sinks(sanitizer, static_edges)
+    assert_sinks_stay_sinks(sanitizer)

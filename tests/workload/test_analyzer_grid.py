@@ -1,6 +1,6 @@
 """The analyzer's grid prefilter never drops a related region."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.regions import HyperSphere
@@ -15,6 +15,12 @@ spheres = st.builds(
 
 
 @given(stored=st.lists(spheres, min_size=1, max_size=25), probe=spheres)
+# The y-edges 0.6000000000000001 and 0.6 intersect to within EPSILON
+# but floor into different grid cells without the tolerance.
+@example(
+    stored=[HyperSphere((0.0, 1.1), 0.5)],
+    probe=HyperSphere((0.0, 0.5), 0.1),
+)
 @settings(max_examples=200, deadline=None)
 def test_candidates_superset_of_bbox_intersections(stored, probe):
     region_set = _RegionSet(cell=0.05)
