@@ -122,6 +122,8 @@ def build_bookstore(n_books: int = 20_000, seed: int = 7) -> Catalog:
             deterministic=True,
             description="Books within a similarity distance of a "
             "reference book's features.",
+            # Measured from the reference book of *this* call.
+            query_dependent=("similarity",),
         )
     )
     return catalog
@@ -146,6 +148,18 @@ def build_templates() -> TemplateManager:
         ),
         description="Similarity search as a 3-d hypersphere in "
         "normalized (price, pages, year) space.",
+        # The similarity of a cached book to *this* reference book, so
+        # an answer from cache carries this search's distances.
+        outputs=(
+            (
+                "similarity",
+                parse_expression(
+                    f"dist($price / {PRICE_SCALE}, $pages / {PAGES_SCALE}, "
+                    f"($year - {YEAR_BASE}) / {YEAR_SPAN}, "
+                    "fprice, fpages, fyear)"
+                ),
+            ),
+        ),
     )
     query_template = QueryTemplate.from_sql(
         template_id="bookstore.similar",

@@ -21,15 +21,24 @@ from repro.analysis.diagnostics import AnalysisReport, merge_reports
 
 
 def _builtin_report() -> AnalysisReport:
-    """Analyze the shipped SkyServer templates."""
+    """Analyze the shipped SkyServer templates against the SkyServer
+    function library (bound to an empty PhotoPrimary)."""
+    from repro.relational.table import Table
+    from repro.skydata.generator import PHOTO_PRIMARY_SCHEMA
     from repro.templates.manager import TemplateManager
     from repro.templates.skyserver_templates import (
         register_skyserver_templates,
     )
+    from repro.udf.registry import FunctionRegistry
+    from repro.udf.skyserver import register_skyserver_functions
 
+    functions = FunctionRegistry()
+    register_skyserver_functions(
+        functions, Table("PhotoPrimary", PHOTO_PRIMARY_SCHEMA)
+    )
     manager = TemplateManager(analysis_mode="off")
     register_skyserver_templates(manager)
-    return analyze_manager(manager)
+    return analyze_manager(manager, functions)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -122,6 +122,11 @@ CODES: dict[str, CodeInfo] = {
             "FP214", _W,
             "info file maps a field to an undeclared parameter",
         ),
+        CodeInfo(
+            "FP215", _E,
+            "query-dependent function column selected without an "
+            "output rule", 4,
+        ),
         # ------------------------------------------- FP3xx: repository lint
         CodeInfo(
             "FP301", _E,

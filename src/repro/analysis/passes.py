@@ -29,6 +29,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.relational.expressions import (
     SCALAR_BUILTINS,
+    ColumnRef,
     Expression,
     FuncCall,
 )
@@ -37,6 +38,7 @@ from repro.sqlparser.parser import parse_expression
 from repro.templates.function_template import FunctionTemplate, Shape
 from repro.templates.info_file import TemplateInfoFile
 from repro.templates.query_template import QueryTemplate
+from repro.udf.registry import TableFunction
 
 
 class FunctionCatalog(Protocol):
@@ -173,6 +175,7 @@ def check_expression_determinism(
     evaluation time anyway, but the analyzer says so up front.
     """
     exprs = region_expressions(template) + list(template.point_exprs)
+    exprs += [expr for _, expr in template.outputs]
     seen: set[str] = set()
     for expr in exprs:
         for call in function_calls(expr):
@@ -520,10 +523,42 @@ def check_top(template: QueryTemplate, ctx: PassContext) -> None:
         )
 
 
+def check_query_dependent_columns(
+    template: QueryTemplate, function: TableFunction, ctx: PassContext
+) -> None:
+    """FP215: a query-dependent function column (paper property 4).
+
+    The registered ``function`` declares which of its outputs are
+    computed relative to the call; a cached row carries the value of
+    the call that fetched it.  The select list may carry such a column
+    only as a bare reference (under any alias) with an ``<Output>`` rule
+    of the function template, which the proxy recomputes it by.
+    """
+    dependent = {name.lower() for name in function.query_dependent}
+    rules = {name.lower() for name, _ in template.function_template.outputs}
+    binding = template.statement.source.binding_name.lower()
+    for item in template.statement.select_items:
+        bare = isinstance(item.expression, ColumnRef)
+        for ref in sorted(item.expression.column_refs()):
+            table, _, column = ref.rpartition(".")
+            if column in dependent and table in ("", binding) and not (
+                column in rules and bare
+            ):
+                ctx.emit(
+                    "FP215",
+                    f"select item {item.to_sql()} reads {function.name}'s "
+                    f"query-dependent column {column!r} with no <Output> "
+                    "rule to recompute it (paper property 4)",
+                    span=ctx.span(item.expression.to_sql()),
+                    hint=f'declare <Output name="{column}"> in the '
+                    "function template; select the column bare",
+                )
+
+
 def check_against_registry(
     template: QueryTemplate, ctx: PassContext
 ) -> None:
-    """FP209 / FP210 / FP211: determinism (paper property 1).
+    """FP209 / FP210 / FP211 (determinism, paper property 1) and FP215.
 
     Needs a function registry; without one the pass is skipped (the
     proxy re-checks determinism per query anyway and tunnels when in
@@ -536,6 +571,7 @@ def check_against_registry(
         return
     has_table = getattr(registry, "has_table", None)
     has_scalar = getattr(registry, "has_scalar", None)
+    table = getattr(registry, "table", None)
     source = template.statement.source
     if isinstance(source, FunctionSource) and callable(has_table):
         if not has_table(source.name):
@@ -552,6 +588,8 @@ def check_against_registry(
                 "cannot be actively cached (paper property 1)",
                 span=ctx.span(source.name),
             )
+        elif callable(table):
+            check_query_dependent_columns(template, table(source.name), ctx)
     if not callable(has_scalar):
         return
     seen: set[str] = set()
@@ -582,7 +620,7 @@ def check_against_registry(
 def analyze_query_template_passes(
     template: QueryTemplate, ctx: PassContext
 ) -> None:
-    """The full query-template pipeline (FP202–FP211)."""
+    """The full query-template pipeline (FP202–FP211, FP215)."""
     if not check_from_clause(template, ctx):
         return
     check_joins(template, ctx)

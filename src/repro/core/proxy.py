@@ -597,7 +597,7 @@ class FunctionProxy:
         contained_in, subsumed, overlapping = [], [], []
         for entry, relation in zip(candidates, relations):
             if relation in (RegionRelation.CONTAINED, RegionRelation.EQUAL):
-                contained_in.append(entry)
+                contained_in.append((entry, relation))
             elif relation is RegionRelation.CONTAINS:
                 subsumed.append(entry)
             elif relation is RegionRelation.OVERLAP:
@@ -626,7 +626,7 @@ class FunctionProxy:
         with a learned estimate of whether remainders pay off."""
         return self.scheme.policy.handles_overlap
 
-    def _stage_local_eval(self, bound, entries, observation):
+    def _stage_local_eval(self, bound, entries, inside, observation):
         """Stage 3 (local evaluation): run the query over cached rows.
 
         Evaluates under a ``local_eval`` phase — charging the
@@ -637,7 +637,7 @@ class FunctionProxy:
         with observation.phase(
             "local_eval", entries=len(entries)
         ) as local_eval:
-            outcome = self.evaluator.select_in_region(bound, entries)
+            outcome = self.evaluator.select_in_region(bound, entries, inside)
             local_eval.charge(
                 self.costs.eval_per_tuple_ms * outcome.tuples_evaluated
             )
@@ -870,16 +870,19 @@ class FunctionProxy:
         return Answer(result, QueryStatus.EXACT, len(result), outcome)
 
     # ------------------------------------------------------ case (b)
-    def _serve_contained(self, bound, entries, observation) -> Answer:
+    def _serve_contained(self, bound, contained_in, observation) -> Answer:
+        """``contained_in`` pairs each subsuming entry with its relation."""
         outcome = self._cache_answer_outcome()
         # Any subsuming entry works; scan the smallest result.
-        entry = min(entries, key=lambda e: e.row_count)
+        entry, relation = min(contained_in, key=lambda pair: pair[0].row_count)
         observation.decision.note(
             f"evaluated locally over entry {entry.entry_id} "
             "(smallest subsuming result)"
         )
         self.cache.touch(entry)
-        local = self._stage_local_eval(bound, [entry], observation)
+        # An EQUAL entry lies wholly inside the query's region.
+        inside = {entry.entry_id} if relation is RegionRelation.EQUAL else ()
+        local = self._stage_local_eval(bound, [entry], inside, observation)
         result = self.evaluator.finalize(bound, local.result)
         return Answer(result, QueryStatus.CONTAINED, len(result), outcome)
 
@@ -904,7 +907,7 @@ class FunctionProxy:
             else QueryStatus.OVERLAP
         )
 
-        probe = self._stage_local_eval(bound, used, observation)
+        probe = self._stage_local_eval(bound, used, subsumed_ids, observation)
 
         with observation.phase("remainder_build", record=False) as build:
             remainder = build_remainder(bound, [e.region for e in used])
@@ -942,10 +945,8 @@ class FunctionProxy:
 
         # Count the cached contribution that survived into the answer.
         key_position = result.schema.position(bound.key_column)
-        probe_keys = {
-            row[probe.result.schema.position(bound.key_column)]
-            for row in probe.result.rows
-        }
+        probe_position = probe.result.schema.position(bound.key_column)
+        probe_keys = {row[probe_position] for row in probe.result.rows}
         from_cache = sum(
             1 for row in result.rows if row[key_position] in probe_keys
         )

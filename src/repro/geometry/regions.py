@@ -8,8 +8,10 @@ table-valued function selects: a hypersphere for radial searches such as
 
 All shapes support:
 
-* ``contains_point(point)`` — membership test for a result tuple's
-  coordinate point (used when evaluating a subsumed query locally);
+* ``point_test(positions)`` — a membership test compiled for one
+  query, reading a point's coordinates at ``positions`` of a cached
+  result tuple (local evaluation of a subsumed query);
+  ``contains_point(point)`` is the same test on a bare point;
 * ``bounding_box()`` — the minimum enclosing :class:`HyperRect`, used by
   the R-tree cache description;
 * structural equality via ``==`` with a numeric tolerance.
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 EPSILON = 1e-9
 
@@ -66,8 +68,20 @@ class Region:
 
     dims: int
 
-    def contains_point(self, point: Point) -> bool:
+    def point_test(
+        self, positions: Sequence[int]
+    ) -> Callable[[Sequence[float]], bool]:
+        """Membership of the point whose coordinates a tuple holds at
+        ``positions``: the one definition of each shape's test, with
+        everything that does not depend on the point computed once."""
         raise NotImplementedError
+
+    def contains_point(self, point: Point) -> bool:
+        if len(point) != self.dims:
+            raise GeometryError(
+                f"point has {len(point)} coordinates, region has {self.dims}"
+            )
+        return self.point_test(range(self.dims))(point)
 
     def bounding_box(self) -> "HyperRect":
         raise NotImplementedError
@@ -75,18 +89,6 @@ class Region:
     def is_empty(self) -> bool:
         """True when the region contains no point at all."""
         raise NotImplementedError
-
-    # Convenience wrappers over the relations module -------------------
-    def contains_region(self, other: "Region") -> bool:
-        from repro.geometry.relations import RegionRelation, relate
-
-        rel = relate(self, other)
-        return rel in (RegionRelation.EQUAL, RegionRelation.CONTAINS)
-
-    def overlaps(self, other: "Region") -> bool:
-        from repro.geometry.relations import RegionRelation, relate
-
-        return relate(self, other) is not RegionRelation.DISJOINT
 
 
 @dataclass(frozen=True)
@@ -117,15 +119,12 @@ class HyperRect(Region):
     def is_empty(self) -> bool:
         return any(lo > hi + EPSILON for lo, hi in zip(self.lows, self.highs))
 
-    def contains_point(self, point: Point) -> bool:
-        if len(point) != self.dims:
-            raise GeometryError(
-                f"point has {len(point)} coordinates, region has {self.dims}"
-            )
-        return all(
-            lo - EPSILON <= x <= hi + EPSILON
-            for x, lo, hi in zip(point, self.lows, self.highs)
-        )
+    def point_test(self, positions: Sequence[int]):
+        bounds = [
+            (position, lo - EPSILON, hi + EPSILON)
+            for position, lo, hi in zip(positions, self.lows, self.highs)
+        ]
+        return lambda row: all(lo <= row[p] <= hi for p, lo, hi in bounds)
 
     def bounding_box(self) -> "HyperRect":
         return self
@@ -196,13 +195,18 @@ class HyperSphere(Region):
     def is_empty(self) -> bool:
         return False  # a zero-radius sphere still contains its center
 
-    def contains_point(self, point: Point) -> bool:
-        if len(point) != self.dims:
-            raise GeometryError(
-                f"point has {len(point)} coordinates, region has {self.dims}"
+    def point_test(self, positions: Sequence[int]):
+        limit = (self.radius + EPSILON) ** 2
+        pairs = tuple(zip(positions, self.center))
+        if len(pairs) == 3:
+            # Spelled out for the 3-d case (every radial template): the
+            # same left-to-right sum of squares as ``sum()`` adds.
+            (i, a), (j, b), (k, c) = pairs
+            return lambda row: (
+                (row[i] - a) ** 2 + (row[j] - b) ** 2 + (row[k] - c) ** 2
+                <= limit
             )
-        dist2 = sum((x - c) ** 2 for x, c in zip(point, self.center))
-        return dist2 <= (self.radius + EPSILON) ** 2
+        return lambda row: sum([(row[p] - c) ** 2 for p, c in pairs]) <= limit
 
     def bounding_box(self) -> HyperRect:
         return HyperRect.from_center(self.center, (self.radius,) * self.dims)
@@ -287,12 +291,14 @@ class ConvexPolytope(Region):
         # safe direction (it may cache an empty result, never drop tuples).
         return False
 
-    def contains_point(self, point: Point) -> bool:
-        if len(point) != self.dims:
-            raise GeometryError(
-                f"point has {len(point)} coordinates, region has {self.dims}"
-            )
-        return all(h.contains_point(point) for h in self.halfspaces)
+    def point_test(self, positions: Sequence[int]):
+        halfspaces = self.halfspaces
+
+        def test(row: Sequence[float]) -> bool:
+            point = [row[p] for p in positions]
+            return all(h.contains_point(point) for h in halfspaces)
+
+        return test
 
     def bounding_box(self) -> HyperRect:
         return self.bbox
@@ -326,10 +332,12 @@ class DifferenceRegion(Region):
         # detects full coverage through relation checks instead.
         return self.base.is_empty()
 
-    def contains_point(self, point: Point) -> bool:
-        if not self.base.contains_point(point):
-            return False
-        return not any(hole.contains_point(point) for hole in self.holes)
+    def point_test(self, positions: Sequence[int]):
+        inside = self.base.point_test(positions)
+        holes = [hole.point_test(positions) for hole in self.holes]
+        return lambda row: inside(row) and not any(
+            hole(row) for hole in holes
+        )
 
     def bounding_box(self) -> HyperRect:
         return self.base.bounding_box()

@@ -182,10 +182,10 @@ class BinaryOperator(enum.Enum):
 
 
 _ARITHMETIC: dict[BinaryOperator, Callable[[Any, Any], Any]] = {
-    BinaryOperator.ADD: lambda a, b: a + b,
-    BinaryOperator.SUB: lambda a, b: a - b,
-    BinaryOperator.MUL: lambda a, b: a * b,
-    BinaryOperator.DIV: lambda a, b: a / b,
+    BinaryOperator.ADD: operator.add,
+    BinaryOperator.SUB: operator.sub,
+    BinaryOperator.MUL: operator.mul,
+    BinaryOperator.DIV: operator.truediv,
 }
 
 _COMPARISON: dict[BinaryOperator, Callable[[Any, Any], bool]] = {
@@ -388,6 +388,10 @@ SCALAR_BUILTINS: dict[str, Callable[..., float]] = {
     "greatest": max,
     "minvalue": min,
     "maxvalue": max,
+    # Euclidean distance between two points given one after the other:
+    # dist(x1, y1, z1, x2, y2, z2).  A function template's output rule
+    # recomputes a function's distance column with it.
+    "dist": lambda *xs: math.dist(xs[: len(xs) // 2], xs[len(xs) // 2 :]),
 }
 
 
@@ -439,6 +443,60 @@ class CountStar(Expression):
 
     def to_sql(self) -> str:
         return "COUNT(*)"
+
+
+def compile_expression(
+    expr: Expression,
+    leaf: Callable[[Expression], Callable[[Sequence[Any]], Any] | None],
+) -> Callable[[Sequence[Any]], Any]:
+    """``expr`` as a function of one tuple, evaluated without an
+    environment: the interpreter's operators, builtins and NULL rule,
+    applied to closures built once.
+
+    ``leaf(node)`` compiles what only the caller knows how to read — a
+    column's position, a parameter's slot — and returns None for every
+    other node.  Any other node (a comparison, ``IS NULL``, ``IN``)
+    is left to the interpreter, over its operands' compiled values.
+    """
+    compiled = leaf(expr)
+    if compiled is not None:
+        return compiled
+    if isinstance(expr, Literal):
+        return lambda values, value=expr.value: value
+    operands = [compile_expression(child, leaf) for child in expr.children()]
+    function: Callable[..., Any]
+    if isinstance(expr, Negate):
+        function = operator.neg
+    elif isinstance(expr, BinaryOp) and expr.op in _ARITHMETIC:
+        function = _ARITHMETIC[expr.op]
+    elif isinstance(expr, FuncCall) and expr.name.lower() in SCALAR_BUILTINS:
+        function = SCALAR_BUILTINS[expr.name.lower()]
+    else:
+
+        def interpret(values: Sequence[Any]) -> Any:
+            args = iter([Literal(operand(values)) for operand in operands])
+            return expr.map_children(lambda _: next(args)).evaluate({})
+
+        return interpret
+    if len(operands) == 1:
+        (operand,) = operands
+        return lambda values: (
+            None if (value := operand(values)) is None else function(value)
+        )
+    if len(operands) == 2:
+        left, right = operands
+
+        def binary(values: Sequence[Any]) -> Any:
+            a, b = left(values), right(values)
+            return None if a is None or b is None else function(a, b)
+
+        return binary
+
+    def call(values: Sequence[Any]) -> Any:
+        args = [operand(values) for operand in operands]
+        return None if None in args else function(*args)
+
+    return call
 
 
 def conjoin(parts: Sequence[Expression]) -> Expression | None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.relational.errors import SchemaError
@@ -62,7 +63,7 @@ class Schema:
     def __iter__(self) -> Iterator[Column]:
         return iter(self.columns)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(column.name for column in self.columns)
 

@@ -11,7 +11,11 @@ A function template declares (paper Figure 3):
   is the chord subtending the angular radius;
 * expressions, over the *result attributes*, that compute the point a
   result tuple represents (the paper's property 4 requires those
-  attributes to be present in cached results).
+  attributes to be present in cached results);
+* output rules for the function's *query-dependent* columns — a
+  distance from the call's centre — over the ``$``-parameters and the
+  result attributes, so a row cached for one call can be answered for
+  another with that column recomputed (``<Output name="...">``).
 
 Templates serialize to XML.  The paper's example uses numbered child
 tags (``<1>``, ``<2>``); we use repeated ``<Expr>`` elements, which is
@@ -90,9 +94,8 @@ class HalfspaceSpec:
 class FunctionTemplate:
     """The registered spatial semantics of one table-valued function.
 
-    ``point_exprs`` are evaluated against a result tuple's environment
-    (lower-cased column name -> value) to recover the tuple's point in
-    region space.  For the shape expressions, exactly the fields
+    ``point_exprs``, over result columns, recover a result tuple's point
+    in region space.  For the shape expressions, exactly the fields
     matching the declared shape must be provided:
 
     * HYPERSPHERE: ``center_exprs`` (one per dimension) and ``radius_expr``
@@ -107,6 +110,11 @@ class FunctionTemplate:
     evaluate (a chord folds back past 180 degrees) to a region that is
     not what the function selects, so :meth:`region_for` refuses the
     call instead.
+
+    ``outputs`` are ``(column, expression)`` rules for the result
+    columns the function computes relative to its own call (paper
+    property 4: such a column is available from the cache only if the
+    proxy can recompute it).
     """
 
     name: str
@@ -121,6 +129,7 @@ class FunctionTemplate:
     halfspace_specs: tuple[HalfspaceSpec, ...] = ()
     description: str = ""
     domains: tuple[tuple[str, float, float], ...] = ()
+    outputs: tuple[tuple[str, Expression], ...] = ()
 
     def __post_init__(self) -> None:
         if self.dims < 1:
@@ -209,19 +218,6 @@ class FunctionTemplate:
         )
         return ConvexPolytope(halfspaces, box)
 
-    def point_of(self, row_env: Mapping[str, Any]) -> tuple[float, ...]:
-        """The point in region space represented by one result tuple."""
-        values = []
-        for expr in self.point_exprs:
-            value = expr.evaluate(row_env)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise TemplateError(
-                    f"{self.name}: point expression {expr.to_sql()} gave "
-                    f"{value!r}, expected a number"
-                )
-            values.append(float(value))
-        return tuple(values)
-
     def point_attribute_names(self) -> set[str]:
         """Result attributes the point expressions depend on.
 
@@ -269,6 +265,8 @@ class FunctionTemplate:
         point_el = ET.SubElement(root, "PointCoordinate")
         for expr in self.point_exprs:
             ET.SubElement(point_el, "Expr").text = expr.to_sql()
+        for column, expr in self.outputs:
+            ET.SubElement(root, "Output", name=column).text = expr.to_sql()
         if self.description:
             ET.SubElement(root, "Description").text = self.description
         return ET.tostring(root, encoding="unicode")
@@ -336,6 +334,12 @@ class FunctionTemplate:
                     )
                 )
         description_el = root.find("Description")
+        outputs = tuple(
+            (el.get("name", ""), _parse(el.text or ""))
+            for el in root.findall("Output")
+        )
+        if not all(column for column, _ in outputs):
+            raise TemplateError("<Output> needs a name attribute")
         return FunctionTemplate(
             name=name,
             params=params,
@@ -351,4 +355,5 @@ class FunctionTemplate:
             if description_el is not None
             else "",
             domains=domains,
+            outputs=outputs,
         )

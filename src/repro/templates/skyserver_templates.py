@@ -66,6 +66,18 @@ NEAREST_SQL = (
 )
 
 
+#: ``n.distance`` is measured from the call's centre: the chord from the
+#: centre's unit vector to the object's, in arcminutes — the same float
+#: operations ``nearby_rows`` performs, so a recomputed cell equals the
+#: origin's with ``==``.
+RADIAL_DISTANCE_RULE = (
+    "degrees(2.0 * asin(least(dist("
+    "cos(radians($ra)) * cos(radians($dec)), "
+    "sin(radians($ra)) * cos(radians($dec)), "
+    "sin(radians($dec)), cx, cy, cz), 2.0) / 2.0)) * 60.0"
+)
+
+
 def radial_function_template() -> FunctionTemplate:
     """The paper's Figure 3 template for ``fGetNearbyObjEq``."""
     return FunctionTemplate(
@@ -92,6 +104,7 @@ def radial_function_template() -> FunctionTemplate:
         # describe a *smaller* cap than the function searches.  (Below
         # zero the radius check in ``region_for`` already refuses.)
         domains=(("radius", float("-inf"), 10800.0),),
+        outputs=(("distance", parse_expression(RADIAL_DISTANCE_RULE)),),
     )
 
 

@@ -43,7 +43,10 @@ class TableFunction:
     The implementation receives the catalog because TVFs like
     ``fGetNearbyObjEq`` select from base tables.  ``schema`` declares the
     shape of the returned tuples; the executor wraps them in a
-    :class:`~repro.relational.result.ResultTable`.
+    :class:`~repro.relational.result.ResultTable`.  ``query_dependent``
+    names the output columns computed relative to the call's own
+    arguments (a distance from the search centre): a cached row carries
+    them for the call that fetched it, not for the next one.
     """
 
     name: str
@@ -52,6 +55,7 @@ class TableFunction:
     impl: Callable[..., list[tuple[Any, ...]]]
     deterministic: bool = True
     description: str = ""
+    query_dependent: tuple[str, ...] = ()
 
 
 class FunctionRegistry:

@@ -169,6 +169,7 @@ def register_skyserver_functions(
             impl=f_get_nearby_obj_eq,
             deterministic=True,
             description="Objects within radius arcmin of (ra, dec).",
+            query_dependent=("distance",),
         )
     )
     registry.register_table(
@@ -179,6 +180,7 @@ def register_skyserver_functions(
             impl=f_get_nearby_obj_xyz,
             deterministic=True,
             description="Objects within radius arcmin of a unit vector.",
+            query_dependent=("distance",),
         )
     )
     registry.register_table(

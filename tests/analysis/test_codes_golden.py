@@ -37,6 +37,7 @@ GOLDEN = {
     "FP212": (Severity.ERROR, None),
     "FP213": (Severity.ERROR, None),
     "FP214": (Severity.WARNING, None),
+    "FP215": (Severity.ERROR, 4),
     "FP301": (Severity.ERROR, None),
     "FP304": (Severity.ERROR, None),
     "FP305": (Severity.ERROR, 1),

@@ -1,8 +1,13 @@
-"""Query-template analysis: the paper's property checks (FP201-FP211)."""
+"""Query-template analysis: the paper's property checks (FP201-FP211,
+FP215)."""
+
+import dataclasses
 
 import pytest
 
 from repro.analysis.analyzer import analyze_query_template
+from repro.analysis.codes import code_info
+from repro.analysis.diagnostics import Severity
 from repro.templates.errors import TemplateAnalysisError, TemplateError
 from repro.templates.query_template import QueryTemplate
 from repro.templates.skyserver_templates import (
@@ -177,3 +182,44 @@ class TestConstructorFacade:
         assert radial_query_template()
         assert rect_query_template()
         assert nearest_query_template()
+
+
+class TestQueryDependentColumns:
+    """FP215 (paper property 4): ``fGetNearbyObjEq`` declares
+    ``distance`` query-dependent, so a template selecting it needs the
+    function template's ``<Output name="distance">`` rule."""
+
+    @staticmethod
+    def without_output_rule():
+        """The seeded violation: the Radial templates, minus the rule."""
+        bare = dataclasses.replace(radial_function_template(), outputs=())
+        return bare, [
+            dataclasses.replace(template, function_template=bare)
+            for template in (radial_query_template(), nearest_query_template())
+        ]
+
+    def test_fp215_radial_without_its_output_rule(self, origin):
+        _, templates = self.without_output_rule()
+        for template in templates:
+            report = analyze_query_template(
+                template, registry=origin.catalog.functions
+            )
+            errors = [
+                d for d in report.diagnostics if d.severity is Severity.ERROR
+            ]
+            assert [d.code for d in errors] == ["FP215"]
+            assert "n.distance" in errors[0].message
+            assert code_info("FP215").paper_property == 4
+
+    def test_a_computed_distance_has_no_rule(self, origin):
+        """The proxy recomputes a bare ``n.distance`` under any alias;
+        an expression over it it cannot."""
+        for item, codes in (
+            ("n.distance AS d", set()),
+            ("n.distance * 60.0 AS arcsec", {"FP215"}),
+        ):
+            report = analyze_query_template(
+                build(GOOD_SQL.replace("p.cz ", f"p.cz, {item} ")),
+                registry=origin.catalog.functions,
+            )
+            assert report.codes() == codes

@@ -9,9 +9,8 @@ direct answer as a bag of full tuples; a warm restart must bring the
 whole cache back; and every lock nesting the run took must be one
 :data:`repro.locking.LOCK_ORDER` declares.
 
-Radial's ``n.distance`` is left out of the comparison: a contained
-answer carries the cached call's distances, which
-``tests/integration/test_function_columns.py`` pins as a strict xfail.
+Answers are compared as full tuples, Radial's ``n.distance`` included:
+local evaluation recomputes it for the query's own centre.
 """
 
 import collections
@@ -88,13 +87,9 @@ def query_mix(templates):
     return queries * 2
 
 
-def bag(result, drop=()):
-    """The rows as a multiset of full tuples, minus ``drop`` columns."""
-    names = [column.name for column in result.schema.columns]
-    keep = [index for index, name in enumerate(names) if name not in drop]
-    return collections.Counter(
-        tuple(row[index] for index in keep) for row in result.rows
-    )
+def bag(result):
+    """The rows as a multiset of full tuples."""
+    return collections.Counter(tuple(row) for row in result.rows)
 
 
 def serve_in_threads(proxy, queries):
@@ -150,9 +145,7 @@ def test_eight_threads_answer_what_the_origin_answers(
     # No faults are injected, so every answer is a served one.
     assert all(r.outcome is QueryOutcome.SERVED for r in records)
     for bound, response, want in zip(queries, responses, direct):
-        is_radial = bound.template_id == RADIAL_TEMPLATE_ID
-        drop = ("distance",) if is_radial else ()
-        assert bag(response.result, drop) == bag(want, drop), (
+        assert bag(response.result) == bag(want), (
             bound.template_id,
             bound.params,
             response.record.status,

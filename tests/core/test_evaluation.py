@@ -35,7 +35,7 @@ class TestSelectInRegion:
         small = templates.bind(
             RADIAL_TEMPLATE_ID, dict(radial_params, radius=8.0)
         )
-        outcome = evaluator.select_in_region(small, [big_entry])
+        outcome = evaluator.select_in_region(small, [big_entry], ())
         expected = origin.execute_bound(small).result
         key = expected.schema.position("objID")
         assert {r[key] for r in outcome.result.rows} == {
@@ -50,7 +50,9 @@ class TestSelectInRegion:
         big = templates.bind(
             RADIAL_TEMPLATE_ID, dict(radial_params, radius=20.0)
         )
-        outcome = evaluator.select_in_region(big, [small_entry])
+        outcome = evaluator.select_in_region(
+            big, [small_entry], {small_entry.entry_id}
+        )
         assert outcome.tuples_evaluated == 0
         assert len(outcome.result) == len(small_entry.result)
 
@@ -62,16 +64,12 @@ class TestSelectInRegion:
             RADIAL_TEMPLATE_ID,
             dict(radial_params, ra=radial_params["ra"] + 0.25),
         )
-        outcome = evaluator.select_in_region(shifted, [entry])
+        outcome = evaluator.select_in_region(shifted, [entry], ())
         assert outcome.tuples_evaluated == len(entry.result)
+        names = [n.lower() for n in outcome.result.column_names]
+        at = [names.index(axis) for axis in ("cx", "cy", "cz")]
         for row in outcome.result.rows:
-            env = dict(
-                zip(
-                    (n.lower() for n in outcome.result.column_names), row
-                )
-            )
-            point = shifted.template.function_template.point_of(env)
-            assert shifted.region.contains_point(point)
+            assert shifted.region.contains_point(tuple(row[i] for i in at))
 
     def test_multiple_entries_deduplicate(
         self, store, evaluator, templates, radial_params
@@ -81,7 +79,9 @@ class TestSelectInRegion:
         big = templates.bind(
             RADIAL_TEMPLATE_ID, dict(radial_params, radius=25.0)
         )
-        outcome = evaluator.select_in_region(big, [e1, e2])
+        outcome = evaluator.select_in_region(
+            big, [e1, e2], {e1.entry_id, e2.entry_id}
+        )
         key = outcome.result.schema.position("objID")
         ids = [row[key] for row in outcome.result.rows]
         assert len(ids) == len(set(ids))
@@ -89,7 +89,7 @@ class TestSelectInRegion:
     def test_no_entries_raises(self, evaluator, templates, radial_params):
         bound = templates.bind(RADIAL_TEMPLATE_ID, radial_params)
         with pytest.raises(ValueError):
-            evaluator.select_in_region(bound, [])
+            evaluator.select_in_region(bound, [], ())
 
 
 class TestFinalize:

@@ -117,11 +117,10 @@ class TestBuildRemainder:
         remainder = build_remainder(bound, holes)
         assert remainder.n_holes == 2
         rest = origin.execute_remainder(remainder.statement, 2).result
-        ftemplate = bound.template.function_template
         names = [n.lower() for n in rest.column_names]
+        at = [names.index(axis) for axis in ("cx", "cy", "cz")]
         for row in rest.rows:
-            env = dict(zip(names, row))
-            point = ftemplate.point_of(env)
+            point = tuple(row[i] for i in at)
             assert bound.region.contains_point(point)
             for hole in holes:
                 assert not hole.contains_point(point)

@@ -12,11 +12,11 @@ documented to apply (recovery skips foreign-tagged records, handoff
 accepts them).
 
 Every restored entry is then checked against the origin: its
-exact-match answer must equal ``origin.execute_bound`` on every column
-the table-valued function does not compute relative to the query's own
-parameters (``n.distance`` of the Radial form — merged overlap results
-keep the cached query's distances; ``wallbench/oracle.py`` documents
-the exception and ROADMAP item 5 owns it).
+exact-match answer must equal ``origin.execute_bound`` as full tuples,
+Radial's ``n.distance`` included (a merged overlap result carries the
+distances local evaluation recomputed for the merged query's centre),
+ordered when the query has ORDER BY / TOP and sorted by the key
+otherwise.
 """
 
 import shutil
@@ -145,18 +145,6 @@ def description_of(proxy):
     }
 
 
-def function_columns(statement):
-    """Select-list positions fed by the function source's own output."""
-    prefix = statement.source.binding_name.lower() + "."
-    return {
-        position
-        for position, item in enumerate(statement.select_items)
-        if any(
-            ref.startswith(prefix) for ref in item.expression.column_refs()
-        )
-    }
-
-
 def assert_answers_match_origin(proxy, origin):
     """Every cached entry, asked again, answers as the origin does."""
     for entry in list(proxy.cache.entries()):
@@ -172,15 +160,9 @@ def assert_answers_match_origin(proxy, origin):
             key = expected_table.schema.position(bound.key_column)
             expected.sort(key=lambda row: row[key])
             actual.sort(key=lambda row: row[key])
-        skipped = function_columns(statement)
-        keep = [
-            position
-            for position in range(len(statement.select_items))
-            if position not in skipped
-        ]
-        assert [[row[p] for p in keep] for row in actual] == [
-            [row[p] for p in keep] for row in expected
-        ], f"restored entry for {bound!r} disagrees with the origin"
+        assert actual == expected, (
+            f"restored entry for {bound!r} disagrees with the origin"
+        )
 
 
 @given(

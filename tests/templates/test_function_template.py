@@ -36,7 +36,8 @@ class TestRadialTemplate:
 
     def test_point_of_uses_cx_cy_cz(self):
         template = radial_function_template()
-        point = template.point_of({"cx": 0.1, "cy": 0.2, "cz": 0.3})
+        env = {"cx": 0.1, "cy": 0.2, "cz": 0.3}
+        point = tuple(expr.evaluate(env) for expr in template.point_exprs)
         assert point == (0.1, 0.2, 0.3)
 
     def test_point_attribute_names(self):
@@ -82,7 +83,9 @@ class TestRectTemplate:
 
     def test_point_of(self):
         template = rect_function_template()
-        assert template.point_of({"ra": 12.0, "dec": 1.0}) == (12.0, 1.0)
+        env = {"ra": 12.0, "dec": 1.0}
+        point = tuple(expr.evaluate(env) for expr in template.point_exprs)
+        assert point == (12.0, 1.0)
 
 
 class TestXmlRoundtrip:
@@ -100,6 +103,23 @@ class TestXmlRoundtrip:
             zip(template.params, (10.0, 5.0, 30.0, 40.0))
         )
         assert restored.region_for(params) == template.region_for(params)
+        assert [(c, e.to_sql()) for c, e in restored.outputs] == [
+            (c, e.to_sql()) for c, e in template.outputs
+        ]
+
+    def test_output_rule_travels_in_the_xml(self):
+        text = radial_function_template().to_xml()
+        assert '<Output name="distance">(degrees(' in text
+        (column, rule), = FunctionTemplate.from_xml(text).outputs
+        assert column == "distance"
+        assert {"cx", "cy", "cz"} <= rule.column_refs()
+
+    def test_output_without_a_name_is_refused(self):
+        text = radial_function_template().to_xml().replace(
+            ' name="distance"', ""
+        )
+        with pytest.raises(TemplateError, match="<Output> needs a name"):
+            FunctionTemplate.from_xml(text)
 
     def test_polytope_roundtrip(self):
         template = FunctionTemplate(

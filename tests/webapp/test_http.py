@@ -2,6 +2,7 @@
 
 import socket
 import threading
+from collections import Counter
 from wsgiref.simple_server import WSGIRequestHandler, make_server
 
 import pytest
@@ -262,6 +263,35 @@ class TestHttpOriginClient:
         )
         response = proxy.serve(small)
         assert response.record.status is QueryStatus.CONTAINED
+
+    def test_contained_answer_carries_the_origins_distances(
+        self, live_origin_url, origin
+    ):
+        """``<Output>`` survives the ``/templates`` hop: a proxy that
+        knows the origin only through its template XML recomputes
+        ``n.distance`` for a contained query's own centre, so the
+        proxy app's answer is the origin app's, cell for cell."""
+        client = HttpOriginClient(live_origin_url)
+        function = client.templates.function_template("fGetNearbyObjEq")
+        assert [column for column, _ in function.outputs] == ["distance"]
+        proxy_app = create_proxy_app(
+            FunctionProxy(client, client.templates)
+        ).test_client()
+        origin_app = create_origin_app(origin).test_client()
+
+        def rows(app, path):
+            response = app.get(path)
+            assert response.status_code == 200
+            table = ResultTable.from_xml(response.get_data(as_text=True))
+            return response, Counter(table.rows)
+
+        proxy_app.get("/search/Radial?ra=164&dec=8&radius=20")
+        inner = "/search/Radial?ra=164.1&dec=8.05&radius=6"
+        response, got = rows(proxy_app, inner)
+        assert response.headers["X-Cache-Status"] == "contained"
+        _, want = rows(origin_app, inner)
+        assert len(want) > 5
+        assert got == want
 
     def test_rejected_sql_raises(self, live_origin_url):
         client = HttpOriginClient(live_origin_url)
