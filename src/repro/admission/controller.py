@@ -18,9 +18,9 @@ Backpressure: every queue-full shed records a failure on an internal
 :class:`~repro.faults.resilience.CircuitBreaker`; sustained overflow
 opens it and new arrivals fast-fail (``admission-open``) for the
 cooldown, after which a half-open probe re-tests capacity.  The
-breaker runs on its own event-time :class:`SimulatedClock`, advanced
-to each caller-passed ``now_ms``, so cooldowns follow the load
-timeline rather than the work clock.
+breaker's clock is the controller itself: its ``now_ms`` is the latest
+caller-passed event time, so cooldowns follow the load timeline
+rather than the work clock.
 
 All mutable state is guarded by the ``proxy.admission`` named lock;
 observer callbacks fire after the lock is released.
@@ -44,7 +44,6 @@ from repro.admission.config import (
 )
 from repro.faults.resilience import BreakerState, CircuitBreaker
 from repro.locking import guarded_by, named_lock
-from repro.network.clock import SimulatedClock
 from repro.obs.events import BREAKER_EVENT_CODES, SHED_POLICY_EVENT_CODES
 
 
@@ -128,6 +127,7 @@ class TokenBucket:
 @guarded_by(
     "proxy.admission",
     "_queue",
+    "_now_ms",
     "_inflight",
     "_seq",
     "_overload",
@@ -155,12 +155,12 @@ class AdmissionController:
         }
         self._inflight = 0
         self._seq = 0
-        #: Event time for the overload breaker: an internal clock
-        #: fast-forwarded to each caller-passed ``now_ms``, so breaker
+        #: Event time, fast-forwarded to each caller-passed ``now_ms``:
+        #: the overload breaker reads it as its clock, so breaker
         #: cooldowns run on the load timeline.
-        self._breaker_clock = SimulatedClock()
+        self._now_ms = 0.0
         self._overload: CircuitBreaker = CircuitBreaker(
-            self._breaker_clock,
+            self,
             failure_threshold=self.config.overload_threshold,
             cooldown_ms=self.config.overload_cooldown_ms,
         )
@@ -193,7 +193,7 @@ class AdmissionController:
             self._obs = instrumentation
             self._allow_degrade = bool(allow_degrade)
             self._overload = CircuitBreaker(
-                self._breaker_clock,
+                self,
                 failure_threshold=self.config.overload_threshold,
                 cooldown_ms=self.config.overload_cooldown_ms,
                 on_state_change=callback,
@@ -219,7 +219,7 @@ class AdmissionController:
 
         def on_transition(state: BreakerState) -> None:
             instrumentation.admission_overload_transition(state)
-            now_ms = self._breaker_clock.now_ms
+            now_ms = self._now_ms
             instrumentation.telemetry_event(
                 BREAKER_EVENT_CODES[state.value],
                 at_ms=now_ms,
@@ -379,10 +379,8 @@ class AdmissionController:
 
     # --------------------------------------------------------- lock-held
     def _advance_event_time(self, now_ms: float) -> None:
-        """Fast-forward the overload breaker's clock to ``now_ms``."""
-        delta = now_ms - self._breaker_clock.now_ms
-        if delta > 0:
-            self._breaker_clock.advance(delta)
+        """Fast-forward the event time to ``now_ms``."""
+        self._now_ms = max(self._now_ms, now_ms)
 
     def _take_token(self, tenant: str, now_ms: float) -> bool:
         bucket = self._buckets.get(tenant)
@@ -456,6 +454,11 @@ class AdmissionController:
             obs.admission_quota_tokens(tenant, bucket.tokens)
 
     # ------------------------------------------------------- monitoring
+    @property
+    def now_ms(self) -> float:
+        """The event time: the overload breaker's clock."""
+        return self._now_ms
+
     @property
     def queue_depth(self) -> int:
         return len(self._queue)

@@ -137,7 +137,7 @@ def replay_records(
         records,
         proxy.cache,
         proxy.templates,
-        getattr(proxy.origin, "data_version", None),
+        proxy.origin_data_version(),
         accept_foreign=True,
     )
     return HandoffReport(

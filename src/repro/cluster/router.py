@@ -50,7 +50,8 @@ from repro.cluster.handoff import (
 )
 from repro.cluster.ring import HashRing
 from repro.core.stats import QueryOutcome
-from repro.faults.shard import ShardCrashPlan, ShardCrashSession, ShardFaultKind
+from repro.faults.plan import Fate, FaultSession
+from repro.faults.shard import ShardCrashPlan
 from repro.geometry.regions import ConvexPolytope, HyperRect, HyperSphere, Region
 from repro.locking import guarded_by, named_lock, read_only, unshared
 from repro.network.clock import SimulatedClock
@@ -231,7 +232,7 @@ class ShardRouter:
             timeseries if timeseries is not None else NULL_TIMESERIES
         )
         self._lock = named_lock("router.state")
-        self._session: ShardCrashSession | None = (
+        self._session: FaultSession | None = (
             crash_plan.session() if crash_plan is not None else None
         )
         self._seq = 0
@@ -375,26 +376,20 @@ class ShardRouter:
                 if shard_id in self._drained:
                     attempts.append(RouteAttempt(shard_id, "drained"))
                     continue
-                if self._session is not None:
-                    verdict = self._session.route_attempt(shard_id, now_ms)
-                else:
-                    verdict = None
-                if verdict is not None:
-                    if verdict.kind is ShardFaultKind.CRASH:
-                        attempts.append(RouteAttempt(shard_id, "crash"))
-                        continue
-                    if verdict.kind is ShardFaultKind.HANG:
-                        attempts.append(RouteAttempt(shard_id, "hang"))
-                        continue
-                    if verdict.kind is ShardFaultKind.ERROR:
-                        attempts.append(RouteAttempt(shard_id, "transient"))
-                        continue
+                fate, factor = (
+                    (Fate.NONE, 1.0)
+                    if self._session is None
+                    else self._session.attempt(shard_id, now_ms)
+                )
+                if fate is not Fate.NONE:
+                    attempts.append(RouteAttempt(shard_id, fate.value))
+                    continue
                 if statuses.get(shard_id) == UNHEALTHY:
                     attempts.append(RouteAttempt(shard_id, "unhealthy"))
                     continue
                 attempts.append(RouteAttempt(shard_id, "dispatched"))
                 dispatched = shard_id
-                slowdown = verdict.slowdown if verdict is not None else 1.0
+                slowdown = factor
                 break
             decision = RouteDecision(
                 seq=seq,

@@ -54,7 +54,9 @@ cached portion only (``partial``), and queries the cache cannot help
 with produce a structured ``failed`` outcome instead of an exception.
 A :class:`~repro.faults.plan.FaultPlan` can be installed (also at
 runtime, via ``POST /faults``) to put the origin and the WAN link
-through scheduled outages, slowdowns, and transient failures.
+through scheduled outages, slowdowns, transient failures and
+data-version bumps: the gateway draws each attempt's fate, and the
+transfer charges read the slowdown at the instant they are made.
 """
 
 from __future__ import annotations
@@ -77,8 +79,11 @@ from repro.core.stats import (
     TraceStats,
 )
 from repro.core.store import ResultStoreError
-from repro.faults.errors import OriginQueryError, OriginUnavailable
-from repro.faults.injection import FaultyOrigin, FaultyTopology
+from repro.faults.errors import (
+    FaultPlanError,
+    OriginQueryError,
+    OriginUnavailable,
+)
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import (
     BREAKER_STATE_VALUES,
@@ -139,8 +144,6 @@ class Answer(NamedTuple):
 
 @guarded_by(
     "proxy.state",
-    "origin",
-    "topology",
     "fault_plan",
     "_query_index",
     "_seen_data_version",
@@ -155,10 +158,10 @@ class FunctionProxy:
     ``_stage_merge``, ``_stage_admit``, ``_respond`` — each owning its
     step charge, so concurrent serves interleave at stage boundaries.
     The proxy's own mutable state (the query counter, the data-version
-    fence, and the fault-injection wrappers around origin/topology) is
-    guarded by the outermost ``proxy.state`` named lock; everything
-    else a stage touches synchronizes in the component that owns it
-    (cache, templates, decision log, persister).
+    fence, and the installed fault plan) is guarded by the outermost
+    ``proxy.state`` named lock; everything else a stage touches
+    synchronizes in the component that owns it (cache, templates,
+    decision log, persister).
 
     Each query has one :class:`~repro.core.stats.QueryRecord`, created
     with the query (``_open_record``) and bound to its observation.
@@ -246,7 +249,9 @@ class FunctionProxy:
             rng=Random(self.resilience.jitter_seed),
             # Failed fast attempts cost one empty round trip, charged
             # through the topology so transfer metrics stay honest.
-            failure_rtt_ms=lambda: self.topology.origin_round_trip_ms(0),
+            failure_rtt_ms=lambda: self.topology.origin_round_trip_ms(
+                0, factor=self.gateway.slowdown()
+            ),
             listener=self.obs,
         )
         # ----------------------------------------------------- admission
@@ -262,8 +267,6 @@ class FunctionProxy:
             self.obs.set_admission_queue_limit(
                 admission.config.max_queue_depth
             )
-        self._base_origin = origin
-        self._base_topology = self.topology
         self.fault_plan: FaultPlan | None = None
         if fault_plan is not None:
             self.install_fault_plan(fault_plan)
@@ -278,12 +281,9 @@ class FunctionProxy:
             persistence.bind(
                 self.cache,
                 self.clock,
-                # Read through self.origin each call, so journaled
-                # versions track scheduled bumps even behind a fault
-                # wrapper installed later.
-                version_of=lambda: getattr(
-                    self.origin, "data_version", None
-                ),
+                # Journaled versions track scheduled bumps, also those
+                # of a fault plan installed later.
+                version_of=self.origin_data_version,
                 obs=self.obs,
             )
             self.cache.mutation_log = persistence
@@ -356,27 +356,38 @@ class FunctionProxy:
 
     # --------------------------------------------------- fault injection
     def install_fault_plan(self, plan: FaultPlan | None) -> None:
-        """Wrap the origin and the WAN hop in a seeded fault schedule.
+        """Put the origin hop on a seeded fault schedule.
 
-        ``None`` restores the pristine origin and topology.  Installing
-        a plan does not reset the breaker or the trace statistics — a
-        plan loaded mid-trace simply starts misbehaving from the
-        current simulated time on.
+        ``None`` removes it.  Installing a plan does not reset the
+        breaker or the trace statistics — a plan loaded mid-trace
+        simply starts misbehaving from the current simulated time on.
+        Raises :class:`FaultPlanError` for a plan with version bumps
+        when the origin has no ``bump_data_version``.
         """
+        if plan is not None and plan.version_bumps and not callable(
+            getattr(self.origin, "bump_data_version", None)
+        ):
+            raise FaultPlanError(
+                "the plan schedules version bumps, but this origin "
+                "cannot bump its data version"
+            )
         with self._lock:
-            if plan is None:
-                self.origin = self._base_origin
-                self.topology = self._base_topology
-                self.fault_plan = None
-                return
-            session = plan.session()
-            self.origin = FaultyOrigin(
-                self._base_origin, session, self.clock
-            )
-            self.topology = FaultyTopology(
-                self._base_topology, session, self.clock
-            )
+            self.gateway.faults = None if plan is None else plan.session()
             self.fault_plan = plan
+
+    def origin_data_version(self) -> int | None:
+        """The origin's current data version, after applying the
+        version bumps the installed fault plan has made due.
+
+        The one read of the version: the data-version fence, the
+        persister's journaled versions and a handoff's stale fence.
+        Origins without a version attribute read ``None`` (immutable).
+        """
+        faults = self.gateway.faults
+        if faults is not None:
+            for _ in range(faults.due_version_bumps(self.clock.now_ms)):
+                self.origin.bump_data_version()
+        return getattr(self.origin, "data_version", None)
 
     # ------------------------------------------------------------ public
     def serve_form(
@@ -844,7 +855,10 @@ class FunctionProxy:
             origin_fetch.annotate(retries=record.retries)
         record.origin_bytes = response.result.byte_size()
         observation.charge(
-            "transfer", self.topology.origin_round_trip_ms(record.origin_bytes)
+            "transfer",
+            self.topology.origin_round_trip_ms(
+                record.origin_bytes, factor=self.gateway.slowdown()
+            ),
         )
         return response.result
 
@@ -983,7 +997,7 @@ class FunctionProxy:
         the number of entries flushed, or None when the version held
         (the caller owes a flush event — emitted outside the lock).
         """
-        version = getattr(self.origin, "data_version", None)
+        version = self.origin_data_version()
         if version == self._seen_data_version:
             return None
         flushed = len(self.cache)

@@ -5,14 +5,16 @@ The paper's setting — a slow origin across a WAN — silently assumed a
 
 * :mod:`repro.faults.plan` — seeded, simulated-clock-driven fault
   schedules (outage windows, slowdowns, transient errors, timeouts,
-  data-version flips);
-* :mod:`repro.faults.injection` — wrappers that make an
-  :class:`~repro.server.origin.OriginServer` and a
-  :class:`~repro.network.link.Topology` misbehave on schedule;
+  data-version flips) and :class:`FaultSession`, the one execution of
+  any plan: one seeded draw per attempt at a target (the origin or a
+  shard), yielding a :class:`Fate`;
 * :mod:`repro.faults.resilience` — the proxy-side answer: retry with
   capped backoff and deterministic jitter, a circuit breaker over the
   proxy -> origin hop, and the degradation policy that keeps cached
-  answers flowing while the origin is down;
+  answers flowing while the origin is down.  Faults are injected
+  there too: :class:`OriginGateway` draws each admitted attempt's fate
+  from the installed session, so an injected failure takes the path a
+  real one does;
 * :mod:`repro.faults.errors` — the retryable injected errors and the
   structured terminal outcomes;
 * :mod:`repro.faults.crash` — seeded crash plans for the *proxy
@@ -36,10 +38,8 @@ from repro.faults.errors import (
     OriginUnavailableError,
     SimulatedCrash,
 )
-from repro.faults.injection import FaultyOrigin, FaultyTopology
 from repro.faults.plan import (
-    FaultDecision,
-    FaultKind,
+    Fate,
     FaultPlan,
     FaultSession,
     OutageWindow,
@@ -57,9 +57,6 @@ from repro.faults.resilience import (
 from repro.faults.shard import (
     SHARD_FAULT_KINDS,
     ShardCrashPlan,
-    ShardCrashSession,
-    ShardDecision,
-    ShardFaultKind,
     ShardFaultWindow,
 )
 
@@ -70,14 +67,11 @@ __all__ = [
     "CrashPlan",
     "CrashSession",
     "DegradationPolicy",
-    "FaultDecision",
+    "Fate",
     "FaultError",
-    "FaultKind",
     "FaultPlan",
     "FaultPlanError",
     "FaultSession",
-    "FaultyOrigin",
-    "FaultyTopology",
     "OriginGateway",
     "OriginQueryError",
     "OriginTimeoutError",
@@ -88,9 +82,6 @@ __all__ = [
     "RetryPolicy",
     "SHARD_FAULT_KINDS",
     "ShardCrashPlan",
-    "ShardCrashSession",
-    "ShardDecision",
-    "ShardFaultKind",
     "ShardFaultWindow",
     "SimulatedCrash",
     "SlowdownWindow",

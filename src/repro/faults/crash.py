@@ -5,8 +5,9 @@ A :class:`CrashPlan` extends the fault vocabulary of
 :mod:`repro.faults.plan` from the origin to the *proxy itself*: it
 schedules process deaths at journal-record offsets and describes the
 torn-write damage the crash leaves behind on the cache journal
-(:mod:`repro.persistence.journal`).  Like a :class:`FaultPlan`, a
-crash plan is immutable, JSON-round-trippable, and seeded — the same
+(:mod:`repro.persistence.journal`).  Like a
+:class:`~repro.faults.plan.FaultPlan`, a crash plan is a frozen,
+JSON-round-trippable dataclass, and seeded — the same
 plan applied to the same journal bytes produces the same damage, so
 every crash-recovery experiment replays bit-identically.
 
@@ -30,36 +31,48 @@ applies the damage and raises
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Any, Mapping
 
 from repro.faults.errors import FaultPlanError
-from repro.faults.plan import parse_plan
+from repro.faults.plan import parse_plan, wire_form
 
 #: The damage kinds a crash can inflict on the journal tail.
 DAMAGE_KINDS = ("none", "truncate", "bitflip")
 
 
+def _record_offset(point: Any) -> int:
+    """A crash point as a whole journal-record count."""
+    offset = int(point)
+    if offset != point:
+        raise FaultPlanError(f"crash point is not a whole record: {point!r}")
+    return offset
+
+
+@dataclass(frozen=True)
 class CrashPlan:
     """A seeded schedule of proxy deaths at journal-record offsets."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        crash_after_records: tuple[int, ...] = (),
-        damage: str = "truncate",
-        tail_window_bytes: int = 64,
-    ) -> None:
-        if damage not in DAMAGE_KINDS:
+    seed: int = 0
+    crash_after_records: tuple[int, ...] = ()
+    damage: str = "truncate"
+    tail_window_bytes: int = 64
+
+    def __post_init__(self) -> None:
+        if self.damage not in DAMAGE_KINDS:
             raise FaultPlanError(
-                f"damage must be one of {DAMAGE_KINDS}, not {damage!r}"
+                f"damage must be one of {DAMAGE_KINDS}, not {self.damage!r}"
             )
-        if tail_window_bytes < 1:
+        if self.tail_window_bytes < 1:
             raise FaultPlanError(
-                f"tail window must be at least 1 byte: {tail_window_bytes}"
+                "tail window must be at least 1 byte: "
+                f"{self.tail_window_bytes}"
             )
-        points = tuple(sorted(int(p) for p in crash_after_records))
+        points = tuple(
+            sorted(_record_offset(p) for p in self.crash_after_records)
+        )
         for point in points:
             if point < 1:
                 raise FaultPlanError(
@@ -67,10 +80,7 @@ class CrashPlan:
                 )
         if len(set(points)) != len(points):
             raise FaultPlanError(f"duplicate crash points: {points}")
-        self.seed = int(seed)
-        self.crash_after_records = points
-        self.damage = damage
-        self.tail_window_bytes = int(tail_window_bytes)
+        object.__setattr__(self, "crash_after_records", points)
 
     def session(self) -> "CrashSession":
         """A fresh, mutable execution of this plan."""
@@ -78,12 +88,7 @@ class CrashPlan:
 
     # -------------------------------------------------------- wire form
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "crash_after_records": list(self.crash_after_records),
-            "damage": self.damage,
-            "tail_window_bytes": self.tail_window_bytes,
-        }
+        return wire_form(self)
 
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> "CrashPlan":
@@ -95,13 +100,19 @@ class CrashPlan:
             return CrashPlan(
                 seed=int(payload.get("seed", 0)),
                 crash_after_records=tuple(
-                    int(p) for p in payload.get("crash_after_records", ())
+                    payload.get("crash_after_records", ())
                 ),
                 damage=str(payload.get("damage", "truncate")),
                 tail_window_bytes=int(payload.get("tail_window_bytes", 64)),
             )
 
-        return parse_plan("crash plan", payload, known, build)
+        return parse_plan(
+            "crash plan",
+            payload,
+            known,
+            build,
+            arrays=("crash_after_records",),
+        )
 
 
 class CrashSession:

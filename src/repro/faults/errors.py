@@ -2,11 +2,11 @@
 
 Two families, deliberately distinct:
 
-* **Injected failures** — what a :class:`~repro.faults.injection.FaultyOrigin`
-  raises to *simulate* an unreliable origin
+* **Attempt failures** — what one origin attempt raises, injected by
+  the :class:`~repro.faults.resilience.OriginGateway` on a fault plan's
+  schedule or by a transport that really failed
   (:class:`OriginUnavailableError`, :class:`OriginTimeoutError`).  These
-  are retryable: the proxy's :class:`~repro.faults.resilience.OriginGateway`
-  catches them, backs off, and tries again.
+  are retryable: the gateway catches them, backs off, and tries again.
 * **Structured outcomes** — what the gateway raises *after* resilience
   gave up (:class:`OriginUnavailable`) or when the origin answered with
   a query-level error that retrying cannot fix

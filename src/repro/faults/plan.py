@@ -6,20 +6,23 @@ probabilities, and data-version bump times — plus a seed.  Plans are
 immutable and JSON-round-trippable (the proxy app's ``POST /faults``
 body is :meth:`FaultPlan.to_dict` output).
 
-A :class:`FaultSession` is one *execution* of a plan: it owns the
-seeded ``random.Random`` and the set of version bumps not yet applied.
-Determinism contract: given the same plan and the same sequence of
-``origin_attempt(now_ms)`` calls, a session makes identical decisions
-— it draws exactly one random number per attempt regardless of the
-configured rates, so enabling one fault kind never perturbs another's
-draws.  Nothing in this module may read the wall clock (lint rule
-FP301) or use unseeded randomness (lint rule FP305; ``tools/lint.py``).
+A :class:`FaultSession` is one *execution* of a plan — this module's
+origin plan or a :class:`~repro.faults.shard.ShardCrashPlan`: it owns
+the seeded ``random.Random``, the version bumps not yet applied and the
+down windows not yet reported.  Determinism contract: given the same
+plan and the same sequence of ``attempt(target, now_ms)`` calls, a
+session makes identical decisions — it draws exactly one random number
+per attempt regardless of the configured rates, so enabling one fault
+kind never perturbs another's draws.  Nothing in this module may read
+the wall clock (lint rule FP301) or use unseeded randomness (lint rule
+FP305; ``tools/lint.py``).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Any, Callable, Iterable, Mapping, TypeVar
 
@@ -27,9 +30,15 @@ from repro.faults.errors import FaultPlanError
 
 _Plan = TypeVar("_Plan")
 
+#: The target an origin plan's windows and draws apply to; a shard
+#: plan's targets are shard ids.
+ORIGIN = "origin"
+
 
 def check_window(start_ms: float, end_ms: float | None) -> None:
     """Validate a half-open window; ``end_ms=None`` is open-ended."""
+    if math.isnan(start_ms) or (end_ms is not None and math.isnan(end_ms)):
+        raise FaultPlanError(f"window bound is NaN: [{start_ms}, {end_ms})")
     if start_ms < 0:
         raise FaultPlanError(f"window starts before t=0: {start_ms}")
     if end_ms is not None and end_ms <= start_ms:
@@ -38,17 +47,31 @@ def check_window(start_ms: float, end_ms: float | None) -> None:
         )
 
 
+def wire_form(plan: Any) -> dict[str, Any]:
+    """A plan dataclass as its JSON wire form: every field in
+    declaration order, nested windows as objects, tuples as arrays."""
+    return asdict(
+        plan,
+        dict_factory=lambda items: {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in items
+        },
+    )
+
+
 def parse_plan(
     label: str,
     payload: Any,
     known: set[str],
     build: Callable[[Mapping[str, Any]], _Plan],
+    arrays: Iterable[str] = (),
 ) -> _Plan:
     """The envelope every plan's ``from_dict`` shares.
 
-    The wire form must be a JSON object carrying only ``known``
-    fields; whatever ``build`` trips over while reading them surfaces
-    as a :class:`FaultPlanError` naming the plan kind (``label``).
+    The wire form must be a JSON object carrying only ``known`` fields,
+    each of the ``arrays`` fields a JSON array when present; whatever
+    ``build`` trips over while reading them surfaces as a
+    :class:`FaultPlanError` naming the plan kind (``label``).
     """
     if not isinstance(payload, Mapping):
         raise FaultPlanError(
@@ -57,6 +80,9 @@ def parse_plan(
     unknown = set(payload) - known
     if unknown:
         raise FaultPlanError(f"unknown {label} fields: {sorted(unknown)}")
+    for name in arrays:
+        if not isinstance(payload.get(name, []), (list, tuple)):
+            raise FaultPlanError(f"{label} field {name!r} must be an array")
     try:
         return build(payload)
     except FaultPlanError:
@@ -132,28 +158,18 @@ class FaultPlan:
 
     def session(self) -> "FaultSession":
         """A fresh, mutable execution of this plan."""
-        return FaultSession(self)
+        return FaultSession(
+            self.seed,
+            [(ORIGIN, "outage", w) for w in self.outages]
+            + [(ORIGIN, "slow", w) for w in self.slowdowns],
+            timeout_rate=self.timeout_rate,
+            error_rate=self.error_rate,
+            version_bumps=self.version_bumps,
+        )
 
     # -------------------------------------------------------- wire form
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "outages": [
-                {"start_ms": w.start_ms, "end_ms": w.end_ms}
-                for w in self.outages
-            ],
-            "slowdowns": [
-                {
-                    "start_ms": w.start_ms,
-                    "end_ms": w.end_ms,
-                    "factor": w.factor,
-                }
-                for w in self.slowdowns
-            ],
-            "error_rate": self.error_rate,
-            "timeout_rate": self.timeout_rate,
-            "version_bumps": list(self.version_bumps),
-        }
+        return wire_form(self)
 
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> "FaultPlan":
@@ -191,58 +207,89 @@ class FaultPlan:
                 ),
             )
 
-        return parse_plan("fault plan", payload, known, build)
+        return parse_plan(
+            "fault plan",
+            payload,
+            known,
+            build,
+            arrays=("outages", "slowdowns", "version_bumps"),
+        )
 
 
-class FaultKind(enum.Enum):
-    """What a single origin attempt runs into."""
+class Fate(enum.Enum):
+    """What one attempt at a target (the origin or a shard) runs into.
+
+    The values are the words the shard router writes into
+    ``RouteAttempt.fate`` and the gateway into a failure ``reason``.
+    """
 
     NONE = "none"
     OUTAGE = "outage"
-    ERROR = "transient"
+    CRASH = "crash"
+    HANG = "hang"
     TIMEOUT = "timeout"
-
-
-@dataclass(frozen=True)
-class FaultDecision:
-    """One attempt's injected fate plus the active slowdown factor."""
-
-    kind: FaultKind
-    slowdown: float = 1.0
+    TRANSIENT = "transient"
 
 
 class FaultSession:
-    """Mutable per-run state of a plan: seeded rng + pending bumps."""
+    """Mutable per-run state of a plan: seeded rng, pending version
+    bumps and the down windows already reported.
 
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self._rng = Random(plan.seed)
-        self._pending_bumps = sorted(plan.version_bumps)
+    ``windows`` are ``(target, kind, window)`` triples in plan order:
+    ``kind`` is ``"slow"`` (the window's ``factor`` scales the target's
+    time) or the :class:`Fate` value of a window that takes the target
+    down (``"outage"``, ``"crash"``, ``"hang"``).
+    """
 
-    def slowdown_factor(self, now_ms: float) -> float:
-        """Product of every slowdown window active at ``now_ms``."""
+    def __init__(
+        self,
+        seed: int,
+        windows: Iterable[tuple[str, str, Any]],
+        timeout_rate: float = 0.0,
+        error_rate: float = 0.0,
+        version_bumps: Iterable[float] = (),
+    ) -> None:
+        self._rng = Random(seed)
+        self._windows = tuple(windows)
+        self._timeout_rate = timeout_rate
+        self._error_rate = error_rate
+        self._pending_bumps = sorted(version_bumps)
+        self._reported: set[int] = set()
+
+    def slowdown(self, target: str, now_ms: float) -> float:
+        """Product of every slow window active on ``target``."""
         factor = 1.0
-        for window in self.plan.slowdowns:
-            if window.active(now_ms):
+        for on, kind, window in self._windows:
+            if on == target and kind == "slow" and window.active(now_ms):
                 factor *= window.factor
         return factor
 
-    def origin_attempt(self, now_ms: float) -> FaultDecision:
-        """Decide the fate of one proxy -> origin attempt at ``now_ms``.
+    def down(self, target: str, now_ms: float) -> str | None:
+        """The kind of the first down window active on ``target`` at
+        ``now_ms`` (in plan order), or ``None`` while it is up."""
+        for on, kind, window in self._windows:
+            if on == target and kind != "slow" and window.active(now_ms):
+                return kind
+        return None
+
+    def attempt(self, target: str, now_ms: float) -> tuple[Fate, float]:
+        """Decide the fate of one attempt at ``target`` at ``now_ms``;
+        returns it with the slowdown factor active then.
 
         Exactly one rng draw happens per attempt (even when both rates
-        are zero), so decision streams stay aligned across plan
-        variants that share a seed.
+        are zero, and inside a down window), so decision streams stay
+        aligned across plan variants that share a seed.
         """
-        slowdown = self.slowdown_factor(now_ms)
+        slowdown = self.slowdown(target, now_ms)
         draw = self._rng.random()
-        if any(window.active(now_ms) for window in self.plan.outages):
-            return FaultDecision(FaultKind.OUTAGE, slowdown)
-        if draw < self.plan.timeout_rate:
-            return FaultDecision(FaultKind.TIMEOUT, slowdown)
-        if draw < self.plan.timeout_rate + self.plan.error_rate:
-            return FaultDecision(FaultKind.ERROR, slowdown)
-        return FaultDecision(FaultKind.NONE, slowdown)
+        down = self.down(target, now_ms)
+        if down is not None:
+            return Fate(down), slowdown
+        if draw < self._timeout_rate:
+            return Fate.TIMEOUT, slowdown
+        if draw < self._timeout_rate + self._error_rate:
+            return Fate.TRANSIENT, slowdown
+        return Fate.NONE, slowdown
 
     def due_version_bumps(self, now_ms: float) -> int:
         """Pop and count the version bumps scheduled at or before
@@ -253,5 +300,18 @@ class FaultSession:
             due += 1
         return due
 
-    def pending_version_bumps(self) -> Iterable[float]:
-        return tuple(self._pending_bumps)
+    def newly_down(self, now_ms: float) -> list[tuple[str, str, float]]:
+        """Down windows that began at or before ``now_ms`` and were not
+        reported yet, as ``(target, kind, start_ms)`` rows in start
+        order — each shard crash or hang maps to an ``EV12`` emission."""
+        due = []
+        for index, (target, kind, window) in enumerate(self._windows):
+            if (
+                kind != "slow"
+                and index not in self._reported
+                and window.start_ms <= now_ms
+            ):
+                self._reported.add(index)
+                due.append((target, kind, window.start_ms))
+        due.sort(key=lambda row: (row[2], row[0]))
+        return due

@@ -16,7 +16,10 @@ Three cooperating policies, all driven by the proxy's simulated clock:
   ``partial`` answer, or fail fast with a structured outcome.
 
 :class:`OriginGateway` ties the first two together around a single
-origin call and is the *only* path the proxy uses to reach the origin.
+origin call and is the *only* path the proxy uses to reach the origin —
+which makes it the place a seeded :class:`~repro.faults.plan.FaultPlan`
+bites: with a session installed, each attempt the breaker admits draws
+its fate there and fails, or runs slowed, accordingly.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Protocol
+from typing import Any, Callable, Protocol
 
 from repro.faults.errors import (
     OriginQueryError,
@@ -32,8 +35,8 @@ from repro.faults.errors import (
     OriginUnavailable,
     OriginUnavailableError,
 )
+from repro.faults.plan import ORIGIN, Fate, FaultSession
 from repro.locking import guarded_by, named_lock
-from repro.network.clock import SimulatedClock
 from repro.relational.errors import RelationalError
 from repro.server.origin import OriginResponse
 from repro.sqlparser.errors import ParseError
@@ -119,7 +122,7 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        clock: SimulatedClock,
+        clock: Any,
         failure_threshold: int = 5,
         cooldown_ms: float = 30_000.0,
         on_state_change: Callable[[BreakerState], None] | None = None,
@@ -131,7 +134,9 @@ class CircuitBreaker:
         if cooldown_ms <= 0:
             raise ValueError(f"cooldown must be positive: {cooldown_ms}")
         self._lock = named_lock("proxy.admission")
-        self._clock = clock
+        #: Anything with a ``now_ms``: the proxy's work clock, or the
+        #: admission controller's event time.
+        self.clock = clock
         self.failure_threshold = failure_threshold
         self.cooldown_ms = cooldown_ms
         self._state = BreakerState.CLOSED
@@ -168,7 +173,7 @@ class CircuitBreaker:
         admitted = True
         with self._lock:
             if self._state is BreakerState.OPEN:
-                elapsed = self._clock.now_ms - self._opened_at_ms
+                elapsed = self.clock.now_ms - self._opened_at_ms
                 if elapsed < self.cooldown_ms:
                     admitted = False
                 else:
@@ -199,7 +204,7 @@ class CircuitBreaker:
             ):
                 if self._state is not BreakerState.OPEN:
                     self.opens += 1
-                self._opened_at_ms = self._clock.now_ms
+                self._opened_at_ms = self.clock.now_ms
                 changed = self._transition(BreakerState.OPEN)
         self._notify(changed)
 
@@ -259,6 +264,12 @@ class OriginGateway:
     their simulated cost (a zero-byte round trip for fast failures,
     the full per-attempt timeout for hangs) plus the backoff wait, so
     the query's response time reflects the struggle.
+
+    ``faults`` is the installed fault schedule, or ``None``: each
+    admitted attempt then makes the session's one draw at the
+    breaker's current time, raises the injected outage, timeout or
+    transient error itself, and scales the server time by the
+    slowdown active at that instant.
     """
 
     def __init__(
@@ -274,6 +285,14 @@ class OriginGateway:
         self._rng = rng
         self._failure_rtt_ms = failure_rtt_ms
         self._listener = listener
+        self.faults: FaultSession | None = None
+
+    def slowdown(self) -> float:
+        """The origin hop's slowdown factor at the breaker's now."""
+        faults = self.faults
+        if faults is None:
+            return 1.0
+        return faults.slowdown(ORIGIN, self.breaker.clock.now_ms)
 
     def call(
         self,
@@ -293,7 +312,7 @@ class OriginGateway:
                 self._fail("breaker-open")
                 raise OriginUnavailable("breaker-open", retries)
             try:
-                response = fn()
+                response = self._attempt(fn)
             except OriginTimeoutError:
                 self.breaker.record_failure()
                 sink.charge("origin", self.retry.attempt_timeout_ms)
@@ -318,6 +337,25 @@ class OriginGateway:
                 )
         self._fail(last_reason)
         raise OriginUnavailable(last_reason, retries)
+
+    def _attempt(self, fn: Callable[[], OriginResponse]) -> OriginResponse:
+        """One attempt, under the fault schedule's draw when one is
+        installed: an outage or transient fate raises with the fate
+        as its reason, a timeout fate raises the timeout."""
+        faults = self.faults
+        if faults is None:
+            return fn()
+        fate, slowdown = faults.attempt(ORIGIN, self.breaker.clock.now_ms)
+        if fate is Fate.TIMEOUT:
+            raise OriginTimeoutError()
+        if fate is not Fate.NONE:
+            raise OriginUnavailableError(f"injected {fate.value}", fate.value)
+        response = fn()
+        if slowdown > 1.0:
+            response = OriginResponse(
+                response.result, response.server_ms * slowdown
+            )
+        return response
 
     def _fail(self, reason: str) -> None:
         if self._listener is not None:

@@ -4,11 +4,10 @@ A :class:`ShardCrashPlan` schedules what goes wrong *inside the tier*
 — a shard worker crashing, hanging, or slowing mid-trace — on the same
 simulated clock and with the same determinism contract as the origin
 :class:`~repro.faults.plan.FaultPlan`: plans are immutable and
-JSON-round-trippable, a :class:`ShardCrashSession` owns the seeded
-``random.Random``, and :meth:`ShardCrashSession.route_attempt` draws
-exactly one random number per routing attempt regardless of the
-configured rates, so enabling one fault kind never perturbs another's
-draws.  Nothing here may read the wall clock (FP301) or use unseeded
+JSON-round-trippable, and a plan's session is the same
+:class:`~repro.faults.plan.FaultSession`, with shard ids as targets —
+one seeded rng draw per routing attempt regardless of the configured
+rates.  Nothing here may read the wall clock (FP301) or use unseeded
 randomness (FP305; both ``tools/lint.py``).
 
 Fault kinds, per window:
@@ -24,13 +23,11 @@ Fault kinds, per window:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from random import Random
 from typing import Any, Mapping
 
 from repro.faults.errors import FaultPlanError
-from repro.faults.plan import check_window, parse_plan
+from repro.faults.plan import FaultSession, check_window, parse_plan, wire_form
 
 #: The pinned shard-fault kinds (wire values of ``ShardFaultWindow.kind``).
 SHARD_FAULT_KINDS = ("crash", "hang", "slow")
@@ -84,26 +81,17 @@ class ShardCrashPlan:
                 f"error_rate must be in [0, 1]: {self.error_rate}"
             )
 
-    def session(self) -> "ShardCrashSession":
+    def session(self) -> FaultSession:
         """A fresh, mutable execution of this plan."""
-        return ShardCrashSession(self)
+        return FaultSession(
+            self.seed,
+            [(w.shard_id, w.kind, w) for w in self.faults],
+            error_rate=self.error_rate,
+        )
 
     # -------------------------------------------------------- wire form
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "faults": [
-                {
-                    "shard_id": w.shard_id,
-                    "kind": w.kind,
-                    "start_ms": w.start_ms,
-                    "end_ms": w.end_ms,
-                    "factor": w.factor,
-                }
-                for w in self.faults
-            ],
-            "error_rate": self.error_rate,
-        }
+        return wire_form(self)
 
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> "ShardCrashPlan":
@@ -136,101 +124,5 @@ class ShardCrashPlan:
             payload,
             {"seed", "faults", "error_rate"},
             build,
+            arrays=("faults",),
         )
-
-
-class ShardFaultKind(enum.Enum):
-    """What a single routing attempt at one shard runs into."""
-
-    NONE = "none"
-    CRASH = "crash"
-    HANG = "hang"
-    ERROR = "transient"
-
-
-@dataclass(frozen=True)
-class ShardDecision:
-    """One routing attempt's injected fate plus the slowdown factor."""
-
-    kind: ShardFaultKind
-    slowdown: float = 1.0
-
-
-class ShardCrashSession:
-    """Mutable per-run state of a plan: the seeded rng plus the set of
-    shard-down transitions not yet reported (for EV12)."""
-
-    def __init__(self, plan: ShardCrashPlan) -> None:
-        self.plan = plan
-        self._rng = Random(plan.seed)
-        self._reported: set[int] = set()
-
-    def slowdown_factor(self, shard_id: str, now_ms: float) -> float:
-        """Product of every slow window active on ``shard_id``."""
-        factor = 1.0
-        for window in self.plan.faults:
-            if (
-                window.shard_id == shard_id
-                and window.kind == "slow"
-                and window.active(now_ms)
-            ):
-                factor *= window.factor
-        return factor
-
-    def down(self, shard_id: str, now_ms: float) -> bool:
-        """Whether ``shard_id`` is crashed or hung at ``now_ms``."""
-        return any(
-            window.shard_id == shard_id
-            and window.kind in ("crash", "hang")
-            and window.active(now_ms)
-            for window in self.plan.faults
-        )
-
-    def crashed(self, shard_id: str, now_ms: float) -> bool:
-        """Whether ``shard_id`` is inside a crash window (cache lost)."""
-        return any(
-            window.shard_id == shard_id
-            and window.kind == "crash"
-            and window.active(now_ms)
-            for window in self.plan.faults
-        )
-
-    def route_attempt(
-        self, shard_id: str, now_ms: float
-    ) -> ShardDecision:
-        """Decide the fate of one router -> shard attempt at ``now_ms``.
-
-        Exactly one rng draw happens per attempt (even when the error
-        rate is zero), so decision streams stay aligned across plan
-        variants that share a seed.
-        """
-        slowdown = self.slowdown_factor(shard_id, now_ms)
-        draw = self._rng.random()
-        for window in self.plan.faults:
-            if window.shard_id != shard_id or not window.active(now_ms):
-                continue
-            if window.kind == "crash":
-                return ShardDecision(ShardFaultKind.CRASH, slowdown)
-            if window.kind == "hang":
-                return ShardDecision(ShardFaultKind.HANG, slowdown)
-        if draw < self.plan.error_rate:
-            return ShardDecision(ShardFaultKind.ERROR, slowdown)
-        return ShardDecision(ShardFaultKind.NONE, slowdown)
-
-    def newly_down(
-        self, now_ms: float
-    ) -> list[tuple[str, str, float]]:
-        """Crash/hang windows that began at or before ``now_ms`` and
-        were not reported yet, as ``(shard_id, kind, start_ms)`` rows
-        in schedule order — each one maps to an ``EV12`` emission."""
-        due = []
-        for index, window in enumerate(self.plan.faults):
-            if (
-                window.kind in ("crash", "hang")
-                and index not in self._reported
-                and window.start_ms <= now_ms
-            ):
-                self._reported.add(index)
-                due.append((window.shard_id, window.kind, window.start_ms))
-        due.sort(key=lambda row: (row[2], row[0]))
-        return due

@@ -58,8 +58,6 @@ LOCK_ORDER: frozenset[tuple[str, str]] = frozenset(
     {
         # every journal append writes the file under the journal lock
         ("persistence.journal", "persistence.journal.file"),
-        # the overload breaker's event clock, fast-forwarded on admit
-        ("proxy.admission", "proxy.clock"),
         # admissions and evictions are journaled under the cache lock
         ("proxy.cache", "persistence.journal"),
         ("proxy.cache", "persistence.journal.file"),

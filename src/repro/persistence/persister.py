@@ -136,9 +136,9 @@ class CachePersister:
         """Attach the live proxy parts the persister reads from.
 
         Called by :class:`~repro.core.proxy.FunctionProxy` during
-        construction; ``version_of`` must read the *current* origin
-        (through any fault-injection wrapper) so journaled versions
-        track scheduled bumps.
+        construction; ``version_of`` is the proxy's
+        ``origin_data_version``, which applies the bumps an installed
+        fault plan made due, so journaled versions track them.
         """
         self._cache = cache
         self._clock = clock
@@ -146,7 +146,7 @@ class CachePersister:
         self._obs = obs
 
     def current_version(self) -> int | None:
-        """The origin's current data version, through any fault wrapper."""
+        """The origin's current data version (``version_of``)."""
         return self._version_of()
 
     def install_crash_plan(self, plan: "CrashPlan | None") -> None:

@@ -68,8 +68,9 @@ The HTTP face of :class:`~repro.core.proxy.FunctionProxy`:
 ``POST /faults`` / ``GET /faults`` / ``DELETE /faults``
     Install a seeded :class:`~repro.faults.plan.FaultPlan` (JSON body,
     the ``FaultPlan.to_dict`` shape) against the live proxy, inspect
-    the installed plan plus the circuit breaker's state, or restore
-    the pristine origin.
+    the installed plan plus the circuit breaker's state, or remove it.
+    A malformed plan, or one with version bumps for an origin that
+    cannot bump, is a 400.
 
 ``GET /admission``
     The admission controller's live status: configured limits and shed
@@ -256,9 +257,9 @@ def create_proxy_app(
             return {"error": "expected a JSON fault-plan object"}, 400
         try:
             plan = FaultPlan.from_dict(payload)
+            proxy.install_fault_plan(plan)
         except FaultPlanError as exc:
             return {"error": str(exc)}, 400
-        proxy.install_fault_plan(plan)
         return {"installed": True, "plan": plan.to_dict()}
 
     @app.get("/faults")

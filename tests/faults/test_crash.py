@@ -166,3 +166,29 @@ class TestDamage:
                 (plan.session().apply_damage(path), path.read_bytes())
             )
         assert outcomes[0] == outcomes[1]
+
+
+class TestMalformedWireForm:
+    """Counterexamples that used to be misread instead of refused."""
+
+    def test_string_crash_points_refused(self):
+        # Iterating "12" used to give crash points [1, 2].
+        with pytest.raises(FaultPlanError, match="must be an array"):
+            CrashPlan.from_dict({"crash_after_records": "12"})
+
+    def test_fractional_crash_points_refused(self):
+        # int() used to floor [1.9, 2.2] to [1, 2].
+        with pytest.raises(FaultPlanError, match="not a whole record"):
+            CrashPlan.from_dict({"crash_after_records": [1.9, 2.2]})
+        with pytest.raises(FaultPlanError, match="not a whole record"):
+            CrashPlan(crash_after_records=(1.5,))
+
+    def test_integral_floats_are_record_counts(self):
+        plan = CrashPlan.from_dict({"crash_after_records": [3.0, 1]})
+        assert plan.to_dict()["crash_after_records"] == [1, 3]
+
+    def test_plan_is_frozen(self):
+        import dataclasses
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            CrashPlan().seed = 3

@@ -4,7 +4,8 @@ import pytest
 
 from repro.faults.errors import FaultPlanError
 from repro.faults.plan import (
-    FaultKind,
+    ORIGIN,
+    Fate,
     FaultPlan,
     OutageWindow,
     SlowdownWindow,
@@ -83,18 +84,18 @@ class TestWireForm:
 class TestSessionDecisions:
     def test_outage_wins_inside_window(self):
         session = FaultPlan(outages=(OutageWindow(0.0, 100.0),)).session()
-        assert session.origin_attempt(50.0).kind is FaultKind.OUTAGE
-        assert session.origin_attempt(100.0).kind is FaultKind.NONE
+        assert session.attempt(ORIGIN, 50.0)[0] is Fate.OUTAGE
+        assert session.attempt(ORIGIN, 100.0)[0] is Fate.NONE
 
     def test_decisions_replay_identically(self):
         plan = FaultPlan(seed=3, error_rate=0.3, timeout_rate=0.3)
         times = [float(t) for t in range(0, 5000, 100)]
         session_a, session_b = plan.session(), plan.session()
-        first = [session_a.origin_attempt(t).kind for t in times]
-        second = [session_b.origin_attempt(t).kind for t in times]
+        first = [session_a.attempt(ORIGIN, t)[0] for t in times]
+        second = [session_b.attempt(ORIGIN, t)[0] for t in times]
         assert first == second
-        assert FaultKind.ERROR in first  # the rates actually fire
-        assert FaultKind.TIMEOUT in first
+        assert Fate.TRANSIENT in first  # the rates actually fire
+        assert Fate.TIMEOUT in first
 
     def test_one_draw_per_attempt_keeps_streams_aligned(self):
         # An outage window consumes draws exactly like fault-free
@@ -105,8 +106,8 @@ class TestSessionDecisions:
         with_outage = FaultPlan(
             seed=9, error_rate=0.4, outages=(OutageWindow(0.0, 1000.0),)
         ).session()
-        tail_a = [base.origin_attempt(t).kind for t in times][10:]
-        tail_b = [with_outage.origin_attempt(t).kind for t in times][10:]
+        tail_a = [base.attempt(ORIGIN, t)[0] for t in times][10:]
+        tail_b = [with_outage.attempt(ORIGIN, t)[0] for t in times][10:]
         assert tail_a == tail_b
 
     def test_slowdown_factors_multiply(self):
@@ -116,15 +117,38 @@ class TestSessionDecisions:
                 SlowdownWindow(50.0, 150.0, factor=3.0),
             )
         ).session()
-        assert session.slowdown_factor(25.0) == pytest.approx(2.0)
-        assert session.slowdown_factor(75.0) == pytest.approx(6.0)
-        assert session.slowdown_factor(125.0) == pytest.approx(3.0)
-        assert session.slowdown_factor(200.0) == pytest.approx(1.0)
+        assert session.slowdown(ORIGIN, 25.0) == pytest.approx(2.0)
+        assert session.slowdown(ORIGIN, 75.0) == pytest.approx(6.0)
+        assert session.slowdown(ORIGIN, 125.0) == pytest.approx(3.0)
+        assert session.slowdown(ORIGIN, 200.0) == pytest.approx(1.0)
 
     def test_version_bumps_pop_once(self):
         session = FaultPlan(version_bumps=(10.0, 20.0, 30.0)).session()
         assert session.due_version_bumps(5.0) == 0
         assert session.due_version_bumps(25.0) == 2
         assert session.due_version_bumps(25.0) == 0  # already applied
-        assert tuple(session.pending_version_bumps()) == (30.0,)
         assert session.due_version_bumps(1000.0) == 1
+
+
+class TestMalformedWireForm:
+    """Counterexamples that used to be misread instead of refused."""
+
+    def test_string_version_bumps_refused(self):
+        # Iterating "500" used to give bumps at 5, 0 and 0 ms.
+        with pytest.raises(FaultPlanError, match="must be an array"):
+            FaultPlan.from_dict({"version_bumps": "500"})
+
+    def test_nan_window_start_refused(self):
+        # NaN compares false both ways: a window that never opens.
+        with pytest.raises(FaultPlanError, match="NaN"):
+            FaultPlan.from_dict(
+                {"outages": [{"start_ms": float("nan"), "end_ms": 5}]}
+            )
+        with pytest.raises(FaultPlanError, match="NaN"):
+            OutageWindow(0.0, float("nan"))
+
+    def test_infinite_window_end_stays_legal(self):
+        plan = FaultPlan.from_dict(
+            {"outages": [{"start_ms": 0, "end_ms": float("inf")}]}
+        )
+        assert plan.outages[0].active(1e300)

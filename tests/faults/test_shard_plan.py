@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.errors import FaultPlanError
+from repro.faults.plan import Fate
 from repro.faults.shard import (
     SHARD_FAULT_KINDS,
     ShardCrashPlan,
-    ShardFaultKind,
     ShardFaultWindow,
 )
 
@@ -97,20 +97,20 @@ class TestSessionDeterminism:
         for step in range(200):
             # Alternate shards; shard-0 is crashed only in plan B.
             shard = f"shard-{step % 2}"
-            fates_a.append(session_a.route_attempt(shard, 1.0 * step).kind)
-            fates_b.append(session_b.route_attempt(shard, 1.0 * step).kind)
+            fates_a.append(session_a.attempt(shard, 1.0 * step)[0])
+            fates_b.append(session_b.attempt(shard, 1.0 * step)[0])
         # Odd steps hit shard-1 in both: identical fate streams.
         assert fates_a[1::2] == fates_b[1::2]
         # Even steps differ only in kind (crash wins), never in draws.
-        assert all(k is ShardFaultKind.CRASH for k in fates_b[0::2])
+        assert all(k is Fate.CRASH for k in fates_b[0::2])
 
     def test_same_seed_same_stream(self):
         plan = ShardCrashPlan(seed=7, error_rate=0.5)
         first = [
-            plan.session().route_attempt("s", 0.0).kind for _ in range(1)
+            plan.session().attempt("s", 0.0)[0] for _ in range(1)
         ]
         second = [
-            plan.session().route_attempt("s", 0.0).kind for _ in range(1)
+            plan.session().attempt("s", 0.0)[0] for _ in range(1)
         ]
         assert first == second
 
@@ -122,10 +122,10 @@ class TestSessionDeterminism:
             )
         )
         session = plan.session()
-        assert session.slowdown_factor("s", 25.0) == pytest.approx(2.0)
-        assert session.slowdown_factor("s", 75.0) == pytest.approx(6.0)
-        assert session.slowdown_factor("s", 125.0) == pytest.approx(3.0)
-        assert session.slowdown_factor("other", 75.0) == pytest.approx(1.0)
+        assert session.slowdown("s", 25.0) == pytest.approx(2.0)
+        assert session.slowdown("s", 75.0) == pytest.approx(6.0)
+        assert session.slowdown("s", 125.0) == pytest.approx(3.0)
+        assert session.slowdown("other", 75.0) == pytest.approx(1.0)
 
     def test_down_and_crashed_vocabulary(self):
         plan = ShardCrashPlan(
@@ -137,9 +137,9 @@ class TestSessionDeterminism:
         session = plan.session()
         assert not session.down("dead", 5.0)
         assert session.down("dead", 10.0)
-        assert session.crashed("dead", 10.0)
+        assert session.attempt("dead", 10.0)[0] is Fate.CRASH
         assert session.down("stuck", 15.0)
-        assert not session.crashed("stuck", 15.0)
+        assert session.attempt("stuck", 15.0)[0] is Fate.HANG
         assert not session.down("stuck", 20.0)
 
 
@@ -168,3 +168,24 @@ class TestNewlyDown:
         session = plan.session()
         assert session.newly_down(150.0) == [("a", "crash", 100.0)]
         assert session.newly_down(250.0) == [("b", "crash", 200.0)]
+
+
+class TestMalformedWireForm:
+    def test_string_faults_refused(self):
+        with pytest.raises(FaultPlanError, match="must be an array"):
+            ShardCrashPlan.from_dict({"faults": "crash"})
+
+    def test_nan_window_bound_refused(self):
+        with pytest.raises(FaultPlanError, match="NaN"):
+            ShardFaultWindow("shard-0", "hang", 0.0, float("nan"))
+
+    def test_open_ended_window_stays_legal(self):
+        plan = ShardCrashPlan.from_dict(
+            {
+                "faults": [
+                    {"shard_id": "s", "kind": "crash", "start_ms": 0,
+                     "end_ms": None}
+                ]
+            }
+        )
+        assert plan.faults[0].end_ms is None

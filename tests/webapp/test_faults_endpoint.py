@@ -58,6 +58,35 @@ class TestFaultPlanEndpoints:
         assert "error" in bad.get_json()
         assert client.post("/faults", json=[1, 2]).status_code == 400
 
+    def test_misread_plans_are_400(self, client):
+        for body in (
+            {"version_bumps": "500"},
+            {"outages": [{"start_ms": float("nan"), "end_ms": 5}]},
+        ):
+            response = client.post("/faults", json=body)
+            assert response.status_code == 400, body
+            assert "error" in response.get_json()
+        assert client.get("/faults").get_json()["installed"] is False
+
+    def test_bumps_for_an_origin_that_cannot_bump_are_400(self, origin):
+        class RemoteLike:
+            """The surface of ``HttpOriginClient``: no bump."""
+
+            def __init__(self, inner):
+                self.templates = inner.templates
+                self.catalog = inner.catalog
+                self.data_version = inner.data_version
+                self.execute_bound = inner.execute_bound
+
+        remote = RemoteLike(origin)
+        client = create_proxy_app(
+            FunctionProxy(remote, remote.templates)
+        ).test_client()
+        response = client.post("/faults", json={"version_bumps": [500.0]})
+        assert response.status_code == 400
+        assert "cannot bump" in response.get_json()["error"]
+        assert client.get("/faults").get_json()["installed"] is False
+
     def test_round_trips_through_plan_wire_form(self, client):
         plan = FaultPlan(
             seed=3,
