@@ -12,6 +12,8 @@ The benchmark kernel is the adaptive decision itself (estimator update
 plus gate), which must be negligible next to query processing.
 """
 
+from operator import itemgetter
+
 import pytest
 
 from repro.core.schemes import CachingScheme
@@ -22,9 +24,6 @@ from repro.workload.rbe import BrowserEmulator
 
 @pytest.fixture(scope="module")
 def comparison(runner, record_result, bench_report):
-    rows = []
-    measured = {}
-
     static_full = runner.run(
         CachingScheme.FULL_SEMANTIC, "array", cache_fraction=None
     )
@@ -42,24 +41,20 @@ def comparison(runner, record_result, bench_report):
         runner.trace, limit=runner.scale.measure_queries
     )
 
-    for label, stats in (
-        ("full semantic (static)", static_full.stats),
-        ("adaptive", adaptive_stats),
-        ("containment only (static)", static_third.stats),
-    ):
-        measured[label] = stats
-        rows.append(
-            [
-                label,
-                stats.average_response_ms,
-                stats.average_cache_efficiency,
-            ]
-        )
+    measured = {
+        "full semantic (static)": static_full.stats,
+        "adaptive": adaptive_stats,
+        "containment only (static)": static_third.stats,
+    }
     text = render_table(
         "Ablation: adaptive overlap handling (learns the paper's "
         "conclusion online)",
-        ["configuration", "avg response ms", "efficiency"],
-        rows,
+        [
+            ("configuration", itemgetter(0)),
+            ("avg response ms", lambda row: row[1].average_response_ms),
+            ("efficiency", lambda row: row[1].average_cache_efficiency),
+        ],
+        measured.items(),
     )
     record_result("ablation_adaptive", text)
 

@@ -11,6 +11,8 @@ built on sand.
 The benchmark kernel is victim selection over a populated cache.
 """
 
+from operator import itemgetter
+
 import pytest
 
 from repro.core.replacement import ALL_POLICIES, LruPolicy
@@ -22,7 +24,6 @@ from repro.workload.rbe import BrowserEmulator
 @pytest.fixture(scope="module")
 def policy_comparison(runner, record_result, bench_report):
     budget = runner.cache_bytes_for(1 / 6)
-    rows = []
     measured = {}
     for policy_cls in ALL_POLICIES:
         proxy = runner.build_proxy(
@@ -48,20 +49,16 @@ def policy_comparison(runner, record_result, bench_report):
             "response": stats.average_response_ms,
             "evictions": proxy.cache.evictions,
         }
-        rows.append(
-            [
-                policy_cls.name,
-                stats.average_cache_efficiency,
-                stats.average_response_ms,
-                proxy.cache.evictions,
-            ]
-        )
-    rows.sort(key=lambda row: -row[1])
     text = render_table(
         "Ablation: replacement policy at the 1/6 cache size "
         "(full semantic caching)",
-        ["policy", "efficiency", "avg response ms", "evictions"],
-        rows,
+        [
+            ("policy", itemgetter(0)),
+            ("efficiency", lambda row: row[1]["efficiency"]),
+            ("avg response ms", lambda row: row[1]["response"]),
+            ("evictions", lambda row: row[1]["evictions"]),
+        ],
+        sorted(measured.items(), key=lambda row: -row[1]["efficiency"]),
     )
     record_result("ablation_replacement", text)
 

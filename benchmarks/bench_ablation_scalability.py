@@ -13,6 +13,8 @@ Synthetic entries are used (regions on a grid), so the sweep isolates
 the description structures from trace replay.
 """
 
+from operator import itemgetter
+
 import pytest
 
 from repro.core.cache import CacheEntry
@@ -102,7 +104,7 @@ def churn_samples(description, fresh):
 def crossover_table(record_result, bench_report):
     from repro.perf.schema import median
 
-    rows = []
+    measured = {}  # entries -> median us per (description, operation)
     report = bench_report("ablation_scalability")
     ratio_samples = None
     for count in SIZES:
@@ -124,18 +126,7 @@ def crossover_table(record_result, bench_report):
                 f"{label}_{what}_us_{count}", values, unit="us", gated=False
             )
         us = {key: median(tuple(values)) for key, values in samples.items()}
-        rows.append(
-            [
-                count,
-                us["array", "probe"],
-                us["rtree", "probe"],
-                us["array", "probe"] / us["rtree", "probe"],
-                us["array", "add"],
-                us["array", "remove"],
-                us["rtree", "add"],
-                us["rtree", "remove"],
-            ]
-        )
+        measured[count] = us
         if count == SIZES[-1]:
             ratio_samples = [
                 a / r
@@ -159,14 +150,27 @@ def crossover_table(record_result, bench_report):
         "Ablation: real probe and add/remove time vs description size "
         "(the paper's regime is the first row)",
         [
-            "entries", "array probe us", "rtree probe us", "array/rtree",
-            "array add us", "array remove us",
-            "rtree add us", "rtree remove us",
+            ("entries", itemgetter(0)),
+            ("array probe us", lambda row: row[1]["array", "probe"]),
+            ("rtree probe us", lambda row: row[1]["rtree", "probe"]),
+            (
+                "array/rtree",
+                lambda row: row[1]["array", "probe"]
+                / row[1]["rtree", "probe"],
+            ),
+            *(
+                (f"{label} {what} us", lambda row, k=(label, what): row[1][k])
+                for label in ("array", "rtree")
+                for what in ("add", "remove")
+            ),
         ],
-        rows,
+        measured.items(),
     )
     record_result("ablation_scalability", text)
-    return {row[0]: (row[1], row[2]) for row in rows}
+    return {
+        count: (us["array", "probe"], us["rtree", "probe"])
+        for count, us in measured.items()
+    }
 
 
 def test_crossover_exists(crossover_table):

@@ -70,7 +70,7 @@ def test_shard_availability(
 
     # Every submission produced exactly one record in every cell, and
     # the fault-free baselines answered everything.
-    expected = result.n_clients * result.queries_per_client
+    expected = result.load.n_clients * result.load.queries_per_client
     for point in result.points:
         assert point.records == expected
         if point.scenario == "baseline":
@@ -114,7 +114,7 @@ def test_shard_availability(
             region_partitions={RADIAL_TEMPLATE_ID: REGION_CELL}
         ),
         crash_plan=ShardCrashPlan(
-            seed=result.seed,
+            seed=result.load.seed,
             faults=(ShardFaultWindow("shard-0", "crash", 0.0),),
         ),
     )

@@ -46,17 +46,7 @@ REPO_ROOT = Path(__file__).parent.parent
 
 
 def _select_scale() -> ExperimentScale:
-    name = os.environ.get("REPRO_SCALE", "default")
-    factory = {
-        "quick": ExperimentScale.quick,
-        "default": ExperimentScale.default,
-        "paper": ExperimentScale.paper,
-    }.get(name)
-    if factory is None:
-        raise ValueError(
-            f"REPRO_SCALE={name!r}; expected quick, default, or paper"
-        )
-    scale = factory()
+    scale = ExperimentScale.named(os.environ.get("REPRO_SCALE", "default"))
     if os.environ.get("REPRO_PROFILE") in ("1", "true"):
         scale = scale.with_observability(
             replace(scale.obs, profiling=True)

@@ -38,6 +38,7 @@ only after ``router.state`` is released, so
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -73,6 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The structured-rejection reason a query sheds with when its shard
 #: tier cannot take it (no live shard, no origin fallback).
 REASON_SHARD_DOWN = "shard-down"
+
+#: Routing decisions a router keeps, newest last (the decision log's
+#: default capacity); ``router_failover_total`` counts them all.
+DECISION_CAPACITY = 256
 
 #: Per-shard statuses that mean "do not dispatch here".
 _NOT_DISPATCHABLE = ("unhealthy", "unreachable", "drained")
@@ -236,7 +241,9 @@ class ShardRouter:
             crash_plan.session() if crash_plan is not None else None
         )
         self._seq = 0
-        self.decisions: list[RouteDecision] = []
+        self.decisions: deque[RouteDecision] = deque(
+            maxlen=DECISION_CAPACITY
+        )
         self._drained: set[str] = set()
         self._crash_handled: set[str] = set()
         self.handoffs: list[HandoffReport] = []
@@ -630,7 +637,8 @@ class ShardRouter:
         self.timeseries.maybe_sample(now_ms)
 
     def recent_decisions(self, n: int | None = None) -> list[RouteDecision]:
-        """The newest ``n`` routing decisions, oldest first."""
+        """The newest ``n`` routing decisions (at most
+        ``DECISION_CAPACITY``), oldest first."""
         with self._lock:
             decisions = list(self.decisions)
         if n is not None and n >= 0:

@@ -23,9 +23,16 @@ One module per experiment, mirroring DESIGN.md's per-experiment index:
   crashes mid-trace (failover + warm handoff vs the no-failover
   control).
 
-Every experiment takes an :class:`~repro.harness.config.ExperimentScale`
-so the same code runs at paper scale (11,323 queries) or at the smaller
-default scale used by the benchmark suite.
+Every experiment takes an :class:`~repro.harness.runner.ExperimentRunner`
+built for an :class:`~repro.harness.config.ExperimentScale`, so the same
+code runs at paper scale (11,323 queries) or at the smaller default
+scale used by the benchmark suite; only the remainder ablation takes the
+scale itself, because it builds its own overlap-heavy runner.
+
+Each result states its facts once (:mod:`repro.harness.render`):
+``to_dict()`` is the result's own dataclass fields plus the derived
+values it names, and ``render()`` is one ``(header, value)`` column
+list that ``render_table`` reads.
 """
 
 from repro.harness.config import ExperimentScale

@@ -37,16 +37,11 @@ from repro.obs.wallclock import Stopwatch
 
 
 def main(argv: list[str]) -> int:
-    name = argv[0] if argv else "default"
-    factory = {
-        "quick": ExperimentScale.quick,
-        "default": ExperimentScale.default,
-        "paper": ExperimentScale.paper,
-    }.get(name)
-    if factory is None:
-        print(f"unknown scale {name!r}; use quick, default, or paper")
+    try:
+        scale = ExperimentScale.named(argv[0] if argv else "default")
+    except ValueError as exc:
+        print(exc)
         return 2
-    scale = factory()
     print(f"Scale: {scale.name} ({scale.trace.n_queries} queries, "
           f"{scale.sky.n_objects} objects, measuring first "
           f"{scale.measure_queries})")

@@ -22,12 +22,20 @@ from dataclasses import dataclass, replace
 
 from repro.core.schemes import CachingScheme
 from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
+from repro.harness.render import Result, render_table
 from repro.harness.runner import ExperimentRunner
+
+DESCRIPTIONS = ("array", "rtree")
+
+#: Overlap handling compared by the remainder ablation.
+OVERLAP_HANDLING = {
+    "remainder": CachingScheme.FULL_SEMANTIC,
+    "forward-whole": CachingScheme.REGION_CONTAINMENT,
+}
 
 
 @dataclass(frozen=True)
-class DescriptionAblationResult:
+class DescriptionAblationResult(Result):
     """Array vs R-tree cache description measurements."""
 
     max_check_wall_ms: dict[str, float]
@@ -36,41 +44,29 @@ class DescriptionAblationResult:
     response_ms: dict[str, float]
 
     def render(self) -> str:
-        headers = [
-            "Description",
-            "max real check ms",
-            "mean sim check ms",
-            "mean sim maint ms",
-            "avg response ms",
-        ]
-        rows = [
-            [
-                kind,
-                self.max_check_wall_ms[kind],
-                self.mean_check_sim_ms[kind],
-                self.mean_maintenance_sim_ms[kind],
-                self.response_ms[kind],
-            ]
-            for kind in ("array", "rtree")
+        columns = [
+            ("Description", str),
+            ("max real check ms", self.max_check_wall_ms.get),
+            ("mean sim check ms", self.mean_check_sim_ms.get),
+            ("mean sim maint ms", self.mean_maintenance_sim_ms.get),
+            ("avg response ms", self.response_ms.get),
         ]
         return render_table(
             "Ablation: cache description (paper claim: checking < 100 ms "
             "real time; R-tree maintenance costlier than array)",
-            headers,
-            rows,
+            columns,
+            DESCRIPTIONS,
         )
 
 
 def run_description_ablation(
-    runner: ExperimentRunner | None = None,
-    scale: ExperimentScale | None = None,
+    runner: ExperimentRunner,
 ) -> DescriptionAblationResult:
-    runner = runner or ExperimentRunner(scale or ExperimentScale.default())
     max_wall: dict[str, float] = {}
     mean_check: dict[str, float] = {}
     mean_maint: dict[str, float] = {}
     response: dict[str, float] = {}
-    for kind in ("array", "rtree"):
+    for kind in DESCRIPTIONS:
         result = runner.run(
             CachingScheme.FULL_SEMANTIC, kind, cache_fraction=None
         )
@@ -89,7 +85,7 @@ def run_description_ablation(
 
 
 @dataclass(frozen=True)
-class RemainderAblationResult:
+class RemainderAblationResult(Result):
     """Remainder queries vs whole-query forwarding on overlaps."""
 
     response_ms: dict[str, float]
@@ -98,28 +94,18 @@ class RemainderAblationResult:
     efficiency: dict[str, float]
 
     def render(self) -> str:
-        headers = [
-            "Overlap handling",
-            "avg response ms",
-            "avg origin ms",
-            "avg origin KB",
-            "efficiency",
-        ]
-        rows = [
-            [
-                label,
-                self.response_ms[label],
-                self.origin_ms[label],
-                self.origin_bytes[label] / 1024.0,
-                self.efficiency[label],
-            ]
-            for label in ("remainder", "forward-whole")
+        columns = [
+            ("Overlap handling", str),
+            ("avg response ms", self.response_ms.get),
+            ("avg origin ms", self.origin_ms.get),
+            ("avg origin KB", lambda label: self.origin_bytes[label] / 1024.0),
+            ("efficiency", self.efficiency.get),
         ]
         return render_table(
             "Ablation: remainder queries vs whole-query forwarding on an "
             "overlap-heavy trace (paper Section 3.2 tradeoff)",
-            headers,
-            rows,
+            columns,
+            OVERLAP_HANDLING,
         )
 
 
@@ -135,15 +121,11 @@ def run_remainder_ablation(
         ),
     )
     runner = ExperimentRunner(overlap_heavy)
-    labelled = {
-        "remainder": CachingScheme.FULL_SEMANTIC,
-        "forward-whole": CachingScheme.REGION_CONTAINMENT,
-    }
     response: dict[str, float] = {}
     origin_bytes: dict[str, float] = {}
     origin_ms: dict[str, float] = {}
     efficiency: dict[str, float] = {}
-    for label, scheme in labelled.items():
+    for label, scheme in OVERLAP_HANDLING.items():
         stats = runner.run(scheme, "array", cache_fraction=None).stats
         steps = stats.average_step_ms()
         response[label] = stats.average_response_ms

@@ -61,58 +61,27 @@ CACHE_SIZE_FRACTIONS = (1 / 6, 1 / 3, 1 / 2, 1.0)
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """Harness-side observability knobs.
+    """Which observability artifacts the harness's proxies produce.
 
     ``tracing`` turns on a real :class:`~repro.obs.spans.SpanTracer`
-    (by default each query's stage tree is dropped when it ends); the
-    capacities bound the trace ring buffer and the decision-explain
-    log; ``id_seed`` makes trace/span ids reproducible run to run
-    (``None``: OS entropy).  ``profiling`` turns on a real
-    :class:`~repro.obs.profiling.Profiler` folding the same trees into
-    per-stage aggregates, with ``profile_top_k`` slowest queries
-    retained; the runner then writes a ``profile-<label>.json``
-    artifact per run.
-    ``timeseries`` / ``events`` install live telemetry recorders
-    (:mod:`repro.obs.timeseries` / :mod:`repro.obs.events`) on the
-    proxy, producing ``timeseries-<label>.json`` (with the embedded
-    health report) and ``events-<label>.json`` artifacts.
+    (by default each query's stage tree is dropped when it ends) and
+    the runner writes a ``trace-<label>.jsonl`` span export per run.
+    ``profiling`` turns on a real :class:`~repro.obs.profiling.Profiler`
+    folding the same trees into per-stage aggregates, written as
+    ``profile-<label>.json``.  ``timeseries`` / ``events`` install live
+    telemetry recorders (:mod:`repro.obs.timeseries` /
+    :mod:`repro.obs.events`) on the proxy, producing
+    ``timeseries-<label>.json`` (with the embedded health report) and
+    ``events-<label>.json``.  Each component keeps its own default
+    capacities (256 traces and explain records, the 10 slowest
+    queries, 512 one-second samples, 256 events); trace ids come from
+    OS entropy.
     """
 
     tracing: bool = False
-    trace_capacity: int = 256
-    explain_capacity: int = 256
-    id_seed: int | None = None
     profiling: bool = False
-    profile_top_k: int = 10
     timeseries: bool = False
-    timeseries_interval_ms: float = 1_000.0
-    timeseries_capacity: int = 512
     events: bool = False
-    event_capacity: int = 256
-
-    def __post_init__(self) -> None:
-        if self.trace_capacity < 1 or self.explain_capacity < 1:
-            raise ValueError(
-                "observability capacities must be positive: "
-                f"trace={self.trace_capacity} "
-                f"explain={self.explain_capacity}"
-            )
-        if self.profile_top_k < 1:
-            raise ValueError(
-                "profile_top_k must be positive: "
-                f"{self.profile_top_k}"
-            )
-        if self.timeseries_interval_ms <= 0:
-            raise ValueError(
-                "timeseries_interval_ms must be positive: "
-                f"{self.timeseries_interval_ms}"
-            )
-        if self.timeseries_capacity < 1 or self.event_capacity < 1:
-            raise ValueError(
-                "telemetry capacities must be positive: "
-                f"timeseries={self.timeseries_capacity} "
-                f"events={self.event_capacity}"
-            )
 
 
 @dataclass(frozen=True)
@@ -179,6 +148,20 @@ class ExperimentScale:
             trace=RadialTraceConfig(n_queries=500, sky=sky),
             measure_queries=500,
         )
+
+    @staticmethod
+    def named(name: str) -> "ExperimentScale":
+        """The preset called ``name``: quick, default, or paper."""
+        presets = {
+            "quick": ExperimentScale.quick,
+            "default": ExperimentScale.default,
+            "paper": ExperimentScale.paper,
+        }
+        if name not in presets:
+            raise ValueError(
+                f"unknown scale {name!r}; use quick, default, or paper"
+            )
+        return presets[name]()
 
     def with_trace_length(self, n_queries: int) -> "ExperimentScale":
         return replace(

@@ -29,12 +29,12 @@ is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome, TraceStats
 from repro.faults.plan import FaultPlan, OutageWindow
-from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
+from repro.harness.render import Result, render_table
 from repro.harness.runner import ExperimentRunner
 from repro.workload.rbe import BrowserEmulator
 
@@ -51,7 +51,7 @@ OUTAGE_WINDOW_FRACTIONS = (0.35, 0.55)
 
 
 @dataclass(frozen=True)
-class SchemeAvailability:
+class SchemeAvailability(Result):
     """One scheme's measurements under the fault plan."""
 
     scheme: CachingScheme
@@ -63,21 +63,9 @@ class SchemeAvailability:
     breaker_opens: int
     outage_ms: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme.value,
-            "answered_fraction": self.answered_fraction,
-            "p95_ms": self.p95_ms,
-            "fault_free_p95_ms": self.fault_free_p95_ms,
-            "outcome_counts": dict(self.outcome_counts),
-            "total_retries": self.total_retries,
-            "breaker_opens": self.breaker_opens,
-            "outage_ms": list(self.outage_ms),
-        }
-
 
 @dataclass(frozen=True)
-class FaultAvailabilityResult:
+class FaultAvailabilityResult(Result):
     """The availability table across caching schemes."""
 
     schemes: dict[str, SchemeAvailability]
@@ -92,50 +80,29 @@ class FaultAvailabilityResult:
             for label, row in self.schemes.items()
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "think_time_ms": self.think_time_ms,
-            "error_rate": self.error_rate,
-            "seed": self.seed,
-            "schemes": {
-                label: row.to_dict() for label, row in self.schemes.items()
-            },
-        }
-
     def render(self) -> str:
-        headers = [
-            "Scheme",
-            "answered",
-            "p95 ms",
-            "served",
-            "degraded",
-            "partial",
-            "failed",
-            "retries",
-            "opens",
+        columns = [
+            ("Scheme", lambda row: row.scheme.value),
+            ("answered", attrgetter("answered_fraction")),
+            ("p95 ms", attrgetter("p95_ms")),
+            *(
+                (o.value, lambda row, o=o: row.outcome_counts.get(o.value, 0))
+                for o in (
+                    QueryOutcome.SERVED,
+                    QueryOutcome.DEGRADED,
+                    QueryOutcome.PARTIAL,
+                    QueryOutcome.FAILED,
+                )
+            ),
+            ("retries", attrgetter("total_retries")),
+            ("opens", attrgetter("breaker_opens")),
         ]
-        rows = []
-        for label, row in self.schemes.items():
-            counts = row.outcome_counts
-            rows.append(
-                [
-                    label,
-                    row.answered_fraction,
-                    row.p95_ms,
-                    counts.get(QueryOutcome.SERVED.value, 0),
-                    counts.get(QueryOutcome.DEGRADED.value, 0),
-                    counts.get(QueryOutcome.PARTIAL.value, 0),
-                    counts.get(QueryOutcome.FAILED.value, 0),
-                    row.total_retries,
-                    row.breaker_opens,
-                ]
-            )
         return render_table(
             "Fault availability: answered fraction per scheme under an "
             f"origin outage covering {OUTAGE_WINDOW_FRACTIONS[0]:.0%}-"
             f"{OUTAGE_WINDOW_FRACTIONS[1]:.0%} of the trace",
-            headers,
-            rows,
+            columns,
+            self.schemes.values(),
         )
 
 
@@ -144,38 +111,28 @@ def _replay(
     scheme: CachingScheme,
     plan: FaultPlan | None,
     think_time_ms: float,
-) -> tuple[TraceStats, float, int, int]:
-    """One trace replay; returns (stats, end_ms, retries, opens)."""
+) -> tuple[TraceStats, float, int]:
+    """One trace replay; returns (stats, end_ms, breaker opens)."""
     proxy = runner.build_proxy(scheme, "array", cache_fraction=None)
     if plan is not None:
         proxy.install_fault_plan(plan)
-    emulator = BrowserEmulator(proxy)
-    stats = emulator.run(
+    stats = BrowserEmulator(proxy).run(
         runner.trace,
         limit=runner.scale.measure_queries,
         think_time_ms=think_time_ms,
     )
-    return (
-        stats,
-        proxy.clock.now_ms,
-        stats.total_retries,
-        proxy.breaker.opens,
-    )
+    return stats, proxy.clock.now_ms, proxy.breaker.opens
 
 
 def run_fault_availability(
-    runner: ExperimentRunner | None = None,
-    scale: ExperimentScale | None = None,
+    runner: ExperimentRunner,
     think_time_ms: float = 1_000.0,
     error_rate: float = 0.02,
     seed: int = 7,
 ) -> FaultAvailabilityResult:
-    runner = runner or ExperimentRunner(scale or ExperimentScale.default())
     schemes: dict[str, SchemeAvailability] = {}
     for scheme in SCHEMES:
-        calibration, end_ms, _, _ = _replay(
-            runner, scheme, None, think_time_ms
-        )
+        calibration, end_ms, _ = _replay(runner, scheme, None, think_time_ms)
         outage = OutageWindow(
             start_ms=OUTAGE_WINDOW_FRACTIONS[0] * end_ms,
             end_ms=OUTAGE_WINDOW_FRACTIONS[1] * end_ms,
@@ -183,9 +140,7 @@ def run_fault_availability(
         plan = FaultPlan(
             seed=seed, outages=(outage,), error_rate=error_rate
         )
-        stats, _, retries, opens = _replay(
-            runner, scheme, plan, think_time_ms
-        )
+        stats, _, opens = _replay(runner, scheme, plan, think_time_ms)
         schemes[scheme.value] = SchemeAvailability(
             scheme=scheme,
             answered_fraction=stats.answered_fraction,
@@ -195,7 +150,7 @@ def run_fault_availability(
                 outcome.value: count
                 for outcome, count in stats.outcome_counts().items()
             },
-            total_retries=retries,
+            total_retries=stats.total_retries,
             breaker_opens=opens,
             outage_ms=(outage.start_ms, outage.end_ms),
         )

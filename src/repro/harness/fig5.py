@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.schemes import CachingScheme
-from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
+from repro.harness.render import Result, fraction_columns, render_table
 from repro.harness.runner import ExperimentRunner
-from repro.harness.table1 import _fraction_label
 
 PAPER_SERIES_NOTES = {
     "NC": "just over 2000 ms, flat",
@@ -38,31 +36,22 @@ SERIES = (
 
 
 @dataclass(frozen=True)
-class Fig5Result:
+class Fig5Result(Result):
     """response_ms[series_label][cache_fraction]"""
 
     response_ms: dict[str, dict[float, float]]
 
     def render(self) -> str:
-        fractions = sorted(next(iter(self.response_ms.values())))
-        headers = ["Series"] + [_fraction_label(f) for f in fractions]
-        rows = [
-            [label] + [self.response_ms[label][f] for f in fractions]
-            for label, _scheme, _kind in SERIES
-        ]
+        rows = [(label, self.response_ms[label]) for label, _, _ in SERIES]
         return render_table(
             "Figure 5: average response time (ms) of the first "
             "N trace queries",
-            headers,
+            fraction_columns("Series", rows[0][1]),
             rows,
         )
 
 
-def run_fig5(
-    runner: ExperimentRunner | None = None,
-    scale: ExperimentScale | None = None,
-) -> Fig5Result:
-    runner = runner or ExperimentRunner(scale or ExperimentScale.default())
+def run_fig5(runner: ExperimentRunner) -> Fig5Result:
     response_ms: dict[str, dict[float, float]] = {}
     for label, scheme, kind in SERIES:
         series: dict[float, float] = {}

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.schemes import CachingScheme
-from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
+from repro.harness.render import Result, render_table
 from repro.harness.runner import ExperimentRunner
 
 PAPER_RESPONSE_MS = {"First": 1236.0, "Second": 1044.0, "Third": 1081.0}
@@ -33,41 +32,27 @@ SCHEMES = (
 
 
 @dataclass(frozen=True)
-class Fig6Result:
+class Fig6Result(Result):
     response_ms: dict[str, float]
     efficiency: dict[str, float]
 
     def render(self) -> str:
-        headers = [
-            "Scheme",
-            "resp ms",
-            "paper ms",
-            "efficiency",
-            "paper eff",
-        ]
-        rows = [
-            [
-                label,
-                self.response_ms[label],
-                PAPER_RESPONSE_MS[label],
-                self.efficiency[label],
-                PAPER_EFFICIENCY[label],
-            ]
-            for label, _scheme in SCHEMES
+        columns = [
+            ("Scheme", str),
+            ("resp ms", self.response_ms.get),
+            ("paper ms", PAPER_RESPONSE_MS.get),
+            ("efficiency", self.efficiency.get),
+            ("paper eff", PAPER_EFFICIENCY.get),
         ]
         return render_table(
             "Figure 6: average response time of active caching schemes "
             "(unlimited cache, array description)",
-            headers,
-            rows,
+            columns,
+            [label for label, _ in SCHEMES],
         )
 
 
-def run_fig6(
-    runner: ExperimentRunner | None = None,
-    scale: ExperimentScale | None = None,
-) -> Fig6Result:
-    runner = runner or ExperimentRunner(scale or ExperimentScale.default())
+def run_fig6(runner: ExperimentRunner) -> Fig6Result:
     response_ms: dict[str, float] = {}
     efficiency: dict[str, float] = {}
     for label, scheme in SCHEMES:

@@ -36,16 +36,16 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from repro.core.schemes import CachingScheme
-from repro.core.stats import TraceStats
 from repro.faults.crash import CrashPlan
-from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
+from repro.harness.render import Result, render_table
 from repro.harness.runner import ExperimentRunner
 from repro.persistence import CachePersister
 from repro.workload.rbe import BrowserEmulator
+from repro.workload.trace import Trace
 
 #: The schemes compared: no caching (control), passive, full semantic.
 SCHEMES = (
@@ -56,8 +56,10 @@ SCHEMES = (
 
 
 @dataclass(frozen=True)
-class SchemeRecovery:
+class SchemeRecovery(Result):
     """One scheme's crash-and-restart measurements."""
+
+    DERIVED = ("restored_fraction", "warm_advantage")
 
     scheme: CachingScheme
     pre_crash_queries: int
@@ -85,28 +87,9 @@ class SchemeRecovery:
             return 0.0
         return self.entries_restored / self.entries_at_crash
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme.value,
-            "pre_crash_queries": self.pre_crash_queries,
-            "pre_crash_hit_ratio": self.pre_crash_hit_ratio,
-            "entries_at_crash": self.entries_at_crash,
-            "journal_records": self.journal_records,
-            "damage": dict(self.damage),
-            "entries_restored": self.entries_restored,
-            "entries_stale": self.entries_stale,
-            "records_replayed": self.records_replayed,
-            "stop_reason": self.stop_reason,
-            "restored_fraction": self.restored_fraction,
-            "warm_hit_ratio": self.warm_hit_ratio,
-            "cold_hit_ratio": self.cold_hit_ratio,
-            "warm_advantage": self.warm_advantage,
-            "recovery_report": dict(self.recovery_report),
-        }
-
 
 @dataclass(frozen=True)
-class RecoveryExperimentResult:
+class RecoveryExperimentResult(Result):
     """The warm-vs-cold restart table across caching schemes."""
 
     schemes: dict[str, SchemeRecovery]
@@ -115,52 +98,27 @@ class RecoveryExperimentResult:
     seed: int
     snapshot_every: int
 
-    def to_dict(self) -> dict:
-        return {
-            "crash_fraction": self.crash_fraction,
-            "damage": self.damage,
-            "seed": self.seed,
-            "snapshot_every": self.snapshot_every,
-            "schemes": {
-                label: row.to_dict() for label, row in self.schemes.items()
-            },
-        }
-
     def render(self) -> str:
-        headers = [
-            "Scheme",
-            "entries",
-            "restored",
-            "stop",
-            "warm hit",
-            "cold hit",
-            "advantage",
+        columns = [
+            ("Scheme", lambda row: row.scheme.value),
+            ("entries", attrgetter("entries_at_crash")),
+            ("restored", attrgetter("entries_restored")),
+            ("stop", lambda row: row.stop_reason or "clean"),
+            ("warm hit", attrgetter("warm_hit_ratio")),
+            ("cold hit", attrgetter("cold_hit_ratio")),
+            ("advantage", attrgetter("warm_advantage")),
         ]
-        rows = []
-        for label, row in self.schemes.items():
-            rows.append(
-                [
-                    label,
-                    row.entries_at_crash,
-                    row.entries_restored,
-                    row.stop_reason or "clean",
-                    row.warm_hit_ratio,
-                    row.cold_hit_ratio,
-                    row.warm_advantage,
-                ]
-            )
         return render_table(
             "Crash recovery: post-restart hit ratio, warm (recovered "
             f"journal, {self.damage} tail damage) vs cold, after a crash "
             f"at {self.crash_fraction:.0%} of the trace",
-            headers,
-            rows,
+            columns,
+            self.schemes.values(),
         )
 
 
 def run_recovery(
-    runner: ExperimentRunner | None = None,
-    scale: ExperimentScale | None = None,
+    runner: ExperimentRunner,
     crash_fraction: float = 0.5,
     damage: str = "truncate",
     seed: int = 11,
@@ -177,29 +135,20 @@ def run_recovery(
         raise ValueError(
             f"crash_fraction must be inside (0, 1): {crash_fraction}"
         )
-    runner = runner or ExperimentRunner(scale or ExperimentScale.default())
     total = min(runner.scale.measure_queries, len(runner.trace))
     crash_at = max(1, int(total * crash_fraction))
     head = runner.trace[:crash_at]
     tail = runner.trace[crash_at:total]
-
-    schemes: dict[str, SchemeRecovery] = {}
-    for scheme in SCHEMES:
-        if state_dir is not None:
-            directory = Path(state_dir) / scheme.value
-            row = _run_scheme(
-                runner, scheme, head, tail, directory,
-                damage, seed, snapshot_every,
+    plan = CrashPlan(seed=seed, damage=damage)
+    with tempfile.TemporaryDirectory(prefix="repro-recovery-") as tmp:
+        root = Path(tmp if state_dir is None else state_dir)
+        schemes = {
+            scheme.value: _run_scheme(
+                runner, scheme, head, tail, root / scheme.value,
+                plan, snapshot_every,
             )
-        else:
-            with tempfile.TemporaryDirectory(
-                prefix="repro-recovery-"
-            ) as tmp:
-                row = _run_scheme(
-                    runner, scheme, head, tail, Path(tmp),
-                    damage, seed, snapshot_every,
-                )
-        schemes[scheme.value] = row
+            for scheme in SCHEMES
+        }
     return RecoveryExperimentResult(
         schemes=schemes,
         crash_fraction=crash_fraction,
@@ -212,11 +161,10 @@ def run_recovery(
 def _run_scheme(
     runner: ExperimentRunner,
     scheme: CachingScheme,
-    head,
-    tail,
+    head: Trace,
+    tail: Trace,
     directory: Path,
-    damage: str,
-    seed: int,
+    plan: CrashPlan,
     snapshot_every: int,
 ) -> SchemeRecovery:
     # Phase 1: warm-up with journaling.
@@ -224,13 +172,12 @@ def _run_scheme(
     proxy = runner.build_proxy(
         scheme, "array", cache_fraction=None, persistence=persister
     )
-    pre_stats: TraceStats = BrowserEmulator(proxy).run(head)
+    pre_stats = BrowserEmulator(proxy).run(head)
     entries_at_crash = len(proxy.cache)
     journal_records = persister.total_records
 
     # Phase 2: the crash — the proxy stops here and the plan's seeded
     # damage tears the journal tail the way a kill mid-append would.
-    plan = CrashPlan(seed=seed, damage=damage)
     damage_report = plan.session().apply_damage(persister.journal.path)
 
     # Phase 3: warm restart over the damaged directory.

@@ -27,7 +27,6 @@ from repro.harness.config import ExperimentScale
 from repro.obs.events import EventRecorder
 from repro.obs.instrument import ProxyInstrumentation
 from repro.obs.profiling import Profiler
-from repro.obs.propagation import IdGenerator
 from repro.obs.spans import SpanTracer
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.persistence.atomic import atomic_write_text
@@ -144,30 +143,11 @@ class ExperimentRunner:
 
     def _build_instrumentation(self) -> ProxyInstrumentation:
         obs = self.scale.obs
-        tracer = None
-        if obs.tracing:
-            tracer = SpanTracer(
-                capacity=obs.trace_capacity,
-                ids=IdGenerator(obs.id_seed),
-            )
-        profiler = None
-        if obs.profiling:
-            profiler = Profiler(top_k=obs.profile_top_k)
-        timeseries = None
-        if obs.timeseries:
-            timeseries = TimeSeriesRecorder(
-                interval_ms=obs.timeseries_interval_ms,
-                capacity=obs.timeseries_capacity,
-            )
-        events = None
-        if obs.events:
-            events = EventRecorder(capacity=obs.event_capacity)
         return ProxyInstrumentation(
-            tracer=tracer,
-            decision_capacity=obs.explain_capacity,
-            profiler=profiler,
-            timeseries=timeseries,
-            events=events,
+            tracer=SpanTracer() if obs.tracing else None,
+            profiler=Profiler() if obs.profiling else None,
+            timeseries=TimeSeriesRecorder() if obs.timeseries else None,
+            events=EventRecorder() if obs.events else None,
         )
 
     def run(
@@ -196,59 +176,38 @@ class ExperimentRunner:
 
     def _write_snapshot(
         self, result: RunResult, proxy: FunctionProxy
-    ) -> Path | None:
+    ) -> None:
         """Persist the run's observability artifacts beside the results:
-        the metrics snapshot, the decision-explain dump, and (when the
-        scale enables tracing) the JSONL span export.  Writes are
-        atomic (temp + rename), so an interrupted run never leaves a
-        half-written artifact for a later diff to choke on."""
+        the metrics snapshot and the decision-explain dump always, the
+        span export, profile, time series (with the final health
+        report) and flight recorder when the scale turns them on.
+        Writes are atomic (temp + rename), so an interrupted run never
+        leaves a half-written artifact for a later diff to choke on."""
         if self.snapshot_dir is None:
-            return None
+            return
         self.snapshot_dir.mkdir(parents=True, exist_ok=True)
-        label = result.label()
-        path = self.snapshot_dir / f"metrics-{label}.json"
-        atomic_write_text(
-            path,
-            json.dumps(result.metrics_snapshot, indent=2, sort_keys=True)
-            + "\n",
+        artifacts = (
+            ("metrics", True, lambda: result.metrics_snapshot),
+            ("decisions", True, lambda: {
+                "actions": proxy.obs.decisions.action_counts(),
+                "slo": proxy.obs.slo.snapshot(),
+                "decisions": proxy.obs.decisions.recent(),
+            }),
+            ("trace", proxy.tracer.enabled, proxy.tracer.export_jsonl),
+            ("profile", proxy.profiler.enabled, proxy.profiler.snapshot),
+            ("timeseries", proxy.timeseries.enabled, lambda: {
+                **proxy.timeseries.snapshot(),
+                "health": proxy.health.evaluate(proxy.telemetry_clock.now_ms),
+            }),
+            ("events", proxy.events.enabled, proxy.events.snapshot),
         )
-        explain = {
-            "actions": proxy.obs.decisions.action_counts(),
-            "slo": proxy.obs.slo.snapshot(),
-            "decisions": proxy.obs.decisions.recent(),
-        }
-        atomic_write_text(
-            self.snapshot_dir / f"decisions-{label}.json",
-            json.dumps(explain, indent=2, sort_keys=True) + "\n",
-        )
-        if proxy.tracer.enabled:
-            atomic_write_text(
-                self.snapshot_dir / f"trace-{label}.jsonl",
-                proxy.tracer.export_jsonl(),
-            )
-        if proxy.profiler.enabled:
-            atomic_write_text(
-                self.snapshot_dir / f"profile-{label}.json",
-                json.dumps(
-                    proxy.profiler.snapshot(), indent=2, sort_keys=True
-                )
-                + "\n",
-            )
-        if proxy.timeseries.enabled:
-            telemetry = proxy.timeseries.snapshot()
-            telemetry["health"] = proxy.health.evaluate(
-                proxy.telemetry_clock.now_ms
-            )
-            atomic_write_text(
-                self.snapshot_dir / f"timeseries-{label}.json",
-                json.dumps(telemetry, indent=2, sort_keys=True) + "\n",
-            )
-        if proxy.events.enabled:
-            atomic_write_text(
-                self.snapshot_dir / f"events-{label}.json",
-                json.dumps(
-                    proxy.events.snapshot(), indent=2, sort_keys=True
-                )
-                + "\n",
-            )
-        return path
+        for name, enabled, produce in artifacts:
+            if not enabled:
+                continue
+            payload = produce()
+            if isinstance(payload, str):  # the JSONL span export
+                path, text = f"{name}-{result.label()}.jsonl", payload
+            else:
+                path = f"{name}-{result.label()}.json"
+                text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            atomic_write_text(self.snapshot_dir / path, text)

@@ -25,13 +25,14 @@ so the whole curve is reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from repro.admission import AdmissionConfig, AdmissionController
 from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome
 from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
+from repro.harness.render import Result, flat, render_table
 from repro.harness.runner import ExperimentRunner
 from repro.sched import EventLoop, ProxyFrontend
 from repro.workload.closed_loop import ClosedLoopConfig, ClosedLoopDriver
@@ -52,6 +53,12 @@ BENCH_ADMISSION = AdmissionConfig(
     overload_cooldown_ms=2_000.0,
 )
 
+#: Each client's pacing; every rung replaces ``n_clients`` with its own
+#: population.
+SATURATION_LOAD = ClosedLoopConfig(
+    queries_per_client=2, think_time_ms=4_000.0, seed=339
+)
+
 #: Outcomes that mean the query was admitted and dispatched (a failed
 #: dispatch still occupied a slot; only shed/timed-out queries never ran).
 ADMITTED_OUTCOMES = frozenset(
@@ -65,7 +72,7 @@ ADMITTED_OUTCOMES = frozenset(
 
 
 @dataclass(frozen=True)
-class LoadPoint:
+class LoadPoint(Result):
     """One rung of the ladder: the proxy under ``n_clients`` of load."""
 
     n_clients: int
@@ -84,36 +91,23 @@ class LoadPoint:
     overload_opens: int
     #: This rung's live-telemetry snapshots ({"timeseries", "events"})
     #: when the runner's scale enables the recorders; ``None`` otherwise.
-    #: Deliberately excluded from :meth:`to_dict` — the stitched
-    #: artifacts (:func:`stitch_telemetry`) are the export surface.
-    telemetry: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "n_clients": self.n_clients,
-            "submitted": self.submitted,
-            "records": self.records,
-            "served": self.served,
-            "shed": self.shed,
-            "timed_out": self.timed_out,
-            "failed": self.failed,
-            "end_ms": self.end_ms,
-            "throughput_qps": self.throughput_qps,
-            "p95_admitted_ms": self.p95_admitted_ms,
-            "shed_fraction": self.shed_fraction,
-            "overload_opens": self.overload_opens,
-        }
+    #: Deliberately not exported by :meth:`to_dict` (``flat`` with no
+    #: keys) — the stitched artifacts (:func:`stitch_telemetry`) are the
+    #: export surface.
+    telemetry: dict | None = field(default=None, metadata={"flat": ()})
 
 
 @dataclass(frozen=True)
-class SaturationResult:
+class SaturationResult(Result):
     """The throughput-vs-load curve across the client ladder."""
+
+    DERIVED = ("peak_throughput_qps", "plateau_fraction")
 
     points: tuple[LoadPoint, ...]
     admission: dict
-    queries_per_client: int
-    think_time_ms: float
-    seed: int
+    load: ClosedLoopConfig = flat(
+        "queries_per_client", "think_time_ms", "seed"
+    )
 
     @property
     def deadline_ms(self) -> float:
@@ -142,50 +136,26 @@ class SaturationResult:
             point.throughput_qps for point in self.points[start:]
         ) / peak
 
-    def to_dict(self) -> dict:
-        return {
-            "admission": self.admission,
-            "queries_per_client": self.queries_per_client,
-            "think_time_ms": self.think_time_ms,
-            "seed": self.seed,
-            "peak_throughput_qps": self.peak_throughput_qps,
-            "plateau_fraction": self.plateau_fraction,
-            "points": [point.to_dict() for point in self.points],
-        }
-
     def render(self) -> str:
-        headers = [
-            "clients",
-            "submitted",
-            "served",
-            "shed",
-            "timeout",
-            "qps",
-            "p95 adm ms",
-            "shed frac",
-            "opens",
-        ]
-        rows = [
-            [
-                point.n_clients,
-                point.submitted,
-                point.served,
-                point.shed,
-                point.timed_out,
-                point.throughput_qps,
-                point.p95_admitted_ms,
-                point.shed_fraction,
-                point.overload_opens,
-            ]
-            for point in self.points
+        config = self.admission["config"]
+        columns = [
+            ("clients", attrgetter("n_clients")),
+            ("submitted", attrgetter("submitted")),
+            ("served", attrgetter("served")),
+            ("shed", attrgetter("shed")),
+            ("timeout", attrgetter("timed_out")),
+            ("qps", attrgetter("throughput_qps")),
+            ("p95 adm ms", attrgetter("p95_admitted_ms")),
+            ("shed frac", attrgetter("shed_fraction")),
+            ("opens", attrgetter("overload_opens")),
         ]
         return render_table(
             "Saturation: closed-loop load ladder against "
-            f"{self.admission['config']['max_inflight']} service slots "
-            f"(queue {self.admission['config']['max_queue_depth']}, "
+            f"{config['max_inflight']} service slots "
+            f"(queue {config['max_queue_depth']}, "
             f"deadline {self.deadline_ms:.0f} ms)",
-            headers,
-            rows,
+            columns,
+            self.points,
         )
 
 
@@ -203,13 +173,11 @@ def ladder_for(scale: ExperimentScale) -> tuple[int, ...]:
 
 def run_load_point(
     runner: ExperimentRunner,
-    n_clients: int,
     admission: AdmissionConfig,
-    queries_per_client: int,
-    think_time_ms: float,
-    seed: int,
+    load: ClosedLoopConfig,
 ) -> LoadPoint:
-    """One ladder rung on a fresh proxy, controller, and event loop."""
+    """One ladder rung (``load.n_clients`` clients) on a fresh proxy,
+    controller, and event loop."""
     proxy = runner.build_proxy(
         CachingScheme.FULL_SEMANTIC,
         "array",
@@ -217,16 +185,7 @@ def run_load_point(
         admission=AdmissionController(admission),
     )
     frontend = ProxyFrontend(proxy, EventLoop())
-    driver = ClosedLoopDriver(
-        frontend,
-        runner.trace,
-        ClosedLoopConfig(
-            n_clients=n_clients,
-            queries_per_client=queries_per_client,
-            think_time_ms=think_time_ms,
-            seed=seed,
-        ),
-    )
+    driver = ClosedLoopDriver(frontend, runner.trace, load)
     stats = driver.run()
     telemetry = None
     if proxy.timeseries.enabled or proxy.events.enabled:
@@ -252,7 +211,7 @@ def run_load_point(
     ]
     submitted = snapshot["submitted"]
     return LoadPoint(
-        n_clients=n_clients,
+        n_clients=load.n_clients,
         submitted=submitted,
         records=len(stats.records),
         served=served,
@@ -269,33 +228,19 @@ def run_load_point(
 
 
 def run_saturation(
-    runner: ExperimentRunner | None = None,
-    scale: ExperimentScale | None = None,
+    runner: ExperimentRunner,
     ladder: tuple[int, ...] | None = None,
     admission: AdmissionConfig = BENCH_ADMISSION,
-    queries_per_client: int = 2,
-    think_time_ms: float = 4_000.0,
-    seed: int = 339,
+    load: ClosedLoopConfig = SATURATION_LOAD,
 ) -> SaturationResult:
-    runner = runner or ExperimentRunner(scale or ExperimentScale.default())
     rungs = ladder or ladder_for(runner.scale)
     points = tuple(
-        run_load_point(
-            runner,
-            n_clients,
-            admission,
-            queries_per_client,
-            think_time_ms,
-            seed,
-        )
+        run_load_point(runner, admission, replace(load, n_clients=n_clients))
         for n_clients in rungs
     )
+    config = AdmissionController(admission).snapshot()["config"]
     return SaturationResult(
-        points=points,
-        admission={"config": AdmissionController(admission).snapshot()["config"]},
-        queries_per_client=queries_per_client,
-        think_time_ms=think_time_ms,
-        seed=seed,
+        points=points, admission={"config": config}, load=load
     )
 
 

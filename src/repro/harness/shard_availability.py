@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from repro.admission import AdmissionConfig, AdmissionController
@@ -38,7 +39,7 @@ from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome, QueryRecord, TraceStats
 from repro.faults.shard import ShardCrashPlan, ShardFaultWindow
 from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
+from repro.harness.render import Result, flat, render_table
 from repro.harness.runner import ExperimentRunner
 from repro.obs.events import EventRecorder
 from repro.obs.timeseries import ROUTER_LANES, TimeSeriesRecorder
@@ -75,9 +76,14 @@ REGION_CELL = 0.02
 #: When the scheduled crash fires, in event-loop milliseconds.
 CRASH_MS = 15_000.0
 
+#: The closed-loop population every scenario replays.
+SHARD_LOAD = ClosedLoopConfig(
+    n_clients=40, queries_per_client=10, think_time_ms=3_000.0, seed=339
+)
+
 
 @dataclass(frozen=True)
-class AvailabilityPoint:
+class AvailabilityPoint(Result):
     """One (shard count, scenario) cell of the availability table."""
 
     shards: int
@@ -96,37 +102,17 @@ class AvailabilityPoint:
     handoff_replayed: int
     end_ms: float
 
-    def to_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "scenario": self.scenario,
-            "crashed_shard": self.crashed_shard,
-            "records": self.records,
-            "answered_fraction": self.answered_fraction,
-            "hit_ratio": self.hit_ratio,
-            "post_records": self.post_records,
-            "post_answered_fraction": self.post_answered_fraction,
-            "post_hit_ratio": self.post_hit_ratio,
-            "shed": self.shed,
-            "tunneled": self.tunneled,
-            "failovers": self.failovers,
-            "handoff_entries": self.handoff_entries,
-            "handoff_replayed": self.handoff_replayed,
-            "end_ms": self.end_ms,
-        }
-
 
 @dataclass(frozen=True)
-class ShardAvailabilityResult:
+class ShardAvailabilityResult(Result):
     """The availability table across the shard-count ladder."""
 
     points: tuple[AvailabilityPoint, ...]
     crash_ms: float
     region_cell: float
-    n_clients: int
-    queries_per_client: int
-    think_time_ms: float
-    seed: int
+    load: ClosedLoopConfig = flat(
+        "n_clients", "queries_per_client", "think_time_ms", "seed"
+    )
 
     def point(self, shards: int, scenario: str) -> AvailabilityPoint:
         for point in self.points:
@@ -134,52 +120,25 @@ class ShardAvailabilityResult:
                 return point
         raise KeyError(f"no point for {shards} shards / {scenario!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "crash_ms": self.crash_ms,
-            "region_cell": self.region_cell,
-            "n_clients": self.n_clients,
-            "queries_per_client": self.queries_per_client,
-            "think_time_ms": self.think_time_ms,
-            "seed": self.seed,
-            "points": [point.to_dict() for point in self.points],
-        }
-
     def render(self) -> str:
-        headers = [
-            "shards",
-            "scenario",
-            "records",
-            "answered",
-            "hit ratio",
-            "post answered",
-            "post hit",
-            "shed",
-            "tunnel",
-            "failovers",
-            "handoff",
-        ]
-        rows = [
-            [
-                point.shards,
-                point.scenario,
-                point.records,
-                point.answered_fraction,
-                point.hit_ratio,
-                point.post_answered_fraction,
-                point.post_hit_ratio,
-                point.shed,
-                point.tunneled,
-                point.failovers,
-                f"{point.handoff_replayed}/{point.handoff_entries}",
-            ]
-            for point in self.points
+        columns = [
+            ("shards", attrgetter("shards")),
+            ("scenario", attrgetter("scenario")),
+            ("records", attrgetter("records")),
+            ("answered", attrgetter("answered_fraction")),
+            ("hit ratio", attrgetter("hit_ratio")),
+            ("post answered", attrgetter("post_answered_fraction")),
+            ("post hit", attrgetter("post_hit_ratio")),
+            ("shed", attrgetter("shed")),
+            ("tunnel", attrgetter("tunneled")),
+            ("failovers", attrgetter("failovers")),
+            ("handoff", lambda p: f"{p.handoff_replayed}/{p.handoff_entries}"),
         ]
         return render_table(
             "Shard availability: mid-trace crash at "
             f"{self.crash_ms:.0f} ms with/without health-aware failover",
-            headers,
-            rows,
+            columns,
+            self.points,
         )
 
 
@@ -277,10 +236,7 @@ def run_scenario(
     n_shards: int,
     scenario: str,
     crash_ms: float,
-    n_clients: int,
-    queries_per_client: int,
-    think_time_ms: float,
-    seed: int,
+    load: ClosedLoopConfig,
 ) -> AvailabilityPoint:
     """One (shard count, scenario) cell on a fresh tier and loop."""
     if scenario not in SCENARIOS:
@@ -295,31 +251,18 @@ def run_scenario(
             runner,
             n_shards,
             tmp,
-            ShardCrashPlan(seed=seed, faults=faults),
+            ShardCrashPlan(seed=load.seed, faults=faults),
             failover=failover,
             handoff_on_crash=failover,
         )
         frontend = ClusterFrontend(router, EventLoop())
-        driver = ClosedLoopDriver(
-            frontend,
-            runner.trace,
-            ClosedLoopConfig(
-                n_clients=n_clients,
-                queries_per_client=queries_per_client,
-                think_time_ms=think_time_ms,
-                seed=seed,
-            ),
-        )
+        driver = ClosedLoopDriver(frontend, runner.trace, load)
         # Drive to the crash instant, mark the slice boundary, drain.
         stats = driver.run(until_ms=crash_ms)
         pre_count = len(stats.records)
         driver.loop.run()
         post = TraceStats(stats.records[pre_count:])
         counts = stats.outcome_counts()
-        handoff_entries = sum(h.entries for h in router.handoffs)
-        handoff_replayed = sum(h.replayed for h in router.handoffs)
-        tunnel_metric = router.registry.get("router_tunnel_total")
-        tunneled = int(tunnel_metric.total()) if tunnel_metric else 0
         return AvailabilityPoint(
             shards=n_shards,
             scenario=scenario,
@@ -332,51 +275,33 @@ def run_scenario(
             post_hit_ratio=_hit_ratio_answered(post.records),
             shed=counts.get(QueryOutcome.SHED, 0)
             + counts.get(QueryOutcome.QUEUED_TIMEOUT, 0),
-            tunneled=tunneled,
-            failovers=sum(
-                1
-                for decision in router.recent_decisions()
-                if decision.rerouted
-            ),
-            handoff_entries=handoff_entries,
-            handoff_replayed=handoff_replayed,
+            tunneled=_count(router, "router_tunnel_total"),
+            failovers=_count(router, "router_failover_total"),
+            handoff_entries=sum(h.entries for h in router.handoffs),
+            handoff_replayed=sum(h.replayed for h in router.handoffs),
             end_ms=driver.loop.now_ms,
         )
 
 
+def _count(router: ShardRouter, counter: str) -> int:
+    metric = router.registry.get(counter)
+    return int(metric.total()) if metric else 0
+
+
 def run_shard_availability(
-    runner: ExperimentRunner | None = None,
-    scale: ExperimentScale | None = None,
+    runner: ExperimentRunner,
     shard_counts: tuple[int, ...] | None = None,
     crash_ms: float = CRASH_MS,
-    n_clients: int = 40,
-    queries_per_client: int = 10,
-    think_time_ms: float = 3_000.0,
-    seed: int = 339,
+    load: ClosedLoopConfig = SHARD_LOAD,
 ) -> ShardAvailabilityResult:
-    runner = runner or ExperimentRunner(scale or ExperimentScale.default())
-    counts = shard_counts or shard_counts_for(runner.scale)
-    points = []
-    for n_shards in counts:
-        for scenario in SCENARIOS:
-            points.append(
-                run_scenario(
-                    runner,
-                    n_shards,
-                    scenario,
-                    crash_ms=crash_ms,
-                    n_clients=n_clients,
-                    queries_per_client=queries_per_client,
-                    think_time_ms=think_time_ms,
-                    seed=seed,
-                )
-            )
+    points = [
+        run_scenario(runner, n_shards, scenario, crash_ms, load)
+        for n_shards in shard_counts or shard_counts_for(runner.scale)
+        for scenario in SCENARIOS
+    ]
     return ShardAvailabilityResult(
         points=tuple(points),
         crash_ms=crash_ms,
         region_cell=REGION_CELL,
-        n_clients=n_clients,
-        queries_per_client=queries_per_client,
-        think_time_ms=think_time_ms,
-        seed=seed,
+        load=load,
     )

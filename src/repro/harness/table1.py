@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.schemes import CachingScheme
-from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
+from repro.harness.render import Result, fraction_columns, render_table
 from repro.harness.runner import ExperimentRunner
 
 PAPER_AC = {1 / 6: 0.531, 1 / 3: 0.565, 1 / 2: 0.582, 1.0: 0.593}
@@ -24,41 +23,28 @@ PAPER_PC = {1 / 6: 0.290, 1 / 3: 0.305, 1 / 2: 0.311, 1.0: 0.313}
 
 
 @dataclass(frozen=True)
-class Table1Result:
+class Table1Result(Result):
     """Measured efficiencies keyed by cache fraction."""
 
     ac: dict[float, float]
     pc: dict[float, float]
 
     def render(self) -> str:
-        fractions = sorted(self.ac)
-        headers = ["Cache Size"] + [_fraction_label(f) for f in fractions]
-        rows = [
-            ["AC (measured)"] + [self.ac[f] for f in fractions],
-            ["AC (paper)"] + [PAPER_AC[f] for f in fractions],
-            ["PC (measured)"] + [self.pc[f] for f in fractions],
-            ["PC (paper)"] + [PAPER_PC[f] for f in fractions],
-        ]
+        rows = (
+            ("AC (measured)", self.ac),
+            ("AC (paper)", PAPER_AC),
+            ("PC (measured)", self.pc),
+            ("PC (paper)", PAPER_PC),
+        )
         return render_table(
             "Table 1: average cache efficiency of AC and PC",
-            headers,
+            fraction_columns("Cache Size", self.ac),
             rows,
         )
 
 
-def _fraction_label(fraction: float) -> str:
-    for denominator in (6, 3, 2, 1):
-        if abs(fraction - 1 / denominator) < 1e-9:
-            return "1" if denominator == 1 else f"1/{denominator}"
-    return f"{fraction:.3f}"
-
-
-def run_table1(
-    runner: ExperimentRunner | None = None,
-    scale: ExperimentScale | None = None,
-) -> Table1Result:
+def run_table1(runner: ExperimentRunner) -> Table1Result:
     """Measure Table 1 (AC = full semantic caching, array description)."""
-    runner = runner or ExperimentRunner(scale or ExperimentScale.default())
     ac: dict[float, float] = {}
     pc: dict[float, float] = {}
     for fraction in runner.scale.cache_fractions:

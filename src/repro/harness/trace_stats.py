@@ -14,22 +14,21 @@ occurrence- vs distinct-query counting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from repro.harness.config import ExperimentScale
-from repro.harness.render import render_table
+from repro.harness.render import Result, render_table
 from repro.harness.runner import ExperimentRunner
 from repro.obs.metrics import MetricsRegistry
 from repro.workload.analyzer import TraceProfile, analyze_trace
 
 
 @dataclass(frozen=True)
-class TraceStatsResult:
+class TraceStatsResult(Result):
     profile: TraceProfile
     distinct_queries: int
 
     def render(self) -> str:
         profile = self.profile
-        headers = ["Quantity", "Measured", "Paper"]
         rows = [
             ["Queries", profile.n_queries, 11_323],
             ["Distinct queries", self.distinct_queries, "(not stated)"],
@@ -41,7 +40,11 @@ class TraceStatsResult:
         ]
         return render_table(
             "Section 4.1 trace profile (unlimited-cache dispositions)",
-            headers,
+            [
+                ("Quantity", itemgetter(0)),
+                ("Measured", itemgetter(1)),
+                ("Paper", itemgetter(2)),
+            ],
             rows,
         )
 
@@ -75,11 +78,7 @@ class TraceStatsResult:
         return self.to_registry().snapshot()
 
 
-def run_trace_stats(
-    runner: ExperimentRunner | None = None,
-    scale: ExperimentScale | None = None,
-) -> TraceStatsResult:
-    runner = runner or ExperimentRunner(scale or ExperimentScale.default())
+def run_trace_stats(runner: ExperimentRunner) -> TraceStatsResult:
     trace = runner.trace
     profile = analyze_trace(trace, runner.origin.templates)
     return TraceStatsResult(

@@ -8,6 +8,7 @@ cache manager and query processor operate on.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -115,14 +116,18 @@ class TemplateManager:
         self._degraded_functions: set[str] = set()
         self._degraded_templates: set[str] = set()
         self._analysis_log: list[Diagnostic] = []
-        self._observers: list[Callable[[Diagnostic], None]] = []
+        #: Each observer behind a call that returns it, or ``None`` once
+        #: a bound method's object has been collected.
+        self._observers: list[Callable[[], Any]] = []
 
     # -------------------------------------------------- analysis plumbing
     def _record_report(self, report: "AnalysisReport") -> None:
         for diagnostic in report:
             self._analysis_log.append(diagnostic)
-            for observer in self._observers:
-                observer(diagnostic)
+            for ref in self._observers:
+                observer = ref()
+                if observer is not None:
+                    observer(diagnostic)
 
     def _admit(self, subject: str, report: "AnalysisReport") -> bool:
         """Record a report; True iff the subject may cache.
@@ -140,9 +145,22 @@ class TemplateManager:
     def add_analysis_observer(
         self, observer: Callable[["Diagnostic"], None]
     ) -> None:
-        """Stream every future diagnostic to ``observer``."""
+        """Stream every future diagnostic to ``observer``.
+
+        A bound method is held weakly, so registering one does not keep
+        its object (a proxy's instrumentation) alive; other callables
+        are held as given.
+        """
+        ref: Callable[[], Any]
+        try:
+            ref = weakref.WeakMethod(observer)
+        except TypeError:  # a function, or a builtin's bound method
+            ref = lambda: observer  # noqa: E731
         with self._lock:
-            self._observers.append(observer)
+            self._observers = [
+                live for live in self._observers if live() is not None
+            ]
+            self._observers.append(ref)
 
     def analysis_diagnostics(self) -> list["Diagnostic"]:
         """Every diagnostic recorded by registrations so far."""

@@ -287,6 +287,19 @@ class TestStatusAndHealth:
         assert payload["decisions_total"] == 1
         assert sum(s["queries"] for s in payload["shards"]) == 1
 
+    def test_decision_log_keeps_the_newest(self, make_tier, bind):
+        router = make_tier(persist=False)
+        served = [
+            router.serve_routed(bind(ra=160.0 + (i % 7)))[1]
+            for i in range(300)
+        ]
+        kept = router.recent_decisions()
+        assert len(kept) == 256
+        assert [d.seq for d in kept] == [d.seq for d in served[-256:]]
+        assert router.recent_decisions(10) == served[-10:]
+        assert router.recent_decisions(300) == kept
+        assert router.status()["decisions_total"] == 300
+
     def test_health_reports_shards_down(self, make_tier):
         plan = ShardCrashPlan(
             faults=(ShardFaultWindow("shard-0", "crash", 0.0),)

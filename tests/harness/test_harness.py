@@ -1,5 +1,7 @@
 """Harness machinery: scales, runner, rendering."""
 
+from operator import itemgetter
+
 import pytest
 
 from repro.core.schemes import CachingScheme
@@ -68,7 +70,7 @@ class TestRender:
     def test_render_table_alignment(self):
         text = render_table(
             "Title",
-            ["name", "value"],
+            [("name", itemgetter(0)), ("value", itemgetter(1))],
             [["a", 0.123456], ["long-name", 1234.5]],
         )
         lines = text.splitlines()

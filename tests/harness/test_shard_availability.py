@@ -12,6 +12,7 @@ from repro.harness.shard_availability import (
     run_shard_availability,
     shard_counts_for,
 )
+from repro.workload.closed_loop import ClosedLoopConfig
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +26,9 @@ def result(runner):
         runner,
         shard_counts=(2,),
         crash_ms=6_000.0,
-        n_clients=10,
-        queries_per_client=4,
-        think_time_ms=1_500.0,
+        load=ClosedLoopConfig(
+            n_clients=10, queries_per_client=4, think_time_ms=1_500.0
+        ),
     )
 
 
@@ -51,10 +52,9 @@ class TestLadder:
                 2,
                 "chaos",
                 crash_ms=1.0,
-                n_clients=1,
-                queries_per_client=1,
-                think_time_ms=0.0,
-                seed=1,
+                load=ClosedLoopConfig(
+                    n_clients=1, queries_per_client=1, think_time_ms=0.0
+                ),
             )
 
 
@@ -68,7 +68,7 @@ class TestResultShape:
         assert all(p.shards == 2 for p in result.points)
 
     def test_every_submission_recorded(self, result):
-        expected = result.n_clients * result.queries_per_client
+        expected = result.load.n_clients * result.load.queries_per_client
         for point in result.points:
             assert point.records == expected
 
@@ -105,9 +105,9 @@ class TestResultShape:
                 runner,
                 shard_counts=(2,),
                 crash_ms=6_000.0,
-                n_clients=6,
-                queries_per_client=3,
-                think_time_ms=1_000.0,
+                load=ClosedLoopConfig(
+                    n_clients=6, queries_per_client=3, think_time_ms=1_000.0
+                ),
             ).to_dict()
 
         assert run() == run()
