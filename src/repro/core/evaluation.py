@@ -30,6 +30,7 @@ from typing import (
 
 from repro.core.cache import CacheEntry
 from repro.core.rewrite import to_result_scope
+from repro.relational.errors import ExecutionError
 from repro.relational.expressions import (
     ColumnRef,
     Expression,
@@ -91,11 +92,11 @@ def _staged(expr: Expression, column, width: int):
 
 @contextmanager
 def _per_tuple(bound: BoundQuery) -> Iterator[None]:
-    """What the interpreter raised as an evaluation error, raised when
-    compiled arithmetic or a builtin fails on a cached tuple."""
+    """A compiled key or rule that fails on a cached tuple (``1 / 0``,
+    ``exp(1000.0)``) fails the template, as a :class:`TemplateError`."""
     try:
         yield
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except ExecutionError as exc:
         raise TemplateError(
             f"template {bound.template_id!r}: cannot evaluate a cached "
             f"tuple: {exc}"

@@ -13,23 +13,29 @@ inputs; an aggregate over an empty (or all-NULL) input is NULL, except
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.relational.errors import ExecutionError
 from repro.relational.expressions import (
+    Compiled,
     CountStar,
     Expression,
     FuncCall,
-    Literal,
 )
 
-AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max"})
+#: Each aggregate over a group's non-NULL argument values.
+_FOLDS: dict[str, Callable[[list[Any]], Any]] = {
+    "count": len,
+    "sum": sum,
+    "avg": lambda values: sum(values) / len(values),
+    "min": min,
+    "max": max,
+}
 
 
 def is_aggregate_call(expr: Expression) -> bool:
     return isinstance(expr, CountStar) or (
-        isinstance(expr, FuncCall)
-        and expr.name.lower() in AGGREGATE_NAMES
+        isinstance(expr, FuncCall) and expr.name.lower() in _FOLDS
     )
 
 
@@ -38,49 +44,24 @@ def contains_aggregate(expr: Expression) -> bool:
     return any(is_aggregate_call(node) for node in expr.walk())
 
 
-def _aggregate_value(expr, envs: Sequence[dict]) -> Any:
-    """Evaluate one aggregate call over a group of row environments."""
-    if isinstance(expr, CountStar):
-        return len(envs)
-    name = expr.name.lower()
-    if len(expr.args) != 1:
-        raise ExecutionError(
-            f"{expr.name} takes exactly one argument"
-        )
-    values = [expr.args[0].evaluate(env) for env in envs]
-    values = [value for value in values if value is not None]
-    if name == "count":
-        return len(values)
-    if not values:
-        return None
-    if name == "sum":
-        return sum(values)
-    if name == "avg":
-        return sum(values) / len(values)
-    if name == "min":
-        return min(values)
-    if name == "max":
-        return max(values)
-    raise ExecutionError(f"unknown aggregate {expr.name!r}")
+def compile_aggregate(
+    call: Expression, compile_row: Callable[[Expression], Compiled]
+) -> Callable[[Sequence[Any]], Any]:
+    """Aggregate ``call`` as a function of a group's rows;
+    ``compile_row`` compiles its argument over one row."""
+    if isinstance(call, CountStar):
+        return len
+    assert isinstance(call, FuncCall), call
+    if len(call.args) != 1:
+        raise ExecutionError(f"{call.name} takes exactly one argument")
+    argument = compile_row(call.args[0])
+    name = call.name.lower()
+    fold = _FOLDS[name]
 
+    def aggregate(rows: Sequence[Any]) -> Any:
+        values = [
+            value for row in rows if (value := argument(row)) is not None
+        ]
+        return fold(values) if values or name == "count" else None
 
-def evaluate_with_aggregates(
-    expr: Expression, envs: Sequence[dict]
-) -> Any:
-    """Evaluate ``expr`` over a row group.
-
-    Aggregate subexpressions are computed over the whole group and
-    substituted as literals; the remaining expression is then evaluated
-    against the group's first row (which carries the group-by values —
-    the executor validates that non-aggregated references are grouping
-    expressions).
-    """
-    folded = _fold_aggregates(expr, envs)
-    env = envs[0] if envs else {}
-    return folded.evaluate(env)
-
-
-def _fold_aggregates(expr: Expression, envs: Sequence[dict]) -> Expression:
-    if is_aggregate_call(expr):
-        return Literal(_aggregate_value(expr, envs))
-    return expr.map_children(lambda child: _fold_aggregates(child, envs))
+    return aggregate

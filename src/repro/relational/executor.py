@@ -12,22 +12,24 @@ The execution pipeline mirrors SQL semantics for the supported dialect:
 5. cut to TOP-N,
 6. project the select list.
 
-Rows travel as *environment dictionaries* mapping lower-cased column
-names to values.  Qualified names (``p.ra``) are always present;
-unqualified names are added when unambiguous, mirroring SQL name
-resolution.  The reserved key ``__functions__`` carries the UDF registry
-for scalar calls inside expressions.
+Rows travel as the tuples the table or function returns; a join
+appends the inner tuple to the outer one.  Before any row is filtered,
+every clause is compiled once against the FROM bindings (:class:`Scope`):
+a column name becomes a position in that tuple, so a misspelt or
+ambiguous name is an error whether or not a row would reach it.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.obs.profiling import NULL_PROFILER
 from repro.relational.aggregates import (
+    compile_aggregate,
     contains_aggregate,
-    evaluate_with_aggregates,
+    is_aggregate_call,
 )
 from repro.relational.catalog import Catalog
 from repro.relational.errors import ExecutionError
@@ -35,20 +37,74 @@ from repro.relational.expressions import (
     BinaryOp,
     BinaryOperator,
     ColumnRef,
+    Compiled,
+    CountStar,
     Expression,
+    FuncCall,
+    Literal,
+    compile_expression,
 )
 from repro.relational.result import ResultTable, sort_rows
 from repro.relational.schema import Column, Schema
-from repro.relational.table import Table
 from repro.relational.types import ColumnType, infer_type, is_finite
 from repro.sqlparser.ast import (
     FunctionSource,
-    SelectItem,
+    JoinClause,
     SelectStatement,
     TableSource,
 )
 
-Env = dict[str, Any]
+Rows = Sequence[tuple[Any, ...]]
+
+
+class Scope:
+    """The FROM bindings a statement's column names resolve against:
+    each binding's columns at their positions in the joined tuple.
+
+    A qualified name (``p.ra``) names its binding's column; an
+    unqualified one resolves only when exactly one binding has it.
+    """
+
+    def __init__(self) -> None:
+        self.columns: list[Column] = []
+        self._bindings: list[tuple[str, int, Schema]] = []
+
+    def add(self, binding: str, schema: Schema) -> None:
+        """Append a binding's columns (its rows' values follow the
+        previous bindings' in the joined tuple)."""
+        self._bindings.append((binding.lower(), len(self.columns), schema))
+        self.columns.extend(schema)
+
+    def _positions(self, name: str) -> list[int]:
+        """Every column ``name`` could mean."""
+        prefix, _, key = name.lower().rpartition(".")
+        return [
+            offset + position
+            for binding, offset, schema in self._bindings
+            if prefix in ("", binding)
+            and (position := schema.find(key)) is not None
+        ]
+
+    def find(self, name: str) -> int | None:
+        """``name``'s position; None when it is unknown or ambiguous."""
+        positions = self._positions(name)
+        return positions[0] if len(positions) == 1 else None
+
+    def resolve(self, name: str, where: str = "") -> int:
+        """``name``'s position, or the :class:`ExecutionError` saying
+        why it has none."""
+        positions = self._positions(name)
+        if len(positions) == 1:
+            return positions[0]
+        if positions:
+            raise ExecutionError(f"ambiguous column reference {name!r}")
+        raise ExecutionError(f"unknown column {name!r}{where}")
+
+    def read(self, node: Expression) -> Compiled | None:
+        """The compiler's leaf: a column reads its tuple position."""
+        if isinstance(node, ColumnRef):
+            return itemgetter(self.resolve(node.name))
+        return None
 
 
 class Executor:
@@ -68,45 +124,35 @@ class Executor:
         if profiler.enabled:
             profiler.hit("executor.scan")
             profiler.count("executor.scan", "rows", len(rows))
-        schemas = [(statement.source.binding_name, source_schema)]
+        scope = Scope()
+        scope.add(statement.source.binding_name, source_schema)
+        joins = [self._plan_join(join, scope) for join in statement.joins]
+        compile = partial(
+            compile_expression, leaf=scope.read,
+            functions=self.catalog.functions,
+        )
+        where = None if statement.where is None else compile(statement.where)
+        if statement.group_by or self._has_aggregates(statement):
+            finish = self._plan_grouped(statement, scope, compile)
+        elif statement.distinct:
+            project = self._plan_project(statement, scope, compile)
 
-        for join in statement.joins:
-            table = self.catalog.table(join.table.name)
-            rows = self._apply_join(
-                rows, schemas, join.table.binding_name, table, join.condition
-            )
-            schemas.append((join.table.binding_name, table.schema))
+            def finish(rows: Rows) -> ResultTable:
+                return self._finish_output(project(rows), statement)
 
-        rows = self._finalize_envs(rows, schemas)
+        else:
+            finish = self._plan_ordered(statement, scope, compile)
 
-        if statement.where is not None:
-            predicate = statement.where
+        for join in joins:
+            rows = join(rows)
+        if where is not None:
             rows_in = len(rows)
-            rows = [env for env in rows if predicate.evaluate(env) is True]
+            rows = [row for row in rows if where(row) is True]
             if profiler.enabled:
                 profiler.hit("executor.filter")
                 profiler.count("executor.filter", "rows_in", rows_in)
                 profiler.count("executor.filter", "rows_out", len(rows))
-
-        if statement.group_by or self._has_aggregates(statement):
-            return self._execute_grouped(rows, schemas, statement)
-
-        if statement.distinct:
-            return self._execute_distinct(rows, schemas, statement)
-
-        if statement.order_by:
-            rows = sort_rows(
-                rows,
-                [
-                    (item.expression.evaluate, item.descending)
-                    for item in statement.order_by
-                ],
-            )
-
-        if statement.top is not None:
-            rows = rows[: statement.top]
-
-        return self._project(rows, schemas, statement)
+        return finish(rows)
 
     @staticmethod
     def _has_aggregates(statement: SelectStatement) -> bool:
@@ -116,13 +162,10 @@ class Executor:
         )
 
     # ------------------------------------------------------------ source
-    def _materialize_source(self, source) -> tuple[Schema, list[Env]]:
+    def _materialize_source(self, source) -> tuple[Schema, Rows]:
         if isinstance(source, TableSource):
             table = self.catalog.table(source.name)
-            schema = table.schema
-            prefix = source.binding_name.lower()
-            names = [f"{prefix}.{n.lower()}" for n in schema.names]
-            return schema, [dict(zip(names, row)) for row in table.rows]
+            return table.schema, table.rows
         if isinstance(source, FunctionSource):
             functions = self.catalog.functions
             try:
@@ -137,86 +180,84 @@ class Executor:
                     raise ExecutionError(
                         f"non-finite argument to {source.name}: {arg!r}"
                     )
-            raw_rows = functions.call_table(source.name, self.catalog, args)
-            schema = functions.table(source.name).schema
-            prefix = source.binding_name.lower()
-            names = [f"{prefix}.{n.lower()}" for n in schema.names]
-            return schema, [dict(zip(names, row)) for row in raw_rows]
+            rows = functions.call_table(source.name, self.catalog, args)
+            return functions.table(source.name).schema, rows
         raise ExecutionError(f"unsupported FROM source {source!r}")
 
     # ------------------------------------------------------------- joins
-    def _apply_join(
-        self,
-        rows: list[Env],
-        schemas: list[tuple[str, Schema]],
-        binding_name: str,
-        table: Table,
-        condition: Expression,
-    ) -> list[Env]:
-        prefix = binding_name.lower()
-        names = [f"{prefix}.{n.lower()}" for n in table.schema.names]
-
-        equi = self._equi_join_columns(condition, schemas, binding_name, table)
+    def _plan_join(
+        self, join: JoinClause, scope: Scope
+    ) -> Callable[[Rows], Rows]:
+        """One join step over outer rows; adds its binding to ``scope``."""
+        table = self.catalog.table(join.table.name)
+        binding = join.table.binding_name
+        equi = self._equi_join_positions(join.condition, scope, binding, table)
+        scope.add(binding, table.schema)
         if equi is not None:
-            outer_key, inner_column = equi
-            inner_position = table.schema.position(inner_column)
+            outer, inner = equi
             if table.primary_key and (
-                table.schema.position(table.primary_key) == inner_position
+                table.schema.position(table.primary_key) == inner
             ):
                 # Primary-key lookup join: one hash probe per outer row.
-                joined = []
-                for env in rows:
-                    match = table.lookup(env.get(outer_key))
-                    if match is not None:
-                        merged = dict(env)
-                        merged.update(zip(names, match))
-                        joined.append(merged)
-                return self._count_join("pk_lookup", joined)
-            # Hash join: build on the (usually smaller) inner table.
-            buckets: dict[Any, list[tuple[Any, ...]]] = {}
-            for row in table.rows:
-                key = row[inner_position]
-                if key is not None:
-                    buckets.setdefault(key, []).append(row)
-            joined = []
-            for env in rows:
-                for row in buckets.get(env.get(outer_key), ()):
-                    merged = dict(env)
-                    merged.update(zip(names, row))
-                    joined.append(merged)
-            return self._count_join("hash", joined)
+                lookup = table.lookup
+
+                def pk_lookup(rows: Rows) -> Rows:
+                    joined = []
+                    for row in rows:
+                        match = lookup(row[outer])
+                        if match is not None:
+                            joined.append(row + match)
+                    return self._count_join("pk_lookup", joined)
+
+                return pk_lookup
+
+            def hash_join(rows: Rows) -> Rows:
+                # Built on the (usually smaller) inner table.
+                buckets: dict[Any, list[tuple[Any, ...]]] = {}
+                for match in table.rows:
+                    if match[inner] is not None:
+                        buckets.setdefault(match[inner], []).append(match)
+                joined = [
+                    row + match
+                    for row in rows
+                    for match in buckets.get(row[outer], ())
+                ]
+                return self._count_join("hash", joined)
+
+            return hash_join
 
         # General nested-loop join with the full condition.
-        joined = []
-        for env in rows:
-            for row in table.rows:
-                merged = dict(env)
-                merged.update(zip(names, row))
-                if condition.evaluate(merged) is True:
-                    joined.append(merged)
-        return self._count_join("nested_loop", joined)
+        condition = compile_expression(
+            join.condition, scope.read, self.catalog.functions
+        )
 
-    def _count_join(self, strategy: str, joined: list[Env]) -> list[Env]:
+        def nested_loop(rows: Rows) -> Rows:
+            joined = [
+                merged
+                for row in rows
+                for match in table.rows
+                if condition(merged := row + match) is True
+            ]
+            return self._count_join("nested_loop", joined)
+
+        return nested_loop
+
+    def _count_join(self, strategy: str, joined: Rows) -> Rows:
         if self.profiler.enabled:
             self.profiler.hit("executor.join")
             self.profiler.count("executor.join", strategy, 1)
             self.profiler.count("executor.join", "rows_out", len(joined))
         return joined
 
-    def _equi_join_columns(
-        self,
-        condition: Expression,
-        schemas: list[tuple[str, Schema]],
-        binding_name: str,
-        table: Table,
-    ) -> tuple[str, str] | None:
+    @staticmethod
+    def _equi_join_positions(
+        condition: Expression, outer: Scope, binding: str, table
+    ) -> tuple[int, int] | None:
         """Detect ``outer.col = inner.col`` in the join condition.
 
-        Returns ``(outer env key, inner column name)`` or None.  Only a
-        single top-level equality (possibly inside an AND whose first
-        matching conjunct is used for the join, with the full condition
-        re-checked afterwards by the caller via nested loop) — to keep
-        the planner honest, AND conditions fall back to nested loop.
+        Returns ``(outer tuple position, inner table position)`` or
+        None.  Only a single top-level equality qualifies — to keep the
+        planner honest, AND conditions fall back to nested loop.
         """
         if not isinstance(condition, BinaryOp) or condition.op is not (
             BinaryOperator.EQ
@@ -225,265 +266,189 @@ class Executor:
         left, right = condition.left, condition.right
         if not isinstance(left, ColumnRef) or not isinstance(right, ColumnRef):
             return None
-        inner_prefix = binding_name.lower() + "."
+        prefix = binding.lower() + "."
         for a, b in ((left, right), (right, left)):
-            a_name = a.name.lower()
-            b_name = b.name.lower()
-            if a_name.startswith(inner_prefix):
-                inner_column = a_name[len(inner_prefix):]
-                if not table.schema.has(inner_column):
+            name = a.name.lower()
+            if name.startswith(prefix):
+                inner = table.schema.find(name[len(prefix):])
+                if inner is None:
                     return None
-                outer_key = self._resolve_outer_key(b_name, schemas)
-                if outer_key is not None:
-                    return outer_key, inner_column
+                position = outer.find(b.name)
+                if position is not None:
+                    return position, inner
         return None
 
-    def _resolve_outer_key(
-        self, name: str, schemas: list[tuple[str, Schema]]
-    ) -> str | None:
-        """Resolve a (possibly unqualified) column to its env key."""
-        if "." in name:
-            prefix, column = name.split(".", 1)
-            for binding, schema in schemas:
-                if binding.lower() == prefix and schema.has(column):
-                    return f"{prefix}.{column}"
-            return None
-        matches = [
-            f"{binding.lower()}.{name}"
-            for binding, schema in schemas
-            if schema.has(name)
+    # ---------------------------------------------------------- finishing
+    def _plan_ordered(
+        self, statement: SelectStatement, scope: Scope, compile
+    ) -> Callable[[Rows], ResultTable]:
+        """ORDER BY over source rows, TOP, then the select list."""
+        keys = [
+            (compile(item.expression), item.descending)
+            for item in statement.order_by
         ]
-        return matches[0] if len(matches) == 1 else None
+        project = self._plan_project(statement, scope, compile)
 
-    # --------------------------------------------------------- finishing
-    def _finalize_envs(
-        self, rows: list[Env], schemas: list[tuple[str, Schema]]
-    ) -> list[Env]:
-        """Install unambiguous unqualified names and the UDF registry."""
-        name_owners: dict[str, list[str]] = {}
-        for binding, schema in schemas:
-            for column in schema.names:
-                name_owners.setdefault(column.lower(), []).append(
-                    f"{binding.lower()}.{column.lower()}"
-                )
-        unambiguous = {
-            name: owners[0]
-            for name, owners in name_owners.items()
-            if len(owners) == 1
-        }
-        functions = self.catalog.functions
-        for env in rows:
-            for name, key in unambiguous.items():
-                env[name] = env[key]
-            env["__functions__"] = functions
-        return rows
+        def finish(rows: Rows) -> ResultTable:
+            if keys:
+                rows = sort_rows(rows, keys)
+            if statement.top is not None:
+                rows = rows[: statement.top]
+            return project(rows)
 
-    # ------------------------------------------------- grouped/distinct
-    def _execute_grouped(
-        self,
-        rows: list[Env],
-        schemas: list[tuple[str, Schema]],
-        statement: SelectStatement,
-    ) -> ResultTable:
+        return finish
+
+    def _plan_grouped(
+        self, statement: SelectStatement, scope: Scope, compile
+    ) -> Callable[[Rows], ResultTable]:
         """GROUP BY / aggregate evaluation.
 
         Non-aggregated select items must be grouping expressions (or
         constants), matched textually — the standard SQL rule, checked
-        before execution so errors do not depend on the data.
+        before execution so errors do not depend on the data.  Each
+        aggregate call is computed once per group and appended to the
+        group's first row, where its select item reads it by position.
         """
         if statement.star:
             raise ExecutionError("SELECT * cannot be aggregated")
         grouping_sql = {expr.to_sql().lower() for expr in statement.group_by}
         for item in statement.select_items:
-            if contains_aggregate(item.expression):
+            expr = item.expression
+            if contains_aggregate(expr) or isinstance(expr, Literal):
                 continue
-            from repro.relational.expressions import Literal
-
-            if isinstance(item.expression, Literal):
-                continue
-            if item.expression.to_sql().lower() not in grouping_sql:
+            if expr.to_sql().lower() not in grouping_sql:
                 raise ExecutionError(
-                    f"{item.expression.to_sql()} must appear in GROUP BY "
+                    f"{expr.to_sql()} must appear in GROUP BY "
                     "or inside an aggregate"
                 )
+        keys = [compile(expr) for expr in statement.group_by]
+        width = len(scope.columns)
+        aggregates: list[Callable[[Rows], Any]] = []
 
-        groups: dict[tuple, list[Env]] = {}
-        if statement.group_by:
-            for env in rows:
-                key = tuple(
-                    expr.evaluate(env) for expr in statement.group_by
-                )
-                groups.setdefault(key, []).append(env)
-        else:
-            # Aggregates without GROUP BY: one group, even when empty.
-            groups[()] = rows
+        def read(node: Expression) -> Compiled | None:
+            if is_aggregate_call(node):
+                aggregates.append(compile_aggregate(node, compile))
+                return itemgetter(width + len(aggregates) - 1)
+            return scope.read(node)
 
-        projected = [
-            tuple(
-                evaluate_with_aggregates(item.expression, group_rows)
-                for item in statement.select_items
+        items = [
+            compile_expression(
+                item.expression, read, self.catalog.functions
             )
-            for group_rows in groups.values()
+            for item in statement.select_items
         ]
-        if self.profiler.enabled:
-            self.profiler.hit("executor.aggregate")
-            self.profiler.count("executor.aggregate", "groups", len(groups))
-        schema = Schema(
-            tuple(
-                Column(
-                    item.output_name(),
-                    self._aggregate_output_type(item, schemas),
+        schema = self._output_schema(statement, scope)
+
+        def finish(rows: Rows) -> ResultTable:
+            groups: dict[tuple, Any] = {}
+            if keys:
+                for row in rows:
+                    key = tuple(read_key(row) for read_key in keys)
+                    groups.setdefault(key, []).append(row)
+            else:
+                # Aggregates without GROUP BY: one group, even when empty.
+                groups[()] = rows
+            projected = []
+            for members in groups.values():
+                # The one group of an empty input has no first row: a
+                # column outside the aggregates reads NULL there.
+                first = members[0] if members else (None,) * width
+                row = first + tuple(fold(members) for fold in aggregates)
+                projected.append(tuple(item(row) for item in items))
+            if self.profiler.enabled:
+                self.profiler.hit("executor.aggregate")
+                self.profiler.count(
+                    "executor.aggregate", "groups", len(groups)
                 )
-                for item in statement.select_items
-            )
-        )
-        result = ResultTable(schema, projected)
-        if statement.distinct:
-            result = self._dedupe(result)
-        result = self._order_output(result, statement)
-        if statement.top is not None:
-            result = result.top_n(statement.top)
-        return result
+            result = ResultTable(schema, projected)
+            return self._finish_output(result, statement)
 
-    def _aggregate_output_type(
-        self, item: SelectItem, schemas: list[tuple[str, Schema]]
-    ) -> ColumnType:
-        from repro.relational.expressions import CountStar, FuncCall
+        return finish
 
-        expr = item.expression
-        if isinstance(expr, CountStar):
-            return ColumnType.INT
-        if isinstance(expr, FuncCall) and expr.name.lower() == "count":
-            return ColumnType.INT
-        if contains_aggregate(expr):
-            return ColumnType.FLOAT
-        return self._output_type(item, schemas)
-
-    def _execute_distinct(
-        self,
-        rows: list[Env],
-        schemas: list[tuple[str, Schema]],
-        statement: SelectStatement,
-    ) -> ResultTable:
-        """SELECT DISTINCT: project, dedupe, then order by output
-        columns (ORDER BY under DISTINCT may only reference the select
-        list, per SQL)."""
-        result = self._dedupe(self._project(rows, schemas, statement))
-        result = self._order_output(result, statement)
-        if statement.top is not None:
-            result = result.top_n(statement.top)
-        return result
-
-    @staticmethod
-    def _dedupe(result: ResultTable) -> ResultTable:
-        seen: set = set()
-        kept = []
-        for row in result.rows:
-            if row not in seen:
-                seen.add(row)
-                kept.append(row)
-        return ResultTable(result.schema, kept)
-
-    def _order_output(
+    def _finish_output(
         self, result: ResultTable, statement: SelectStatement
     ) -> ResultTable:
-        """ORDER BY over an already-projected result.
+        """DISTINCT (the first of equal rows stays), ORDER BY and TOP
+        over an already-projected result: a grouped or a DISTINCT query.
 
-        Keys must name output columns or repeat a select item's
-        expression verbatim — the resolvable cases once source rows are
-        gone.
+        ORDER BY keys must name output columns or repeat a select
+        item's expression verbatim — the resolvable cases once source
+        rows are gone (and under DISTINCT the only ones SQL allows).
         """
-        if not statement.order_by:
-            return result
-        positions = []
+        if statement.distinct:
+            result = ResultTable(result.schema, dict.fromkeys(result.rows))
         by_sql = {
             item.expression.to_sql().lower(): index
             for index, item in enumerate(statement.select_items)
         }
+        keys = []
         for order_item in statement.order_by:
             expr = order_item.expression
             if isinstance(expr, ColumnRef) and result.schema.has(expr.name):
-                positions.append(
-                    (result.schema.position(expr.name),
-                     order_item.descending)
-                )
-                continue
-            index = by_sql.get(expr.to_sql().lower())
+                index = result.schema.position(expr.name)
+            else:
+                index = by_sql.get(expr.to_sql().lower())
             if index is None:
                 raise ExecutionError(
                     f"ORDER BY {expr.to_sql()} must reference the select "
                     "list in a DISTINCT or aggregate query"
                 )
-            positions.append((index, order_item.descending))
-        return ResultTable(
-            result.schema,
-            sort_rows(
-                result.rows,
-                [(itemgetter(p), descending) for p, descending in positions],
-            ),
-        )
+            keys.append((itemgetter(index), order_item.descending))
+        if keys:
+            result = ResultTable(result.schema, sort_rows(result.rows, keys))
+        return result if statement.top is None else result.top_n(statement.top)
 
-    def _project(
-        self,
-        rows: list[Env],
-        schemas: list[tuple[str, Schema]],
-        statement: SelectStatement,
-    ) -> ResultTable:
+    def _plan_project(
+        self, statement: SelectStatement, scope: Scope, compile
+    ) -> Callable[[Rows], ResultTable]:
+        schema = self._output_schema(statement, scope)
+        exprs = [item.expression for item in statement.select_items]
         if statement.star:
-            items = []
-            seen: set[str] = set()
-            for binding, schema in schemas:
-                for column in schema.names:
-                    # Keep the short name unless it collides.
-                    if column.lower() in seen:
-                        qualified = f"{binding}.{column}"
-                        items.append(
-                            SelectItem(ColumnRef(qualified), alias=None)
-                        )
-                    else:
-                        seen.add(column.lower())
-                        items.append(
-                            SelectItem(ColumnRef(f"{binding}.{column}"),
-                                       alias=column)
-                        )
+            pick = None
+        elif len(exprs) > 1 and all(isinstance(e, ColumnRef) for e in exprs):
+            # A list of bare columns is one C-level pick per row.
+            pick = itemgetter(*(scope.resolve(e.name) for e in exprs))
         else:
-            items = list(statement.select_items)
+            items = [compile(expr) for expr in exprs]
 
-        output_columns = tuple(
-            Column(item.output_name(), self._output_type(item, schemas))
-            for item in items
+            def pick(row: tuple[Any, ...]) -> tuple[Any, ...]:
+                return tuple([item(row) for item in items])
+
+        def project(rows: Rows) -> ResultTable:
+            if pick is not None:
+                rows = [pick(row) for row in rows]
+            if self.profiler.enabled:
+                self.profiler.hit("executor.project")
+                self.profiler.count("executor.project", "rows", len(rows))
+            return ResultTable(schema, rows)
+
+        return project
+
+    @staticmethod
+    def _output_schema(statement: SelectStatement, scope: Scope) -> Schema:
+        """The result's columns.  ``SELECT *`` keeps every binding's
+        columns as they are (a name two bindings share is a duplicate);
+        a select item's type is exact for a column or a literal, INT for
+        a count, FLOAT for anything computed (the dialect's only
+        arithmetic domain)."""
+        if statement.star:
+            return Schema(tuple(scope.columns))
+
+        def output_type(expr: Expression) -> ColumnType:
+            if isinstance(expr, CountStar) or (
+                isinstance(expr, FuncCall) and expr.name.lower() == "count"
+            ):
+                return ColumnType.INT
+            if isinstance(expr, ColumnRef):
+                position = scope.resolve(expr.name, " in select list")
+                return scope.columns[position].type
+            if isinstance(expr, Literal) and expr.value is not None:
+                return infer_type(expr.value)
+            return ColumnType.FLOAT
+
+        return Schema(
+            tuple(
+                Column(item.output_name(), output_type(item.expression))
+                for item in statement.select_items
+            )
         )
-        schema = Schema(output_columns)
-        expressions = [item.expression for item in items]
-        projected = [
-            tuple(expr.evaluate(env) for expr in expressions) for env in rows
-        ]
-        if self.profiler.enabled:
-            self.profiler.hit("executor.project")
-            self.profiler.count("executor.project", "rows", len(projected))
-        return ResultTable(schema, projected)
-
-    def _output_type(
-        self, item: SelectItem, schemas: list[tuple[str, Schema]]
-    ) -> ColumnType:
-        """Static output type: exact for column refs and literals,
-        FLOAT for computed expressions (the dialect's only arithmetic
-        domain)."""
-        expr = item.expression
-        if isinstance(expr, ColumnRef):
-            name = expr.name.lower()
-            if "." in name:
-                prefix, column = name.split(".", 1)
-                for binding, schema in schemas:
-                    if binding.lower() == prefix and schema.has(column):
-                        return schema.column(column).type
-            else:
-                for _binding, schema in schemas:
-                    if schema.has(name):
-                        return schema.column(name).type
-            raise ExecutionError(f"unknown column {expr.name!r} in select list")
-        from repro.relational.expressions import Literal
-
-        if isinstance(expr, Literal) and expr.value is not None:
-            return infer_type(expr.value)
-        return ColumnType.FLOAT

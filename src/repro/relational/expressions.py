@@ -1,25 +1,23 @@
 """Expression trees: literals, column references, operators, function calls.
 
-These nodes serve two masters.  The SQL parser
-(:mod:`repro.sqlparser.parser`) builds them while parsing WHERE clauses
-and select lists, and the executor (:mod:`repro.relational.executor`)
-evaluates them against row environments.  They also render back to SQL
-text (:meth:`Expression.to_sql`), which the proxy's remainder-query
-builder relies on.
-
-Evaluation environment
-----------------------
-``evaluate(env)`` takes a mapping from *lower-cased* column names to
-values.  Both qualified (``p.ra``) and unqualified (``ra``) spellings are
-installed by the executor when unambiguous, mirroring SQL name
-resolution.
+The SQL parser (:mod:`repro.sqlparser.parser`) builds these nodes for
+WHERE clauses, select lists and template expressions; they render back
+to SQL text (:meth:`Expression.to_sql`), which the proxy's remainder
+builder relies on.  There is one way to evaluate one:
+:func:`compile_expression` turns the tree into a function of a tuple
+(or of a parameter mapping) once, and whoever compiles it says how a
+column or a ``$``-parameter is read.  The executor compiles each clause
+of a statement against its FROM bindings, local evaluation each query
+template against its result columns, a function template its region
+expressions against the call's parameters.
 
 NULL semantics
 --------------
-SQL three-valued logic is modelled with Python ``None``: comparisons with
-``None`` yield ``None``; ``AND``/``OR`` propagate per Kleene logic; a
-WHERE clause accepts a row only when the predicate evaluates to ``True``
-(not ``None``).
+SQL three-valued logic is modelled with Python ``None``: an operator or
+function with a NULL operand yields ``None``; ``AND``/``OR`` follow
+Kleene logic, left to right, stopping at the first operand that
+decides; a WHERE clause accepts a row only when the predicate evaluates
+to ``True`` (not ``None``).
 """
 
 from __future__ import annotations
@@ -28,11 +26,14 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Iterator, Sequence
 
 from repro.relational.errors import ExecutionError
 
-Environment = Mapping[str, Any]
+#: A compiled expression: the value for one row (or parameter mapping).
+Compiled = Callable[[Any], Any]
+#: How a caller reads the nodes only it can: a compiled reader or None.
+Leaf = Callable[["Expression"], "Compiled | None"]
 
 
 #: The two ways a field annotation marks a sub-expression slot, mapped
@@ -52,6 +53,10 @@ class Expression:
     """
 
     _child_slots: ClassVar[tuple[tuple[str, bool], ...]] = ()
+    #: For a leaf the compiler cannot read by itself (a column, a
+    #: parameter, ``COUNT(*)``): the error, formatted with the node,
+    #: raised when it is reached without a caller's ``leaf``.
+    unread: ClassVar[str | None] = None
 
     def __init_subclass__(cls) -> None:
         # Derived once per node class.  A field that mentions Expression
@@ -64,9 +69,6 @@ class Expression:
             ).items()
             if "Expression" in annotation
         )
-
-    def evaluate(self, env: Environment) -> Any:
-        raise NotImplementedError
 
     def to_sql(self) -> str:
         raise NotImplementedError
@@ -135,9 +137,6 @@ class Literal(Expression):
 
     value: Any
 
-    def evaluate(self, env: Environment) -> Any:
-        return self.value
-
     def to_sql(self) -> str:
         return _sql_literal(self.value)
 
@@ -147,20 +146,7 @@ class ColumnRef(Expression):
     """A reference to a column, optionally qualified (``alias.column``)."""
 
     name: str
-
-    def evaluate(self, env: Environment) -> Any:
-        key = self.name.lower()
-        if key in env:
-            return env[key]
-        # An unqualified reference may resolve through a qualified key
-        # when exactly one table provides the column.
-        if "." not in key:
-            matches = [k for k in env if k.endswith("." + key)]
-            if len(matches) == 1:
-                return env[matches[0]]
-            if len(matches) > 1:
-                raise ExecutionError(f"ambiguous column reference {self.name!r}")
-        raise ExecutionError(f"unknown column {self.name!r}")
+    unread = "unknown column {0.name!r}"
 
     def to_sql(self) -> str:
         return self.name
@@ -181,21 +167,24 @@ class BinaryOperator(enum.Enum):
     GE = ">="
 
 
-_ARITHMETIC: dict[BinaryOperator, Callable[[Any, Any], Any]] = {
+_OPERATORS: dict[BinaryOperator, Callable[[Any, Any], Any]] = {
     BinaryOperator.ADD: operator.add,
     BinaryOperator.SUB: operator.sub,
     BinaryOperator.MUL: operator.mul,
     BinaryOperator.DIV: operator.truediv,
+    BinaryOperator.EQ: operator.eq,
+    BinaryOperator.NE: operator.ne,
+    BinaryOperator.LT: operator.lt,
+    BinaryOperator.LE: operator.le,
+    BinaryOperator.GT: operator.gt,
+    BinaryOperator.GE: operator.ge,
 }
 
-_COMPARISON: dict[BinaryOperator, Callable[[Any, Any], bool]] = {
-    BinaryOperator.EQ: lambda a, b: a == b,
-    BinaryOperator.NE: lambda a, b: a != b,
-    BinaryOperator.LT: lambda a, b: a < b,
-    BinaryOperator.LE: lambda a, b: a <= b,
-    BinaryOperator.GT: lambda a, b: a > b,
-    BinaryOperator.GE: lambda a, b: a >= b,
-}
+#: What an operator or a builtin raises on operands it cannot take (a
+#: string plus a number, ``1 / 0``, ``sqrt(-1)``, ``exp(1000.0)``):
+#: the query's fault, reported as an :class:`ExecutionError` naming
+#: the node, never a crash of whoever runs the query.
+_OPERAND_ERRORS = (ArithmeticError, TypeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -205,20 +194,6 @@ class BinaryOp(Expression):
     op: BinaryOperator
     left: Expression
     right: Expression
-
-    def evaluate(self, env: Environment) -> Any:
-        left = self.left.evaluate(env)
-        right = self.right.evaluate(env)
-        if left is None or right is None:
-            return None
-        try:
-            if self.op in _ARITHMETIC:
-                return _ARITHMETIC[self.op](left, right)
-            return _COMPARISON[self.op](left, right)
-        except ZeroDivisionError:
-            raise ExecutionError(f"division by zero in {self.to_sql()}") from None
-        except TypeError as exc:
-            raise ExecutionError(f"type error in {self.to_sql()}: {exc}") from None
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op.value} {self.right.to_sql()})"
@@ -230,16 +205,6 @@ class And(Expression):
 
     operands: tuple[Expression, ...]
 
-    def evaluate(self, env: Environment) -> Any:
-        saw_null = False
-        for operand in self.operands:
-            value = operand.evaluate(env)
-            if value is False:
-                return False
-            if value is None:
-                saw_null = True
-        return None if saw_null else True
-
     def to_sql(self) -> str:
         return "(" + " AND ".join(op.to_sql() for op in self.operands) + ")"
 
@@ -249,16 +214,6 @@ class Or(Expression):
     """N-ary disjunction with Kleene NULL propagation."""
 
     operands: tuple[Expression, ...]
-
-    def evaluate(self, env: Environment) -> Any:
-        saw_null = False
-        for operand in self.operands:
-            value = operand.evaluate(env)
-            if value is True:
-                return True
-            if value is None:
-                saw_null = True
-        return None if saw_null else False
 
     def to_sql(self) -> str:
         return "(" + " OR ".join(op.to_sql() for op in self.operands) + ")"
@@ -270,12 +225,6 @@ class Not(Expression):
 
     operand: Expression
 
-    def evaluate(self, env: Environment) -> Any:
-        value = self.operand.evaluate(env)
-        if value is None:
-            return None
-        return not value
-
     def to_sql(self) -> str:
         return f"(NOT {self.operand.to_sql()})"
 
@@ -285,12 +234,6 @@ class Negate(Expression):
     """Unary minus."""
 
     operand: Expression
-
-    def evaluate(self, env: Environment) -> Any:
-        value = self.operand.evaluate(env)
-        if value is None:
-            return None
-        return -value
 
     def to_sql(self) -> str:
         # The space keeps a negative literal operand from fusing into
@@ -306,14 +249,6 @@ class Between(Expression):
     low: Expression
     high: Expression
 
-    def evaluate(self, env: Environment) -> Any:
-        value = self.operand.evaluate(env)
-        low = self.low.evaluate(env)
-        high = self.high.evaluate(env)
-        if value is None or low is None or high is None:
-            return None
-        return low <= value <= high
-
     def to_sql(self) -> str:
         return (
             f"({self.operand.to_sql()} BETWEEN {self.low.to_sql()} "
@@ -328,10 +263,6 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def evaluate(self, env: Environment) -> Any:
-        is_null = self.operand.evaluate(env) is None
-        return not is_null if self.negated else is_null
-
     def to_sql(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.operand.to_sql()} {suffix})"
@@ -343,19 +274,6 @@ class InList(Expression):
 
     operand: Expression
     choices: tuple[Expression, ...]
-
-    def evaluate(self, env: Environment) -> Any:
-        value = self.operand.evaluate(env)
-        if value is None:
-            return None
-        saw_null = False
-        for choice in self.choices:
-            candidate = choice.evaluate(env)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return True
-        return None if saw_null else False
 
     def to_sql(self) -> str:
         inner = ", ".join(choice.to_sql() for choice in self.choices)
@@ -399,31 +317,13 @@ SCALAR_BUILTINS: dict[str, Callable[..., float]] = {
 class FuncCall(Expression):
     """A scalar function call.
 
-    Resolution order: scalar builtins above, then the UDF registry that
-    the executor installs in the environment under the reserved key
-    ``"__functions__"``.  Table-valued calls never appear here — the
-    parser routes them to the FROM clause.
+    Resolution order: scalar builtins above, then the UDF registry the
+    caller compiles with (:func:`compile_expression`).  Table-valued
+    calls never appear here — the parser routes them to the FROM clause.
     """
 
     name: str
     args: tuple[Expression, ...]
-
-    def evaluate(self, env: Environment) -> Any:
-        values = [arg.evaluate(env) for arg in self.args]
-        if any(value is None for value in values):
-            return None
-        key = self.name.lower()
-        if key in SCALAR_BUILTINS:
-            try:
-                return SCALAR_BUILTINS[key](*values)
-            except (TypeError, ValueError) as exc:
-                raise ExecutionError(
-                    f"error in {self.to_sql()}: {exc}"
-                ) from None
-        functions = env.get("__functions__")
-        if functions is not None and functions.has_scalar(self.name):
-            return functions.call_scalar(self.name, values)
-        raise ExecutionError(f"unknown scalar function {self.name!r}")
 
     def to_sql(self) -> str:
         inner = ", ".join(arg.to_sql() for arg in self.args)
@@ -434,12 +334,12 @@ class FuncCall(Expression):
 class CountStar(Expression):
     """``COUNT(*)``: the row count of a group.
 
-    Only meaningful inside aggregation; evaluating it as a row
-    expression is an error the executor reports before it can happen.
+    Only meaningful inside aggregation, where the executor reads it as
+    a hoisted per-group value; reached as a row expression, it is an
+    error.
     """
 
-    def evaluate(self, env: Environment) -> Any:
-        raise ExecutionError("COUNT(*) outside an aggregate context")
+    unread = "COUNT(*) outside an aggregate context"
 
     def to_sql(self) -> str:
         return "COUNT(*)"
@@ -447,56 +347,155 @@ class CountStar(Expression):
 
 def compile_expression(
     expr: Expression,
-    leaf: Callable[[Expression], Callable[[Sequence[Any]], Any] | None],
-) -> Callable[[Sequence[Any]], Any]:
-    """``expr`` as a function of one tuple, evaluated without an
-    environment: the interpreter's operators, builtins and NULL rule,
-    applied to closures built once.
+    leaf: Leaf | None = None,
+    functions: Any = None,
+) -> Compiled:
+    """``expr`` as a function of one value — a tuple, a parameter
+    mapping, whatever ``leaf`` reads — built once, so evaluating it
+    builds no node and looks no name up.
 
     ``leaf(node)`` compiles what only the caller knows how to read — a
-    column's position, a parameter's slot — and returns None for every
-    other node.  Any other node (a comparison, ``IS NULL``, ``IN``)
-    is left to the interpreter, over its operands' compiled values.
+    column's position, a parameter's slot, an aggregate's hoisted value
+    — and returns None for every other node.  A column, parameter or
+    ``COUNT(*)`` no leaf reads raises its :attr:`Expression.unread`
+    error when reached.  Scalar calls resolve to a builtin, else to a
+    UDF of the ``functions`` registry, else to an ``unknown scalar
+    function`` error raised when reached.
     """
-    compiled = leaf(expr)
+    compiled = None if leaf is None else leaf(expr)
     if compiled is not None:
         return compiled
     if isinstance(expr, Literal):
-        return lambda values, value=expr.value: value
-    operands = [compile_expression(child, leaf) for child in expr.children()]
-    function: Callable[..., Any]
+        value = expr.value
+        return lambda values: value
+    if expr.unread is not None:
+        message = expr.unread.format(expr)
+
+        def unread(values: Any) -> Any:
+            raise ExecutionError(message)
+
+        return unread
+    operands = [
+        compile_expression(child, leaf, functions)
+        for child in expr.children()
+    ]
+    # The most frequent node kinds first: compiling is per statement.
+    if isinstance(expr, BinaryOp):
+        return _strict(expr, _OPERATORS[expr.op], operands)
+    if isinstance(expr, (And, Or)):
+        decides = isinstance(expr, Or)  # OR stops at True, AND at False
+
+        def junction(values: Any) -> Any:
+            saw_null = False
+            for operand in operands:
+                value = operand(values)
+                if value is decides:
+                    return decides
+                if value is None:
+                    saw_null = True
+            return None if saw_null else not decides
+
+        return junction
+    if isinstance(expr, (Not, IsNull)):
+        (operand,) = operands
+        if isinstance(expr, Not):
+            return lambda values: (
+                None if (value := operand(values)) is None else not value
+            )
+        if expr.negated:
+            return lambda values: operand(values) is not None
+        return lambda values: operand(values) is None
+    if isinstance(expr, InList):
+        subject, *choices = operands
+
+        def member(values: Any) -> Any:
+            value = subject(values)
+            if value is None:
+                return None
+            saw_null = False
+            for choice in choices:
+                candidate = choice(values)
+                if candidate is None:
+                    saw_null = True
+                elif candidate == value:
+                    return True
+            return None if saw_null else False
+
+        return member
+    if isinstance(expr, Between):
+        return _strict(expr, lambda v, low, high: low <= v <= high, operands)
     if isinstance(expr, Negate):
-        function = operator.neg
-    elif isinstance(expr, BinaryOp) and expr.op in _ARITHMETIC:
-        function = _ARITHMETIC[expr.op]
-    elif isinstance(expr, FuncCall) and expr.name.lower() in SCALAR_BUILTINS:
-        function = SCALAR_BUILTINS[expr.name.lower()]
-    else:
+        return _strict(expr, operator.neg, operands)
+    assert isinstance(expr, FuncCall), expr
+    name = expr.name
+    if name.lower() in SCALAR_BUILTINS:
+        return _strict(expr, SCALAR_BUILTINS[name.lower()], operands)
+    # A UDF's own errors pass through: the registry raises engine errors.
+    if functions is not None and functions.has_scalar(name):
+        return _strict(
+            expr, lambda *args: functions.call_scalar(name, args), operands, ()
+        )
 
-        def interpret(values: Sequence[Any]) -> Any:
-            args = iter([Literal(operand(values)) for operand in operands])
-            return expr.map_children(lambda _: next(args)).evaluate({})
+    def unknown(*args: Any) -> Any:
+        raise ExecutionError(f"unknown scalar function {name!r}")
 
-        return interpret
+    return _strict(expr, unknown, operands, ())
+
+
+def _strict(
+    expr: Expression,
+    function: Callable[..., Any],
+    operands: list[Compiled],
+    errors: tuple[type[Exception], ...] = _OPERAND_ERRORS,
+) -> Compiled:
+    """``function`` over the operands' values, NULL when any is NULL;
+    its ``errors`` are reported as the query's, naming ``expr``."""
     if len(operands) == 1:
         (operand,) = operands
-        return lambda values: (
-            None if (value := operand(values)) is None else function(value)
-        )
+
+        def unary(values: Any) -> Any:
+            value = operand(values)
+            if value is None:
+                return None
+            try:
+                return function(value)
+            except errors as exc:
+                raise _failure(expr, exc) from None
+
+        return unary
     if len(operands) == 2:
         left, right = operands
 
-        def binary(values: Sequence[Any]) -> Any:
+        def binary(values: Any) -> Any:
             a, b = left(values), right(values)
-            return None if a is None or b is None else function(a, b)
+            if a is None or b is None:
+                return None
+            try:
+                return function(a, b)
+            except errors as exc:
+                raise _failure(expr, exc) from None
 
         return binary
 
-    def call(values: Sequence[Any]) -> Any:
+    def call(values: Any) -> Any:
         args = [operand(values) for operand in operands]
-        return None if None in args else function(*args)
+        if None in args:
+            return None
+        try:
+            return function(*args)
+        except errors as exc:
+            raise _failure(expr, exc) from None
 
     return call
+
+
+def _failure(expr: Expression, exc: Exception) -> ExecutionError:
+    sql = expr.to_sql()
+    if isinstance(exc, ZeroDivisionError):
+        return ExecutionError(f"division by zero in {sql}")
+    if isinstance(exc, TypeError) and not isinstance(expr, FuncCall):
+        return ExecutionError(f"type error in {sql}: {exc}")
+    return ExecutionError(f"error in {sql}: {exc}")
 
 
 def conjoin(parts: Sequence[Expression]) -> Expression | None:

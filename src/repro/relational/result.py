@@ -67,9 +67,9 @@ def sort_rows(
     """ORDER BY: a stable multi-key sort.
 
     ``keys`` are ``(value of a row, descending)`` pairs, the dominant
-    key first; whatever a row is (a tuple, an environment), each key is
-    computed once per row.  NULL sorts as the largest value: last
-    ascending, first descending.
+    key first; whatever a row is (a joined source tuple, a result
+    tuple), each key is computed once per row.  NULL sorts as the
+    largest value: last ascending, first descending.
     """
     ordered = list(rows)
     # Right to left, so the leftmost key dominates: the sort is stable,

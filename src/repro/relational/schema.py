@@ -70,6 +70,11 @@ class Schema:
     def has(self, name: str) -> bool:
         return name.lower() in self._index
 
+    def find(self, key: str) -> int | None:
+        """The position of the column named ``key``, already lower-cased;
+        None when there is none."""
+        return self._index.get(key)
+
     def position(self, name: str) -> int:
         try:
             return self._index[name.lower()]

@@ -15,10 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.relational.errors import ExecutionError
-from repro.relational.expressions import Environment, Expression, Literal
+from repro.relational.expressions import (
+    Expression,
+    Literal,
+    compile_expression,
+)
 
 
 @dataclass(frozen=True)
@@ -27,32 +31,20 @@ class Parameter(Expression):
 
     Parameters appear only inside *templates*.  A statement is bound
     (:meth:`SelectStatement.bind`) by replacing them with literals
-    before it reaches the executor; a function template's region
-    expressions are instead evaluated as they stand, the parameter
-    reading its value from the environment under its own ``$name``
-    spelling (:func:`parameter_environment`).  No column can be spelled
-    that way — ``$`` never starts an identifier — so executor row
-    environments never carry such a key and a ``$name`` in free SQL
-    stays an error.
+    before it reaches the executor.  A function template's region
+    expressions, and the parameter-only parts of local evaluation, are
+    instead compiled as they stand, with a ``leaf`` that reads each
+    parameter from the call's values
+    (:func:`~repro.relational.expressions.compile_expression`).  The
+    executor's leaf reads columns only, so a ``$name`` in free SQL
+    stays an error when it is reached.
     """
 
     name: str
-
-    def evaluate(self, env: Environment) -> Any:
-        try:
-            return env[self.to_sql()]
-        except KeyError:
-            raise ExecutionError(
-                f"unbound template parameter ${self.name}"
-            ) from None
+    unread = "unbound template parameter ${0.name}"
 
     def to_sql(self) -> str:
         return f"${self.name}"
-
-
-def parameter_environment(values: Mapping[str, Any]) -> dict[str, Any]:
-    """The environment in which each ``$name`` evaluates to its value."""
-    return {f"${name}": value for name, value in values.items()}
 
 
 @dataclass(frozen=True)
@@ -97,8 +89,8 @@ class FunctionSource:
     """A table-valued function call in FROM, with an optional alias.
 
     Arguments are expressions; in templates they may be
-    :class:`Parameter` nodes, in concrete queries they must evaluate
-    without an environment (literals or arithmetic over literals).
+    :class:`Parameter` nodes, in concrete queries they must be constants
+    (literals or arithmetic over literals).
     """
 
     name: str
@@ -110,8 +102,15 @@ class FunctionSource:
         return self.alias or self.name
 
     def argument_values(self) -> list[Any]:
-        """Evaluate the arguments as constants."""
-        return [arg.evaluate({}) for arg in self.args]
+        """Evaluate the arguments as constants: a column or a parameter
+        among them is an :class:`ExecutionError`.  A bound statement's
+        arguments are literals, read without compiling (this runs on
+        every query)."""
+        return [
+            arg.value if isinstance(arg, Literal)
+            else compile_expression(arg)(())
+            for arg in self.args
+        ]
 
     def to_sql(self) -> str:
         inner = ", ".join(arg.to_sql() for arg in self.args)

@@ -27,6 +27,8 @@ from __future__ import annotations
 import enum
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import cached_property, partial
+from operator import itemgetter
 from typing import Any, Mapping
 
 from repro.geometry.regions import (
@@ -37,9 +39,13 @@ from repro.geometry.regions import (
     Region,
 )
 from repro.relational.errors import ExecutionError
-from repro.relational.expressions import Expression
+from repro.relational.expressions import (
+    Compiled,
+    Expression,
+    compile_expression,
+)
 from repro.relational.types import is_finite
-from repro.sqlparser.ast import parameter_environment
+from repro.sqlparser.ast import Parameter
 from repro.sqlparser.parser import parse_expression
 from repro.templates.errors import TemplateError
 
@@ -59,15 +65,18 @@ def _parse(text: str) -> Expression:
         raise TemplateError(f"bad template expression {text!r}: {exc}") from exc
 
 
-def _evaluate_constant(expr: Expression, env: Mapping[str, Any]) -> float:
-    """Evaluate a region expression in a ``$``-parameter environment.
+def _evaluate_constant(
+    expr: Expression, function: Compiled, params: Mapping[str, Any]
+) -> float:
+    """Evaluate a region expression, compiled to ``function``, for one
+    call's ``$``-parameter values.
 
     Every centre, radius, bound, normal and offset of every shape comes
     through here, so this is where a region is kept finite.
     """
     try:
-        value = expr.evaluate(env)
-    except (ExecutionError, OverflowError) as exc:
+        value = function(params)
+    except ExecutionError as exc:
         raise TemplateError(f"cannot evaluate {expr.to_sql()}: {exc}") from exc
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise TemplateError(
@@ -195,28 +204,45 @@ class FunctionTemplate:
                     f"{self.name}: ${param}={value!r} is outside "
                     f"[{low}, {high}]"
                 )
-        env = parameter_environment(params)
+        value = partial(self._evaluate, params=params)
         if self.shape is Shape.HYPERSPHERE:
-            center = tuple(
-                _evaluate_constant(e, env) for e in self.center_exprs
-            )
-            radius = _evaluate_constant(self.radius_expr, env)
+            center = tuple(map(value, self.center_exprs))
+            radius = value(self.radius_expr)
             if radius < 0:
                 raise TemplateError(f"{self.name}: negative radius {radius}")
             return HyperSphere(center, radius)
-        lows = tuple(_evaluate_constant(e, env) for e in self.low_exprs)
-        highs = tuple(_evaluate_constant(e, env) for e in self.high_exprs)
-        box = HyperRect(lows, highs)
+        box = HyperRect(
+            tuple(map(value, self.low_exprs)),
+            tuple(map(value, self.high_exprs)),
+        )
         if self.shape is Shape.HYPERRECT:
             return box
         halfspaces = tuple(
-            Halfspace(
-                tuple(_evaluate_constant(n, env) for n in spec.normal),
-                _evaluate_constant(spec.offset, env),
-            )
+            Halfspace(tuple(map(value, spec.normal)), value(spec.offset))
             for spec in self.halfspace_specs
         )
         return ConvexPolytope(halfspaces, box)
+
+    def _evaluate(self, expr: Expression, params: Mapping[str, Any]) -> float:
+        """A region expression's value for one call, compiled on its
+        first use.  The template is frozen, so each of its trees, keyed
+        by identity, lives as long as the cache."""
+        function = self._compiled.get(id(expr))
+        if function is None:
+            function = compile_expression(expr, self._parameter)
+            self._compiled[id(expr)] = function
+        return _evaluate_constant(expr, function, params)
+
+    @cached_property
+    def _compiled(self) -> dict[int, Compiled]:
+        return {}
+
+    def _parameter(self, node: Expression) -> Compiled | None:
+        """The compiler's leaf: a declared parameter reads the call's
+        value; any other stays unbound."""
+        if isinstance(node, Parameter) and node.name in self.params:
+            return itemgetter(node.name)
+        return None
 
     def point_attribute_names(self) -> set[str]:
         """Result attributes the point expressions depend on.

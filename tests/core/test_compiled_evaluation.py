@@ -38,7 +38,6 @@ from repro.geometry.relations import RegionRelation, relate
 from repro.relational.result import ResultTable, sort_rows
 from repro.server.origin import OriginServer
 from repro.skydata.generator import SkyCatalogConfig
-from repro.sqlparser.ast import parameter_environment
 from repro.templates.errors import TemplateError
 from repro.templates.query_template import QueryTemplate
 from repro.templates.skyserver_templates import (
@@ -48,6 +47,7 @@ from repro.templates.skyserver_templates import (
     RECT_TEMPLATE_ID,
     radial_function_template,
 )
+from tests.interpreter import interpret, parameter_environment
 
 SKY = SkyCatalogConfig(
     n_objects=2_000,
@@ -91,13 +91,13 @@ def interpreted_select(bound, entries):
         for row in entry.result.rows:
             env = dict(zip(names, row))
             point = tuple(
-                float(expr.evaluate(env)) for expr in ftemplate.point_exprs
+                float(interpret(expr, env)) for expr in ftemplate.point_exprs
             )
             if whole or region.contains_point(point):
                 values = list(row)
                 for output, rule in targets.items():
-                    values[names.index(output)] = rule.evaluate(
-                        {**params, **env}
+                    values[names.index(output)] = interpret(
+                        rule, {**params, **env}
                     )
                 kept.append(tuple(values))
         table = ResultTable(entry.result.schema, kept)
@@ -117,7 +117,7 @@ def interpreted_finalize(bound, result):
         def key(item):
             expr = to_result_scope(bound.template, item.expression)
             return (
-                lambda row: expr.evaluate(dict(zip(names, row))),
+                lambda row: interpret(expr, dict(zip(names, row))),
                 item.descending,
             )
 

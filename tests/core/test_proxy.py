@@ -278,6 +278,37 @@ class TestSoundnessGuards:
         assert len(proxy.cache) == 0
         assert proxy.serve(good).record.outcome is QueryOutcome.SERVED
 
+    def test_a_math_overflow_at_the_origin_is_a_structured_failure(
+        self, origin, make_proxy, radial_params
+    ):
+        """An ``ORDER BY`` key that overflows used to escape ``serve``
+        as a bare ``OverflowError``."""
+        from repro.core.stats import QueryOutcome
+        from repro.templates.query_template import QueryTemplate
+        from repro.templates.skyserver_templates import (
+            RADIAL_SQL,
+            radial_function_template,
+        )
+
+        origin.templates.register_query_template(
+            QueryTemplate.from_sql(
+                "t.overflow",
+                RADIAL_SQL + " ORDER BY exp(p.r * 1000.0)",
+                radial_function_template(),
+                key_column="objID",
+            )
+        )
+        try:
+            proxy = make_proxy()
+            bound = origin.templates.bind("t.overflow", radial_params)
+            record = proxy.serve(bound).record
+            assert record.outcome is QueryOutcome.FAILED
+            assert record.failure_reason == "query-error"
+            assert len(proxy.cache) == 0
+        finally:
+            # Keep the session-scoped origin clean for other tests.
+            origin.templates._query_templates.pop("t.overflow")
+
     def test_a_cone_past_180_degrees_is_refused_and_never_cached(
         self, make_proxy, bind, origin, radial_params
     ):

@@ -15,6 +15,7 @@ from repro.templates.skyserver_templates import (
     radial_function_template,
     rect_function_template,
 )
+from tests.interpreter import evaluate
 
 
 class TestRegionPredicate:
@@ -24,15 +25,15 @@ class TestRegionPredicate:
         predicate = region_predicate(template, sphere)
         inside = {"cx": 0.5, "cy": 0.5, "cz": 0.1}
         outside = {"cx": 0.5, "cy": 0.5, "cz": 0.5}
-        assert predicate.evaluate(inside) is True
-        assert predicate.evaluate(outside) is False
+        assert evaluate(predicate, inside) is True
+        assert evaluate(predicate, outside) is False
 
     def test_rect_predicate_membership(self):
         template = rect_function_template()
         box = HyperRect((10.0, -5.0), (20.0, 5.0))
         predicate = region_predicate(template, box)
-        assert predicate.evaluate({"ra": 15.0, "dec": 0.0}) is True
-        assert predicate.evaluate({"ra": 25.0, "dec": 0.0}) is False
+        assert evaluate(predicate, {"ra": 15.0, "dec": 0.0}) is True
+        assert evaluate(predicate, {"ra": 25.0, "dec": 0.0}) is False
 
     def test_polytope_predicate_membership(self):
         template = rect_function_template()
@@ -46,8 +47,8 @@ class TestRegionPredicate:
             bbox=HyperRect((0.0, 0.0), (1.0, 1.0)),
         )
         predicate = region_predicate(template, poly)
-        assert predicate.evaluate({"ra": 0.2, "dec": 0.2}) is True
-        assert predicate.evaluate({"ra": 0.9, "dec": 0.9}) is False
+        assert evaluate(predicate, {"ra": 0.2, "dec": 0.2}) is True
+        assert evaluate(predicate, {"ra": 0.9, "dec": 0.9}) is False
 
     def test_predicate_renders_to_sql(self):
         template = radial_function_template()

@@ -147,9 +147,10 @@ class TestDistinct:
 class TestAggregateErrors:
     def test_count_star_outside_aggregation(self):
         from repro.relational.expressions import CountStar
+        from tests.interpreter import evaluate
 
         with pytest.raises(ExecutionError, match="aggregate context"):
-            CountStar().evaluate({})
+            evaluate(CountStar())
 
     def test_aggregate_arity(self, execute):
         with pytest.raises(ExecutionError, match="one argument"):

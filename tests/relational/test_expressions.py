@@ -1,4 +1,8 @@
-"""Expression evaluation, including SQL three-valued logic."""
+"""Expression evaluation, including SQL three-valued logic.
+
+Values come from the compiled expression (``tests.interpreter.evaluate``);
+how a column name resolves is the executor's :class:`Scope`.
+"""
 
 import dataclasses
 
@@ -6,6 +10,7 @@ import pytest
 
 import repro.sqlparser.ast  # noqa: F401 - defines the Parameter node
 from repro.relational.errors import ExecutionError
+from repro.relational.executor import Scope
 from repro.relational.expressions import (
     And,
     Between,
@@ -20,54 +25,67 @@ from repro.relational.expressions import (
     Negate,
     Not,
     Or,
+    compile_expression,
     conjoin,
 )
+from repro.relational.schema import Schema
+from repro.relational.types import ColumnType
+from tests.interpreter import evaluate
 
 
 def lit(value):
     return Literal(value)
 
 
+def scope(**bindings):
+    """The executor's resolver over ``binding=[column, ...]``."""
+    resolver = Scope()
+    for binding, names in bindings.items():
+        resolver.add(
+            binding, Schema.of(*((name, ColumnType.FLOAT) for name in names))
+        )
+    return resolver
+
+
 class TestBasics:
     def test_literal(self):
-        assert lit(42).evaluate({}) == 42
-        assert lit(None).evaluate({}) is None
+        assert evaluate(lit(42)) == 42
+        assert evaluate(lit(None)) is None
 
     def test_column_ref(self):
-        assert ColumnRef("ra").evaluate({"ra": 1.5}) == 1.5
+        assert evaluate(ColumnRef("ra"), {"ra": 1.5}) == 1.5
 
     def test_column_ref_case_insensitive(self):
-        assert ColumnRef("RA").evaluate({"ra": 1.5}) == 1.5
+        assert evaluate(ColumnRef("RA"), {"ra": 1.5}) == 1.5
 
     def test_unqualified_resolves_through_single_qualified(self):
-        env = {"p.ra": 1.5}
-        assert ColumnRef("ra").evaluate(env) == 1.5
+        read = compile_expression(ColumnRef("ra"), scope(p=["ra"]).read)
+        assert read((1.5,)) == 1.5
 
     def test_ambiguous_unqualified_raises(self):
-        env = {"p.ra": 1.5, "n.ra": 2.5}
         with pytest.raises(ExecutionError, match="ambiguous"):
-            ColumnRef("ra").evaluate(env)
+            compile_expression(ColumnRef("ra"), scope(p=["ra"], n=["ra"]).read)
 
     def test_unknown_column_raises(self):
         with pytest.raises(ExecutionError, match="unknown column"):
-            ColumnRef("nope").evaluate({})
+            compile_expression(ColumnRef("nope"), scope().read)
 
     def test_arithmetic(self):
         expr = BinaryOp(BinaryOperator.ADD, lit(2), lit(3))
-        assert expr.evaluate({}) == 5
+        assert evaluate(expr) == 5
 
     def test_division_by_zero_raises(self):
         expr = BinaryOp(BinaryOperator.DIV, lit(1), lit(0))
         with pytest.raises(ExecutionError, match="division by zero"):
-            expr.evaluate({})
+            evaluate(expr)
 
     def test_comparison(self):
         expr = BinaryOp(BinaryOperator.LE, lit(2), lit(3))
-        assert expr.evaluate({}) is True
+        assert evaluate(expr) is True
 
     def test_negate(self):
-        assert Negate(lit(5)).evaluate({}) == -5
-        assert Negate(lit(None)).evaluate({}) is None
+        assert evaluate(Negate(lit(5))) == -5
+        assert evaluate(Negate(lit(None))) is None
 
 
 class TestNullLogic:
@@ -75,71 +93,71 @@ class TestNullLogic:
 
     def test_comparison_with_null_is_null(self):
         expr = BinaryOp(BinaryOperator.EQ, lit(None), lit(3))
-        assert expr.evaluate({}) is None
+        assert evaluate(expr) is None
 
     def test_and_short_circuits_false(self):
         expr = And((lit(False), lit(None)))
-        assert expr.evaluate({}) is False
+        assert evaluate(expr) is False
 
     def test_and_with_null_and_true_is_null(self):
         expr = And((lit(True), lit(None)))
-        assert expr.evaluate({}) is None
+        assert evaluate(expr) is None
 
     def test_or_short_circuits_true(self):
         expr = Or((lit(None), lit(True)))
-        assert expr.evaluate({}) is True
+        assert evaluate(expr) is True
 
     def test_or_with_null_and_false_is_null(self):
         expr = Or((lit(False), lit(None)))
-        assert expr.evaluate({}) is None
+        assert evaluate(expr) is None
 
     def test_not_null_is_null(self):
-        assert Not(lit(None)).evaluate({}) is None
+        assert evaluate(Not(lit(None))) is None
 
     def test_between_null_operand(self):
         expr = Between(lit(None), lit(0), lit(10))
-        assert expr.evaluate({}) is None
+        assert evaluate(expr) is None
 
     def test_is_null(self):
-        assert IsNull(lit(None)).evaluate({}) is True
-        assert IsNull(lit(3)).evaluate({}) is False
-        assert IsNull(lit(3), negated=True).evaluate({}) is True
+        assert evaluate(IsNull(lit(None))) is True
+        assert evaluate(IsNull(lit(3))) is False
+        assert evaluate(IsNull(lit(3), negated=True)) is True
 
     def test_in_list_with_null_choice(self):
         # 2 IN (1, NULL) is NULL (unknown), per SQL.
         expr = InList(lit(2), (lit(1), lit(None)))
-        assert expr.evaluate({}) is None
+        assert evaluate(expr) is None
 
     def test_in_list_hit_beats_null(self):
         expr = InList(lit(1), (lit(1), lit(None)))
-        assert expr.evaluate({}) is True
+        assert evaluate(expr) is True
 
 
 class TestBetweenAndIn:
     def test_between_inclusive(self):
-        assert Between(lit(5), lit(5), lit(10)).evaluate({}) is True
-        assert Between(lit(10), lit(5), lit(10)).evaluate({}) is True
-        assert Between(lit(11), lit(5), lit(10)).evaluate({}) is False
+        assert evaluate(Between(lit(5), lit(5), lit(10))) is True
+        assert evaluate(Between(lit(10), lit(5), lit(10))) is True
+        assert evaluate(Between(lit(11), lit(5), lit(10))) is False
 
     def test_in_list(self):
         expr = InList(lit("b"), (lit("a"), lit("b")))
-        assert expr.evaluate({}) is True
+        assert evaluate(expr) is True
 
 
 class TestFuncCall:
     def test_builtin_trig(self):
         expr = FuncCall("cos", (lit(0.0),))
-        assert expr.evaluate({}) == pytest.approx(1.0)
+        assert evaluate(expr) == pytest.approx(1.0)
 
     def test_builtin_is_case_insensitive(self):
-        assert FuncCall("SQRT", (lit(9.0),)).evaluate({}) == pytest.approx(3.0)
+        assert evaluate(FuncCall("SQRT", (lit(9.0),))) == pytest.approx(3.0)
 
     def test_null_argument_yields_null(self):
-        assert FuncCall("cos", (lit(None),)).evaluate({}) is None
+        assert evaluate(FuncCall("cos", (lit(None),))) is None
 
     def test_unknown_function_raises(self):
         with pytest.raises(ExecutionError, match="unknown scalar function"):
-            FuncCall("fNothing", ()).evaluate({})
+            evaluate(FuncCall("fNothing", ()))
 
     def test_registry_resolution(self):
         from repro.udf.registry import FunctionRegistry, ScalarFunction
@@ -149,11 +167,11 @@ class TestFuncCall:
             ScalarFunction("double", ("x",), lambda x: 2 * x)
         )
         expr = FuncCall("double", (lit(21),))
-        assert expr.evaluate({"__functions__": registry}) == 42
+        assert evaluate(expr, functions=registry) == 42
 
     def test_domain_error_is_wrapped(self):
         with pytest.raises(ExecutionError):
-            FuncCall("sqrt", (lit(-1.0),)).evaluate({})
+            evaluate(FuncCall("sqrt", (lit(-1.0),)))
 
 
 class TestToSql:
@@ -197,7 +215,7 @@ class TestConjoin:
     def test_multiple_becomes_and(self):
         combined = conjoin([lit(True), lit(False)])
         assert isinstance(combined, And)
-        assert combined.evaluate({}) is False
+        assert evaluate(combined) is False
 
 
 NODE_MODULES = ("repro.relational.expressions", "repro.sqlparser.ast")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational.errors import RelationalError
+from repro.relational.errors import ExecutionError, RelationalError
 from repro.server.costs import ServerCostModel
 from repro.sqlparser.errors import ParseError
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
@@ -44,6 +44,42 @@ class TestExecution:
         remainder = build_remainder(bound, [hole])
         origin.execute_remainder(remainder.statement, 1)
         assert origin.remainders_served == before + 1
+
+
+class TestNamesResolveBeforeRows:
+    """A misspelt column is an error whatever the rows: each clause is
+    compiled against the FROM bindings before a row is filtered.  The
+    empty-WHERE query used to answer 0 rows, its twin with rows
+    ``unknown column 'nosuch'``."""
+
+    @pytest.mark.parametrize("bound", ["objID < 0", "objID < 3"])
+    def test_unknown_order_key(self, origin, bound):
+        with pytest.raises(ExecutionError, match="unknown column 'nosuch'"):
+            origin.execute_sql(
+                f"SELECT objID FROM PhotoPrimary WHERE {bound} ORDER BY nosuch"
+            )
+
+    def test_ambiguous_name_in_an_empty_join(self, origin):
+        with pytest.raises(ExecutionError, match="ambiguous column"):
+            origin.execute_sql(
+                "SELECT n.objID FROM fGetNearbyObjEq(164, 8, 1) n "
+                "JOIN PhotoPrimary p ON n.objID = p.objID "
+                "WHERE p.objID < 0 AND ra > 1"
+            )
+
+
+class TestJoinConditions:
+    def test_a_nested_loop_condition_calls_a_scalar_udf(self, origin):
+        """A join condition compiles with the catalog's UDFs like every
+        other clause; it used to run before they were installed in the
+        row environments, so ``fPhotoType`` was an unknown function."""
+        sql = (
+            "SELECT n.objID FROM fGetNearbyObjEq(164, 8, 8) n "
+            "JOIN PhotoPrimary p ON n.objID = p.objID AND {} = p.type"
+        )
+        star = origin.execute_sql(sql.format("fPhotoType('STAR')")).result
+        plain = origin.execute_sql(sql.format("6")).result
+        assert star.rows == plain.rows and len(plain) > 0
 
 
 class TestCostModel:

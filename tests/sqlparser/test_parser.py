@@ -15,6 +15,7 @@ from repro.relational.expressions import (
 from repro.sqlparser.ast import FunctionSource, Parameter, TableSource
 from repro.sqlparser.errors import ParseError
 from repro.sqlparser.parser import parse_expression, parse_select
+from tests.interpreter import evaluate
 
 RADIAL = (
     "SELECT TOP 100 p.objID, p.ra, p.dec, n.distance "
@@ -76,16 +77,16 @@ class TestExpressions:
 
     def test_precedence_mul_over_add(self):
         expr = parse_expression("1 + 2 * 3")
-        assert expr.evaluate({}) == 7
+        assert evaluate(expr) == 7
 
     def test_parentheses_override(self):
         expr = parse_expression("(1 + 2) * 3")
-        assert expr.evaluate({}) == 9
+        assert evaluate(expr) == 9
 
     def test_not_in(self):
         expr = parse_expression("a NOT IN (1, 2)")
         assert isinstance(expr, Not)
-        assert expr.evaluate({"a": 3}) is True
+        assert evaluate(expr, {"a": 3}) is True
 
     def test_not_between(self):
         expr = parse_expression("a NOT BETWEEN 1 AND 2")
@@ -94,18 +95,18 @@ class TestExpressions:
 
     def test_is_not_null(self):
         expr = parse_expression("a IS NOT NULL")
-        assert expr.evaluate({"a": 1}) is True
-        assert expr.evaluate({"a": None}) is False
+        assert evaluate(expr, {"a": 1}) is True
+        assert evaluate(expr, {"a": None}) is False
 
     def test_unary_minus(self):
-        assert parse_expression("-3 + 1").evaluate({}) == -2
+        assert evaluate(parse_expression("-3 + 1")) == -2
 
     def test_unary_plus_is_noop(self):
-        assert parse_expression("+3").evaluate({}) == 3
+        assert evaluate(parse_expression("+3")) == 3
 
     def test_function_call(self):
         expr = parse_expression("sqrt(abs(-16))")
-        assert expr.evaluate({}) == pytest.approx(4.0)
+        assert evaluate(expr) == pytest.approx(4.0)
 
     def test_comparison_chain_is_rejected(self):
         # SQL has no chained comparisons; `1 < 2 < 3` parses as
@@ -137,7 +138,7 @@ class TestParameters:
 
     def test_unbound_parameter_cannot_evaluate(self):
         with pytest.raises(ExecutionError, match="unbound"):
-            Parameter("x").evaluate({})
+            evaluate(Parameter("x"))
 
 
 class TestParseErrors:

@@ -8,6 +8,8 @@ Statements are generated bottom-up from the same node types the parser
 produces.  Literal floats use ``repr`` so the round-trip is exact.
 """
 
+from operator import itemgetter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from repro.relational.expressions import (
     Negate,
     Not,
     Or,
+    compile_expression,
 )
 from repro.sqlparser.ast import (
     FunctionSource,
@@ -37,7 +40,6 @@ from repro.sqlparser.ast import (
     SelectStatement,
     TableSource,
     bind_expression,
-    parameter_environment,
 )
 from repro.sqlparser.parser import parse_expression, parse_select
 
@@ -362,11 +364,17 @@ def arithmetic(depth: int = 3):
     )
 
 
+def parameter_slots(node):
+    return itemgetter(node.name) if isinstance(node, Parameter) else None
+
+
 @given(expr=arithmetic(), ra=numbers, dec=numbers, radius=numbers)
 @settings(max_examples=300, deadline=None)
-def test_parameter_environment_equals_substitution(expr, ra, dec, radius):
-    """Reading ``$name`` from the environment computes, bit for bit,
-    what substituting literals and evaluating the copy did."""
+def test_parameter_slots_equal_substitution(expr, ra, dec, radius):
+    """Compiled with each ``$name`` read from the call's values, an
+    expression computes, bit for bit, what it computes compiled after
+    :func:`bind_expression` substituted literals — the invariant that
+    keeps a template's regions identical to its bound SQL's."""
     values = {"ra": ra, "dec": dec, "radius": radius}
 
     def outcome(evaluate):
@@ -376,5 +384,5 @@ def test_parameter_environment_equals_substitution(expr, ra, dec, radius):
             return "error"
 
     assert outcome(
-        lambda: expr.evaluate(parameter_environment(values))
-    ) == outcome(lambda: bind_expression(expr, values).evaluate({}))
+        lambda: compile_expression(expr, parameter_slots)(values)
+    ) == outcome(lambda: compile_expression(bind_expression(expr, values))(()))

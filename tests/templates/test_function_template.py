@@ -19,6 +19,7 @@ from repro.templates.skyserver_templates import (
     radial_function_template,
     rect_function_template,
 )
+from tests.interpreter import evaluate
 
 
 class TestRadialTemplate:
@@ -37,7 +38,7 @@ class TestRadialTemplate:
     def test_point_of_uses_cx_cy_cz(self):
         template = radial_function_template()
         env = {"cx": 0.1, "cy": 0.2, "cz": 0.3}
-        point = tuple(expr.evaluate(env) for expr in template.point_exprs)
+        point = tuple(evaluate(expr, env) for expr in template.point_exprs)
         assert point == (0.1, 0.2, 0.3)
 
     def test_point_attribute_names(self):
@@ -84,7 +85,7 @@ class TestRectTemplate:
     def test_point_of(self):
         template = rect_function_template()
         env = {"ra": 12.0, "dec": 1.0}
-        point = tuple(expr.evaluate(env) for expr in template.point_exprs)
+        point = tuple(evaluate(expr, env) for expr in template.point_exprs)
         assert point == (12.0, 1.0)
 
 

@@ -88,6 +88,18 @@ class TestOriginApp:
         assert "non-finite argument" in response.get_json()["error"]
 
     @pytest.mark.parametrize(
+        "item", ["exp(1000.0)", "power(10.0, 400.0)", "floor(1e400)"]
+    )
+    def test_math_overflow_is_400(self, origin_client, item):
+        """An ``OverflowError`` from a builtin used to escape the
+        executor as a 500."""
+        response = origin_client.post(
+            "/sql", data=f"SELECT TOP 1 {item} AS x FROM PhotoPrimary"
+        )
+        assert response.status_code == 400
+        assert response.get_json()["error"].startswith("error in ")
+
+    @pytest.mark.parametrize(
         "source",
         [
             "fGetNearbyObjEq(1, 1, -1)",

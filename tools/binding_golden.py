@@ -46,6 +46,7 @@ from repro.geometry.regions import (  # noqa: E402
 )
 from repro.relational.catalog import Catalog  # noqa: E402
 from repro.relational.executor import Executor  # noqa: E402
+from repro.relational.expressions import compile_expression  # noqa: E402
 from repro.relational.result import ResultTable  # noqa: E402
 from repro.relational.schema import Schema  # noqa: E402
 from repro.relational.types import ColumnType  # noqa: E402
@@ -392,7 +393,7 @@ def _errors(manager: TemplateManager) -> dict[str, str]:
             lambda: sphere.region_for({"ra": 1.0, "dec": 1.0, "radius": -1.0})
         ),
         "unbound_evaluate": _error(
-            lambda: parse_expression("$a + 1").evaluate({})
+            lambda: compile_expression(parse_expression("$a + 1"))(())
         ),
         "unbound_argument": _error(free_sql.source.argument_values),
         "executor_non_constant": _error(
