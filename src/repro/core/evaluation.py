@@ -39,7 +39,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.result import ResultTable, sort_rows
 from repro.relational.schema import Schema
-from repro.sqlparser.ast import Parameter
+from repro.sqlparser.ast import parameter_slot
 from repro.templates.errors import TemplateError
 from repro.templates.manager import BoundQuery
 from repro.templates.query_template import QueryTemplate
@@ -62,10 +62,6 @@ class EvaluationOutcome:
     tuples_evaluated: int
 
 
-def _parameter(node: Expression):
-    return itemgetter(node.name) if isinstance(node, Parameter) else None
-
-
 def _staged(expr: Expression, column, width: int):
     """``expr`` over a result tuple, as ``bind(params) -> (row ->
     value)``: its parameter-only subexpressions are evaluated once per
@@ -76,7 +72,7 @@ def _staged(expr: Expression, column, width: int):
     def leaf(node: Expression):
         if isinstance(node, Literal) or node.column_refs():
             return column(node)
-        hoisted.append(compile_expression(node, _parameter))
+        hoisted.append(compile_expression(node, parameter_slot))
         return itemgetter(width + len(hoisted) - 1)
 
     function = compile_expression(expr, leaf)
@@ -156,7 +152,7 @@ class _Plan:
     def recompute(self, bound: BoundQuery) -> Callable[[tuple], tuple]:
         """This query's values of the function's query-dependent
         columns, written over a cached row's."""
-        params = bound.template.function_params_of(bound.statement)
+        params = bound.function_params
         rules = [(at, bind(params)) for at, bind in self.outputs]
 
         def recomputed(row: tuple) -> tuple:
@@ -245,7 +241,7 @@ class LocalEvaluator:
 
     def finalize(self, bound: BoundQuery, result: ResultTable) -> ResultTable:
         """Apply the query's ORDER BY and TOP-N in result scope."""
-        statement = bound.statement
+        statement = bound.template.statement
         if statement.order_by:
             keys = self._plan(bound.template, result.schema).order_keys(bound)
             with _per_tuple(bound):

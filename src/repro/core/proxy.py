@@ -696,7 +696,7 @@ class FunctionProxy:
                 )
                 if admissible:
                     entry, report = self.cache.store(
-                        bound, result, self._signature(bound), truncated
+                        bound, result, bound.signature, truncated
                     )
                 else:
                     entry, report = None, MaintenanceReport()
@@ -772,7 +772,7 @@ class FunctionProxy:
                     bound.template_id, bound.region
                 )
                 probe.count("candidates", len(candidates))
-            signature = self._signature(bound)
+            signature = bound.signature
             usable = []
             for entry in candidates:
                 if entry.signature != signature:
@@ -1007,14 +1007,9 @@ class FunctionProxy:
         return flushed
 
     @staticmethod
-    def _signature(bound: BoundQuery) -> str:
-        where = bound.statement.where
-        return "" if where is None else where.to_sql()
-
-    @staticmethod
     def _is_truncated(bound: BoundQuery, origin_result: ResultTable) -> bool:
         """Whether a stored result may be an incomplete region answer."""
-        top = bound.statement.top
+        top = bound.top
         return top is not None and len(origin_result) >= top
 
     def _respond(

@@ -118,7 +118,8 @@ class Expression:
         return self.to_sql()
 
 
-def _sql_literal(value: Any) -> str:
+def sql_literal(value: Any) -> str:
+    """The SQL text of a constant: what ``Literal(value).to_sql()`` renders."""
     if value is None:
         return "NULL"
     if isinstance(value, bool):
@@ -138,7 +139,7 @@ class Literal(Expression):
     value: Any
 
     def to_sql(self) -> str:
-        return _sql_literal(self.value)
+        return sql_literal(self.value)
 
 
 @dataclass(frozen=True)

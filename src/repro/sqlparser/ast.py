@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable
+from operator import itemgetter
+from typing import Any, Callable, Mapping
 
 from repro.relational.errors import ExecutionError
 from repro.relational.expressions import (
+    Compiled,
     Expression,
     Literal,
     compile_expression,
@@ -45,6 +47,12 @@ class Parameter(Expression):
 
     def to_sql(self) -> str:
         return f"${self.name}"
+
+
+def parameter_slot(node: Expression) -> Compiled | None:
+    """The compiler's leaf that reads each ``$name`` from a mapping of
+    parameter values (a missing one is a ``KeyError``)."""
+    return itemgetter(node.name) if isinstance(node, Parameter) else None
 
 
 @dataclass(frozen=True)
@@ -274,13 +282,19 @@ class SelectStatement:
         placeholder has no value; extra values are ignored (a template
         info file may carry defaults for parameters a form omits).
         """
-        missing = [n for n in self._parameter_names if n not in values]
-        if missing:
-            raise ExecutionError(
-                f"missing template parameter(s): {', '.join(missing)}"
-            )
+        require_parameters(self._parameter_names, values)
         return self.map_expressions(
             lambda expr: bind_expression(expr, values)
+        )
+
+
+def require_parameters(names: tuple[str, ...], values: Mapping[str, Any]) -> None:
+    """Raise :class:`~repro.relational.errors.ExecutionError` naming
+    every one of ``names`` that ``values`` has no value for."""
+    missing = [name for name in names if name not in values]
+    if missing:
+        raise ExecutionError(
+            f"missing template parameter(s): {', '.join(missing)}"
         )
 
 

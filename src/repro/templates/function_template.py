@@ -27,9 +27,9 @@ from __future__ import annotations
 import enum
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.geometry.regions import (
     ConvexPolytope,
@@ -204,38 +204,59 @@ class FunctionTemplate:
                     f"{self.name}: ${param}={value!r} is outside "
                     f"[{low}, {high}]"
                 )
-        value = partial(self._evaluate, params=params)
-        if self.shape is Shape.HYPERSPHERE:
-            center = tuple(map(value, self.center_exprs))
-            radius = value(self.radius_expr)
-            if radius < 0:
-                raise TemplateError(f"{self.name}: negative radius {radius}")
-            return HyperSphere(center, radius)
-        box = HyperRect(
-            tuple(map(value, self.low_exprs)),
-            tuple(map(value, self.high_exprs)),
-        )
-        if self.shape is Shape.HYPERRECT:
-            return box
-        halfspaces = tuple(
-            Halfspace(tuple(map(value, spec.normal)), value(spec.offset))
-            for spec in self.halfspace_specs
-        )
-        return ConvexPolytope(halfspaces, box)
-
-    def _evaluate(self, expr: Expression, params: Mapping[str, Any]) -> float:
-        """A region expression's value for one call, compiled on its
-        first use.  The template is frozen, so each of its trees, keyed
-        by identity, lives as long as the cache."""
-        function = self._compiled.get(id(expr))
-        if function is None:
-            function = compile_expression(expr, self._parameter)
-            self._compiled[id(expr)] = function
-        return _evaluate_constant(expr, function, params)
+        return self._construct(params)
 
     @cached_property
-    def _compiled(self) -> dict[int, Compiled]:
-        return {}
+    def _construct(self) -> Callable[[Mapping[str, Any]], Region]:
+        """The region of one call, past :meth:`region_for`'s parameter
+        checks: every shape expression compiled once, into one
+        constructor over their values in declared order (centre, then
+        radius; or lows, highs, then each face's normal and offset),
+        each checked in that order, so the first bad one is the one
+        refused."""
+        name, dims = self.name, self.dims
+        if self.shape is Shape.HYPERSPHERE:
+            exprs = [*self.center_exprs, self.radius_expr]
+
+            def build(values: list[float]) -> Region:
+                if values[dims] < 0:
+                    raise TemplateError(
+                        f"{name}: negative radius {values[dims]}"
+                    )
+                return HyperSphere(tuple(values[:dims]), values[dims])
+
+        else:
+            exprs = [*self.low_exprs, *self.high_exprs]
+            for spec in self.halfspace_specs:
+                exprs += [*spec.normal, spec.offset]
+            polytope = self.shape is Shape.POLYTOPE
+
+            def build(values: list[float]) -> Region:
+                box = HyperRect(
+                    tuple(values[:dims]), tuple(values[dims:2 * dims])
+                )
+                if not polytope:
+                    return box
+                faces = range(2 * dims, len(values), dims + 1)
+                return ConvexPolytope(
+                    tuple(
+                        Halfspace(tuple(values[at:at + dims]), values[at + dims])
+                        for at in faces
+                    ),
+                    box,
+                )
+
+        compiled = [
+            (expr, compile_expression(expr, self._parameter)) for expr in exprs
+        ]
+
+        def construct(params: Mapping[str, Any]) -> Region:
+            return build([
+                _evaluate_constant(expr, function, params)
+                for expr, function in compiled
+            ])
+
+        return construct
 
     def _parameter(self, node: Expression) -> Compiled | None:
         """The compiler's leaf: a declared parameter reads the call's

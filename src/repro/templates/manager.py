@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.geometry.regions import Region
@@ -31,23 +32,40 @@ ANALYSIS_MODES = ("strict", "permissive", "off")
 class BoundQuery:
     """A concrete instance of a query template.
 
-    Everything downstream derives from here: the SQL shipped to the
-    origin, the region the cache reasoning uses, and the residual parts
-    (other predicates, TOP-N) the proxy applies during local evaluation.
+    Everything downstream derives from here: the region the cache
+    reasoning uses, the function call's arguments local evaluation
+    recomputes the function's columns from, the residual predicate's
+    signature, and — only on the paths that send the query — the SQL
+    shipped to the origin.
     """
 
     template: QueryTemplate
     params: dict[str, Any]
-    statement: SelectStatement
+    function_params: dict[str, Any]
     region: Region
 
     @property
     def template_id(self) -> str:
         return self.template.template_id
 
+    @cached_property
+    def statement(self) -> SelectStatement:
+        """The template with these values for its parameters, built on
+        first use and kept: the origin executes it, a remainder is
+        rewritten from it.  A cache hit never builds it."""
+        return self.template.statement.bind(self.params)
+
     @property
     def sql(self) -> str:
-        return self.statement.to_sql()
+        """``statement.to_sql()``, rendered without the statement."""
+        return self.template.binder.sql(self.params)
+
+    @cached_property
+    def signature(self) -> str:
+        """The residual predicate's text (the bound WHERE clause, ``""``
+        without one): cached entries answer this query only under an
+        equal one."""
+        return self.template.binder.signature(self.params)
 
     @property
     def key_column(self) -> str:
@@ -55,7 +73,7 @@ class BoundQuery:
 
     @property
     def top(self) -> int | None:
-        return self.statement.top
+        return self.template.statement.top
 
     def cache_key(self) -> tuple:
         """Exact-match identity: template plus parameter values."""
@@ -281,14 +299,8 @@ class TemplateManager:
         """A concrete query from a template id and parameter values."""
         template = self.query_template(template_id)
         params = dict(params)
-        statement = template.bind_statement(params)
-        region = template.region_of(statement)
-        return BoundQuery(
-            template=template,
-            params=params,
-            statement=statement,
-            region=region,
-        )
+        function_params, region = template.binder(params)
+        return BoundQuery(template, params, function_params, region)
 
     def bind_form(
         self, form_name: str, form_values: Mapping[str, str]

@@ -28,11 +28,26 @@ are checkable statically:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Any, Mapping
+from functools import cached_property
+from typing import Any, Callable, Mapping
 
-from repro.relational.expressions import BinaryOp, BinaryOperator, ColumnRef
-from repro.sqlparser.ast import FunctionSource, SelectStatement
+from repro.geometry.regions import Region
+from repro.relational.expressions import (
+    BinaryOp,
+    BinaryOperator,
+    ColumnRef,
+    compile_expression,
+    sql_literal,
+)
+from repro.relational.types import is_finite
+from repro.sqlparser.ast import (
+    FunctionSource,
+    SelectStatement,
+    parameter_slot,
+    require_parameters,
+)
 from repro.sqlparser.parser import parse_select
 from repro.templates.errors import TemplateError
 from repro.templates.function_template import FunctionTemplate
@@ -129,33 +144,89 @@ class QueryTemplate:
     def parameter_names(self) -> list[str]:
         return self.statement.parameter_names()
 
-    def bind_statement(self, params: Mapping[str, Any]) -> SelectStatement:
-        return self.statement.bind(dict(params))
+    @cached_property
+    def binder(self) -> "Binder":
+        """This template compiled for binding, on first use."""
+        return Binder(self)
 
-    def function_params(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Values of the *function template's* parameters for a binding."""
-        return self.function_params_of(self.bind_statement(params))
 
-    def function_params_of(self, bound: SelectStatement) -> dict[str, Any]:
-        """The same values, read off an already-bound statement.
+#: A ``$``-parameter of rendered SQL, or a string literal (matched whole
+#: so a ``$`` inside one is not taken for a parameter).
+_SLOT = re.compile(r"'(?:[^']|'')*'|\$(\w+)")
 
-        The query template's function call arguments are expressions
-        over the query parameters; evaluating each bound argument gives
-        the positional function arguments, which are zipped with the
-        function template's declared parameter names.
+
+def _renderer(sql: str) -> Callable[[Mapping[str, Any]], str]:
+    """``sql`` with each ``$``-parameter replaced by its value's literal.
+
+    The text is split once, here, into a format string with one field
+    per parameter; rendering fills the fields with ``sql_literal``, the
+    text each bound :class:`Literal` renders, so the result is what the
+    bound tree's ``to_sql()`` gives, byte for byte.
+    """
+    names: list[str] = []
+
+    def field(match: re.Match) -> str:
+        if match.group(1) is None:  # a string literal
+            return match.group(0)
+        names.append(match.group(1))
+        return f"{{{len(names) - 1}}}"
+
+    text = _SLOT.sub(field, sql.replace("{", "{{").replace("}", "}}"))
+
+    def render(params: Mapping[str, Any]) -> str:
+        return text.format(*[sql_literal(params[name]) for name in names])
+
+    return render
+
+
+class Binder:
+    """A query template compiled once, applied per query.
+
+    Applied to parameter values it yields what the proxy reasons with —
+    the function call's arguments by the function template's parameter
+    names, and the region they select — without building a statement.
+    The template's SQL and WHERE text are pre-split for rendering
+    (:attr:`sql`, :attr:`signature`); the bound statement itself is
+    built only where it is sent (``BoundQuery.statement``).
+    """
+
+    def __init__(self, template: QueryTemplate) -> None:
+        statement = template.statement
+        source = statement.source
+        args = source.args if isinstance(source, FunctionSource) else ()
+        self.names = tuple(statement.parameter_names())
+        self.function_template = template.function_template
+        self.arguments = [
+            (name, compile_expression(arg, parameter_slot))
+            for name, arg in zip(self.function_template.params, args)
+        ]
+        self.sql = _renderer(statement.to_sql())
+        where = statement.where
+        self.signature = _renderer("" if where is None else where.to_sql())
+        self.template_id = template.template_id
+
+    def __call__(
+        self, params: Mapping[str, Any]
+    ) -> tuple[dict[str, Any], Region]:
+        """``(function parameters, region)`` for one query's values.
+
+        Refuses what the template cannot bind: a missing parameter
+        (``ExecutionError``, as binding the statement would), a
+        region its function template refuses, and a number that is not
+        finite in any parameter (:class:`TemplateError`) — such a value
+        would render SQL that does not parse back.
         """
-        source = bound.source
-        assert isinstance(source, FunctionSource)
-        return dict(
-            zip(self.function_template.params, source.argument_values())
-        )
-
-    def region_for(self, params: Mapping[str, Any]):
-        """The spatial region a concrete binding selects."""
-        return self.region_of(self.bind_statement(params))
-
-    def region_of(self, bound: SelectStatement):
-        """The region an already-bound statement selects (no re-bind)."""
-        return self.function_template.region_for(
-            self.function_params_of(bound)
-        )
+        if not all(map(params.__contains__, self.names)):
+            require_parameters(self.names, params)  # raises, naming them
+        function_params = {
+            name: argument(params) for name, argument in self.arguments
+        }
+        region = self.function_template.region_for(function_params)
+        for name in self.names:
+            value = params[name]
+            if isinstance(value, (int, float)) and not is_finite(value):
+                raise TemplateError(
+                    f"{self.template_id}: ${name}={value!r} is not a "
+                    "finite number"
+                )
+        return function_params, region

@@ -69,7 +69,9 @@ def interpreted_select(bound, entries):
     ftemplate = template.function_template
     region = bound.region
     params = parameter_environment(
-        template.function_params_of(bound.statement)
+        dict(
+            zip(ftemplate.params, bound.statement.source.argument_values())
+        )
     )
     # Each rule writes the output column of the select item that reads
     # the function's column bare, whatever that column is named.

@@ -110,14 +110,14 @@ class TestFinalize:
             radial_function_template(),
             key_column="objID",
         )
-        bound = ordered_template.bind_statement(radial_params)
         from repro.templates.manager import BoundQuery
 
+        function_params, region = ordered_template.binder(radial_params)
         bq = BoundQuery(
             template=ordered_template,
             params=dict(radial_params),
-            statement=bound,
-            region=ordered_template.region_for(radial_params),
+            function_params=function_params,
+            region=region,
         )
         raw = origin.execute_bound(
             templates.bind(RADIAL_TEMPLATE_ID, radial_params)

@@ -248,29 +248,23 @@ class TestSoundnessGuards:
     def test_non_finite_function_argument_is_a_structured_failure(
         self, make_proxy, bind, bad
     ):
-        """``bind`` refuses a non-finite region; a hand-built bound
+        """``bind`` refuses a non-finite parameter; a hand-built bound
         query is the one way past it.  The origin's executor is the
         second layer, and ``serve`` still never raises."""
         from repro.core.stats import QueryOutcome
         from repro.relational.expressions import Literal
-        from repro.sqlparser.ast import FunctionSource
         from repro.templates.manager import BoundQuery
 
         good = bind()
-        source = good.statement.source
         forged = BoundQuery(
             template=good.template,
             params=dict(good.params, ra=bad),
-            statement=dataclasses.replace(
-                good.statement,
-                source=FunctionSource(
-                    source.name,
-                    (Literal(bad), *source.args[1:]),
-                    source.alias,
-                ),
-            ),
+            function_params=dict(good.function_params, ra=bad),
             region=good.region,
         )
+        # The statement the origin is sent carries the forged argument.
+        first = forged.statement.source.args[0]
+        assert isinstance(first, Literal) and first.value is bad
         proxy = make_proxy()
         response = proxy.serve(forged)
         assert response.record.outcome is QueryOutcome.FAILED

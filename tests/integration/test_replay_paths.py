@@ -310,7 +310,7 @@ def test_foreign_tagged_record_is_the_only_difference(private_origin):
                 template_id=stray.template_id,
                 params=dict(stray.params),
                 region=region_to_dict(stray.region),
-                signature=FunctionProxy._signature(stray),
+                signature=stray.signature,
                 truncated=False,
                 result_xml=origin.execute_bound(stray).result.to_xml(),
                 data_version=origin.data_version,

@@ -131,13 +131,14 @@ class TestBinding:
             "ra": 164.0, "dec": 8.0, "radius": 10.0,
             "r_min": 0.0, "r_max": 30.0,
         }
-        assert template.function_params(params) == {
+        function_params, _ = template.binder(params)
+        assert function_params == {
             "ra": 164.0, "dec": 8.0, "radius": 10.0,
         }
 
     def test_region_for_binding(self):
         template = radial_query_template()
-        region = template.region_for(
+        _, region = template.binder(
             {
                 "ra": 164.0, "dec": 8.0, "radius": 10.0,
                 "r_min": 0.0, "r_max": 30.0,
@@ -145,10 +146,23 @@ class TestBinding:
         )
         assert region.dims == 3
 
+    def test_rendered_sql_leaves_string_literals_alone(self):
+        """A ``$`` or a brace inside a string literal is text, not a
+        parameter slot or a format field."""
+        template = make(
+            "SELECT objID, cx, cy, cz "
+            "FROM fGetNearbyObjEq($ra, $dec, $radius) n "
+            "WHERE 'it''s $ra {0}' <> $note AND objID > $ra"
+        )
+        params = {"ra": -1, "dec": 2.5, "radius": 3.0, "note": "{}'$dec"}
+        statement = template.statement.bind(params)
+        assert template.binder.sql(params) == statement.to_sql()
+        assert template.binder.signature(params) == statement.where.to_sql()
+
     def test_expression_arguments_are_evaluated(self):
         template = make(
             "SELECT objID, cx, cy, cz "
             "FROM fGetNearbyObjEq($ra + 1.0, $dec, $r * 2) n"
         )
-        params = template.function_params({"ra": 10.0, "dec": 0.0, "r": 3.0})
+        params, _ = template.binder({"ra": 10.0, "dec": 0.0, "r": 3.0})
         assert params == {"ra": 11.0, "dec": 0.0, "radius": 6.0}

@@ -203,6 +203,8 @@ class TestProxyApp:
             "/search/Radial?ra=164&dec=8&radius=nan",
             "/search/Rectangular?min_ra=163&max_ra=inf&min_dec=7&max_dec=9",
             "/search/Rectangular?min_ra=-1e400&max_ra=9&min_dec=7&max_dec=9",
+            # Not a region parameter: its SQL read ``inf`` as a column.
+            "/search/Radial?ra=164&dec=8&radius=10&max_mag=inf",
         ],
     )
     def test_non_finite_region_is_400_not_a_crash(self, proxy_client, url):

@@ -31,7 +31,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.evaluation import LocalEvaluator  # noqa: E402
-from repro.core.proxy import FunctionProxy  # noqa: E402
 from repro.core.remainder import build_remainder  # noqa: E402
 from repro.extensions.triangle import (  # noqa: E402
     TRIANGLE_TEMPLATE_ID,
@@ -207,11 +206,11 @@ def _bindings(
                 {
                     "template": template_id,
                     "sql": bound.sql,
-                    "signature": FunctionProxy._signature(bound),
+                    "signature": bound.signature,
                     "cache_key": bound.cache_key(),
                     "region": region_floats(bound.region),
                     "parameter_names": template.parameter_names,
-                    "function_params": template.function_params(params),
+                    "function_params": bound.function_params,
                 }
             )
     return out
@@ -251,7 +250,7 @@ def _form_bindings(manager: TemplateManager) -> list[dict[str, Any]]:
             {
                 "form": form,
                 "sql": bound.sql,
-                "signature": FunctionProxy._signature(bound),
+                "signature": bound.signature,
                 "cache_key": bound.cache_key(),
                 "region": region_floats(bound.region),
             }
