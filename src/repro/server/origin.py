@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 from repro.obs.instrument import OriginInstrumentation
 from repro.relational.catalog import Catalog
-from repro.relational.errors import RelationalError
 from repro.relational.executor import Executor
 from repro.relational.result import ResultTable
 from repro.server.costs import ServerCostModel
 from repro.skydata.generator import SkyCatalogConfig, build_sky_catalog
 from repro.sqlparser.ast import SelectStatement
-from repro.sqlparser.errors import ParseError
 from repro.sqlparser.parser import parse_select
 from repro.templates.manager import BoundQuery, TemplateManager
 from repro.templates.skyserver_templates import register_skyserver_templates
@@ -91,8 +89,12 @@ class OriginServer:
         return server
 
     # ----------------------------------------------------------- serving
-    def _execute(self, statement: SelectStatement, kind: str, **attrs):
-        """Execute one statement under an ``origin.<kind>`` stage."""
+    def _execute(
+        self, statement: SelectStatement, kind: str, **attrs
+    ) -> OriginResponse:
+        """Execute one statement under an ``origin.<kind>`` stage, count
+        it and charge it: the remainder price for a stage with
+        ``holes``, the query price otherwise."""
         obs = self.instrumentation
         with obs.scope(f"origin.{kind}", **attrs) as stage:
             # The operator counters go to whatever profiler the bundle
@@ -100,31 +102,32 @@ class OriginServer:
             result = Executor(self.catalog, obs.profiler).execute(statement)
             stage.count("rows", len(result))
             stage.annotate(rows=len(result))
-        return result
-
-    def _respond(self, result, kind: str, server_ms: float) -> OriginResponse:
-        self.instrumentation.observe(kind, result.byte_size(), server_ms)
+        self.queries_served += 1
+        if "holes" in attrs:
+            self.remainders_served += 1
+            server_ms = self.costs.remainder_ms(len(result), attrs["holes"])
+        else:
+            server_ms = self.costs.query_ms(len(result))
+        obs.observe(kind, result.byte_size(), server_ms)
         return OriginResponse(result, server_ms)
 
     def execute_bound(self, bound: BoundQuery) -> OriginResponse:
-        """Execute a concrete template query (a form submission)."""
-        result = self._execute(
+        """Execute a concrete template query (a form submission, or a
+        proxy's forward — in process or through the origin app)."""
+        return self._execute(
             bound.statement, "form", template=bound.template_id
         )
-        self.queries_served += 1
-        return self._respond(result, "form", self.costs.query_ms(len(result)))
 
     def execute_statement(self, statement: SelectStatement) -> OriginResponse:
         """Execute a parsed statement through the free-SQL facility."""
-        result = self._execute(statement, "sql")
-        self.queries_served += 1
-        return self._respond(result, "sql", self.costs.query_ms(len(result)))
+        return self._execute(statement, "sql")
 
     def execute_sql(self, sql: str) -> OriginResponse:
         """Execute raw SQL text (the public free-SQL search page).
 
-        Raises :class:`ParseError` / :class:`RelationalError` for bad
-        input; the HTTP wrapper maps those to a 400 response.
+        Raises :class:`~repro.sqlparser.errors.ParseError` /
+        :class:`~repro.relational.errors.RelationalError` for bad input;
+        the origin app maps those to a 400 response.
         """
         return self.execute_statement(parse_select(sql))
 
@@ -133,12 +136,7 @@ class OriginServer:
     ) -> OriginResponse:
         """Execute a remainder query (a rewritten query with excluded
         regions); costed separately per the model's surcharge."""
-        result = self._execute(statement, "remainder", holes=n_holes)
-        self.queries_served += 1
-        self.remainders_served += 1
-        return self._respond(
-            result, "remainder", self.costs.remainder_ms(len(result), n_holes)
-        )
+        return self._execute(statement, "remainder", holes=n_holes)
 
     def execute_form(self, form_name: str, form_values) -> OriginResponse:
         """Serve a raw HTML form submission end to end."""
@@ -146,4 +144,4 @@ class OriginServer:
         return self.execute_bound(bound)
 
 
-__all__ = ["OriginResponse", "OriginServer", "ParseError", "RelationalError"]
+__all__ = ["OriginResponse", "OriginServer"]

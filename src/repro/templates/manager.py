@@ -35,8 +35,8 @@ class BoundQuery:
     Everything downstream derives from here: the region the cache
     reasoning uses, the function call's arguments local evaluation
     recomputes the function's columns from, the residual predicate's
-    signature, and — only on the paths that send the query — the SQL
-    shipped to the origin.
+    signature, and — only where the query is executed or rewritten —
+    the bound statement.
     """
 
     template: QueryTemplate
@@ -52,13 +52,10 @@ class BoundQuery:
     def statement(self) -> SelectStatement:
         """The template with these values for its parameters, built on
         first use and kept: the origin executes it, a remainder is
-        rewritten from it.  A cache hit never builds it."""
+        rewritten from it.  A cache hit never builds it, and neither
+        does a forward over HTTP (it travels as template id and
+        parameters)."""
         return self.template.statement.bind(self.params)
-
-    @property
-    def sql(self) -> str:
-        """``statement.to_sql()``, rendered without the statement."""
-        return self.template.binder.sql(self.params)
 
     @cached_property
     def signature(self) -> str:

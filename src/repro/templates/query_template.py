@@ -185,9 +185,9 @@ class Binder:
     Applied to parameter values it yields what the proxy reasons with —
     the function call's arguments by the function template's parameter
     names, and the region they select — without building a statement.
-    The template's SQL and WHERE text are pre-split for rendering
-    (:attr:`sql`, :attr:`signature`); the bound statement itself is
-    built only where it is sent (``BoundQuery.statement``).
+    The template's WHERE text is pre-split for rendering the residual
+    signature (:attr:`signature`); the bound statement itself is built
+    only where it is executed or rewritten (``BoundQuery.statement``).
     """
 
     def __init__(self, template: QueryTemplate) -> None:
@@ -200,7 +200,6 @@ class Binder:
             (name, compile_expression(arg, parameter_slot))
             for name, arg in zip(self.function_template.params, args)
         ]
-        self.sql = _renderer(statement.to_sql())
         where = statement.where
         self.signature = _renderer("" if where is None else where.to_sql())
         self.template_id = template.template_id
@@ -214,7 +213,8 @@ class Binder:
         (``ExecutionError``, as binding the statement would), a
         region its function template refuses, and a number that is not
         finite in any parameter (:class:`TemplateError`) — such a value
-        would render SQL that does not parse back.
+        renders a residual signature and remainder SQL that do not
+        parse back (``inf`` reads as a column).
         """
         if not all(map(params.__contains__, self.names)):
             require_parameters(self.names, params)  # raises, naming them

@@ -6,8 +6,10 @@ the paper's deployment picture literal — a browser talking HTTP to a
 proxy servlet that talks HTTP to the origin web site:
 
 * :func:`~repro.webapp.origin_app.create_origin_app` — the web site:
-  ``GET /search/<form>`` (the HTML search forms) and ``POST /sql``
-  (the free-form SQL page the proxy uses for remainder queries);
+  ``GET /search/<form>`` (the HTML search forms), ``POST /query`` (a
+  bound template query as template id and parameters — how the proxy
+  forwards) and ``POST /sql`` (the free-form SQL page the proxy uses
+  for remainder queries);
 * :func:`~repro.webapp.proxy_app.create_proxy_app` — the proxy
   servlet: the same ``/search/<form>`` surface, answered from the
   cache when possible, plus ``/stats`` for the timing records;
@@ -21,7 +23,8 @@ proxy servlet that talks HTTP to the origin web site:
   the outcome → HTTP response mapping of ``/search``, and the recorder
   swap behind the factories' capacity arguments;
 * :class:`~repro.webapp.http_origin.HttpOriginClient` — an
-  origin-server adapter that forwards over HTTP, so a
+  origin-server adapter that forwards over HTTP (bound queries to
+  ``/query``, remainders to ``/sql``), so a
   :class:`~repro.core.proxy.FunctionProxy` can front a *remote* origin
   process exactly as the paper's Tomcat servlet fronted the SkyServer.
 

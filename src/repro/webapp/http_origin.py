@@ -8,11 +8,17 @@ response.  A :class:`~repro.core.proxy.FunctionProxy` constructed with
 this client fronts a genuinely separate origin process, completing the
 browser -> proxy -> web-site HTTP chain of the paper's Figure 4.
 
+A bound query (a forward or a tunnel) travels as its template id and
+parameter values, JSON to ``POST /query``: the site binds it with its
+own templates, so neither side renders or parses SQL for it.  A
+remainder or a free statement travels as SQL to ``POST /sql``.
+
 The simulated server cost is carried back in the ``X-Server-Ms``
 response header, so experiment timing composes identically in both
 deployments.  The proxy also needs a catalog for its determinism check;
-the client fetches the origin's template registry once and exposes a
-minimal ``catalog.functions`` shim backed by the declared metadata.
+the client fetches the origin's template registry (and its data
+version) once, in one request, and exposes a minimal
+``catalog.functions`` shim backed by the declared metadata.
 
 Data-version coherence over HTTP is *eventually consistent*: the
 client updates ``data_version`` from the ``X-Data-Version`` header of
@@ -41,8 +47,10 @@ end-to-end tree.
 from __future__ import annotations
 
 import http.client
-import urllib.parse
+import json
+import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 from repro.faults.errors import OriginTimeoutError, OriginUnavailableError
 from repro.relational.errors import RelationalError
@@ -50,6 +58,7 @@ from repro.relational.result import ResultTable
 from repro.server.origin import OriginResponse
 from repro.sqlparser.ast import SelectStatement
 from repro.templates.function_template import FunctionTemplate
+from repro.templates.info_file import TemplateInfoFile
 from repro.templates.manager import BoundQuery, TemplateManager
 from repro.templates.query_template import QueryTemplate
 
@@ -78,11 +87,6 @@ class _RemoteFunctions:
         return True
 
 
-class _RemoteCatalog:
-    def __init__(self, functions: _RemoteFunctions) -> None:
-        self.functions = functions
-
-
 class HttpOriginClient:
     """Speaks the origin app's HTTP protocol."""
 
@@ -90,10 +94,8 @@ class HttpOriginClient:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self.templates = TemplateManager()
-        self.data_version: int | None = None
         self._scopes = None
         self._bootstrap_templates()
-        self._fetch_data_version()
 
     def bind_scopes(self, scopes) -> None:
         """Propagate ``scopes``' open trace context on every fetch.
@@ -105,19 +107,8 @@ class HttpOriginClient:
         """
         self._scopes = scopes
 
-    def _fetch_data_version(self) -> None:
-        import json
-
-        with urllib.request.urlopen(
-            f"{self.base_url}/health", timeout=self.timeout_s
-        ) as response:
-            payload = json.loads(response.read().decode("utf-8"))
-        self.data_version = payload.get("data_version")
-
     # ---------------------------------------------------------- protocol
     def _bootstrap_templates(self) -> None:
-        import json
-
         with urllib.request.urlopen(
             f"{self.base_url}/templates", timeout=self.timeout_s
         ) as response:
@@ -127,10 +118,10 @@ class HttpOriginClient:
             function_template = FunctionTemplate.from_xml(
                 entry["function_template"]
             )
-            try:
+            # Two query templates may share a function template.
+            if function_template.name.lower() not in function_names:
                 self.templates.register_function_template(function_template)
-            except Exception:
-                pass  # two query templates may share a function template
+                function_names.add(function_template.name.lower())
             self.templates.register_query_template(
                 QueryTemplate.from_sql(
                     template_id=entry["template_id"],
@@ -140,24 +131,29 @@ class HttpOriginClient:
                     description=entry.get("description", ""),
                 )
             )
-            function_names.add(function_template.name)
-        from repro.templates.info_file import TemplateInfoFile
-
         for info_xml in payload.get("info_files", ()):
             self.templates.register_info_file(
                 TemplateInfoFile.from_xml(info_xml)
             )
-        self.catalog = _RemoteCatalog(_RemoteFunctions(function_names))
+        functions = _RemoteFunctions(function_names)
+        self.catalog = SimpleNamespace(functions=functions)
+        self.data_version: int = payload["data_version"]
 
-    def _post_sql(self, sql: str, n_holes: int | None) -> OriginResponse:
+    def _post(
+        self,
+        path: str,
+        body: str,
+        content_type: str = "text/plain",
+        holes: int | None = None,
+    ) -> OriginResponse:
         request = urllib.request.Request(
-            f"{self.base_url}/sql",
-            data=sql.encode("utf-8"),
+            f"{self.base_url}{path}",
+            data=body.encode("utf-8"),
             method="POST",
-            headers={"Content-Type": "text/plain"},
+            headers={"Content-Type": content_type},
         )
-        if n_holes is not None:
-            request.add_header("X-Remainder-Holes", str(n_holes))
+        if holes is not None:
+            request.add_header("X-Remainder-Holes", str(holes))
         if self._scopes is not None:
             traceparent = self._scopes.current_traceparent()
             if traceparent is not None:
@@ -190,12 +186,13 @@ class HttpOriginClient:
 
     # ------------------------------------------- OriginServer interface
     def execute_bound(self, bound: BoundQuery) -> OriginResponse:
-        return self._post_sql(bound.sql, None)
+        body = {"template_id": bound.template_id, "params": bound.params}
+        return self._post("/query", json.dumps(body), "application/json")
 
     def execute_statement(self, statement: SelectStatement) -> OriginResponse:
-        return self._post_sql(statement.to_sql(), None)
+        return self._post("/sql", statement.to_sql())
 
     def execute_remainder(
         self, statement: SelectStatement, n_holes: int
     ) -> OriginResponse:
-        return self._post_sql(statement.to_sql(), n_holes)
+        return self._post("/sql", statement.to_sql(), holes=n_holes)

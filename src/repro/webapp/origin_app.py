@@ -6,15 +6,25 @@ Routes:
     The HTML search forms (Radial, Rectangular).  Parameters are the
     raw form fields; the response is the result table as XML.
 
+``POST /query`` (body: ``{"template_id": ..., "params": {...}}``)
+    A bound template query — how a proxy forwards or tunnels one.  The
+    site binds it with its own compiled templates and executes it as a
+    form submission (``origin.form``): no SQL is rendered or parsed.
+    JSON keeps ints, floats and strings apart, and a float arrives bit
+    for bit.  A body that is not such an object, or a parameter value
+    that is not a number or a string, is a 400.
+
 ``POST /sql`` (body: the SQL text)
     The free-form SQL facility — the paper used the SkyServer's public
     SQL page as the remainder-query interface.  ``X-Remainder-Holes``
-    may carry the excluded-region count so the simulated cost model
-    can charge the remainder price.
+    may carry the excluded-region count (an integer in [0, 10**9),
+    else a 400) so the simulated cost model can charge the remainder
+    price.
 
 ``GET /templates``
     The site's registered templates, for proxy bootstrap: query
-    template SQL, function template XML, and info file XML.
+    template SQL, function template XML, info file XML, and the
+    current data version.
 
 ``GET /metrics`` / ``GET /trace/recent`` / ``GET /profile``
     The origin's observability surface: request counters and cost
@@ -23,11 +33,12 @@ Routes:
     profiler's per-kind aggregate (JSON, or ``?format=text`` for the
     flat table; ``enabled: false`` under the default no-op profiler).
 
-Trace propagation: ``/search`` and ``/sql`` honor an incoming W3C
-``traceparent`` header — the origin's execution spans join the
-caller's trace (the proxy injects the header on every fetch), so both
-sides' ``/trace/recent`` report the same trace id for one query.  A
-malformed header degrades to a fresh local trace, never an error.
+Trace propagation: ``/search``, ``/query`` and ``/sql`` share one
+handler, which honors an incoming W3C ``traceparent`` header — the
+origin's execution spans join the caller's trace (the proxy injects
+the header on every fetch), so both sides' ``/trace/recent`` report
+the same trace id for one query.  A malformed header degrades to a
+fresh local trace, never an error.
 
 ``GET /analyze``
     A fresh static-cacheability analysis of the site's registered
@@ -49,12 +60,14 @@ from repro.analysis.analyzer import analyze_manager
 from repro.network.clock import SimulatedClock
 from repro.obs.propagation import parse_traceparent
 from repro.obs.timeseries import ORIGIN_LANES
-from repro.relational.errors import RelationalError
 from repro.server.origin import OriginServer
-from repro.sqlparser.errors import ParseError
 from repro.sqlparser.parser import parse_select
-from repro.templates.errors import TemplateError
-from repro.webapp.surface import add_telemetry_routes, install_recorders
+from repro.webapp.surface import (
+    QUERY_ERRORS,
+    add_telemetry_routes,
+    flask_app,
+    install_recorders,
+)
 
 
 def create_origin_app(
@@ -76,14 +89,7 @@ def create_origin_app(
     ``/events``, sampled on the origin's cumulative simulated server
     time.
     """
-    try:
-        from flask import Flask, request
-    except ImportError:  # pragma: no cover - optional dependency
-        raise RuntimeError(
-            "the HTTP deployment needs Flask; install repro[http]"
-        ) from None
-
-    app = Flask("repro-origin")
+    app, request = flask_app("repro-origin")
     install_recorders(
         origin.instrumentation,
         trace_capacity,
@@ -96,73 +102,84 @@ def create_origin_app(
     # the cumulative simulated server time it has charged.
     served_clock = SimulatedClock()
 
-    def incoming_context():
-        return parse_traceparent(request.headers.get("traceparent"))
-
     startup = analyze_manager(origin.templates, origin.catalog.functions)
     app.logger.info("template analysis at startup: %s", startup.summary())
     for diagnostic in startup:
         app.logger.warning("%s", diagnostic.format())
 
-    def xml_response(result, server_ms: float):
-        served_clock.advance(server_ms)
+    def answer(execute):
+        """A query route's response: ``execute()`` joins the caller's
+        trace, what the site refuses is a 400, an answer is XML."""
+        caller = parse_traceparent(request.headers.get("traceparent"))
+        try:
+            with origin.instrumentation.remote_context(caller):
+                response = execute()
+        except QUERY_ERRORS as exc:
+            return {"error": str(exc)}, 400
+        served_clock.advance(response.server_ms)
         origin.instrumentation.sample_telemetry(served_clock.now_ms)
-        return (
-            result.to_xml(),
-            200,
-            {
-                "Content-Type": "application/xml",
-                "X-Server-Ms": f"{server_ms:.3f}",
-                "X-Data-Version": str(origin.data_version),
-            },
-        )
+        headers = {
+            "Content-Type": "application/xml",
+            "X-Server-Ms": f"{response.server_ms:.3f}",
+            "X-Data-Version": str(origin.data_version),
+        }
+        return response.result.to_xml(), 200, headers
 
     @app.get("/search/<form_name>")
     def search(form_name: str):
-        try:
-            with origin.instrumentation.remote_context(incoming_context()):
-                response = origin.execute_form(form_name, request.args)
-        except (TemplateError, ParseError, RelationalError) as exc:
-            return {"error": str(exc)}, 400
-        return xml_response(response.result, response.server_ms)
+        return answer(lambda: origin.execute_form(form_name, request.args))
+
+    @app.post("/query")
+    def query():
+        body = request.get_json(force=True, silent=True)
+        if not _is_bound_query(body):
+            return {
+                "error": 'the body must be {"template_id": string, '
+                '"params": {name: number or string}}'
+            }, 400
+        return answer(
+            lambda: origin.execute_bound(
+                origin.templates.bind(body["template_id"], body["params"])
+            )
+        )
 
     @app.post("/sql")
     def sql():
         text = request.get_data(as_text=True)
-        holes_header = request.headers.get("X-Remainder-Holes")
-        try:
-            with origin.instrumentation.remote_context(incoming_context()):
-                if holes_header is not None:
-                    statement = parse_select(text)
-                    response = origin.execute_remainder(
-                        statement, int(holes_header)
-                    )
-                else:
-                    response = origin.execute_sql(text)
-        except (ParseError, RelationalError, ValueError) as exc:
-            return {"error": str(exc)}, 400
-        return xml_response(response.result, response.server_ms)
+        holes = request.headers.get("X-Remainder-Holes")
+        if holes is None:
+            return answer(lambda: origin.execute_sql(text))
+        # Digits only: a sign, an exponent or a number too large to
+        # price never reaches the cost model.
+        if not (holes.isascii() and holes.isdigit() and len(holes) < 10):
+            return {
+                "error": "X-Remainder-Holes must be an integer in "
+                f"[0, 10**9), not {holes!r}"
+            }, 400
+        return answer(
+            lambda: origin.execute_remainder(parse_select(text), int(holes))
+        )
 
     @app.get("/templates")
     def templates():
         manager = origin.templates
-        payload = {"query_templates": [], "info_files": []}
-        for template_id in manager.query_template_ids():
-            template = manager.query_template(template_id)
-            payload["query_templates"].append(
+        query_templates = map(
+            manager.query_template, manager.query_template_ids()
+        )
+        return {
+            "query_templates": [
                 {
                     "template_id": template.template_id,
                     "sql": template.sql,
                     "key_column": template.key_column,
-                    "function_template": (
-                        template.function_template.to_xml()
-                    ),
+                    "function_template": template.function_template.to_xml(),
                     "description": template.description,
                 }
-            )
-        for info in manager.info_files():
-            payload["info_files"].append(info.to_xml())
-        return payload
+                for template in query_templates
+            ],
+            "info_files": [info.to_xml() for info in manager.info_files()],
+            "data_version": origin.data_version,
+        }
 
     add_telemetry_routes(app, origin.instrumentation)
 
@@ -188,3 +205,15 @@ def create_origin_app(
         return report, status_code
 
     return app
+
+
+def _is_bound_query(body) -> bool:
+    """True iff ``body`` is ``{"template_id": str, "params": {str:
+    number or string}}`` — ``true``, ``null``, lists and objects are no
+    parameter values (``True`` would bind as 1)."""
+    return (
+        isinstance(body, dict)
+        and isinstance(body.get("template_id"), str)
+        and isinstance(body.get("params"), dict)
+        and all(type(v) in (int, float, str) for v in body["params"].values())
+    )

@@ -94,11 +94,10 @@ from repro.analysis.analyzer import analyze_manager
 from repro.core.proxy import FunctionProxy
 from repro.faults.errors import FaultPlanError
 from repro.faults.plan import FaultPlan
-from repro.relational.errors import RelationalError
-from repro.sqlparser.errors import ParseError
-from repro.templates.errors import TemplateError
 from repro.webapp.surface import (
+    QUERY_ERRORS,
     add_telemetry_routes,
+    flask_app,
     install_recorders,
     search_response,
 )
@@ -125,14 +124,7 @@ def create_proxy_app(
     ``/health``.  All default to whatever the proxy's instrumentation
     was built with.
     """
-    try:
-        from flask import Flask, request
-    except ImportError:  # pragma: no cover - optional dependency
-        raise RuntimeError(
-            "the HTTP deployment needs Flask; install repro[http]"
-        ) from None
-
-    app = Flask("repro-proxy")
+    app, request = flask_app("repro-proxy")
     install_recorders(
         proxy.obs,
         trace_capacity,
@@ -161,7 +153,7 @@ def create_proxy_app(
             response = proxy.serve_form(
                 form_name, request.args, tenant=tenant
             )
-        except (TemplateError, ParseError, RelationalError) as exc:
+        except QUERY_ERRORS as exc:
             # Proxy-side binding/parsing problems; origin-side query
             # errors surface as a structured ``failed`` outcome below.
             return {"error": str(exc)}, 400

@@ -41,22 +41,17 @@ tier's load balancer would expose:
 from __future__ import annotations
 
 from repro.cluster import ShardRouter
-from repro.relational.errors import RelationalError
-from repro.sqlparser.errors import ParseError
-from repro.templates.errors import TemplateError
-from repro.webapp.surface import add_telemetry_routes, search_response
+from repro.webapp.surface import (
+    QUERY_ERRORS,
+    add_telemetry_routes,
+    flask_app,
+    search_response,
+)
 
 
 def create_router_app(router: ShardRouter):
     """Build the Flask app fronting a shard router."""
-    try:
-        from flask import Flask, request
-    except ImportError:  # pragma: no cover - optional dependency
-        raise RuntimeError(
-            "the HTTP deployment needs Flask; install repro[http]"
-        ) from None
-
-    app = Flask("repro-router")
+    app, request = flask_app("repro-router")
     # All shards share one template manager (the runner binds them to
     # one origin), so any shard can bind the form for routing.
     templates = router.shard(router.shard_ids[0]).proxy.templates
@@ -66,7 +61,7 @@ def create_router_app(router: ShardRouter):
         tenant = request.headers.get("X-Tenant", "default")
         try:
             bound = templates.bind_form(form_name, request.args)
-        except (TemplateError, ParseError, RelationalError) as exc:
+        except QUERY_ERRORS as exc:
             return {"error": str(exc)}, 400
         response, decision = router.serve_routed(bound, tenant=tenant)
         # A turned-away query reports (and takes its Retry-After from)

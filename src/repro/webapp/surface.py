@@ -1,7 +1,10 @@
 """What the proxy, origin, and router apps share.
 
-Three things used to be written once per app and had drifted:
+Five things used to be written once per app and had drifted:
 
+* :func:`flask_app` — the app itself, behind the one import of the
+  optional Flask dependency;
+* :data:`QUERY_ERRORS` — the errors a query route answers with a 400;
 * :func:`install_recorders` — the recorder swap behind the
   ``trace_capacity`` / ``profile_top_k`` / ``timeseries_interval_ms`` /
   ``event_capacity`` factory arguments;
@@ -11,8 +14,8 @@ Three things used to be written once per app and had drifted:
 * :func:`search_response` — the one mapping from a served query's
   outcome to its HTTP status code, headers, and body.
 
-Flask is imported inside the functions, like in the app factories:
-importing this module without Flask installed stays harmless.
+Flask is imported inside the functions: importing this module without
+Flask installed stays harmless.
 """
 
 from __future__ import annotations
@@ -26,10 +29,34 @@ from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.profiling import Profiler
 from repro.obs.spans import SpanTracer
 from repro.obs.timeseries import PROXY_LANES, LaneSet, TimeSeriesRecorder
+from repro.relational.errors import RelationalError
+from repro.sqlparser.errors import ParseError
+from repro.templates.errors import TemplateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.admission.controller import AdmissionController
     from repro.core.proxy import ProxyResponse
+
+
+#: What a caller got wrong — an unknown form or template, a value the
+#: binder refuses, SQL that does not parse, a query the engine or a
+#: site function refuses: a 400 on every app.
+QUERY_ERRORS = (TemplateError, ParseError, RelationalError)
+
+
+def flask_app(name: str) -> tuple[Any, Any]:
+    """A new Flask app named ``name``, and Flask's ``request``.
+
+    Flask is an optional dependency: without it, building an app is a
+    clear error, and importing this package is still harmless.
+    """
+    try:
+        from flask import Flask, request
+    except ImportError:  # pragma: no cover - optional dependency
+        raise RuntimeError(
+            "the HTTP deployment needs Flask; install repro[http]"
+        ) from None
+    return Flask(name), request
 
 
 def install_recorders(

@@ -14,7 +14,7 @@ class TestExecution:
     ):
         bound = templates.bind(RADIAL_TEMPLATE_ID, radial_params)
         via_bound = origin.execute_bound(bound).result
-        via_sql = origin.execute_sql(bound.sql).result
+        via_sql = origin.execute_sql(bound.statement.to_sql()).result
         assert via_bound == via_sql
 
     def test_execute_form(self, origin):

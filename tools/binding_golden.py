@@ -205,7 +205,7 @@ def _bindings(
             out.append(
                 {
                     "template": template_id,
-                    "sql": bound.sql,
+                    "sql": bound.statement.to_sql(),
                     "signature": bound.signature,
                     "cache_key": bound.cache_key(),
                     "region": region_floats(bound.region),
@@ -249,7 +249,7 @@ def _form_bindings(manager: TemplateManager) -> list[dict[str, Any]]:
         out.append(
             {
                 "form": form,
-                "sql": bound.sql,
+                "sql": bound.statement.to_sql(),
                 "signature": bound.signature,
                 "cache_key": bound.cache_key(),
                 "region": region_floats(bound.region),
