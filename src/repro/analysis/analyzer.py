@@ -9,12 +9,17 @@ callers are:
   with error diagnostics;
 * the Flask apps' ``GET /analyze`` endpoints and their startup report;
 * the offline CLI, ``python -m repro.analysis``.
+
+The XML entry points (``analyze_function_template_xml``,
+``analyze_info_file_xml`` and ``analyze_path``) parse nothing
+themselves: they run the document's one reader, the one ``from_xml``
+runs (:mod:`repro.templates.document`), with a sink that turns each
+problem into a diagnostic anchored in the text.
 """
 
 from __future__ import annotations
 
 import pathlib
-import xml.etree.ElementTree as ET
 from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import AnalysisReport, merge_reports
@@ -22,12 +27,14 @@ from repro.analysis.passes import (
     FUNCTION_TEMPLATE_PASSES,
     FunctionCatalog,
     PassContext,
-    analyze_function_template_text,
     analyze_query_template_passes,
     check_info_file,
 )
-from repro.templates.function_template import FunctionTemplate
-from repro.templates.info_file import TemplateInfoFile
+from repro.templates.function_template import (
+    FunctionTemplate,
+    read_function_template,
+)
+from repro.templates.info_file import TemplateInfoFile, read_info_file
 from repro.templates.query_template import QueryTemplate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,11 +66,16 @@ def analyze_function_template_xml(
     source: str = "<function-template>",
     registry: FunctionCatalog | None = None,
 ) -> AnalysisReport:
-    """Structural + semantic passes (FP101–FP111) over raw XML text."""
+    """The document's reader (FP101–FP106) over raw XML text, then the
+    semantic passes (FP107–FP111) over the template it built."""
     ctx = PassContext(
         subject=source, text=text, source=source, registry=registry
     )
-    analyze_function_template_text(ctx)
+    template = read_function_template(text, ctx.emit_at)
+    if template is not None:
+        ctx.subject = template.name
+        for semantic_pass in FUNCTION_TEMPLATE_PASSES:
+            semantic_pass(template, ctx)
     return ctx.report
 
 
@@ -99,37 +111,13 @@ def analyze_info_file(
 def analyze_info_file_xml(
     text: str, source: str = "<info-file>"
 ) -> AnalysisReport:
-    """Structural checks over raw info-file XML (FP101 / FP102).
+    """The document's reader (FP101 / FP102) over raw info-file XML.
 
     Cross-references (FP212–FP214) need a template registry, so the
     offline linter only validates the document shape.
     """
     ctx = PassContext(subject=source, text=text, source=source)
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        ctx.emit("FP101", f"info file XML is not well-formed: {exc}")
-        return ctx.report
-    if root.tag != "TemplateInfo":
-        ctx.emit(
-            "FP102",
-            f"expected root element <TemplateInfo>, got <{root.tag}>",
-            span=ctx.span(f"<{root.tag}"),
-        )
-        return ctx.report
-    for tag in ("FormName", "TemplateId"):
-        element = root.find(tag)
-        if element is None or not (element.text or "").strip():
-            ctx.emit("FP102", f"missing or empty <{tag}> element")
-    fields = root.find("Fields")
-    if fields is not None:
-        for field_el in fields.findall("Field"):
-            if not field_el.get("name") or not field_el.get("param"):
-                ctx.emit(
-                    "FP102",
-                    "<Field> needs both a name and a param attribute",
-                    span=ctx.span("<Field"),
-                )
+    read_info_file(text, ctx.emit_at)
     return ctx.report
 
 

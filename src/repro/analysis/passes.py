@@ -4,8 +4,14 @@ Each pass inspects one registered artifact — a function template, a
 query template, or an info file — and emits :class:`Diagnostic` objects
 into a shared :class:`PassContext`.  Passes never raise on bad input:
 the point of the analyzer is to report *all* problems of an artifact at
-once, where the constructors in :mod:`repro.templates` fail fast on the
-first.
+once.
+
+What is wrong with a template document's XML (FP101–FP106) is not
+found here.  Each layout has one reader, beside its writer in
+:mod:`repro.templates`; it reports every problem of a document to the
+sink it is given, here :meth:`PassContext.emit_at`.  ``from_xml`` is
+the same reader with a sink that raises, so the loader refuses exactly
+the documents in which the linter finds a structural error.
 
 The pipeline entry points live in :mod:`repro.analysis.analyzer`; this
 module holds the individual checks and the expression-walking helpers
@@ -14,7 +20,6 @@ they share.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -34,8 +39,8 @@ from repro.relational.expressions import (
     FuncCall,
 )
 from repro.sqlparser.ast import FunctionSource, Parameter
-from repro.sqlparser.parser import parse_expression
-from repro.templates.function_template import FunctionTemplate, Shape
+from repro.templates.document import Anchor
+from repro.templates.function_template import FunctionTemplate
 from repro.templates.info_file import TemplateInfoFile
 from repro.templates.query_template import QueryTemplate
 from repro.udf.registry import TableFunction
@@ -93,6 +98,20 @@ class PassContext:
             return None
         return span_of(self.text, needle, self.source or self.subject)
 
+    def emit_at(
+        self, code: str, message: str, anchor: Anchor, hint: str
+    ) -> None:
+        """The sink a template-document reader reports to
+        (:mod:`repro.templates.document`): ``anchor`` is a snippet of
+        the text or the character offset of a syntax error."""
+        if isinstance(anchor, int):
+            span = span_at(
+                self.text, anchor, anchor + 1, self.source or self.subject
+            )
+        else:
+            span = self.span(anchor) if anchor else None
+        self.emit(code, message, span=span, hint=hint)
+
 
 # ------------------------------------------------------------------ walking
 def parameter_refs(expr: Expression) -> set[str]:
@@ -107,20 +126,6 @@ def function_calls(expr: Expression) -> list[FuncCall]:
     return [node for node in expr.walk() if isinstance(node, FuncCall)]
 
 
-def region_expressions(template: FunctionTemplate) -> list[Expression]:
-    """Every expression that shapes the template's region."""
-    exprs: list[Expression] = []
-    exprs.extend(template.center_exprs)
-    if template.radius_expr is not None:
-        exprs.append(template.radius_expr)
-    exprs.extend(template.low_exprs)
-    exprs.extend(template.high_exprs)
-    for spec in template.halfspace_specs:
-        exprs.extend(spec.normal)
-        exprs.append(spec.offset)
-    return exprs
-
-
 # ------------------------------------------- function template (semantics)
 def check_region_parameter_binding(
     template: FunctionTemplate, ctx: PassContext
@@ -128,7 +133,7 @@ def check_region_parameter_binding(
     """FP107 / FP108: region expressions vs. declared parameters."""
     declared = set(template.params)
     referenced: set[str] = set()
-    for expr in region_expressions(template):
+    for expr in template.region_exprs:
         referenced |= parameter_refs(expr)
     for name in sorted(referenced - declared):
         ctx.emit(
@@ -174,7 +179,7 @@ def check_expression_determinism(
     an unknown function is flagged as a warning — it would fail at
     evaluation time anyway, but the analyzer says so up front.
     """
-    exprs = region_expressions(template) + list(template.point_exprs)
+    exprs = [*template.region_exprs, *template.point_exprs]
     exprs += [expr for _, expr in template.outputs]
     seen: set[str] = set()
     for expr in exprs:
@@ -209,209 +214,6 @@ FUNCTION_TEMPLATE_PASSES = (
     check_point_expressions,
     check_expression_determinism,
 )
-
-
-# ------------------------------------------- function template (XML layer)
-_SHAPE_ELEMENTS = {
-    Shape.HYPERSPHERE: ("CenterCoordinate", "Radius"),
-    Shape.HYPERRECT: ("LowBound", "HighBound"),
-    Shape.POLYTOPE: ("LowBound", "HighBound", "Halfspaces"),
-}
-
-
-def _offset_of(text: str, line: int, column: int) -> int:
-    """Character offset of a 1-based (line, column) position."""
-    lines = text.split("\n")
-    offset = sum(len(item) + 1 for item in lines[: line - 1])
-    return offset + max(0, column)
-
-
-def _check_expr_container(
-    root: ET.Element,
-    tag: str,
-    expected: int | None,
-    ctx: PassContext,
-    required: bool,
-    parent_label: str = "",
-) -> None:
-    """Shared FP102 / FP105 / FP106 logic for one ``<Expr>`` container."""
-    container = root.find(tag)
-    label = f"{parent_label}<{tag}>" if parent_label else f"<{tag}>"
-    if container is None:
-        if required:
-            ctx.emit(
-                "FP102",
-                f"missing {label} element",
-                span=ctx.span(f"<{root.tag}") if ctx.text else None,
-                hint=f"declare {label} with one <Expr> per dimension",
-            )
-        return
-    exprs = container.findall("Expr")
-    if expected is not None and len(exprs) != expected:
-        ctx.emit(
-            "FP105",
-            f"{label} has {len(exprs)} <Expr> element(s), expected "
-            f"{expected} (one per dimension)",
-            span=ctx.span(f"<{tag}>"),
-            hint="match the expression count to <NumDimensions>",
-        )
-    for child in exprs:
-        text = (child.text or "").strip()
-        if not text:
-            ctx.emit(
-                "FP102",
-                f"empty <Expr> inside {label}",
-                span=ctx.span(f"<{tag}>"),
-            )
-            continue
-        try:
-            parse_expression(text)
-        except Exception as exc:
-            ctx.emit(
-                "FP106",
-                f"cannot parse expression {text!r} in {label}: {exc}",
-                span=ctx.span(text),
-            )
-
-
-def analyze_function_template_text(ctx: PassContext) -> None:
-    """The structural pass pipeline over raw function-template XML.
-
-    Emits FP101–FP106 structural findings with spans into the XML, and
-    — when the document is structurally sound — constructs the template
-    and runs the semantic passes (FP107–FP111) over it.
-    """
-    text = ctx.text
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        line, column = exc.position
-        offset = _offset_of(text, line, column)
-        ctx.emit(
-            "FP101",
-            f"template XML is not well-formed: {exc}",
-            span=span_at(
-                text, offset, offset + 1, ctx.source or ctx.subject
-            ),
-        )
-        return
-    if root.tag != "FunctionTemplate":
-        ctx.emit(
-            "FP102",
-            f"expected root element <FunctionTemplate>, got <{root.tag}>",
-            span=ctx.span(f"<{root.tag}"),
-        )
-        return
-
-    def text_of(tag: str) -> str | None:
-        element = root.find(tag)
-        if element is None or not (element.text or "").strip():
-            return None
-        return (element.text or "").strip()
-
-    name = text_of("Name")
-    if name is None:
-        ctx.emit("FP102", "missing or empty <Name> element")
-    else:
-        ctx.subject = name
-    if root.find("Params") is None:
-        ctx.emit(
-            "FP102",
-            "missing <Params> element",
-            hint="declare the function's parameters, one <Param> each",
-        )
-
-    shape: Shape | None = None
-    shape_text = text_of("Shape")
-    if shape_text is None:
-        ctx.emit("FP102", "missing or empty <Shape> element")
-    else:
-        try:
-            shape = Shape(shape_text)
-        except ValueError:
-            known = ", ".join(s.value for s in Shape)
-            ctx.emit(
-                "FP103",
-                f"unknown shape {shape_text!r}; expected one of {known}",
-                span=ctx.span(shape_text),
-            )
-
-    dims: int | None = None
-    dims_text = text_of("NumDimensions")
-    if dims_text is None:
-        ctx.emit("FP102", "missing or empty <NumDimensions> element")
-    else:
-        try:
-            dims = int(dims_text)
-        except ValueError:
-            dims = None
-        if dims is None or dims < 1:
-            ctx.emit(
-                "FP104",
-                f"<NumDimensions> must be a positive integer, "
-                f"got {dims_text!r}",
-                span=ctx.span(dims_text),
-            )
-            dims = None
-
-    _check_expr_container(root, "PointCoordinate", dims, ctx, required=True)
-    if shape is not None:
-        needed = _SHAPE_ELEMENTS[shape]
-        if "CenterCoordinate" in needed:
-            _check_expr_container(
-                root, "CenterCoordinate", dims, ctx, required=True
-            )
-        if "Radius" in needed:
-            radius_text = text_of("Radius")
-            if radius_text is None:
-                ctx.emit(
-                    "FP102",
-                    "hypersphere template is missing <Radius>",
-                )
-            else:
-                try:
-                    parse_expression(radius_text)
-                except Exception as exc:
-                    ctx.emit(
-                        "FP106",
-                        f"cannot parse radius expression "
-                        f"{radius_text!r}: {exc}",
-                        span=ctx.span(radius_text),
-                    )
-        if "LowBound" in needed:
-            _check_expr_container(root, "LowBound", dims, ctx, required=True)
-            _check_expr_container(root, "HighBound", dims, ctx, required=True)
-        if "Halfspaces" in needed:
-            faces = root.find("Halfspaces")
-            if faces is None or not faces.findall("Halfspace"):
-                ctx.emit(
-                    "FP102",
-                    "polytope template needs <Halfspaces> with at least "
-                    "one <Halfspace>",
-                )
-            else:
-                for face in faces.findall("Halfspace"):
-                    _check_expr_container(
-                        face, "Normal", dims, ctx,
-                        required=True, parent_label="<Halfspace>",
-                    )
-                    offset_el = face.find("Offset")
-                    if offset_el is None or not (
-                        (offset_el.text or "").strip()
-                    ):
-                        ctx.emit(
-                            "FP102", "<Halfspace> is missing <Offset>",
-                        )
-
-    if ctx.report.has_errors:
-        return
-    try:
-        template = FunctionTemplate.from_xml(text)
-    except Exception as exc:  # a structural case the checks above missed
-        ctx.emit("FP102", f"template cannot be constructed: {exc}")
-        return
-    for semantic_pass in FUNCTION_TEMPLATE_PASSES:
-        semantic_pass(template, ctx)
 
 
 # --------------------------------------------------------- query templates

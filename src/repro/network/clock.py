@@ -31,17 +31,3 @@ class SimulatedClock:
             raise ValueError(f"cannot advance time by {delta_ms} ms")
         with self._lock:
             self._now_ms += delta_ms
-
-    def measure(self) -> "_Span":
-        """Context-free span helper: ``span = clock.measure()`` ...
-        ``elapsed = span.elapsed()``."""
-        return _Span(self)
-
-
-class _Span:
-    def __init__(self, clock: SimulatedClock) -> None:
-        self._clock = clock
-        self._start = clock.now_ms
-
-    def elapsed(self) -> float:
-        return self._clock.now_ms - self._start

@@ -19,15 +19,21 @@ A function template declares (paper Figure 3):
 
 Templates serialize to XML.  The paper's example uses numbered child
 tags (``<1>``, ``<2>``); we use repeated ``<Expr>`` elements, which is
-well-formed XML carrying the same information.
+well-formed XML carrying the same information.  :meth:`FunctionTemplate.to_xml`
+writes it and :func:`read_function_template` is its one reader: the
+loader (:meth:`FunctionTemplate.from_xml`) and the linter
+(:mod:`repro.analysis`) both run it, with different sinks for the
+problems it finds (see :mod:`repro.templates.document`).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Mapping
 
@@ -46,7 +52,9 @@ from repro.relational.expressions import (
 )
 from repro.relational.types import is_finite
 from repro.sqlparser.ast import Parameter
+from repro.sqlparser.errors import ParseError
 from repro.sqlparser.parser import parse_expression
+from repro.templates.document import Problems, Sink, read_strictly
 from repro.templates.errors import TemplateError
 
 
@@ -56,13 +64,6 @@ class Shape(enum.Enum):
     HYPERSPHERE = "hypersphere"
     HYPERRECT = "hyperrect"
     POLYTOPE = "polytope"
-
-
-def _parse(text: str) -> Expression:
-    try:
-        return parse_expression(text)
-    except Exception as exc:
-        raise TemplateError(f"bad template expression {text!r}: {exc}") from exc
 
 
 def _evaluate_constant(
@@ -206,18 +207,25 @@ class FunctionTemplate:
                 )
         return self._construct(params)
 
+    @property
+    def region_exprs(self) -> tuple[Expression, ...]:
+        """Every expression that shapes the region, in declared order:
+        centre, then radius; or lows, highs, then each face's normal and
+        offset."""
+        if self.shape is Shape.HYPERSPHERE:
+            radius = () if self.radius_expr is None else (self.radius_expr,)
+            return (*self.center_exprs, *radius)
+        faces = [(*spec.normal, spec.offset) for spec in self.halfspace_specs]
+        return (*self.low_exprs, *self.high_exprs, *chain.from_iterable(faces))
+
     @cached_property
     def _construct(self) -> Callable[[Mapping[str, Any]], Region]:
         """The region of one call, past :meth:`region_for`'s parameter
-        checks: every shape expression compiled once, into one
-        constructor over their values in declared order (centre, then
-        radius; or lows, highs, then each face's normal and offset),
-        each checked in that order, so the first bad one is the one
-        refused."""
+        checks: every one of :attr:`region_exprs` compiled once, into
+        one constructor over their values, each checked in that order,
+        so the first bad one is the one refused."""
         name, dims = self.name, self.dims
         if self.shape is Shape.HYPERSPHERE:
-            exprs = [*self.center_exprs, self.radius_expr]
-
             def build(values: list[float]) -> Region:
                 if values[dims] < 0:
                     raise TemplateError(
@@ -226,9 +234,6 @@ class FunctionTemplate:
                 return HyperSphere(tuple(values[:dims]), values[dims])
 
         else:
-            exprs = [*self.low_exprs, *self.high_exprs]
-            for spec in self.halfspace_specs:
-                exprs += [*spec.normal, spec.offset]
             polytope = self.shape is Shape.POLYTOPE
 
             def build(values: list[float]) -> Region:
@@ -247,7 +252,8 @@ class FunctionTemplate:
                 )
 
         compiled = [
-            (expr, compile_expression(expr, self._parameter)) for expr in exprs
+            (expr, compile_expression(expr, self._parameter))
+            for expr in self.region_exprs
         ]
 
         def construct(params: Mapping[str, Any]) -> Region:
@@ -320,87 +326,158 @@ class FunctionTemplate:
 
     @staticmethod
     def from_xml(text: str) -> "FunctionTemplate":
-        try:
-            root = ET.fromstring(text)
-        except ET.ParseError as exc:
-            raise TemplateError(f"malformed template XML: {exc}") from None
-        if root.tag != "FunctionTemplate":
-            raise TemplateError(f"expected <FunctionTemplate>, got <{root.tag}>")
+        """The template ``text`` describes; a :class:`TemplateError`
+        naming every problem of the document otherwise."""
+        return read_strictly(read_function_template, text)
 
-        def text_of(tag: str, required: bool = True) -> str | None:
-            element = root.find(tag)
-            if element is None or element.text is None:
-                if required:
-                    raise TemplateError(f"missing <{tag}> in template")
-                return None
-            return element.text.strip()
 
-        def exprs_of(tag: str, parent: ET.Element | None = None) -> tuple:
-            container = (parent or root).find(tag)
-            if container is None:
-                return ()
-            return tuple(
-                _parse(child.text or "") for child in container.findall("Expr")
-            )
+def read_function_template(text: str, sink: Sink) -> FunctionTemplate | None:
+    """The one reader of function-template XML (see
+    :mod:`repro.templates.document`): every problem of ``text`` to
+    ``sink``, and the template when there was none."""
+    problem = Problems(sink)
+    root = problem.root(text, "FunctionTemplate")
+    if root is None:
+        return None
 
-        name = text_of("Name")
-        params_el = root.find("Params")
-        if params_el is None:
-            raise TemplateError("missing <Params> in template")
-        params = tuple(
-            (child.text or "").strip() for child in params_el.findall("Param")
+    name = problem.text_of(root, "Name")
+    if root.find("Params") is None:
+        problem(
+            "FP102",
+            "missing <Params> element",
+            None,
+            "declare the function's parameters, one <Param> each",
         )
+    params: list[str] = []
+    domains: list[tuple[str, float, float]] = []
+    for param_el in root.iterfind("Params/Param"):
+        param = (param_el.text or "").strip()
+        params.append(param)
+        if not param:
+            problem("FP102", "missing or empty <Param>", "<Param")
+        if "min" not in param_el.attrib and "max" not in param_el.attrib:
+            continue
+        bounds = (param_el.get("min", "-inf"), param_el.get("max", "inf"))
         try:
-            domains = tuple(
-                (p, float(el.get("min", "-inf")), float(el.get("max", "inf")))
-                for p, el in zip(params, params_el.findall("Param"))
-                if {"min", "max"} & set(el.keys())
-            )
+            low, high = map(float, bounds)
         except ValueError:
-            raise TemplateError("<Param> min / max: not a number") from None
-        try:
-            shape = Shape(text_of("Shape"))
-        except ValueError:
-            raise TemplateError(
-                f"unknown shape {text_of('Shape')!r}"
-            ) from None
-        dims = int(text_of("NumDimensions"))
+            low = high = math.nan  # refused below, as a NaN bound is
+        if not low <= high:
+            problem(
+                "FP106",
+                f"bad domain [{', '.join(bounds)}] for {param!r}",
+                f"{param}</Param>",
+            )
+        domains.append((param, low, high))
 
-        radius_text = text_of("Radius", required=False)
-        halfspace_specs = []
-        faces_el = root.find("Halfspaces")
-        if faces_el is not None:
-            for face_el in faces_el.findall("Halfspace"):
-                offset_el = face_el.find("Offset")
-                if offset_el is None or offset_el.text is None:
-                    raise TemplateError("halfspace missing <Offset>")
-                halfspace_specs.append(
-                    HalfspaceSpec(
-                        normal=exprs_of("Normal", face_el),
-                        offset=_parse(offset_el.text),
-                    )
-                )
-        description_el = root.find("Description")
-        outputs = tuple(
-            (el.get("name", ""), _parse(el.text or ""))
-            for el in root.findall("Output")
-        )
-        if not all(column for column, _ in outputs):
-            raise TemplateError("<Output> needs a name attribute")
-        return FunctionTemplate(
-            name=name,
-            params=params,
-            shape=shape,
-            dims=dims,
-            point_exprs=exprs_of("PointCoordinate"),
-            center_exprs=exprs_of("CenterCoordinate"),
-            radius_expr=_parse(radius_text) if radius_text else None,
-            low_exprs=exprs_of("LowBound"),
-            high_exprs=exprs_of("HighBound"),
-            halfspace_specs=tuple(halfspace_specs),
-            description=(description_el.text or "").strip()
-            if description_el is not None
-            else "",
-            domains=domains,
-            outputs=outputs,
-        )
+    shape: Shape | None = None
+    shape_text = problem.text_of(root, "Shape")
+    if shape_text is not None:
+        try:
+            shape = Shape(shape_text)
+        except ValueError:
+            known = ", ".join(s.value for s in Shape)
+            problem(
+                "FP103",
+                f"unknown shape {shape_text!r}; expected one of {known}",
+                shape_text,
+            )
+    dims: int | None = None
+    dims_text = problem.text_of(root, "NumDimensions")
+    if dims_text is not None:
+        dims = int(dims_text) if dims_text.isdecimal() else 0
+        if dims < 1:
+            problem(
+                "FP104",
+                f"<NumDimensions> must be a positive integer, "
+                f"got {dims_text!r}",
+                dims_text,
+            )
+            dims = None
+
+    def parsed(
+        element: ET.Element | None, label: str, anchor: str | None = None
+    ) -> Expression | None:
+        source = (element.text or "").strip() if element is not None else ""
+        if not source:
+            problem("FP102", f"missing or empty {label}", anchor)
+            return None
+        try:
+            return parse_expression(source)
+        except (ParseError, RecursionError) as exc:
+            problem("FP106", f"cannot parse {label} {source!r}: {exc}", source)
+            return None
+
+    def exprs_of(
+        parent: ET.Element, tag: str, outer: str = ""
+    ) -> tuple[Expression, ...]:
+        label = f"{outer}<{tag}>"
+        container = parent.find(tag)
+        if container is None:
+            problem(
+                "FP102",
+                f"missing {label} element",
+                f"<{parent.tag}",
+                f"declare {label} with one <Expr> per dimension",
+            )
+            return ()
+        children = container.findall("Expr")
+        if dims is not None and len(children) != dims:
+            problem(
+                "FP105",
+                f"{label} has {len(children)} <Expr> element(s), expected "
+                f"{dims} (one per dimension)",
+                f"<{tag}>",
+                "match the expression count to <NumDimensions>",
+            )
+        exprs = [
+            parsed(child, f"<Expr> in {label}", f"<{tag}>")
+            for child in children
+        ]
+        return tuple(expr for expr in exprs if expr is not None)
+
+    shaped: dict[str, Any] = {}  # the shape's own fields
+    if shape is Shape.HYPERSPHERE:
+        shaped["center_exprs"] = exprs_of(root, "CenterCoordinate")
+        shaped["radius_expr"] = parsed(root.find("Radius"), "<Radius>")
+    elif shape is not None:
+        shaped["low_exprs"] = exprs_of(root, "LowBound")
+        shaped["high_exprs"] = exprs_of(root, "HighBound")
+    if shape is Shape.POLYTOPE:
+        face_els = root.findall("Halfspaces/Halfspace")
+        if not face_els:
+            problem(
+                "FP102",
+                "polytope template needs <Halfspaces> with at least one "
+                "<Halfspace>",
+            )
+        faces = []
+        for face_el in face_els:
+            normal = exprs_of(face_el, "Normal", "<Halfspace>")
+            offset = parsed(face_el.find("Offset"), "<Offset> in <Halfspace>")
+            if offset is not None:
+                faces.append(HalfspaceSpec(normal, offset))
+        shaped["halfspace_specs"] = tuple(faces)
+    point = exprs_of(root, "PointCoordinate")
+    outputs = []
+    for output_el in root.findall("Output"):
+        column = output_el.get("name", "")
+        rule = parsed(output_el, f"<Output name={column!r}>", "<Output")
+        if not column:
+            problem("FP102", "<Output> needs a name attribute", "<Output")
+        elif rule is not None:
+            outputs.append((column, rule))
+
+    if problem.count or name is None or shape is None or dims is None:
+        return None
+    return FunctionTemplate(
+        name=name,
+        params=tuple(params),
+        shape=shape,
+        dims=dims,
+        point_exprs=point,
+        description=(root.findtext("Description") or "").strip(),
+        domains=tuple(domains),
+        outputs=tuple(outputs),
+        **shaped,
+    )

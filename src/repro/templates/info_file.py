@@ -5,6 +5,8 @@ search form with a function-embedded query template".  An info file
 names the form, the query template it drives, how form field names map
 to template parameter names, and default values for parameters the form
 may omit (the Radial form's result limit, for instance).
+:func:`read_info_file` is the one reader of the XML form, for the loader
+and the linter alike (see :mod:`repro.templates.document`).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.templates.document import Problems, Sink, read_strictly
 from repro.templates.errors import TemplateError
 
 
@@ -83,31 +86,43 @@ class TemplateInfoFile:
 
     @staticmethod
     def from_xml(text: str) -> "TemplateInfoFile":
-        try:
-            root = ET.fromstring(text)
-        except ET.ParseError as exc:
-            raise TemplateError(f"malformed info file XML: {exc}") from None
-        if root.tag != "TemplateInfo":
-            raise TemplateError(f"expected <TemplateInfo>, got <{root.tag}>")
-        form_el = root.find("FormName")
-        template_el = root.find("TemplateId")
-        if form_el is None or template_el is None:
-            raise TemplateError("info file needs <FormName> and <TemplateId>")
-        field_map = {}
-        fields_el = root.find("Fields")
-        if fields_el is not None:
-            for field_el in fields_el.findall("Field"):
-                field_map[field_el.get("name")] = field_el.get("param")
-        defaults = {}
-        defaults_el = root.find("Defaults")
-        if defaults_el is not None:
-            for default_el in defaults_el.findall("Default"):
-                defaults[default_el.get("param")] = _parse_value(
-                    default_el.get("value") or ""
-                )
-        return TemplateInfoFile(
-            form_name=(form_el.text or "").strip(),
-            template_id=(template_el.text or "").strip(),
-            field_map=field_map,
-            defaults=defaults,
-        )
+        """The info file ``text`` describes; a :class:`TemplateError`
+        naming every problem of the document otherwise."""
+        return read_strictly(read_info_file, text)
+
+
+def read_info_file(text: str, sink: Sink) -> TemplateInfoFile | None:
+    """The one reader of info-file XML (see
+    :mod:`repro.templates.document`): every problem of ``text`` to
+    ``sink``, and the info file when there was none."""
+    problem = Problems(sink)
+    root = problem.root(text, "TemplateInfo")
+    if root is None:
+        return None
+    form_name = problem.text_of(root, "FormName")
+    template_id = problem.text_of(root, "TemplateId")
+    field_map = {}
+    for field_el in root.iterfind("Fields/Field"):
+        form_field, parameter = field_el.get("name"), field_el.get("param")
+        if form_field and parameter:
+            field_map[form_field] = parameter
+        else:
+            problem(
+                "FP102",
+                "<Field> needs both a name and a param attribute",
+                "<Field",
+            )
+    defaults = {}
+    for default_el in root.iterfind("Defaults/Default"):
+        parameter, value = default_el.get("param"), default_el.get("value")
+        if parameter and value:
+            defaults[parameter] = _parse_value(value)
+        else:
+            problem(
+                "FP102",
+                "<Default> needs both a param and a value attribute",
+                "<Default",
+            )
+    if problem.count or form_name is None or template_id is None:
+        return None
+    return TemplateInfoFile(form_name, template_id, field_map, defaults)

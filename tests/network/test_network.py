@@ -20,12 +20,6 @@ class TestClock:
         with pytest.raises(ValueError):
             SimulatedClock().advance(-1.0)
 
-    def test_span_measures_elapsed(self):
-        clock = SimulatedClock()
-        span = clock.measure()
-        clock.advance(7.0)
-        assert span.elapsed() == pytest.approx(7.0)
-
 
 class TestLink:
     def test_transfer_model(self):

@@ -349,3 +349,24 @@ class TestBootstrap:
         with serving(create_origin_app(site)) as url:
             with pytest.raises(TemplateError, match="refused for the test"):
                 HttpOriginClient(url)
+
+    def test_a_template_document_the_loader_refuses_fails_construction(
+        self, app
+    ):
+        """The client reads ``/templates`` through the same reader the
+        linter does: a bad document is a ``TemplateError`` naming the
+        linter's code, not a bare ``ValueError`` from ``int()``."""
+        payload = app.get("/templates").get_json()
+        for entry in payload["query_templates"]:
+            entry["function_template"] = entry["function_template"].replace(
+                "<NumDimensions>3<", "<NumDimensions>three<"
+            )
+        body = json.dumps(payload).encode("utf-8")
+
+        def stub(environ, start_response):
+            start_response("200 OK", [("Content-Type", "application/json")])
+            return [body]
+
+        with serving(stub) as url:
+            with pytest.raises(TemplateError, match=r"\[FP104\].*'three'"):
+                HttpOriginClient(url)
