@@ -13,8 +13,9 @@ other still share a cache.
 
 Failover never raises: a shard that is crashed or hung (the seeded
 :class:`~repro.faults.shard.ShardCrashPlan`), drained, or judged
-``unhealthy`` by its own PR 9 :class:`~repro.obs.health.HealthMonitor`
-is skipped and the walk continues down the key's preference order.
+``unhealthy`` by its own health verdict
+(:meth:`~repro.obs.instrument.TelemetryBundle.health`) is skipped and
+the walk continues down the key's preference order.
 When no shard can take the query, the router degrades to the origin
 tunnel (``fallback.serve_admitted(degrade=True)``) or, without a
 fallback, sheds with the structured ``shed`` outcome — the same
@@ -61,6 +62,7 @@ from repro.obs.events import (
     EV_HANDOFF_COMPLETED,
     EV_SHARD_CRASH,
     NULL_EVENTS,
+    newest,
 )
 from repro.obs.health import HEALTHY, UNHEALTHY, evaluate_samples
 from repro.obs.metrics import MetricsRegistry
@@ -123,7 +125,7 @@ class RouteAttempt:
     ``fate`` is one of ``dispatched`` (the query went here),
     ``drained`` (administratively out), ``crash`` / ``hang`` /
     ``transient`` (the fault session's verdicts), or ``unhealthy``
-    (the shard's own health monitor said stay away).
+    (the shard's own health verdict said stay away).
     """
 
     shard_id: str
@@ -301,10 +303,10 @@ class ShardRouter:
     def _shard_statuses(self, now_ms: float) -> dict[str, str]:
         """Every shard's dispatch verdict at ``now_ms``.
 
-        Fault-session reachability wins over the shard's own monitor
-        (a crashed shard's monitor would happily report healthy).
+        Fault-session reachability wins over the shard's own verdict
+        (a crashed shard's telemetry would happily report healthy).
         Health is evaluated *before* ``router.state`` is taken — the
-        monitors acquire shard-side locks the router must never hold
+        verdicts acquire shard-side locks the router must never hold
         its own lock across.
         """
         with self._lock:
@@ -318,7 +320,7 @@ class ShardRouter:
                 statuses[shard_id] = "unreachable"
             else:
                 statuses[shard_id] = str(
-                    shard.proxy.health.evaluate(now_ms)["status"]
+                    shard.proxy.obs.health(now_ms)["status"]
                 )
         return statuses
 
@@ -641,9 +643,7 @@ class ShardRouter:
         ``DECISION_CAPACITY``), oldest first."""
         with self._lock:
             decisions = list(self.decisions)
-        if n is not None and n >= 0:
-            decisions = decisions[-n:] if n else []
-        return decisions
+        return newest(decisions, n)
 
     def status(self) -> dict[str, Any]:
         """The ``GET /shards`` payload."""

@@ -327,11 +327,6 @@ class FunctionProxy:
         return self.obs.events
 
     @property
-    def health(self):
-        """The proxy's health monitor (``GET /health`` source)."""
-        return self.obs.health
-
-    @property
     def seen_data_version(self) -> int | None:
         """The origin data version the cache's entries were admitted under.
 

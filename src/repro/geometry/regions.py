@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 EPSILON = 1e-9
 
@@ -341,3 +341,76 @@ class DifferenceRegion(Region):
 
     def bounding_box(self) -> HyperRect:
         return self.base.bounding_box()
+
+
+def region_to_dict(region: Region) -> dict[str, Any]:
+    """A region's one JSON form: its shape and bounds.
+
+    The explain layer renders query, candidate and remainder regions
+    with it, and the journal stores cacheable regions in it;
+    :func:`region_from_dict` is its inverse.
+    """
+    if isinstance(region, HyperSphere):
+        return {
+            "shape": "hypersphere",
+            "center": list(region.center),
+            "radius": region.radius,
+        }
+    if isinstance(region, HyperRect):
+        return {
+            "shape": "hyperrect",
+            "lows": list(region.lows),
+            "highs": list(region.highs),
+        }
+    if isinstance(region, ConvexPolytope):
+        return {
+            "shape": "polytope",
+            "halfspaces": [
+                {"normal": list(h.normal), "offset": h.offset}
+                for h in region.halfspaces
+            ],
+            "bbox": {
+                "lows": list(region.bbox.lows),
+                "highs": list(region.bbox.highs),
+            },
+        }
+    if isinstance(region, DifferenceRegion):
+        return {
+            "shape": "difference",
+            "base": region_to_dict(region.base),
+            "holes": [region_to_dict(hole) for hole in region.holes],
+        }
+    raise GeometryError(f"no JSON form for {type(region).__name__}")
+
+
+def region_from_dict(payload: Mapping[str, Any]) -> Region:
+    """Rebuild a region from :func:`region_to_dict`'s form."""
+    try:
+        shape = payload["shape"]
+        if shape == "hypersphere":
+            return HyperSphere(
+                center=tuple(payload["center"]), radius=payload["radius"]
+            )
+        if shape == "hyperrect":
+            return HyperRect(
+                lows=tuple(payload["lows"]), highs=tuple(payload["highs"])
+            )
+        if shape == "polytope":
+            return ConvexPolytope(
+                halfspaces=tuple(
+                    Halfspace(tuple(h["normal"]), h["offset"])
+                    for h in payload["halfspaces"]
+                ),
+                bbox=HyperRect(
+                    lows=tuple(payload["bbox"]["lows"]),
+                    highs=tuple(payload["bbox"]["highs"]),
+                ),
+            )
+        if shape == "difference":
+            return DifferenceRegion(
+                base=region_from_dict(payload["base"]),
+                holes=tuple(region_from_dict(h) for h in payload["holes"]),
+            )
+    except (KeyError, TypeError) as exc:
+        raise GeometryError(f"malformed region payload: {exc}") from exc
+    raise GeometryError(f"unknown region shape {shape!r}")

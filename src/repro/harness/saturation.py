@@ -190,7 +190,7 @@ def run_load_point(
     telemetry = None
     if proxy.timeseries.enabled or proxy.events.enabled:
         series = proxy.timeseries.snapshot()
-        series["health"] = proxy.health.evaluate(driver.loop.now_ms)
+        series["health"] = proxy.obs.health(driver.loop.now_ms)
         telemetry = {
             "timeseries": series,
             "events": proxy.events.snapshot(),

@@ -46,14 +46,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.geometry.regions import (
-    ConvexPolytope,
-    DifferenceRegion,
-    HyperRect,
-    HyperSphere,
-    Region,
-)
+from repro.geometry.regions import Region
+from repro.geometry.regions import region_to_dict as region_summary
 from repro.locking import guarded_by, named_lock, unshared
+from repro.obs.events import newest
 
 
 class DecisionAction(enum.Enum):
@@ -126,46 +122,6 @@ def action_for(status: str, outcome: str) -> DecisionAction:
         return _STATUS_ACTIONS[status]
     except KeyError:
         raise ValueError(f"unknown query status {status!r}") from None
-
-
-def region_summary(region: Region) -> dict[str, Any]:
-    """A JSON-able description of a region's shape and bounds.
-
-    The explain layer reports the *compared bounds* of every region
-    check; this is the one rendering used for query regions, candidate
-    entry regions, and remainder geometry alike.
-    """
-    if isinstance(region, HyperSphere):
-        return {
-            "shape": "hypersphere",
-            "center": list(region.center),
-            "radius": region.radius,
-        }
-    if isinstance(region, HyperRect):
-        return {
-            "shape": "hyperrect",
-            "lows": list(region.lows),
-            "highs": list(region.highs),
-        }
-    if isinstance(region, ConvexPolytope):
-        return {
-            "shape": "polytope",
-            "halfspaces": [
-                {"normal": list(h.normal), "offset": h.offset}
-                for h in region.halfspaces
-            ],
-        }
-    if isinstance(region, DifferenceRegion):
-        return {
-            "shape": "difference",
-            "base": region_summary(region.base),
-            "holes": [region_summary(hole) for hole in region.holes],
-        }
-    box = region.bounding_box()
-    return {
-        "shape": type(region).__name__,
-        "bounding_box": {"lows": list(box.lows), "highs": list(box.highs)},
-    }
 
 
 @dataclass(frozen=True)
@@ -401,9 +357,7 @@ class DecisionLog:
         """The most recent decisions as dicts, oldest first."""
         with self._lock:
             traces = list(self._traces.values())
-        if n is not None:
-            traces = traces[-n:] if n > 0 else []
-        return [trace.to_dict() for trace in traces]
+        return [trace.to_dict() for trace in newest(traces, n)]
 
     def action_counts(self) -> dict[str, int]:
         """How many retained decisions took each action."""

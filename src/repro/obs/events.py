@@ -30,9 +30,21 @@ Two implementations share the interface, following the
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Mapping
+from typing import Any, Mapping, TypeVar
 
 from repro.locking import guarded_by, named_lock, read_only
+
+_T = TypeVar("_T")
+
+
+def newest(items: list[_T], n: int | None) -> list[_T]:
+    """The newest ``n`` of ``items`` (oldest first): every one when
+    ``n`` is ``None``, none when ``n`` is zero or negative — the one
+    rule behind every ``?n=`` and ``recent(n)``."""
+    if n is None:
+        return items
+    return items[-n:] if n > 0 else []
+
 
 #: The origin circuit breaker opened (origin presumed down).
 EV_BREAKER_OPEN = "EV01"
@@ -54,7 +66,7 @@ EV_QUEUE_DEADLINE_DROPS = "EV08"
 EV_EVICTION_STORM = "EV09"
 #: The persister wrote a snapshot and reset the journal.
 EV_SNAPSHOT_CHECKPOINT = "EV10"
-#: The health monitor's overall verdict changed.
+#: The overall health verdict changed.
 EV_HEALTH_STATE_CHANGE = "EV11"
 #: A shard worker crashed, hung, or slowed per its ShardCrashPlan.
 EV_SHARD_CRASH = "EV12"
@@ -161,9 +173,7 @@ class EventRecorder:
         """The newest ``n`` retained events, oldest first."""
         with self._lock:
             events = [dict(event) for event in self._events]
-        if n is not None and n >= 0:
-            events = events[-n:] if n else []
-        return events
+        return newest(events, n)
 
     @property
     def total(self) -> int:

@@ -1,6 +1,6 @@
 """Declarative health rules evaluated over the live time series.
 
-The health monitor turns the :mod:`repro.obs.timeseries` samples into
+The health rules turn the :mod:`repro.obs.timeseries` samples into
 an operational verdict — ``healthy`` / ``degraded`` / ``unhealthy`` —
 by evaluating a fixed set of **pinned rules** (HR ids, stable like the
 FP diagnostic and EV event codes; see DESIGN.md):
@@ -12,9 +12,9 @@ FP diagnostic and EV event codes; see DESIGN.md):
 * ``HR02`` *shed-spike* — the fraction of arrivals turned away by
   admission control in the newest window.
 * ``HR03`` *latency-slo* — the newest window's rolling p95 response
-  time against the strictest configured per-template latency
-  objective (the PR 4 SLO targets); inactive when no per-template
-  objective was configured.
+  time against a latency objective given offline
+  (``python -m repro.obs.report --latency-slo-ms``); inactive on a
+  live proxy, which configures none.
 * ``HR04`` *queue-saturation* — the accept queue pinned near its
   configured limit for several consecutive windows.
 * ``HR05`` *breaker-open* — the origin circuit breaker not closed at
@@ -30,20 +30,16 @@ and shed-policy transitions that caused them.
 
 :func:`evaluate_samples` is a pure function over exported samples —
 the ``repro.obs.report`` CLI re-runs it offline on a
-``timeseries-<label>.json`` artifact.  :class:`HealthMonitor` runs the
-same rules over what its recorder kept ready at sample time (each
-window's hit ratio, computed once; the newest few samples), with state
-(the last verdict, for EV11) guarded by the ``proxy.telemetry`` lock;
-:class:`NullHealthMonitor` is the shared no-op default.
+``timeseries-<label>.json`` artifact.  A live proxy or origin runs the
+same rules through its instrumentation bundle
+(:meth:`~repro.obs.instrument.TelemetryBundle.health`), over what the
+recorder kept ready at sample time (each window's hit ratio, computed
+once; the newest few samples).
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
-
-from repro.locking import guarded_by, named_lock
-from repro.obs.events import EV_HEALTH_STATE_CHANGE, NULL_EVENTS
-from repro.obs.slo import SloTracker
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -248,7 +244,7 @@ def evaluate_samples(
     router; a single proxy leaves them ``None`` and HR06 stays
     inactive.
     """
-    return _evaluate(
+    return evaluate_window(
         summarize(samples),
         latency_slo_ms,
         queue_limit,
@@ -257,13 +253,15 @@ def evaluate_samples(
     )
 
 
-def _evaluate(
+def evaluate_window(
     summary: tuple[list[float], list[dict[str, Any]], int],
-    latency_slo_ms: float | None,
-    queue_limit: int | None,
+    latency_slo_ms: float | None = None,
+    queue_limit: int | None = None,
     shards_down: int | None = None,
     shards_total: int | None = None,
 ) -> dict[str, Any]:
+    """:func:`evaluate_samples` over the triple :func:`summarize`
+    returns (or a live recorder's ``health_window()``)."""
     ratios, newest, windows = summary
     rules = [
         _hit_ratio_collapse(ratios),
@@ -279,114 +277,3 @@ def _evaluate(
         default=HEALTHY,
     )
     return {"status": status, "rules": rules, "windows": windows}
-
-
-def strictest_latency_objective(slo: SloTracker | None) -> float | None:
-    """The tightest *per-template* latency objective, or None.
-
-    Only explicit per-template overrides (the PR 4 targets) count: the
-    tracker's blanket default objective exists on every proxy and
-    would otherwise flag ordinary cold-cache traffic forever.
-    """
-    if slo is None or not slo.overrides:
-        return None
-    return min(
-        objective.latency_objective_ms
-        for objective in slo.overrides.values()
-    )
-
-
-@guarded_by("proxy.telemetry", "_last_status", "_queue_limit")
-class HealthMonitor:
-    """Stateful wrapper: evaluate, remember, fire EV11 on change.
-
-    Judges exactly the windows ``GET /timeseries`` shows, without
-    re-reading them: a :class:`~repro.obs.timeseries.
-    TimeSeriesRecorder` hands over its ``health_window()``; any other
-    source of ``samples()`` (an exported series) is summarized on the
-    spot.  The queue limit arrives late (the proxy learns it when the
-    admission controller binds), hence the setter.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        timeseries: Any,
-        events: Any = NULL_EVENTS,
-        slo: SloTracker | None = None,
-        latency_slo_ms: float | None = None,
-        queue_limit: int | None = None,
-    ) -> None:
-        self.timeseries = timeseries
-        self.events = events
-        if latency_slo_ms is None:
-            latency_slo_ms = strictest_latency_objective(slo)
-        self.latency_slo_ms = latency_slo_ms
-        self._lock = named_lock("proxy.telemetry")
-        self._queue_limit = queue_limit
-        self._last_status: str | None = None
-
-    def set_queue_limit(self, queue_limit: int | None) -> None:
-        """Late-bind the accept queue's depth limit (HR04's yardstick)."""
-        with self._lock:
-            self._queue_limit = queue_limit
-
-    def evaluate(self, now_ms: float) -> dict[str, Any]:
-        """One full rule pass at simulated time ``now_ms``."""
-        with self._lock:
-            queue_limit = self._queue_limit
-        window = getattr(self.timeseries, "health_window", None)
-        report = _evaluate(
-            window()
-            if window is not None
-            else summarize(self.timeseries.samples()),
-            self.latency_slo_ms,
-            queue_limit,
-        )
-        status = str(report["status"])
-        with self._lock:
-            previous = self._last_status
-            self._last_status = status
-        changed = (
-            previous != status
-            if previous is not None
-            else status != HEALTHY
-        )
-        if changed:
-            self.events.emit(
-                EV_HEALTH_STATE_CHANGE,
-                at_ms=now_ms,
-                status=status,
-                previous=previous,
-            )
-        report["enabled"] = True
-        report["at_ms"] = float(now_ms)
-        if self.latency_slo_ms is not None:
-            report["latency_slo_ms"] = self.latency_slo_ms
-        if queue_limit is not None:
-            report["queue_limit"] = queue_limit
-        return report
-
-
-class NullHealthMonitor:
-    """The disabled monitor: always healthy, remembers nothing."""
-
-    enabled = False
-    latency_slo_ms = None
-
-    def set_queue_limit(self, queue_limit: int | None) -> None:
-        return None
-
-    def evaluate(self, now_ms: float) -> dict[str, Any]:
-        return {
-            "enabled": False,
-            "status": HEALTHY,
-            "rules": [],
-            "windows": 0,
-            "at_ms": float(now_ms),
-        }
-
-
-#: The singleton no-op monitor instrumentation defaults to.
-NULL_HEALTH = NullHealthMonitor()

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.locking import read_only, unshared
+from repro.locking import guarded_by, named_lock, read_only, unshared
 from repro.obs.decisions import DecisionLog, DecisionTrace
-from repro.obs.events import NULL_EVENTS
-from repro.obs.health import NULL_HEALTH, HealthMonitor
+from repro.obs.events import EV_HEALTH_STATE_CHANGE, NULL_EVENTS
+from repro.obs.health import HEALTHY, evaluate_window
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloObjective, SloTracker
+from repro.obs.slo import SloTracker
 from repro.obs.spans import ScopeStack, Stage
 from repro.obs.timeseries import NULL_TIMESERIES
 
@@ -178,51 +178,74 @@ class _HeldChildren(dict[Any, Any]):
         return child
 
 
-@unshared("timeseries", "events", "health", "_queue_limit")
+@guarded_by("proxy.telemetry", "_last_status")
+@unshared("timeseries", "events", "_queue_limit")
 class TelemetryBundle(ScopeStack):
     """What the proxy's and the origin's instrumentation share: one
     registry, the stage stack with its two readers (tracer and
-    profiler), and the live-telemetry trio.
+    profiler), the live-telemetry pair, and the health verdict judged
+    from them.
 
-    ``tracer`` / ``profiler`` — and the telemetry trio ``timeseries``
-    / ``events`` / ``health`` — are rebound only during
-    single-threaded deployment wiring (the web apps swap in live
-    recorders before any request thread starts), hence the
-    ``unshared`` waiver; the objects behind them synchronize
-    internally.
+    ``tracer`` / ``profiler`` — and the telemetry pair ``timeseries``
+    / ``events`` — are rebound only during single-threaded deployment
+    wiring (the web apps swap in live recorders before any request
+    thread starts), hence the ``unshared`` waiver; the objects behind
+    them synchronize internally.  The last verdict (EV11 fires when it
+    changes) is guarded by the ``proxy.telemetry`` lock.
     """
 
     def __init__(
-        self,
-        registry: MetricsRegistry | None,
-        tracer: Any,
-        profiler: Any,
-        timeseries: Any,
-        events: Any,
-        slo: SloTracker | None = None,
+        self, tracer: Any, profiler: Any, timeseries: Any, events: Any
     ) -> None:
         super().__init__(tracer, profiler)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._held = _HeldChildren()
-        self.slo = slo
-        self.timeseries = (
-            timeseries if timeseries is not None else NULL_TIMESERIES
-        )
-        self.events = events if events is not None else NULL_EVENTS
-        self.timeseries.bind(self.registry)
+        self._lock = named_lock("proxy.telemetry")
+        #: The accept queue's depth limit (HR04's yardstick), learnt
+        #: when an admission controller binds.
         self._queue_limit: int | None = None
-        self.health = self._build_health()
+        self._last_status: str | None = None
+        self.timeseries: Any = NULL_TIMESERIES
+        self.events: Any = NULL_EVENTS
+        self.install_telemetry(timeseries, events)
 
-    def _build_health(self) -> Any:
-        """The health monitor matching the current telemetry wiring."""
+    def health(self, now_ms: float) -> dict[str, Any]:
+        """The health verdict at ``now_ms`` (``GET /health``).
+
+        Every pinned rule over the windows the time series keeps
+        ready (``TimeSeriesRecorder.health_window``, so the ring is
+        not re-read); a change of the overall verdict fires EV11.
+        With the time series off, the pinned disabled payload: always
+        healthy, no rules.
+        """
         if not self.timeseries.enabled:
-            return NULL_HEALTH
-        return HealthMonitor(
-            self.timeseries,
-            self.events,
-            slo=self.slo,
-            queue_limit=self._queue_limit,
+            return {
+                "enabled": False,
+                "status": HEALTHY,
+                "rules": [],
+                "windows": 0,
+                "at_ms": float(now_ms),
+            }
+        queue_limit = self._queue_limit
+        report = evaluate_window(
+            self.timeseries.health_window(), queue_limit=queue_limit
         )
+        status = report["status"]
+        with self._lock:
+            previous = self._last_status
+            self._last_status = status
+        if previous != status if previous is not None else status != HEALTHY:
+            self.events.emit(
+                EV_HEALTH_STATE_CHANGE,
+                at_ms=now_ms,
+                status=status,
+                previous=previous,
+            )
+        report["enabled"] = True
+        report["at_ms"] = float(now_ms)
+        if queue_limit is not None:
+            report["queue_limit"] = queue_limit
+        return report
 
     def sample_telemetry(self, now_ms: float) -> None:
         """Serve-path hook: advance the time series to ``now_ms``.
@@ -233,12 +256,13 @@ class TelemetryBundle(ScopeStack):
         null recorder this is one no-op method call per query.
         """
         if self.timeseries.maybe_sample(now_ms) is not None:
-            self.health.evaluate(now_ms)
+            self.health(now_ms)
 
     def install_telemetry(
         self, timeseries: Any = None, events: Any = None
     ) -> None:
-        """Deployment wiring: swap in live telemetry recorders.
+        """Deployment wiring: swap in live telemetry recorders, and
+        judge health afresh from them.
 
         Like tracer/profiler rebinding, legal only during
         single-threaded wiring before any request thread starts.
@@ -248,35 +272,23 @@ class TelemetryBundle(ScopeStack):
             self.timeseries.bind(self.registry)
         if events is not None:
             self.events = events
-        self.health = self._build_health()
+        with self._lock:
+            self._last_status = None
 
 
 class ProxyInstrumentation(TelemetryBundle):
     """The proxy's metric families, tracer, decision log, and hooks."""
 
-    slo: SloTracker
-
     def __init__(
         self,
-        registry: MetricsRegistry | None = None,
         tracer: Any = None,
-        decision_capacity: int = 256,
-        slo: SloObjective | None = None,
         profiler: Any = None,
         timeseries: Any = None,
         events: Any = None,
     ) -> None:
-        if registry is None:
-            registry = MetricsRegistry()
-        super().__init__(
-            registry,
-            tracer,
-            profiler,
-            timeseries,
-            events,
-            slo=SloTracker(registry, objective=slo),
-        )
-        self.decisions = DecisionLog(capacity=decision_capacity)
+        super().__init__(tracer, profiler, timeseries, events)
+        self.slo = SloTracker(self.registry)
+        self.decisions = DecisionLog()
         r = self.registry
         self.queries = r.counter(
             "proxy_queries_total",
@@ -446,7 +458,6 @@ class ProxyInstrumentation(TelemetryBundle):
     def set_admission_queue_limit(self, limit: int | None) -> None:
         """Admission wiring: the accept queue's depth limit (HR04)."""
         self._queue_limit = limit
-        self.health.set_queue_limit(limit)
 
     # ------------------------------------------------- analysis observation
     def record_diagnostic(self, diagnostic: Any) -> None:
@@ -610,13 +621,12 @@ class OriginInstrumentation(TelemetryBundle):
 
     def __init__(
         self,
-        registry: MetricsRegistry | None = None,
         tracer: Any = None,
         profiler: Any = None,
         timeseries: Any = None,
         events: Any = None,
     ) -> None:
-        super().__init__(registry, tracer, profiler, timeseries, events)
+        super().__init__(tracer, profiler, timeseries, events)
         r = self.registry
         self.requests = r.counter(
             "origin_requests_total",

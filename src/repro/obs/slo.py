@@ -1,9 +1,9 @@
 """Per-template SLO tracking: hit-ratio and latency objectives.
 
-An :class:`SloObjective` states what "healthy" means for one template:
-a target hit ratio (fraction of queries the proxy answers without
-contacting the origin — the paper's headline economy) and a latency
-objective (fraction of responses under a simulated-latency bound).
+Every template is held to one objective: a target hit ratio (fraction
+of queries the proxy answers without contacting the origin — the
+paper's headline economy) and a latency objective (fraction of
+responses under a simulated-latency bound).
 
 The :class:`SloTracker` folds each finished query into per-template
 tallies and exports, via the shared metrics registry:
@@ -16,44 +16,22 @@ tallies and exports, via the shared metrics registry:
   fraction of responses over the latency objective;
 * ``slo_queries_total{template=...}`` — the sample size behind both.
 
-Burn rates follow the standard error-budget formulation: with no
-queries yet (or a 100% target, i.e. zero budget and any violation)
-the gauge reports 0.0 / the budget-exhausted ceiling respectively,
-never a division error.
+Burn rates follow the standard error-budget formulation; with no
+queries yet the gauge reports 0.0, never a division error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 
-#: Reported when a zero error budget (target = 1.0) is violated at all.
-BURN_RATE_CEILING = 1000.0
-
-
-@dataclass(frozen=True)
-class SloObjective:
-    """What "healthy" means for one template's traffic."""
-
-    #: Minimum fraction of queries served without contacting the origin.
-    target_hit_ratio: float = 0.5
-    #: Simulated response-latency bound (milliseconds).
-    latency_objective_ms: float = 1000.0
-    #: Minimum fraction of responses under the latency bound.
-    latency_target_ratio: float = 0.95
-
-    def __post_init__(self) -> None:
-        for name in ("target_hit_ratio", "latency_target_ratio"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]: {value}")
-        if self.latency_objective_ms <= 0:
-            raise ValueError(
-                f"latency_objective_ms must be positive: "
-                f"{self.latency_objective_ms}"
-            )
+#: Minimum fraction of queries served without contacting the origin.
+TARGET_HIT_RATIO = 0.5
+#: Simulated response-latency bound (milliseconds).
+LATENCY_OBJECTIVE_MS = 1000.0
+#: Minimum fraction of responses under the latency bound.
+LATENCY_TARGET_RATIO = 0.95
 
 
 class _TemplateTally:
@@ -69,19 +47,17 @@ class _TemplateTally:
         self.within_latency = 0
         self.children = children
 
-    def ratios(self, objective: SloObjective) -> tuple[float, float, float]:
+    def ratios(self) -> tuple[float, float, float]:
         """``(hit_ratio, hit_burn_rate, latency_burn_rate)`` so far."""
         return (
             self.hits / self.queries,
             _burn_rate(
-                self.queries - self.hits,
-                self.queries,
-                objective.target_hit_ratio,
+                self.queries - self.hits, self.queries, TARGET_HIT_RATIO
             ),
             _burn_rate(
                 self.queries - self.within_latency,
                 self.queries,
-                objective.latency_target_ratio,
+                LATENCY_TARGET_RATIO,
             ),
         )
 
@@ -90,24 +66,13 @@ def _burn_rate(violations: int, total: int, target: float) -> float:
     """Observed error rate over the error budget ``1 - target``."""
     if total == 0:
         return 0.0
-    error_rate = violations / total
-    budget = 1.0 - target
-    if budget <= 0.0:
-        return BURN_RATE_CEILING if error_rate > 0.0 else 0.0
-    return error_rate / budget
+    return violations / total / (1.0 - target)
 
 
 class SloTracker:
     """Folds per-query results into per-template SLO gauges."""
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        objective: SloObjective | None = None,
-        overrides: dict[str, SloObjective] | None = None,
-    ) -> None:
-        self.objective = objective if objective is not None else SloObjective()
-        self.overrides = dict(overrides or {})
+    def __init__(self, registry: MetricsRegistry) -> None:
         self._tallies: dict[str, _TemplateTally] = {}
         #: The three ratio gauges in ``_TemplateTally.ratios`` order,
         #: then the sample-size counter.
@@ -134,9 +99,6 @@ class SloTracker:
             ),
         )
 
-    def objective_for(self, template_id: str) -> SloObjective:
-        return self.overrides.get(template_id, self.objective)
-
     def observe(self, template_id: str, hit: bool, latency_ms: float) -> None:
         """Fold one finished query into its template's SLO gauges."""
         tally = self._tallies.get(template_id)
@@ -144,23 +106,21 @@ class SloTracker:
             tally = self._tallies[template_id] = _TemplateTally(
                 [f.labels(template=template_id) for f in self._families]
             )
-        objective = self.objective_for(template_id)
         tally.queries += 1
         if hit:
             tally.hits += 1
-        if latency_ms <= objective.latency_objective_ms:
+        if latency_ms <= LATENCY_OBJECTIVE_MS:
             tally.within_latency += 1
         *gauges, queries = tally.children
         queries.inc()
-        for gauge, value in zip(gauges, tally.ratios(objective)):
+        for gauge, value in zip(gauges, tally.ratios()):
             gauge.set(value)
 
     def snapshot(self) -> dict[str, Any]:
         """Per-template tallies and burn rates, JSON-able."""
         out: dict[str, Any] = {}
         for template_id, tally in sorted(self._tallies.items()):
-            objective = self.objective_for(template_id)
-            hit_ratio, hit_burn, latency_burn = tally.ratios(objective)
+            hit_ratio, hit_burn, latency_burn = tally.ratios()
             out[template_id] = {
                 "queries": tally.queries,
                 "hits": tally.hits,
@@ -169,9 +129,9 @@ class SloTracker:
                 "hit_burn_rate": hit_burn,
                 "latency_burn_rate": latency_burn,
                 "objective": {
-                    "target_hit_ratio": objective.target_hit_ratio,
-                    "latency_objective_ms": objective.latency_objective_ms,
-                    "latency_target_ratio": objective.latency_target_ratio,
+                    "target_hit_ratio": TARGET_HIT_RATIO,
+                    "latency_objective_ms": LATENCY_OBJECTIVE_MS,
+                    "latency_target_ratio": LATENCY_TARGET_RATIO,
                 },
             }
         return out

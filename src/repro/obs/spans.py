@@ -52,6 +52,7 @@ from types import TracebackType
 from typing import Any, Callable, Iterator
 
 from repro.locking import guarded_by, named_lock, unshared
+from repro.obs.events import newest
 from repro.obs.profiling import NULL_PROFILER
 from repro.obs.propagation import IdGenerator, TraceContext
 
@@ -409,9 +410,7 @@ class SpanTracer(ScopeStack):
         """
         with self._lock:  # snapshot: renders happen outside the lock
             roots = list(self._finished)
-        if n is not None:
-            roots = roots[-n:] if n > 0 else []
-        return [root.to_dict() for root in roots]
+        return [root.to_dict() for root in newest(roots, n)]
 
     def iter_jsonl(self) -> Iterator[str]:
         with self._lock:

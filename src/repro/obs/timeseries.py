@@ -18,7 +18,7 @@ Samples land in a bounded ring buffer (the newest ``capacity``
 survive) and are aligned to the interval grid: a sample's ``t_ms`` is
 always a multiple of ``interval_ms``, however unevenly queries arrive.
 Beside each sample the recorder keeps the window's cache hit ratio,
-computed once when the sample is taken, so the health monitor judges
+computed once when the sample is taken, so the health verdict judges
 a new window without re-reading the old ones.
 When the clock jumps several intervals at once, one sample covers the
 whole gap with rates averaged over it — the buffer never floods on a
@@ -71,7 +71,10 @@ class QuantileLane:
 
     name: str
     metric: str
-    quantiles: tuple[float, ...] = (0.5, 0.95)
+
+
+#: The rolling quantiles every quantile lane reports.
+QUANTILES = (0.5, 0.95)
 
 
 @dataclass(frozen=True)
@@ -125,9 +128,7 @@ ORIGIN_LANES = LaneSet(
 
 
 def _window_quantiles(
-    lane: QuantileLane,
-    buckets: tuple[float, ...],
-    deltas: list[int],
+    buckets: tuple[float, ...], deltas: list[int]
 ) -> dict[str, float | None]:
     """Quantiles of one window's bucketed observation distribution.
 
@@ -138,7 +139,7 @@ def _window_quantiles(
     """
     total = sum(deltas)
     out: dict[str, float | None] = {}
-    for q in lane.quantiles:
+    for q in QUANTILES:
         key = f"p{round(q * 100):d}"
         if total == 0:
             out[key] = None
@@ -275,8 +276,7 @@ class TimeSeriesRecorder:
             family = registry.get(quantile_lane.metric)
             if not isinstance(family, Histogram):
                 quantiles[quantile_lane.name] = {
-                    f"p{round(q * 100):d}": None
-                    for q in quantile_lane.quantiles
+                    f"p{round(q * 100):d}": None for q in QUANTILES
                 }
                 continue
             counts = family.merged_counts()
@@ -291,7 +291,7 @@ class TimeSeriesRecorder:
                 for current, before in zip(counts, previous_counts)
             ]
             quantiles[quantile_lane.name] = _window_quantiles(
-                quantile_lane, family.buckets, deltas
+                family.buckets, deltas
             )
         return {
             "t_ms": t_ms,

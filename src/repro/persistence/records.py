@@ -42,13 +42,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
-from repro.geometry.regions import (
-    ConvexPolytope,
-    Halfspace,
-    HyperRect,
-    HyperSphere,
-    Region,
-)
+from repro.geometry import regions
+from repro.geometry.regions import DifferenceRegion, GeometryError, Region
 from repro.persistence.errors import PersistenceError
 
 #: Bump when the payload schema changes incompatibly; readers refuse
@@ -62,64 +57,31 @@ HEADER_SIZE = _HEADER.size
 
 
 # ------------------------------------------------------------- regions
+# The journal stores a region in its one JSON form
+# (:mod:`repro.geometry.regions`), and refuses remainder-only shapes,
+# which by construction never reach it, in either direction.
+def _refuse_remainder(region: Region) -> None:
+    if isinstance(region, DifferenceRegion):
+        raise PersistenceError(
+            f"region shape {type(region).__name__} is not "
+            "journal-serializable"
+        )
+
+
 def region_to_dict(region: Region) -> dict[str, Any]:
-    """Serialize a cacheable region shape; raises on remainder-only
-    shapes, which by construction never reach the journal."""
-    if isinstance(region, HyperSphere):
-        return {
-            "shape": "hypersphere",
-            "center": list(region.center),
-            "radius": region.radius,
-        }
-    if isinstance(region, HyperRect):
-        return {
-            "shape": "hyperrect",
-            "lows": list(region.lows),
-            "highs": list(region.highs),
-        }
-    if isinstance(region, ConvexPolytope):
-        return {
-            "shape": "polytope",
-            "halfspaces": [
-                {"normal": list(h.normal), "offset": h.offset}
-                for h in region.halfspaces
-            ],
-            "bbox": {
-                "lows": list(region.bbox.lows),
-                "highs": list(region.bbox.highs),
-            },
-        }
-    raise PersistenceError(
-        f"region shape {type(region).__name__} is not journal-serializable"
-    )
+    """A cacheable region's journal form."""
+    _refuse_remainder(region)
+    return regions.region_to_dict(region)
 
 
 def region_from_dict(payload: Mapping[str, Any]) -> Region:
-    """Rebuild a region from its serialized form."""
+    """Rebuild a cacheable region from its journal form."""
     try:
-        shape = payload["shape"]
-        if shape == "hypersphere":
-            return HyperSphere(
-                center=tuple(payload["center"]), radius=payload["radius"]
-            )
-        if shape == "hyperrect":
-            return HyperRect(
-                lows=tuple(payload["lows"]), highs=tuple(payload["highs"])
-            )
-        if shape == "polytope":
-            return ConvexPolytope(
-                halfspaces=tuple(
-                    Halfspace(tuple(h["normal"]), h["offset"])
-                    for h in payload["halfspaces"]
-                ),
-                bbox=HyperRect(
-                    lows=tuple(payload["bbox"]["lows"]),
-                    highs=tuple(payload["bbox"]["highs"]),
-                ),
-            )
-    except (KeyError, TypeError) as exc:
-        raise PersistenceError(f"malformed region payload: {exc}") from exc
-    raise PersistenceError(f"unknown region shape {shape!r}")
+        region = regions.region_from_dict(payload)
+    except GeometryError as exc:
+        raise PersistenceError(str(exc)) from exc
+    _refuse_remainder(region)
+    return region
 
 
 # ------------------------------------------------------------- records

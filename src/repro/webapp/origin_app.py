@@ -190,9 +190,7 @@ def create_origin_app(
 
     @app.get("/health")
     def health():
-        report = origin.instrumentation.health.evaluate(
-            served_clock.now_ms
-        )
+        report = origin.instrumentation.health(served_clock.now_ms)
         report.update(
             {
                 "tables": [t.name for t in origin.catalog.tables()],

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.admission.config import retry_after_seconds
 from repro.core.stats import QueryOutcome
-from repro.obs.events import EventRecorder
+from repro.obs.events import EventRecorder, newest
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.profiling import Profiler
 from repro.obs.spans import SpanTracer
@@ -117,10 +117,10 @@ def add_telemetry_routes(app: Any, source: Any) -> None:
 
     @app.get("/events")
     def events():
-        limit = request.args.get("n", type=int)
         payload = source.events.snapshot()
-        if limit is not None:
-            payload["events"] = payload["events"][-max(0, limit):]
+        payload["events"] = newest(
+            payload["events"], request.args.get("n", type=int)
+        )
         return payload
 
     if not hasattr(source, "tracer"):

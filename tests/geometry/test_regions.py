@@ -1,5 +1,6 @@
 """Region shape construction and membership."""
 
+import json
 import math
 
 import pytest
@@ -11,6 +12,8 @@ from repro.geometry.regions import (
     Halfspace,
     HyperRect,
     HyperSphere,
+    region_from_dict,
+    region_to_dict,
 )
 
 
@@ -203,3 +206,39 @@ class TestCompositeRegions:
                 HyperRect((0.0,), (1.0,)),
                 (HyperRect((0.0, 0.0), (1.0, 1.0)),),
             )
+
+
+class TestJsonForm:
+    SPHERE = HyperSphere((164.0, 8.0), 2.0)
+    RECT = HyperRect((0.0, 0.0), (5.0, 5.0))
+    POLYTOPE = ConvexPolytope(
+        halfspaces=(
+            Halfspace((1.0, 0.0), 5.0),
+            Halfspace((-1.0, 0.0), 0.0),
+            Halfspace((0.0, 1.0), 5.0),
+            Halfspace((0.0, -1.0), 0.0),
+        ),
+        bbox=RECT,
+    )
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            SPHERE,
+            RECT,
+            POLYTOPE,
+            DifferenceRegion(RECT, (HyperRect((1.0, 1.0), (2.0, 2.0)),)),
+        ],
+        ids=["hypersphere", "hyperrect", "polytope", "difference"],
+    )
+    def test_round_trip(self, region):
+        payload = json.loads(json.dumps(region_to_dict(region)))
+        assert region_from_dict(payload) == region
+
+    def test_unknown_shape_rejected(self):
+        with pytest.raises(GeometryError, match="unknown region shape"):
+            region_from_dict({"shape": "torus"})
+
+    def test_malformed_payload_rejected(self):
+        with pytest.raises(GeometryError, match="malformed region"):
+            region_from_dict({"shape": "hyperrect", "lows": [0.0]})

@@ -15,11 +15,7 @@ from repro.obs.decisions import (
     region_summary,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import (
-    BURN_RATE_CEILING,
-    SloObjective,
-    SloTracker,
-)
+from repro.obs.slo import SloTracker, _burn_rate
 
 
 class TestActionMapping:
@@ -227,61 +223,37 @@ class TestDecisionLog:
         assert log.get(1) is None
 
 
-class TestSloObjective:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SloObjective(target_hit_ratio=1.5)
-        with pytest.raises(ValueError):
-            SloObjective(latency_target_ratio=-0.1)
-        with pytest.raises(ValueError):
-            SloObjective(latency_objective_ms=0.0)
-
-
 class TestSloTracker:
-    def _tracker(self, **kwargs):
-        return SloTracker(MetricsRegistry(), **kwargs)
+    def _tracker(self):
+        return SloTracker(MetricsRegistry())
 
     def test_hit_ratio_and_burn_rate(self):
-        tracker = self._tracker(
-            objective=SloObjective(target_hit_ratio=0.75)
-        )
+        # Miss rate 0.5 against a 0.25 budget: burning 2x.
+        assert _burn_rate(2, 4, 0.75) == 2.0
+        tracker = self._tracker()
         for hit in (True, True, False, False):
             tracker.observe("t", hit=hit, latency_ms=1.0)
         snapshot = tracker.snapshot()["t"]
         assert snapshot["queries"] == 4
         assert snapshot["hit_ratio"] == 0.5
-        # Miss rate 0.5 against a 0.25 budget: burning 2x.
-        assert snapshot["hit_burn_rate"] == 2.0
+        # The same miss rate against the 0.5 budget: exactly on it.
+        assert snapshot["hit_burn_rate"] == 1.0
 
     def test_latency_burn_rate(self):
-        tracker = self._tracker(
-            objective=SloObjective(
-                latency_objective_ms=100.0, latency_target_ratio=0.9
-            )
-        )
-        for latency in (50.0, 100.0, 150.0, 150.0):
+        # Violation rate 0.5 against a 0.1 budget: burning 5x.
+        assert _burn_rate(2, 4, 0.9) == pytest.approx(5.0)
+        tracker = self._tracker()
+        for latency in (50.0, 1_000.0, 1_500.0, 1_500.0):
             tracker.observe("t", hit=True, latency_ms=latency)
         snapshot = tracker.snapshot()["t"]
         assert snapshot["within_latency"] == 2
-        # Violation rate 0.5 against a 0.1 budget: burning 5x.
-        assert snapshot["latency_burn_rate"] == pytest.approx(5.0)
-
-    def test_zero_budget_violation_hits_ceiling(self):
-        tracker = self._tracker(
-            objective=SloObjective(target_hit_ratio=1.0)
-        )
-        tracker.observe("t", hit=False, latency_ms=1.0)
-        assert tracker.snapshot()["t"]["hit_burn_rate"] == BURN_RATE_CEILING
+        # ... and against the 0.05 budget: 10x.
+        assert snapshot["latency_burn_rate"] == pytest.approx(10.0)
 
     def test_no_queries_means_no_burn(self):
+        assert _burn_rate(0, 0, 0.5) == 0.0
         tracker = self._tracker()
         assert tracker.snapshot() == {}
-
-    def test_per_template_override(self):
-        strict = SloObjective(target_hit_ratio=0.9)
-        tracker = self._tracker(overrides={"special": strict})
-        assert tracker.objective_for("special") is strict
-        assert tracker.objective_for("other") is tracker.objective
 
     def test_gauges_exported(self):
         registry = MetricsRegistry()

@@ -5,15 +5,11 @@ from repro.obs.health import (
     DEGRADED,
     HEALTH_RULES,
     HEALTHY,
-    NULL_HEALTH,
-    HealthMonitor,
-    NullHealthMonitor,
     UNHEALTHY,
     evaluate_samples,
-    strictest_latency_objective,
+    summarize,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloObjective, SloTracker
+from repro.obs.instrument import ProxyInstrumentation
 
 
 def sample(
@@ -173,49 +169,44 @@ class TestShardDown:
         assert rule(report, "HR06")["status"] == UNHEALTHY
 
 
-class TestStrictestLatencyObjective:
-    def test_none_without_per_template_overrides(self):
-        assert strictest_latency_objective(None) is None
-        tracker = SloTracker(MetricsRegistry())
-        # The blanket default objective exists on every proxy and
-        # must not activate HR03 by itself.
-        assert strictest_latency_objective(tracker) is None
-
-    def test_minimum_override_wins(self):
-        tracker = SloTracker(
-            MetricsRegistry(),
-            overrides={
-                "a": SloObjective(latency_objective_ms=500.0),
-                "b": SloObjective(latency_objective_ms=200.0),
-            },
-        )
-        assert strictest_latency_objective(tracker) == 200.0
-
-
 class FixedSeries:
+    """A live time series whose samples the test sets."""
+
+    enabled = True
+
     def __init__(self, samples):
         self._samples = samples
 
-    def samples(self):
-        return self._samples
+    def bind(self, registry):
+        pass
+
+    def health_window(self):
+        return summarize(self._samples)
+
+
+def live(samples, events=None):
+    """A proxy bundle judging ``samples`` as its live time series."""
+    series = FixedSeries(samples)
+    return series, ProxyInstrumentation(timeseries=series, events=events)
 
 
 class TestHealthMonitor:
+    """The live verdict: ``TelemetryBundle.health``."""
+
     def test_first_healthy_verdict_is_silent(self):
         events = EventRecorder()
-        monitor = HealthMonitor(FixedSeries([sample()]), events)
-        report = monitor.evaluate(1_000.0)
+        _, obs = live([sample()], events)
+        report = obs.health(1_000.0)
         assert report["status"] == HEALTHY
         assert events.total == 0
 
     def test_verdict_flip_fires_ev11(self):
-        series = FixedSeries([sample()])
         events = EventRecorder()
-        monitor = HealthMonitor(series, events)
-        monitor.evaluate(1_000.0)
+        series, obs = live([sample()], events)
+        obs.health(1_000.0)
         series._samples = [sample(breaker=2.0)]
-        monitor.evaluate(2_000.0)
-        monitor.evaluate(3_000.0)  # unchanged verdict: no second event
+        obs.health(2_000.0)
+        obs.health(3_000.0)  # unchanged verdict: no second event
         (event,) = events.recent()
         assert event["code"] == "EV11"
         assert event["at_ms"] == 2_000.0
@@ -225,27 +216,38 @@ class TestHealthMonitor:
 
     def test_first_verdict_already_degraded_fires_ev11(self):
         events = EventRecorder()
-        monitor = HealthMonitor(FixedSeries([sample(breaker=2.0)]), events)
-        monitor.evaluate(500.0)
+        _, obs = live([sample(breaker=2.0)], events)
+        obs.health(500.0)
         (event,) = events.recent()
         assert event["payload"]["previous"] is None
 
     def test_report_carries_config_fields(self):
-        monitor = HealthMonitor(
-            FixedSeries([sample(queue=10.0)] * 3), latency_slo_ms=100.0
-        )
-        monitor.set_queue_limit(10)
-        report = monitor.evaluate(1_000.0)
+        _, obs = live([sample(queue=10.0)] * 3)
+        obs.set_admission_queue_limit(10)
+        report = obs.health(1_000.0)
         assert report["enabled"] is True
         assert report["at_ms"] == 1_000.0
-        assert report["latency_slo_ms"] == 100.0
         assert report["queue_limit"] == 10
         assert report["status"] == UNHEALTHY
 
+    def test_latency_rule_is_inactive_live(self):
+        # A live proxy configures no latency objective: HR03 passes a
+        # window whose p95 is far over any objective.
+        _, obs = live([sample(p95=9_999.0)])
+        report = obs.health(1_000.0)
+        assert rule(report, "HR03") == rule(
+            evaluate_samples([sample(p95=9_999.0)]), "HR03"
+        )
+        assert rule(report, "HR03")["status"] == HEALTHY
+        assert "latency_slo_ms" not in report
+
     def test_null_monitor_is_always_healthy(self):
-        null = NullHealthMonitor()
-        null.set_queue_limit(5)
-        report = null.evaluate(42.0)
-        assert report["enabled"] is False
-        assert report["status"] == HEALTHY
-        assert NULL_HEALTH.enabled is False
+        obs = ProxyInstrumentation()  # time series off
+        obs.set_admission_queue_limit(5)
+        assert obs.health(42.0) == {
+            "enabled": False,
+            "status": HEALTHY,
+            "rules": [],
+            "windows": 0,
+            "at_ms": 42.0,
+        }

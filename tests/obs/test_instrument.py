@@ -7,7 +7,6 @@ from repro.core.schemes import CachingScheme
 from repro.harness.config import ExperimentScale
 from repro.harness.runner import ExperimentRunner
 from repro.obs import (
-    MetricsRegistry,
     OriginInstrumentation,
     ProxyInstrumentation,
     SpanTracer,
@@ -188,23 +187,6 @@ class TestOriginInstrumentation:
         [root] = traced.instrumentation.tracer.recent()
         assert root["name"] == "origin.sql"
         assert root["attrs"]["rows"] == 2
-
-
-class TestSharedRegistry:
-    def test_proxy_and_origin_can_share_one_registry(self, origin,
-                                                     radial_params):
-        registry = MetricsRegistry()
-        obs = ProxyInstrumentation(registry=registry)
-        # Registering origin families alongside proxy families works
-        # because the name spaces are disjoint.
-        OriginInstrumentation(registry=registry)
-        proxy = FunctionProxy(
-            origin, origin.templates, instrumentation=obs
-        )
-        serve(proxy, origin.templates, radial_params)
-        exposition = registry.exposition()
-        assert "proxy_queries_total" in exposition
-        assert "origin_requests_total" in exposition
 
 
 class TestRunnerSnapshots:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.geometry.regions import (
     ConvexPolytope,
+    DifferenceRegion,
     Halfspace,
     HyperRect,
     HyperSphere,
@@ -66,6 +67,21 @@ class TestRegionCodec:
         # The payload must survive JSON, like it does inside a frame.
         rebuilt = region_from_dict(json.loads(json.dumps(payload)))
         assert rebuilt == region
+
+    def test_remainder_region_is_not_journaled(self):
+        # The explain layer renders a difference region; the journal
+        # refuses one (it never stores a remainder).
+        sphere = HyperSphere((164.0, 8.0), 2.0)
+        remainder = DifferenceRegion(sphere, (HyperSphere((164.0, 8.0), 1.0),))
+        with pytest.raises(PersistenceError, match="not journal-serial"):
+            region_to_dict(remainder)
+        payload = {
+            "shape": "difference",
+            "base": region_to_dict(sphere),
+            "holes": [region_to_dict(HyperSphere((164.0, 8.0), 1.0))],
+        }
+        with pytest.raises(PersistenceError, match="not journal-serial"):
+            region_from_dict(payload)
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(PersistenceError, match="unknown region shape"):

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI smoke test for the live-telemetry health surface.
 
-Boots an in-process function proxy with the time-series recorder, the
-flight recorder, and the health monitor enabled, then walks one
+Boots an in-process function proxy with the time-series recorder and
+the flight recorder (and so the health verdict) enabled, then walks one
 outage-and-recovery arc and asserts the headline health claim:
 
 * ``GET /health`` answers ``healthy`` on a warm, fault-free proxy;

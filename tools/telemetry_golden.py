@@ -244,7 +244,7 @@ def capture() -> dict[str, Any]:
             # Key order is part of the contract; JSON objects lose it.
             record["steps_ms"] = list(record["steps_ms"].items())
             records.append(record)
-        final_health = proxy.health.evaluate(proxy.telemetry_clock.now_ms)
+        final_health = proxy.obs.health(proxy.telemetry_clock.now_ms)
 
     return {
         "metrics": _exposition(obs, exemplars=False),
