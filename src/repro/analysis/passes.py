@@ -284,13 +284,7 @@ def check_select_list(template: QueryTemplate, ctx: PassContext) -> None:
     statement = template.statement
     if statement.star:
         return
-    available = {
-        item.output_name().lower() for item in statement.select_items
-    }
-    for item in statement.select_items:
-        name = item.output_name().lower()
-        if "." in name:
-            available.add(name.split(".")[-1])
+    available = {name.lower() for name in statement.output_names}
     needed = {
         name.split(".")[-1]
         for name in template.function_template.point_attribute_names()

@@ -132,11 +132,13 @@ class _Plan:
         # that item's output column, whatever the item is named.
         binding = template.statement.source.binding_name.lower()
         reads: dict[str, int] = {}
-        for item in template.statement.select_items:
+        statement = template.statement
+        items = zip(statement.select_items, statement.output_names)
+        for item, output in items:
             if isinstance(item.expression, ColumnRef):
                 table, _, name = item.expression.name.lower().rpartition(".")
                 if table in ("", binding):
-                    reads.setdefault(name, position(item.output_name()))
+                    reads.setdefault(name, position(output))
         self.outputs = [
             (reads[name.lower()], _staged(expr, column, width))
             for name, expr in ftemplate.outputs

@@ -900,7 +900,8 @@ class FunctionProxy:
         self, bound, subsumed, overlapping, observation
     ) -> Answer:
         # The entries used as remainder holes, largest results first to
-        # maximize the cached share, capped to keep the remainder SQL sane.
+        # maximize the cached share, capped: the origin tests every
+        # remainder row against every hole, and prices each one.
         used = sorted(
             subsumed + overlapping, key=lambda e: e.row_count, reverse=True
         )[: self.max_holes]
@@ -928,7 +929,7 @@ class FunctionProxy:
                 observation,
                 "remainder",
                 lambda: self.origin.execute_remainder(
-                    remainder.statement, remainder.n_holes
+                    bound, remainder.region.holes
                 ),
             )
         except OriginUnavailable as exc:

@@ -1,4 +1,4 @@
-"""Expression scope rewriting between statement and result scope.
+"""Expression scope rewriting from statement scope to result scope.
 
 Two coordinate systems appear in the proxy:
 
@@ -9,9 +9,10 @@ Two coordinate systems appear in the proxy:
   what the function template's point expressions reference.
 
 The local evaluator takes statement-scope expressions (ORDER BY items,
-residual predicates) into result scope to run them over cached tuples;
-the remainder builder takes result-scope region predicates into
-statement scope to splice them into SQL sent to the origin.
+residual predicates) into result scope to run them over cached tuples.
+The other direction happens at the origin, whose plan reads a result
+tuple's point through the select list
+(:meth:`~repro.relational.executor.Plan.reader`).
 """
 
 from __future__ import annotations
@@ -19,17 +20,6 @@ from __future__ import annotations
 from repro.relational.expressions import ColumnRef, Expression
 from repro.templates.errors import TemplateError
 from repro.templates.query_template import QueryTemplate
-
-
-def _mappings(template: QueryTemplate) -> tuple[dict, dict]:
-    """(statement sql -> output name, output name -> expression)."""
-    statement = template.statement
-    if statement.star:
-        raise TemplateError(
-            f"template {template.template_id!r}: scope rewriting needs an "
-            "explicit select list, not SELECT *"
-        )
-    return statement.output_scope
 
 
 def _rewrite(expr: Expression, transform) -> Expression:
@@ -51,7 +41,13 @@ def to_result_scope(
     reference that matches nothing raises: it would be unresolvable
     against a cached result.
     """
-    to_output, _ = _mappings(template)
+    statement = template.statement
+    if statement.star:
+        raise TemplateError(
+            f"template {template.template_id!r}: scope rewriting needs an "
+            "explicit select list, not SELECT *"
+        )
+    to_output, _ = statement.output_scope
 
     def transform(node: Expression) -> Expression:
         replacement = to_output.get(node.to_sql().lower())
@@ -62,27 +58,6 @@ def to_result_scope(
                 f"template {template.template_id!r}: {node.name!r} is not "
                 "in the select list; cannot evaluate it over cached results"
             )
-        return node
-
-    return _rewrite(expr, transform)
-
-
-def to_statement_scope(
-    template: QueryTemplate, expr: Expression
-) -> Expression:
-    """Rewrite a result-scope expression to statement scope.
-
-    Each reference to an output column is replaced by the select item
-    expression that defines it, so the rewritten expression is valid in
-    the template SQL's FROM/JOIN namespace (used by remainder queries).
-    """
-    _, to_statement = _mappings(template)
-
-    def transform(node: Expression) -> Expression:
-        if isinstance(node, ColumnRef):
-            replacement = to_statement.get(node.name.lower())
-            if replacement is not None:
-                return replacement
         return node
 
     return _rewrite(expr, transform)

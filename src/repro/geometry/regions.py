@@ -311,8 +311,8 @@ class DifferenceRegion(Region):
     This is the region of a *remainder query* (Dar et al.'s semantic
     caching): the part of a new query's region not covered by the cache.
     It is never stored in the cache description; it exists to (a) test
-    membership when merging probe and remainder results and (b) render
-    the remainder predicate via the template layer.
+    membership when merging probe and remainder results and (b) carry
+    a remainder's holes to the origin.
     """
 
     base: Region

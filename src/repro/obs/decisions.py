@@ -191,8 +191,8 @@ class DecisionTrace:
     only once sealed and handed to :meth:`DecisionLog.record`.
 
     A retained trace keeps alive the regions it compared and, on an
-    overlap, the remainder query (``geometry()`` and ``sql`` are asked
-    for in :meth:`to_dict`) — bounded by the log's capacity.
+    overlap, the remainder query (its ``geometry()`` is asked for in
+    :meth:`to_dict`) — bounded by the log's capacity.
     """
 
     query_id: int
@@ -235,7 +235,7 @@ class DecisionTrace:
         )
 
     def record_remainder(self, remainder: Any) -> None:
-        """``remainder`` answers ``geometry()`` and ``sql``
+        """``remainder`` answers ``geometry()``
         (:class:`repro.core.remainder.RemainderQuery`)."""
         self.remainder = remainder
 
@@ -277,10 +277,7 @@ class DecisionTrace:
         if self.query_region is not None:
             payload["query_region"] = region_summary(self.query_region)
         if self.remainder is not None:
-            payload["remainder"] = dict(self.remainder.geometry())
-            sql = self.remainder.sql  # rendered from the statement: once
-            if sql:
-                payload["remainder"]["sql"] = sql
+            payload["remainder"] = self.remainder.geometry()
         if self.admitted is not None:
             payload["admitted"] = self.admitted
         if self.trace_id is not None:

@@ -1,7 +1,7 @@
 """Aggregate functions: COUNT / SUM / AVG / MIN / MAX over row groups.
 
 The paper's query class never aggregates, but the origin's free-form
-SQL facility (the SkyServer page the proxy sends remainder queries to)
+SQL facility (the SkyServer page the paper sent remainder queries to)
 is a general query surface; downstream users of this library expect at
 least the classic five aggregates, GROUP BY, and DISTINCT, so the
 engine provides them.

@@ -1,29 +1,34 @@
-"""Executor: runs a parsed SELECT against a catalog.
+"""Executor: plans a parsed SELECT once, then runs the plan.
 
-The execution pipeline mirrors SQL semantics for the supported dialect:
+A :class:`Plan` compiles a statement against a catalog once: the FROM
+bindings (:class:`Scope`) — a column name becomes a position in the
+joined tuple, so a misspelt or ambiguous name is an error whether or
+not a row would reach it — each join's strategy, WHERE, ORDER BY, the
+select list and the output schema.  A run then only moves rows:
 
 1. materialize the FROM source (base-table scan or table-valued
    function call),
 2. apply each JOIN in order (primary-key lookup join when the join
    condition equates a column with the joined table's primary key,
    hash join for other equi-joins, nested loop otherwise),
-3. filter by WHERE,
+3. filter by WHERE, and by the run's exclusion if it has one,
 4. sort by ORDER BY,
 5. cut to TOP-N,
 6. project the select list.
 
 Rows travel as the tuples the table or function returns; a join
-appends the inner tuple to the outer one.  Before any row is filtered,
-every clause is compiled once against the FROM bindings (:class:`Scope`):
-a column name becomes a position in that tuple, so a misspelt or
-ambiguous name is an error whether or not a row would reach it.
+appends the inner tuple to the outer one.  A query template is planned
+with its ``$``-parameters as *slots*: a run is given the function
+call's arguments and the parameter values, the values are put in front
+of every source row, and each slot reads its position there.  Free SQL
+is planned and run once (:class:`Executor`).
 """
 
 from __future__ import annotations
 
 from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.obs.profiling import NULL_PROFILER
 from repro.relational.aggregates import (
@@ -50,6 +55,7 @@ from repro.relational.types import ColumnType, infer_type, is_finite
 from repro.sqlparser.ast import (
     FunctionSource,
     JoinClause,
+    Parameter,
     SelectStatement,
     TableSource,
 )
@@ -62,17 +68,25 @@ class Scope:
     each binding's columns at their positions in the joined tuple.
 
     A qualified name (``p.ra``) names its binding's column; an
-    unqualified one resolves only when exactly one binding has it.
+    unqualified one resolves only when exactly one binding has it.  A
+    template's ``slots`` (``$``-parameter names) come first in the
+    tuple, before the first binding's columns.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, slots: Sequence[str] = ()) -> None:
+        self.slots = {name: position for position, name in enumerate(slots)}
         self.columns: list[Column] = []
         self._bindings: list[tuple[str, int, Schema]] = []
+
+    @property
+    def width(self) -> int:
+        """The joined tuple's length so far."""
+        return len(self.slots) + len(self.columns)
 
     def add(self, binding: str, schema: Schema) -> None:
         """Append a binding's columns (its rows' values follow the
         previous bindings' in the joined tuple)."""
-        self._bindings.append((binding.lower(), len(self.columns), schema))
+        self._bindings.append((binding.lower(), self.width, schema))
         self.columns.extend(schema)
 
     def _positions(self, name: str) -> list[int]:
@@ -101,93 +115,149 @@ class Scope:
         raise ExecutionError(f"unknown column {name!r}{where}")
 
     def read(self, node: Expression) -> Compiled | None:
-        """The compiler's leaf: a column reads its tuple position."""
+        """The compiler's leaf: a column or a slot reads its tuple
+        position (any other ``$name`` stays unread)."""
         if isinstance(node, ColumnRef):
             return itemgetter(self.resolve(node.name))
+        if isinstance(node, Parameter) and node.name in self.slots:
+            return itemgetter(self.slots[node.name])
         return None
 
 
-class Executor:
-    """Executes :class:`SelectStatement` values against one catalog."""
+class Plan:
+    """One SELECT compiled against one catalog, run any number of times.
 
-    def __init__(self, catalog: Catalog, profiler: Any = None) -> None:
+    With ``slots`` the statement is a query template: each ``$name``
+    is read from the run's ``params``, and :meth:`run` is given the
+    FROM call's ``arguments`` already computed.  Without, the arguments
+    must be constants, evaluated here.
+
+    A plan holds no per-run state — a run's values, exclusion and
+    profiler are its arguments — so threads may share it.
+    """
+
+    def __init__(
+        self, catalog: Catalog, statement: SelectStatement,
+        slots: bool = False,
+    ) -> None:
         self.catalog = catalog
-        # Operator counters land here (``executor.*`` rows); the
-        # origin builds one executor per request around its bundle's
-        # current profiler.
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-
-    # ------------------------------------------------------------ public
-    def execute(self, statement: SelectStatement) -> ResultTable:
-        profiler = self.profiler
-        source_schema, rows = self._materialize_source(statement.source)
-        if profiler.enabled:
-            profiler.hit("executor.scan")
-            profiler.count("executor.scan", "rows", len(rows))
-        scope = Scope()
-        scope.add(statement.source.binding_name, source_schema)
-        joins = [self._plan_join(join, scope) for join in statement.joins]
-        compile = partial(
-            compile_expression, leaf=scope.read,
-            functions=self.catalog.functions,
-        )
-        where = None if statement.where is None else compile(statement.where)
-        if statement.group_by or self._has_aggregates(statement):
-            finish = self._plan_grouped(statement, scope, compile)
-        elif statement.distinct:
-            project = self._plan_project(statement, scope, compile)
-
-            def finish(rows: Rows) -> ResultTable:
-                return self._finish_output(project(rows), statement)
-
-        else:
-            finish = self._plan_ordered(statement, scope, compile)
-
-        for join in joins:
-            rows = join(rows)
-        if where is not None:
-            rows_in = len(rows)
-            rows = [row for row in rows if where(row) is True]
-            if profiler.enabled:
-                profiler.hit("executor.filter")
-                profiler.count("executor.filter", "rows_in", rows_in)
-                profiler.count("executor.filter", "rows_out", len(rows))
-        return finish(rows)
-
-    @staticmethod
-    def _has_aggregates(statement: SelectStatement) -> bool:
-        return not statement.star and any(
-            contains_aggregate(item.expression)
-            for item in statement.select_items
-        )
-
-    # ------------------------------------------------------------ source
-    def _materialize_source(self, source) -> tuple[Schema, Rows]:
-        if isinstance(source, TableSource):
-            table = self.catalog.table(source.name)
-            return table.schema, table.rows
-        if isinstance(source, FunctionSource):
-            functions = self.catalog.functions
+        self.statement = statement
+        source = statement.source
+        self.slots = tuple(statement.parameter_names()) if slots else ()
+        self.arguments: list[Any] | None = None
+        if isinstance(source, FunctionSource) and not slots:
             try:
-                args = source.argument_values()
+                self.arguments = source.argument_values()
             except ExecutionError as exc:
                 raise ExecutionError(
                     f"non-constant argument to {source.name}: {exc}"
                 ) from None
-            # Free SQL is outside input (``1e400`` parses to infinity).
-            for arg in args:
-                if isinstance(arg, (int, float)) and not is_finite(arg):
-                    raise ExecutionError(
-                        f"non-finite argument to {source.name}: {arg!r}"
-                    )
-            rows = functions.call_table(source.name, self.catalog, args)
-            return functions.table(source.name).schema, rows
-        raise ExecutionError(f"unsupported FROM source {source!r}")
+        scope = self.scope = Scope(self.slots)
+        scope.add(
+            source.binding_name,
+            catalog.table(source.name).schema
+            if isinstance(source, TableSource)
+            else catalog.functions.table(source.name).schema,
+        )
+        self.joins = [self._plan_join(join, scope) for join in statement.joins]
+        self.compile = partial(
+            compile_expression, leaf=scope.read,
+            functions=catalog.functions,
+        )
+        where = statement.where
+        self.where = None if where is None else self.compile(where)
+        self.finish: Callable[[Rows, Any], ResultTable]
+        if statement.group_by or not statement.star and any(
+            contains_aggregate(item.expression)
+            for item in statement.select_items
+        ):
+            self.finish = self._plan_grouped(statement, scope)
+        elif statement.distinct:
+            project = self._plan_project(statement, scope)
+            self.finish = lambda rows, profiler: self._finish_output(
+                project(rows, profiler)
+            )
+        else:
+            self.finish = self._plan_ordered(statement, scope)
+
+    # ------------------------------------------------------------ public
+    def run(
+        self,
+        arguments: Sequence[Any] | None = None,
+        params: Mapping[str, Any] | None = None,
+        exclude: Callable[[tuple[Any, ...]], bool] | None = None,
+        profiler: Any = NULL_PROFILER,
+    ) -> ResultTable:
+        """The statement's result.  ``arguments`` are the FROM call's
+        (a template plan's run needs them), ``params`` the slots'
+        values; a row ``exclude`` is true of is dropped after WHERE,
+        before ORDER BY and TOP.  Operator counters go to ``profiler``
+        (``executor.*`` rows)."""
+        rows = self._scan(
+            self.arguments if arguments is None else arguments
+        )
+        if profiler.enabled:
+            profiler.hit("executor.scan")
+            profiler.count("executor.scan", "rows", len(rows))
+        if self.slots:
+            assert params is not None, "a template plan runs with params"
+            values = tuple([params[name] for name in self.slots])
+            rows = [values + row for row in rows]
+        for join in self.joins:
+            rows = join(rows, profiler)
+        keep = where = self.where
+        if exclude is not None:
+            keep = lambda row: (  # noqa: E731
+                (where is None or where(row) is True) and not exclude(row)
+            )
+        if keep is not None:
+            rows_in = len(rows)
+            rows = [row for row in rows if keep(row) is True]
+            if profiler.enabled:
+                profiler.hit("executor.filter")
+                profiler.count("executor.filter", "rows_in", rows_in)
+                profiler.count("executor.filter", "rows_out", len(rows))
+        return self.finish(rows, profiler)
+
+    def reader(
+        self, exprs: Sequence[Expression]
+    ) -> Callable[[tuple[Any, ...]], tuple[Any, ...]]:
+        """``exprs``, written over the select list's output names, as
+        one function of a joined tuple: an output name reads its
+        item's expression, any other name resolves in the FROM
+        bindings."""
+        _, items = self.statement.output_scope
+
+        def leaf(node: Expression) -> Compiled | None:
+            if isinstance(node, ColumnRef):
+                item = items.get(node.name.lower())
+                if item is not None:
+                    return self.compile(item)
+            return self.scope.read(node)
+
+        functions = self.catalog.functions
+        readers = [compile_expression(e, leaf, functions) for e in exprs]
+        return lambda row: tuple([read(row) for read in readers])
+
+    # ------------------------------------------------------------ source
+    def _scan(self, arguments: Sequence[Any] | None) -> Rows:
+        source = self.statement.source
+        if isinstance(source, TableSource):
+            return self.catalog.table(source.name).rows
+        assert arguments is not None, "a function call needs arguments"
+        # Free SQL is outside input (``1e400`` parses to infinity).
+        for arg in arguments:
+            if isinstance(arg, (int, float)) and not is_finite(arg):
+                raise ExecutionError(
+                    f"non-finite argument to {source.name}: {arg!r}"
+                )
+        functions = self.catalog.functions
+        return functions.call_table(source.name, self.catalog, arguments)
 
     # ------------------------------------------------------------- joins
     def _plan_join(
         self, join: JoinClause, scope: Scope
-    ) -> Callable[[Rows], Rows]:
+    ) -> Callable[[Rows, Any], Rows]:
         """One join step over outer rows; adds its binding to ``scope``."""
         table = self.catalog.table(join.table.name)
         binding = join.table.binding_name
@@ -201,17 +271,17 @@ class Executor:
                 # Primary-key lookup join: one hash probe per outer row.
                 lookup = table.lookup
 
-                def pk_lookup(rows: Rows) -> Rows:
+                def pk_lookup(rows: Rows, profiler: Any) -> Rows:
                     joined = []
                     for row in rows:
                         match = lookup(row[outer])
                         if match is not None:
                             joined.append(row + match)
-                    return self._count_join("pk_lookup", joined)
+                    return _count_join(profiler, "pk_lookup", joined)
 
                 return pk_lookup
 
-            def hash_join(rows: Rows) -> Rows:
+            def hash_join(rows: Rows, profiler: Any) -> Rows:
                 # Built on the (usually smaller) inner table.
                 buckets: dict[Any, list[tuple[Any, ...]]] = {}
                 for match in table.rows:
@@ -222,7 +292,7 @@ class Executor:
                     for row in rows
                     for match in buckets.get(row[outer], ())
                 ]
-                return self._count_join("hash", joined)
+                return _count_join(profiler, "hash", joined)
 
             return hash_join
 
@@ -231,23 +301,16 @@ class Executor:
             join.condition, scope.read, self.catalog.functions
         )
 
-        def nested_loop(rows: Rows) -> Rows:
+        def nested_loop(rows: Rows, profiler: Any) -> Rows:
             joined = [
                 merged
                 for row in rows
                 for match in table.rows
                 if condition(merged := row + match) is True
             ]
-            return self._count_join("nested_loop", joined)
+            return _count_join(profiler, "nested_loop", joined)
 
         return nested_loop
-
-    def _count_join(self, strategy: str, joined: Rows) -> Rows:
-        if self.profiler.enabled:
-            self.profiler.hit("executor.join")
-            self.profiler.count("executor.join", strategy, 1)
-            self.profiler.count("executor.join", "rows_out", len(joined))
-        return joined
 
     @staticmethod
     def _equi_join_positions(
@@ -280,27 +343,28 @@ class Executor:
 
     # ---------------------------------------------------------- finishing
     def _plan_ordered(
-        self, statement: SelectStatement, scope: Scope, compile
-    ) -> Callable[[Rows], ResultTable]:
+        self, statement: SelectStatement, scope: Scope
+    ) -> Callable[[Rows, Any], ResultTable]:
         """ORDER BY over source rows, TOP, then the select list."""
         keys = [
-            (compile(item.expression), item.descending)
+            (self.compile(item.expression), item.descending)
             for item in statement.order_by
         ]
-        project = self._plan_project(statement, scope, compile)
+        project = self._plan_project(statement, scope)
+        top = statement.top
 
-        def finish(rows: Rows) -> ResultTable:
+        def finish(rows: Rows, profiler: Any) -> ResultTable:
             if keys:
                 rows = sort_rows(rows, keys)
-            if statement.top is not None:
-                rows = rows[: statement.top]
-            return project(rows)
+            if top is not None:
+                rows = rows[:top]
+            return project(rows, profiler)
 
         return finish
 
     def _plan_grouped(
-        self, statement: SelectStatement, scope: Scope, compile
-    ) -> Callable[[Rows], ResultTable]:
+        self, statement: SelectStatement, scope: Scope
+    ) -> Callable[[Rows, Any], ResultTable]:
         """GROUP BY / aggregate evaluation.
 
         Non-aggregated select items must be grouping expressions (or
@@ -321,8 +385,9 @@ class Executor:
                     f"{expr.to_sql()} must appear in GROUP BY "
                     "or inside an aggregate"
                 )
+        compile = self.compile
         keys = [compile(expr) for expr in statement.group_by]
-        width = len(scope.columns)
+        width = scope.width
         aggregates: list[Callable[[Rows], Any]] = []
 
         def read(node: Expression) -> Compiled | None:
@@ -339,7 +404,7 @@ class Executor:
         ]
         schema = self._output_schema(statement, scope)
 
-        def finish(rows: Rows) -> ResultTable:
+        def finish(rows: Rows, profiler: Any) -> ResultTable:
             groups: dict[tuple, Any] = {}
             if keys:
                 for row in rows:
@@ -355,19 +420,14 @@ class Executor:
                 first = members[0] if members else (None,) * width
                 row = first + tuple(fold(members) for fold in aggregates)
                 projected.append(tuple(item(row) for item in items))
-            if self.profiler.enabled:
-                self.profiler.hit("executor.aggregate")
-                self.profiler.count(
-                    "executor.aggregate", "groups", len(groups)
-                )
-            result = ResultTable(schema, projected)
-            return self._finish_output(result, statement)
+            if profiler.enabled:
+                profiler.hit("executor.aggregate")
+                profiler.count("executor.aggregate", "groups", len(groups))
+            return self._finish_output(ResultTable(schema, projected))
 
         return finish
 
-    def _finish_output(
-        self, result: ResultTable, statement: SelectStatement
-    ) -> ResultTable:
+    def _finish_output(self, result: ResultTable) -> ResultTable:
         """DISTINCT (the first of equal rows stays), ORDER BY and TOP
         over an already-projected result: a grouped or a DISTINCT query.
 
@@ -375,6 +435,7 @@ class Executor:
         item's expression verbatim — the resolvable cases once source
         rows are gone (and under DISTINCT the only ones SQL allows).
         """
+        statement = self.statement
         if statement.distinct:
             result = ResultTable(result.schema, dict.fromkeys(result.rows))
         by_sql = {
@@ -399,27 +460,30 @@ class Executor:
         return result if statement.top is None else result.top_n(statement.top)
 
     def _plan_project(
-        self, statement: SelectStatement, scope: Scope, compile
-    ) -> Callable[[Rows], ResultTable]:
+        self, statement: SelectStatement, scope: Scope
+    ) -> Callable[[Rows, Any], ResultTable]:
         schema = self._output_schema(statement, scope)
         exprs = [item.expression for item in statement.select_items]
+        pick: Callable[[tuple[Any, ...]], tuple[Any, ...]] | None
         if statement.star:
-            pick = None
+            # Every binding's columns: the tuple past the slots.
+            first = len(scope.slots)
+            pick = (lambda row: row[first:]) if first else None
         elif len(exprs) > 1 and all(isinstance(e, ColumnRef) for e in exprs):
             # A list of bare columns is one C-level pick per row.
             pick = itemgetter(*(scope.resolve(e.name) for e in exprs))
         else:
-            items = [compile(expr) for expr in exprs]
+            items = [self.compile(expr) for expr in exprs]
 
             def pick(row: tuple[Any, ...]) -> tuple[Any, ...]:
                 return tuple([item(row) for item in items])
 
-        def project(rows: Rows) -> ResultTable:
+        def project(rows: Rows, profiler: Any) -> ResultTable:
             if pick is not None:
                 rows = [pick(row) for row in rows]
-            if self.profiler.enabled:
-                self.profiler.hit("executor.project")
-                self.profiler.count("executor.project", "rows", len(rows))
+            if profiler.enabled:
+                profiler.hit("executor.project")
+                profiler.count("executor.project", "rows", len(rows))
             return ResultTable(schema, rows)
 
         return project
@@ -428,9 +492,10 @@ class Executor:
     def _output_schema(statement: SelectStatement, scope: Scope) -> Schema:
         """The result's columns.  ``SELECT *`` keeps every binding's
         columns as they are (a name two bindings share is a duplicate);
-        a select item's type is exact for a column or a literal, INT for
-        a count, FLOAT for anything computed (the dialect's only
-        arithmetic domain)."""
+        an item is named by :attr:`SelectStatement.output_names`, and
+        its type is exact for a column or a literal, INT for a count,
+        FLOAT for anything computed (the dialect's only arithmetic
+        domain)."""
         if statement.star:
             return Schema(tuple(scope.columns))
 
@@ -441,14 +506,38 @@ class Executor:
                 return ColumnType.INT
             if isinstance(expr, ColumnRef):
                 position = scope.resolve(expr.name, " in select list")
-                return scope.columns[position].type
+                return scope.columns[position - len(scope.slots)].type
             if isinstance(expr, Literal) and expr.value is not None:
                 return infer_type(expr.value)
             return ColumnType.FLOAT
 
         return Schema(
             tuple(
-                Column(item.output_name(), output_type(item.expression))
-                for item in statement.select_items
+                Column(name, output_type(item.expression))
+                for name, item in zip(
+                    statement.output_names, statement.select_items
+                )
             )
         )
+
+
+def _count_join(profiler: Any, strategy: str, joined: Rows) -> Rows:
+    if profiler.enabled:
+        profiler.hit("executor.join")
+        profiler.count("executor.join", strategy, 1)
+        profiler.count("executor.join", "rows_out", len(joined))
+    return joined
+
+
+class Executor:
+    """Runs free SQL against one catalog: each statement is planned,
+    then run once."""
+
+    def __init__(self, catalog: Catalog, profiler: Any = None) -> None:
+        self.catalog = catalog
+        # Operator counters land here (``executor.*`` rows).
+        self.profiler = profiler if profiler is not None else NULL_PROFILER
+
+    def execute(self, statement: SelectStatement) -> ResultTable:
+        plan = Plan(self.catalog, statement)
+        return plan.run(profiler=self.profiler)

@@ -2,8 +2,8 @@
 
 The SQL parser (:mod:`repro.sqlparser.parser`) builds these nodes for
 WHERE clauses, select lists and template expressions; they render back
-to SQL text (:meth:`Expression.to_sql`), which the proxy's remainder
-builder relies on.  There is one way to evaluate one:
+to SQL text (:meth:`Expression.to_sql`), which residual signatures and
+the aggregate rules match on.  There is one way to evaluate one:
 :func:`compile_expression` turns the tree into a function of a tuple
 (or of a parameter mapping) once, and whoever compiles it says how a
 column or a ``$``-parameter is read.  The executor compiles each clause
@@ -26,7 +26,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Any, Callable, ClassVar, Iterator, Sequence
+from typing import Any, Callable, ClassVar, Iterator
 
 from repro.relational.errors import ExecutionError
 
@@ -497,13 +497,3 @@ def _failure(expr: Expression, exc: Exception) -> ExecutionError:
     if isinstance(exc, TypeError) and not isinstance(expr, FuncCall):
         return ExecutionError(f"type error in {sql}: {exc}")
     return ExecutionError(f"error in {sql}: {exc}")
-
-
-def conjoin(parts: Sequence[Expression]) -> Expression | None:
-    """AND together ``parts``; None for empty, the sole part for one."""
-    parts = [part for part in parts if part is not None]
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    return And(tuple(parts))

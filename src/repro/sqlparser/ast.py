@@ -7,8 +7,7 @@ structure: the select list, FROM sources (a base table or a table-valued
 function call), joins, ordering, and TOP-N.
 
 Every node renders back to SQL via ``to_sql``; parsing the rendering
-yields an equal AST (property-tested), which is what lets the proxy
-rewrite and forward queries textually.
+yields an equal AST (property-tested).
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from typing import Any, Callable, Mapping
 
 from repro.relational.errors import ExecutionError
 from repro.relational.expressions import (
+    ColumnRef,
     Compiled,
     Expression,
     Literal,
@@ -31,15 +31,16 @@ from repro.relational.expressions import (
 class Parameter(Expression):
     """A template placeholder ``$name``.
 
-    Parameters appear only inside *templates*.  A statement is bound
-    (:meth:`SelectStatement.bind`) by replacing them with literals
-    before it reaches the executor.  A function template's region
-    expressions, and the parameter-only parts of local evaluation, are
-    instead compiled as they stand, with a ``leaf`` that reads each
-    parameter from the call's values
-    (:func:`~repro.relational.expressions.compile_expression`).  The
-    executor's leaf reads columns only, so a ``$name`` in free SQL
-    stays an error when it is reached.
+    Parameters appear only inside *templates*, which are compiled as
+    they stand, with a ``leaf`` that reads each parameter from the
+    query's values
+    (:func:`~repro.relational.expressions.compile_expression`): a
+    function template's region expressions, the parameter-only parts of
+    local evaluation, and the origin's plan of a query template, which
+    reads each one as a slot of the run.  A plan of free SQL has no
+    slots, so a ``$name`` there stays an error when it is reached.
+    :meth:`SelectStatement.bind` still replaces them with literals, for
+    readers of a bound statement's text.
     """
 
     name: str
@@ -61,16 +62,6 @@ class SelectItem:
 
     expression: Expression
     alias: str | None = None
-
-    def output_name(self) -> str:
-        """The column name this item produces in the result."""
-        if self.alias:
-            return self.alias
-        sql = self.expression.to_sql()
-        # A bare column reference keeps its unqualified name, as in SQL.
-        if sql.replace(".", "").replace("_", "").isalnum():
-            return sql.split(".")[-1]
-        return sql
 
     def to_sql(self) -> str:
         sql = self.expression.to_sql()
@@ -111,14 +102,8 @@ class FunctionSource:
 
     def argument_values(self) -> list[Any]:
         """Evaluate the arguments as constants: a column or a parameter
-        among them is an :class:`ExecutionError`.  A bound statement's
-        arguments are literals, read without compiling (this runs on
-        every query)."""
-        return [
-            arg.value if isinstance(arg, Literal)
-            else compile_expression(arg)(())
-            for arg in self.args
-        ]
+        among them is an :class:`ExecutionError`."""
+        return [compile_expression(arg)(()) for arg in self.args]
 
     def to_sql(self) -> str:
         inner = ", ".join(arg.to_sql() for arg in self.args)
@@ -244,14 +229,30 @@ class SelectStatement:
         )
 
     @cached_property
+    def output_names(self) -> tuple[str, ...]:
+        """The result's column names, one per select item: its alias, a
+        bare column's unqualified name (as in SQL), else ``column<n>``
+        for the n-th item — a computed item's SQL is no column name."""
+        return tuple(
+            item.alias
+            or (
+                item.expression.name.split(".")[-1]
+                if isinstance(item.expression, ColumnRef)
+                else f"column{position}"
+            )
+            for position, item in enumerate(self.select_items, 1)
+        )
+
+    @cached_property
     def output_scope(self) -> tuple[dict[str, str], dict[str, Expression]]:
         """The select list read both ways, lower-cased: (item SQL ->
         output name, output name -> item expression).  Built once per
-        statement; :mod:`repro.core.rewrite` translates through it per
-        ORDER BY key and per remainder hole."""
+        statement: :mod:`repro.core.rewrite` translates ORDER BY keys
+        through the first, the origin's plan reads a remainder's point
+        through the second."""
         items = [
-            (item.output_name().lower(), item.expression)
-            for item in self.select_items
+            (name.lower(), item.expression)
+            for name, item in zip(self.output_names, self.select_items)
         ]
         return (
             {expr.to_sql().lower(): name for name, expr in items},

@@ -34,9 +34,8 @@ class BoundQuery:
 
     Everything downstream derives from here: the region the cache
     reasoning uses, the function call's arguments local evaluation
-    recomputes the function's columns from, the residual predicate's
-    signature, and — only where the query is executed or rewritten —
-    the bound statement.
+    recomputes the function's columns from and the origin's plan calls
+    the function with, and the residual predicate's signature.
     """
 
     template: QueryTemplate
@@ -51,10 +50,11 @@ class BoundQuery:
     @cached_property
     def statement(self) -> SelectStatement:
         """The template with these values for its parameters, built on
-        first use and kept: the origin executes it, a remainder is
-        rewritten from it.  A cache hit never builds it, and neither
-        does a forward over HTTP (it travels as template id and
-        parameters)."""
+        first use and kept.  No serve path builds it — the origin runs
+        the template's plan with ``params`` — the benchmark's oracle
+        reads it (its ORDER BY, TOP, source and select list), and so
+        do tests that compare the plan with the free-SQL path over its
+        text."""
         return self.template.statement.bind(self.params)
 
     @cached_property

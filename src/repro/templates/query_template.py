@@ -186,8 +186,8 @@ class Binder:
     the function call's arguments by the function template's parameter
     names, and the region they select — without building a statement.
     The template's WHERE text is pre-split for rendering the residual
-    signature (:attr:`signature`); the bound statement itself is built
-    only where it is executed or rewritten (``BoundQuery.statement``).
+    signature (:attr:`signature`); no serve path builds the bound
+    statement (``BoundQuery.statement``).
     """
 
     def __init__(self, template: QueryTemplate) -> None:
@@ -213,8 +213,8 @@ class Binder:
         (``ExecutionError``, as binding the statement would), a
         region its function template refuses, and a number that is not
         finite in any parameter (:class:`TemplateError`) — such a value
-        renders a residual signature and remainder SQL that do not
-        parse back (``inf`` reads as a column).
+        renders a residual signature that does not parse back (``inf``
+        reads as a column).
         """
         if not all(map(params.__contains__, self.names)):
             require_parameters(self.names, params)  # raises, naming them

@@ -23,8 +23,8 @@ proxy servlet that talks HTTP to the origin web site:
   the outcome → HTTP response mapping of ``/search``, and the recorder
   swap behind the factories' capacity arguments;
 * :class:`~repro.webapp.http_origin.HttpOriginClient` — an
-  origin-server adapter that forwards over HTTP (bound queries to
-  ``/query``, remainders to ``/sql``), so a
+  origin-server adapter that forwards over HTTP (bound queries and
+  remainders to ``/query``, free SQL to ``/sql``), so a
   :class:`~repro.core.proxy.FunctionProxy` can front a *remote* origin
   process exactly as the paper's Tomcat servlet fronted the SkyServer.
 

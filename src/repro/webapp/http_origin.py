@@ -8,10 +8,13 @@ response.  A :class:`~repro.core.proxy.FunctionProxy` constructed with
 this client fronts a genuinely separate origin process, completing the
 browser -> proxy -> web-site HTTP chain of the paper's Figure 4.
 
-A bound query (a forward or a tunnel) travels as its template id and
-parameter values, JSON to ``POST /query``: the site binds it with its
-own templates, so neither side renders or parses SQL for it.  A
-remainder or a free statement travels as SQL to ``POST /sql``.
+A bound query travels as its template id and parameter values, JSON
+to ``POST /query`` — a forward or a tunnel as that, a remainder with
+its holes besides (``"holes"``, each region in
+:func:`~repro.geometry.regions.region_to_dict`'s form): the site binds
+it with its own templates and runs their plans, so neither side renders
+or parses SQL for it.  Only a free statement travels as SQL, to
+``POST /sql``.
 
 The simulated server cost is carried back in the ``X-Server-Ms``
 response header, so experiment timing composes identically in both
@@ -51,8 +54,10 @@ import json
 import urllib.error
 import urllib.request
 from types import SimpleNamespace
+from typing import Sequence
 
 from repro.faults.errors import OriginTimeoutError, OriginUnavailableError
+from repro.geometry.regions import Region, region_to_dict
 from repro.relational.errors import RelationalError
 from repro.relational.result import ResultTable
 from repro.server.origin import OriginResponse
@@ -140,11 +145,7 @@ class HttpOriginClient:
         self.data_version: int = payload["data_version"]
 
     def _post(
-        self,
-        path: str,
-        body: str,
-        content_type: str = "text/plain",
-        holes: int | None = None,
+        self, path: str, body: str, content_type: str = "text/plain"
     ) -> OriginResponse:
         request = urllib.request.Request(
             f"{self.base_url}{path}",
@@ -152,8 +153,6 @@ class HttpOriginClient:
             method="POST",
             headers={"Content-Type": content_type},
         )
-        if holes is not None:
-            request.add_header("X-Remainder-Holes", str(holes))
         if self._scopes is not None:
             traceparent = self._scopes.current_traceparent()
             if traceparent is not None:
@@ -193,6 +192,11 @@ class HttpOriginClient:
         return self._post("/sql", statement.to_sql())
 
     def execute_remainder(
-        self, statement: SelectStatement, n_holes: int
+        self, bound: BoundQuery, holes: Sequence[Region]
     ) -> OriginResponse:
-        return self._post("/sql", statement.to_sql(), holes=n_holes)
+        body = {
+            "template_id": bound.template_id,
+            "params": bound.params,
+            "holes": [region_to_dict(hole) for hole in holes],
+        }
+        return self._post("/query", json.dumps(body), "application/json")

@@ -6,20 +6,24 @@ Routes:
     The HTML search forms (Radial, Rectangular).  Parameters are the
     raw form fields; the response is the result table as XML.
 
-``POST /query`` (body: ``{"template_id": ..., "params": {...}}``)
-    A bound template query — how a proxy forwards or tunnels one.  The
-    site binds it with its own compiled templates and executes it as a
-    form submission (``origin.form``): no SQL is rendered or parsed.
-    JSON keeps ints, floats and strings apart, and a float arrives bit
-    for bit.  A body that is not such an object, or a parameter value
-    that is not a number or a string, is a 400.
+``POST /query`` (body: ``{"template_id": ..., "params": {...}}``,
+and for a remainder ``"holes": [...]``)
+    A bound template query — how a proxy forwards, tunnels or asks for
+    the remainder of one.  The site binds it with its own compiled
+    templates and runs the template's plan: as a form submission
+    (``origin.form``), or without the rows inside the holes, each in
+    :func:`~repro.geometry.regions.region_to_dict`'s form
+    (``origin.remainder``, charged the remainder price).  No SQL is
+    rendered or parsed.  JSON keeps ints, floats and strings apart,
+    and a float arrives bit for bit.  A body that is not such an
+    object, a parameter value that is not a number or a string, or a
+    hole that is not a sphere, box or polytope of the template's
+    dimensions is a 400.
 
 ``POST /sql`` (body: the SQL text)
-    The free-form SQL facility — the paper used the SkyServer's public
-    SQL page as the remainder-query interface.  ``X-Remainder-Holes``
-    may carry the excluded-region count (an integer in [0, 10**9),
-    else a 400) so the simulated cost model can charge the remainder
-    price.
+    The free-form SQL facility.  (The paper used the SkyServer's
+    public SQL page for remainder queries too; here they go to
+    ``/query``.)
 
 ``GET /templates``
     The site's registered templates, for proxy bootstrap: query
@@ -57,11 +61,12 @@ caller should charge to its clock.
 from __future__ import annotations
 
 from repro.analysis.analyzer import analyze_manager
+from repro.geometry.regions import Region, region_from_dict
 from repro.network.clock import SimulatedClock
 from repro.obs.propagation import parse_traceparent
 from repro.obs.timeseries import ORIGIN_LANES
 from repro.server.origin import OriginServer
-from repro.sqlparser.parser import parse_select
+from repro.templates.errors import TemplateError
 from repro.webapp.surface import (
     QUERY_ERRORS,
     add_telemetry_routes,
@@ -137,27 +142,20 @@ def create_origin_app(
                 "error": 'the body must be {"template_id": string, '
                 '"params": {name: number or string}}'
             }, 400
+
+        def bind():
+            return origin.templates.bind(body["template_id"], body["params"])
+
+        if "holes" not in body:
+            return answer(lambda: origin.execute_bound(bind()))
         return answer(
-            lambda: origin.execute_bound(
-                origin.templates.bind(body["template_id"], body["params"])
-            )
+            lambda: origin.execute_remainder(bind(), _holes(body["holes"]))
         )
 
     @app.post("/sql")
     def sql():
-        text = request.get_data(as_text=True)
-        holes = request.headers.get("X-Remainder-Holes")
-        if holes is None:
-            return answer(lambda: origin.execute_sql(text))
-        # Digits only: a sign, an exponent or a number too large to
-        # price never reaches the cost model.
-        if not (holes.isascii() and holes.isdigit() and len(holes) < 10):
-            return {
-                "error": "X-Remainder-Holes must be an integer in "
-                f"[0, 10**9), not {holes!r}"
-            }, 400
         return answer(
-            lambda: origin.execute_remainder(parse_select(text), int(holes))
+            lambda: origin.execute_sql(request.get_data(as_text=True))
         )
 
     @app.get("/templates")
@@ -215,3 +213,15 @@ def _is_bound_query(body) -> bool:
         and isinstance(body.get("params"), dict)
         and all(type(v) in (int, float, str) for v in body["params"].values())
     )
+
+
+def _holes(payload) -> list[Region]:
+    """A remainder's holes from their JSON form; one that does not
+    decode is a :class:`TemplateError` (a 400 like any refused query).
+    Whether they suit the template is the origin's to check."""
+    if not isinstance(payload, list):
+        raise TemplateError(f"holes must be a list of regions: {payload!r}")
+    try:
+        return [region_from_dict(hole) for hole in payload]
+    except ValueError as exc:  # a GeometryError, or a number that is none
+        raise TemplateError(f"malformed remainder hole: {exc}") from None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.remainder import build_remainder, region_predicate
+from repro.core.remainder import build_remainder
 from repro.geometry.regions import (
     ConvexPolytope,
     Halfspace,
@@ -16,6 +16,7 @@ from repro.templates.skyserver_templates import (
     rect_function_template,
 )
 from tests.interpreter import evaluate
+from tests.remainder_sql import region_predicate, remainder_statement
 
 
 class TestRegionPredicate:
@@ -69,7 +70,7 @@ class TestBuildRemainder:
             RADIAL_TEMPLATE_ID, dict(radial_params, radius=4.0)
         ).region
         remainder = build_remainder(bound, [hole])
-        sql = remainder.sql
+        sql = remainder_statement(bound, [hole]).to_sql()
         assert "fGetNearbyObjEq(164.0, 8.0, 10.0)" in sql
         assert "NOT" in sql
         assert "p.cx" in sql  # rewritten to statement scope
@@ -95,7 +96,7 @@ class TestBuildRemainder:
 
         full = origin.execute_bound(bound).result
         hole = origin.execute_bound(hole_bound).result
-        rest = origin.execute_remainder(remainder.statement, 1).result
+        rest = origin.execute_remainder(bound, remainder.region.holes).result
 
         key = full.schema.position("objID")
         full_ids = {row[key] for row in full.rows}
@@ -117,7 +118,7 @@ class TestBuildRemainder:
         ]
         remainder = build_remainder(bound, holes)
         assert remainder.n_holes == 2
-        rest = origin.execute_remainder(remainder.statement, 2).result
+        rest = origin.execute_remainder(bound, holes).result
         names = [n.lower() for n in rest.column_names]
         at = [names.index(axis) for axis in ("cx", "cy", "cz")]
         for row in rest.rows:

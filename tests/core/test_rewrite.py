@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.rewrite import to_result_scope, to_statement_scope
+from repro.core.rewrite import to_result_scope
 from repro.relational.expressions import ColumnRef
 from repro.sqlparser.parser import parse_expression
 from repro.templates.errors import TemplateError
@@ -11,6 +11,7 @@ from repro.templates.skyserver_templates import (
     radial_function_template,
     radial_query_template,
 )
+from tests.remainder_sql import to_statement_scope
 
 
 @pytest.fixture()

@@ -67,9 +67,9 @@ class FlakyOrigin:
         self._maybe_fail()
         return self._inner.execute_bound(bound)
 
-    def execute_remainder(self, statement, n_holes):
+    def execute_remainder(self, bound, holes):
         self._maybe_fail()
-        return self._inner.execute_remainder(statement, n_holes)
+        return self._inner.execute_remainder(bound, holes)
 
 
 class TestRetries:

@@ -105,7 +105,6 @@ class TestDecisionTrace:
                 geometry=lambda: {
                     "base": region_summary(HyperSphere((0.0, 0.0), 5.0))
                 },
-                sql="SELECT ...",
             )
         )
         trace.record_eviction(
@@ -127,7 +126,9 @@ class TestDecisionTrace:
         assert payload["candidates"][0]["relation"] == "overlap"
         assert payload["candidates"][1]["note"].startswith("truncated")
         assert payload["query_region"]["radius"] == 5.0
-        assert payload["remainder"]["sql"] == "SELECT ..."
+        assert payload["remainder"] == {
+            "base": region_summary(HyperSphere((0.0, 0.0), 5.0))
+        }
         assert payload["evictions"][0]["rationale"] == "least recently used"
         assert payload["consolidated"] == [7]
         assert payload["admitted"] is True

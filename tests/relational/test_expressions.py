@@ -26,11 +26,11 @@ from repro.relational.expressions import (
     Not,
     Or,
     compile_expression,
-    conjoin,
 )
 from repro.relational.schema import Schema
 from repro.relational.types import ColumnType
 from tests.interpreter import evaluate
+from tests.remainder_sql import conjoin
 
 
 def lit(value):

@@ -42,7 +42,7 @@ class TestExecution:
         ).region
         before = origin.remainders_served
         remainder = build_remainder(bound, [hole])
-        origin.execute_remainder(remainder.statement, 1)
+        origin.execute_remainder(bound, remainder.region.holes)
         assert origin.remainders_served == before + 1
 
 
@@ -118,5 +118,5 @@ class TestCostModel:
             RADIAL_TEMPLATE_ID, dict(radial_params, radius=3.0)
         ).region
         remainder = build_remainder(bound, [hole])
-        priced = costly.execute_remainder(remainder.statement, 1)
+        priced = costly.execute_remainder(bound, remainder.region.holes)
         assert priced.server_ms == pytest.approx(plain.server_ms + 500.0)

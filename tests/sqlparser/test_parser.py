@@ -61,13 +61,11 @@ class TestSelectStructure:
 
     def test_select_item_aliases(self):
         stmt = parse_select("SELECT a AS x, b y, c FROM t")
-        assert [item.output_name() for item in stmt.select_items] == [
-            "x", "y", "c",
-        ]
+        assert stmt.output_names == ("x", "y", "c")
 
     def test_qualified_ref_output_name_is_bare(self):
         stmt = parse_select("SELECT p.objID FROM t p")
-        assert stmt.select_items[0].output_name() == "objID"
+        assert stmt.output_names == ("objID",)
 
 
 class TestExpressions:

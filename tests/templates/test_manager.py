@@ -225,11 +225,16 @@ class TestBindOnce:
         )
         assert calls == []
 
-    def test_a_forward_builds_one_statement_for_origin_and_admit(
+    def test_a_forward_and_a_remainder_build_no_statement(
         self, origin, proxy, radial_params, monkeypatch
     ):
+        """The origin runs the template's plan with the query's values
+        (and a remainder's holes): no serve path binds the statement."""
         bound = origin.templates.bind(RADIAL_TEMPLATE_ID, radial_params)
-        assert "statement" not in vars(bound)
+        shifted = origin.templates.bind(
+            RADIAL_TEMPLATE_ID,
+            dict(radial_params, ra=radial_params["ra"] + 0.1),
+        )
         built = []
         real = SelectStatement.bind
 
@@ -238,11 +243,15 @@ class TestBindOnce:
             return built[-1]
 
         monkeypatch.setattr(SelectStatement, "bind", counting)
-        response = proxy.serve(bound)
-        assert response.record.status is QueryStatus.DISJOINT
-        assert len(proxy.cache) == 1
-        assert len(built) == 1 and built[0] is bound.statement
-        [entry] = proxy.cache.entries()
+        forward = proxy.serve(bound)
+        overlap = proxy.serve(shifted)
+        assert forward.record.status is QueryStatus.DISJOINT
+        assert overlap.record.status is QueryStatus.OVERLAP
+        assert built == []
+        assert "statement" not in vars(bound)
+        assert "statement" not in vars(shifted)
+        monkeypatch.undo()
+        entry = proxy.cache.entries()[0]
         assert entry.signature == bound.statement.where.to_sql()
 
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -22,6 +22,7 @@ from repro.extensions.triangle import (
     TRIANGLE_TEMPLATE_ID,
     register_triangle_search,
 )
+from repro.geometry.regions import region_to_dict
 from repro.obs import ProxyInstrumentation, SpanTracer
 from repro.relational.errors import RelationalError
 from repro.server.origin import OriginServer
@@ -34,6 +35,7 @@ from repro.templates.skyserver_templates import (
 )
 from repro.webapp.http_origin import HttpOriginClient, HttpOriginError
 from repro.webapp.origin_app import create_origin_app
+from repro.webapp.proxy_app import create_proxy_app
 from tests.conftest import SMALL_SKY
 from tests.templates.test_manager import MAGS, template_params
 
@@ -102,23 +104,6 @@ def requests_of(metrics: str, kind: str) -> float:
     return 0.0
 
 
-class TestRemainderHolesHeader:
-    @pytest.mark.parametrize("holes", ["-1", "-100", "1e3", "two"])
-    def test_a_malformed_hole_count_is_400_and_moves_nothing(
-        self, site, app, holes
-    ):
-        sql = site.templates.bind(
-            RADIAL_TEMPLATE_ID, RADIAL
-        ).statement.to_sql()
-        before = counters(app)
-        response = app.post(
-            "/sql", data=sql, headers={"X-Remainder-Holes": holes}
-        )
-        assert response.status_code == 400
-        assert "X-Remainder-Holes" in response.get_json()["error"]
-        assert counters(app) == before
-
-
 #: Any JSON document, nested a little.
 json_documents = st.recursive(
     st.none()
@@ -153,6 +138,88 @@ bound_shaped = st.fixed_dictionaries(
         ),
     }
 )
+
+
+#: A hole the template's points are in: the sky around (164, 8).
+HOLE = {"shape": "hypersphere",
+        "center": [-0.9519, 0.2730, 0.1392], "radius": 0.002}
+
+
+class TestRemainderHoles:
+    @pytest.mark.parametrize(
+        "holes",
+        [
+            "two",
+            -1,
+            None,
+            {"shape": "hypersphere", "center": [0, 0, 1], "radius": 1},
+            [],
+            [-100],
+            [{"shape": "nope"}],
+            [{"shape": "hypersphere", "center": [0, 0], "radius": 1}],
+            [{"shape": "hypersphere", "center": ["a", 0, 1], "radius": 1}],
+            [{"shape": "hypersphere", "center": [0, 0, 1], "radius": -1}],
+            [{"shape": "hyperrect", "lows": [0, 0, 0]}],
+            [{"shape": "difference", "base": HOLE, "holes": [HOLE]}],
+        ],
+        ids=[
+            "string", "number", "null", "object", "empty", "not-a-region",
+            "unknown-shape", "wrong-dimensions", "non-numeric",
+            "negative-radius", "missing-bound", "difference",
+        ],
+    )
+    def test_a_malformed_hole_is_400_and_moves_nothing(
+        self, app, holes
+    ):
+        before = counters(app)
+        response = app.post(
+            "/query",
+            json={
+                "template_id": RADIAL_TEMPLATE_ID,
+                "params": RADIAL,
+                "holes": holes,
+            },
+        )
+        assert response.status_code == 400
+        assert "hole" in response.get_json()["error"]
+        assert counters(app) == before
+
+    def test_a_remainder_is_the_query_minus_its_holes(self, site, app):
+        bound = site.templates.bind(RADIAL_TEMPLATE_ID, RADIAL)
+        hole = site.templates.bind(
+            RADIAL_TEMPLATE_ID, dict(RADIAL, radius=4.0)
+        ).region
+        response = app.post(
+            "/query",
+            json={
+                "template_id": RADIAL_TEMPLATE_ID,
+                "params": RADIAL,
+                "holes": [region_to_dict(hole)],
+            },
+        )
+        assert response.status_code == 200
+        expected = site.execute_remainder(bound, [hole]).result
+        assert response.get_data(as_text=True) == expected.to_xml()
+        assert 0 < len(expected) < len(site.execute_bound(bound).result)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @example(holes=[HOLE])
+    @given(holes=st.one_of(json_documents, st.lists(json_documents)))
+    def test_any_holes_are_answered_or_refused(self, app, holes):
+        before = counters(app)
+        response = app.post(
+            "/query",
+            data=json.dumps(
+                {
+                    "template_id": RADIAL_TEMPLATE_ID,
+                    "params": RADIAL,
+                    "holes": holes,
+                }
+            ),
+        )
+        assert response.status_code in (200, 400)
+        if response.status_code == 400:
+            assert counters(app) == before
 
 
 class TestQueryRoute:
@@ -324,6 +391,68 @@ class TestStitchedTrace:
         assert requests_of(metrics, "form") == 1
         assert requests_of(metrics, "sql") == 0
         assert requests_of(metrics, "remainder") == 1
+
+
+def _stages(span):
+    """``span`` and every stage under it."""
+    yield span
+    for child in span.get("children", ()):
+        yield from _stages(child)
+
+
+class TestProxyAppToOriginApp:
+    """The whole chain over loopback: a remainder crosses the wire as
+    the bound query and its holes, so no SQL is rendered or parsed on
+    either side, and the origin's stage still joins the proxy's
+    trace under its ``origin`` phase."""
+
+    def test_remainders_travel_without_sql(self, site):
+        origin = OriginServer(site.catalog, site.templates)
+        parser = repro.sqlparser.parser.__file__
+        parser_calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == parser:
+                parser_calls.append(frame.f_code.co_name)
+
+        origin_app = create_origin_app(origin, trace_capacity=16)
+        with serving(origin_app, profile) as origin_url:
+            client = HttpOriginClient(origin_url)
+            obs = ProxyInstrumentation(tracer=SpanTracer())
+            proxy = FunctionProxy(client, client.templates,
+                                  instrumentation=obs)
+            with serving(create_proxy_app(proxy), profile) as proxy_url:
+                parser_calls.clear()
+                statuses = []
+                for query in (
+                    "ra=164&dec=8&radius=10",
+                    "ra=164.1&dec=8&radius=10",  # overlap
+                    "ra=164.1&dec=8&radius=25",  # region containment
+                ):
+                    with urllib.request.urlopen(
+                        f"{proxy_url}/search/Radial?{query}"
+                    ) as response:
+                        statuses.append(response.headers["X-Cache-Status"])
+            with urllib.request.urlopen(f"{origin_url}/metrics") as r:
+                metrics = r.read().decode("utf-8")
+            with urllib.request.urlopen(f"{origin_url}/trace/recent?n=8") as r:
+                origin_spans = json.loads(r.read())["spans"]
+        assert statuses == ["disjoint", "overlap", "region-containment"]
+        assert parser_calls == []
+        assert requests_of(metrics, "sql") == 0
+        assert requests_of(metrics, "remainder") == 2
+        assert requests_of(metrics, "form") == 1
+        assert [span["name"] for span in origin_spans] == [
+            "origin.form", "origin.remainder", "origin.remainder",
+        ]
+        by_trace = {span["trace_id"]: span for span in obs.tracer.recent(8)}
+        for remainder in origin_spans[1:]:
+            [phase] = [
+                stage for stage in _stages(by_trace[remainder["trace_id"]])
+                if stage.get("span_id") == remainder["parent_id"]
+            ]
+            assert phase["name"] == "origin"
+            assert phase["attrs"]["kind"] == "remainder"
 
 
 class TestBootstrap:

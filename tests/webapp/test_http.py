@@ -138,19 +138,53 @@ class TestOriginApp:
         assert result.column_names == ("type", "n")
         assert sum(row[1] for row in result.rows) > 0
 
-    def test_remainder_header_charges_surcharge(self, origin_client):
-        sql = (
-            "SELECT p.objID, p.cx, p.cy, p.cz "
-            "FROM fGetNearbyObjEq(164.0, 8.0, 10.0) n "
-            "JOIN PhotoPrimary p ON n.objID = p.objID"
-        )
-        plain = origin_client.post("/sql", data=sql)
+    def test_remainder_holes_charge_surcharge(self, origin_client):
+        query = {
+            "template_id": "skyserver.radial",
+            "params": {"ra": 164.0, "dec": 8.0, "radius": 10.0,
+                       "r_min": -9999.0, "r_max": 9999.0},
+        }
+        hole = {"shape": "hypersphere", "center": [0.0, 0.0, 1.0],
+                "radius": 0.001}
+        plain = origin_client.post("/query", json=query)
         remainder = origin_client.post(
-            "/sql", data=sql, headers={"X-Remainder-Holes": "2"}
+            "/query", json=dict(query, holes=[hole, hole])
         )
+        assert plain.status_code == remainder.status_code == 200
         assert float(remainder.headers["X-Server-Ms"]) > float(
             plain.headers["X-Server-Ms"]
         )
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT COUNT(*) FROM PhotoPrimary p",
+            "SELECT MAX(p.r) FROM PhotoPrimary p",
+            "SELECT TOP 2 p.r * 2.0 FROM PhotoPrimary p",
+        ],
+    )
+    def test_an_unaliased_computed_item_gets_a_positional_name(
+        self, origin_client, sql
+    ):
+        response = origin_client.post("/sql", data=sql)
+        assert response.status_code == 200
+        result = ResultTable.from_xml(response.get_data(as_text=True))
+        assert result.column_names == ("column1",)
+        aliased = origin_client.post(
+            "/sql", data=sql.replace(" FROM", " AS x FROM")
+        )
+        assert aliased.status_code == 200
+        named = ResultTable.from_xml(aliased.get_data(as_text=True))
+        assert named.column_names == ("x",)
+        assert named.rows == result.rows
+
+    def test_a_generated_name_can_still_be_a_duplicate(self, origin_client):
+        response = origin_client.post(
+            "/sql",
+            data="SELECT p.r AS column2, p.r + 1 FROM PhotoPrimary p",
+        )
+        assert response.status_code == 400
+        assert "duplicate" in response.get_json()["error"]
 
     def test_templates_endpoint(self, origin_client):
         payload = origin_client.get("/templates").get_json()

@@ -7,8 +7,11 @@ everything downstream code compares byte for byte: the bound SQL (the
 HTTP hop's body), the proxy's signature and cache key (journal
 payloads), the region's floats as ``float.hex()`` (warm restart
 compares re-bound regions with ``==``), remainder SQL for 1, 3 and 16
-holes of every shape, ``finalize`` row order over a seeded cached
-table, and the text of each binding error.
+holes of every shape (rendered by the test oracle
+``tests/remainder_sql.py``: the origin no longer receives SQL for a
+remainder, and this section pins the oracle to the SQL it did
+receive), ``finalize`` row order over a seeded cached table, and the
+text of each binding error.
 
 ``tests/templates/golden/bindings.json`` is this tool's output at the
 commit *before* expressions got one definition of their children and
@@ -29,6 +32,7 @@ from typing import Any
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the remainder SQL oracle, in tests/
 
 from repro.core.evaluation import LocalEvaluator  # noqa: E402
 from repro.core.remainder import build_remainder  # noqa: E402
@@ -57,6 +61,7 @@ from repro.templates.function_template import (  # noqa: E402
 )
 from repro.templates.manager import TemplateManager  # noqa: E402
 from repro.templates.query_template import QueryTemplate  # noqa: E402
+from tests.remainder_sql import remainder_statement  # noqa: E402
 from repro.templates.skyserver_templates import (  # noqa: E402
     NEAREST_TEMPLATE_ID,
     RADIAL_TEMPLATE_ID,
@@ -279,7 +284,7 @@ def _remainders(
                 "template": template_id,
                 "n_holes": remainder.n_holes,
                 "hole_shape": region_floats(holes[0])["shape"],
-                "sql": remainder.sql,
+                "sql": remainder_statement(bound, holes).to_sql(),
             }
         )
     return out
@@ -322,9 +327,7 @@ def _finalized(
     out = []
     for template_id in (NEAREST_TEMPLATE_ID, ORDERED_TEMPLATE_ID):
         bound = manager.bind(template_id, params)
-        columns = [
-            item.output_name() for item in bound.statement.select_items
-        ]
+        columns = list(bound.statement.output_names)
         table = _cached_table(rng, columns)
         result = LocalEvaluator().finalize(bound, table)
         key = columns.index("objID")
