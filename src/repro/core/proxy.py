@@ -281,10 +281,12 @@ class FunctionProxy:
             persistence.bind(
                 self.cache,
                 self.clock,
-                # Journaled versions track scheduled bumps, also those
-                # of a fault plan installed later.
+                # Recovery fences against the origin's version, after
+                # the bumps a fault plan made due; every record carries
+                # the version its entry was admitted under.
                 version_of=self.origin_data_version,
                 obs=self.obs,
+                admitted_under=lambda: self._seen_data_version,
             )
             self.cache.mutation_log = persistence
             if recover:
@@ -374,8 +376,8 @@ class FunctionProxy:
         """The origin's current data version, after applying the
         version bumps the installed fault plan has made due.
 
-        The one read of the version: the data-version fence, the
-        persister's journaled versions and a handoff's stale fence.
+        The one read of the version: the data-version fence, recovery's
+        stale fence and a handoff's.
         Origins without a version attribute read ``None`` (immutable).
         """
         faults = self.gateway.faults
@@ -997,8 +999,9 @@ class FunctionProxy:
         if version == self._seen_data_version:
             return None
         flushed = len(self.cache)
-        self.cache.clear()
+        # Moved first, so the journal's clear record carries it.
         self._seen_data_version = version
+        self.cache.clear()
         self.invalidations += 1
         return flushed
 

@@ -6,15 +6,19 @@ makes it restart warm:
 * :mod:`repro.persistence.atomic` — temp-file + ``os.replace`` writes,
   the only sanctioned way to write whole artifacts (lint rule FP307);
 * :mod:`repro.persistence.records` — the journal record types and
-  their length-prefixed, CRC32-checksummed wire format;
+  their length-prefixed, CRC32-checksummed wire format (version 2: a
+  result travels as typed JSON rows);
 * :mod:`repro.persistence.journal` — the append-only mutation journal
   and its torn-tail-tolerant reader;
-* :mod:`repro.persistence.snapshot` — periodic full-cache snapshots,
-  atomically replaced, after which the journal is truncated;
+* :mod:`repro.persistence.snapshot` — periodic full-cache snapshots in
+  the journal's own framing, atomically replaced, after which the
+  journal is truncated;
 * :mod:`repro.persistence.persister` — the
   :class:`~repro.persistence.persister.CachePersister` mutation-log
-  hook the cache manager reports to, with snapshot cadence and
-  seeded crash injection (:class:`~repro.faults.crash.CrashPlan`);
+  hook the cache manager reports to: it encodes each result once, at
+  admit, keeps the frame for every later snapshot, and runs the
+  snapshot cadence and seeded crash injection
+  (:class:`~repro.faults.crash.CrashPlan`);
 * :mod:`repro.persistence.image` — the one cache-image codec, disk
   walk, and fence → re-bind → ``cache.store`` replay loop that
   recovery, crash handoff, and drain all run;
@@ -52,11 +56,7 @@ from repro.persistence.records import (
     region_to_dict,
 )
 from repro.persistence.recovery import RecoveryReport, recover_cache
-from repro.persistence.snapshot import (
-    Snapshot,
-    load_snapshot,
-    write_snapshot,
-)
+from repro.persistence.snapshot import load_snapshot, write_snapshot
 
 __all__ = [
     "AdmitRecord",
@@ -72,7 +72,6 @@ __all__ = [
     "READ_BUFFER_SIZE",
     "RecoveryReport",
     "SNAPSHOT_NAME",
-    "Snapshot",
     "SnapshotFormatError",
     "WIRE_FORMAT_VERSION",
     "atomic_write_bytes",

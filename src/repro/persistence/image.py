@@ -7,12 +7,14 @@ here, so the cache description is rebuilt by exactly one piece of code:
 
 * :func:`admit_record` / :func:`admit_records` — a live
   :class:`~repro.core.cache.CacheEntry` as its ``admit`` wire record
-  (journal append, snapshot, handoff export);
+  (the journal append, whose frame every later snapshot reuses, and a
+  handoff export);
 * :func:`load_image` — snapshot plus the journal's intact prefix,
   folded into the admit set the persister durably held;
-* :func:`replay_admits` — fence, re-bind, check the re-bound region
-  *equals* the recorded one, and only then ``cache.store``: a stored
-  result is usable only for exactly the region its record describes.
+* :func:`replay_admits` — fence, decode the result's typed rows,
+  re-bind, check the re-bound region *equals* the recorded one, and
+  only then ``cache.store``: a stored result is usable only for
+  exactly the region its record describes.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def admit_record(
         region=region_to_dict(entry.region),
         signature=entry.signature,
         truncated=entry.truncated,
-        result_xml=entry.result.to_xml(),
+        result=entry.result.to_payload(),
         data_version=data_version,
         ts_ms=ts_ms,
         shard=shard,
@@ -110,9 +112,8 @@ def load_image(
         except SnapshotFormatError as exc:
             snapshot = None
             snapshot_error = str(exc)
-        if snapshot is not None:
-            for record in snapshot.entries:
-                admits[record.entry_id] = record
+        for record in snapshot or ():
+            admits[record.entry_id] = record
     with scopes.scope("journal_replay") as replay:
         read = persister.journal.read()
         for record in read.records:
@@ -129,9 +130,7 @@ def load_image(
         )
     return CacheImage(
         admits=admits,
-        snapshot_entries=(
-            None if snapshot is None else len(snapshot.entries)
-        ),
+        snapshot_entries=None if snapshot is None else len(snapshot),
         snapshot_error=snapshot_error,
         journal=read,
     )
@@ -189,7 +188,7 @@ def replay_admits(
             continue
         try:
             region = region_from_dict(record.region)
-            result = ResultTable.from_xml(record.result_xml)
+            result = ResultTable.from_payload(record.result)
             bound = templates.bind(record.template_id, record.params)
             if bound.region != region:
                 raise ValueError(

@@ -1,10 +1,11 @@
 """The append-only cache-mutation journal.
 
 The write side is deliberately boring: open the file in append mode,
-write one framed record (:mod:`repro.persistence.records`), flush, and
-optionally fsync.  Appends are the only mutation between snapshots, so
-a crash can damage *at most the tail* of the file — which is exactly
-the failure the read side is built to absorb.
+write one framed record (:mod:`repro.persistence.records`, encoded by
+the caller), flush, and optionally fsync.  Appends are the only
+mutation between snapshots, so a crash can damage *at most the tail*
+of the file — which is exactly the failure the read side is built to
+absorb.
 
 The read side streams the file in fixed-size chunks (a record ending
 exactly on a chunk boundary is a tested edge case), decodes frames,
@@ -21,11 +22,7 @@ from pathlib import Path
 
 from repro.locking import guarded_by, named_lock, unshared
 from repro.persistence.errors import PersistenceError
-from repro.persistence.records import (
-    JournalRecord,
-    encode_record,
-    iter_frames,
-)
+from repro.persistence.records import JournalRecord, iter_frames
 
 #: Chunk size of the streaming reader.
 READ_BUFFER_SIZE = 4096
@@ -75,9 +72,8 @@ class Journal:
         self.records_appended = 0
 
     # ----------------------------------------------------------- writing
-    def append(self, record: JournalRecord, durable: bool = False) -> int:
-        """Append one record; returns the frame's size in bytes."""
-        frame = encode_record(record)
+    def append(self, frame: bytes, durable: bool = False) -> int:
+        """Append one encoded record frame; returns its size in bytes."""
         with self._lock:
             with open(self.path, "ab") as handle:
                 handle.write(frame)

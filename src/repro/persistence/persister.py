@@ -4,9 +4,12 @@ A :class:`CachePersister` is the proxy's durability sidecar.  The
 cache manager reports every mutation to it (the ``mutation_log`` hook
 on :class:`~repro.core.cache.CacheManager`); the persister appends a
 framed record to the journal and, every ``snapshot_every`` records,
-serializes the full live entry set to the snapshot file (atomically)
-and truncates the journal.  The write ordering is the crash-consistency
-argument:
+writes the full live entry set to the snapshot file (atomically) and
+truncates the journal.  A result is encoded once, at admit: the
+persister keeps each live entry's admit frame, stamped with the data
+version the entry was admitted under, and a checkpoint writes the kept
+frames as they are — it encodes nothing and reads nothing from the
+cache.  The write ordering is the crash-consistency argument:
 
 1. journal append is the *only* mutation between snapshots, so a crash
    tears at most the journal tail;
@@ -33,21 +36,22 @@ from repro.faults.errors import SimulatedCrash
 from repro.locking import guarded_by, named_lock, unshared
 from repro.obs.events import EV_SNAPSHOT_CHECKPOINT
 from repro.persistence.errors import PersistenceError
-from repro.persistence.image import admit_record, admit_records
+from repro.persistence.image import admit_record
 from repro.persistence.journal import Journal
-from repro.persistence.records import ClearRecord, EvictRecord
-from repro.persistence.snapshot import (
-    Snapshot,
-    load_snapshot,
-    write_snapshot,
+from repro.persistence.records import (
+    AdmitRecord,
+    ClearRecord,
+    EvictRecord,
+    encode_record,
 )
+from repro.persistence.snapshot import load_snapshot, write_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cache import CacheEntry, CacheManager
     from repro.faults.crash import CrashPlan, CrashSession
 
 JOURNAL_NAME = "journal.bin"
-SNAPSHOT_NAME = "snapshot.json"
+SNAPSHOT_NAME = "snapshot.bin"
 
 #: Reasons a single entry can leave the cache (whole-cache flushes are
 #: a ``clear`` record instead).
@@ -63,7 +67,8 @@ REMOVAL_REASONS = ("evict", "consolidate", "replace")
     "crash_plan",
     "_crash_session",
 )
-@unshared("_cache", "_clock", "_version_of", "_obs")
+@guarded_by("proxy.cache", "_frames")
+@unshared("_cache", "_clock", "_version_of", "_admitted_under", "_obs")
 class CachePersister:
     """Journal + snapshot management for one cache directory.
 
@@ -71,13 +76,14 @@ class CachePersister:
     persister's bookkeeping (append counting, crash-plan state, the
     recovery flags); the journal file itself has its own innermost
     lock (``persistence.journal.file``), taken by :class:`Journal`.
-    ``checkpoint`` deliberately does *not* take the cache lock — the
-    snapshot-cadence checkpoints already run inside the cache's
-    mutation scope (the ``mutation_log`` hooks fire under
-    ``proxy.cache``), so taking it here would only add a
-    journal→cache edge and invert the lock order.  The ``_cache`` /
-    ``_clock`` / ``_version_of`` / ``_obs`` attributes are rebound
-    only by single-threaded ``bind`` wiring, hence ``unshared``.
+    The kept admit frames change only in the ``mutation_log`` hooks,
+    which fire under ``proxy.cache``; the snapshot-cadence checkpoint
+    runs inside those hooks too, and recovery's repair checkpoint
+    before any serving thread exists.  ``checkpoint`` takes no lock of
+    the cache's: that would add a journal→cache edge and invert the
+    lock order.  The ``_cache`` / ``_clock`` / ``_version_of`` /
+    ``_admitted_under`` / ``_obs`` attributes are rebound only by
+    single-threaded ``bind`` wiring, hence ``unshared``.
     """
 
     def __init__(
@@ -119,7 +125,11 @@ class CachePersister:
         self._cache: "CacheManager | None" = None
         self._clock: Any = None
         self._version_of: Callable[[], int | None] = lambda: None
+        self._admitted_under: Callable[[], int | None] = lambda: None
         self._obs: Any = None
+        #: Each live entry's admit frame, by ``entry_id``: encoded once
+        #: at admit, written again by every checkpoint.
+        self._frames: dict[int, bytes] = {}
         self._crash_session: "CrashSession | None" = (
             crash_plan.session() if crash_plan is not None else None
         )
@@ -132,17 +142,22 @@ class CachePersister:
         clock: Any,
         version_of: Callable[[], int | None],
         obs: Any = None,
+        *,
+        admitted_under: Callable[[], int | None],
     ) -> None:
         """Attach the live proxy parts the persister reads from.
 
         Called by :class:`~repro.core.proxy.FunctionProxy` during
-        construction; ``version_of`` is the proxy's
-        ``origin_data_version``, which applies the bumps an installed
-        fault plan made due, so journaled versions track them.
+        construction.  ``version_of`` is the origin's current data
+        version, which recovery fences against (the proxy's
+        ``origin_data_version``).  ``admitted_under`` is the version
+        the cache admits entries under (the proxy's
+        ``seen_data_version``), stamped on every record.
         """
         self._cache = cache
         self._clock = clock
         self._version_of = version_of
+        self._admitted_under = admitted_under
         self._obs = obs
 
     def current_version(self) -> int | None:
@@ -179,80 +194,68 @@ class CachePersister:
             self.last_recovery = report
 
     # ------------------------------------------------- mutation-log hooks
+    # While ``suspended`` (recovery's replay, a crash's memory loss) a
+    # hook still keeps the frames in step with the cache and only skips
+    # the append: the repair checkpoint that ends recovery writes them.
     def admitted(self, entry: "CacheEntry") -> None:
         """Cache-manager hook: ``entry`` just entered the cache."""
-        if self.suspended:
-            return
-        self._append(
+        frame = encode_record(
             admit_record(
-                entry, self._version_of(), self._now_ms(), self.shard_id
+                entry, self._admitted_under(), self._now_ms(), self.shard_id
             )
         )
+        self._frames[entry.entry_id] = frame
+        if not self.suspended:
+            self._append(frame, AdmitRecord.type)
 
     def removed(self, entry: "CacheEntry", reason: str) -> None:
         """Cache-manager hook: ``entry`` left the cache for ``reason``."""
-        if self.suspended:
-            return
         if reason not in REMOVAL_REASONS:
             raise PersistenceError(f"unknown removal reason {reason!r}")
-        self._append(
-            EvictRecord(
-                entry_id=entry.entry_id,
-                reason=reason,
-                data_version=self._version_of(),
-                ts_ms=self._now_ms(),
-            )
+        self._frames.pop(entry.entry_id, None)
+        if self.suspended:
+            return
+        record = EvictRecord(
+            entry_id=entry.entry_id,
+            reason=reason,
+            data_version=self._admitted_under(),
+            ts_ms=self._now_ms(),
         )
+        self._append(encode_record(record), record.type)
 
     def cleared(self, removed: int) -> None:
         """Cache-manager hook: the whole cache was flushed."""
+        self._frames.clear()
         if self.suspended:
             return
-        self._append(
-            ClearRecord(
-                data_version=self._version_of(),
-                removed=removed,
-                ts_ms=self._now_ms(),
-            )
+        record = ClearRecord(
+            data_version=self._admitted_under(),
+            removed=removed,
+            ts_ms=self._now_ms(),
         )
+        self._append(encode_record(record), record.type)
 
     # -------------------------------------------------------- snapshotting
-    def checkpoint(self) -> Snapshot:
-        """Snapshot the full live cache now and truncate the journal.
+    def checkpoint(self) -> int:
+        """Write the kept admit frames as the snapshot, in ``entry_id``
+        order, and truncate the journal; returns the entries written.
 
-        Concurrency precondition: call only while holding the
-        ``proxy.cache`` lock, or from single-threaded code.  Both
-        in-tree callers comply — the snapshot-cadence call in
-        ``_append`` runs inside the cache's mutation-log hooks (which
-        fire under ``proxy.cache``), and recovery runs before any
-        serving thread exists.  The method itself deliberately takes
-        no cache lock (see the class docstring: doing so here would
-        add a journal→cache edge), so an unlocked concurrent caller —
-        say a future admin endpoint — would race evictions between
-        ``entries()`` and each entry's stored-result read
-        (``ResultStoreError``) and could interleave with another
-        checkpoint's snapshot-write/journal-reset pair, losing
-        records.  Route any such caller through the cache's mutation
-        scope instead.
+        Call only from the cache's mutation scope (the cadence call in
+        ``_append`` runs inside the hooks) or from single-threaded code
+        (recovery): the frames change in the hooks, and two unlocked
+        checkpoints could interleave one's snapshot write with the
+        other's journal reset.
         """
         if self._cache is None:
             raise PersistenceError(
                 "persister is not bound to a cache; call bind() first"
             )
-        # Read once: the header and every entry carry the same version
-        # and instant even if the origin bumps mid-checkpoint.
-        data_version = self._version_of()
+        frames = self._frames
+        write_snapshot(self.snapshot_path, [frames[i] for i in sorted(frames)])
         ts_ms = self._now_ms()
-        entries = admit_records(
-            self._cache.entries(), data_version, ts_ms, self.shard_id
-        )
-        snapshot = Snapshot(
-            data_version=data_version, ts_ms=ts_ms, entries=entries
-        )
-        write_snapshot(self.snapshot_path, snapshot)
         with self._lock:
             self.journal.reset()
-            self.last_snapshot_ts_ms = snapshot.ts_ms
+            self.last_snapshot_ts_ms = ts_ms
         self._update_snapshot_age()
         # The flight-recorder mark; getattr-guarded because bind()
         # accepts any object with the metrics hooks.
@@ -260,13 +263,13 @@ class CachePersister:
         if emit is not None:
             emit(
                 EV_SNAPSHOT_CHECKPOINT,
-                at_ms=snapshot.ts_ms,
-                entries=len(entries),
-                data_version=snapshot.data_version,
+                at_ms=ts_ms,
+                entries=len(frames),
+                data_version=self._admitted_under(),
             )
-        return snapshot
+        return len(frames)
 
-    def load_snapshot(self) -> Snapshot | None:
+    def load_snapshot(self) -> tuple[AdmitRecord, ...] | None:
         """The snapshot currently on disk (may raise SnapshotFormatError)."""
         return load_snapshot(self.snapshot_path)
 
@@ -302,12 +305,12 @@ class CachePersister:
     def _now_ms(self) -> float:
         return 0.0 if self._clock is None else self._clock.now_ms
 
-    def _append(self, record: Any) -> None:
+    def _append(self, frame: bytes, record_type: str) -> None:
         with self._lock:
-            self.journal.append(record, durable=self.durable)
+            self.journal.append(frame, durable=self.durable)
             self.total_records += 1
             if self._obs is not None:
-                self._obs.journal_append(record.type)
+                self._obs.journal_append(record_type)
             self._update_snapshot_age()
             session = self._crash_session
             if session is not None and session.should_crash(
@@ -316,11 +319,9 @@ class CachePersister:
                 damage = session.apply_damage(self.journal.path)
                 raise SimulatedCrash(self.total_records, damage["damage"])
             due = self.journal.records_appended >= self.snapshot_every
-        # Checkpoint outside the journal lock: it snapshots the live
-        # cache (taking proxy.cache), and holding journal across that
-        # would invert the cache -> journal acquisition order the
-        # mutation-log hooks establish.  A race on the threshold at
-        # worst checkpoints twice, which is harmless.
+        # Checkpoint outside the journal lock, which it takes itself.
+        # A race on the threshold at worst checkpoints twice, which is
+        # harmless.
         if due:
             self.checkpoint()
 

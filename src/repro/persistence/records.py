@@ -7,13 +7,14 @@ One journal record describes one cache mutation.  Three types exist
   recovery needs to rebuild the entry without the origin: the entry
   id, the producing template id and parameter bindings, the region in
   serialized form, the residual-predicate signature, the truncated
-  flag, the result as XML, the origin ``data_version`` the result was
-  computed against, and the simulated-clock timestamp.
+  flag, the result as typed JSON rows (``ResultTable.to_payload``),
+  the origin ``data_version`` the entry was admitted under, and the
+  simulated-clock timestamp.
 * ``evict`` — an entry left the cache, with the reason (``evict`` from
   the replacement policy, ``consolidate`` from region-containment
   maintenance, ``replace`` when an identical query re-raced in).
 * ``clear`` — the whole cache was flushed (origin data-version change).
-  Carries the origin version the flush fenced up to.
+  Carries the data version the cache moves on to.
 
 Framing
 -------
@@ -25,7 +26,8 @@ The payload is canonical JSON (sorted keys, UTF-8).  A reader walks
 frames until the file ends; a header or payload cut short is a *torn*
 record, a checksum mismatch is a *corrupt* record, and either one
 terminates replay cleanly at the last good record — exactly the
-crash-consistency contract an append-only journal buys.
+crash-consistency contract an append-only journal buys.  The journal,
+the snapshot and a handoff file are all such frames.
 
 Region codec
 ------------
@@ -48,7 +50,7 @@ from repro.persistence.errors import PersistenceError
 
 #: Bump when the payload schema changes incompatibly; readers refuse
 #: records from the future instead of misinterpreting them.
-WIRE_FORMAT_VERSION = 1
+WIRE_FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<II")
 
@@ -95,12 +97,13 @@ class AdmitRecord:
     region: dict[str, Any]
     signature: str
     truncated: bool
-    result_xml: str
+    #: The result as ``ResultTable.to_payload`` gives it; decoded (and
+    #: checked) only when the entry is replayed.
+    result: dict[str, Any]
     data_version: int | None
     ts_ms: float
     #: The shard worker that admitted the entry; ``None`` on a
-    #: single-proxy deployment.  Omitted from the payload when unset so
-    #: pre-shard wire-v1 journals stay byte-identical.
+    #: single-proxy deployment, and then omitted from the payload.
     shard: str | None = None
 
     type = "admit"
@@ -115,7 +118,7 @@ class AdmitRecord:
             "region": self.region,
             "signature": self.signature,
             "truncated": self.truncated,
-            "result_xml": self.result_xml,
+            "result": self.result,
             "data_version": self.data_version,
             "ts_ms": self.ts_ms,
         }
@@ -132,7 +135,7 @@ class AdmitRecord:
             region=dict(payload["region"]),
             signature=str(payload["signature"]),
             truncated=bool(payload["truncated"]),
-            result_xml=str(payload["result_xml"]),
+            result=payload["result"],
             data_version=(
                 None
                 if payload["data_version"] is None

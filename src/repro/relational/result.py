@@ -5,7 +5,8 @@ them over HTTP.  :class:`ResultTable` is that artifact: an ordered,
 column-named row set that knows its own serialized size (the byte budget
 the cache manager enforces, and the payload size the simulated network
 charges for), can serialize to/from the XML wire format used by the
-Flask deployment, and supports the merge/deduplicate operation the proxy
+Flask deployment and the typed JSON rows the persistence journal
+carries, and supports the merge/deduplicate operation the proxy
 performs when combining a probe result with a remainder result.
 """
 
@@ -16,7 +17,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.relational.errors import ExecutionError, SchemaError
-from repro.relational.schema import Schema
+from repro.relational.schema import Column, Schema
 from repro.relational.types import ColumnType
 
 # Serialization overhead constants used by the byte-size estimate.  They
@@ -31,13 +32,12 @@ Row = TypeVar("Row")
 
 
 # The wire format is written as text, not through a DOM.  Escaping and
-# the empty-element form are ElementTree's, which wrote the journals and
-# snapshots already on disk: ``& < >`` in character data; in attribute
-# values also ``"`` and the whitespace a parser would normalize away.
-_TEXT = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
-_ATTRIBUTE = _TEXT + (
-    ('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;")
-)
+# the empty-element form are ElementTree's with one deviation: ``& < >``
+# and also ``\r`` in character data, which a parser would otherwise
+# normalize to ``\n``; in attribute values also ``"`` and the other
+# whitespace a parser would normalize away.
+_TEXT = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ("\r", "&#13;"))
+_ATTRIBUTE = _TEXT + (('"', "&quot;"), ("\n", "&#10;"), ("\t", "&#09;"))
 
 
 def _escape(text: str, references: tuple[tuple[str, str], ...]) -> str:
@@ -56,7 +56,7 @@ def _cell_xml(value: Any) -> str:
     text = str(value)
     if not text:
         return "<C />"
-    if "&" in text or "<" in text or ">" in text:
+    if "&" in text or "<" in text or ">" in text or "\r" in text:
         text = _escape(text, _TEXT)
     return f"<C>{text}</C>"
 
@@ -192,9 +192,8 @@ class ResultTable:
     def to_xml(self) -> str:
         """Serialize to the XML wire format used by the HTTP deployment.
 
-        Rendered once per table and kept, like :meth:`byte_size`: the
-        journal append, every snapshot that still holds the entry, a
-        handoff export and an HTTP response all hand out this string.
+        Rendered once per table and kept, like :meth:`byte_size`: every
+        HTTP response carrying the table hands out this string.
         """
         if self._xml is None:
             self._xml = self._render_xml()
@@ -225,8 +224,6 @@ class ResultTable:
             root = ET.fromstring(text)
         except ET.ParseError as exc:
             raise ExecutionError(f"malformed result XML: {exc}") from None
-        from repro.relational.schema import Column
-
         columns = []
         for column_el in root.find("Columns") or []:
             columns.append(
@@ -252,6 +249,36 @@ class ResultTable:
                     values.append(parsers[column.type](cell.text or ""))
             rows.append(values)
         return ResultTable(schema, rows)
+
+    def to_payload(self) -> dict[str, Any]:
+        """The journal's form: typed JSON rows.
+
+        ``{"columns": [[name, type], ...], "rows": [[...], ...]}`` with
+        each cell left a Python value, so ``json`` carries NULL, NaN,
+        the infinities, ``-0.0``, ints of any size and any text exactly.
+        """
+        return {
+            "columns": [
+                [column.name, column.type.value]
+                for column in self.schema.columns
+            ],
+            "rows": [list(row) for row in self._rows],
+        }
+
+    @staticmethod
+    def from_payload(payload: dict[str, Any]) -> "ResultTable":
+        """Rebuild a table from :meth:`to_payload`'s form, each cell
+        coerced by its column type (:class:`SchemaError` on a cell or a
+        row that does not fit)."""
+        schema = Schema(
+            tuple(
+                Column(name, ColumnType(type_name))
+                for name, type_name in payload["columns"]
+            )
+        )
+        return ResultTable(
+            schema, [schema.coerce_row(row) for row in payload["rows"]]
+        )
 
     @staticmethod
     def empty(schema: Schema) -> "ResultTable":

@@ -32,7 +32,12 @@ from repro.cluster import export_records, persisted_records, replay_records
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryStatus
 from repro.faults import CrashPlan, SimulatedCrash
-from repro.persistence import AdmitRecord, CachePersister, region_to_dict
+from repro.persistence import (
+    AdmitRecord,
+    CachePersister,
+    encode_record,
+    region_to_dict,
+)
 from repro.persistence.image import load_image
 from repro.server.origin import OriginServer
 from repro.skydata.generator import SkyCatalogConfig
@@ -305,17 +310,19 @@ def test_foreign_tagged_record_is_the_only_difference(private_origin):
         )
         assert source.cache.exact_match(stray) is None
         source.persistence.journal.append(
-            AdmitRecord(
-                entry_id=10_000,
-                template_id=stray.template_id,
-                params=dict(stray.params),
-                region=region_to_dict(stray.region),
-                signature=stray.signature,
-                truncated=False,
-                result_xml=origin.execute_bound(stray).result.to_xml(),
-                data_version=origin.data_version,
-                ts_ms=source.clock.now_ms,
-                shard="shard-z",
+            encode_record(
+                AdmitRecord(
+                    entry_id=10_000,
+                    template_id=stray.template_id,
+                    params=dict(stray.params),
+                    region=region_to_dict(stray.region),
+                    signature=stray.signature,
+                    truncated=False,
+                    result=origin.execute_bound(stray).result.to_payload(),
+                    data_version=origin.data_version,
+                    ts_ms=source.clock.now_ms,
+                    shard="shard-z",
+                )
             )
         )
         handed = successor(origin, None)

@@ -47,7 +47,10 @@ class PersistenceRig:
             ArrayDescription(), max_bytes=max_bytes, policy=policy
         )
         self.persister.bind(
-            self.cache, self.clock, version_of=lambda: self.data_version
+            self.cache,
+            self.clock,
+            version_of=lambda: self.data_version,
+            admitted_under=lambda: self.data_version,
         )
         self.cache.mutation_log = self.persister
         self.recovery_report = None

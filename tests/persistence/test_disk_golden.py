@@ -3,10 +3,10 @@
 One seeded scenario — radial admits into a budget that forces
 evictions, ``snapshot_every=8`` so several cadence checkpoints fire
 and a journal tail is left over — run with and without a ``shard_id``.
-The SHA-256 digests below were captured at the commit *before* a
-result's XML became something rendered once and without a DOM
-(``e2d0a9e``); a change to how that text is produced must reproduce
-both files byte for byte and restore the same entries from them.
+The SHA-256 digests below were captured when the wire format moved to
+version 2 (a result as typed JSON rows; the snapshot as the kept admit
+frames); a change to how those bytes are produced must reproduce both
+files byte for byte and restore the same entries from them.
 Regenerating a digest is for an intended wire change only.
 """
 
@@ -17,12 +17,12 @@ import pytest
 
 GOLDEN = {
     None: {
-        "journal.bin": "937e0a6fe216949159b4aa6145e53a69e360ab5d108858126eea6b10012bbab4",
-        "snapshot.json": "ef1a39d6ed95fe4e28bdf0b0fccbbc25238e592b129fc4a6a0b9a308a757704f",
+        "journal.bin": "b9ba8f511f06b9246609066981b04951d45b64b36470b545e8a58af9114994b1",
+        "snapshot.bin": "1745331461088cfcbdc54ba2a2899f2d3e76ecd3197f83d19f023b11878a6e88",
     },
     "shard-b": {
-        "journal.bin": "ebf4b7c7edb081f7172e890ce74aa0661b45869b2be79e8109a5a70a9446edf9",
-        "snapshot.json": "ac4dc606b95f6db59a37d68ad97b2ef966a960e17f703959017b91cb6208b967",
+        "journal.bin": "4b6563abcd80725cb967b73c82e425b6fc3f70fa0305d8747c079cd3c2f500c3",
+        "snapshot.bin": "3bccc68dcc764405445479bd4960e17e31682fc72df6d92bea9a2bfa4f716fa9",
     },
 }
 
@@ -44,7 +44,7 @@ def run_scenario(rig, bind_radial):
 def digests(directory):
     return {
         name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
-        for name in ("journal.bin", "snapshot.json")
+        for name in ("journal.bin", "snapshot.bin")
     }
 
 

@@ -25,7 +25,12 @@ def make_shard_rig(directory, origin, shard_id):
     clock = SimulatedClock()
     persister = CachePersister(directory, shard_id=shard_id)
     cache = CacheManager(ArrayDescription())
-    persister.bind(cache, clock, version_of=lambda: origin.data_version)
+    persister.bind(
+        cache,
+        clock,
+        version_of=lambda: origin.data_version,
+        admitted_under=lambda: origin.data_version,
+    )
     cache.mutation_log = persister
     return cache, persister
 

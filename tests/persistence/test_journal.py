@@ -25,7 +25,7 @@ def admit(entry_id=1, pad: str = "") -> AdmitRecord:
         region={"shape": "hypersphere", "center": [0.0, 0.0], "radius": 1.0},
         signature="",
         truncated=False,
-        result_xml=pad,
+        result={"columns": [["s", "str"]], "rows": [[pad]]},
         data_version=1,
         ts_ms=0.0,
     )
@@ -34,13 +34,15 @@ def admit(entry_id=1, pad: str = "") -> AdmitRecord:
 def sized_admit(entry_id: int, frame_size: int) -> AdmitRecord:
     """An admit record whose encoded frame is exactly ``frame_size``.
 
-    Padding goes through ``result_xml`` with JSON-neutral characters,
-    so every padding character is exactly one payload byte.
+    Padding goes through a string cell of ``result`` with JSON-neutral
+    characters, so every padding character is exactly one payload byte.
     """
     base = admit(entry_id)
     shortfall = frame_size - len(encode_record(base))
     assert shortfall >= 0, "frame_size smaller than the minimal record"
-    record = dataclasses.replace(base, result_xml="x" * shortfall)
+    record = dataclasses.replace(
+        base, result={"columns": [["s", "str"]], "rows": [["x" * shortfall]]}
+    )
     assert len(encode_record(record)) == frame_size
     return record
 
@@ -61,7 +63,7 @@ class TestEmptyJournals:
 
     def test_reset_truncates(self, tmp_path):
         journal = Journal(tmp_path / "journal.bin")
-        journal.append(admit(1))
+        journal.append(encode_record(admit(1)))
         assert journal.size_bytes > 0
         journal.reset()
         assert journal.size_bytes == 0
@@ -79,7 +81,7 @@ class TestAppendAndRead:
             admit(2),
         ]
         for record in records:
-            journal.append(record)
+            journal.append(encode_record(record))
         result = journal.read()
         assert result.records == records
         assert result.clean
@@ -87,8 +89,8 @@ class TestAppendAndRead:
 
     def test_append_returns_frame_size(self, tmp_path):
         journal = Journal(tmp_path / "journal.bin")
-        record = admit(1)
-        assert journal.append(record) == len(encode_record(record))
+        frame = encode_record(admit(1))
+        assert journal.append(frame) == len(frame)
 
 
 class TestBufferBoundaries:
@@ -98,8 +100,8 @@ class TestBufferBoundaries:
         journal = Journal(tmp_path / "journal.bin")
         first = sized_admit(1, READ_BUFFER_SIZE)
         second = admit(2)
-        journal.append(first)
-        journal.append(second)
+        journal.append(encode_record(first))
+        journal.append(encode_record(second))
         result = journal.read()
         assert result.records == [first, second]
         assert result.clean
@@ -110,8 +112,8 @@ class TestBufferBoundaries:
         journal = Journal(tmp_path / "journal.bin")
         first = sized_admit(1, READ_BUFFER_SIZE - HEADER_SIZE // 2)
         second = admit(2)
-        journal.append(first)
-        journal.append(second)
+        journal.append(encode_record(first))
+        journal.append(encode_record(second))
         result = journal.read()
         assert result.records == [first, second]
         assert result.clean
@@ -120,7 +122,7 @@ class TestBufferBoundaries:
         journal = Journal(tmp_path / "journal.bin")
         records = [sized_admit(i, 900) for i in range(1, 21)]
         for record in records:
-            journal.append(record)
+            journal.append(encode_record(record))
         assert journal.size_bytes > READ_BUFFER_SIZE * 4
         result = journal.read()
         assert result.records == records
@@ -129,8 +131,8 @@ class TestBufferBoundaries:
 class TestDamagedTails:
     def test_torn_final_record(self, tmp_path):
         journal = Journal(tmp_path / "journal.bin")
-        journal.append(admit(1))
-        journal.append(admit(2))
+        journal.append(encode_record(admit(1)))
+        journal.append(encode_record(admit(2)))
         data = journal.path.read_bytes()
         journal.path.write_bytes(data[:-7])
         result = journal.read()
@@ -140,7 +142,7 @@ class TestDamagedTails:
 
     def test_trailing_garbage_shorter_than_a_header(self, tmp_path):
         journal = Journal(tmp_path / "journal.bin")
-        journal.append(admit(1))
+        journal.append(encode_record(admit(1)))
         with open(journal.path, "ab") as handle:
             handle.write(b"\x01\x02\x03")
         result = journal.read()
@@ -152,10 +154,10 @@ class TestDamagedTails:
         replay must never resynchronize past damage."""
         journal = Journal(tmp_path / "journal.bin")
         first, second, third = admit(1), admit(2), admit(3)
-        journal.append(first)
+        journal.append(encode_record(first))
         offset_second = journal.size_bytes
-        journal.append(second)
-        journal.append(third)
+        journal.append(encode_record(second))
+        journal.append(encode_record(third))
         data = bytearray(journal.path.read_bytes())
         data[offset_second + HEADER_SIZE + 2] ^= 0x40  # payload byte
         journal.path.write_bytes(bytes(data))

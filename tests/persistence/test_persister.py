@@ -109,8 +109,7 @@ class TestSnapshotCadence:
         # Cadence hit: snapshot written, journal truncated.
         assert rig.persister.snapshot_path.exists()
         assert rig.persister.journal.size_bytes == 0
-        snapshot = rig.persister.load_snapshot()
-        assert len(snapshot.entries) == 2
+        assert len(rig.persister.load_snapshot()) == 2
         assert rig.persister.total_records == 2  # lifetime, not reset
 
     def test_manual_checkpoint_captures_live_entries(
@@ -119,27 +118,32 @@ class TestSnapshotCadence:
         rig = make_rig()
         entry, _ = rig.admit(bind_radial())
         rig.admit(bind_radial(ra=166.0))
-        snapshot = rig.persister.checkpoint()
-        assert [e.entry_id for e in snapshot.entries] == sorted(
+        assert rig.persister.checkpoint() == 2
+        snapshot = rig.persister.load_snapshot()
+        assert [e.entry_id for e in snapshot] == sorted(
             e.entry_id for e in rig.cache.entries()
         )
-        assert snapshot.data_version == 1
+        assert {e.data_version for e in snapshot} == {1}
         assert rig.persister.journal.read().records == []
-        assert entry.entry_id in {e.entry_id for e in snapshot.entries}
+        assert entry.entry_id in {e.entry_id for e in snapshot}
 
-    def test_checkpoint_header_and_entries_agree_on_the_version(
+    def test_every_snapshot_frame_carries_its_entrys_admission_version(
         self, make_rig, bind_radial
     ):
         rig = make_rig()
-        rig.admit(bind_radial())
-        versions = iter(range(10, 100))
-        rig.persister.bind(
-            rig.cache, rig.clock, version_of=lambda: next(versions)
-        )
-        snapshot = rig.persister.checkpoint()
-        assert {e.data_version for e in snapshot.entries} == {
-            snapshot.data_version
-        }
+        first, _ = rig.admit(bind_radial())
+        rig.data_version = 2
+        second, _ = rig.admit(bind_radial(ra=166.0))
+        appended = rig.persister.journal.path.read_bytes()
+        rig.data_version = 3  # a checkpoint stamps no version of its own
+        rig.persister.checkpoint()
+        snapshot = rig.persister.load_snapshot()
+        assert [(e.entry_id, e.data_version) for e in snapshot] == [
+            (first.entry_id, 1),
+            (second.entry_id, 2),
+        ]
+        # The snapshot is the admit frames the journal appends wrote.
+        assert rig.persister.snapshot_path.read_bytes() == appended
 
     def test_checkpoint_requires_bind(self, tmp_path):
         persister = CachePersister(tmp_path)

@@ -1,14 +1,19 @@
 """Persistence wired through the full proxy: warm restarts, crashes,
 version fencing against a live origin, and the observability surface."""
 
+import json
+import struct
+import zlib
+
 import pytest
 
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryStatus
 from repro.faults.crash import CrashPlan
 from repro.faults.errors import SimulatedCrash
+from repro.faults.plan import FaultPlan
 from repro.obs import ProxyInstrumentation
-from repro.persistence import CachePersister
+from repro.persistence import CachePersister, region_to_dict
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 
 
@@ -72,6 +77,105 @@ class TestProxyWarmRestart:
         finally:
             # The origin fixture is session-scoped; put its version back.
             origin.data_version -= 1
+
+
+class TestAdmissionVersion:
+    """Every record carries the version its entry was admitted under,
+    never one the origin moved to while nobody was looking."""
+
+    def test_a_bump_due_mid_query_leaves_the_entry_stale(
+        self, origin, tmp_path, bind
+    ):
+        version = origin.data_version
+        proxy = build_proxy(origin, tmp_path)
+        proxy.install_fault_plan(
+            FaultPlan(version_bumps=(proxy.clock.now_ms + 0.001,))
+        )
+        try:
+            proxy.serve(bind())
+            (record,) = proxy.persistence.journal.read().records
+            assert record.data_version == proxy.seen_data_version == version
+            # The bump came due while the query ran.
+            assert proxy.origin_data_version() == version + 1
+            report = build_proxy(origin, tmp_path).recovery_report
+            assert report.entries_stale == 1
+            assert report.entries_restored == 0
+        finally:
+            # The origin fixture is session-scoped; put its version back.
+            origin.data_version = version
+
+    def test_a_checkpoint_after_an_unnoticed_bump_keeps_the_version(
+        self, origin, tmp_path, bind
+    ):
+        version = origin.data_version
+        proxy = build_proxy(origin, tmp_path)
+        proxy.serve(bind())
+        origin.bump_data_version()
+        try:
+            proxy.persistence.checkpoint()
+            (record,) = proxy.persistence.load_snapshot()
+            assert record.data_version == version
+            report = build_proxy(origin, tmp_path).recovery_report
+            assert report.entries_stale == 1
+            assert report.entries_restored == 0
+        finally:
+            origin.data_version = version
+
+
+class TestRestarts:
+    def test_two_restarts_without_traffic_restore_the_same_entries(
+        self, origin, tmp_path, bind
+    ):
+        first = build_proxy(origin, tmp_path)
+        for ra in (162.0, 164.0, 166.0):
+            first.serve(bind(ra=ra))
+        keys = {entry.cache_key for entry in first.cache.entries()}
+        for _ in range(2):
+            restarted = build_proxy(origin, tmp_path)
+            assert restarted.recovery_report.entries_restored == 3
+            assert {e.cache_key for e in restarted.cache.entries()} == keys
+
+    def test_a_version_1_directory_restarts_cold_and_is_rewritten(
+        self, origin, tmp_path, bind
+    ):
+        # A directory as the version-1 persister left it: a JSON
+        # snapshot document beside a journal of version-1 frames, whose
+        # admits carried their result as XML.
+        result = origin.execute_bound(bind()).result
+        payload = json.dumps(
+            {
+                "type": "admit", "v": 1, "entry_id": 1,
+                "template_id": RADIAL_TEMPLATE_ID,
+                "params": dict(bind().params),
+                "region": region_to_dict(bind().region),
+                "signature": bind().signature, "truncated": False,
+                "result_xml": result.to_xml(),
+                "data_version": origin.data_version, "ts_ms": 0.0,
+            },
+            sort_keys=True,
+        ).encode()
+        (tmp_path / "journal.bin").write_bytes(
+            struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        )
+        (tmp_path / "snapshot.json").write_text(
+            json.dumps({"format": 1, "entries": []})
+        )
+
+        proxy = build_proxy(origin, tmp_path)
+        report = proxy.recovery_report
+        assert report.stop_reason == "corrupt"
+        assert "unsupported wire format version 1" in report.stop_detail
+        assert report.entries_restored == 0
+        assert len(proxy.cache) == 0
+        # The repair checkpoint left a version-2 directory behind.
+        assert proxy.persistence.journal.size_bytes == 0
+        assert proxy.persistence.load_snapshot() == ()
+        proxy.serve(bind())
+        (admit,) = proxy.persistence.journal.read().records
+        assert admit.result == result.to_payload()
+        restarted = build_proxy(origin, tmp_path)
+        assert restarted.recovery_report.clean
+        assert restarted.recovery_report.entries_restored == 1
 
 
 class TestProxyCrash:

@@ -36,7 +36,7 @@ def admit(entry_id=1, **overrides):
         region=region_to_dict(HyperSphere((164.0, 8.0), 2.0)),
         signature="r >= -9999",
         truncated=False,
-        result_xml="<result/>",
+        result={"columns": [["objID", "int"]], "rows": [[1]]},
         data_version=1,
         ts_ms=12.5,
     )

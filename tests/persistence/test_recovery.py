@@ -5,11 +5,13 @@ the first rig is the process that journaled, each later rig is a
 restart recovering from the first one's files.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.replacement import ALL_POLICIES
-from repro.persistence import recover_cache
-from repro.persistence.records import AdmitRecord
+from repro.persistence import encode_record, recover_cache
+from repro.persistence.records import AdmitRecord, EvictRecord
 
 
 def cache_keys(cache):
@@ -61,7 +63,7 @@ class TestWarmRestart:
         # The restore became the new snapshot; the journal is empty.
         assert restarted.persister.journal.size_bytes == 0
         snapshot = restarted.persister.load_snapshot()
-        assert len(snapshot.entries) == 1
+        assert len(snapshot) == 1
 
     def test_empty_state_recovers_to_empty_cache(self, make_rig):
         restarted = make_rig(recovered=True)
@@ -207,6 +209,37 @@ class TestDamagedState:
         assert report.entries_restored == 1
 
 
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda data: data[:-5], "torn"),
+            (lambda data: data[:-1] + bytes([data[-1] ^ 0x01]), "corrupt"),
+            (
+                lambda data: data + encode_record(
+                    EvictRecord(1, "evict", 1, 0.0)
+                ),
+                "'evict' record",
+            ),
+        ],
+        ids=["torn", "bitflip", "not-an-admit"],
+    )
+    def test_damaged_snapshot_is_diagnosed_and_treated_as_absent(
+        self, make_rig, bind_radial, damage, reason
+    ):
+        rig = make_rig()
+        rig.admit(bind_radial())
+        rig.admit(bind_radial(ra=166.0))
+        rig.persister.checkpoint()
+        path = rig.persister.snapshot_path
+        path.write_bytes(damage(path.read_bytes()))
+        rig.admit(bind_radial(ra=162.0))  # the journal tail still counts
+        restarted = make_rig(recovered=True)
+        report = restarted.recovery_report
+        assert not report.snapshot_loaded
+        assert reason in report.snapshot_error
+        assert report.entries_restored == 1
+
+
 class TestMaterializeFailures:
     def test_oversized_entry_is_rejected(self, make_rig, bind_radial):
         rig = make_rig()
@@ -225,16 +258,10 @@ class TestMaterializeFailures:
         record = rig.persister.journal.read().records[0]
         assert isinstance(record, AdmitRecord)
         rig.persister.journal.append(
-            AdmitRecord(
-                entry_id=999,
-                template_id="retired_template",
-                params=record.params,
-                region=record.region,
-                signature=record.signature,
-                truncated=False,
-                result_xml=record.result_xml,
-                data_version=1,
-                ts_ms=0.0,
+            encode_record(
+                dataclasses.replace(
+                    record, entry_id=999, template_id="retired_template"
+                )
             )
         )
         restarted = make_rig(recovered=True)
@@ -242,6 +269,38 @@ class TestMaterializeFailures:
         assert report.entries_error == 1
         assert report.entries_restored == 1
         assert any("retired_template" in e for e in report.errors)
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            {"columns": [["objID", "int"]], "rows": [["7"]]},
+            {"columns": [["objID", "int"]], "rows": [[1, 2]]},
+            {"columns": [["objID", "decimal"]], "rows": []},
+            {"rows": []},
+            "<ResultTable />",
+        ],
+        ids=["cell-type", "row-arity", "column-type", "no-columns", "xml"],
+    )
+    def test_malformed_result_is_an_error_not_a_crash(
+        self, make_rig, bind_radial, result
+    ):
+        rig = make_rig()
+        rig.admit(bind_radial())
+        record = rig.persister.journal.read().records[0]
+        rig.persister.journal.append(
+            encode_record(
+                dataclasses.replace(
+                    record, entry_id=999, params=dict(record.params, ra=166.0),
+                    result=result,
+                )
+            )
+        )
+        restarted = make_rig(recovered=True)
+        report = restarted.recovery_report
+        assert report.clean
+        assert report.entries_error == 1
+        assert report.entries_restored == 1
+        assert report.errors[0].startswith("entry 999 ")
 
     @pytest.mark.parametrize(
         "policy_cls", ALL_POLICIES, ids=lambda c: c.name

@@ -1,39 +1,63 @@
-"""A cached result's XML is rendered once, however often it is written.
+"""A cached result is encoded once, however often it is written.
 
-The journal append renders it; every later checkpoint that still holds
-the entry, an explicit checkpoint and a handoff export must reuse that
-string.  Renders are counted through a wrapper on the renderer — never
-timed.
+The admit hook encodes it — as typed JSON rows, never as XML — and
+keeps the frame; every later checkpoint, cadence or explicit, writes
+the kept frames and encodes nothing.  Encodings are counted through
+wrappers on the encoders — never timed.
 """
+
+import collections
+import json
 
 import pytest
 
 from repro.cluster.handoff import export_records
 from repro.core.proxy import FunctionProxy
 from repro.persistence import CachePersister
+from repro.persistence import persister as persister_module
 from repro.relational.result import ResultTable
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 
 
 @pytest.fixture()
-def rendered(monkeypatch):
-    """Every table the renderer ran for, in order (held, so a recycled
-    ``id`` cannot hide a second render)."""
-    tables = []
-    render = ResultTable._render_xml
+def calls(monkeypatch):
+    """How often each encoder ran."""
+    counts = collections.Counter()
 
-    def counting(table):
-        tables.append(table)
-        return render(table)
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(ResultTable, "_render_xml", counting)
-    return tables
+        return wrapper
+
+    for owner, name in (
+        (ResultTable, "to_payload"),
+        (ResultTable, "_render_xml"),
+        (persister_module, "encode_record"),
+        (json, "dumps"),
+    ):
+        monkeypatch.setattr(
+            owner, name, counting(name, getattr(owner, name))
+        )
+    return counts
 
 
-def test_admits_checkpoints_and_export_render_each_result_once(
-    origin, radial_params, tmp_path, rendered
+def test_admits_encode_each_result_once_and_checkpoints_encode_nothing(
+    origin, radial_params, tmp_path, calls, monkeypatch
 ):
     persister = CachePersister(tmp_path, snapshot_every=4)
+    in_checkpoints = collections.Counter()
+    checkpoint = CachePersister.checkpoint
+
+    def counted_checkpoint(self):
+        before = collections.Counter(calls)
+        written = checkpoint(self)
+        in_checkpoints.update(calls - before)
+        in_checkpoints["checkpoints"] += 1
+        return written
+
+    monkeypatch.setattr(CachePersister, "checkpoint", counted_checkpoint)
     proxy = FunctionProxy(
         origin, origin.templates, cache_bytes=12_000, persistence=persister
     )
@@ -46,21 +70,21 @@ def test_admits_checkpoints_and_export_render_each_result_once(
         assert proxy.serve(bound).record.contacted_origin
 
     assert proxy.cache.evictions > 0
+    assert calls["to_payload"] == admits
+    assert calls["_render_xml"] == 0
     # Admits plus evictions crossed the cadence several times, and
     # every one of those checkpoints held entries admitted before it.
     assert persister.total_records // persister.snapshot_every >= 4
-    snapshot = persister.checkpoint()
-    exported = export_records(proxy, "shard-a", proxy.clock.now_ms)
-    live = sorted(proxy.cache.entries(), key=lambda e: e.entry_id)
-    assert len(live) > 1
+    assert persister.checkpoint() == len(proxy.cache) > 1
+    # Recovery's repair checkpoint, the cadence ones and the explicit
+    # one above: none encoded anything.
+    assert in_checkpoints["checkpoints"] >= 5
+    assert in_checkpoints == {"checkpoints": in_checkpoints["checkpoints"]}
 
-    assert len(rendered) == admits
-    assert len({id(table) for table in rendered}) == admits
-    # The snapshot and the export hand out the very string admit made.
-    for entry, in_snapshot, in_export in zip(live, snapshot.entries, exported):
-        assert in_snapshot.result_xml is entry.result.to_xml()
-        assert in_export.result_xml is entry.result.to_xml()
-    assert len(rendered) == admits
+    # A drain export encodes from the live cache, once per entry.
+    exported = export_records(proxy, "shard-a", proxy.clock.now_ms)
+    assert calls["to_payload"] == admits + len(exported)
+    assert calls["_render_xml"] == 0
 
 
 def test_second_to_xml_returns_the_identical_object(origin, radial_params):

@@ -72,6 +72,16 @@ class TestOriginApp:
         result = ResultTable.from_xml(response.get_data(as_text=True))
         assert len(result) == 3
 
+    def test_a_carriage_return_in_a_cell_survives_the_xml_wire(
+        self, origin, origin_client
+    ):
+        sql = "SELECT TOP 1 'a\rb' AS s, p.objID FROM PhotoPrimary p"
+        assert origin.execute_sql(sql).result.rows[0][0] == "a\rb"
+        response = origin_client.post("/sql", data=sql)
+        assert response.status_code == 200
+        result = ResultTable.from_xml(response.get_data(as_text=True))
+        assert result.rows[0][0] == "a\rb"
+
     def test_bad_sql_is_400(self, origin_client):
         response = origin_client.post("/sql", data="DROP TABLE x")
         assert response.status_code == 400
