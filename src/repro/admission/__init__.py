@@ -2,18 +2,21 @@
 
 The paper's proxy serves one query at a time; under the ROADMAP's
 heavy-traffic north star the serve path must instead decide, per
-arriving query, whether to run it now, queue it, degrade it, or turn
-it away — and do so without ever breaking ``serve()``'s never-raises
-contract.  This package owns that decision:
+arriving query, whether to run it now, queue it, or turn it away — and
+do so without ever breaking ``serve()``'s never-raises contract.  This
+package owns that decision:
 
 * :class:`~repro.admission.config.AdmissionConfig` — the knobs: queue
-  bound and discipline (FIFO/LIFO + deadline drop), inflight slots,
-  per-tenant token-bucket quotas, and the shed policy (``reject-new``,
-  ``shed-cheapest``, ``degrade-to-tunnel``);
+  bound, inflight slots, per-tenant token-bucket quotas, and the
+  overload threshold.  The queue is first in, first out; a full queue
+  sheds the arrival; queued work past
+  :data:`~repro.admission.config.QUEUE_DEADLINE_MS` is dropped at
+  dispatch;
 * :class:`~repro.admission.controller.AdmissionController` — the
   runtime gate: a bounded accept queue, token buckets, and an overload
   :class:`~repro.faults.resilience.CircuitBreaker` fed by queue-full
-  sheds so sustained overflow fast-fails new arrivals for a cooldown.
+  sheds so sustained overflow fast-fails new arrivals for
+  :data:`~repro.admission.config.OVERLOAD_COOLDOWN_MS`.
 
 Turned-away queries surface as structured ``shed`` /
 ``queued-timeout`` outcomes (HTTP 429/503) with full query records and
@@ -21,20 +24,15 @@ decision traces — but no cache, origin, or journal activity.
 """
 
 from repro.admission.config import (
-    DISCIPLINE_FIFO,
-    DISCIPLINE_LIFO,
-    DISCIPLINES,
+    OVERLOAD_COOLDOWN_MS,
+    QUEUE_DEADLINE_MS,
     REASON_ADMISSION_OPEN,
     REASON_DEADLINE,
     REASON_QUEUE_FULL,
     REASON_QUOTA,
-    SHED_DEGRADE_TO_TUNNEL,
-    SHED_POLICIES,
-    SHED_REJECT_NEW,
-    SHED_SHED_CHEAPEST,
+    RETRY_AFTER_SECONDS,
     AdmissionConfig,
     TenantQuota,
-    retry_after_seconds,
 )
 from repro.admission.controller import (
     AdmissionController,
@@ -47,19 +45,14 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionVerdict",
-    "DISCIPLINES",
-    "DISCIPLINE_FIFO",
-    "DISCIPLINE_LIFO",
+    "OVERLOAD_COOLDOWN_MS",
+    "QUEUE_DEADLINE_MS",
     "QueuedRequest",
     "REASON_ADMISSION_OPEN",
     "REASON_DEADLINE",
     "REASON_QUEUE_FULL",
     "REASON_QUOTA",
-    "SHED_DEGRADE_TO_TUNNEL",
-    "SHED_POLICIES",
-    "SHED_REJECT_NEW",
-    "SHED_SHED_CHEAPEST",
+    "RETRY_AFTER_SECONDS",
     "TenantQuota",
     "TokenBucket",
-    "retry_after_seconds",
 ]

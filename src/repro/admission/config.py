@@ -1,4 +1,4 @@
-"""Admission-control configuration: queue, quotas, shed policy."""
+"""Admission-control configuration: queue bound, slots, quotas."""
 
 from __future__ import annotations
 
@@ -6,20 +6,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-#: Queue disciplines: who is dispatched first when a slot frees.
-DISCIPLINE_FIFO = "fifo"
-DISCIPLINE_LIFO = "lifo"
-DISCIPLINES = (DISCIPLINE_FIFO, DISCIPLINE_LIFO)
+#: Queued work older than this at dispatch time is dropped with a
+#: ``queued-timeout`` outcome.
+QUEUE_DEADLINE_MS = 15_000.0
 
-#: What happens to new arrivals once the accept queue is full.
-SHED_REJECT_NEW = "reject-new"
-SHED_SHED_CHEAPEST = "shed-cheapest"
-SHED_DEGRADE_TO_TUNNEL = "degrade-to-tunnel"
-SHED_POLICIES = (
-    SHED_REJECT_NEW,
-    SHED_SHED_CHEAPEST,
-    SHED_DEGRADE_TO_TUNNEL,
-)
+#: How long the open overload breaker fast-fails new arrivals
+#: (``admission-open``) before a half-open probe re-tests capacity.
+OVERLOAD_COOLDOWN_MS = 2_000.0
+
+#: The ``Retry-After`` value for a turned-away query, in seconds: the
+#: overload cooldown — the soonest the proxy could plausibly take new
+#: work after fast-failing — rounded up to the whole seconds HTTP
+#: requires.
+RETRY_AFTER_SECONDS = math.ceil(OVERLOAD_COOLDOWN_MS / 1000.0)
 
 #: Stable shed reasons (the ``failure_reason`` on rejected records and
 #: the ``reason`` label on the shed metric).
@@ -52,32 +51,21 @@ class AdmissionConfig:
     * ``max_inflight`` — serve slots; queries beyond it wait in the
       accept queue (event-driven mode) or count as backlog
       (direct-threaded mode);
-    * ``max_queue_depth`` — the accept-queue bound; arrivals beyond it
-      hit the shed policy;
-    * ``discipline`` — dispatch order for queued work;
-    * ``queue_deadline_ms`` — queued work older than this at dispatch
-      time is dropped with a ``queued-timeout`` outcome;
-    * ``shed_policy`` — what a full queue does to a new arrival;
-    * ``degrade_watermark`` — fraction of the queue bound beyond which
-      ``degrade-to-tunnel`` admits queries in tunnel mode (no cache
-      work) instead of full semantic serving;
+    * ``max_queue_depth`` — the accept-queue bound; an arrival beyond
+      it is shed (``queue-full``), and queued work dispatches first in,
+      first out;
     * ``quotas`` — per-tenant token buckets; tenants without an entry
       are unmetered;
-    * ``overload_threshold`` / ``overload_cooldown_ms`` — the overload
-      circuit breaker: this many consecutive queue-full sheds open it,
-      after which new arrivals fast-fail (``admission-open``) for the
-      cooldown before a half-open probe re-tests capacity.
+    * ``overload_threshold`` — the overload circuit breaker: this many
+      consecutive queue-full sheds open it, after which new arrivals
+      fast-fail (``admission-open``) for :data:`OVERLOAD_COOLDOWN_MS`
+      before a half-open probe re-tests capacity.
     """
 
     max_inflight: int = 8
     max_queue_depth: int = 64
-    discipline: str = DISCIPLINE_FIFO
-    queue_deadline_ms: float = 15_000.0
-    shed_policy: str = SHED_REJECT_NEW
-    degrade_watermark: float = 0.75
     quotas: Mapping[str, TenantQuota] = field(default_factory=dict)
     overload_threshold: int = 64
-    overload_cooldown_ms: float = 2_000.0
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -88,53 +76,13 @@ class AdmissionConfig:
             raise ValueError(
                 f"max_queue_depth must be >= 1: {self.max_queue_depth}"
             )
-        if self.discipline not in DISCIPLINES:
-            raise ValueError(
-                f"unknown queue discipline {self.discipline!r}; "
-                f"expected one of {DISCIPLINES}"
-            )
-        if self.queue_deadline_ms <= 0:
-            raise ValueError(
-                "queue deadline must be positive: "
-                f"{self.queue_deadline_ms}"
-            )
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"unknown shed policy {self.shed_policy!r}; "
-                f"expected one of {SHED_POLICIES}"
-            )
-        if not 0.0 <= self.degrade_watermark <= 1.0:
-            raise ValueError(
-                "degrade watermark must be in [0, 1]: "
-                f"{self.degrade_watermark}"
-            )
         if self.overload_threshold < 1:
             raise ValueError(
                 "overload threshold must be >= 1: "
                 f"{self.overload_threshold}"
-            )
-        if self.overload_cooldown_ms <= 0:
-            raise ValueError(
-                "overload cooldown must be positive: "
-                f"{self.overload_cooldown_ms}"
             )
 
     @property
     def capacity(self) -> int:
         """Slots plus queue: the most work the proxy ever holds."""
         return self.max_inflight + self.max_queue_depth
-
-    @property
-    def watermark_depth(self) -> int:
-        """Queue depth at which ``degrade-to-tunnel`` kicks in."""
-        return int(self.degrade_watermark * self.max_queue_depth)
-
-
-def retry_after_seconds(config: AdmissionConfig) -> int:
-    """The ``Retry-After`` value for a turned-away query, in seconds.
-
-    Derived from the overload breaker's cooldown — the soonest the
-    proxy could plausibly take new work after fast-failing — rounded
-    up to the whole seconds HTTP requires, never below one.
-    """
-    return max(1, math.ceil(config.overload_cooldown_ms / 1000.0))

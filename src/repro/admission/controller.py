@@ -10,8 +10,8 @@ One :class:`AdmissionController` sits in front of
   breaker;
 * **event-driven** — the :mod:`repro.sched` frontend parks arrivals in
   the bounded accept queue (:meth:`AdmissionController.enqueue`) and
-  dispatches them as slots free (:meth:`AdmissionController.dequeue`),
-  applying the configured discipline and dropping queued work whose
+  dispatches them first in, first out as slots free
+  (:meth:`AdmissionController.dequeue`), dropping queued work whose
   deadline passed (``queued-timeout``).
 
 Backpressure: every queue-full shed records a failure on an internal
@@ -30,15 +30,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 from repro.admission.config import (
-    DISCIPLINE_FIFO,
+    OVERLOAD_COOLDOWN_MS,
+    QUEUE_DEADLINE_MS,
     REASON_ADMISSION_OPEN,
     REASON_QUEUE_FULL,
     REASON_QUOTA,
-    SHED_DEGRADE_TO_TUNNEL,
-    SHED_SHED_CHEAPEST,
     AdmissionConfig,
     TenantQuota,
 )
@@ -80,19 +79,14 @@ class AdmissionVerdict:
 
     admitted: bool
     reason: str = ""  # one of the REASON_* constants when not admitted
-    degrade: bool = False  # admitted, but in tunnel mode (overload)
 
 
 @dataclass(frozen=True)
 class QueuedRequest:
     """One arrival parked in the accept queue."""
 
-    seq: int
-    tenant: str
     item: Any
-    cost_hint: float
     enqueued_at_ms: float
-    degrade: bool = False
 
 
 @guarded_by("proxy.admission", "_tokens", "_stamp_ms")
@@ -129,10 +123,8 @@ class TokenBucket:
     "_queue",
     "_now_ms",
     "_inflight",
-    "_seq",
     "_overload",
     "_obs",
-    "_allow_degrade",
     "submitted",
     "admitted",
     "shed",
@@ -154,7 +146,6 @@ class AdmissionController:
             for tenant, quota in self.config.quotas.items()
         }
         self._inflight = 0
-        self._seq = 0
         #: Event time, fast-forwarded to each caller-passed ``now_ms``:
         #: the overload breaker reads it as its clock, so breaker
         #: cooldowns run on the load timeline.
@@ -162,10 +153,9 @@ class AdmissionController:
         self._overload: CircuitBreaker = CircuitBreaker(
             self,
             failure_threshold=self.config.overload_threshold,
-            cooldown_ms=self.config.overload_cooldown_ms,
+            cooldown_ms=OVERLOAD_COOLDOWN_MS,
         )
         self._obs: AdmissionListener | None = None
-        self._allow_degrade = True
         self.submitted = 0
         self.admitted = 0
         self.shed = 0
@@ -174,12 +164,8 @@ class AdmissionController:
         self._quota_denials: dict[str, int] = {}
 
     # ---------------------------------------------------------- binding
-    def bind(
-        self,
-        instrumentation: AdmissionListener | None = None,
-        allow_degrade: bool = True,
-    ) -> None:
-        """Attach the proxy's instrumentation and degradation policy.
+    def bind(self, instrumentation: AdmissionListener | None = None) -> None:
+        """Attach the proxy's instrumentation.
 
         Rebuilds the overload breaker so its state transitions reach
         the metrics gauge; called once by the proxy's constructor.
@@ -191,11 +177,10 @@ class AdmissionController:
         )
         with self._lock:
             self._obs = instrumentation
-            self._allow_degrade = bool(allow_degrade)
             self._overload = CircuitBreaker(
                 self,
                 failure_threshold=self.config.overload_threshold,
-                cooldown_ms=self.config.overload_cooldown_ms,
+                cooldown_ms=OVERLOAD_COOLDOWN_MS,
                 on_state_change=callback,
             )
         if instrumentation is not None:
@@ -237,41 +222,9 @@ class AdmissionController:
 
         Capacity is slots plus backlog: callers beyond ``max_inflight``
         count as queued backlog even though their threads run
-        immediately (the simulated clock carries the waiting).  Order
-        of checks: quota (per-tenant, independent of load), then the
-        overload breaker, then capacity — so a breaker probe always
-        resolves against a real capacity test.
+        immediately (the simulated clock carries the waiting).
         """
-        shed_reason = ""
-        degrade = False
-        with self._lock:
-            self.submitted += 1
-            self._advance_event_time(now_ms)
-            if not self._take_token(tenant, now_ms):
-                shed_reason = REASON_QUOTA
-            elif not self._overload.allow():
-                shed_reason = REASON_ADMISSION_OPEN
-            elif self._inflight >= self.config.capacity:
-                shed_reason = REASON_QUEUE_FULL
-                self._overload.record_failure()
-            else:
-                backlog = self._inflight - self.config.max_inflight
-                degrade = (
-                    self.config.shed_policy == SHED_DEGRADE_TO_TUNNEL
-                    and self._allow_degrade
-                    and backlog >= self.config.watermark_depth
-                )
-                self._inflight += 1
-                self.admitted += 1
-                self._overload.record_success()
-            if shed_reason:
-                self._count_shed(shed_reason, tenant)
-        self._notify_shed(shed_reason, tenant)
-        self._notify_depth()
-        self._notify_quota(tenant)
-        return AdmissionVerdict(
-            admitted=not shed_reason, reason=shed_reason, degrade=degrade
-        )
+        return self._gate(tenant, now_ms, self._take_slot)
 
     def release(self) -> None:
         """An admitted query finished (however it ended)."""
@@ -282,21 +235,20 @@ class AdmissionController:
 
     # ------------------------------------------------------ queued gate
     def enqueue(
-        self,
-        item: Any,
-        tenant: str,
-        now_ms: float,
-        cost_hint: float = 1.0,
-    ) -> tuple[AdmissionVerdict, QueuedRequest | None]:
-        """Park one arrival in the accept queue.
+        self, item: Any, tenant: str, now_ms: float
+    ) -> AdmissionVerdict:
+        """Park one arrival in the accept queue; a full queue sheds it."""
+        return self._gate(tenant, now_ms, lambda: self._park(item, now_ms))
 
-        Returns ``(verdict, evicted)``; ``evicted`` is the queued
-        request the ``shed-cheapest`` policy displaced to make room
-        (the caller owes it a shed record).
-        """
+    def _gate(
+        self, tenant: str, now_ms: float, take: Callable[[], bool]
+    ) -> AdmissionVerdict:
+        """Both gates' checks, in order: quota (per-tenant, independent
+        of load), then the overload breaker, then ``take`` — which
+        claims room (a slot or a queue place) and says whether there
+        was any — so a breaker probe always resolves against a real
+        capacity test."""
         shed_reason = ""
-        degrade = False
-        evicted: QueuedRequest | None = None
         with self._lock:
             self.submitted += 1
             self._advance_event_time(now_ms)
@@ -304,40 +256,17 @@ class AdmissionController:
                 shed_reason = REASON_QUOTA
             elif not self._overload.allow():
                 shed_reason = REASON_ADMISSION_OPEN
-            elif len(self._queue) < self.config.max_queue_depth:
-                degrade = (
-                    self.config.shed_policy == SHED_DEGRADE_TO_TUNNEL
-                    and self._allow_degrade
-                    and len(self._queue) >= self.config.watermark_depth
-                )
-                self._park(item, tenant, cost_hint, now_ms, degrade)
+            elif take():
                 self._overload.record_success()
             else:
-                # Queue full: the shed policy decides who pays.
+                shed_reason = REASON_QUEUE_FULL
                 self._overload.record_failure()
-                if self.config.shed_policy == SHED_SHED_CHEAPEST:
-                    evicted = self._evict_cheapest(cost_hint)
-                if evicted is not None:
-                    self._park(item, tenant, cost_hint, now_ms, False)
-                    self._count_shed(REASON_QUEUE_FULL, evicted.tenant)
-                else:
-                    shed_reason = REASON_QUEUE_FULL
             if shed_reason:
-                self._count_shed(shed_reason, tenant)
-        self._notify_shed(
-            shed_reason or (REASON_QUEUE_FULL if evicted else ""),
-            tenant,
-        )
+                self._count_shed(shed_reason)
+        self._notify_shed(shed_reason, tenant)
         self._notify_depth()
         self._notify_quota(tenant)
-        return (
-            AdmissionVerdict(
-                admitted=not shed_reason,
-                reason=shed_reason,
-                degrade=degrade,
-            ),
-            evicted,
-        )
+        return AdmissionVerdict(admitted=not shed_reason, reason=shed_reason)
 
     def dequeue(
         self, now_ms: float
@@ -355,14 +284,10 @@ class AdmissionController:
         with self._lock:
             self._advance_event_time(now_ms)
             if self._inflight < self.config.max_inflight:
-                fifo = self.config.discipline == DISCIPLINE_FIFO
                 while self._queue:
-                    if fifo:
-                        head = self._queue.popleft()
-                    else:
-                        head = self._queue.pop()
+                    head = self._queue.popleft()
                     waited = now_ms - head.enqueued_at_ms
-                    if waited > self.config.queue_deadline_ms:
+                    if waited > QUEUE_DEADLINE_MS:
                         expired.append(head)
                         self.timeouts += 1
                         continue
@@ -393,40 +318,20 @@ class AdmissionController:
             )
         return taken
 
-    def _park(
-        self,
-        item: Any,
-        tenant: str,
-        cost_hint: float,
-        now_ms: float,
-        degrade: bool,
-    ) -> None:
-        self._seq += 1
-        self._queue.append(
-            QueuedRequest(
-                seq=self._seq,
-                tenant=tenant,
-                item=item,
-                cost_hint=cost_hint,
-                enqueued_at_ms=now_ms,
-                degrade=degrade,
-            )
-        )
+    def _take_slot(self) -> bool:
+        if self._inflight >= self.config.capacity:
+            return False
+        self._inflight += 1
+        self.admitted += 1
+        return True
 
-    def _evict_cheapest(
-        self, incoming_cost: float
-    ) -> QueuedRequest | None:
-        """The queued request ``shed-cheapest`` displaces, or None when
-        the incoming request is itself the cheapest work to lose."""
-        cheapest = min(
-            self._queue, key=lambda request: (request.cost_hint, request.seq)
-        )
-        if incoming_cost <= cheapest.cost_hint:
-            return None
-        self._queue.remove(cheapest)
-        return cheapest
+    def _park(self, item: Any, now_ms: float) -> bool:
+        if len(self._queue) >= self.config.max_queue_depth:
+            return False
+        self._queue.append(QueuedRequest(item, now_ms))
+        return True
 
-    def _count_shed(self, reason: str, tenant: str) -> None:
+    def _count_shed(self, reason: str) -> None:
         self.shed += 1
         self._shed_by_reason[reason] = (
             self._shed_by_reason.get(reason, 0) + 1
@@ -482,10 +387,7 @@ class AdmissionController:
                 "config": {
                     "max_inflight": self.config.max_inflight,
                     "max_queue_depth": self.config.max_queue_depth,
-                    "discipline": self.config.discipline,
-                    "queue_deadline_ms": self.config.queue_deadline_ms,
-                    "shed_policy": self.config.shed_policy,
-                    "degrade_watermark": self.config.degrade_watermark,
+                    "queue_deadline_ms": QUEUE_DEADLINE_MS,
                     "tenants": sorted(self._buckets),
                 },
                 "queue_depth": len(self._queue),

@@ -64,7 +64,6 @@ class ClusterFrontend:
         self,
         bound: Any,
         tenant: str = "default",
-        cost_hint: float = 1.0,
         on_done: Callable[[ProxyResponse], None] | None = None,
     ) -> RouteDecision:
         """One arrival at the current event time; returns its route.
@@ -89,7 +88,7 @@ class ClusterFrontend:
 
         if decision.dispatched is not None:
             self._shard_frontends[decision.dispatched].submit(
-                bound, tenant=tenant, cost_hint=cost_hint, on_done=finish
+                bound, tenant=tenant, on_done=finish
             )
         else:
             response = self.router.undispatched_response(

@@ -2,7 +2,7 @@
 """The consistent-hash ring the shard router places queries on.
 
 Classic consistent hashing with virtual nodes: each shard id is hashed
-onto the ring ``vnodes`` times, a route key walks clockwise from its
+onto the ring :data:`VNODES` times, a route key walks clockwise from its
 own hash to the first vnode, and the failover chain is the continued
 walk — the next *distinct* shards in ring order.  Hashing is MD5-based
 and therefore stable across processes and interpreter restarts (unlike
@@ -20,6 +20,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 
+#: Virtual nodes per shard on the ring.
+VNODES = 64
+
 
 def ring_hash(token: str) -> int:
     """A stable 64-bit position on the ring for ``token``."""
@@ -30,18 +33,15 @@ def ring_hash(token: str) -> int:
 class HashRing:
     """An immutable consistent-hash ring over a set of shard ids."""
 
-    def __init__(self, nodes: tuple[str, ...] | list[str], vnodes: int = 64):
+    def __init__(self, nodes: tuple[str, ...] | list[str]):
         if not nodes:
             raise ValueError("a hash ring needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise ValueError(f"duplicate ring nodes: {sorted(nodes)}")
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1: {vnodes}")
         self.nodes = tuple(sorted(nodes))
-        self.vnodes = vnodes
         points = []
         for node in self.nodes:
-            for replica in range(vnodes):
+            for replica in range(VNODES):
                 points.append((ring_hash(f"{node}#{replica}"), node))
         points.sort()
         self._points = tuple(points)

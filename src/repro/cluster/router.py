@@ -50,7 +50,7 @@ from repro.cluster.handoff import (
     persisted_records,
     replay_records,
 )
-from repro.cluster.ring import HashRing
+from repro.cluster.ring import VNODES, HashRing
 from repro.core.stats import QueryOutcome
 from repro.faults.plan import Fate, FaultSession
 from repro.faults.shard import ShardCrashPlan
@@ -104,7 +104,6 @@ class RouterConfig:
     tries the primary, so a crashed shard's queries visibly fail.
     """
 
-    vnodes: int = 64
     failover: bool = True
     handoff_on_crash: bool = True
     region_partitions: Mapping[str, float] = field(default_factory=dict)
@@ -207,9 +206,13 @@ class ShardRouter:
 
     Construction wires the ring, the seeded fault session, and the
     router's own metrics registry (the five ``router_*`` families the
-    pinned ``ROUTER_LANES`` sample).  ``clock`` is rebound by the
-    event-loop frontend during single-threaded wiring, hence
-    ``unshared``.
+    pinned ``ROUTER_LANES`` sample).
+
+    ``clock`` is the router's own simulated time.  On the direct path
+    (:meth:`serve_routed`) it advances by each answer's simulated
+    response time, so fault windows and telemetry samples follow the
+    time served; the event-loop frontend rebinds it to the loop during
+    single-threaded wiring, hence ``unshared``.
     """
 
     def __init__(
@@ -218,7 +221,6 @@ class ShardRouter:
         fallback: "FunctionProxy | None" = None,
         config: RouterConfig | None = None,
         crash_plan: ShardCrashPlan | None = None,
-        clock: Any = None,
         events: Any = None,
         timeseries: Any = None,
     ) -> None:
@@ -231,9 +233,9 @@ class ShardRouter:
         self._shards: dict[str, Shard] = {
             shard.shard_id: shard for shard in shards
         }
-        self._ring = HashRing(ids, vnodes=self.config.vnodes)
+        self._ring = HashRing(ids)
         self.fallback = fallback
-        self.clock = clock if clock is not None else SimulatedClock()
+        self.clock: Any = SimulatedClock()
         self.events = events if events is not None else NULL_EVENTS
         self.timeseries = (
             timeseries if timeseries is not None else NULL_TIMESERIES
@@ -431,7 +433,9 @@ class ShardRouter:
         and warm handoff here), routes, dispatches to the chosen
         shard's own serve path (its admission controller applies), and
         falls back to the origin tunnel or a structured shed when no
-        shard can take the query.
+        shard can take the query.  The router's clock then advances by
+        the answer's simulated response time, before the telemetry
+        sample.
         """
         now_ms = self.clock.now_ms
         self.check_faults(now_ms)
@@ -442,6 +446,7 @@ class ShardRouter:
             response = shard.proxy.serve(bound, tenant=tenant)
         else:
             response = self.undispatched_response(bound, tenant, decision)
+        self.clock.advance(response.record.response_ms)
         self.sample_telemetry(self.clock.now_ms, statuses)
         return response, decision
 
@@ -668,7 +673,7 @@ class ShardRouter:
         return {
             "shards": shards,
             "ring": {
-                "vnodes": self.config.vnodes,
+                "vnodes": VNODES,
                 "nodes": list(self._ring.nodes),
             },
             "failover": self.config.failover,

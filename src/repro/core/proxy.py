@@ -47,11 +47,11 @@ ends.
 Resilience: the proxy never talks to the origin directly — every hop
 goes through an :class:`~repro.faults.resilience.OriginGateway`
 (retry with capped deterministic backoff, circuit breaker over the
-simulated clock).  When the origin stays unreachable, the degradation
-policy decides per cache case: exact/contained answers are served
-from cache marked ``degraded``, overlap queries fall back to the
-cached portion only (``partial``), and queries the cache cannot help
-with produce a structured ``failed`` outcome instead of an exception.
+simulated clock).  When the origin stays unreachable, each cache case
+degrades one way: exact/contained answers are served from cache marked
+``degraded``, overlap queries fall back to the cached portion only
+(``partial``), and queries the cache cannot help with produce a
+structured ``failed`` outcome instead of an exception.
 A :class:`~repro.faults.plan.FaultPlan` can be installed (also at
 runtime, via ``POST /faults``) to put the origin and the WAN link
 through scheduled outages, slowdowns, transient failures and
@@ -62,7 +62,6 @@ transfer charges read the slowdown at the instant they are made.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Mapping, NamedTuple
 
 from repro.admission.controller import AdmissionController
@@ -90,7 +89,6 @@ from repro.faults.resilience import (
     BreakerState,
     CircuitBreaker,
     OriginGateway,
-    ResilienceConfig,
 )
 from repro.geometry.relations import RegionRelation, relate
 from repro.locking import guarded_by, named_lock
@@ -110,6 +108,10 @@ from repro.relational.result import ResultTable
 from repro.relational.schema import Schema
 from repro.server.origin import OriginServer
 from repro.templates.manager import BoundQuery, TemplateManager
+
+#: The most cached entries one overlap query uses as remainder holes:
+#: the origin tests every remainder row against every hole.
+MAX_HOLES = 16
 
 
 @dataclass(frozen=True)
@@ -180,19 +182,15 @@ class FunctionProxy:
         cache_bytes: int | None = None,
         costs: ProxyCostModel | None = None,
         topology: Topology | None = None,
-        max_holes: int = 16,
         result_store=None,
         replacement_policy=None,
         instrumentation: ProxyInstrumentation | None = None,
-        resilience: ResilienceConfig | None = None,
         fault_plan: FaultPlan | None = None,
         clock: SimulatedClock | None = None,
         persistence: CachePersister | None = None,
         recover: bool = True,
         admission: AdmissionController | None = None,
     ) -> None:
-        if max_holes < 1:
-            raise ValueError("max_holes must be at least 1")
         self._lock = named_lock("proxy.state")
         self.origin = origin
         self.templates = templates
@@ -221,7 +219,6 @@ class FunctionProxy:
             observer=self.obs,
         )
         self.evaluator = LocalEvaluator()
-        self.max_holes = max_holes
         self.stats = TraceStats()
         self._query_index = 0
         self._seen_data_version = getattr(origin, "data_version", None)
@@ -235,18 +232,12 @@ class FunctionProxy:
         #: lives on one monotone axis — the load timeline — instead of
         #: mixing the work clock into it.
         self.telemetry_clock = self.clock
-        self.resilience = resilience or ResilienceConfig()
         self.breaker = CircuitBreaker(
-            self.clock,
-            failure_threshold=self.resilience.breaker_failure_threshold,
-            cooldown_ms=self.resilience.breaker_cooldown_ms,
-            on_state_change=self._on_breaker_transition,
+            self.clock, on_state_change=self._on_breaker_transition
         )
         self.obs.breaker_transition(BREAKER_STATE_VALUES[self.breaker.state])
         self.gateway = OriginGateway(
-            retry=self.resilience.retry,
             breaker=self.breaker,
-            rng=Random(self.resilience.jitter_seed),
             # Failed fast attempts cost one empty round trip, charged
             # through the topology so transfer metrics stay honest.
             failure_rtt_ms=lambda: self.topology.origin_round_trip_ms(
@@ -260,10 +251,7 @@ class FunctionProxy:
         #: structured ``shed`` records instead of service.
         self.admission = admission
         if admission is not None:
-            admission.bind(
-                self.obs,
-                allow_degrade=self.resilience.degradation.tunnel_on_overload,
-            )
+            admission.bind(self.obs)
             self.obs.set_admission_queue_limit(
                 admission.config.max_queue_depth
             )
@@ -413,7 +401,7 @@ class FunctionProxy:
         if not verdict.admitted:
             return self.reject(bound, verdict.reason, QueryOutcome.SHED)
         try:
-            return self.serve_admitted(bound, degrade=verdict.degrade)
+            return self.serve_admitted(bound)
         finally:
             self.admission.release()
 
@@ -428,7 +416,7 @@ class FunctionProxy:
         ``queue_wait_ms`` is the simulated time the query spent in the
         accept queue (charged to the ``admit.queue`` step so response
         times include the wait); ``degrade`` forces tunnel mode — the
-        overload path that skips all cache work.
+        shard router's origin fallback, which skips all cache work.
         """
         index, data_version = self._begin_query()
         with self.obs.observe_query(
@@ -442,7 +430,7 @@ class FunctionProxy:
                 # The promise that ``serve`` never raises for origin
                 # trouble: a structured, empty ``failed`` answer.  It
                 # counts as an origin contact even when nothing was
-                # fetched (stale-disallowed): the origin was needed.
+                # fetched (breaker open): the origin was needed.
                 record = observation.record
                 record.contacted_origin = True
                 record.retries = exc.retries
@@ -825,13 +813,10 @@ class FunctionProxy:
 
         While the breaker is not closed the origin is presumed down, so
         the answer cannot be revalidated: it is served ``degraded``
-        (stale-serve) — or refused outright when the degradation policy
-        forbids stale answers.
+        (stale-serve).
         """
         if self.breaker.state is BreakerState.CLOSED:
             return QueryOutcome.SERVED
-        if not self.resilience.degradation.stale_ok:
-            raise OriginUnavailable("stale-disallowed")
         return QueryOutcome.DEGRADED
 
     def _origin_fetch(self, observation, kind, fn) -> ResultTable:
@@ -906,7 +891,7 @@ class FunctionProxy:
         # remainder row against every hole, and prices each one.
         used = sorted(
             subsumed + overlapping, key=lambda e: e.row_count, reverse=True
-        )[: self.max_holes]
+        )[:MAX_HOLES]
         subsumed_ids = {entry.entry_id for entry in subsumed}
         used_subsumed = [
             entry for entry in used if entry.entry_id in subsumed_ids
@@ -935,8 +920,6 @@ class FunctionProxy:
                 ),
             )
         except OriginUnavailable as exc:
-            if not self.resilience.degradation.partial_ok:
-                raise
             # Overlap degradation: the client gets the cached portion
             # only (``206`` at the HTTP layer).  Nothing is cached —
             # the merged region was never completed.

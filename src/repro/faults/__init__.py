@@ -9,10 +9,11 @@ The paper's setting — a slow origin across a WAN — silently assumed a
   any plan: one seeded draw per attempt at a target (the origin or a
   shard), yielding a :class:`Fate`;
 * :mod:`repro.faults.resilience` — the proxy-side answer: retry with
-  capped backoff and deterministic jitter, a circuit breaker over the
-  proxy -> origin hop, and the degradation policy that keeps cached
-  answers flowing while the origin is down.  Faults are injected
-  there too: :class:`OriginGateway` draws each admitted attempt's fate
+  capped backoff and deterministic jitter, and a circuit breaker over
+  the proxy -> origin hop; while it is open the proxy keeps serving
+  cached answers, marked ``degraded`` or ``partial``.  The retry and
+  breaker settings are module constants.  Faults are injected there
+  too: :class:`OriginGateway` draws each admitted attempt's fate
   from the installed session, so an injected failure takes the path a
   real one does;
 * :mod:`repro.faults.errors` — the retryable injected errors and the
@@ -49,10 +50,7 @@ from repro.faults.resilience import (
     BREAKER_STATE_VALUES,
     BreakerState,
     CircuitBreaker,
-    DegradationPolicy,
     OriginGateway,
-    ResilienceConfig,
-    RetryPolicy,
 )
 from repro.faults.shard import (
     SHARD_FAULT_KINDS,
@@ -66,7 +64,6 @@ __all__ = [
     "CircuitBreaker",
     "CrashPlan",
     "CrashSession",
-    "DegradationPolicy",
     "Fate",
     "FaultError",
     "FaultPlan",
@@ -78,8 +75,6 @@ __all__ = [
     "OriginUnavailable",
     "OriginUnavailableError",
     "OutageWindow",
-    "ResilienceConfig",
-    "RetryPolicy",
     "SHARD_FAULT_KINDS",
     "ShardCrashPlan",
     "ShardFaultWindow",

@@ -1,23 +1,25 @@
-"""Resilience for the proxy -> origin hop: retry, breaker, degradation.
+"""Resilience for the proxy -> origin hop: retry and breaker.
 
-Three cooperating policies, all driven by the proxy's simulated clock:
+Two cooperating mechanisms, both driven by the proxy's simulated clock:
 
-* :class:`RetryPolicy` — capped exponential backoff with deterministic
-  (seeded) jitter and a per-attempt timeout.  Every wait is *charged*
-  in simulated ms through the query observation, so retries show up in
-  response times exactly like real waits would.
+* retry — up to :data:`MAX_ATTEMPTS` attempts with capped exponential
+  backoff (:func:`backoff_ms`, seeded jitter) and a per-attempt
+  timeout.  Every wait is *charged* in simulated ms through the query
+  observation, so retries show up in response times exactly like real
+  waits would.
 * :class:`CircuitBreaker` — the classic closed / open / half-open
   state machine guarding the hop.  ``failure_threshold`` consecutive
   failures open it; after ``cooldown_ms`` of simulated time a single
   half-open probe decides between closing and re-opening.
-* :class:`DegradationPolicy` — what the proxy may do while the origin
-  is unreachable: serve full answers from cache marked ``degraded``
-  (stale-serve), serve the cached portion of an overlap query as a
-  ``partial`` answer, or fail fast with a structured outcome.
 
-:class:`OriginGateway` ties the first two together around a single
-origin call and is the *only* path the proxy uses to reach the origin —
-which makes it the place a seeded :class:`~repro.faults.plan.FaultPlan`
+What the proxy serves while the origin is unreachable is fixed: full
+answers from cache marked ``degraded``, the cached portion of an
+overlap query marked ``partial``, and a structured ``failed`` outcome
+for everything else (see :mod:`repro.core.proxy`).
+
+:class:`OriginGateway` ties the two together around a single origin
+call and is the *only* path the proxy uses to reach the origin — which
+makes it the place a seeded :class:`~repro.faults.plan.FaultPlan`
 bites: with a session installed, each attempt the breaker admits draws
 its fate there and fails, or runs slowed, accordingly.
 """
@@ -25,7 +27,6 @@ its fate there and fails, or runs slowed, accordingly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Protocol
 
@@ -42,48 +43,32 @@ from repro.server.origin import OriginResponse
 from repro.sqlparser.errors import ParseError
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with deterministic jitter."""
+#: Retry: attempts per origin request, the capped exponential backoff
+#: between them (jitter drawn from the gateway's seeded rng), and what
+#: one hung attempt costs in simulated ms.
+MAX_ATTEMPTS = 3
+BASE_BACKOFF_MS = 200.0
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_MS = 5_000.0
+JITTER_FRACTION = 0.2
+ATTEMPT_TIMEOUT_MS = 10_000.0
 
-    max_attempts: int = 3
-    base_backoff_ms: float = 200.0
-    backoff_multiplier: float = 2.0
-    max_backoff_ms: float = 5_000.0
-    jitter_fraction: float = 0.2
-    attempt_timeout_ms: float = 10_000.0
+#: The origin breaker: consecutive failures that open it, and the
+#: simulated cooldown before a half-open probe.
+BREAKER_FAILURE_THRESHOLD = 5
+BREAKER_COOLDOWN_MS = 30_000.0
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"need at least one attempt: {self.max_attempts}"
-            )
-        if self.base_backoff_ms < 0 or self.max_backoff_ms < 0:
-            raise ValueError("backoff times cannot be negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                f"backoff multiplier must be >= 1: {self.backoff_multiplier}"
-            )
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValueError(
-                f"jitter fraction must be in [0, 1]: {self.jitter_fraction}"
-            )
-        if self.attempt_timeout_ms <= 0:
-            raise ValueError(
-                f"attempt timeout must be positive: {self.attempt_timeout_ms}"
-            )
 
-    def backoff_ms(self, retry_index: int, rng: Random) -> float:
-        """Simulated wait before retry ``retry_index`` (0-based).
+def backoff_ms(retry_index: int, rng: Random) -> float:
+    """Simulated wait before retry ``retry_index`` (0-based).
 
-        Jitter is drawn from the gateway's seeded rng, so the same
-        seed yields the same waits — determinism over realism.
-        """
-        base = min(
-            self.max_backoff_ms,
-            self.base_backoff_ms * self.backoff_multiplier**retry_index,
-        )
-        return base * (1.0 + self.jitter_fraction * rng.random())
+    Jitter is drawn from the gateway's seeded rng, so the same seed
+    yields the same waits — determinism over realism.
+    """
+    base = min(
+        MAX_BACKOFF_MS, BASE_BACKOFF_MS * BACKOFF_MULTIPLIER**retry_index
+    )
+    return base * (1.0 + JITTER_FRACTION * rng.random())
 
 
 class BreakerState(enum.Enum):
@@ -123,8 +108,8 @@ class CircuitBreaker:
     def __init__(
         self,
         clock: Any,
-        failure_threshold: int = 5,
-        cooldown_ms: float = 30_000.0,
+        failure_threshold: int = BREAKER_FAILURE_THRESHOLD,
+        cooldown_ms: float = BREAKER_COOLDOWN_MS,
         on_state_change: Callable[[BreakerState], None] | None = None,
     ) -> None:
         if failure_threshold < 1:
@@ -209,39 +194,6 @@ class CircuitBreaker:
         self._notify(changed)
 
 
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """What the proxy may serve while the origin is unreachable.
-
-    * ``stale_ok`` — exact/contained answers still come from cache,
-      marked ``degraded`` while the breaker is not closed;
-    * ``partial_ok`` — an overlap query whose remainder cannot reach
-      the origin degrades to the cached portion only (``partial``);
-    * ``tunnel_on_overload`` — when the admission queue crosses its
-      degrade watermark, new queries may still be admitted in tunnel
-      mode (no cache work, forwarded whole) instead of being shed.
-
-    Fail-fast for uncacheable / disjoint queries is always on: they
-    produce a structured ``failed`` outcome, never an exception.
-    """
-
-    stale_ok: bool = True
-    partial_ok: bool = True
-    tunnel_on_overload: bool = True
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Everything :class:`~repro.core.proxy.FunctionProxy` needs to
-    survive a misbehaving origin."""
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    degradation: DegradationPolicy = field(default_factory=DegradationPolicy)
-    breaker_failure_threshold: int = 5
-    breaker_cooldown_ms: float = 30_000.0
-    jitter_seed: int = 0
-
-
 class ChargeSink(Protocol):
     """Where the gateway charges simulated time (a query observation)."""
 
@@ -259,11 +211,12 @@ class GatewayListener(Protocol):
 class OriginGateway:
     """The one resilient path from the proxy to the origin.
 
-    ``call`` runs an origin thunk under the retry policy with the
-    breaker consulted before every attempt.  Failed attempts charge
-    their simulated cost (a zero-byte round trip for fast failures,
-    the full per-attempt timeout for hangs) plus the backoff wait, so
-    the query's response time reflects the struggle.
+    ``call`` runs an origin thunk with up to :data:`MAX_ATTEMPTS`
+    attempts, the breaker consulted before every one.  Failed attempts
+    charge their simulated cost (a zero-byte round trip for fast
+    failures, the full per-attempt timeout for hangs) plus the backoff
+    wait, so the query's response time reflects the struggle.  The
+    backoff jitter comes from an rng seeded with 0.
 
     ``faults`` is the installed fault schedule, or ``None``: each
     admitted attempt then makes the session's one draw at the
@@ -274,15 +227,12 @@ class OriginGateway:
 
     def __init__(
         self,
-        retry: RetryPolicy,
         breaker: CircuitBreaker,
-        rng: Random,
         failure_rtt_ms: Callable[[], float],
         listener: GatewayListener | None = None,
     ) -> None:
-        self.retry = retry
         self.breaker = breaker
-        self._rng = rng
+        self._rng = Random(0)
         self._failure_rtt_ms = failure_rtt_ms
         self._listener = listener
         self.faults: FaultSession | None = None
@@ -307,7 +257,7 @@ class OriginGateway:
         """
         retries = 0
         last_reason = "unreachable"
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if not self.breaker.allow():
                 self._fail("breaker-open")
                 raise OriginUnavailable("breaker-open", retries)
@@ -315,7 +265,7 @@ class OriginGateway:
                 response = self._attempt(fn)
             except OriginTimeoutError:
                 self.breaker.record_failure()
-                sink.charge("origin", self.retry.attempt_timeout_ms)
+                sink.charge("origin", ATTEMPT_TIMEOUT_MS)
                 last_reason = "timeout"
             except OriginUnavailableError as exc:
                 self.breaker.record_failure()
@@ -328,13 +278,11 @@ class OriginGateway:
             else:
                 self.breaker.record_success()
                 return response, retries
-            if attempt + 1 < self.retry.max_attempts:
+            if attempt + 1 < MAX_ATTEMPTS:
                 retries += 1
                 if self._listener is not None:
                     self._listener.origin_retry()
-                sink.charge(
-                    "backoff", self.retry.backoff_ms(attempt, self._rng)
-                )
+                sink.charge("backoff", backoff_ms(attempt, self._rng))
         self._fail(last_reason)
         raise OriginUnavailable(last_reason, retries)
 

@@ -48,9 +48,7 @@ FULL_LADDER = (8, 64, 800, 2_500, 10_000)
 BENCH_ADMISSION = AdmissionConfig(
     max_inflight=8,
     max_queue_depth=16,
-    queue_deadline_ms=15_000.0,
     overload_threshold=64,
-    overload_cooldown_ms=2_000.0,
 )
 
 #: Each client's pacing; every rung replaces ``n_clients`` with its own

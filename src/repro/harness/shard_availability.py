@@ -62,9 +62,7 @@ SCENARIOS = ("baseline", "failover", "control")
 SHARD_ADMISSION = AdmissionConfig(
     max_inflight=8,
     max_queue_depth=32,
-    queue_deadline_ms=15_000.0,
     overload_threshold=256,
-    overload_cooldown_ms=2_000.0,
 )
 
 #: The spatial partition cell for the radial template (unit-sphere

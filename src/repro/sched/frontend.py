@@ -3,7 +3,7 @@
 :class:`ProxyFrontend` is how thousands of simulated clients share one
 proxy.  An arrival is submitted on the event loop's time axis and
 enters the admission controller's bounded accept queue; whenever a
-serve slot is free the frontend dispatches the next queued request —
+serve slot is free the frontend dispatches the oldest queued request —
 charging its queue wait to the query's ``admit.queue`` step — and
 schedules a completion event after the query's simulated service time.
 Turned-away work (queue full, quota, overload fast-fail, deadline
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.admission.config import REASON_DEADLINE, REASON_QUEUE_FULL
+from repro.admission.config import REASON_DEADLINE
 from repro.admission.controller import AdmissionController, QueuedRequest
 from repro.core.proxy import FunctionProxy, ProxyResponse
 from repro.core.stats import QueryOutcome
@@ -62,12 +62,7 @@ class ProxyFrontend:
                 "or build the proxy with admission=..."
             )
         if proxy.admission is None:
-            controller.bind(
-                proxy.obs,
-                allow_degrade=(
-                    proxy.resilience.degradation.tunnel_on_overload
-                ),
-            )
+            controller.bind(proxy.obs)
         self.proxy = proxy
         self.loop = loop
         self.controller = controller
@@ -88,22 +83,12 @@ class ProxyFrontend:
         self,
         bound: Any,
         tenant: str = "default",
-        cost_hint: float = 1.0,
         on_done: Callable[[ProxyResponse], None] | None = None,
     ) -> None:
         """One arrival at the current event time."""
         self.submitted += 1
         submission = _Submission(bound, on_done)
-        verdict, evicted = self.controller.enqueue(
-            submission, tenant, self.loop.now_ms, cost_hint=cost_hint
-        )
-        if evicted is not None:
-            # shed-cheapest displaced queued work to park this arrival.
-            self._reject(
-                evicted,
-                REASON_QUEUE_FULL,
-                QueryOutcome.SHED,
-            )
+        verdict = self.controller.enqueue(submission, tenant, self.loop.now_ms)
         if not verdict.admitted:
             response = self.proxy.reject(
                 bound, verdict.reason, QueryOutcome.SHED
@@ -136,9 +121,7 @@ class ProxyFrontend:
     def _dispatch(self, request: QueuedRequest, waited_ms: float) -> None:
         submission = request.item
         response = self.proxy.serve_admitted(
-            submission.bound,
-            queue_wait_ms=waited_ms,
-            degrade=request.degrade,
+            submission.bound, queue_wait_ms=waited_ms
         )
         # The slot stays busy for the query's service time on the event
         # axis; the queue wait already elapsed while it was parked.

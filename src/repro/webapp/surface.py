@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.admission.config import retry_after_seconds
+from repro.admission.config import RETRY_AFTER_SECONDS
 from repro.core.stats import QueryOutcome
 from repro.obs.events import EventRecorder, newest
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
@@ -179,9 +179,7 @@ def search_response(
     if record.outcome in (QueryOutcome.SHED, QueryOutcome.QUEUED_TIMEOUT):
         status_code = 429 if record.outcome is QueryOutcome.SHED else 503
         if admission is not None:
-            headers["Retry-After"] = str(
-                retry_after_seconds(admission.config)
-            )
+            headers["Retry-After"] = str(RETRY_AFTER_SECONDS)
         body = {
             "error": "proxy overloaded",
             "reason": record.failure_reason,

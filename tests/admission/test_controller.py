@@ -1,14 +1,13 @@
-"""AdmissionController: gate, queue, quotas, shed policies, overload."""
+"""AdmissionController: gate, queue, quotas, shedding, overload."""
 
 import pytest
 
 from repro.admission import (
-    DISCIPLINE_LIFO,
+    OVERLOAD_COOLDOWN_MS,
+    QUEUE_DEADLINE_MS,
     REASON_ADMISSION_OPEN,
     REASON_QUEUE_FULL,
     REASON_QUOTA,
-    SHED_DEGRADE_TO_TUNNEL,
-    SHED_SHED_CHEAPEST,
     AdmissionConfig,
     AdmissionController,
     TenantQuota,
@@ -134,39 +133,12 @@ class TestDirectGate:
         assert controller.try_admit("other", 0.0).admitted
         assert controller.quota_denials() == {"metered": 1}
 
-    def test_degrade_to_tunnel_past_watermark(self):
-        controller = make(
-            max_inflight=2,
-            max_queue_depth=4,
-            shed_policy=SHED_DEGRADE_TO_TUNNEL,
-            degrade_watermark=0.5,
-        )
-        # Slots + backlog below the watermark: full service.
-        verdicts = [controller.try_admit("t", 0.0) for _ in range(4)]
-        assert all(v.admitted and not v.degrade for v in verdicts)
-        # Backlog at the watermark (2 of 4): tunnel mode.
-        verdict = controller.try_admit("t", 0.0)
-        assert verdict.admitted and verdict.degrade
-
-    def test_degrade_respects_policy_gate(self):
-        controller = make(
-            max_inflight=1,
-            max_queue_depth=2,
-            shed_policy=SHED_DEGRADE_TO_TUNNEL,
-            degrade_watermark=0.0,
-        )
-        controller.bind(None, allow_degrade=False)
-        verdict = controller.try_admit("t", 0.0)
-        assert verdict.admitted and not verdict.degrade
-
-
 class TestOverloadBreaker:
     def make_overloaded(self, listener=None):
         controller = make(
             max_inflight=1,
             max_queue_depth=1,
             overload_threshold=2,
-            overload_cooldown_ms=1_000.0,
         )
         if listener is not None:
             controller.bind(listener)
@@ -181,20 +153,24 @@ class TestOverloadBreaker:
 
     def test_open_breaker_fast_fails_new_arrivals(self):
         controller = self.make_overloaded()
-        verdict = controller.try_admit("t", 100.0)
-        assert not verdict.admitted
-        assert verdict.reason == REASON_ADMISSION_OPEN
+        # For the whole 2 s cooldown, whatever the capacity.
+        assert OVERLOAD_COOLDOWN_MS == 2_000.0
+        controller.release()
+        for now_ms in (100.0, 1_999.0):
+            verdict = controller.try_admit("t", now_ms)
+            assert not verdict.admitted
+            assert verdict.reason == REASON_ADMISSION_OPEN
 
     def test_probe_resolves_against_capacity(self):
         controller = self.make_overloaded()
         # Cooldown elapsed but capacity still full: the probe re-tests
         # capacity, fails, and the breaker re-opens.
-        verdict = controller.try_admit("t", 1_500.0)
+        verdict = controller.try_admit("t", 2_500.0)
         assert verdict.reason == REASON_QUEUE_FULL
         assert controller.overload_state is BreakerState.OPEN
         # Free a slot; the next cooldown's probe admits and closes.
         controller.release()
-        verdict = controller.try_admit("t", 3_000.0)
+        verdict = controller.try_admit("t", 4_500.0)
         assert verdict.admitted
         assert controller.overload_state is BreakerState.CLOSED
 
@@ -205,7 +181,6 @@ class TestOverloadBreaker:
             max_inflight=1,
             max_queue_depth=1,
             overload_threshold=2,
-            overload_cooldown_ms=1_000.0,
             quotas={"m": TenantQuota(rate_per_s=0.001, burst=1.0)},
         )
         assert metered.try_admit("m", 0.0).admitted  # burst token
@@ -235,8 +210,8 @@ class TestQueue:
     def test_enqueue_then_fifo_dequeue(self):
         controller = make(max_inflight=1, max_queue_depth=4)
         for name in ("a", "b", "c"):
-            verdict, evicted = controller.enqueue(name, "t", 0.0)
-            assert verdict.admitted and evicted is None
+            verdict = controller.enqueue(name, "t", 0.0)
+            assert verdict.admitted
         assert controller.queue_depth == 3
         got, waited, expired = controller.dequeue(250.0)
         assert got.item == "a"
@@ -247,100 +222,40 @@ class TestQueue:
         controller.release()
         assert controller.dequeue(300.0)[0].item == "b"
 
-    def test_lifo_discipline(self):
-        controller = make(
-            max_inflight=1, max_queue_depth=4, discipline=DISCIPLINE_LIFO
-        )
-        for name in ("a", "b", "c"):
-            controller.enqueue(name, "t", 0.0)
-        assert controller.dequeue(10.0)[0].item == "c"
-
     def test_full_queue_sheds_reject_new(self):
         controller = make(max_inflight=1, max_queue_depth=2)
         controller.enqueue("a", "t", 0.0)
         controller.enqueue("b", "t", 0.0)
-        verdict, evicted = controller.enqueue("c", "t", 0.0)
+        verdict = controller.enqueue("c", "t", 0.0)
         assert not verdict.admitted
         assert verdict.reason == REASON_QUEUE_FULL
-        assert evicted is None
         assert controller.queue_depth == 2
-
-    def test_shed_cheapest_evicts_cheaper_queued_work(self):
-        controller = make(
-            max_inflight=1,
-            max_queue_depth=2,
-            shed_policy=SHED_SHED_CHEAPEST,
-        )
-        controller.enqueue("cheap", "t", 0.0, cost_hint=1.0)
-        controller.enqueue("mid", "t", 0.0, cost_hint=5.0)
-        verdict, evicted = controller.enqueue(
-            "dear", "t", 0.0, cost_hint=9.0
-        )
-        assert verdict.admitted
-        assert evicted is not None and evicted.item == "cheap"
-        items = [controller.dequeue(1.0)[0].item]
-        controller.release()
-        items.append(controller.dequeue(1.0)[0].item)
-        assert items == ["mid", "dear"]
-
-    def test_shed_cheapest_rejects_incoming_when_it_is_cheapest(self):
-        controller = make(
-            max_inflight=1,
-            max_queue_depth=1,
-            shed_policy=SHED_SHED_CHEAPEST,
-        )
-        controller.enqueue("queued", "t", 0.0, cost_hint=5.0)
-        verdict, evicted = controller.enqueue(
-            "cheap", "t", 0.0, cost_hint=1.0
-        )
-        assert not verdict.admitted
-        assert verdict.reason == REASON_QUEUE_FULL
-        assert evicted is None
+        # The arrival was shed; the queued work keeps its order.
+        assert controller.dequeue(1.0)[0].item == "a"
 
     def test_deadline_expires_at_dispatch(self):
-        controller = make(
-            max_inflight=1, max_queue_depth=4, queue_deadline_ms=100.0
-        )
+        controller = make(max_inflight=1, max_queue_depth=4)
+        assert QUEUE_DEADLINE_MS == 15_000.0
         controller.enqueue("old", "t", 0.0)
-        controller.enqueue("fresh", "t", 150.0)
-        got, waited, expired = controller.dequeue(200.0)
+        controller.enqueue("fresh", "t", 100.0)
+        # 15.05 s later "old" has waited past the deadline; "fresh" not.
+        got, waited, expired = controller.dequeue(15_050.0)
         assert [e.item for e in expired] == ["old"]
         assert got.item == "fresh"
-        assert waited == pytest.approx(50.0)
+        assert waited == pytest.approx(14_950.0)
         assert controller.snapshot()["timeouts"] == 1
-
-    def test_degrade_watermark_marks_queued_requests(self):
-        controller = make(
-            max_inflight=1,
-            max_queue_depth=4,
-            shed_policy=SHED_DEGRADE_TO_TUNNEL,
-            degrade_watermark=0.5,
-        )
-        for name in ("a", "b", "c", "d"):
-            controller.enqueue(name, "t", 0.0)
-        # Depth at enqueue time: 0, 1, 2 (watermark), 3.
-        queued = []
-        while True:
-            got, _, _ = controller.dequeue(0.0)
-            if got is None:
-                break
-            queued.append(got)
-            controller.release()
-        degrades = [q.degrade for q in queued]
-        assert degrades == [False, False, True, True]
 
     def test_queue_full_sheds_feed_the_overload_breaker(self):
         controller = make(
             max_inflight=1,
             max_queue_depth=1,
             overload_threshold=2,
-            overload_cooldown_ms=1_000.0,
         )
         controller.enqueue("a", "t", 0.0)
         for _ in range(2):
             controller.enqueue("x", "t", 0.0)
         assert controller.overload_state is BreakerState.OPEN
-        verdict, _ = controller.enqueue("y", "t", 500.0)
+        verdict = controller.enqueue("y", "t", 500.0)
         assert verdict.reason == REASON_ADMISSION_OPEN
 
 

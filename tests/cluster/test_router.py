@@ -231,6 +231,38 @@ class TestCrashHandoff:
         assert decision.dispatched != primary
 
 
+class TestDirectPathClock:
+    def test_crash_window_fires_once_served_time_passes_it(
+        self, make_tier, bind
+    ):
+        """``serve`` without the event loop: the router's clock is the
+        simulated time served, so a crash window after t=0 fires."""
+        plan = ShardCrashPlan(
+            faults=(ShardFaultWindow("shard-0", "crash", 1_000.0),)
+        )
+        router = make_tier(
+            n_shards=2,
+            crash_plan=plan,
+            events=EventRecorder(),
+            config=RouterConfig(region_partitions={RADIAL_TEMPLATE_ID: 0.02}),
+        )
+        served_ms = 0.0
+        for index in range(200):
+            before_ms = router.clock.now_ms
+            response = router.serve(
+                bind(ra=160.0 + (index % 20) * 0.4, dec=6.0 + (index % 3))
+            )
+            served_ms += response.record.response_ms
+            assert router.clock.now_ms == pytest.approx(served_ms)
+            crashes = router.events.counts().get("EV12", 0)
+            assert crashes == (1 if before_ms >= 1_000.0 else 0)
+        assert served_ms > 1_000.0
+        assert len(router.handoffs) == 1
+        assert router.handoffs[0].source == "shard-0"
+        (event,) = [e for e in router.events.recent() if e["code"] == "EV12"]
+        assert event["at_ms"] >= 1_000.0
+
+
 class TestDrain:
     def test_drain_moves_the_live_cache(self, make_tier, bind):
         router = make_tier(persist=False)

@@ -1,11 +1,10 @@
-"""``serve`` behind the admission gate: shed records, degrade, wait."""
+"""``serve`` behind the admission gate: shed records, tunnel, wait."""
 
 import threading
 
 import pytest
 
 from repro.admission import (
-    SHED_DEGRADE_TO_TUNNEL,
     AdmissionConfig,
     AdmissionController,
     TenantQuota,
@@ -124,44 +123,21 @@ class TestDegradeToTunnel:
     def test_degraded_admission_tunnels_without_caching(
         self, make_proxy, bind
     ):
-        proxy = make_proxy(
-            AdmissionConfig(
-                max_inflight=1,
-                max_queue_depth=4,
-                shed_policy=SHED_DEGRADE_TO_TUNNEL,
-                degrade_watermark=0.0,
-            )
-        )
-        # Occupy the only slot: the next serve is backlog >= watermark.
-        assert proxy.admission.try_admit("t", 0.0).admitted
-        response = proxy.serve(bind())
+        # The shard router's origin fallback forces tunnel mode.
+        proxy = make_proxy()
+        response = proxy.serve_admitted(bind(), degrade=True)
         assert response.record.status is QueryStatus.NO_CACHE
         assert response.record.outcome is QueryOutcome.SERVED
         assert len(proxy.cache) == 0
         trace = proxy.obs.decisions.get(response.record.index)
         assert any("degraded to tunnel" in n for n in trace.notes)
 
-    def test_degrade_disabled_by_policy(self, make_proxy, bind):
-        from repro.faults.resilience import (
-            DegradationPolicy,
-            ResilienceConfig,
-        )
-
-        proxy = make_proxy(
-            AdmissionConfig(
-                max_inflight=1,
-                max_queue_depth=4,
-                shed_policy=SHED_DEGRADE_TO_TUNNEL,
-                degrade_watermark=0.0,
-            ),
-            resilience=ResilienceConfig(
-                degradation=DegradationPolicy(tunnel_on_overload=False)
-            ),
-        )
+    def test_backlog_is_served_through_the_cache(self, make_proxy, bind):
+        proxy = make_proxy(AdmissionConfig(max_inflight=1, max_queue_depth=4))
+        # Occupy the only slot: the next serve is backlog, and admission
+        # never degrades it.
         assert proxy.admission.try_admit("t", 0.0).admitted
         response = proxy.serve(bind())
-        # Still admitted (the policy only disables tunnel degradation),
-        # and served through the full cache path.
         assert response.record.status is not QueryStatus.NO_CACHE
         assert len(proxy.cache) == 1
 

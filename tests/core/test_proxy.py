@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.proxy import FunctionProxy
+from repro.core.proxy import MAX_HOLES, FunctionProxy
 from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryStatus
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
@@ -203,6 +203,24 @@ class TestSoundnessGuards:
             origin.execute_bound(inner).result
         )
 
+    def test_an_overlap_uses_at_most_max_holes_entries(
+        self, make_proxy, bind, origin
+    ):
+        proxy = make_proxy()
+        # Twenty small cached circles, 3 arcmin apart, all inside the
+        # 60 arcmin query below.
+        for k in range(20):
+            proxy.serve(bind(ra=163.5 + 0.05 * k, radius=0.5))
+        assert len(proxy.cache) == 20
+        outer = bind(radius=60.0)
+        response = proxy.serve(outer)
+        assert response.record.status is QueryStatus.REGION_CONTAINMENT
+        trace = proxy.obs.decisions.get(response.record.index)
+        assert trace.remainder.n_holes == MAX_HOLES == 16
+        assert ids(response.result) == ids(
+            origin.execute_bound(outer).result
+        )
+
     def test_nondeterministic_function_is_tunneled(self, origin, make_proxy):
         from repro.sqlparser.parser import parse_expression
         from repro.templates.function_template import FunctionTemplate, Shape
@@ -390,9 +408,3 @@ class TestSoundnessGuards:
         proxy.serve(bind(ra=162.5))
         record = proxy.serve(bind(ra=165.5)).record
         assert record.check_wall_ms >= 0.0
-
-    def test_max_holes_validation(self, origin):
-        with pytest.raises(ValueError):
-            FunctionProxy(
-                origin, origin.templates, max_holes=0
-            )

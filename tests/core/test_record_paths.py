@@ -21,11 +21,7 @@ from repro.core.proxy import FunctionProxy
 from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome
 from repro.faults.plan import FaultPlan, OutageWindow
-from repro.faults.resilience import (
-    BreakerState,
-    DegradationPolicy,
-    ResilienceConfig,
-)
+from repro.faults.resilience import BreakerState
 from repro.server.origin import OriginServer
 from repro.sqlparser.errors import ParseError
 from repro.sqlparser.parser import parse_expression
@@ -231,36 +227,9 @@ def partial_breaker_open(origin):
     return run
 
 
-def partial_disallowed(origin):
-    run = drive(
-        origin,
-        resilience=ResilienceConfig(
-            degradation=DegradationPolicy(partial_ok=False)
-        ),
-    )
-    run(run.proxy.serve, radial(origin, radius=12.0))
-    run.proxy.install_fault_plan(ALWAYS_DOWN)
-    run(run.proxy.serve, radial(origin, ra=164.25, radius=12.0))
-    return run
-
-
 def failed_uncached(origin):
     run = drive(origin)
     run.proxy.install_fault_plan(ALWAYS_DOWN)
-    run(run.proxy.serve, radial(origin))
-    return run
-
-
-def stale_disallowed(origin):
-    run = drive(
-        origin,
-        resilience=ResilienceConfig(
-            degradation=DegradationPolicy(stale_ok=False)
-        ),
-    )
-    run(run.proxy.serve, radial(origin))
-    run.proxy.install_fault_plan(ALWAYS_DOWN)
-    run.until_breaker_opens(origin)
     run(run.proxy.serve, radial(origin))
     return run
 
@@ -321,9 +290,7 @@ SCENARIOS = [
     degraded_while_breaker_open,
     partial_after_retries,
     partial_breaker_open,
-    partial_disallowed,
     failed_uncached,
-    stale_disallowed,
     query_error,
     result_store_error_fallback,
     shed,
@@ -392,13 +359,7 @@ def test_the_golden_covers_every_path(golden):
     for name in ("partial_after_retries", "partial_breaker_open"):
         assert last[name]["origin_bytes"] == 0
         assert last[name]["tuples_from_cache"] == last[name]["tuples_total"]
-    assert facts("partial_disallowed") == (
-        "failed", "failed", "outage", True, 2,
-    )
     assert facts("failed_uncached") == ("failed", "failed", "outage", True, 2)
-    assert facts("stale_disallowed") == (
-        "failed", "failed", "stale-disallowed", True, 0,
-    )
     assert facts("query_error") == (
         "failed", "failed", "query-error", True, 0,
     )

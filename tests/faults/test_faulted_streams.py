@@ -80,6 +80,19 @@ def origin_stream(origin) -> dict:
     }
 
 
+class ArrivalClock:
+    """The router's clock for the shard scenario: arrivals exactly
+    700 ms apart, set by the driver.  ``serve_routed`` advances its
+    clock by each answer's response time; this one ignores that, so
+    the fault windows fire at the arrival times the golden pins."""
+
+    def __init__(self) -> None:
+        self.now_ms = 0.0
+
+    def advance(self, delta_ms: float) -> None:
+        del delta_ms
+
+
 def shard_stream(origin, state_dir: Path) -> dict:
     shards = [
         Shard(
@@ -103,12 +116,13 @@ def shard_stream(origin, state_dir: Path) -> dict:
         config=RouterConfig(region_partitions={RADIAL_TEMPLATE_ID: 0.02}),
         crash_plan=SHARD_PLAN,
     )
+    router.clock = ArrivalClock()
     records = []
     for i in range(32):
+        router.clock.now_ms = 700.0 * i
         bound = radial(origin, ra=160.5 + (i % 8), dec=6.0 + (i % 3))
         response, _ = router.serve_routed(bound)
         records.append(response.record.to_dict(include_wall=False))
-        router.clock.advance(700.0)
     return {
         "decisions": [d.to_dict() for d in router.decisions],
         "records": records,

@@ -6,14 +6,16 @@ proxy -> origin round trip by the slowdown active when it charges it.
 Neither the origin nor the topology is ever replaced.
 """
 
-from random import Random
-
 import pytest
 
 from repro.core.proxy import FunctionProxy
 from repro.faults.errors import FaultPlanError, OriginUnavailable
 from repro.faults.plan import FaultPlan, OutageWindow, SlowdownWindow
-from repro.faults.resilience import CircuitBreaker, OriginGateway, RetryPolicy
+from repro.faults.resilience import (
+    ATTEMPT_TIMEOUT_MS,
+    CircuitBreaker,
+    OriginGateway,
+)
 from repro.network.clock import SimulatedClock
 from repro.network.link import Topology
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
@@ -33,13 +35,10 @@ def bound(origin, radial_params):
 
 
 def gateway_for(plan, clock=None):
-    """A one-attempt gateway running ``plan``'s session."""
+    """A gateway running ``plan``'s session."""
     clock = clock or SimulatedClock()
     gateway = OriginGateway(
-        retry=RetryPolicy(max_attempts=1, attempt_timeout_ms=500.0),
-        breaker=CircuitBreaker(clock, failure_threshold=100),
-        rng=Random(0),
-        failure_rtt_ms=lambda: 300.0,
+        breaker=CircuitBreaker(clock), failure_rtt_ms=lambda: 300.0
     )
     gateway.faults = plan.session()
     return gateway, clock
@@ -71,7 +70,14 @@ class TestGatewayInjection:
             gateway.call(fetch, sink)
         assert info.value.reason == "outage"
         assert calls == []  # the origin was never asked
-        assert sink.charges == [("transfer", 300.0)]
+        # Three attempts, each failing fast: one empty round trip each,
+        # a backoff between consecutive ones.
+        assert [step for step, _ in sink.charges] == [
+            "transfer", "backoff", "transfer", "backoff", "transfer"
+        ]
+        assert all(
+            ms == 300.0 for step, ms in sink.charges if step == "transfer"
+        )
         clock.advance(1_000.0)  # past the window: healthy again
         response, _ = gateway.call(fetch, Sink())
         assert len(response.result) > 0
@@ -82,7 +88,9 @@ class TestGatewayInjection:
         with pytest.raises(OriginUnavailable) as info:
             gateway.call(lambda: origin.execute_bound(bound), sink)
         assert info.value.reason == "timeout"
-        assert sink.charges == [("origin", 500.0)]
+        assert [ms for step, ms in sink.charges if step == "origin"] == [
+            ATTEMPT_TIMEOUT_MS
+        ] * 3
 
     def test_slowdown_scales_server_ms(self, origin, bound):
         gateway, _ = gateway_for(

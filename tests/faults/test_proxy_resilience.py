@@ -7,11 +7,7 @@ from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome, QueryStatus
 from repro.faults.errors import OriginUnavailableError
 from repro.faults.plan import FaultPlan, OutageWindow
-from repro.faults.resilience import (
-    BreakerState,
-    DegradationPolicy,
-    ResilienceConfig,
-)
+from repro.faults.resilience import BREAKER_COOLDOWN_MS, BreakerState
 from repro.sqlparser.errors import ParseError
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 
@@ -145,30 +141,6 @@ class TestOutageDegradation:
         assert len(response.result) == 0
         assert not record.answered
 
-    def test_stale_serve_can_be_disallowed(self, make_proxy, bind):
-        proxy = make_proxy(
-            resilience=ResilienceConfig(
-                degradation=DegradationPolicy(stale_ok=False)
-            )
-        )
-        proxy.serve(bind())
-        proxy.install_fault_plan(ALWAYS_DOWN)
-        drive_breaker_open(proxy, bind)
-        response = proxy.serve(bind())
-        assert response.record.outcome is QueryOutcome.FAILED
-        assert response.record.failure_reason == "stale-disallowed"
-
-    def test_partial_can_be_disallowed(self, make_proxy, bind):
-        proxy = make_proxy(
-            resilience=ResilienceConfig(
-                degradation=DegradationPolicy(partial_ok=False)
-            )
-        )
-        proxy.serve(bind(radius=12.0))
-        proxy.install_fault_plan(ALWAYS_DOWN)
-        response = proxy.serve(bind(ra=164.25, radius=12.0))
-        assert response.record.outcome is QueryOutcome.FAILED
-
     def test_no_uncaught_exceptions_across_a_whole_outage(
         self, make_proxy, bind
     ):
@@ -189,7 +161,7 @@ class TestRecovery:
         # Still open until the cooldown elapses on the simulated clock.
         blocked = proxy.serve(bind())
         assert blocked.record.failure_reason == "breaker-open"
-        proxy.clock.advance(proxy.resilience.breaker_cooldown_ms)
+        proxy.clock.advance(BREAKER_COOLDOWN_MS)
         probe = proxy.serve(bind())
         assert probe.record.outcome is QueryOutcome.SERVED
         assert proxy.breaker.state is BreakerState.CLOSED

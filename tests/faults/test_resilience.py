@@ -1,4 +1,4 @@
-"""Retry policy, circuit breaker, and gateway in isolation."""
+"""Retry backoff, circuit breaker, and gateway in isolation."""
 
 import threading
 import time
@@ -13,11 +13,15 @@ from repro.faults.errors import (
     OriginUnavailableError,
 )
 from repro.faults.resilience import (
+    ATTEMPT_TIMEOUT_MS,
+    BREAKER_COOLDOWN_MS,
+    BREAKER_FAILURE_THRESHOLD,
     BREAKER_STATE_VALUES,
+    MAX_ATTEMPTS,
     BreakerState,
     CircuitBreaker,
     OriginGateway,
-    RetryPolicy,
+    backoff_ms,
 )
 from repro.network.clock import SimulatedClock
 from repro.server.origin import OriginResponse
@@ -37,29 +41,27 @@ class Sink:
         return sum(ms for s, ms in self.charges if s == step)
 
 
-def make_gateway(
-    clock=None,
-    max_attempts=3,
-    failure_threshold=5,
-    cooldown_ms=1_000.0,
-    jitter_fraction=0.0,
-):
-    clock = clock or SimulatedClock()
-    breaker = CircuitBreaker(
-        clock, failure_threshold=failure_threshold, cooldown_ms=cooldown_ms
-    )
-    gateway = OriginGateway(
-        retry=RetryPolicy(
-            max_attempts=max_attempts,
-            base_backoff_ms=100.0,
-            jitter_fraction=jitter_fraction,
-            attempt_timeout_ms=500.0,
-        ),
-        breaker=breaker,
-        rng=Random(0),
-        failure_rtt_ms=lambda: 300.0,
-    )
-    return gateway, breaker, clock
+def make_gateway():
+    breaker = CircuitBreaker(SimulatedClock())
+    gateway = OriginGateway(breaker=breaker, failure_rtt_ms=lambda: 300.0)
+    return gateway, breaker
+
+
+def expected_backoffs(retries):
+    """The waits the gateway charges for its first ``retries`` retries:
+    the same draws, in the same order, from the same seed."""
+    rng = Random(0)
+    return [backoff_ms(index, rng) for index in range(retries)]
+
+
+class FixedRandom:
+    """An rng whose every draw is ``value`` (pins the jitter's ends)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
 
 
 def ok_response():
@@ -67,41 +69,26 @@ def ok_response():
 
 
 class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_fraction=2.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(attempt_timeout_ms=0.0)
-
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            base_backoff_ms=100.0,
-            backoff_multiplier=2.0,
-            max_backoff_ms=300.0,
-            jitter_fraction=0.0,
-        )
-        rng = Random(0)
-        assert policy.backoff_ms(0, rng) == pytest.approx(100.0)
-        assert policy.backoff_ms(1, rng) == pytest.approx(200.0)
-        assert policy.backoff_ms(2, rng) == pytest.approx(300.0)  # capped
-        assert policy.backoff_ms(9, rng) == pytest.approx(300.0)
+        # 200 ms base, x2 per retry, capped at 5 s; jitter adds 0-20 %.
+        for index, base in [(0, 200.0), (1, 400.0), (2, 800.0), (9, 5_000.0)]:
+            assert backoff_ms(index, FixedRandom(0.0)) == pytest.approx(base)
+            assert backoff_ms(index, FixedRandom(1.0)) == pytest.approx(
+                base * 1.2
+            )
 
     def test_jitter_is_deterministic_per_seed(self):
-        policy = RetryPolicy(base_backoff_ms=100.0, jitter_fraction=0.5)
-        a = [policy.backoff_ms(0, Random(7)) for _ in range(3)]
+        a = [backoff_ms(0, Random(7)) for _ in range(3)]
         assert a[0] == a[1] == a[2]
-        assert 100.0 <= a[0] <= 150.0
+        assert 200.0 <= a[0] <= 240.0
 
 
 class TestCircuitBreaker:
     def test_opens_after_threshold(self):
         clock = SimulatedClock()
-        breaker = CircuitBreaker(clock, failure_threshold=3)
-        for _ in range(2):
+        breaker = CircuitBreaker(clock)
+        assert BREAKER_FAILURE_THRESHOLD == 5
+        for _ in range(4):
             breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED
         breaker.record_failure()
@@ -111,12 +98,13 @@ class TestCircuitBreaker:
 
     def test_half_open_after_cooldown_then_closes(self):
         clock = SimulatedClock()
-        breaker = CircuitBreaker(
-            clock, failure_threshold=1, cooldown_ms=1_000.0
-        )
-        breaker.record_failure()
+        breaker = CircuitBreaker(clock)
+        assert BREAKER_COOLDOWN_MS == 30_000.0
+        for _ in range(5):
+            breaker.record_failure()
+        clock.advance(29_999.0)
         assert not breaker.allow()
-        clock.advance(1_000.0)
+        clock.advance(1.0)
         assert breaker.allow()  # the probe attempt
         assert breaker.state is BreakerState.HALF_OPEN
         breaker.record_success()
@@ -254,7 +242,7 @@ class TestHalfOpenProbeRace:
 
 class TestGateway:
     def test_success_passes_through(self):
-        gateway, breaker, _ = make_gateway()
+        gateway, breaker = make_gateway()
         sink = Sink()
         response, retries = gateway.call(ok_response, sink)
         assert response.server_ms == 10.0
@@ -263,7 +251,7 @@ class TestGateway:
         assert breaker.state is BreakerState.CLOSED
 
     def test_transient_failures_retried_with_backoff(self):
-        gateway, breaker, _ = make_gateway()
+        gateway, breaker = make_gateway()
         sink = Sink()
         state = {"left": 2}
 
@@ -277,12 +265,14 @@ class TestGateway:
         assert retries == 2
         # Two failed fast attempts charge one empty round trip each...
         assert sink.total("transfer") == pytest.approx(600.0)
-        # ...plus two deterministic backoff waits (100, then 200 ms).
-        assert sink.total("backoff") == pytest.approx(300.0)
+        # ...plus two seeded backoff waits (200, then 400 ms, +0-20 %).
+        waits = expected_backoffs(2)
+        assert [ms for step, ms in sink.charges if step == "backoff"] == waits
+        assert 600.0 <= sum(waits) <= 720.0
         assert breaker.state is BreakerState.CLOSED  # success reset it
 
     def test_timeout_charges_full_attempt_timeout(self):
-        gateway, _, _ = make_gateway(max_attempts=1)
+        gateway, _ = make_gateway()
         sink = Sink()
 
         def fn():
@@ -291,31 +281,46 @@ class TestGateway:
         with pytest.raises(OriginUnavailable) as info:
             gateway.call(fn, sink)
         assert info.value.reason == "timeout"
-        assert sink.total("origin") == pytest.approx(500.0)
-        assert sink.total("backoff") == 0.0  # no retry budget left
+        # Every hung attempt costs the 10 s attempt timeout; a backoff
+        # separates consecutive attempts, none follows the last.
+        first, second = expected_backoffs(2)
+        assert sink.charges == [
+            ("origin", ATTEMPT_TIMEOUT_MS),
+            ("backoff", first),
+            ("origin", ATTEMPT_TIMEOUT_MS),
+            ("backoff", second),
+            ("origin", ATTEMPT_TIMEOUT_MS),
+        ]
+        assert ATTEMPT_TIMEOUT_MS == 10_000.0
 
     def test_exhausted_attempts_raise_structured_unavailable(self):
-        gateway, _, _ = make_gateway(max_attempts=3)
+        gateway, _ = make_gateway()
         sink = Sink()
+        calls = []
 
         def fn():
+            calls.append(1)
             raise OriginUnavailableError("down", reason="outage")
 
         with pytest.raises(OriginUnavailable) as info:
             gateway.call(fn, sink)
         assert info.value.reason == "outage"
+        assert len(calls) == MAX_ATTEMPTS == 3
         assert info.value.retries == 2
 
     def test_open_breaker_fails_fast_without_attempt(self):
-        gateway, breaker, _ = make_gateway(failure_threshold=1)
+        gateway, breaker = make_gateway()
         calls = []
 
         def fn():
             calls.append(1)
             raise OriginUnavailableError("down")
 
-        with pytest.raises(OriginUnavailable):
-            gateway.call(fn, Sink())
+        # Three failed attempts, then two more: the fifth opens it.
+        for _ in range(2):
+            with pytest.raises(OriginUnavailable):
+                gateway.call(fn, Sink())
+        assert len(calls) == 5
         assert breaker.state is BreakerState.OPEN
         attempts_before = len(calls)
         with pytest.raises(OriginUnavailable) as info:
@@ -324,7 +329,7 @@ class TestGateway:
         assert len(calls) == attempts_before  # the origin was never hit
 
     def test_query_error_not_retried_and_not_a_breaker_failure(self):
-        gateway, breaker, _ = make_gateway()
+        gateway, breaker = make_gateway()
         calls = []
 
         def fn():
@@ -347,12 +352,8 @@ class TestGateway:
             def origin_failure(self, reason):
                 events.append(f"fail:{reason}")
 
-        clock = SimulatedClock()
-        breaker = CircuitBreaker(clock, failure_threshold=10)
         gateway = OriginGateway(
-            retry=RetryPolicy(max_attempts=2, jitter_fraction=0.0),
-            breaker=breaker,
-            rng=Random(0),
+            breaker=CircuitBreaker(SimulatedClock()),
             failure_rtt_ms=lambda: 1.0,
             listener=Listener(),
         )
@@ -362,4 +363,4 @@ class TestGateway:
 
         with pytest.raises(OriginUnavailable):
             gateway.call(fn, Sink())
-        assert events == ["retry", "fail:transient"]
+        assert events == ["retry", "retry", "fail:transient"]

@@ -9,6 +9,7 @@ import pytest
 from repro.admission import AdmissionConfig, AdmissionController
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryOutcome
+from repro.faults.plan import FaultPlan, SlowdownWindow
 from repro.harness.config import ExperimentScale
 from repro.persistence import CachePersister
 from repro.sched import EventLoop, ProxyFrontend
@@ -65,12 +66,17 @@ class TestShedQueriesLeaveNoJournalTrace:
     def test_queued_timeout_writes_no_journal_records(
         self, origin, tmp_path, bind
     ):
-        config = AdmissionConfig(
-            max_inflight=1,
-            max_queue_depth=4,
-            queue_deadline_ms=50.0,
+        config = AdmissionConfig(max_inflight=1, max_queue_depth=4)
+        # A 12x slower origin: the first query holds the only slot past
+        # the 15 s queue deadline.
+        proxy = build_proxy(
+            origin,
+            tmp_path,
+            config,
+            fault_plan=FaultPlan(
+                slowdowns=(SlowdownWindow(0.0, 1e12, factor=12.0),)
+            ),
         )
-        proxy = build_proxy(origin, tmp_path, config)
         frontend = ProxyFrontend(proxy, EventLoop())
         records = []
         for index in range(3):

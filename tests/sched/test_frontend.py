@@ -3,13 +3,14 @@
 import pytest
 
 from repro.admission import (
+    QUEUE_DEADLINE_MS,
     REASON_DEADLINE,
-    SHED_SHED_CHEAPEST,
     AdmissionConfig,
     AdmissionController,
 )
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryOutcome, QueryStatus
+from repro.faults.plan import FaultPlan, SlowdownWindow
 from repro.sched import EventLoop, ProxyFrontend
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 
@@ -103,12 +104,12 @@ class TestFrontend:
     def test_deadline_drops_become_queued_timeouts(
         self, make_frontend, bind
     ):
+        # A 12x slower origin: one service outlasts the 15 s deadline.
         frontend = make_frontend(
-            AdmissionConfig(
-                max_inflight=1,
-                max_queue_depth=4,
-                queue_deadline_ms=50.0,
-            )
+            AdmissionConfig(max_inflight=1, max_queue_depth=4),
+            fault_plan=FaultPlan(
+                slowdowns=(SlowdownWindow(0.0, 1e12, factor=12.0),)
+            ),
         )
         records = []
         for index in range(3):
@@ -122,45 +123,13 @@ class TestFrontend:
             r for r in records
             if r.outcome is QueryOutcome.QUEUED_TIMEOUT
         ]
-        # Service takes seconds, the deadline is 50 ms: both queued
-        # queries expired at dispatch time.
+        # The first query held the only slot past the deadline: both
+        # queued queries expired at dispatch time.
         assert len(timed_out) == 2
         for record in timed_out:
             assert record.status is QueryStatus.REJECTED
             assert record.failure_reason == REASON_DEADLINE
-            assert record.steps_ms["admit.queue"] > 50.0
-
-    def test_shed_cheapest_eviction_produces_a_record(
-        self, make_frontend, bind
-    ):
-        frontend = make_frontend(
-            AdmissionConfig(
-                max_inflight=1,
-                max_queue_depth=1,
-                shed_policy=SHED_SHED_CHEAPEST,
-            )
-        )
-        records = []
-
-        def submit(ra, cost):
-            frontend.submit(
-                bind(ra=ra),
-                cost_hint=cost,
-                on_done=lambda r: records.append(r.record),
-            )
-
-        submit(161.0, 5.0)  # dispatches into the slot
-        submit(162.0, 1.0)  # queued, cheap
-        submit(163.0, 9.0)  # evicts the cheap one
-        # The evicted query resolved as shed before the loop ran.
-        assert len(records) == 1
-        assert records[0].outcome is QueryOutcome.SHED
-        frontend.loop.run()
-        assert len(records) == 3
-        served = [
-            r for r in records if r.outcome is QueryOutcome.SERVED
-        ]
-        assert len(served) == 2
+            assert record.steps_ms["admit.queue"] > QUEUE_DEADLINE_MS
 
     def test_every_submission_yields_exactly_one_record(
         self, make_frontend, bind

@@ -11,7 +11,11 @@ flask = pytest.importorskip("flask")
 
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryOutcome, QueryStatus
-from repro.faults.resilience import BreakerState
+from repro.faults.resilience import (
+    ATTEMPT_TIMEOUT_MS,
+    MAX_ATTEMPTS,
+    BreakerState,
+)
 from repro.relational.result import ResultTable
 from repro.webapp.http_origin import HttpOriginClient, HttpOriginError
 from repro.webapp.origin_app import create_origin_app
@@ -419,7 +423,7 @@ class TestHttpOriginFailures:
         assert record.status is QueryStatus.FAILED
         assert record.outcome is QueryOutcome.FAILED
         assert record.failure_reason == "unreachable"
-        assert record.retries == proxy.resilience.retry.max_attempts - 1
+        assert record.retries == MAX_ATTEMPTS - 1
         assert record.contacted_origin
 
     def test_cache_keeps_answering_through_a_real_outage(self, deployment):
@@ -459,11 +463,10 @@ class TestHttpOriginFailures:
             record = proxy.serve(bound).record
         assert record.outcome is QueryOutcome.FAILED
         assert record.failure_reason == "timeout"
-        assert record.retries == proxy.resilience.retry.max_attempts - 1
+        assert record.retries == MAX_ATTEMPTS - 1
         # Each hung attempt was charged the per-attempt timeout.
         assert record.steps_ms["origin"] == pytest.approx(
-            proxy.resilience.retry.attempt_timeout_ms
-            * proxy.resilience.retry.max_attempts
+            ATTEMPT_TIMEOUT_MS * MAX_ATTEMPTS
         )
 
     def test_origin_4xx_is_a_query_error_not_an_outage(self, deployment):
@@ -509,4 +512,4 @@ class TestHttpOriginFailures:
             server.server_close()
         assert record.outcome is QueryOutcome.FAILED
         assert record.failure_reason == "unreachable"
-        assert record.retries == proxy.resilience.retry.max_attempts - 1
+        assert record.retries == MAX_ATTEMPTS - 1

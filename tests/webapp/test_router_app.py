@@ -5,10 +5,10 @@ import pytest
 flask = pytest.importorskip("flask")
 
 from repro.admission import (
+    RETRY_AFTER_SECONDS,
     AdmissionConfig,
     AdmissionController,
     TenantQuota,
-    retry_after_seconds,
 )
 from repro.cluster import RouterConfig, Shard, ShardRouter
 from repro.core.proxy import FunctionProxy
@@ -135,9 +135,7 @@ class TestRoutedSearch:
         response = radial(client, ra=165.0, headers=headers)
         assert response.status_code == 429
         assert response.headers["X-Proxy-Outcome"] == "shed"
-        assert response.headers["Retry-After"] == str(
-            retry_after_seconds(QUOTA_CONFIG)
-        )
+        assert response.headers["Retry-After"] == str(RETRY_AFTER_SECONDS)
         payload = response.get_json()
         assert payload["reason"] == "quota"
         assert payload["shard"]
