@@ -254,6 +254,8 @@ class CacheManager:
                 self._log_removed(old, "replace")
             size = result.byte_size()
             if self.max_bytes is not None and size > self.max_bytes:
+                if existing is not None:
+                    self._notify("replace", old.byte_size)
                 return None, report
             report.description_work += self._make_room(size, report)
             entry = CacheEntry(

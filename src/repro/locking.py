@@ -257,11 +257,18 @@ class NamedLock:
             sanitizer.released(self.name)
 
     def __enter__(self) -> "NamedLock":
-        self.acquire()
+        # One frame when no sanitizer is installed (the serve path).
+        if _sanitizer is None:
+            self._lock.acquire()
+        else:
+            self.acquire()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.release()
+        self._lock.release()
+        sanitizer = _sanitizer
+        if sanitizer is not None:
+            sanitizer.released(self.name)
 
     def __repr__(self) -> str:
         return f"<NamedLock {self.name!r}>"

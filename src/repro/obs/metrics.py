@@ -26,7 +26,8 @@ exposition is unchanged (version 0.0.4 has no exemplar syntax);
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable
+from bisect import bisect_left
+from typing import Any, Callable, Iterable
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -93,16 +94,19 @@ class _Metric:
 
     # ---------------------------------------------------------- children
     def labels(self, **labels: Any) -> Any:
+        key = self._key(labels)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = self._new_child()
+        return child
+
+    def _key(self, labels: dict[str, Any]) -> tuple[str, ...]:
         if set(labels) != set(self.labelnames):
             raise MetricError(
                 f"{self.name}: expected labels {self.labelnames}, "
                 f"got {tuple(sorted(labels))}"
             )
-        key = tuple(str(labels[name]) for name in self.labelnames)
-        child = self._children.get(key)
-        if child is None:
-            child = self._children[key] = self._new_child()
-        return child
+        return tuple(str(labels[name]) for name in self.labelnames)
 
     def _default_child(self) -> Any:
         child = self._children.get(())
@@ -203,6 +207,19 @@ class _GaugeChild:
         self.value -= amount
 
 
+class _ComputedGaugeChild:
+    """A gauge child whose value is computed when it is read."""
+
+    __slots__ = ("_read",)
+
+    def __init__(self, read: Callable[[], float]) -> None:
+        self._read = read
+
+    @property
+    def value(self) -> float:
+        return float(self._read())
+
+
 class Gauge(_Metric):
     """A point-in-time value (cache occupancy, data version)."""
 
@@ -210,6 +227,11 @@ class Gauge(_Metric):
 
     def _new_child(self) -> _GaugeChild:
         return _GaugeChild()
+
+    def computed(self, read: Callable[[], float], **labels: Any) -> None:
+        """Make the child for ``labels`` report ``read()`` whenever it
+        is read, instead of a value something sets."""
+        self._children[self._key(labels)] = _ComputedGaugeChild(read)
 
     def set(self, value: float) -> None:
         self._default_child().set(value)
@@ -245,11 +267,9 @@ class _HistogramChild:
     def observe(self, value: float, trace_id: str | None = None) -> None:
         self.sum += value
         self.count += 1
-        slot = len(self._uppers)
-        for i, upper in enumerate(self._uppers):
-            if value <= upper:
-                slot = i
-                break
+        # The first bucket with ``value <= upper``; NaN is in none.
+        uppers = self._uppers
+        slot = bisect_left(uppers, value) if value == value else len(uppers)
         self.counts[slot] += 1
         if trace_id:
             self.exemplars[slot] = (value, trace_id)

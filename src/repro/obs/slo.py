@@ -17,7 +17,9 @@ tallies and exports, via the shared metrics registry:
 * ``slo_queries_total{template=...}`` — the sample size behind both.
 
 Burn rates follow the standard error-budget formulation; with no
-queries yet the gauge reports 0.0, never a division error.
+queries yet the gauge reports 0.0, never a division error.  Folding a
+query bumps the tally's counts and the sample-size counter; the three
+ratio gauges are computed from the tally when ``/metrics`` reads them.
 """
 
 from __future__ import annotations
@@ -35,30 +37,30 @@ LATENCY_TARGET_RATIO = 0.95
 
 
 class _TemplateTally:
-    """One template's counts and the four metric children they feed
-    (``SloTracker._families`` order; resolved once, when the template
-    is first seen)."""
+    """One template's counts and its ``slo_queries_total`` child; the
+    ratio gauges read the three ratios below."""
 
-    __slots__ = ("queries", "hits", "within_latency", "children")
+    __slots__ = ("queries", "hits", "within_latency", "counted")
 
-    def __init__(self, children: list[Any]) -> None:
+    def __init__(self, counted: Any) -> None:
         self.queries = 0
         self.hits = 0
         self.within_latency = 0
-        self.children = children
+        self.counted = counted
 
-    def ratios(self) -> tuple[float, float, float]:
-        """``(hit_ratio, hit_burn_rate, latency_burn_rate)`` so far."""
-        return (
-            self.hits / self.queries,
-            _burn_rate(
-                self.queries - self.hits, self.queries, TARGET_HIT_RATIO
-            ),
-            _burn_rate(
-                self.queries - self.within_latency,
-                self.queries,
-                LATENCY_TARGET_RATIO,
-            ),
+    def hit_ratio(self) -> float:
+        return self.hits / self.queries if self.queries else 0.0
+
+    def hit_burn_rate(self) -> float:
+        return _burn_rate(
+            self.queries - self.hits, self.queries, TARGET_HIT_RATIO
+        )
+
+    def latency_burn_rate(self) -> float:
+        return _burn_rate(
+            self.queries - self.within_latency,
+            self.queries,
+            LATENCY_TARGET_RATIO,
         )
 
 
@@ -74,9 +76,7 @@ class SloTracker:
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self._tallies: dict[str, _TemplateTally] = {}
-        #: The three ratio gauges in ``_TemplateTally.ratios`` order,
-        #: then the sample-size counter.
-        self._families = (
+        self._hit_ratio, self._hit_burn, self._latency_burn = (
             registry.gauge(
                 "slo_hit_ratio",
                 "Observed fraction of queries served without the origin.",
@@ -92,42 +92,46 @@ class SloTracker:
                 "Over-latency response rate over its budget (1 = on budget).",
                 ("template",),
             ),
-            registry.counter(
-                "slo_queries_total",
-                "Queries counted toward each template's SLO.",
-                ("template",),
-            ),
+        )
+        self._queries = registry.counter(
+            "slo_queries_total",
+            "Queries counted toward each template's SLO.",
+            ("template",),
         )
 
     def observe(self, template_id: str, hit: bool, latency_ms: float) -> None:
-        """Fold one finished query into its template's SLO gauges."""
+        """Fold one finished query into its template's tally."""
         tally = self._tallies.get(template_id)
         if tally is None:
-            tally = self._tallies[template_id] = _TemplateTally(
-                [f.labels(template=template_id) for f in self._families]
-            )
+            tally = self._tallies[template_id] = self._tally(template_id)
         tally.queries += 1
         if hit:
             tally.hits += 1
         if latency_ms <= LATENCY_OBJECTIVE_MS:
             tally.within_latency += 1
-        *gauges, queries = tally.children
-        queries.inc()
-        for gauge, value in zip(gauges, tally.ratios()):
-            gauge.set(value)
+        tally.counted.inc()
+
+    def _tally(self, template_id: str) -> _TemplateTally:
+        """A new template's tally, its three gauges reading from it."""
+        tally = _TemplateTally(self._queries.labels(template=template_id))
+        self._hit_ratio.computed(tally.hit_ratio, template=template_id)
+        self._hit_burn.computed(tally.hit_burn_rate, template=template_id)
+        self._latency_burn.computed(
+            tally.latency_burn_rate, template=template_id
+        )
+        return tally
 
     def snapshot(self) -> dict[str, Any]:
         """Per-template tallies and burn rates, JSON-able."""
         out: dict[str, Any] = {}
         for template_id, tally in sorted(self._tallies.items()):
-            hit_ratio, hit_burn, latency_burn = tally.ratios()
             out[template_id] = {
                 "queries": tally.queries,
                 "hits": tally.hits,
                 "within_latency": tally.within_latency,
-                "hit_ratio": hit_ratio,
-                "hit_burn_rate": hit_burn,
-                "latency_burn_rate": latency_burn,
+                "hit_ratio": tally.hit_ratio(),
+                "hit_burn_rate": tally.hit_burn_rate(),
+                "latency_burn_rate": tally.latency_burn_rate(),
                 "objective": {
                     "target_hit_ratio": TARGET_HIT_RATIO,
                     "latency_objective_ms": LATENCY_OBJECTIVE_MS,

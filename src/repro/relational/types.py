@@ -60,12 +60,17 @@ class ColumnType(enum.Enum):
         strings, four for NULL (the serialized ``null`` token).
         """
         if value is None:
-            return 4
+            return NULL_BYTES
         if self is ColumnType.STR:
             return len(value.encode("utf-8"))
-        if self is ColumnType.BOOL:
-            return 1
-        return 8
+        return FIXED_BYTES[self]
+
+
+#: The serialized width of a non-NULL value of each fixed-width type
+#: (a STR value is its UTF-8 length), and of a NULL of any type.
+#: ``ColumnType.byte_size`` and ``Schema.byte_plan`` both read these.
+FIXED_BYTES = {ColumnType.INT: 8, ColumnType.FLOAT: 8, ColumnType.BOOL: 1}
+NULL_BYTES = 4
 
 
 def infer_type(value: Any) -> ColumnType:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.cache import CacheError, CacheManager
 from repro.core.description import ArrayDescription
+from repro.obs.instrument import ProxyInstrumentation
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 
 
@@ -63,6 +64,33 @@ class TestStore:
     def test_negative_budget_rejected(self):
         with pytest.raises(CacheError):
             make_cache(max_bytes=-1)
+
+
+class TestOccupancyGauges:
+    """``cache_event`` alone sets ``proxy_cache_bytes`` and
+    ``proxy_cache_entries``, so every path that changes the cache
+    notifies it."""
+
+    def test_replace_then_reject_moves_the_gauges(self, bind, result_of):
+        obs = ProxyInstrumentation()
+        kept, replaced = bind(radius=2.0), bind(radius=3.0)
+        small = result_of(kept)
+        budget = small.byte_size() + result_of(replaced).byte_size()
+        cache = CacheManager(ArrayDescription(), max_bytes=budget, observer=obs)
+        cache.store(kept, small, "sig", False)
+        cache.store(replaced, result_of(replaced), "sig", False)
+        big = result_of(bind(radius=30.0))
+        assert big.byte_size() > budget
+        # The identical query's entry gives way; its new result is refused.
+        entry, _report = cache.store(replaced, big, "sig", False)
+        assert entry is None
+        assert len(cache) == 1 and cache.current_bytes == small.byte_size()
+        assert obs.cache_bytes.value == cache.current_bytes
+        assert obs.cache_entries.value == len(cache)
+        # A gauge-only event: no counter moved.
+        assert obs.cache_insertions.value == 2
+        assert obs.cache_evictions.value == 0
+        assert obs.cache_removals.value == 0
 
 
 class TestLru:

@@ -5,7 +5,10 @@ through ``labels()`` once and holds the child; the explain trace keeps
 the regions and the remainder it was told about and renders them in
 ``to_dict``.  So a steady-state query makes no ``labels()`` call and no
 ``region_summary`` call, and what ``/metrics`` and ``/explain`` say is
-what they said when every query resolved and rendered afresh.
+what they said when every query resolved and rendered afresh.  With
+neither the tracer nor the profiler on, a query builds only its root
+and phase stages, and every record, decision and metric is what it is
+with both on.
 """
 
 import pytest
@@ -14,8 +17,11 @@ from repro.core import proxy as proxy_module
 from repro.core import remainder as remainder_module
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryStatus
-from repro.obs import decisions
+from repro.obs import ProxyInstrumentation, SpanTracer, decisions
 from repro.obs.metrics import _Metric
+from repro.obs.profiling import Profiler
+from repro.obs.propagation import IdGenerator
+from repro.obs.spans import Stage
 
 OPEN = {"r_min": -9999.0, "r_max": 9999.0}
 #: Small enough that the warm-up already evicts.
@@ -164,3 +170,66 @@ class TestExplainRendersOnRead:
         # What the origin received: the base and the holes, no SQL.
         assert explained == geometry
         assert explained["n_holes"] == 1
+
+
+class TestNoTreeWithoutAReader:
+    def test_readers_off_equals_readers_on(self, origin):
+        templates = origin.templates
+        quiet = FunctionProxy(origin, templates, cache_bytes=CACHE_BYTES)
+        read = FunctionProxy(
+            origin,
+            templates,
+            cache_bytes=CACHE_BYTES,
+            instrumentation=ProxyInstrumentation(
+                tracer=SpanTracer(ids=IdGenerator(seed=7)),
+                profiler=Profiler(),
+            ),
+        )
+        for bound in workload(templates, 0, 200):
+            quiet.serve(bound)
+            read.serve(bound)
+
+        def records(proxy):
+            return [r.to_dict(include_wall=False) for r in proxy.stats.records]
+
+        def explained(proxy):
+            out = []
+            for record in proxy.stats.records:
+                payload = proxy.obs.decisions.get(record.index).to_dict()
+                payload.pop("trace_id", None)
+                out.append(payload)
+            return out
+
+        assert records(quiet) == records(read)
+        assert explained(quiet) == explained(read)
+        assert stable_lines(quiet.metrics.exposition()) == stable_lines(
+            read.metrics.exposition()
+        )
+        assert quiet.obs.slo.snapshot() == read.obs.slo.snapshot()
+        assert read.tracer.recent(1) and read.profiler.snapshot()["stages"]
+
+    def test_a_hit_builds_only_its_root_and_phases(self, origin, monkeypatch):
+        templates = origin.templates
+        proxy = FunctionProxy(origin, templates, cache_bytes=CACHE_BYTES)
+        for bound in workload(templates, 0, 50):
+            proxy.serve(bound)
+        built = []
+        real_init = Stage.__init__
+
+        def counted_init(self, open_, name, *args, **kwargs):
+            built.append(name)
+            real_init(self, open_, name, *args, **kwargs)
+
+        monkeypatch.setattr(Stage, "__init__", counted_init)
+        stages = {}
+        for bound in workload(templates, 50, 30):
+            built.clear()
+            record = proxy.serve(bound).record
+            stages.setdefault(record.status, []).append(list(built))
+        assert stages[QueryStatus.CONTAINED]
+        assert all(
+            names == ["query", "check", "local_eval"]
+            for names in stages[QueryStatus.CONTAINED]
+        )
+        assert stages[QueryStatus.EXACT]
+        assert all(names == ["query"] for names in stages[QueryStatus.EXACT])
