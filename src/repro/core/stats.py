@@ -102,6 +102,12 @@ class QueryRecord:
         """Whether the client received result tuples at all."""
         return self.outcome in ANSWERED_OUTCOMES
 
+    @property
+    def hit(self) -> bool:
+        """Whether the cache answered the query without the origin; a
+        shed or queued-timeout query answered nothing, so is no hit."""
+        return self.answered and not self.contacted_origin
+
     def to_dict(self, include_wall: bool = True) -> dict:
         """A JSON-able view of the record.
 
@@ -182,7 +188,7 @@ class TraceStats:
         """Fraction of queries answered without contacting the origin."""
         if not self.records:
             return 0.0
-        hits = sum(1 for r in self.records if not r.contacted_origin)
+        hits = sum(1 for r in self.records if r.hit)
         return hits / len(self.records)
 
     @property

@@ -147,16 +147,16 @@ def shard_counts_for(scale: ExperimentScale) -> tuple[int, ...]:
 def _hit_ratio_answered(records: list[QueryRecord]) -> float:
     """Hit ratio among *answered* records only.
 
-    ``TraceStats.hit_ratio`` counts every record that skipped the
-    origin — which would credit sheds (they never contact anything) as
-    hits.  Availability runs produce sheds by design, so the tier's
-    cache quality is measured over the queries that returned tuples.
+    ``TraceStats.hit_ratio`` divides the hits (``QueryRecord.hit``:
+    answered without the origin, so never a shed) by every record,
+    sheds included.  Availability runs produce sheds by design, so the
+    tier's cache quality is measured over the queries that returned
+    tuples.
     """
     answered = [record for record in records if record.answered]
     if not answered:
         return 0.0
-    hits = sum(1 for record in answered if not record.contacted_origin)
-    return hits / len(answered)
+    return sum(1 for record in answered if record.hit) / len(answered)
 
 
 def busiest_shard(runner: ExperimentRunner, n_shards: int) -> str:

@@ -119,6 +119,29 @@ class TestServeGate:
         assert 'degraded_responses_total{kind="shed"} 1' in exposition
 
 
+class TestShedIsNoHit:
+    def test_a_shed_query_is_no_cache_hit(self, make_proxy, bind):
+        """One forwarded radial, then three sheds: nothing was
+        answered from the cache, so no view counts a hit."""
+        proxy = make_proxy(AdmissionConfig(max_inflight=1, max_queue_depth=1))
+        bound = bind()
+        assert proxy.serve(bound).record.contacted_origin
+        for _ in range(3):
+            record = proxy.reject(bound, "queue-full", QueryOutcome.SHED).record
+            assert not record.contacted_origin and not record.hit
+        [slo] = proxy.obs.slo.snapshot().values()
+        assert (slo["queries"], slo["hits"], slo["hit_ratio"]) == (4, 0, 0.0)
+        assert proxy.stats.hit_ratio == 0.0
+        assert (
+            'slo_hit_ratio{template="skyserver.radial"} 0'
+            in proxy.metrics.exposition().splitlines()
+        )
+        # A cache answer is a hit in both.
+        assert proxy.serve(bound).record.hit
+        assert proxy.obs.slo.snapshot()["skyserver.radial"]["hits"] == 1
+        assert proxy.stats.hit_ratio == pytest.approx(1 / 5)
+
+
 class TestDegradeToTunnel:
     def test_degraded_admission_tunnels_without_caching(
         self, make_proxy, bind
