@@ -19,16 +19,17 @@ import pytest
 
 from repro.core.cache import CacheEntry
 from repro.core.description import ArrayDescription, RTreeDescription
-from repro.core.store import MemoryResultStore
 from repro.geometry.regions import HyperSphere
 from repro.harness.render import render_table
+from repro.relational.result import ResultTable
+from repro.relational.schema import Schema
 
 SIZES = (100, 1_000, 10_000)
 
 
 def synthetic_entries(count: int):
     """Entries with sphere regions scattered on a plane grid."""
-    store = MemoryResultStore()
+    result = ResultTable.empty(Schema.of())
     entries = []
     side = int(count**0.5) + 1
     for i in range(count):
@@ -43,7 +44,7 @@ def synthetic_entries(count: int):
                 truncated=False,
                 byte_size=100,
                 row_count=10,
-                store=store,
+                result=result,
             )
         )
     return entries

@@ -53,8 +53,6 @@ class AdmissionListener(Protocol):
 
     def admission_inflight(self, count: int) -> None: ...
 
-    def admission_shed(self, reason: str) -> None: ...
-
     def admission_quota_denied(self, tenant: str) -> None: ...
 
     def admission_quota_tokens(self, tenant: str, tokens: float) -> None: ...
@@ -263,7 +261,8 @@ class AdmissionController:
                 self._overload.record_failure()
             if shed_reason:
                 self._count_shed(shed_reason)
-        self._notify_shed(shed_reason, tenant)
+        if shed_reason == REASON_QUOTA:
+            self._notify_quota_denied(tenant)
         self._notify_depth()
         self._notify_quota(tenant)
         return AdmissionVerdict(admitted=not shed_reason, reason=shed_reason)
@@ -338,12 +337,9 @@ class AdmissionController:
         )
 
     # -------------------------------------------------------- observers
-    def _notify_shed(self, reason: str, tenant: str) -> None:
+    def _notify_quota_denied(self, tenant: str) -> None:
         obs = self._obs
-        if obs is None or not reason:
-            return
-        obs.admission_shed(reason)
-        if reason == REASON_QUOTA:
+        if obs is not None:
             obs.admission_quota_denied(tenant)
 
     def _notify_depth(self) -> None:

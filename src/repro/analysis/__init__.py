@@ -12,11 +12,11 @@ a fix hint.
 The analyzer (``analyze_*``) is a set of pass pipelines over function
 template XML, query templates, and info files (codes ``FP1xx`` /
 ``FP2xx``), wired into :class:`repro.templates.manager.TemplateManager`
-registration (strict mode rejects, permissive mode degrades the
-template to pass-through), the Flask apps' ``GET /analyze``, and the
-offline CLI ``python -m repro.analysis``.  The repository's own lint
-(``FP3xx`` / ``FP401``) lives outside the package, in ``tools/lint.py``;
-it shares this package's diagnostic model and code registry.
+registration (an error rejects the template), the Flask apps'
+``GET /analyze``, and the offline CLI ``python -m repro.analysis``.
+The repository's own lint (``FP3xx`` / ``FP401``) lives outside the
+package, in ``tools/lint.py``; it shares this package's diagnostic
+model and code registry.
 
 Diagnostic counts feed the metrics registry as
 ``analysis_diagnostics_total{code=...,severity=...}``.

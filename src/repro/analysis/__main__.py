@@ -36,7 +36,7 @@ def _builtin_report() -> AnalysisReport:
     register_skyserver_functions(
         functions, Table("PhotoPrimary", PHOTO_PRIMARY_SCHEMA)
     )
-    manager = TemplateManager(analysis_mode="off")
+    manager = TemplateManager()
     register_skyserver_templates(manager)
     return analyze_manager(manager, functions)
 

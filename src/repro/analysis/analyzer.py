@@ -5,8 +5,7 @@ relevant pass pipeline, and returns an :class:`AnalysisReport`.  The
 callers are:
 
 * :class:`repro.templates.manager.TemplateManager` — at registration,
-  rejecting (strict mode) or degrading (permissive mode) artifacts
-  with error diagnostics;
+  rejecting artifacts with error diagnostics;
 * the Flask apps' ``GET /analyze`` endpoints and their startup report;
 * the offline CLI, ``python -m repro.analysis``.
 

@@ -22,8 +22,7 @@ from typing import Any, Iterable, Iterator
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings make a template unregistrable (strict mode) or
-    degrade it to pass-through (permissive mode); ``WARNING`` and
+    ``ERROR`` findings make a template unregistrable; ``WARNING`` and
     ``INFO`` findings are advisory and never block registration.
     """
 

@@ -57,6 +57,7 @@ from repro.faults.shard import ShardCrashPlan
 from repro.geometry.regions import ConvexPolytope, HyperRect, HyperSphere, Region
 from repro.locking import guarded_by, named_lock, read_only, unshared
 from repro.network.clock import SimulatedClock
+from repro.obs.decisions import DECISION_CAPACITY
 from repro.obs.events import (
     EV_FAILOVER_REROUTE,
     EV_HANDOFF_COMPLETED,
@@ -76,10 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The structured-rejection reason a query sheds with when its shard
 #: tier cannot take it (no live shard, no origin fallback).
 REASON_SHARD_DOWN = "shard-down"
-
-#: Routing decisions a router keeps, newest last (the decision log's
-#: default capacity); ``router_failover_total`` counts them all.
-DECISION_CAPACITY = 256
 
 #: Per-shard statuses that mean "do not dispatch here".
 _NOT_DISPATCHABLE = ("unhealthy", "unreachable", "drained")
@@ -101,11 +98,11 @@ class RouterConfig:
     bindings of that template route by template *and* the cell their
     region's center falls in, spreading one hot template across shards.
     ``failover=False`` is the experiment control — the router only ever
-    tries the primary, so a crashed shard's queries visibly fail.
+    tries the primary, so a crashed shard's queries visibly fail, and a
+    crashed shard's persisted entries are not handed off.
     """
 
     failover: bool = True
-    handoff_on_crash: bool = True
     region_partitions: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -529,7 +526,7 @@ class ShardRouter:
                 persister.set_suspended(False)
         else:
             shard.proxy.cache.clear()
-        if not self.config.handoff_on_crash or persister is None:
+        if not self.config.failover or persister is None:
             return
         self._hand_off(shard_id, persisted_records(persister), now_ms)
 
@@ -644,8 +641,9 @@ class ShardRouter:
         self.timeseries.maybe_sample(now_ms)
 
     def recent_decisions(self, n: int | None = None) -> list[RouteDecision]:
-        """The newest ``n`` routing decisions (at most
-        ``DECISION_CAPACITY``), oldest first."""
+        """The newest ``n`` of the last ``DECISION_CAPACITY`` routing
+        decisions (``router_failover_total`` counts them all), oldest
+        first."""
         with self._lock:
             decisions = list(self.decisions)
         return newest(decisions, n)
@@ -677,7 +675,6 @@ class ShardRouter:
                 "nodes": list(self._ring.nodes),
             },
             "failover": self.config.failover,
-            "handoff_on_crash": self.config.handoff_on_crash,
             "fallback": self.fallback is not None,
             "decisions_total": seq,
             "handoffs": handoffs,

@@ -28,7 +28,6 @@ from repro.core.proxy import FunctionProxy, ProxyResponse
 from repro.core.rtree import RTree
 from repro.core.schemes import CachingScheme, SchemePolicy
 from repro.core.stats import QueryRecord, TraceStats
-from repro.core.store import FileResultStore, MemoryResultStore
 
 __all__ = [
     "ArrayDescription",
@@ -36,9 +35,7 @@ __all__ = [
     "CacheEntry",
     "CacheManager",
     "CachingScheme",
-    "FileResultStore",
     "FunctionProxy",
-    "MemoryResultStore",
     "ProxyCostModel",
     "ProxyResponse",
     "QueryRecord",

@@ -26,15 +26,13 @@ Design notes
   no registrations.  Multi-step lookups also take the lock:
   ``exact_match`` reads ``_by_key`` and ``_entries`` in one critical
   section (a lock-free reader could see the gap a concurrent eviction
-  opens between the two dicts), and ``exact_match_pinned`` fetches the
-  stored result in the same section so the entry cannot be evicted
-  out from under the read.  ``entries()`` snapshots under the lock so
-  callers can iterate while another thread stores.  Single-dict reads
-  (``__len__``, ``entry``) stay lock-free — CPython dict gets are
-  atomic.  Candidates handed out by the description *can* lose a race
-  with eviction after the probe returns; readers of their results must
-  tolerate :class:`~repro.core.store.ResultStoreError` (the proxy's
-  serve path falls back to forwarding).
+  opens between the two dicts).  ``entries()`` snapshots under the
+  lock so callers can iterate while another thread stores.
+  Single-dict reads (``__len__``, ``entry``) stay lock-free — CPython
+  dict gets are atomic.  Candidates handed out by the description can
+  lose a race with eviction after the probe returns; that needs no
+  handling, because an entry carries its own result: an evicted entry
+  still holds exactly the rows its region selected.
 """
 
 from __future__ import annotations
@@ -45,9 +43,8 @@ from typing import Iterable
 
 from repro.core.costs import ProxyCostModel
 from repro.core.description import CacheDescription
-from repro.core.store import MemoryResultStore
 from repro.geometry.regions import Region
-from repro.locking import guarded_by, named_lock, unshared
+from repro.locking import guarded_by, named_lock, read_only, unshared
 from repro.obs.decisions import EvictionRecord
 from repro.relational.result import ResultTable
 from repro.templates.manager import BoundQuery
@@ -58,16 +55,17 @@ class CacheError(Exception):
 
 
 @guarded_by("proxy.cache", "last_used", "access_count")
+@read_only("result")
 @dataclass(eq=False)
 class CacheEntry:
-    """One cached query result's metadata.
+    """One cached query result and its metadata.
 
     Identity (not value) equality: two entries are the same only if they
     are the same object; ``entry_id`` is the stable handle.  The result
-    tuples themselves live in the cache manager's *result store* (the
-    paper keeps them as XML files on disk); ``result`` fetches them,
-    while ``row_count`` and ``byte_size`` are metadata kept here so the
-    proxy can rank candidates without touching storage.
+    lives on the entry, beside its region (the paper keeps it as an XML
+    file next to the region description, Figure 4), and is never
+    replaced; ``row_count`` and ``byte_size`` are kept so the proxy can
+    rank candidates without reading the rows.
     """
 
     entry_id: int
@@ -78,14 +76,9 @@ class CacheEntry:
     truncated: bool
     byte_size: int
     row_count: int
-    store: "object"
+    result: ResultTable
     last_used: int = 0
     access_count: int = 0
-
-    @property
-    def result(self) -> ResultTable:
-        """The stored result (a storage read for file-backed stores)."""
-        return self.store.get(self.entry_id)
 
     def __repr__(self) -> str:
         return (
@@ -138,7 +131,6 @@ class CacheManager:
         description: CacheDescription,
         max_bytes: int | None = None,
         costs: ProxyCostModel | None = None,
-        result_store=None,
         policy=None,
         observer=None,
     ) -> None:
@@ -150,7 +142,6 @@ class CacheManager:
         self.description = description
         self.max_bytes = max_bytes
         self.costs = costs or ProxyCostModel()
-        self.result_store = result_store or MemoryResultStore()
         self.policy = policy or LruPolicy()
         #: Optional observability hook with a ``cache_event(kind,
         #: n_bytes, current_bytes, entries)`` method (see
@@ -188,21 +179,9 @@ class CacheManager:
     def exact_match_pinned(
         self, bound: BoundQuery
     ) -> tuple[CacheEntry, ResultTable] | None:
-        """Exact match with its stored result read in the same critical
-        section.
-
-        The serve path uses this instead of ``exact_match`` +
-        ``entry.result``: between those two steps a concurrent
-        ``store`` could evict the entry and drop its stored result,
-        turning the read into a ``ResultStoreError``.  Pinning the
-        result under ``proxy.cache`` closes that window (eviction
-        itself runs under the same lock)."""
-        with self._lock:
-            entry_id = self._by_key.get(bound.cache_key())
-            if entry_id is None:
-                return None
-            entry = self._entries[entry_id]
-            return entry, entry.result
+        """The exact match and its result: the serve path's lookup."""
+        entry = self.exact_match(bound)
+        return None if entry is None else (entry, entry.result)
 
     def entries(self) -> Iterable[CacheEntry]:
         with self._lock:  # snapshot: callers iterate without the lock
@@ -267,10 +246,9 @@ class CacheManager:
                 truncated=truncated,
                 byte_size=size,
                 row_count=len(result),
-                store=self.result_store,
+                result=result,
                 last_used=next(self._tick),
             )
-            self.result_store.put(entry.entry_id, result)
             self._entries[entry.entry_id] = entry
             self._by_key[key] = entry.entry_id
             self.policy.on_insert(entry)
@@ -352,6 +330,5 @@ class CacheManager:
         self._by_key.pop(entry.cache_key, None)
         del self._entries[entry.entry_id]
         self.current_bytes -= entry.byte_size
-        self.result_store.remove(entry.entry_id)
         self.policy.on_evict(entry)
         return self.description.remove(entry)

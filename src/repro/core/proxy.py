@@ -29,10 +29,10 @@ Soundness guards beyond the paper's text:
 * entries whose producing query was TOP-N truncated serve exact matches
   only;
 * queries on templates whose embedded function is non-deterministic are
-  tunneled, never cached (paper property 1);
-* queries on templates the static analyzer admitted *degraded* (the
-  template manager's permissive mode) are likewise tunneled, never
-  cached — a property violation means cached answers could be wrong.
+  tunneled, never cached (paper property 1).
+
+The other properties are checked once, at registration: the template
+manager refuses a template the static analyzer finds fault with.
 
 Observability: every query runs under a
 :class:`~repro.obs.instrument.QueryObservation` — the one mechanism
@@ -77,7 +77,6 @@ from repro.core.stats import (
     QueryStatus,
     TraceStats,
 )
-from repro.core.store import ResultStoreError
 from repro.faults.errors import (
     FaultPlanError,
     OriginQueryError,
@@ -182,7 +181,6 @@ class FunctionProxy:
         cache_bytes: int | None = None,
         costs: ProxyCostModel | None = None,
         topology: Topology | None = None,
-        result_store=None,
         replacement_policy=None,
         instrumentation: ProxyInstrumentation | None = None,
         fault_plan: FaultPlan | None = None,
@@ -214,7 +212,6 @@ class FunctionProxy:
             description or ArrayDescription(self.costs),
             max_bytes=cache_bytes,
             costs=self.costs,
-            result_store=result_store,
             policy=replacement_policy,
             observer=self.obs,
         )
@@ -536,43 +533,25 @@ class FunctionProxy:
             return self._tunnel(bound, observation)
         if self._stage_parse_bind(bound, observation, policy):
             return self._tunnel(bound, observation)
-        try:
-            return self._stage_cache_probe(bound, observation, policy)
-        except ResultStoreError as exc:
-            # A cache-hit path lost its entry mid-serve (a concurrent
-            # store evicted a candidate between the description probe
-            # and the result read).  The query is still answerable —
-            # treat it as a miss and forward.
-            observation.decision.note(
-                f"cache entry evicted mid-serve ({exc}); forwarded instead"
-            )
-            return self._forward_and_cache(
-                bound, observation, QueryStatus.FORWARDED
-            )
+        return self._stage_cache_probe(bound, observation, policy)
 
     def _stage_parse_bind(self, bound, observation, policy) -> bool:
         """Stage 1 (parse/bind): charge parsing, classify tunneling.
 
         Returns True when the query must be tunneled — the scheme
-        never caches, the embedded function is not deterministic, or
-        the template was admitted degraded by the analyzer — noting
-        each reason on the decision trace.
+        never caches, or the embedded function is not deterministic —
+        noting each reason on the decision trace.
         """
         decision = observation.decision
         observation.charge("parse", self.costs.parse_ms)
         deterministic = self._is_deterministic(bound)
-        degraded = self.templates.is_degraded(bound.template_id)
-        if policy.caches and deterministic and not degraded:
+        if policy.caches and deterministic:
             return False
         if not policy.caches:
             decision.note("tunneled: scheme never caches")
         if not deterministic:
             decision.note(
                 "tunneled: embedded function is not deterministic"
-            )
-        if degraded:
-            decision.note(
-                "tunneled: template admitted degraded by the analyzer"
             )
         return True
 

@@ -194,7 +194,6 @@ def build_tier(
     persistence_dir: str | Path,
     crash_plan: ShardCrashPlan,
     failover: bool,
-    handoff_on_crash: bool,
     admission: AdmissionConfig = SHARD_ADMISSION,
 ) -> ShardRouter:
     """A fresh N-shard router: per-shard admission + persistence, an
@@ -220,7 +219,6 @@ def build_tier(
         fallback=fallback,
         config=RouterConfig(
             failover=failover,
-            handoff_on_crash=handoff_on_crash,
             region_partitions={RADIAL_TEMPLATE_ID: REGION_CELL},
         ),
         crash_plan=crash_plan,
@@ -251,7 +249,6 @@ def run_scenario(
             tmp,
             ShardCrashPlan(seed=load.seed, faults=faults),
             failover=failover,
-            handoff_on_crash=failover,
         )
         frontend = ClusterFrontend(router, EventLoop())
         driver = ClosedLoopDriver(frontend, runner.trace, load)

@@ -51,6 +51,10 @@ from repro.geometry.regions import region_to_dict as region_summary
 from repro.locking import guarded_by, named_lock, read_only, unshared
 from repro.obs.events import newest
 
+#: Finished decisions a log keeps, newest last (``GET /explain/...``);
+#: the shard router keeps as many routing decisions.
+DECISION_CAPACITY = 256
+
 
 class DecisionAction(enum.Enum):
     """The chosen per-query action of the semantic cache."""
@@ -282,28 +286,23 @@ class DecisionTrace:
         return payload
 
 
-@guarded_by("proxy.decisions", "_capacity", "_traces")
+@guarded_by("proxy.decisions", "_traces")
 class DecisionLog:
     """A bounded ring buffer of finished decision traces.
 
     One insertion-ordered dict by query id (``GET
     /explain/<query_id>``) that evicts its first key, so memory stays
-    bounded by ``capacity`` regardless of trace length.  Mutators
-    (``record`` / ``resize`` / ``clear``) take the ``proxy.decisions``
+    bounded by ``DECISION_CAPACITY`` regardless of trace length.
+    Mutators (``record`` / ``clear``) take the ``proxy.decisions``
     lock; reads copy under it so the explain endpoints can render
     while queries keep recording.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive: {capacity}")
-        self._lock = named_lock("proxy.decisions")
-        self._capacity = capacity
-        self._traces: dict[int, DecisionTrace] = {}
+    capacity = DECISION_CAPACITY
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
+    def __init__(self) -> None:
+        self._lock = named_lock("proxy.decisions")
+        self._traces: dict[int, DecisionTrace] = {}
 
     def __len__(self) -> int:
         return len(self._traces)
@@ -330,19 +329,8 @@ class DecisionLog:
             # A re-recorded id replaces its older trace, as the newest.
             self._traces.pop(trace.query_id, None)
             self._traces[trace.query_id] = trace
-            self._trim()
-
-    def resize(self, capacity: int) -> None:
-        """Change the retention bound, trimming oldest traces to fit."""
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive: {capacity}")
-        with self._lock:
-            self._capacity = capacity
-            self._trim()
-
-    def _trim(self) -> None:
-        while len(self._traces) > self._capacity:
-            del self._traces[next(iter(self._traces))]
+            if len(self._traces) > DECISION_CAPACITY:
+                del self._traces[next(iter(self._traces))]
 
     def get(self, query_id: int) -> DecisionTrace | None:
         return self._traces.get(query_id)

@@ -6,11 +6,12 @@ by evaluating a fixed set of **pinned rules** (HR ids, stable like the
 FP diagnostic and EV event codes; see DESIGN.md):
 
 * ``HR01`` *hit-ratio-collapse* — the newest window's cache hit ratio
-  (1 − origin rate / throughput) against the trailing baseline of the
-  preceding windows; a collapse after a data-version flush or an
-  eviction storm shows up here first.
-* ``HR02`` *shed-spike* — the fraction of arrivals turned away by
-  admission control in the newest window.
+  (1 − (origin rate + shed rate) / throughput: the window's share of
+  queries answered without the origin) against the trailing baseline
+  of the preceding windows; a collapse after a data-version flush or
+  an eviction storm shows up here first.
+* ``HR02`` *shed-spike* — the fraction of arrivals turned away (shed
+  rate / throughput) in the newest window.
 * ``HR03`` *latency-slo* — the newest window's rolling p95 response
   time against a latency objective given offline
   (``python -m repro.obs.report --latency-slo-ms``); inactive on a
@@ -22,6 +23,10 @@ FP diagnostic and EV event codes; see DESIGN.md):
 * ``HR06`` *shard-down* — one or more shard workers behind the
   :class:`~repro.cluster.router.ShardRouter` are down or unhealthy;
   inactive on a single proxy with no shard tier configured.
+
+``throughput_qps`` counts every finished query, turned away or not,
+and ``shed_per_s`` every turned-away one, so a window's shed rate is
+part of its throughput.
 
 The overall verdict is the worst rule verdict.  Each evaluation that
 *changes* the overall verdict fires an ``EV11`` event into the flight
@@ -81,15 +86,18 @@ def _rule(rule_id: str, status: str, detail: str) -> dict[str, Any]:
     }
 
 
+def _rate(sample: Mapping[str, Any], lane: str) -> float:
+    return float(sample.get("rates", {}).get(lane, 0.0) or 0.0)
+
+
 def hit_ratio(sample: Mapping[str, Any]) -> float | None:
-    """One window's cache hit ratio (1 − origin rate / throughput), or
-    ``None`` for a window without traffic."""
-    rates = sample.get("rates", {})
-    throughput = float(rates.get("throughput_qps", 0.0) or 0.0)
+    """One window's cache hit ratio (1 − (origin rate + shed rate) /
+    throughput), or ``None`` for a window without traffic."""
+    throughput = _rate(sample, "throughput_qps")
     if throughput <= 0.0:
         return None
-    origin = float(rates.get("origin_per_s", 0.0) or 0.0)
-    return min(1.0, max(0.0, 1.0 - origin / throughput))
+    missed = _rate(sample, "origin_per_s") + _rate(sample, "shed_per_s")
+    return min(1.0, max(0.0, 1.0 - missed / throughput))
 
 
 def summarize(
@@ -135,11 +143,9 @@ def _hit_ratio_collapse(ratios: list[float]) -> dict[str, Any]:
 def _shed_spike(samples: list[dict[str, Any]]) -> dict[str, Any]:
     if not samples:
         return _rule("HR02", HEALTHY, "no samples")
-    rates = samples[-1].get("rates", {})
-    shed = float(rates.get("shed_per_s", 0.0) or 0.0)
-    served = float(rates.get("throughput_qps", 0.0) or 0.0)
-    offered = shed + served
-    fraction = shed / offered if offered > 0 else 0.0
+    throughput = _rate(samples[-1], "throughput_qps")
+    shed = _rate(samples[-1], "shed_per_s")
+    fraction = shed / throughput if throughput > 0 else 0.0
     detail = f"shed fraction {fraction:.2f} in the newest window"
     if fraction >= SHED_UNHEALTHY:
         return _rule("HR02", UNHEALTHY, detail)

@@ -427,8 +427,8 @@ class ProxyInstrumentation(TelemetryBundle):
         )
         self.admission_sheds = r.counter(
             "admission_shed_total",
-            "Queries turned away by admission control, by reason "
-            "(queue-full, quota, admission-open, deadline).",
+            "Queries turned away, by reason (quota, admission-open, "
+            "queue-full, deadline, shard-down).",
             ("reason",),
         )
         self.admission_quota_denials = r.counter(
@@ -511,12 +511,6 @@ class ProxyInstrumentation(TelemetryBundle):
         """Admission hook: a tenant bucket's current token level."""
         self._held[self.admission_quota, tenant].set(tokens)
 
-    def admission_shed(self, reason: str) -> None:
-        """Admission hook: one query was turned away."""
-        self._held[self.admission_sheds, reason].inc()
-        if self.profiler.enabled:
-            self.profiler.hit("admit.shed")
-
     def admission_quota_denied(self, tenant: str) -> None:
         """Admission hook: a tenant's token bucket denied a query."""
         self._held[self.admission_quota_denials, tenant].inc()
@@ -580,6 +574,8 @@ class ProxyInstrumentation(TelemetryBundle):
         )
         if record.outcome.value != "served":
             held[self.degraded_responses, record.outcome.value].inc()
+            if record.status.value == "rejected":  # turned away
+                held[self.admission_sheds, record.failure_reason].inc()
         if self.profiler.enabled:
             self.profiler.record_query(
                 record.index,

@@ -24,9 +24,6 @@ from repro.templates.query_template import QueryTemplate
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.diagnostics import AnalysisReport, Diagnostic
 
-#: Valid values for :class:`TemplateManager`'s ``analysis_mode``.
-ANALYSIS_MODES = ("strict", "permissive", "off")
-
 
 @dataclass(frozen=True)
 class BoundQuery:
@@ -88,8 +85,6 @@ class BoundQuery:
     "_function_templates",
     "_query_templates",
     "_info_files",
-    "_degraded_functions",
-    "_degraded_templates",
     "_analysis_log",
     "_observers",
 )
@@ -102,34 +97,19 @@ class TemplateManager:
     lookups and ``bind`` read without the lock (dict gets are atomic).
 
     Every registration runs the static cacheability analyzer
-    (:mod:`repro.analysis`) according to ``analysis_mode``:
-
-    * ``"strict"`` (default) — error diagnostics reject the template
-      with :class:`TemplateAnalysisError`.
-    * ``"permissive"`` — the template is admitted but *degraded to
-      pass-through*: :meth:`is_degraded` reports it and the proxy
-      tunnels its queries instead of caching them.
-    * ``"off"`` — no analysis (trusted bulk loads, offline tools).
-
-    All diagnostics (including warnings) are kept in
+    (:mod:`repro.analysis`); an error diagnostic rejects the template
+    with :class:`TemplateAnalysisError`, so every registered template
+    may be cached.  All diagnostics (including warnings) are kept in
     :meth:`analysis_diagnostics` and streamed to observers registered
     via :meth:`add_analysis_observer`, which is how they reach the
     metrics registry.
     """
 
-    def __init__(self, analysis_mode: str = "strict") -> None:
-        if analysis_mode not in ANALYSIS_MODES:
-            raise TemplateError(
-                f"analysis_mode must be one of {ANALYSIS_MODES}, "
-                f"not {analysis_mode!r}"
-            )
-        self.analysis_mode = analysis_mode
+    def __init__(self) -> None:
         self._lock = named_lock("proxy.templates")
         self._function_templates: dict[str, FunctionTemplate] = {}
         self._query_templates: dict[str, QueryTemplate] = {}
         self._info_files: dict[str, TemplateInfoFile] = {}
-        self._degraded_functions: set[str] = set()
-        self._degraded_templates: set[str] = set()
         self._analysis_log: list[Diagnostic] = []
         #: Each observer behind a call that returns it, or ``None`` once
         #: a bound method's object has been collected.
@@ -144,18 +124,11 @@ class TemplateManager:
                 if observer is not None:
                     observer(diagnostic)
 
-    def _admit(self, subject: str, report: "AnalysisReport") -> bool:
-        """Record a report; True iff the subject may cache.
-
-        Strict mode raises on errors; permissive mode returns False so
-        the caller marks the subject degraded.
-        """
+    def _admit(self, subject: str, report: "AnalysisReport") -> None:
+        """Record a report; raise if it holds an error."""
         self._record_report(report)
-        if not report.has_errors:
-            return True
-        if self.analysis_mode == "strict":
+        if report.has_errors:
             raise TemplateAnalysisError(subject, report)
-        return False
 
     def add_analysis_observer(
         self, observer: Callable[["Diagnostic"], None]
@@ -182,22 +155,6 @@ class TemplateManager:
         with self._lock:
             return list(self._analysis_log)
 
-    def is_degraded(self, template_id: str) -> bool:
-        """True if a query template was admitted degraded-to-pass-through.
-
-        A template is degraded either directly (its own analysis found
-        errors) or transitively (its function template's did).
-        """
-        key = template_id.lower()
-        if key in self._degraded_templates:
-            return True
-        template = self._query_templates.get(key)
-        return (
-            template is not None
-            and template.function_template.name.lower()
-            in self._degraded_functions
-        )
-
     # ------------------------------------------------------ registration
     def register_function_template(self, template: FunctionTemplate) -> None:
         with self._lock:
@@ -206,12 +163,9 @@ class TemplateManager:
                 raise TemplateError(
                     f"function template {template.name!r} already registered"
                 )
-            if self.analysis_mode != "off":
-                from repro.analysis.analyzer import analyze_function_template
+            from repro.analysis.analyzer import analyze_function_template
 
-                report = analyze_function_template(template)
-                if not self._admit(template.name, report):
-                    self._degraded_functions.add(key)
+            self._admit(template.name, analyze_function_template(template))
             self._function_templates[key] = template
 
     def register_query_template(self, template: QueryTemplate) -> None:
@@ -222,12 +176,11 @@ class TemplateManager:
                     f"query template {template.template_id!r} "
                     f"already registered"
                 )
-            if self.analysis_mode != "off":
-                from repro.analysis.analyzer import analyze_query_template
+            from repro.analysis.analyzer import analyze_query_template
 
-                report = analyze_query_template(template)
-                if not self._admit(template.template_id, report):
-                    self._degraded_templates.add(key)
+            self._admit(
+                template.template_id, analyze_query_template(template)
+            )
             self._query_templates[key] = template
 
     def register_info_file(self, info: TemplateInfoFile) -> None:
@@ -243,16 +196,10 @@ class TemplateManager:
                     f"info file {info.form_name!r} references unknown query "
                     f"template {info.template_id!r}"
                 )
-            if self.analysis_mode != "off":
-                from repro.analysis.analyzer import analyze_info_file
+            from repro.analysis.analyzer import analyze_info_file
 
-                template = self._query_templates[info.template_id.lower()]
-                report = analyze_info_file(info, template)
-                if not self._admit(info.form_name, report):
-                    # A form that cannot bind every declared parameter
-                    # can produce under-constrained queries; never
-                    # cache them.
-                    self._degraded_templates.add(info.template_id.lower())
+            template = self._query_templates[info.template_id.lower()]
+            self._admit(info.form_name, analyze_info_file(info, template))
             self._info_files[key] = info
 
     # ------------------------------------------------------------ lookup

@@ -71,16 +71,8 @@ class QueryTemplate:
         function_template: FunctionTemplate,
         key_column: str,
         description: str = "",
-        checked: bool = True,
     ) -> "QueryTemplate":
-        """Parse and (by default) statically check a query template.
-
-        ``checked=False`` skips the property checks so a questionable
-        template can still be *constructed* — registration with a
-        :class:`~repro.templates.manager.TemplateManager` then decides
-        its fate per the manager's analysis mode (strict mode rejects,
-        permissive mode admits it degraded to pass-through).
-        """
+        """Parse and statically check a query template."""
         try:
             statement = parse_select(sql)
         except Exception as exc:
@@ -95,8 +87,7 @@ class QueryTemplate:
             key_column=key_column,
             description=description,
         )
-        if checked:
-            template._check_structure()
+        template._check_structure()
         return template
 
     # -------------------------------------------------------- validation
@@ -104,8 +95,8 @@ class QueryTemplate:
         """Run the analyzer's property passes; raise on any error.
 
         The static checks (paper properties 2–4) are owned by
-        :mod:`repro.analysis`; this method is the fail-fast façade the
-        constructor and the strict-mode manager share.  Imported lazily
+        :mod:`repro.analysis`; this method is the constructor's
+        fail-fast façade.  Imported lazily
         because the analyzer inspects template types from this module.
         """
         from repro.analysis.analyzer import analyze_query_template

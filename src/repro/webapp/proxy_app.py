@@ -106,7 +106,6 @@ from repro.webapp.surface import (
 def create_proxy_app(
     proxy: FunctionProxy,
     trace_capacity: int | None = None,
-    explain_capacity: int | None = None,
     profile_top_k: int | None = None,
     timeseries_interval_ms: float | None = None,
     event_capacity: int | None = None,
@@ -115,11 +114,9 @@ def create_proxy_app(
 
     ``trace_capacity`` replaces the proxy's tracer with a fresh
     :class:`~repro.obs.spans.SpanTracer` retaining that many root
-    spans; ``explain_capacity`` resizes the decision log backing the
-    ``/explain`` endpoints; ``profile_top_k`` swaps the proxy's
-    profiler for a real :class:`~repro.obs.profiling.Profiler`
-    retaining that many slowest queries (``/profile`` source);
-    ``timeseries_interval_ms`` / ``event_capacity`` install live
+    spans; ``profile_top_k`` swaps the proxy's profiler for a real
+    :class:`~repro.obs.profiling.Profiler` retaining that many slowest
+    queries (``/profile`` source); ``timeseries_interval_ms`` / ``event_capacity`` install live
     telemetry recorders behind ``/timeseries``, ``/events``, and
     ``/health``.  All default to whatever the proxy's instrumentation
     was built with.
@@ -132,8 +129,6 @@ def create_proxy_app(
         timeseries_interval_ms,
         event_capacity,
     )
-    if explain_capacity is not None:
-        proxy.obs.decisions.resize(explain_capacity)
 
     def _function_registry():
         catalog = getattr(proxy.origin, "catalog", None)
@@ -212,14 +207,9 @@ def create_proxy_app(
 
     @app.get("/analyze")
     def analyze():
-        report = analyze_manager(proxy.templates, _function_registry())
-        payload = report.to_dict()
-        payload["degraded_templates"] = sorted(
-            template_id
-            for template_id in proxy.templates.query_template_ids()
-            if proxy.templates.is_degraded(template_id)
-        )
-        return payload
+        return analyze_manager(
+            proxy.templates, _function_registry()
+        ).to_dict()
 
     @app.post("/cache/clear")
     def clear():

@@ -22,7 +22,6 @@ class Listener:
     def __init__(self):
         self.depths = []
         self.inflight = []
-        self.sheds = []
         self.quota_denied = []
         self.quota_tokens = []
         self.waits = []
@@ -34,9 +33,6 @@ class Listener:
 
     def admission_inflight(self, count):
         self.inflight.append(count)
-
-    def admission_shed(self, reason):
-        self.sheds.append(reason)
 
     def admission_quota_denied(self, tenant):
         self.quota_denied.append(tenant)
@@ -266,7 +262,11 @@ class TestListenerHooks:
         controller.bind(listener)
         controller.enqueue("a", "t", 0.0)
         controller.enqueue("b", "t", 0.0)  # full -> shed
-        assert listener.sheds == [REASON_QUEUE_FULL]
+        # The shed itself reaches metrics from the query's record (the
+        # proxy's observe_record), not through a controller hook.
+        assert controller.snapshot()["shed_by_reason"] == {
+            REASON_QUEUE_FULL: 1
+        }
         assert listener.depths == [1, 1]
         controller.dequeue(40.0)
         assert listener.waits == [pytest.approx(40.0)]
@@ -280,7 +280,7 @@ class TestListenerHooks:
         controller.bind(listener)
         controller.try_admit("m", 0.0)
         controller.try_admit("m", 0.0)
-        assert listener.sheds == [REASON_QUOTA]
+        assert controller.snapshot()["shed_by_reason"] == {REASON_QUOTA: 1}
         assert listener.quota_denied == ["m"]
 
 

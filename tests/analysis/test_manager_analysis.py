@@ -1,11 +1,13 @@
-"""Analyzer wiring at TemplateManager registration: strict rejection,
-permissive degrade-to-pass-through, and the metrics feed."""
+"""Analyzer wiring at TemplateManager registration: rejection of every
+template with an error diagnostic, and the metrics feed."""
 
 import pytest
 
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryStatus
+from repro.sqlparser.parser import parse_expression, parse_select
 from repro.templates.errors import TemplateAnalysisError, TemplateError
+from repro.templates.function_template import FunctionTemplate
 from repro.templates.manager import TemplateManager
 from repro.templates.query_template import QueryTemplate
 from repro.templates.skyserver_templates import (
@@ -26,25 +28,33 @@ BAD_RADIAL_SQL = (
 BAD_TEMPLATE_ID = "skyserver.radial.bad"
 
 
-def bad_radial_template() -> QueryTemplate:
-    return QueryTemplate.from_sql(
-        template_id=BAD_TEMPLATE_ID,
-        sql=BAD_RADIAL_SQL,
-        function_template=radial_function_template(),
-        key_column="objID",
-        checked=False,
+def unchecked(template_id, sql, function_template, key_column="objID"):
+    """A query template built without ``from_sql``'s own check, so
+    registration is what meets its faults."""
+    return QueryTemplate(
+        template_id=template_id,
+        sql=sql,
+        statement=parse_select(sql),
+        function_template=function_template,
+        key_column=key_column,
     )
 
 
-def manager_with(mode: str) -> TemplateManager:
-    manager = TemplateManager(analysis_mode=mode)
+def bad_radial_template() -> QueryTemplate:
+    return unchecked(
+        BAD_TEMPLATE_ID, BAD_RADIAL_SQL, radial_function_template()
+    )
+
+
+def radial_manager() -> TemplateManager:
+    manager = TemplateManager()
     manager.register_function_template(radial_function_template())
     return manager
 
 
 class TestStrictMode:
     def test_bad_template_rejected_with_code_and_span(self):
-        manager = manager_with("strict")
+        manager = radial_manager()
         with pytest.raises(TemplateAnalysisError) as excinfo:
             manager.register_query_template(bad_radial_template())
         report = excinfo.value.report
@@ -55,16 +65,13 @@ class TestStrictMode:
         assert BAD_TEMPLATE_ID not in manager.query_template_ids()
 
     def test_good_template_registers_clean(self):
-        manager = manager_with("strict")
+        manager = radial_manager()
         manager.register_query_template(radial_query_template())
-        assert not manager.is_degraded("skyserver.radial")
+        assert "skyserver.radial" in manager.query_template_ids()
         assert manager.analysis_diagnostics() == []
 
-    def test_strict_is_the_default(self):
-        assert TemplateManager().analysis_mode == "strict"
-
     def test_rejection_still_records_diagnostics(self):
-        manager = manager_with("strict")
+        manager = radial_manager()
         with pytest.raises(TemplateAnalysisError):
             manager.register_query_template(bad_radial_template())
         assert any(
@@ -72,19 +79,8 @@ class TestStrictMode:
         )
 
 
-class TestPermissiveMode:
-    def test_bad_template_admitted_but_degraded(self):
-        manager = manager_with("permissive")
-        manager.register_query_template(bad_radial_template())
-        assert BAD_TEMPLATE_ID in manager.query_template_ids()
-        assert manager.is_degraded(BAD_TEMPLATE_ID)
-        assert not manager.is_degraded("skyserver.radial.other")
-
-    def test_degraded_function_template_degrades_its_queries(self):
-        manager = TemplateManager(analysis_mode="permissive")
-        from repro.templates.function_template import FunctionTemplate
-        from repro.sqlparser.parser import parse_expression
-
+    def test_bad_function_template_rejected(self):
+        manager = TemplateManager()
         # Point expression reads a $-parameter: FP109, an error.
         broken = FunctionTemplate(
             name="fBroken",
@@ -95,57 +91,36 @@ class TestPermissiveMode:
             radius_expr=parse_expression("$r"),
             point_exprs=(parse_expression("x + $ra"),),
         )
-        manager.register_function_template(broken)
-        template = QueryTemplate.from_sql(
-            template_id="t.broken",
-            sql="SELECT n.objID, n.x FROM fBroken($ra, $r) n",
-            function_template=broken,
-            key_column="objID",
-            checked=False,
-        )
-        manager.register_query_template(template)
-        assert manager.is_degraded("t.broken")
+        with pytest.raises(TemplateAnalysisError) as excinfo:
+            manager.register_function_template(broken)
+        assert any(d.code == "FP109" for d in excinfo.value.report)
+        assert manager.function_templates() == []
 
     def test_observers_stream_diagnostics(self):
-        manager = manager_with("permissive")
+        manager = radial_manager()
         seen = []
         manager.add_analysis_observer(seen.append)
-        manager.register_query_template(bad_radial_template())
+        with pytest.raises(TemplateAnalysisError):
+            manager.register_query_template(bad_radial_template())
         assert [d.code for d in seen] == ["FP206"]
 
 
-class TestOffMode:
-    def test_no_analysis_no_degradation(self):
-        manager = TemplateManager(analysis_mode="off")
-        manager.register_function_template(radial_function_template())
-        manager.register_query_template(bad_radial_template())
-        assert not manager.is_degraded(BAD_TEMPLATE_ID)
-        assert manager.analysis_diagnostics() == []
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(TemplateError, match="analysis_mode"):
-            TemplateManager(analysis_mode="lenient")
-
-
 class TestProxyIntegration:
-    """The acceptance scenario: a permissive manager admits a bad
-    template; the proxy tunnels it forever and the violation shows up
-    in ``/metrics``."""
+    """The acceptance scenario: the manager refuses a bad template; the
+    proxy never serves it and the violation shows up in ``/metrics``."""
 
     @pytest.fixture()
     def proxy(self, origin):
-        manager = TemplateManager(analysis_mode="permissive")
+        manager = TemplateManager()
         register_skyserver_templates(manager)
-        manager.register_query_template(bad_radial_template())
+        with pytest.raises(TemplateAnalysisError):
+            manager.register_query_template(bad_radial_template())
         return FunctionProxy(origin, manager)
 
-    def test_degraded_template_never_caches(self, proxy, radial_params):
-        first = proxy.serve(proxy.templates.bind(BAD_TEMPLATE_ID, radial_params))
-        second = proxy.serve(
+    def test_rejected_template_is_never_served(self, proxy, radial_params):
+        with pytest.raises(TemplateError, match="no query template"):
             proxy.templates.bind(BAD_TEMPLATE_ID, radial_params)
-        )
-        assert first.record.status is QueryStatus.NO_CACHE
-        assert second.record.status is QueryStatus.NO_CACHE
+        assert len(proxy.stats) == 0
         assert len(proxy.cache) == 0
 
     def test_healthy_template_still_caches(self, proxy, radial_params):
@@ -163,13 +138,10 @@ class TestProxyIntegration:
         assert 'severity="error"' in exposition
 
     def test_late_registrations_also_counted(self, proxy):
-        template = QueryTemplate.from_sql(
-            template_id="t.late",
-            sql=BAD_RADIAL_SQL,
-            function_template=radial_function_template(),
-            key_column="nope",
-            checked=False,
+        template = unchecked(
+            "t.late", BAD_RADIAL_SQL, radial_function_template(), "nope"
         )
-        proxy.templates.register_query_template(template)
+        with pytest.raises(TemplateAnalysisError):
+            proxy.templates.register_query_template(template)
         exposition = proxy.metrics.exposition()
         assert 'code="FP207"' in exposition

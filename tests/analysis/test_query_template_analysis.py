@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.analyzer import analyze_query_template
 from repro.analysis.codes import code_info
 from repro.analysis.diagnostics import Severity
+from repro.sqlparser.parser import parse_select
 from repro.templates.errors import TemplateAnalysisError, TemplateError
 from repro.templates.query_template import QueryTemplate
 from repro.templates.skyserver_templates import (
@@ -19,13 +20,14 @@ from repro.templates.skyserver_templates import (
 
 
 def build(sql: str, key_column: str = "objID") -> QueryTemplate:
-    """An unchecked template, so bad SQL still constructs."""
-    return QueryTemplate.from_sql(
+    """An unchecked template (built without ``from_sql``), so bad SQL
+    still constructs."""
+    return QueryTemplate(
         template_id="t.bad",
         sql=sql,
+        statement=parse_select(sql),
         function_template=radial_function_template(),
         key_column=key_column,
-        checked=False,
     )
 
 

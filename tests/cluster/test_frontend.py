@@ -71,7 +71,7 @@ class TestClusterFrontend:
             persist=False,
             admission=ADMISSION,
             fallback=False,
-            config=RouterConfig(failover=False, handoff_on_crash=False),
+            config=RouterConfig(failover=False),
             crash_plan=plan,
         )
         frontend = ClusterFrontend(router, EventLoop())

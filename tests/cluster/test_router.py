@@ -99,7 +99,7 @@ class TestFailover:
         router = make_tier(
             persist=False,
             fallback=False,
-            config=RouterConfig(failover=False, handoff_on_crash=False),
+            config=RouterConfig(failover=False),
             crash_plan=plan,
         )
         response, decision = router.serve_routed(bind())
@@ -205,7 +205,7 @@ class TestCrashHandoff:
         )
         router = make_tier(
             crash_plan=plan,
-            config=RouterConfig(handoff_on_crash=False),
+            config=RouterConfig(failover=False),
         )
         router.serve(bind())
         router.clock.advance(6_000.0)

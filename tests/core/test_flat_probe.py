@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core.cache import CacheEntry, CacheManager
 from repro.core.description import ArrayDescription, RTreeDescription
-from repro.core.store import MemoryResultStore
 from repro.geometry.regions import (
     EPSILON,
     ConvexPolytope,
@@ -28,6 +27,8 @@ from repro.geometry.regions import (
     HyperRect,
     HyperSphere,
 )
+from repro.relational.result import ResultTable
+from repro.relational.schema import Schema
 from repro.templates.skyserver_templates import (
     RADIAL_TEMPLATE_ID,
     RECT_TEMPLATE_ID,
@@ -47,7 +48,7 @@ def entry_for(entry_id, region, template_id=TEMPLATE):
         truncated=False,
         byte_size=100,
         row_count=10,
-        store=MemoryResultStore(),
+        result=ResultTable.empty(Schema.of()),
     )
 
 

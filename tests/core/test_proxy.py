@@ -100,42 +100,35 @@ class TestDispositions:
         assert record.status is QueryStatus.DISJOINT
 
 
-class TestEvictionRaceFallback:
-    """A cache hit whose stored result vanished mid-serve (the window a
-    concurrent eviction opens) degrades to a forward — serve's
-    never-raises contract covers ``ResultStoreError`` too (REVIEW)."""
+class TestEvictionRace:
+    """A candidate evicted between the description probe and local
+    evaluation still answers the query: an entry carries its own
+    result, so an evicted entry still holds exactly the rows its region
+    selected."""
 
-    def test_lost_exact_result_falls_back_to_forwarding(
-        self, make_proxy, bind
-    ):
-        proxy = make_proxy()
-        bound = bind()
-        first = proxy.serve(bound)
-        entry = proxy.cache.exact_match(bound)
-        # Simulate the race: the stored result is gone while the entry
-        # is still indexed (what a reader saw mid-eviction before the
-        # pinned lookup existed).
-        proxy.cache.result_store.remove(entry.entry_id)
-        response = proxy.serve(bound)
-        assert response.record.status is QueryStatus.FORWARDED
-        assert response.record.contacted_origin
-        assert ids(response.result) == ids(first.result)
-
-    def test_lost_candidate_result_falls_back_to_forwarding(
+    def test_candidate_evicted_after_the_probe_answers_contained(
         self, make_proxy, bind, origin
     ):
         proxy = make_proxy()
-        outer = bind(radius=8.0)
-        proxy.serve(outer)
-        entry = proxy.cache.exact_match(outer)
-        proxy.cache.result_store.remove(entry.entry_id)
-        inner = bind(radius=3.0)  # contained: local eval reads entry
+        proxy.serve(bind(radius=20.0))
+        description = proxy.cache.description
+        probe = description.candidates
+
+        def evict_after_probe(template_id, region):
+            candidates, probe_ms = probe(template_id, region)
+            for entry in candidates:
+                proxy.cache.remove(entry)
+            return candidates, probe_ms
+
+        description.candidates = evict_after_probe
+        inner = bind(radius=10.0)
         response = proxy.serve(inner)
-        assert response.record.status is QueryStatus.FORWARDED
-        assert response.record.contacted_origin
-        assert ids(response.result) == ids(
-            origin.execute_bound(inner).result
-        )
+        assert response.record.status is QueryStatus.CONTAINED
+        assert not response.record.contacted_origin
+        assert len(proxy.cache) == 0
+        expected = origin.execute_bound(inner).result.rows
+        assert expected
+        assert sorted(response.result.rows) == sorted(expected)
 
 
 class TestSchemeDegradation:

@@ -241,16 +241,6 @@ def query_error(origin):
     return run
 
 
-def result_store_error_fallback(origin):
-    run = drive(origin)
-    outer = radial(origin, radius=8.0)
-    run(run.proxy.serve, outer)
-    cache = run.proxy.cache
-    cache.result_store.remove(cache.exact_match(outer).entry_id)
-    run(run.proxy.serve, radial(origin, radius=3.0))  # contained, lost
-    return run
-
-
 def shed(origin):
     run = drive(
         origin,
@@ -292,7 +282,6 @@ SCENARIOS = [
     partial_breaker_open,
     failed_uncached,
     query_error,
-    result_store_error_fallback,
     shed,
     queued_timeout,
 ]
@@ -362,12 +351,6 @@ def test_the_golden_covers_every_path(golden):
     assert facts("failed_uncached") == ("failed", "failed", "outage", True, 2)
     assert facts("query_error") == (
         "failed", "failed", "query-error", True, 0,
-    )
-    assert facts("result_store_error_fallback") == (
-        "forwarded", "served", "", True, 0,
-    )
-    assert "evicted mid-serve" in (
-        last["result_store_error_fallback"]["decision"]["notes"][-1]
     )
     assert facts("shed") == ("rejected", "shed", "quota", False, 0)
     assert facts("queued_timeout") == (

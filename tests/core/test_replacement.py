@@ -14,8 +14,9 @@ from repro.core.replacement import (
     LfuPolicy,
     LruPolicy,
 )
-from repro.core.store import MemoryResultStore
 from repro.geometry.regions import HyperSphere
+from repro.relational.result import ResultTable
+from repro.relational.schema import Schema
 
 
 def entry(entry_id, last_used=0, access_count=0, byte_size=100):
@@ -28,7 +29,7 @@ def entry(entry_id, last_used=0, access_count=0, byte_size=100):
         truncated=False,
         byte_size=byte_size,
         row_count=1,
-        store=MemoryResultStore(),
+        result=ResultTable.empty(Schema.of()),
         last_used=last_used,
         access_count=access_count,
     )
@@ -147,8 +148,6 @@ class TestRationale:
         manager = CacheManager(
             ArrayDescription(), max_bytes=250, policy=policy_cls()
         )
-        store = MemoryResultStore()
-        manager.result_store = store
 
         class _FakeResult:
             def __init__(self, size):

@@ -8,6 +8,7 @@ import pytest
 from repro.geometry.regions import HyperRect, HyperSphere
 from repro.obs.decisions import (
     ACTION_CODES,
+    DECISION_CAPACITY as CAPACITY,
     DecisionAction,
     DecisionLog,
     EvictionRecord,
@@ -157,50 +158,38 @@ class TestDecisionLog:
         assert log.get(1) is None
 
     def test_ring_evicts_oldest(self):
-        log = DecisionLog(capacity=3)
-        for query_id in range(1, 6):
+        log = DecisionLog()
+        for query_id in range(1, CAPACITY + 3):
             self._finished(log, query_id)
-        assert len(log) == 3
+        assert len(log) == CAPACITY == log.capacity
         assert log.get(1) is None
         assert log.get(2) is None
-        assert [d["query_id"] for d in log.recent()] == [3, 4, 5]
+        assert [d["query_id"] for d in log.recent()] == list(
+            range(3, CAPACITY + 3)
+        )
 
     def test_rerecorded_query_id_survives_old_copy_eviction(self):
-        log = DecisionLog(capacity=2)
+        log = DecisionLog()
         self._finished(log, 1, status="disjoint")
         newer = self._finished(log, 1, status="exact")
-        self._finished(log, 2)  # evicts the *old* query-1 trace
+        for query_id in range(2, CAPACITY + 1):
+            self._finished(log, query_id)  # would evict an old copy
         assert log.get(1) is newer
 
     def test_one_container_keeps_one_trace_per_id(self):
-        log = DecisionLog(capacity=3)
-        for query_id in range(1, 6):
+        log = DecisionLog()
+        last = CAPACITY + 2
+        for query_id in range(1, last + 1):
             self._finished(log, query_id)
         assert log.get(1) is None and log.get(2) is None
-        assert [d["query_id"] for d in log.recent()] == [3, 4, 5]
         # Re-recording an id replaces its trace and makes it the newest.
         again = self._finished(log, 3, status="disjoint")
-        assert len(log) == 3
+        assert len(log) == CAPACITY
         assert log.get(3) is again
-        assert [d["query_id"] for d in log.recent()] == [4, 5, 3]
-        assert log.action_counts() == {"exact": 2, "miss": 1}
-        log.resize(1)
-        assert len(log) == 1
-        assert log.get(3) is again and log.get(5) is None
-
-    def test_resize_trims(self):
-        log = DecisionLog(capacity=10)
-        for query_id in range(1, 6):
-            self._finished(log, query_id)
-        log.resize(2)
-        assert log.capacity == 2
-        assert [d["query_id"] for d in log.recent()] == [4, 5]
-        with pytest.raises(ValueError):
-            log.resize(0)
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            DecisionLog(capacity=0)
+        assert [d["query_id"] for d in log.recent(3)] == [
+            last - 1, last, 3,
+        ]
+        assert log.action_counts() == {"exact": CAPACITY - 1, "miss": 1}
 
     def test_recent_limits(self):
         log = DecisionLog()

@@ -95,6 +95,14 @@ class TestShedSpike:
         severe = evaluate_samples([sample(shed=5.0, throughput=5.0)])
         assert rule(severe, "HR02")["status"] == UNHEALTHY
 
+    def test_an_all_shed_window_reads_one(self):
+        # Throughput counts turned-away queries too: shed == throughput
+        # is a window in which every query was turned away.
+        report = evaluate_samples([sample(shed=4.0, throughput=4.0)])
+        assert rule(report, "HR02")["detail"] == (
+            "shed fraction 1.00 in the newest window"
+        )
+
 
 class TestLatencySlo:
     def test_inactive_without_an_objective(self):

@@ -279,7 +279,6 @@ class TestNullProfiler:
         obs.cache_event("insert", 10, 10, 1)
         obs.journal_append("admit")
         obs.journal_replayed("admit")
-        obs.admission_shed("quota")
         assert obs.profiler.snapshot()["stages"] == {}
 
     def test_noop_overhead_is_bounded(self):

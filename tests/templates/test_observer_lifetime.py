@@ -9,7 +9,11 @@ while a live proxy still counts what is registered after it.
 import gc
 import weakref
 
+import pytest
+
 from repro.core.proxy import FunctionProxy
+from repro.sqlparser.parser import parse_select
+from repro.templates.errors import TemplateAnalysisError
 from repro.templates.manager import TemplateManager
 from repro.templates.query_template import QueryTemplate
 from repro.templates.skyserver_templates import (
@@ -26,23 +30,25 @@ BAD_SQL = (
 )
 
 
-def permissive_manager() -> TemplateManager:
-    manager = TemplateManager(analysis_mode="permissive")
+def radial_manager() -> TemplateManager:
+    manager = TemplateManager()
     manager.register_function_template(radial_function_template())
     manager.register_query_template(radial_query_template())
     return manager
 
 
 def register_bad(manager: TemplateManager, template_id: str) -> None:
-    manager.register_query_template(
-        QueryTemplate.from_sql(
-            template_id=template_id,
-            sql=BAD_SQL,
-            function_template=radial_function_template(),
-            key_column="objID",
-            checked=False,
+    """Register a bad template: refused, its diagnostic still counted."""
+    with pytest.raises(TemplateAnalysisError):
+        manager.register_query_template(
+            QueryTemplate(
+                template_id=template_id,
+                sql=BAD_SQL,
+                statement=parse_select(BAD_SQL),
+                function_template=radial_function_template(),
+                key_column="objID",
+            )
         )
-    )
 
 
 def fp206_count(proxy: FunctionProxy) -> float:
@@ -51,7 +57,7 @@ def fp206_count(proxy: FunctionProxy) -> float:
 
 
 def test_dropped_proxies_are_collected(origin):
-    manager = permissive_manager()
+    manager = radial_manager()
     instrumentations = []
     for _ in range(50):
         proxy = FunctionProxy(origin, manager)
@@ -62,7 +68,7 @@ def test_dropped_proxies_are_collected(origin):
 
 
 def test_live_proxy_still_counts_later_diagnostics(origin):
-    manager = permissive_manager()
+    manager = radial_manager()
     live = FunctionProxy(origin, manager)
     for _ in range(5):
         FunctionProxy(origin, manager)  # dropped at once

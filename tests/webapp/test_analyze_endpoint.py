@@ -5,6 +5,8 @@ import pytest
 flask = pytest.importorskip("flask")
 
 from repro.core.proxy import FunctionProxy
+from repro.sqlparser.parser import parse_select
+from repro.templates.errors import TemplateAnalysisError
 from repro.templates.manager import TemplateManager
 from repro.templates.query_template import QueryTemplate
 from repro.templates.skyserver_templates import (
@@ -36,35 +38,35 @@ class TestOriginAnalyze:
 
 
 class TestProxyAnalyze:
-    def test_clean_proxy_reports_no_degraded_templates(self, origin):
+    def test_clean_proxy_reports_no_errors(self, origin):
         client = create_proxy_app(
             FunctionProxy(origin, origin.templates)
         ).test_client()
         payload = client.get("/analyze").get_json()
         assert payload["errors"] == 0
-        assert payload["degraded_templates"] == []
+        assert "degraded_templates" not in payload
 
-    def test_degraded_template_listed(self, origin):
-        manager = TemplateManager(analysis_mode="permissive")
+    def test_refused_template_is_absent(self, origin):
+        manager = TemplateManager()
         register_skyserver_templates(manager)
-        manager.register_query_template(
-            QueryTemplate.from_sql(
-                template_id="t.bad",
-                sql=(
-                    "SELECT p.objID, p.cx, p.cy "
-                    "FROM fGetNearbyObjEq($ra, $dec, $radius) n "
-                    "JOIN PhotoPrimary p ON n.objID = p.objID"
-                ),
-                function_template=radial_function_template(),
-                key_column="objID",
-                checked=False,
-            )
+        sql = (
+            "SELECT p.objID, p.cx, p.cy "
+            "FROM fGetNearbyObjEq($ra, $dec, $radius) n "
+            "JOIN PhotoPrimary p ON n.objID = p.objID"
         )
+        with pytest.raises(TemplateAnalysisError, match="FP206"):
+            manager.register_query_template(
+                QueryTemplate(
+                    template_id="t.bad",
+                    sql=sql,
+                    statement=parse_select(sql),
+                    function_template=radial_function_template(),
+                    key_column="objID",
+                )
+            )
         client = create_proxy_app(
             FunctionProxy(origin, manager)
         ).test_client()
         payload = client.get("/analyze").get_json()
-        assert payload["errors"] >= 1
-        assert payload["degraded_templates"] == ["t.bad"]
-        codes = {d["code"] for d in payload["diagnostics"]}
-        assert "FP206" in codes
+        assert payload["errors"] == 0
+        assert "t.bad" not in manager.query_template_ids()

@@ -18,6 +18,7 @@ flask = pytest.importorskip("flask")
 
 from repro.core.proxy import FunctionProxy
 from repro.obs import IdGenerator, ProxyInstrumentation, SpanTracer
+from repro.obs.decisions import DECISION_CAPACITY
 from repro.webapp.http_origin import HttpOriginClient
 from repro.webapp.origin_app import create_origin_app
 from repro.webapp.proxy_app import create_proxy_app
@@ -82,7 +83,7 @@ class TestExplainEndpoint:
         proxy_client.get(RADIAL)
         proxy_client.get(SHIFTED)
         payload = proxy_client.get("/explain/recent").get_json()
-        assert payload["capacity"] >= 3
+        assert payload["capacity"] == DECISION_CAPACITY
         assert payload["actions"]["exact"] == 1
         assert [d["query_id"] for d in payload["decisions"]] == [1, 2, 3]
         limited = proxy_client.get("/explain/recent?n=1").get_json()
@@ -94,17 +95,6 @@ class TestExplainEndpoint:
         payload = response.get_json()
         assert "error" in payload
         assert payload["retained"] == 0
-
-    def test_explain_capacity_kwarg(self, traced_proxy):
-        client = create_proxy_app(
-            traced_proxy, explain_capacity=2
-        ).test_client()
-        for _ in range(3):
-            client.get(RADIAL)
-        payload = client.get("/explain/recent").get_json()
-        assert payload["capacity"] == 2
-        assert len(payload["decisions"]) == 2
-        assert client.get("/explain/1").status_code == 404
 
     def test_trace_capacity_kwarg(self, traced_proxy):
         client = create_proxy_app(
