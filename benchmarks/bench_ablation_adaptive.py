@@ -73,7 +73,6 @@ def comparison(runner, record_result, bench_report):
         "adaptive_efficiency",
         measured["adaptive"].average_cache_efficiency,
         unit="fraction",
-        polarity="higher",
     )
     report.finish()
 

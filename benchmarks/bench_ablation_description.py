@@ -31,19 +31,13 @@ def ablation(runner, record_result, bench_report):
             result.mean_maintenance_sim_ms[kind],
             unit="ms",
         )
-        # Real wall clock of the description check: machine-bound, so
-        # trajectory-only (the paper's 100 ms claim is asserted below).
-        report.metric(
-            f"{kind}_max_check_wall_ms",
-            result.max_check_wall_ms[kind],
-            unit="ms",
-            gated=False,
-        )
     report.finish()
     return result
 
 
 def test_description_claims(ablation):
+    # The check's real wall clock is machine-bound, so it is no bench
+    # metric; the paper's 100 ms claim is asserted here instead.
     # Checking is always fast in real time, with or without the R-tree,
     # at every scale: each entry's box is built once at admit, so the
     # array's linear scan compares plain floats (the scalability

@@ -37,7 +37,6 @@ def ablation(scale, record_result, bench_report):
             f"{key}_efficiency",
             result.efficiency[label],
             unit="fraction",
-            polarity="higher",
         )
     report.finish()
     return result

@@ -68,7 +68,6 @@ def policy_comparison(runner, record_result, bench_report):
             f"{policy}_efficiency",
             measured[policy]["efficiency"],
             unit="fraction",
-            polarity="higher",
         )
     report.metric(
         "lru_response_ms", measured["lru"]["response"], unit="ms"

@@ -37,13 +37,11 @@ def test_fault_availability(
         "ac_full_answered_fraction",
         answered["ac-full"],
         unit="fraction",
-        polarity="higher",
     )
     report.metric(
         "nc_answered_fraction",
         answered["nc"],
         unit="fraction",
-        polarity="higher",
     )
     report.finish()
     # The availability headline: the semantic cache keeps answering

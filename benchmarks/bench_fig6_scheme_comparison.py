@@ -37,7 +37,6 @@ def test_fig6(runner, record_result, bench_report, benchmark):
             f"{label.lower()}_efficiency",
             efficiency[label],
             unit="fraction",
-            polarity="higher",
         )
     report.finish()
 

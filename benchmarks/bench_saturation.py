@@ -57,19 +57,16 @@ def test_saturation(
         "peak_throughput_qps",
         result.peak_throughput_qps,
         unit="qps",
-        polarity="higher",
     )
     report.metric(
         "plateau_fraction",
         result.plateau_fraction,
         unit="fraction",
-        polarity="higher",
     )
     report.metric(
         "top_rung_p95_admitted_ms",
         top.p95_admitted_ms,
         unit="sim_ms",
-        polarity="lower",
     )
     report.finish()
 

@@ -46,25 +46,21 @@ def test_shard_availability(
         "failover_answered_fraction",
         failover.answered_fraction,
         unit="fraction",
-        polarity="higher",
     )
     report.metric(
         "failover_post_hit_ratio",
         failover.post_hit_ratio,
         unit="fraction",
-        polarity="higher",
     )
     report.metric(
         "control_answered_fraction",
         control.answered_fraction,
         unit="fraction",
-        polarity="lower",
     )
     report.metric(
         "handoff_entries",
         float(failover.handoff_entries),
         unit="entries",
-        polarity="higher",
     )
     report.finish()
 

@@ -33,13 +33,11 @@ def test_table1(runner, record_result, bench_report, benchmark):
             f"ac_efficiency_{tag}",
             result.ac[fraction],
             unit="fraction",
-            polarity="higher",
         )
         report.metric(
             f"pc_efficiency_{tag}",
             result.pc[fraction],
             unit="fraction",
-            polarity="higher",
         )
     report.finish()
     for fraction in fractions:

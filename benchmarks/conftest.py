@@ -10,9 +10,10 @@ Headline numbers additionally flow through the shared
 :class:`~repro.perf.reporter.BenchReporter` (the ``bench_report``
 fixture): every bench writes a schema-valid
 ``results/<bench_id>.bench.json`` and appends to the repo-root
-``BENCH_<bench_id>.json`` trajectory, which is what the CI perf job
-gates against ``results/baselines/`` with ``python -m repro.perf
-compare``.
+``BENCH_<bench_id>.json`` trajectory.  The CI jobs gate each document
+against its golden in ``results/baselines/`` with ``python -m
+repro.perf compare``, which requires every value to be equal; after an
+intended change, copy the new document over the golden.
 
 Scale selection: set ``REPRO_SCALE`` to ``quick`` / ``default`` /
 ``paper`` (default: ``default``).  All scales share the calibrated cost
@@ -64,9 +65,8 @@ def deterministic_run():
 
     Seeds the stdlib and numpy global RNGs (third-party code may draw
     from them; all first-party randomness is already seeded locally)
-    and asserts the simulated clock's pinned start, so repeated runs
-    are comparable and the regression gate's noise bounds reflect
-    machine noise only — not workload drift.
+    and asserts the simulated clock's pinned start, so every run
+    reproduces the committed goldens exactly.
     """
     random.seed(0)
     try:

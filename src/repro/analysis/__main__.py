@@ -22,9 +22,11 @@ from repro.analysis.diagnostics import AnalysisReport, merge_reports
 
 def _builtin_report() -> AnalysisReport:
     """Analyze the shipped SkyServer templates against the SkyServer
-    function library (bound to an empty PhotoPrimary)."""
+    function library (bound to an empty PhotoPrimary); a built-in that
+    registration refuses reports only its own diagnostics."""
     from repro.relational.table import Table
     from repro.skydata.generator import PHOTO_PRIMARY_SCHEMA
+    from repro.templates.errors import TemplateAnalysisError
     from repro.templates.manager import TemplateManager
     from repro.templates.skyserver_templates import (
         register_skyserver_templates,
@@ -37,7 +39,12 @@ def _builtin_report() -> AnalysisReport:
         functions, Table("PhotoPrimary", PHOTO_PRIMARY_SCHEMA)
     )
     manager = TemplateManager()
-    register_skyserver_templates(manager)
+    try:
+        register_skyserver_templates(manager)
+    except TemplateAnalysisError as exc:
+        # Registration is strict: a broken built-in stops it, and the
+        # refusal carries the failing template's full report.
+        return exc.report
     return analyze_manager(manager, functions)
 
 

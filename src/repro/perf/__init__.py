@@ -1,23 +1,22 @@
-"""Unified bench telemetry and the perf-regression gate.
+"""Unified bench telemetry and the bench gate.
 
 Every benchmark under ``benchmarks/`` emits its headline numbers
 through one :class:`~repro.perf.reporter.BenchReporter`, producing a
-canonical JSON document (:mod:`repro.perf.schema`): bench id, metrics
-with units and higher/lower-is-better polarity, run metadata, and
-repeat statistics with median/IQR noise bounds.  Results land in three
+canonical JSON document (:mod:`repro.perf.schema`): bench id, run
+metadata and one ``(unit, value)`` per metric.  Results land in three
 places:
 
 * ``benchmarks/results/<bench_id>.bench.json`` — the latest run;
-* ``benchmarks/results/baselines/`` — committed reference runs the
-  regression gate compares against;
+* ``benchmarks/results/baselines/`` — the committed goldens the gate
+  compares against;
 * ``BENCH_<bench_id>.json`` at the repo root — an append-only
-  trajectory, one entry per run, so performance history is diffable
-  across PRs.
+  trajectory, one entry per run, so the history is diffable across
+  PRs.
 
-The gate (``python -m repro.perf compare``) pairs current results with
-baselines and exits nonzero on any noise-adjusted regression — the
-before/after instrument every speed claim in ROADMAP items 2–5 is
-measured with.
+The gate (``python -m repro.perf compare``) exits nonzero unless every
+current result equals its golden exactly.  The numbers are the
+simulated cost model's, so they change only when the code or the
+model does; wall-clock performance is measured by wallbench instead.
 """
 
 from repro.perf.compare import MetricComparison, compare_results

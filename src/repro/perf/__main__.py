@@ -1,47 +1,36 @@
-"""The perf-telemetry command line.
+"""The bench gate's command line.
 
 ::
 
     python -m repro.perf compare --baseline DIR|FILE --current DIR|FILE
-                                 [--tolerance 0.10]
-                                 [--noise-multiplier 1.5]
                                  [--bench BENCH_ID ...]
-    python -m repro.perf validate PATH [PATH ...]
-    python -m repro.perf promote --current DIR --baseline DIR
-                                 [BENCH_ID ...]
 
-``compare`` is the CI regression gate: every baseline document must
-have a schema-valid current counterpart, and every gated metric must
-stay within its noise-adjusted allowance; any violation exits 1.
-Current results without a baseline are reported but never fail — new
-benches gate only once their baseline is promoted.
+``compare`` is the CI gate.  It loads and schema-checks every document
+under both paths, then requires each selected golden (every baseline
+document, or just the ``--bench`` ids) to have a current counterpart
+that matches it exactly: the same ``run.scale`` and the same
+``{name: (unit, value)}``.  Any violation exits 1.  Current results
+without a golden are reported but never fail.
 
-``validate`` schema-checks documents (exit 1 on the first violation).
+After an intended change to a simulated number, regenerate its golden
+and commit it::
 
-``promote`` copies current ``*.bench.json`` documents into the
-baseline store (all of them, or just the named bench ids) — run it
-locally after an intentional performance change and commit the result.
+    cp benchmarks/results/<bench_id>.bench.json benchmarks/results/baselines/
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from repro.perf.compare import (
-    DEFAULT_NOISE_MULTIPLIER,
-    DEFAULT_TOLERANCE,
-    compare_results,
-)
+from repro.perf.compare import compare_results
 from repro.perf.schema import (
     BenchResult,
     PerfSchemaError,
     load_result,
     load_results_dir,
 )
-from repro.persistence.atomic import atomic_write_text
 
 
 def _load(path: Path) -> dict[str, BenchResult]:
@@ -72,7 +61,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 1
     failures = 0
     for bench_id in wanted:
-        baseline = baselines[bench_id]
         current = currents.get(bench_id)
         if current is None:
             print(
@@ -81,119 +69,40 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             )
             failures += 1
             continue
-        for comparison in compare_results(
-            baseline,
-            current,
-            tolerance=args.tolerance,
-            noise_multiplier=args.noise_multiplier,
-        ):
+        comparisons = compare_results(baselines[bench_id], current)
+        differing = [c for c in comparisons if c.regressed]
+        for comparison in differing:
             print(comparison.format())
-            if comparison.regressed:
-                failures += 1
+        if not differing:
+            print(f"{bench_id}: ok ({len(comparisons)} metrics equal)")
+        failures += len(differing)
     if not args.bench_ids:
         for bench_id in sorted(set(currents) - set(baselines)):
             print(f"{bench_id}: no baseline yet (not gated)")
     if failures:
-        print(f"\n{failures} regression(s) against baselines")
+        print(f"\n{failures} difference(s) from the baselines")
         return 1
-    print("\nall gated metrics within tolerance")
-    return 0
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    status = 0
-    for raw in args.paths:
-        path = Path(raw)
-        files = (
-            sorted(path.glob("*.bench.json")) if path.is_dir() else [path]
-        )
-        if not files:
-            print(f"{path}: no *.bench.json documents")
-            status = 1
-            continue
-        for file in files:
-            try:
-                result = load_result(file)
-            except (PerfSchemaError, OSError) as exc:
-                print(f"invalid: {exc}")
-                status = 1
-            else:
-                print(
-                    f"{file}: ok ({result.bench_id}, "
-                    f"{len(result.metrics)} metrics)"
-                )
-    return status
-
-
-def _cmd_promote(args: argparse.Namespace) -> int:
-    current_dir = Path(args.current)
-    baseline_dir = Path(args.baseline)
-    try:
-        currents = load_results_dir(current_dir)
-    except PerfSchemaError as exc:
-        print(f"error: {exc}")
-        return 1
-    wanted = args.bench_ids or sorted(currents)
-    missing = [b for b in wanted if b not in currents]
-    if missing:
-        print(
-            f"error: no current result for {', '.join(missing)} "
-            f"under {current_dir}"
-        )
-        return 1
-    baseline_dir.mkdir(parents=True, exist_ok=True)
-    for bench_id in wanted:
-        document = currents[bench_id].to_dict()
-        atomic_write_text(
-            baseline_dir / f"{bench_id}.bench.json",
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-        )
-        print(f"promoted {bench_id} -> {baseline_dir}")
+    print("\nevery gated bench equals its baseline")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="bench-result schema tools and the regression gate",
+        description="the bench gate: current results equal the baselines",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     compare = sub.add_parser(
         "compare", help="gate current results against baselines"
     )
     compare.add_argument("--baseline", required=True)
     compare.add_argument("--current", required=True)
     compare.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="relative regression budget (default 0.10)",
-    )
-    compare.add_argument(
-        "--noise-multiplier", type=float,
-        default=DEFAULT_NOISE_MULTIPLIER,
-        help="widening factor on summed IQRs (default 1.5)",
-    )
-    compare.add_argument(
         "--bench", action="append", dest="bench_ids", metavar="BENCH_ID",
         help="gate only this bench id (repeatable; default: every "
         "baseline document)",
     )
     compare.set_defaults(func=_cmd_compare)
-
-    validate = sub.add_parser(
-        "validate", help="schema-check bench-result documents"
-    )
-    validate.add_argument("paths", nargs="+")
-    validate.set_defaults(func=_cmd_validate)
-
-    promote = sub.add_parser(
-        "promote", help="copy current results into the baseline store"
-    )
-    promote.add_argument("--current", required=True)
-    promote.add_argument("--baseline", required=True)
-    promote.add_argument("bench_ids", nargs="*")
-    promote.set_defaults(func=_cmd_promote)
-
     args = parser.parse_args(argv)
     return int(args.func(args))
 

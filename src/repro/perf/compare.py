@@ -1,192 +1,77 @@
-"""The noise-adjusted regression gate.
+"""The equality gate.
 
-Pairs a *current* bench result with its committed *baseline* and
-decides, metric by metric, whether performance regressed.  A gated
-metric regresses when it moved in the bad direction (per its polarity)
-by more than the *allowance*::
-
-    allowance = max(tolerance * |baseline median|,
-                    noise_multiplier * (baseline IQR + current IQR))
-
-The first term is the configured relative budget; the second widens it
-to the measured run-to-run noise, so a metric recorded with repeat
-observations is never failed for ordinary jitter.  Structural problems
-fail loudly rather than silently passing: a gated baseline metric
-missing from the current run, or a scale mismatch between the two
-documents (quick-scale numbers are not comparable to default-scale
-ones).
+Pairs a *current* bench result with its committed *baseline* (a
+golden).  The benches report the simulated cost model's numbers, which
+do not move from run to run, so the two documents must agree exactly:
+the same ``run.scale`` and the same ``{name: (unit, value)}``.  A
+changed value fails however small the change (one ulp included), and
+so does a unit change, a metric missing from the current run, or one
+the golden lacks.  After an intended change the golden is regenerated
+by copying the current document over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perf.schema import BenchResult, Metric
-
-#: Default relative regression budget (10%).
-DEFAULT_TOLERANCE = 0.10
-
-#: Default widening factor on the summed IQRs.
-DEFAULT_NOISE_MULTIPLIER = 1.5
+from repro.perf.schema import BenchResult
 
 
 @dataclass(frozen=True)
 class MetricComparison:
-    """One metric's verdict in a baseline/current comparison."""
+    """One metric's two sides: ``(unit, value)`` from the baseline and
+    from the current run, or ``None`` where that side lacks it.  The
+    ``<scale>`` pseudo-metric compares the two runs' scales."""
 
     bench_id: str
     name: str
-    unit: str
-    polarity: str
-    baseline_median: float | None
-    current_median: float | None
-    worse_by: float
-    allowance: float
-    gated: bool
-    regressed: bool
-    note: str = ""
+    baseline: object
+    current: object
+
+    @property
+    def regressed(self) -> bool:
+        return self.baseline != self.current
 
     def format(self) -> str:
-        flag = "REGRESSED" if self.regressed else (
-            "ungated" if not self.gated else "ok"
+        verdict = "REGRESSED" if self.regressed else "ok"
+        return (
+            f"{self.bench_id}/{self.name}: {verdict} baseline "
+            f"{_side(self.baseline)} -> current {_side(self.current)}"
         )
-        if self.baseline_median is None or self.current_median is None:
-            suffix = f" ({self.note})" if self.note else ""
-            return f"{self.bench_id}/{self.name}: {flag}{suffix}"
-        detail = (
-            f"baseline {self.baseline_median:g}{self.unit} -> "
-            f"current {self.current_median:g}{self.unit} "
-            f"(worse by {self.worse_by:g}, allowed {self.allowance:g})"
-        )
-        suffix = f"; {self.note}" if self.note else ""
-        return f"{self.bench_id}/{self.name}: {flag} {detail}{suffix}"
 
 
-def _worse_by(baseline: Metric, current: Metric) -> float:
-    """How far ``current`` moved in the bad direction (<= 0: improved)."""
-    if baseline.polarity == "lower":
-        return current.median - baseline.median
-    return baseline.median - current.median
+def _side(side: object) -> str:
+    if side is None:
+        return "missing"
+    if isinstance(side, tuple):
+        unit, value = side
+        return f"{value!r} {unit}"
+    return repr(side)
 
 
 def compare_results(
-    baseline: BenchResult,
-    current: BenchResult,
-    tolerance: float = DEFAULT_TOLERANCE,
-    noise_multiplier: float = DEFAULT_NOISE_MULTIPLIER,
+    baseline: BenchResult, current: BenchResult
 ) -> list[MetricComparison]:
-    """Compare one bench's current run against its baseline.
+    """Compare one bench's current run against its golden.
 
-    Returns one :class:`MetricComparison` per baseline metric (plus a
-    non-failing note for current-only metrics).  ``regressed`` is also
-    set on structural failures: a missing gated metric, a polarity
-    change, or mismatched scales.
+    Returns a lone ``<scale>`` comparison when the scales differ
+    (numbers from different scales are not comparable), else one
+    comparison per metric name either document carries.
     """
     if baseline.bench_id != current.bench_id:
         raise ValueError(
             f"cannot compare bench {current.bench_id!r} against "
             f"baseline {baseline.bench_id!r}"
         )
-    comparisons: list[MetricComparison] = []
-    if (
-        baseline.scale is not None
-        and current.scale is not None
-        and baseline.scale != current.scale
-    ):
-        comparisons.append(
+    bench_id = baseline.bench_id
+    if baseline.scale != current.scale:
+        return [
             MetricComparison(
-                bench_id=baseline.bench_id,
-                name="<scale>",
-                unit="",
-                polarity="lower",
-                baseline_median=None,
-                current_median=None,
-                worse_by=0.0,
-                allowance=0.0,
-                gated=True,
-                regressed=True,
-                note=(
-                    f"scale mismatch: baseline ran at "
-                    f"{baseline.scale!r}, current at {current.scale!r}"
-                ),
+                bench_id, "<scale>", baseline.scale, current.scale
             )
-        )
-        return comparisons
-
-    for base_metric in baseline.metrics:
-        cur_metric = current.metric(base_metric.name)
-        if cur_metric is None:
-            comparisons.append(
-                MetricComparison(
-                    bench_id=baseline.bench_id,
-                    name=base_metric.name,
-                    unit=base_metric.unit,
-                    polarity=base_metric.polarity,
-                    baseline_median=base_metric.median,
-                    current_median=None,
-                    worse_by=0.0,
-                    allowance=0.0,
-                    gated=base_metric.gated,
-                    regressed=base_metric.gated,
-                    note="metric missing from the current run",
-                )
-            )
-            continue
-        if cur_metric.polarity != base_metric.polarity:
-            comparisons.append(
-                MetricComparison(
-                    bench_id=baseline.bench_id,
-                    name=base_metric.name,
-                    unit=base_metric.unit,
-                    polarity=base_metric.polarity,
-                    baseline_median=base_metric.median,
-                    current_median=cur_metric.median,
-                    worse_by=0.0,
-                    allowance=0.0,
-                    gated=base_metric.gated,
-                    regressed=base_metric.gated,
-                    note=(
-                        f"polarity changed from {base_metric.polarity!r} "
-                        f"to {cur_metric.polarity!r}"
-                    ),
-                )
-            )
-            continue
-        worse = _worse_by(base_metric, cur_metric)
-        allowance = max(
-            tolerance * abs(base_metric.median),
-            noise_multiplier * (base_metric.iqr + cur_metric.iqr),
-        )
-        gated = base_metric.gated and cur_metric.gated
-        comparisons.append(
-            MetricComparison(
-                bench_id=baseline.bench_id,
-                name=base_metric.name,
-                unit=base_metric.unit,
-                polarity=base_metric.polarity,
-                baseline_median=base_metric.median,
-                current_median=cur_metric.median,
-                worse_by=worse,
-                allowance=allowance,
-                gated=gated,
-                regressed=gated and worse > allowance,
-            )
-        )
-    for cur_metric in current.metrics:
-        if cur_metric.name not in {m.name for m in baseline.metrics}:
-            comparisons.append(
-                MetricComparison(
-                    bench_id=baseline.bench_id,
-                    name=cur_metric.name,
-                    unit=cur_metric.unit,
-                    polarity=cur_metric.polarity,
-                    baseline_median=None,
-                    current_median=cur_metric.median,
-                    worse_by=0.0,
-                    allowance=0.0,
-                    gated=False,
-                    regressed=False,
-                    note="new metric (no baseline yet)",
-                )
-            )
-    return comparisons
+        ]
+    base, cur = baseline.values(), current.values()
+    return [
+        MetricComparison(bench_id, name, base.get(name), cur.get(name))
+        for name in sorted(base.keys() | cur.keys())
+    ]

@@ -35,12 +35,6 @@ class BenchReporter:
                                trajectory_dir=REPO_ROOT)
         report.metric("nc_response_ms", 2081.4, unit="ms")
         report.finish()
-
-    ``metric`` accepts a single value or a list of repeat observations
-    (the latter is what gives the regression gate an honest noise
-    bound).  ``polarity`` defaults to ``lower`` (latencies dominate
-    the suite); pass ``"higher"`` for throughput/efficiency numbers
-    and ``gated=False`` for trend-only metrics the gate must ignore.
     """
 
     def __init__(
@@ -61,28 +55,9 @@ class BenchReporter:
         self._metrics: list[Metric] = []
         self._finished = False
 
-    def metric(
-        self,
-        name: str,
-        value: float | list[float] | tuple[float, ...],
-        unit: str,
-        polarity: str = "lower",
-        gated: bool = True,
-    ) -> None:
-        """Record one metric (single value or repeat observations)."""
-        if isinstance(value, (int, float)):
-            values: tuple[float, ...] = (float(value),)
-        else:
-            values = tuple(float(v) for v in value)
-        self._metrics.append(
-            Metric(
-                name=name,
-                unit=unit,
-                polarity=polarity,
-                values=values,
-                gated=gated,
-            )
-        )
+    def metric(self, name: str, value: float, unit: str) -> None:
+        """Record one metric."""
+        self._metrics.append(Metric(name, unit, float(value)))
 
     def result(self) -> BenchResult:
         """The validated result document for what was recorded so far."""
@@ -133,7 +108,7 @@ class BenchReporter:
             {
                 "run": dict(result.run),
                 "metrics": {
-                    m.name: {"median": m.median, "unit": m.unit}
+                    m.name: {"median": m.value, "unit": m.unit}
                     for m in result.metrics
                 },
             }
@@ -152,11 +127,5 @@ class BenchReporter:
         lines = [header, "-" * len(header)]
         width = max(len(m.name) for m in result.metrics)
         for m in result.metrics:
-            noise = f" iqr={m.iqr:g}" if len(m.values) >= 4 else ""
-            gate = "" if m.gated else "  [ungated]"
-            lines.append(
-                f"{m.name:<{width}}  {m.median:>14g} {m.unit}"
-                f" ({m.polarity} is better, n={len(m.values)}"
-                f"{noise}){gate}"
-            )
+            lines.append(f"{m.name:<{width}}  {m.value:>14g} {m.unit}")
         return "\n".join(lines)

@@ -4,28 +4,18 @@ One :class:`BenchResult` per benchmark run.  The JSON shape (pinned in
 DESIGN.md; bump :data:`SCHEMA_VERSION` on any breaking change)::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "bench_id": "fig5",
       "run": {"scale": "quick", "timestamp_utc": "...", ...},
       "metrics": {
-        "nc_response_ms": {
-          "unit": "ms",
-          "polarity": "lower",
-          "values": [2081.4],
-          "gated": true,
-          "median": 2081.4,
-          "iqr": 0.0
-        },
+        "nc_response_ms": {"unit": "ms", "value": 2029.74648},
         ...
       }
     }
 
-``values`` holds every repeat observation; ``median``/``iqr`` are
-derived (and re-derived on load — a document whose stored statistics
-disagree with its values fails validation).  ``polarity`` says which
-direction is an improvement; ``gated: false`` marks a metric recorded
-for trend-watching but exempt from the regression gate (machine-bound
-wall-clock numbers too noisy to gate on a shared CI runner).
+Every metric is one number the simulated cost model produced, the same
+on every run of the same code at the same scale, so a committed
+document is a golden and the gate compares for equality.
 """
 
 from __future__ import annotations
@@ -37,99 +27,37 @@ from pathlib import Path
 from typing import Any, Mapping
 
 #: Bump on any breaking change to the document shape (see DESIGN.md).
-SCHEMA_VERSION = 1
-
-#: Allowed ``polarity`` values: which direction is an improvement.
-POLARITIES = ("higher", "lower")
-
-#: Relative slack when checking a document's stored median/iqr against
-#: the values they are derived from (guards against hand-edited files).
-_DERIVED_RTOL = 1e-9
+SCHEMA_VERSION = 2
 
 
 class PerfSchemaError(ValueError):
     """A bench-result document violates the canonical schema."""
 
 
-def median(values: tuple[float, ...]) -> float:
-    """The median of ``values`` (mean of the middle two when even)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def iqr(values: tuple[float, ...]) -> float:
-    """The interquartile range of ``values`` — the noise bound the
-    regression gate adds to its tolerance.
-
-    Quartiles use the median-of-halves convention (stable, simple,
-    and exact for the small repeat counts benches produce); fewer
-    than four observations give an IQR of zero, i.e. no noise
-    allowance beyond the configured tolerance.
-    """
-    if len(values) < 4:
-        return 0.0
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    lower = tuple(ordered[:mid])
-    upper = tuple(ordered[-mid:])
-    return median(upper) - median(lower)
-
-
 @dataclass(frozen=True)
 class Metric:
-    """One measured quantity with its repeat observations."""
+    """One measured quantity."""
 
     name: str
     unit: str
-    polarity: str
-    values: tuple[float, ...]
-    gated: bool = True
+    value: float
 
     def __post_init__(self) -> None:
         if not self.name:
             raise PerfSchemaError("metric name must be non-empty")
-        if self.polarity not in POLARITIES:
+        if not isinstance(self.value, (int, float)) or isinstance(
+            self.value, bool
+        ):
             raise PerfSchemaError(
-                f"metric {self.name!r}: polarity {self.polarity!r} "
-                f"not in {POLARITIES}"
+                f"metric {self.name!r}: non-numeric value {self.value!r}"
             )
-        if not self.values:
+        if not math.isfinite(self.value):
             raise PerfSchemaError(
-                f"metric {self.name!r}: needs at least one value"
+                f"metric {self.name!r}: non-finite value {self.value!r}"
             )
-        for value in self.values:
-            if not isinstance(value, (int, float)) or isinstance(
-                value, bool
-            ):
-                raise PerfSchemaError(
-                    f"metric {self.name!r}: non-numeric value {value!r}"
-                )
-            if not math.isfinite(value):
-                raise PerfSchemaError(
-                    f"metric {self.name!r}: non-finite value {value!r}"
-                )
-
-    @property
-    def median(self) -> float:
-        return median(self.values)
-
-    @property
-    def iqr(self) -> float:
-        return iqr(self.values)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "unit": self.unit,
-            "polarity": self.polarity,
-            "values": list(self.values),
-            "gated": self.gated,
-            "median": self.median,
-            "iqr": self.iqr,
-        }
+        return {"unit": self.unit, "value": self.value}
 
     @staticmethod
     def from_dict(name: str, payload: Mapping[str, Any]) -> "Metric":
@@ -137,34 +65,12 @@ class Metric:
             raise PerfSchemaError(
                 f"metric {name!r}: expected an object, got {payload!r}"
             )
-        for key in ("unit", "polarity", "values"):
-            if key not in payload:
-                raise PerfSchemaError(f"metric {name!r}: missing {key!r}")
-        raw_values = payload["values"]
-        if not isinstance(raw_values, list):
+        if set(payload) != {"unit", "value"}:
             raise PerfSchemaError(
-                f"metric {name!r}: values must be a list"
+                f"metric {name!r}: keys {sorted(payload)} are not "
+                f"['unit', 'value']"
             )
-        metric = Metric(
-            name=name,
-            unit=str(payload["unit"]),
-            polarity=str(payload["polarity"]),
-            values=tuple(float(v) for v in raw_values),
-            gated=bool(payload.get("gated", True)),
-        )
-        for key, derived in (
-            ("median", metric.median),
-            ("iqr", metric.iqr),
-        ):
-            if key in payload:
-                stored = float(payload[key])
-                slack = _DERIVED_RTOL * max(1.0, abs(derived))
-                if abs(stored - derived) > slack:
-                    raise PerfSchemaError(
-                        f"metric {name!r}: stored {key} {stored!r} "
-                        f"disagrees with its values (derived {derived!r})"
-                    )
-        return metric
+        return Metric(name, str(payload["unit"]), payload["value"])
 
 
 @dataclass(frozen=True)
@@ -174,29 +80,18 @@ class BenchResult:
     bench_id: str
     run: dict[str, Any] = field(default_factory=dict)
     metrics: tuple[Metric, ...] = ()
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         if not self.bench_id:
             raise PerfSchemaError("bench_id must be non-empty")
-        if self.schema_version != SCHEMA_VERSION:
-            raise PerfSchemaError(
-                f"bench {self.bench_id!r}: schema_version "
-                f"{self.schema_version} (this code reads "
-                f"{SCHEMA_VERSION})"
-            )
         if not self.metrics:
             raise PerfSchemaError(
                 f"bench {self.bench_id!r}: needs at least one metric"
             )
-        seen: set[str] = set()
-        for metric in self.metrics:
-            if metric.name in seen:
-                raise PerfSchemaError(
-                    f"bench {self.bench_id!r}: duplicate metric "
-                    f"{metric.name!r}"
-                )
-            seen.add(metric.name)
+        if len(self.values()) != len(self.metrics):
+            raise PerfSchemaError(
+                f"bench {self.bench_id!r}: duplicate metric names"
+            )
 
     @property
     def scale(self) -> str | None:
@@ -204,15 +99,13 @@ class BenchResult:
         scale = self.run.get("scale")
         return scale if isinstance(scale, str) else None
 
-    def metric(self, name: str) -> Metric | None:
-        for metric in self.metrics:
-            if metric.name == name:
-                return metric
-        return None
+    def values(self) -> dict[str, tuple[str, float]]:
+        """``{name: (unit, value)}``: what the gate compares."""
+        return {m.name: (m.unit, m.value) for m in self.metrics}
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "bench_id": self.bench_id,
             "run": dict(self.run),
             "metrics": {m.name: m.to_dict() for m in self.metrics},
@@ -227,6 +120,12 @@ class BenchResult:
         for key in ("schema_version", "bench_id", "metrics"):
             if key not in payload:
                 raise PerfSchemaError(f"bench result missing {key!r}")
+        if payload["schema_version"] != SCHEMA_VERSION:
+            raise PerfSchemaError(
+                f"bench {payload['bench_id']!r}: schema_version "
+                f"{payload['schema_version']!r} (this code reads "
+                f"{SCHEMA_VERSION})"
+            )
         raw_metrics = payload["metrics"]
         if not isinstance(raw_metrics, Mapping):
             raise PerfSchemaError("metrics must be an object")
@@ -240,7 +139,6 @@ class BenchResult:
                 Metric.from_dict(str(name), raw_metrics[name])
                 for name in sorted(raw_metrics)
             ),
-            schema_version=int(payload["schema_version"]),
         )
 
 

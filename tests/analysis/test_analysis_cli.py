@@ -1,8 +1,11 @@
 """The offline linter CLI: ``python -m repro.analysis``."""
 
 import json
+from dataclasses import replace
 
 from repro.analysis.__main__ import main
+from repro.sqlparser.parser import parse_expression
+from repro.templates import skyserver_templates
 from repro.templates.skyserver_templates import (
     radial_function_template,
     radial_info_file,
@@ -15,6 +18,27 @@ def test_builtin_templates_lint_clean(capsys):
     # The nearest template's TOP 1 is reported as info, never an error.
     assert "FP208" in out
     assert "0 error(s)" in out
+
+
+def test_broken_builtin_reports_instead_of_raising(monkeypatch, capsys):
+    # A point expression over a parameter breaks the §3.1 properties:
+    # strict registration refuses it, and the CLI prints the refusal's
+    # report rather than a traceback.
+    def broken():
+        template = radial_function_template()
+        return replace(
+            template,
+            point_exprs=(
+                parse_expression("cx + $ra"),
+                *template.point_exprs[1:],
+            ),
+        )
+
+    monkeypatch.setattr(
+        skyserver_templates, "radial_function_template", broken
+    )
+    assert main([]) == 1
+    assert "FP109" in capsys.readouterr().out
 
 
 def test_clean_xml_file_exits_zero(tmp_path, capsys):

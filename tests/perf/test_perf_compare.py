@@ -1,4 +1,6 @@
-"""The noise-adjusted regression gate."""
+"""The equality gate."""
+
+import math
 
 import pytest
 
@@ -7,14 +9,11 @@ from repro.perf.schema import BenchResult, Metric
 
 
 def result(bench_id="fig5", scale="quick", **metrics):
-    """A BenchResult from name -> (values, polarity[, gated])."""
+    """A BenchResult from name -> value (unit ``ms``) or (unit, value)."""
     built = []
     for name, spec in metrics.items():
-        values, polarity = spec[0], spec[1]
-        gated = spec[2] if len(spec) > 2 else True
-        built.append(
-            Metric(name, "ms", polarity, tuple(values), gated=gated)
-        )
+        unit, value = spec if isinstance(spec, tuple) else ("ms", spec)
+        built.append(Metric(name, unit, value))
     return BenchResult(
         bench_id=bench_id,
         run={"scale": scale},
@@ -30,89 +29,63 @@ def only(comparisons, name):
 
 class TestGate:
     def test_unchanged_passes(self):
-        base = result(m=([100.0], "lower"))
-        assert not any(
-            c.regressed for c in compare_results(base, base)
-        )
+        base = result(a=1020.340123875, b=("fraction", 0.552))
+        copy = BenchResult.from_dict(base.to_dict())
+        comparisons = compare_results(base, copy)
+        assert [c.name for c in comparisons] == ["a", "b"]
+        assert not any(c.regressed for c in comparisons)
+        assert "ok" in comparisons[0].format()
 
     def test_twenty_percent_slowdown_fails_at_ten_percent(self):
-        base = result(m=([100.0], "lower"))
-        cur = result(m=([120.0], "lower"))
-        verdict = only(compare_results(base, cur, tolerance=0.10), "m")
+        base = result(m=100.0)
+        cur = result(m=120.0)
+        verdict = only(compare_results(base, cur), "m")
         assert verdict.regressed
-        assert verdict.worse_by == pytest.approx(20.0)
-        assert verdict.allowance == pytest.approx(10.0)
+        assert verdict.baseline == ("ms", 100.0)
+        assert verdict.current == ("ms", 120.0)
         assert "REGRESSED" in verdict.format()
 
-    def test_improvement_never_fails(self):
-        base = result(m=([100.0], "lower"))
-        cur = result(m=([40.0], "lower"))
-        assert not only(compare_results(base, cur), "m").regressed
-
-    def test_higher_polarity_inverts_direction(self):
-        base = result(m=([0.50], "higher"))
-        worse = result(m=([0.40], "higher"))
-        better = result(m=([0.60], "higher"))
-        assert only(compare_results(base, worse), "m").regressed
-        assert not only(compare_results(base, better), "m").regressed
-
-    def test_noise_widens_the_allowance(self):
-        # 15% worse, but both runs carry an IQR of 15: the noise term
-        # (1.5 * (15 + 15) = 45) absorbs a move the bare 10% tolerance
-        # would have failed.
-        base = result(m=([90.0, 95.0, 105.0, 110.0], "lower"))
-        cur = result(m=([105.0, 110.0, 120.0, 125.0], "lower"))
-        verdict = only(compare_results(base, cur), "m")
-        assert verdict.worse_by == pytest.approx(15.0)
-        assert verdict.allowance == pytest.approx(45.0)
-        assert not verdict.regressed
-
-    def test_ungated_metric_never_fails(self):
-        base = result(m=([100.0], "lower", False))
-        cur = result(m=([500.0], "lower", False))
-        verdict = only(compare_results(base, cur), "m")
-        assert not verdict.regressed
-        assert "ungated" in verdict.format()
+    @pytest.mark.parametrize("toward", [math.inf, -math.inf])
+    def test_one_ulp_change_fails(self, toward):
+        value = 1020.340123875
+        base = result(m=value)
+        cur = result(m=math.nextafter(value, toward))
+        assert only(compare_results(base, cur), "m").regressed
 
 
 class TestStructuralFailures:
     def test_missing_gated_metric_fails(self):
-        base = result(m=([100.0], "lower"))
-        cur = result(other=([1.0], "lower"))
+        base = result(m=100.0, other=1.0)
+        cur = result(other=1.0)
         verdict = only(compare_results(base, cur), "m")
         assert verdict.regressed
-        assert "missing" in verdict.note
+        assert verdict.current is None
+        assert "missing" in verdict.format()
 
-    def test_missing_ungated_metric_passes(self):
-        base = result(m=([100.0], "lower", False))
-        cur = result(other=([1.0], "lower"))
-        assert not only(compare_results(base, cur), "m").regressed
-
-    def test_polarity_change_fails(self):
-        base = result(m=([100.0], "lower"))
-        cur = result(m=([100.0], "higher"))
-        verdict = only(compare_results(base, cur), "m")
+    def test_extra_metric_fails(self):
+        base = result(m=100.0)
+        cur = result(m=100.0, fresh=1.0)
+        verdict = only(compare_results(base, cur), "fresh")
         assert verdict.regressed
-        assert "polarity" in verdict.note
+        assert verdict.baseline is None
+
+    def test_unit_change_fails(self):
+        base = result(m=("ms", 100.0))
+        cur = result(m=("s", 100.0))
+        assert only(compare_results(base, cur), "m").regressed
 
     def test_scale_mismatch_fails_wholesale(self):
-        base = result(scale="quick", m=([100.0], "lower"))
-        cur = result(scale="paper", m=([100.0], "lower"))
+        base = result(scale="quick", m=100.0)
+        cur = result(scale="paper", m=100.0)
         comparisons = compare_results(base, cur)
         assert len(comparisons) == 1
         assert comparisons[0].name == "<scale>"
         assert comparisons[0].regressed
+        assert "'quick'" in comparisons[0].format()
 
     def test_bench_id_mismatch_raises(self):
         with pytest.raises(ValueError, match="cannot compare"):
             compare_results(
-                result(bench_id="fig5", m=([1.0], "lower")),
-                result(bench_id="fig6", m=([1.0], "lower")),
+                result(bench_id="fig5", m=1.0),
+                result(bench_id="fig6", m=1.0),
             )
-
-    def test_new_metric_is_reported_not_failed(self):
-        base = result(m=([100.0], "lower"))
-        cur = result(m=([100.0], "lower"), fresh=([1.0], "lower"))
-        verdict = only(compare_results(base, cur), "fresh")
-        assert not verdict.regressed
-        assert "no baseline" in verdict.note

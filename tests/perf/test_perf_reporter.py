@@ -22,11 +22,7 @@ def reporter(tmp_path):
 class TestDocument:
     def test_finish_writes_schema_valid_document(self, reporter, tmp_path):
         reporter.metric("nc_response_ms", 2081.4, unit="ms")
-        reporter.metric(
-            "efficiency", [0.5, 0.6, 0.55], unit="fraction",
-            polarity="higher",
-        )
-        reporter.metric("wall_ms", 12.0, unit="ms", gated=False)
+        reporter.metric("handoff_entries", 3, unit="entries")
         reporter.finish()
 
         result = load_result(
@@ -36,12 +32,10 @@ class TestDocument:
         assert result.scale == "quick"
         assert result.run["commit"] == "abc123"
         assert "timestamp_utc" in result.run
-        nc = result.metric("nc_response_ms")
-        assert nc.median == 2081.4 and nc.gated
-        eff = result.metric("efficiency")
-        assert eff.values == (0.5, 0.6, 0.55)
-        assert eff.polarity == "higher"
-        assert not result.metric("wall_ms").gated
+        assert result.values() == {
+            "nc_response_ms": ("ms", 2081.4),
+            "handoff_entries": ("entries", 3.0),
+        }
 
     def test_finish_twice_is_an_error(self, reporter):
         reporter.metric("m", 1.0, unit="ms")
@@ -57,8 +51,8 @@ class TestDocument:
         reporter.metric("m", 1.0, unit="ms")
         reporter.finish()
         out = capsys.readouterr().out
-        assert "bench fig5" in out
-        assert "lower is better" in out
+        assert "bench fig5 (scale=quick)" in out
+        assert "m               1 ms" in out
 
 
 class TestTrajectory:

@@ -9,67 +9,47 @@ from repro.perf.schema import (
     Metric,
     PerfSchemaError,
     SCHEMA_VERSION,
-    iqr,
     load_result,
     load_results_dir,
-    median,
 )
-
-
-class TestStatistics:
-    def test_median_odd_even(self):
-        assert median((3.0, 1.0, 2.0)) == 2.0
-        assert median((4.0, 1.0, 3.0, 2.0)) == 2.5
-
-    def test_iqr_median_of_halves(self):
-        assert iqr((1.0, 2.0, 3.0, 4.0)) == pytest.approx(2.0)
-        assert iqr((1.0, 1.0, 1.0, 1.0, 9.0)) == pytest.approx(4.0)
-
-    def test_iqr_needs_four_observations(self):
-        assert iqr((1.0, 100.0, 5.0)) == 0.0
 
 
 class TestMetric:
     def test_roundtrip(self):
-        metric = Metric(
-            "nc_response_ms", "ms", "lower", (2.0, 1.0, 3.0)
-        )
+        metric = Metric("nc_response_ms", "ms", 2029.74648)
         payload = metric.to_dict()
-        assert payload["median"] == 2.0
+        assert payload == {"unit": "ms", "value": 2029.74648}
         restored = Metric.from_dict("nc_response_ms", payload)
         assert restored == metric
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(name="", unit="ms", polarity="lower", values=(1.0,)),
-            dict(name="m", unit="ms", polarity="faster", values=(1.0,)),
-            dict(name="m", unit="ms", polarity="lower", values=()),
-            dict(
-                name="m", unit="ms", polarity="lower",
-                values=(float("nan"),),
-            ),
-            dict(name="m", unit="ms", polarity="lower", values=(True,)),
+            dict(name="", unit="ms", value=1.0),
+            dict(name="m", unit="ms", value="1.0"),
+            dict(name="m", unit="ms", value=float("inf")),
+            dict(name="m", unit="ms", value=float("nan")),
+            dict(name="m", unit="ms", value=True),
         ],
     )
     def test_invalid_metrics_rejected(self, kwargs):
         with pytest.raises(PerfSchemaError):
             Metric(**kwargs)
 
-    def test_tampered_median_rejected(self):
-        payload = Metric("m", "ms", "lower", (1.0, 3.0)).to_dict()
-        payload["median"] = 1.0  # hand-edited: values say 2.0
-        with pytest.raises(PerfSchemaError, match="disagrees"):
-            Metric.from_dict("m", payload)
-
     def test_missing_required_key_rejected(self):
-        with pytest.raises(PerfSchemaError, match="missing"):
-            Metric.from_dict("m", {"unit": "ms", "values": [1.0]})
+        with pytest.raises(PerfSchemaError, match="keys"):
+            Metric.from_dict("m", {"unit": "ms"})
+
+    def test_extra_key_rejected(self):
+        with pytest.raises(PerfSchemaError, match="keys"):
+            Metric.from_dict(
+                "m", {"unit": "ms", "value": 1.0, "median": 1.0}
+            )
 
 
 class TestBenchResult:
     def metric(self, name="m"):
-        return Metric(name, "ms", "lower", (1.0,))
+        return Metric(name, "ms", 1.0)
 
     def test_roundtrip(self):
         result = BenchResult(
@@ -78,11 +58,9 @@ class TestBenchResult:
             metrics=(self.metric("a"), self.metric("b")),
         )
         restored = BenchResult.from_dict(result.to_dict())
-        assert restored.bench_id == "fig5"
+        assert restored == result
         assert restored.scale == "quick"
-        assert {m.name for m in restored.metrics} == {"a", "b"}
-        assert restored.metric("a") is not None
-        assert restored.metric("zzz") is None
+        assert restored.values() == {"a": ("ms", 1.0), "b": ("ms", 1.0)}
 
     def test_duplicate_metric_rejected(self):
         with pytest.raises(PerfSchemaError, match="duplicate"):
@@ -96,12 +74,13 @@ class TestBenchResult:
             BenchResult(bench_id="fig5")
 
     def test_wrong_schema_version_rejected(self):
+        document = BenchResult(
+            bench_id="fig5", metrics=(self.metric(),)
+        ).to_dict()
+        assert document["schema_version"] == SCHEMA_VERSION
+        document["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(PerfSchemaError, match="schema_version"):
-            BenchResult(
-                bench_id="fig5",
-                metrics=(self.metric(),),
-                schema_version=SCHEMA_VERSION + 1,
-            )
+            BenchResult.from_dict(document)
 
 
 class TestLoading:
@@ -112,7 +91,7 @@ class TestLoading:
         return BenchResult(
             bench_id=bench_id,
             run={"scale": "quick"},
-            metrics=(Metric("m", "ms", "lower", (1.0,)),),
+            metrics=(Metric("m", "ms", 1.0),),
         ).to_dict()
 
     def test_load_result(self, tmp_path):
@@ -124,6 +103,20 @@ class TestLoading:
         path = tmp_path / "broken.bench.json"
         path.write_text("{nope")
         with pytest.raises(PerfSchemaError, match="not valid JSON"):
+            load_result(path)
+
+    def test_version_1_document_rejected(self, tmp_path):
+        path = tmp_path / "fig5.bench.json"
+        self.write(path, {
+            "schema_version": 1,
+            "bench_id": "fig5",
+            "run": {"scale": "quick"},
+            "metrics": {"m": {
+                "unit": "ms", "polarity": "lower", "values": [1.0],
+                "gated": True, "median": 1.0, "iqr": 0.0,
+            }},
+        })
+        with pytest.raises(PerfSchemaError, match="schema_version 1"):
             load_result(path)
 
     def test_load_results_dir(self, tmp_path):
