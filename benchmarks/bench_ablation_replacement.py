@@ -103,5 +103,8 @@ def test_victim_selection_speed(runner, benchmark, policy_comparison):
     policy = LruPolicy()
     entries = list(proxy.cache.entries())
     assert entries
+    # The policy learns the recency order from the cache's hooks.
+    for entry in sorted(entries, key=lambda e: e.last_used):
+        policy.on_insert(entry)
 
     benchmark(policy.victim, entries)

@@ -1,13 +1,13 @@
 # concurrency: serve-path
 """Warm handoff: move one shard's cache into its ring successor.
 
-The transfer rides the persistence wire format (PR 5): the departing
-shard's cache becomes a sequence of framed ``admit`` records — the
-same ``[u32 len][u32 CRC32][canonical JSON]`` frames the journal and
-snapshot use — each tagged with the departing shard's id.  The
-successor replays them through its normal ``CacheManager.store`` path,
-so its replacement policy and byte budget apply exactly as they would
-under traffic, and the data-version fence drops entries computed
+The transfer rides the persistence wire format: the departing shard's
+cache becomes a sequence of framed ``admit`` records — the same
+``[u32 len][u32 CRC32][payload]`` frames the journal and snapshot use,
+each result a binary table — each tagged with the departing shard's
+id.  The successor replays them through its normal
+``CacheManager.store`` path, so its replacement policy and byte budget
+apply exactly as they would under traffic, and the data-version fence drops entries computed
 against an origin version the successor no longer serves.
 
 Two export sources exist:

@@ -54,12 +54,31 @@ class ReplacementPolicy:
 
 
 class LruPolicy(ReplacementPolicy):
-    """Least recently used (the library default)."""
+    """Least recently used (the library default).
+
+    Entries are kept in recency order — an insert or an access moves
+    one to the end — so the victim is the first, found without a scan.
+    The cache stamps each insert and access with a fresh tick, so this
+    order is the ``last_used`` order.
+    """
 
     name = "lru"
 
+    def __init__(self) -> None:
+        self._recency: dict[int, CacheEntry] = {}
+
+    def on_insert(self, entry: CacheEntry) -> None:
+        self._recency[entry.entry_id] = entry
+
+    def on_access(self, entry: CacheEntry) -> None:
+        recency = self._recency
+        recency[entry.entry_id] = recency.pop(entry.entry_id, entry)
+
+    def on_evict(self, entry: CacheEntry) -> None:
+        self._recency.pop(entry.entry_id, None)
+
     def victim(self, entries: Iterable[CacheEntry]) -> CacheEntry:
-        return min(entries, key=lambda e: e.last_used)
+        return next(iter(self._recency.values()))
 
     def rationale(self, entry: CacheEntry) -> str:
         return f"least recently used (last_used tick {entry.last_used})"

@@ -6,8 +6,8 @@ makes it restart warm:
 * :mod:`repro.persistence.atomic` — temp-file + ``os.replace`` writes,
   the only sanctioned way to write whole artifacts (lint rule FP307);
 * :mod:`repro.persistence.records` — the journal record types and
-  their length-prefixed, CRC32-checksummed wire format (version 2: a
-  result travels as typed JSON rows);
+  their length-prefixed, CRC32-checksummed wire format (version 3: a
+  result travels as its binary table, ``ResultTable.to_bytes``);
 * :mod:`repro.persistence.journal` — the append-only mutation journal
   and its torn-tail-tolerant reader;
 * :mod:`repro.persistence.snapshot` — periodic full-cache snapshots in

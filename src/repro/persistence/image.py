@@ -11,7 +11,7 @@ here, so the cache description is rebuilt by exactly one piece of code:
   handoff export);
 * :func:`load_image` — snapshot plus the journal's intact prefix,
   folded into the admit set the persister durably held;
-* :func:`replay_admits` — fence, decode the result's typed rows,
+* :func:`replay_admits` — fence, decode the result's binary table,
   re-bind, check the re-bound region *equals* the recorded one, and
   only then ``cache.store``: a stored result is usable only for
   exactly the region its record describes.
@@ -56,7 +56,7 @@ def admit_record(
         region=region_to_dict(entry.region),
         signature=entry.signature,
         truncated=entry.truncated,
-        result=entry.result.to_payload(),
+        result=entry.result.to_bytes(),
         data_version=data_version,
         ts_ms=ts_ms,
         shard=shard,
@@ -188,7 +188,7 @@ def replay_admits(
             continue
         try:
             region = region_from_dict(record.region)
-            result = ResultTable.from_payload(record.result)
+            result = ResultTable.from_bytes(record.result)
             bound = templates.bind(record.template_id, record.params)
             if bound.region != region:
                 raise ValueError(

@@ -2,7 +2,8 @@
 
 The write side is deliberately boring: open the file in append mode,
 write one framed record (:mod:`repro.persistence.records`, encoded by
-the caller), flush, and optionally fsync.  Appends are the only
+the caller) with unbuffered ``os.write`` calls until every byte is
+down, optionally fsync, and close.  Appends are the only
 mutation between snapshots, so a crash can damage *at most the tail*
 of the file — which is exactly the failure the read side is built to
 absorb.
@@ -26,6 +27,8 @@ from repro.persistence.records import JournalRecord, iter_frames
 
 #: Chunk size of the streaming reader.
 READ_BUFFER_SIZE = 4096
+
+_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 
 @unshared(
@@ -75,11 +78,15 @@ class Journal:
     def append(self, frame: bytes, durable: bool = False) -> int:
         """Append one encoded record frame; returns its size in bytes."""
         with self._lock:
-            with open(self.path, "ab") as handle:
-                handle.write(frame)
-                handle.flush()
+            fd = os.open(self.path, _APPEND, 0o666)
+            try:
+                view = memoryview(frame)
+                while view:  # a short write leaves the rest to write
+                    view = view[os.write(fd, view):]
                 if durable:
-                    os.fsync(handle.fileno())
+                    os.fsync(fd)
+            finally:
+                os.close(fd)
             self.records_appended += 1
         return len(frame)
 

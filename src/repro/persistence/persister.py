@@ -39,6 +39,7 @@ from repro.persistence.errors import PersistenceError
 from repro.persistence.image import admit_record
 from repro.persistence.journal import Journal
 from repro.persistence.records import (
+    REMOVAL_REASONS,
     AdmitRecord,
     ClearRecord,
     EvictRecord,
@@ -52,10 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 JOURNAL_NAME = "journal.bin"
 SNAPSHOT_NAME = "snapshot.bin"
-
-#: Reasons a single entry can leave the cache (whole-cache flushes are
-#: a ``clear`` record instead).
-REMOVAL_REASONS = ("evict", "consolidate", "replace")
 
 
 @guarded_by(

@@ -7,8 +7,8 @@ One journal record describes one cache mutation.  Three types exist
   recovery needs to rebuild the entry without the origin: the entry
   id, the producing template id and parameter bindings, the region in
   serialized form, the residual-predicate signature, the truncated
-  flag, the result as typed JSON rows (``ResultTable.to_payload``),
-  the origin ``data_version`` the entry was admitted under, and the
+  flag, the result as its binary table (``ResultTable.to_bytes``), the
+  origin ``data_version`` the entry was admitted under, and the
   simulated-clock timestamp.
 * ``evict`` — an entry left the cache, with the reason (``evict`` from
   the replacement policy, ``consolidate`` from region-containment
@@ -22,12 +22,23 @@ Each record is length-prefixed and checksummed::
 
     [u32 payload length (LE)] [u32 CRC32 of payload (LE)] [payload]
 
-The payload is canonical JSON (sorted keys, UTF-8).  A reader walks
-frames until the file ends; a header or payload cut short is a *torn*
-record, a checksum mismatch is a *corrupt* record, and either one
-terminates replay cleanly at the last good record — exactly the
-crash-consistency contract an append-only journal buys.  The journal,
-the snapshot and a handoff file are all such frames.
+A payload starts ``[u8 wire version] [u8 record type]`` and goes on
+with the type's fixed-width fields (``struct``, little-endian; a
+``data_version`` is a presence flag and an ``i64``).  An admit then
+carries the members that are text or nested — template id, parameters,
+region, signature, shard — as one canonical JSON object (sorted keys,
+UTF-8) behind its ``u32`` length, and last the result's table blob,
+whose column list is the schema's, encoded once per schema: no frame
+spells its columns out.  The blob is decoded (and checked) only when
+the entry is replayed; one that does not decode is that entry's
+``error``, never a stop of the walk.  Versions 1 and 2 were JSON
+throughout; such a payload is refused by the version it names.
+
+A reader walks frames until the file ends; a header or payload cut
+short is a *torn* record, a checksum mismatch is a *corrupt* record,
+and either one terminates replay cleanly at the last good record —
+exactly the crash-consistency contract an append-only journal buys.
+The journal, the snapshot and a handoff file are all such frames.
 
 Region codec
 ------------
@@ -50,9 +61,18 @@ from repro.persistence.errors import PersistenceError
 
 #: Bump when the payload schema changes incompatibly; readers refuse
 #: records from the future instead of misinterpreting them.
-WIRE_FORMAT_VERSION = 2
+WIRE_FORMAT_VERSION = 3
 
 _HEADER = struct.Struct("<II")
+#: Each payload's head: wire version, record type, then the type's
+#: fixed-width fields.
+_ADMIT = struct.Struct("<BBq?BqdI")
+_EVICT = struct.Struct("<BBqBBqd")
+_CLEAR = struct.Struct("<BBBqqd")
+_ADMIT_TYPE, _EVICT_TYPE, _CLEAR_TYPE = 1, 2, 3
+
+#: Why a single entry can leave the cache, by its wire code.
+REMOVAL_REASONS = ("evict", "consolidate", "replace")
 
 #: The frame header's size in bytes (length prefix + CRC32).
 HEADER_SIZE = _HEADER.size
@@ -87,6 +107,10 @@ def region_from_dict(payload: Mapping[str, Any]) -> Region:
 
 
 # ------------------------------------------------------------- records
+def _version_fields(version: int | None) -> tuple[bool, int]:
+    return version is not None, version or 0
+
+
 @dataclass(frozen=True)
 class AdmitRecord:
     """A query result entered the cache."""
@@ -97,55 +121,52 @@ class AdmitRecord:
     region: dict[str, Any]
     signature: str
     truncated: bool
-    #: The result as ``ResultTable.to_payload`` gives it; decoded (and
+    #: The result as ``ResultTable.to_bytes`` gives it; decoded (and
     #: checked) only when the entry is replayed.
-    result: dict[str, Any]
+    result: bytes
     data_version: int | None
     ts_ms: float
     #: The shard worker that admitted the entry; ``None`` on a
-    #: single-proxy deployment, and then omitted from the payload.
+    #: single-proxy deployment, and then omitted from the fields.
     shard: str | None = None
 
     type = "admit"
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = {
-            "type": self.type,
-            "v": WIRE_FORMAT_VERSION,
-            "entry_id": self.entry_id,
+    def to_payload(self) -> bytes:
+        fields = {
             "template_id": self.template_id,
             "params": self.params,
             "region": self.region,
             "signature": self.signature,
-            "truncated": self.truncated,
-            "result": self.result,
-            "data_version": self.data_version,
-            "ts_ms": self.ts_ms,
         }
         if self.shard is not None:
-            payload["shard"] = self.shard
-        return payload
+            fields["shard"] = self.shard
+        encoded = _CANONICAL.encode(fields).encode("utf-8")
+        head = _ADMIT.pack(
+            WIRE_FORMAT_VERSION, _ADMIT_TYPE, self.entry_id, self.truncated,
+            *_version_fields(self.data_version), self.ts_ms, len(encoded),
+        )
+        return head + encoded + self.result
 
     @staticmethod
-    def from_payload(payload: Mapping[str, Any]) -> "AdmitRecord":
+    def from_payload(payload: bytes) -> "AdmitRecord":
+        _, _, entry_id, truncated, has_version, version, ts_ms, length = (
+            _ADMIT.unpack_from(payload)
+        )
+        start = _ADMIT.size + length
+        fields = _json_object(payload[_ADMIT.size:start])
         return AdmitRecord(
-            entry_id=int(payload["entry_id"]),
-            template_id=str(payload["template_id"]),
-            params=dict(payload["params"]),
-            region=dict(payload["region"]),
-            signature=str(payload["signature"]),
-            truncated=bool(payload["truncated"]),
-            result=payload["result"],
-            data_version=(
-                None
-                if payload["data_version"] is None
-                else int(payload["data_version"])
-            ),
-            ts_ms=float(payload["ts_ms"]),
+            entry_id=entry_id,
+            template_id=str(fields["template_id"]),
+            params=dict(fields["params"]),
+            region=dict(fields["region"]),
+            signature=str(fields["signature"]),
+            truncated=truncated,
+            result=payload[start:],
+            data_version=version if has_version else None,
+            ts_ms=ts_ms,
             shard=(
-                None
-                if payload.get("shard") is None
-                else str(payload["shard"])
+                None if fields.get("shard") is None else str(fields["shard"])
             ),
         )
 
@@ -161,27 +182,23 @@ class EvictRecord:
 
     type = "evict"
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "type": self.type,
-            "v": WIRE_FORMAT_VERSION,
-            "entry_id": self.entry_id,
-            "reason": self.reason,
-            "data_version": self.data_version,
-            "ts_ms": self.ts_ms,
-        }
+    def to_payload(self) -> bytes:
+        return _EVICT.pack(
+            WIRE_FORMAT_VERSION, _EVICT_TYPE, self.entry_id,
+            REMOVAL_REASONS.index(self.reason),
+            *_version_fields(self.data_version), self.ts_ms,
+        )
 
     @staticmethod
-    def from_payload(payload: Mapping[str, Any]) -> "EvictRecord":
+    def from_payload(payload: bytes) -> "EvictRecord":
+        _, _, entry_id, reason, has_version, version, ts_ms = _EVICT.unpack(
+            payload
+        )
         return EvictRecord(
-            entry_id=int(payload["entry_id"]),
-            reason=str(payload["reason"]),
-            data_version=(
-                None
-                if payload["data_version"] is None
-                else int(payload["data_version"])
-            ),
-            ts_ms=float(payload["ts_ms"]),
+            entry_id=entry_id,
+            reason=REMOVAL_REASONS[reason],
+            data_version=version if has_version else None,
+            ts_ms=ts_ms,
         )
 
 
@@ -195,67 +212,73 @@ class ClearRecord:
 
     type = "clear"
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "type": self.type,
-            "v": WIRE_FORMAT_VERSION,
-            "data_version": self.data_version,
-            "removed": self.removed,
-            "ts_ms": self.ts_ms,
-        }
+    def to_payload(self) -> bytes:
+        return _CLEAR.pack(
+            WIRE_FORMAT_VERSION, _CLEAR_TYPE,
+            *_version_fields(self.data_version), self.removed, self.ts_ms,
+        )
 
     @staticmethod
-    def from_payload(payload: Mapping[str, Any]) -> "ClearRecord":
+    def from_payload(payload: bytes) -> "ClearRecord":
+        _, _, has_version, version, removed, ts_ms = _CLEAR.unpack(payload)
         return ClearRecord(
-            data_version=(
-                None
-                if payload["data_version"] is None
-                else int(payload["data_version"])
-            ),
-            removed=int(payload["removed"]),
-            ts_ms=float(payload["ts_ms"]),
+            data_version=version if has_version else None,
+            removed=removed,
+            ts_ms=ts_ms,
         )
 
 
 JournalRecord = AdmitRecord | EvictRecord | ClearRecord
 
 _PARSERS = {
-    "admit": AdmitRecord.from_payload,
-    "evict": EvictRecord.from_payload,
-    "clear": ClearRecord.from_payload,
+    _ADMIT_TYPE: AdmitRecord.from_payload,
+    _EVICT_TYPE: EvictRecord.from_payload,
+    _CLEAR_TYPE: ClearRecord.from_payload,
 }
 
 
 # ------------------------------------------------------------- framing
+# One encoder for every admit: ``json.dumps`` with options would build
+# a new one per call.  The fields hold no cycles, so none is looked for.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+
+
+def _json_object(encoded: bytes) -> dict[str, Any]:
+    try:
+        decoded = json.loads(encoded.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise PersistenceError(f"unparseable record payload: {exc}") from exc
+    if not isinstance(decoded, dict):
+        raise PersistenceError("record payload is not a JSON object")
+    return decoded
+
+
 def encode_record(record: JournalRecord) -> bytes:
     """One framed record: header (length + CRC32) followed by payload."""
-    payload = json.dumps(
-        record.to_payload(), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    payload = record.to_payload()
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def parse_payload(payload: bytes) -> JournalRecord:
     """Decode one checksum-verified payload into its record."""
-    try:
-        decoded = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise PersistenceError(f"unparseable record payload: {exc}") from exc
-    if not isinstance(decoded, dict):
-        raise PersistenceError("record payload is not a JSON object")
-    version = decoded.get("v")
+    if payload[:1] == b"{":  # versions 1 and 2: JSON throughout
+        version, kind = _json_object(payload).get("v"), 0
+    elif len(payload) >= 2:
+        version, kind = payload[0], payload[1]
+    else:
+        raise PersistenceError(f"a {len(payload)}-byte record payload")
     if version != WIRE_FORMAT_VERSION:
         raise PersistenceError(
             f"unsupported wire format version {version!r}"
         )
-    parser = _PARSERS.get(decoded.get("type", ""))
+    parser = _PARSERS.get(kind)
     if parser is None:
-        raise PersistenceError(
-            f"unknown record type {decoded.get('type')!r}"
-        )
+        raise PersistenceError(f"unknown record type {kind!r}")
     try:
-        return parser(decoded)
-    except (KeyError, TypeError, ValueError) as exc:
+        return parser(payload)
+    except (IndexError, KeyError, TypeError, ValueError, struct.error) as exc:
         raise PersistenceError(f"malformed record fields: {exc}") from exc
 
 

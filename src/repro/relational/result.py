@@ -4,10 +4,10 @@ The paper's proxy stores query results as XML files on disk and ships
 them over HTTP.  :class:`ResultTable` is that artifact: an ordered,
 column-named row set that knows its own serialized size (the byte budget
 the cache manager enforces, and the payload size the simulated network
-charges for), can serialize to/from the XML wire format used by the
-Flask deployment and the typed JSON rows the persistence journal
-carries, and supports the merge/deduplicate operation the proxy
-performs when combining a probe result with a remainder result.
+charges for), can serialize to/from the XML a person or a client reads
+and the binary form every program-to-program copy carries, and supports
+the merge/deduplicate operation the proxy performs when combining a
+probe result with a remainder result.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.relational.errors import ExecutionError, SchemaError
+from repro.relational.rowcodec import decode_table
 from repro.relational.schema import Column, Schema
 from repro.relational.types import NULL_BYTES, ColumnType
 
@@ -38,6 +39,8 @@ Row = TypeVar("Row")
 # whitespace a parser would normalize away.
 _TEXT = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ("\r", "&#13;"))
 _ATTRIBUTE = _TEXT + (('"', "&quot;"), ("\n", "&#10;"), ("\t", "&#09;"))
+# The cell types whose ``str`` needs no escaping and is never empty.
+_NUMBERS = frozenset((int, float, bool))
 
 
 def _escape(text: str, references: tuple[tuple[str, str], ...]) -> str:
@@ -59,6 +62,19 @@ def _cell_xml(value: Any) -> str:
     if "&" in text or "<" in text or ">" in text or "\r" in text:
         text = _escape(text, _TEXT)
     return f"<C>{text}</C>"
+
+
+def columns_xml(schema: Schema) -> str:
+    """The ``<Columns>`` element of every table of ``schema`` (which
+    keeps it: ``Schema.xml_columns``)."""
+    columns = "".join(
+        [
+            f'<Column name="{_escape(column.name, _ATTRIBUTE)}"'
+            f' type="{column.type.value}" />'
+            for column in schema.columns
+        ]
+    )
+    return _element("Columns", columns)
 
 
 def sort_rows(
@@ -212,19 +228,19 @@ class ResultTable:
         return self._xml
 
     def _render_xml(self) -> str:
-        columns = "".join(
-            [
-                f'<Column name="{_escape(column.name, _ATTRIBUTE)}"'
-                f' type="{column.type.value}" />'
-                for column in self.schema.columns
-            ]
-        )
+        # A row of numbers and booleans renders without a look at each
+        # cell: its text needs no escaping and is never empty.
         rows = "".join(
-            [_element("R", "".join(map(_cell_xml, row))) for row in self._rows]
+            [
+                "<R><C>" + "</C><C>".join(map(str, row)) + "</C></R>"
+                if row and _NUMBERS.issuperset(map(type, row))
+                else _element("R", "".join(map(_cell_xml, row)))
+                for row in self._rows
+            ]
         )
         return (
             "<ResultTable>"
-            + _element("Columns", columns)
+            + self.schema.xml_columns
             + _element("Rows", rows)
             + "</ResultTable>"
         )
@@ -262,35 +278,21 @@ class ResultTable:
             rows.append(values)
         return ResultTable(schema, rows)
 
-    def to_payload(self) -> dict[str, Any]:
-        """The journal's form: typed JSON rows.
-
-        ``{"columns": [[name, type], ...], "rows": [[...], ...]}`` with
-        each cell left a Python value, so ``json`` carries NULL, NaN,
-        the infinities, ``-0.0``, ints of any size and any text exactly.
-        """
-        return {
-            "columns": [
-                [column.name, column.type.value]
-                for column in self.schema.columns
-            ],
-            "rows": [list(row) for row in self._rows],
-        }
+    def to_bytes(self) -> bytes:
+        """The binary form every machine-read copy of a result takes
+        (journal, snapshot, handoff, the origin's answer to a proxy):
+        the schema's column list, encoded once per schema, then the
+        rows (:mod:`repro.relational.rowcodec`).  Every value comes
+        back exactly, floats bit for bit."""
+        return self.schema.row_codec.encode(self._rows)
 
     @staticmethod
-    def from_payload(payload: dict[str, Any]) -> "ResultTable":
-        """Rebuild a table from :meth:`to_payload`'s form, each cell
-        coerced by its column type (:class:`SchemaError` on a cell or a
-        row that does not fit)."""
-        schema = Schema(
-            tuple(
-                Column(name, ColumnType(type_name))
-                for name, type_name in payload["columns"]
-            )
-        )
-        return ResultTable(
-            schema, [schema.coerce_row(row) for row in payload["rows"]]
-        )
+    def from_bytes(data: bytes) -> "ResultTable":
+        """Rebuild a table from :meth:`to_bytes`'s form
+        (:class:`SchemaError` on a blob that is not exactly one
+        well-formed table)."""
+        schema, rows = decode_table(data)
+        return ResultTable(schema, rows)
 
     @staticmethod
     def empty(schema: Schema) -> "ResultTable":

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.relational.errors import SchemaError
 from repro.relational.types import FIXED_BYTES, ColumnType
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.relational.rowcodec import RowCodec
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,23 @@ class Schema:
         types = [c.type for c in self.columns]
         strings = tuple(i for i, t in enumerate(types) if t is ColumnType.STR)
         return sum(widths), strings, widths
+
+    @cached_property
+    def row_codec(self) -> "RowCodec":
+        """The binary table codec of this schema, worked out once
+        (:mod:`repro.relational.rowcodec`): the encoded column list
+        and the ``struct`` of a row's fixed-width cells."""
+        from repro.relational.rowcodec import RowCodec
+
+        return RowCodec(self)
+
+    @cached_property
+    def xml_columns(self) -> str:
+        """The ``<Columns>`` element of this schema's tables in the XML
+        wire format, rendered once."""
+        from repro.relational.result import columns_xml
+
+        return columns_xml(self)
 
     def has(self, name: str) -> bool:
         return name.lower() in self._index

@@ -3,9 +3,11 @@
 :class:`HttpOriginClient` implements the same ``execute_bound`` /
 ``execute_remainder`` surface as
 :class:`~repro.server.origin.OriginServer`, but ships the query to a
-remote origin app (:mod:`repro.webapp.origin_app`) and parses the XML
-response.  A :class:`~repro.core.proxy.FunctionProxy` constructed with
-this client fronts a genuinely separate origin process, completing the
+remote origin app (:mod:`repro.webapp.origin_app`) and decodes the
+answer by its media type: the binary table (``ResultTable.from_bytes``)
+the site sends for a bound query, XML for a free statement.  A
+:class:`~repro.core.proxy.FunctionProxy` constructed with this client
+fronts a genuinely separate origin process, completing the
 browser -> proxy -> web-site HTTP chain of the paper's Figure 4.
 
 A bound query travels as its template id and parameter values, JSON
@@ -66,6 +68,10 @@ from repro.templates.function_template import FunctionTemplate
 from repro.templates.info_file import TemplateInfoFile
 from repro.templates.manager import BoundQuery, TemplateManager
 from repro.templates.query_template import QueryTemplate
+
+
+#: The media type of an answer that is a result's binary table.
+BINARY_TABLE = "application/octet-stream"
 
 
 class HttpOriginError(RelationalError):
@@ -161,7 +167,8 @@ class HttpOriginClient:
             with urllib.request.urlopen(
                 request, timeout=self.timeout_s
             ) as response:
-                body = response.read().decode("utf-8")
+                answer = response.read()
+                binary = response.headers.get_content_type() == BINARY_TABLE
                 server_ms = float(response.headers.get("X-Server-Ms", "0"))
                 version = response.headers.get("X-Data-Version")
                 if version is not None:
@@ -181,7 +188,11 @@ class HttpOriginClient:
             raise OriginUnavailableError(
                 f"origin unreachable: {exc}", reason="unreachable"
             ) from None
-        return OriginResponse(ResultTable.from_xml(body), server_ms)
+        if binary:
+            return OriginResponse(ResultTable.from_bytes(answer), server_ms)
+        return OriginResponse(
+            ResultTable.from_xml(answer.decode("utf-8")), server_ms
+        )
 
     # ------------------------------------------- OriginServer interface
     def execute_bound(self, bound: BoundQuery) -> OriginResponse:

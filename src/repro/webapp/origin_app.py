@@ -18,7 +18,8 @@ and for a remainder ``"holes": [...]``)
     and a float arrives bit for bit.  A body that is not such an
     object, a parameter value that is not a number or a string, or a
     hole that is not a sphere, box or polytope of the template's
-    dimensions is a 400.
+    dimensions is a 400.  The answer is for a program, not a person:
+    the result's binary table (``ResultTable.to_bytes``), not XML.
 
 ``POST /sql`` (body: the SQL text)
     The free-form SQL facility.  (The paper used the SkyServer's
@@ -67,6 +68,7 @@ from repro.obs.propagation import parse_traceparent
 from repro.obs.timeseries import ORIGIN_LANES
 from repro.server.origin import OriginServer
 from repro.templates.errors import TemplateError
+from repro.webapp.http_origin import BINARY_TABLE
 from repro.webapp.surface import (
     QUERY_ERRORS,
     add_telemetry_routes,
@@ -112,9 +114,10 @@ def create_origin_app(
     for diagnostic in startup:
         app.logger.warning("%s", diagnostic.format())
 
-    def answer(execute):
+    def answer(execute, binary=False):
         """A query route's response: ``execute()`` joins the caller's
-        trace, what the site refuses is a 400, an answer is XML."""
+        trace, what the site refuses is a 400, an answer is XML — or,
+        for a program (``binary``), the result's binary table."""
         caller = parse_traceparent(request.headers.get("traceparent"))
         try:
             with origin.instrumentation.remote_context(caller):
@@ -124,11 +127,12 @@ def create_origin_app(
         served_clock.advance(response.server_ms)
         origin.instrumentation.sample_telemetry(served_clock.now_ms)
         headers = {
-            "Content-Type": "application/xml",
+            "Content-Type": BINARY_TABLE if binary else "application/xml",
             "X-Server-Ms": f"{response.server_ms:.3f}",
             "X-Data-Version": str(origin.data_version),
         }
-        return response.result.to_xml(), 200, headers
+        result = response.result
+        return (result.to_bytes() if binary else result.to_xml()), 200, headers
 
     @app.get("/search/<form_name>")
     def search(form_name: str):
@@ -147,9 +151,10 @@ def create_origin_app(
             return origin.templates.bind(body["template_id"], body["params"])
 
         if "holes" not in body:
-            return answer(lambda: origin.execute_bound(bind()))
+            return answer(lambda: origin.execute_bound(bind()), binary=True)
         return answer(
-            lambda: origin.execute_remainder(bind(), _holes(body["holes"]))
+            lambda: origin.execute_remainder(bind(), _holes(body["holes"])),
+            binary=True,
         )
 
     @app.post("/sql")

@@ -39,7 +39,14 @@ class TestVictimSelection:
     def test_lru_picks_least_recently_used(self):
         entries = [entry(1, last_used=5), entry(2, last_used=2),
                    entry(3, last_used=9)]
-        assert LruPolicy().victim(entries).entry_id == 2
+        policy = LruPolicy()
+        for e in entries:
+            policy.on_insert(e)
+        policy.on_access(entries[0])  # entry 1 was used after entry 3
+        policy.on_access(entries[2])
+        assert policy.victim(entries).entry_id == 2
+        policy.on_evict(entries[1])
+        assert policy.victim(entries).entry_id == 1
 
     def test_fifo_picks_oldest(self):
         entries = [entry(3, last_used=1), entry(1, last_used=9), entry(2)]
@@ -230,8 +237,9 @@ def lru_workloads(draw):
 @given(ops=lru_workloads())
 @settings(max_examples=100, deadline=None)
 def test_lru_policy_matches_reference_model(ops):
-    """Model-based test: LruPolicy's victim always equals the reference
-    (an ordered dict moved-to-end on use)."""
+    """Model-based test: LruPolicy's victim, fed through the hooks the
+    cache manager calls, always equals the reference (a list
+    moved-to-end on use)."""
     policy = LruPolicy()
     live: dict[int, CacheEntry] = {}
     order: list[int] = []  # least recent first
@@ -245,15 +253,18 @@ def test_lru_policy_matches_reference_model(ops):
             if len(live) == 4:
                 victim = policy.victim(live.values())
                 assert victim.entry_id == live[order[0]].entry_id
+                policy.on_evict(victim)
                 del live[order[0]]
                 order.pop(0)
             candidate = entry(next_id, last_used=tick)
             next_id += 1
             live[key] = candidate
+            policy.on_insert(candidate)
             order.append(key)
         else:
             if key in live:
                 live[key].last_used = tick
+                policy.on_access(live[key])
                 order.remove(key)
                 order.append(key)
     if live:

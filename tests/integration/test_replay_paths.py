@@ -318,7 +318,7 @@ def test_foreign_tagged_record_is_the_only_difference(private_origin):
                     region=region_to_dict(stray.region),
                     signature=stray.signature,
                     truncated=False,
-                    result=origin.execute_bound(stray).result.to_payload(),
+                    result=origin.execute_bound(stray).result.to_bytes(),
                     data_version=origin.data_version,
                     ts_ms=source.clock.now_ms,
                     shard="shard-z",

@@ -4,9 +4,10 @@ One seeded scenario — radial admits into a budget that forces
 evictions, ``snapshot_every=8`` so several cadence checkpoints fire
 and a journal tail is left over — run with and without a ``shard_id``.
 The SHA-256 digests below were captured when the wire format moved to
-version 2 (a result as typed JSON rows; the snapshot as the kept admit
-frames); a change to how those bytes are produced must reproduce both
-files byte for byte and restore the same entries from them.
+version 3 (binary record heads, a result as its binary table; the
+snapshot as the kept admit frames); a change to how those bytes are
+produced must reproduce both files byte for byte and restore the same
+entries from them.
 Regenerating a digest is for an intended wire change only.
 """
 
@@ -17,12 +18,12 @@ import pytest
 
 GOLDEN = {
     None: {
-        "journal.bin": "b9ba8f511f06b9246609066981b04951d45b64b36470b545e8a58af9114994b1",
-        "snapshot.bin": "1745331461088cfcbdc54ba2a2899f2d3e76ecd3197f83d19f023b11878a6e88",
+        "journal.bin": "8973ad37fe2a132fa18878f9cf9b2e88dd6d47af6741ce18a89d9ecd0646a04e",
+        "snapshot.bin": "cd52929ff467ae68a6f79a7316f48b6664f3795d810f3b279b1bea649a4b5d94",
     },
     "shard-b": {
-        "journal.bin": "4b6563abcd80725cb967b73c82e425b6fc3f70fa0305d8747c079cd3c2f500c3",
-        "snapshot.bin": "3bccc68dcc764405445479bd4960e17e31682fc72df6d92bea9a2bfa4f716fa9",
+        "journal.bin": "8f51b1a0de8b8b10227af6757892ea791febd84a6655370b700b74c0cbf14f17",
+        "snapshot.bin": "91230784cf46334c205c396a1ed19ee2161ea3b2252ae245f7b837b2df2e3fa3",
     },
 }
 

@@ -15,6 +15,14 @@ from repro.persistence.records import (
     HEADER_SIZE,
     encode_record,
 )
+from repro.relational.result import ResultTable
+from repro.relational.schema import Schema
+from repro.relational.types import ColumnType
+
+
+def padded(pad: str) -> bytes:
+    """A one-row, one-STR-column table blob holding ``pad``."""
+    return ResultTable(Schema.of(("s", ColumnType.STR)), [(pad,)]).to_bytes()
 
 
 def admit(entry_id=1, pad: str = "") -> AdmitRecord:
@@ -25,7 +33,7 @@ def admit(entry_id=1, pad: str = "") -> AdmitRecord:
         region={"shape": "hypersphere", "center": [0.0, 0.0], "radius": 1.0},
         signature="",
         truncated=False,
-        result={"columns": [["s", "str"]], "rows": [[pad]]},
+        result=padded(pad),
         data_version=1,
         ts_ms=0.0,
     )
@@ -34,14 +42,14 @@ def admit(entry_id=1, pad: str = "") -> AdmitRecord:
 def sized_admit(entry_id: int, frame_size: int) -> AdmitRecord:
     """An admit record whose encoded frame is exactly ``frame_size``.
 
-    Padding goes through a string cell of ``result`` with JSON-neutral
+    Padding goes through a string cell of ``result`` with ASCII
     characters, so every padding character is exactly one payload byte.
     """
     base = admit(entry_id)
     shortfall = frame_size - len(encode_record(base))
     assert shortfall >= 0, "frame_size smaller than the minimal record"
     record = dataclasses.replace(
-        base, result={"columns": [["s", "str"]], "rows": [["x" * shortfall]]}
+        base, result=padded("x" * shortfall)
     )
     assert len(encode_record(record)) == frame_size
     return record

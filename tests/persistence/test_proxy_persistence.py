@@ -142,40 +142,77 @@ class TestRestarts:
         # snapshot document beside a journal of version-1 frames, whose
         # admits carried their result as XML.
         result = origin.execute_bound(bind()).result
-        payload = json.dumps(
-            {
-                "type": "admit", "v": 1, "entry_id": 1,
-                "template_id": RADIAL_TEMPLATE_ID,
-                "params": dict(bind().params),
-                "region": region_to_dict(bind().region),
-                "signature": bind().signature, "truncated": False,
-                "result_xml": result.to_xml(),
-                "data_version": origin.data_version, "ts_ms": 0.0,
-            },
-            sort_keys=True,
-        ).encode()
         (tmp_path / "journal.bin").write_bytes(
-            struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+            old_admit_frame(bind(), 1, result_xml=result.to_xml())
         )
         (tmp_path / "snapshot.json").write_text(
             json.dumps({"format": 1, "entries": []})
         )
+        assert_restarts_cold_and_is_rewritten(
+            origin, tmp_path, bind, result, version=1
+        )
 
-        proxy = build_proxy(origin, tmp_path)
-        report = proxy.recovery_report
-        assert report.stop_reason == "corrupt"
-        assert "unsupported wire format version 1" in report.stop_detail
-        assert report.entries_restored == 0
-        assert len(proxy.cache) == 0
-        # The repair checkpoint left a version-2 directory behind.
-        assert proxy.persistence.journal.size_bytes == 0
-        assert proxy.persistence.load_snapshot() == ()
-        proxy.serve(bind())
-        (admit,) = proxy.persistence.journal.read().records
-        assert admit.result == result.to_payload()
-        restarted = build_proxy(origin, tmp_path)
-        assert restarted.recovery_report.clean
-        assert restarted.recovery_report.entries_restored == 1
+    def test_a_version_2_directory_restarts_cold_and_is_rewritten(
+        self, origin, tmp_path, bind
+    ):
+        # A directory as the version-2 persister left it: a snapshot
+        # and a journal of JSON admit frames, whose results were typed
+        # JSON rows.
+        result = origin.execute_bound(bind()).result
+        rows = {
+            "columns": [[c.name, c.type.value] for c in result.schema],
+            "rows": [list(row) for row in result.rows],
+        }
+        other = bind(ra=166.0)
+        (tmp_path / "snapshot.bin").write_bytes(
+            old_admit_frame(bind(), 2, entry_id=1, result=rows)
+        )
+        (tmp_path / "journal.bin").write_bytes(
+            old_admit_frame(other, 2, entry_id=2, result=rows)
+        )
+        report = assert_restarts_cold_and_is_rewritten(
+            origin, tmp_path, bind, result, version=2
+        )
+        assert not report.snapshot_loaded
+        assert "unsupported wire format version 2" in report.snapshot_error
+
+
+def old_admit_frame(bound, version, entry_id=1, **result):
+    """One admit frame of an earlier wire version: JSON throughout."""
+    payload = json.dumps(
+        {
+            "type": "admit", "v": version, "entry_id": entry_id,
+            "template_id": RADIAL_TEMPLATE_ID,
+            "params": dict(bound.params),
+            "region": region_to_dict(bound.region),
+            "signature": bound.signature, "truncated": False,
+            "data_version": 1, "ts_ms": 0.0,
+            **result,
+        },
+        sort_keys=True,
+    ).encode()
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+def assert_restarts_cold_and_is_rewritten(
+    origin, directory, bind, result, version
+):
+    proxy = build_proxy(origin, directory)
+    report = proxy.recovery_report
+    assert report.stop_reason == "corrupt"
+    assert f"unsupported wire format version {version}" in report.stop_detail
+    assert report.entries_restored == 0
+    assert len(proxy.cache) == 0
+    # The repair checkpoint left a current-version directory behind.
+    assert proxy.persistence.journal.size_bytes == 0
+    assert proxy.persistence.load_snapshot() == ()
+    proxy.serve(bind())
+    (admit,) = proxy.persistence.journal.read().records
+    assert admit.result == result.to_bytes()
+    restarted = build_proxy(origin, directory)
+    assert restarted.recovery_report.clean
+    assert restarted.recovery_report.entries_restored == 1
+    return report
 
 
 class TestProxyCrash:

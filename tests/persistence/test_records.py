@@ -26,6 +26,9 @@ from repro.persistence.records import (
     region_from_dict,
     region_to_dict,
 )
+from repro.relational.result import ResultTable
+from repro.relational.schema import Schema
+from repro.relational.types import ColumnType
 
 
 def admit(entry_id=1, **overrides):
@@ -36,7 +39,9 @@ def admit(entry_id=1, **overrides):
         region=region_to_dict(HyperSphere((164.0, 8.0), 2.0)),
         signature="r >= -9999",
         truncated=False,
-        result={"columns": [["objID", "int"]], "rows": [[1]]},
+        result=ResultTable(
+            Schema.of(("objID", ColumnType.INT)), [(1,)]
+        ).to_bytes(),
         data_version=1,
         ts_ms=12.5,
     )
@@ -110,22 +115,39 @@ class TestRecordRoundTrip:
         assert parse_payload(frame[HEADER_SIZE:]) == record
 
     def test_future_wire_version_refused(self):
-        payload = admit().to_payload()
-        payload["v"] = WIRE_FORMAT_VERSION + 1
-        raw = json.dumps(payload).encode()
-        with pytest.raises(PersistenceError, match="wire format version"):
-            parse_payload(raw)
+        for record in (admit(), EvictRecord(1, "evict", 1, 0.0)):
+            raw = bytes([WIRE_FORMAT_VERSION + 1]) + record.to_payload()[1:]
+            with pytest.raises(PersistenceError, match="wire format version"):
+                parse_payload(raw)
+        # Versions 1 and 2 were JSON throughout.
+        with pytest.raises(PersistenceError, match="wire format version 2"):
+            parse_payload(b'{"type": "evict", "v": 2}')
 
     def test_unknown_record_type_refused(self):
-        payload = admit().to_payload()
-        payload["type"] = "merge"
-        raw = json.dumps(payload).encode()
-        with pytest.raises(PersistenceError, match="unknown record type"):
+        raw = bytes([WIRE_FORMAT_VERSION, 9]) + admit().to_payload()[2:]
+        with pytest.raises(PersistenceError, match="unknown record type 9"):
             parse_payload(raw)
 
     def test_non_object_payload_refused(self):
+        # An admit's text and nested members travel as one JSON object.
+        record = admit()
+        fields = json.dumps(
+            {
+                "params": record.params,
+                "region": record.region,
+                "signature": record.signature,
+                "template_id": record.template_id,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode()
+        payload = record.to_payload()
+        assert fields in payload
+        listed = b"[" + b" " * (len(fields) - 2) + b"]"
         with pytest.raises(PersistenceError, match="not a JSON object"):
-            parse_payload(b"[1, 2, 3]")
+            parse_payload(payload.replace(fields, listed))
+        with pytest.raises(PersistenceError, match="1-byte record payload"):
+            parse_payload(bytes([WIRE_FORMAT_VERSION]))
 
 
 class TestFrameWalk:

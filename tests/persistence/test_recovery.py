@@ -12,6 +12,16 @@ import pytest
 from repro.core.replacement import ALL_POLICIES
 from repro.persistence import encode_record, recover_cache
 from repro.persistence.records import AdmitRecord, EvictRecord
+from repro.relational.result import ResultTable
+from repro.relational.schema import Schema
+from repro.relational.types import ColumnType
+
+ID = Schema.of(("objID", ColumnType.INT))
+PAIRS = ResultTable(
+    Schema.of(("objID", ColumnType.INT), ("ra", ColumnType.FLOAT)),
+    [(1, 164.0), (2, 165.0)],
+)
+NAMES = ResultTable(Schema.of(("name", ColumnType.STR)), [("a",)])
 
 
 def cache_keys(cache):
@@ -273,13 +283,22 @@ class TestMaterializeFailures:
     @pytest.mark.parametrize(
         "result",
         [
-            {"columns": [["objID", "int"]], "rows": [["7"]]},
-            {"columns": [["objID", "int"]], "rows": [[1, 2]]},
-            {"columns": [["objID", "decimal"]], "rows": []},
-            {"rows": []},
-            "<ResultTable />",
+            # A STR cell that is not UTF-8.
+            NAMES.to_bytes()[:-1] + b"\xff",
+            # A one-column header over two-cell rows: trailing bytes.
+            ID.row_codec.header
+            + PAIRS.to_bytes()[len(PAIRS.schema.row_codec.header):],
+            # An unknown column type code (the byte after the count).
+            PAIRS.to_bytes()[:6] + b"\x09" + PAIRS.to_bytes()[7:],
+            b"",
+            b"<ResultTable />",
+            # The table blob cut short by one byte.
+            PAIRS.to_bytes()[:-1],
         ],
-        ids=["cell-type", "row-arity", "column-type", "no-columns", "xml"],
+        ids=[
+            "cell-type", "row-arity", "column-type", "no-columns", "xml",
+            "truncated",
+        ],
     )
     def test_malformed_result_is_an_error_not_a_crash(
         self, make_rig, bind_radial, result

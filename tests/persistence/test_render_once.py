@@ -1,6 +1,6 @@
 """A cached result is encoded once, however often it is written.
 
-The admit hook encodes it — as typed JSON rows, never as XML — and
+The admit hook encodes it — as its binary table, never as XML — and
 keeps the frame; every later checkpoint, cadence or explicit, writes
 the kept frames and encodes nothing.  Encodings are counted through
 wrappers on the encoders — never timed.
@@ -32,7 +32,7 @@ def calls(monkeypatch):
         return wrapper
 
     for owner, name in (
-        (ResultTable, "to_payload"),
+        (ResultTable, "to_bytes"),
         (ResultTable, "_render_xml"),
         (persister_module, "encode_record"),
         (json, "dumps"),
@@ -70,7 +70,7 @@ def test_admits_encode_each_result_once_and_checkpoints_encode_nothing(
         assert proxy.serve(bound).record.contacted_origin
 
     assert proxy.cache.evictions > 0
-    assert calls["to_payload"] == admits
+    assert calls["to_bytes"] == admits
     assert calls["_render_xml"] == 0
     # Admits plus evictions crossed the cadence several times, and
     # every one of those checkpoints held entries admitted before it.
@@ -83,7 +83,7 @@ def test_admits_encode_each_result_once_and_checkpoints_encode_nothing(
 
     # A drain export encodes from the live cache, once per entry.
     exported = export_records(proxy, "shard-a", proxy.clock.now_ms)
-    assert calls["to_payload"] == admits + len(exported)
+    assert calls["to_bytes"] == admits + len(exported)
     assert calls["_render_xml"] == 0
 
 

@@ -56,7 +56,7 @@ def assert_image_is_the_cache(rig, versions):
         assert region_from_dict(record.region) == entry.region
         assert record.signature == entry.signature
         assert record.truncated == entry.truncated
-        assert ResultTable.from_payload(record.result) == entry.result
+        assert ResultTable.from_bytes(record.result) == entry.result
         assert record.data_version == versions[entry_id]
 
 
