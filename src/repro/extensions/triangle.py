@@ -21,9 +21,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.relational.schema import Schema
-from repro.relational.table import Table
 from repro.relational.types import ColumnType
-from repro.skydata.index import SkyGridIndex
 from repro.sqlparser.parser import parse_expression
 from repro.templates.function_template import (
     FunctionTemplate,
@@ -105,18 +103,14 @@ def triangle_query_template() -> QueryTemplate:
 
 
 def register_triangle_search(
-    registry: FunctionRegistry,
-    photo_primary: Table,
-    templates: TemplateManager,
-    index: SkyGridIndex | None = None,
+    registry: FunctionRegistry, templates: TemplateManager
 ) -> None:
-    """Register the triangle TVF at the origin and its templates."""
-    index = index or SkyGridIndex(photo_primary)
-    schema = photo_primary.schema
-    positions = {
-        name: schema.position(name)
-        for name in ("objID", "ra", "dec", "type")
-    }
+    """Register the triangle TVF at the origin and its templates.
+
+    The candidates are ``fGetObjFromRect``'s answer for the vertices'
+    bounding box (by objID, read through the site's one zone index), so
+    ``registry`` must hold the SkyServer library.
+    """
 
     def f_get_obj_from_triangle(catalog, args) -> list[tuple[Any, ...]]:
         values = [float(a) for a in args]
@@ -141,27 +135,19 @@ def register_triangle_search(
 
         ra_values = [v[0] for v in vertices]
         dec_values = [v[1] for v in vertices]
-        rows = []
-        for row_index in index.candidates_in_rect(
-            min(ra_values), max(ra_values), min(dec_values), max(dec_values)
-        ):
-            row = photo_primary.rows[row_index]
-            ra = row[positions["ra"]]
-            dec = row[positions["dec"]]
+        box = registry.call_table(
+            "fGetObjFromRect",
+            catalog,
+            [min(ra_values), max(ra_values), min(dec_values), max(dec_values)],
+        )
+        return [
+            (object_id, ra, dec, object_type)
+            for object_id, ra, dec, _, _, _, object_type in box
             if all(
                 normal[0] * ra + normal[1] * dec <= offset + 1e-12
                 for normal, offset in edges
-            ):
-                rows.append(
-                    (
-                        row[positions["objID"]],
-                        ra,
-                        dec,
-                        row[positions["type"]],
-                    )
-                )
-        rows.sort(key=lambda r: r[0])
-        return rows
+            )
+        ]
 
     registry.register_table(
         TableFunction(

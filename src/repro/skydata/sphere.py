@@ -44,6 +44,13 @@ def arcmin_to_chord(radius_arcmin: float) -> float:
     return 2.0 * math.sin(theta / 2.0)
 
 
+def chord_bound(radius_arcmin: float) -> float:
+    """A chord that no point ``chord_to_arcmin`` places within
+    ``radius_arcmin`` exceeds: :func:`arcmin_to_chord` widened by
+    ``1e-9`` relative and ``1e-15`` absolute (DESIGN.md, guard 6)."""
+    return arcmin_to_chord(radius_arcmin) * (1 + 1e-9) + 1e-15
+
+
 def chord_to_arcmin(chord: float) -> float:
     """Inverse of :func:`arcmin_to_chord` (chord must be in [0, 2])."""
     if not 0.0 <= chord <= 2.0:

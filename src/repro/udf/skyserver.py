@@ -6,12 +6,14 @@ Reimplementations of the SDSS SkyServer functions the paper names
 the scalar helpers ``fPhotoFlags``, ``fPhotoType``, and
 ``fDistanceArcMinEq``.
 
-All spatial functions run against a PhotoPrimary table through a
-:class:`~repro.skydata.index.SkyGridIndex` (our stand-in for the
-SkyServer's HTM index) and are registered as deterministic.  A
-deliberately *non-deterministic* specimen, ``fRandomSample``, is also
-provided so tests and examples can exercise the proxy's refusal to
-cache non-deterministic functions (paper Section 3.1, property 1).
+All spatial functions run against a PhotoPrimary table through one
+:class:`~repro.skydata.index.ZoneIndex` (declination zones sorted by RA,
+the zone scan of the SkyServer's own spatial library), so a cone across
+RA 0°/360° or over a pole finds every row inside it, and are registered
+as deterministic.  A deliberately *non-deterministic* specimen,
+``fRandomSample``, is also provided so tests and examples can exercise
+the proxy's refusal to cache non-deterministic functions (paper Section
+3.1, property 1).
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.types import ColumnType
 from repro.skydata.generator import PHOTO_FLAGS, TYPE_GALAXY, TYPE_STAR
-from repro.skydata.index import SkyGridIndex
+from repro.skydata.index import ZoneIndex
 from repro.skydata.sphere import (
     ARCMIN_PER_DEGREE,
     angular_distance_arcmin,
+    chord_bound,
     chord_to_arcmin,
     radec_to_unit,
 )
@@ -86,16 +89,11 @@ def _photo_type(name: Any) -> int:
 
 
 def register_skyserver_functions(
-    registry: FunctionRegistry,
-    photo_primary: Table,
-    index: SkyGridIndex | None = None,
-) -> SkyGridIndex:
-    """Register the SkyServer library bound to a PhotoPrimary table.
-
-    Returns the spatial index (built here unless supplied) so the origin
-    server can report its size in diagnostics.
-    """
-    index = index or SkyGridIndex(photo_primary)
+    registry: FunctionRegistry, photo_primary: Table
+) -> None:
+    """Register the SkyServer library bound to a PhotoPrimary table,
+    over one zone index built here."""
+    index = ZoneIndex(photo_primary)
     position = photo_primary.schema.position
     ra_at, dec_at = position("ra"), position("dec")
     #: A table row's share of a result tuple (``RECT_OBJ_SCHEMA``).
@@ -118,17 +116,20 @@ def register_skyserver_functions(
             )
         # ``angular_distance_arcmin`` with the centre's vector built
         # once and each object's read, not recomputed: same floats.
+        # The chord bound spares ``chord_to_arcmin`` the candidates
+        # that are surely outside; it never drops a row the ``<=``
+        # keeps.
         centre = radec_to_unit(ra, dec)
-        table_rows = photo_primary.rows
+        bound = chord_bound(radius_arcmin)
         rows = []
-        for row_index in index.candidates_in_circle(ra, dec, radius_arcmin):
-            row = table_rows[row_index]
-            distance = chord_to_arcmin(
-                min(math.dist(centre, unit_vector(row)), 2.0)
-            )
-            if distance <= radius_arcmin:
-                rows.append((*project(row), distance))
-        rows.sort(key=lambda r: r[-1])  # nearest first, as the real one does
+        for row in index.candidates_in_cone(centre, radius_arcmin):
+            chord = math.dist(centre, unit_vector(row))
+            if chord <= bound:
+                distance = chord_to_arcmin(min(chord, 2.0))
+                if distance <= radius_arcmin:
+                    rows.append((*project(row), distance))
+        # Nearest first, as the real one does; ties keep index order.
+        rows.sort(key=lambda r: r[-1])
         return rows
 
     def f_get_nearby_obj_eq(catalog, args) -> list[tuple[Any, ...]]:
@@ -149,10 +150,7 @@ def register_skyserver_functions(
         if ra_min > ra_max or dec_min > dec_max:
             raise UdfError("fGetObjFromRect: empty rectangle")
         rows = []
-        for row_index in index.candidates_in_rect(
-            ra_min, ra_max, dec_min, dec_max
-        ):
-            row = photo_primary.rows[row_index]
+        for row in index.candidates_in_rect(ra_min, ra_max, dec_min, dec_max):
             if (
                 ra_min <= row[ra_at] <= ra_max
                 and dec_min <= row[dec_at] <= dec_max
@@ -245,7 +243,6 @@ def register_skyserver_functions(
             "exists to exercise the proxy's determinism check).",
         )
     )
-    return index
 
 
 __all__ = [

@@ -145,11 +145,7 @@ def load_bookstore():
 @pytest.fixture(scope="module")
 def sky():
     origin = OriginServer.skyserver(SKY)
-    register_triangle_search(
-        origin.catalog.functions,
-        origin.catalog.table("PhotoPrimary"),
-        origin.templates,
-    )
+    register_triangle_search(origin.catalog.functions, origin.templates)
     return origin
 
 

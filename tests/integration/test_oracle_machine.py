@@ -7,9 +7,10 @@ triangle extension registered.  Its rules interleave random Radial,
 Rectangular, Triangle and Nearest (TOP 1) queries with data-version
 bumps, fault-plan windows (outage, transient errors, slowdown) put in
 and taken out, simulated time passing, and crashes that tear the
-journal tail before a warm restart.  Each run fixes one caching scheme
-and one description (array or R-tree); the parametrization covers
-every pair.
+journal tail before a warm restart.  One more rule serves Radial pairs
+across RA 0°/360° and across a pole through a second proxy, over a
+second, whole-sky origin.  Each run fixes one caching scheme and one
+description (array or R-tree); the parametrization covers every pair.
 
 The invariant, checked on every serve:
 
@@ -70,6 +71,17 @@ TINY_SKY = SkyCatalogConfig(
     dec_max=11.0,
     seed=7,
 )
+#: Uniform in (ra, dec), so denser toward the poles: a few dozen
+#: objects within 0.3° of each.
+WHOLE_SKY = SkyCatalogConfig(
+    n_objects=20_000,
+    ra_min=0.0,
+    ra_max=360.0,
+    dec_min=-90.0,
+    dec_max=90.0,
+    cluster_fraction=0.0,
+    seed=7,
+)
 MAGS = {"r_min": -9999.0, "r_max": 9999.0}
 DESCRIPTIONS = {"array": ArrayDescription, "rtree": RTreeDescription}
 NOT_SERVED = {QueryOutcome.DEGRADED, QueryOutcome.PARTIAL, QueryOutcome.FAILED}
@@ -79,12 +91,13 @@ NOT_SERVED = {QueryOutcome.DEGRADED, QueryOutcome.PARTIAL, QueryOutcome.FAILED}
 def private_origin():
     """Own origin: the machine bumps its data version."""
     origin = OriginServer.skyserver(TINY_SKY)
-    register_triangle_search(
-        origin.catalog.functions,
-        origin.catalog.table("PhotoPrimary"),
-        origin.templates,
-    )
+    register_triangle_search(origin.catalog.functions, origin.templates)
     return origin
+
+
+@functools.lru_cache(maxsize=1)
+def whole_sky_origin():
+    return OriginServer.skyserver(WHOLE_SKY)
 
 
 # A coarse grid of centres and sizes, so queries repeat, nest and
@@ -129,6 +142,31 @@ def queries(draw):
     return template, {**params, **MAGS}
 
 
+@st.composite
+def across(draw):
+    """Two Radial queries, the second centred across RA 0°/360° or
+    across a pole from the first, each written with RA in or out of
+    [0, 360).  Radii under 19′ at the pole: wider cones the old grid
+    index answered by luck."""
+    if draw(st.booleans()):
+        offset = draw(st.sampled_from([0.25, 1.0]))
+        dec = draw(st.sampled_from([-60.0, 0.0, 30.0]))
+        radius = draw(st.sampled_from([120.0, 300.0]))
+        first = (draw(st.sampled_from([360.0, 0.0])) - offset, dec)
+        second = (draw(st.sampled_from([0.0, 360.0])) + offset, dec)
+    else:
+        offset = draw(st.sampled_from([0.02, 0.1]))
+        dec = draw(st.sampled_from([-1.0, 1.0])) * (90.0 - offset)
+        radius = draw(st.sampled_from([6.0, 12.0, 18.0]))
+        ra = draw(st.sampled_from([10.0, 200.0]))
+        first, second = (ra, dec), (ra + 180.0, dec)
+    zoom = draw(st.sampled_from([0.5, 1.0]))
+    return [
+        (RADIAL_TEMPLATE_ID, {"ra": ra, "dec": dec, "radius": r, **MAGS})
+        for (ra, dec), r in ((first, radius), (second, radius * zoom))
+    ]
+
+
 def shrunk(query, zoom):
     """``query`` scaled by ``zoom`` about a point inside it: the same
     query at 1.0, one its region contains below."""
@@ -164,6 +202,7 @@ class ProxyOracle(RuleBasedStateMachine):
         self.description = description
         self.directory = tempfile.mkdtemp(prefix="oracle-")
         self.proxy = None
+        self.sky_proxy = None
 
     def build(self):
         return FunctionProxy(
@@ -200,10 +239,24 @@ class ProxyOracle(RuleBasedStateMachine):
         for query, zoom in again:
             self.check(shrunk(query, zoom))
 
-    def check(self, query):
+    @rule(pair=across())
+    def serve_across_the_seam_or_a_pole(self, pair):
+        origin = whole_sky_origin()
+        if self.sky_proxy is None:
+            self.sky_proxy = FunctionProxy(
+                origin,
+                origin.templates,
+                scheme=self.scheme,
+                description=DESCRIPTIONS[self.description](),
+            )
+        for query in pair:
+            self.check(query, self.sky_proxy, origin)
+
+    def check(self, query, proxy=None, origin=None):
+        proxy, origin = proxy or self.proxy, origin or self.origin
         template_id, params = query
-        bound = self.origin.templates.bind(template_id, params)
-        response = self.proxy.serve(bound)
+        bound = origin.templates.bind(template_id, params)
+        response = proxy.serve(bound)
         outcome = response.record.outcome
         if outcome is not QueryOutcome.SERVED:
             assert outcome in NOT_SERVED, outcome
@@ -211,7 +264,7 @@ class ProxyOracle(RuleBasedStateMachine):
         # The free-SQL path over the bound statement's text, not the
         # template's plan: a plan bug cannot agree with itself.
         statement = bound.statement
-        expected = self.origin.execute_sql(statement.to_sql()).result
+        expected = origin.execute_sql(statement.to_sql()).result
         got, want = rows(response.result), rows(expected)
         if not (statement.order_by or statement.top is not None):
             got, want = collections.Counter(got), collections.Counter(want)

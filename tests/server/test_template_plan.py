@@ -44,11 +44,7 @@ from tests.remainder_sql import region_predicate, remainder_statement
 def site():
     """A private origin with all four templates, the triangle too."""
     origin = OriginServer.skyserver(SMALL_SKY)
-    register_triangle_search(
-        origin.catalog.functions,
-        origin.catalog.table("PhotoPrimary"),
-        origin.templates,
-    )
+    register_triangle_search(origin.catalog.functions, origin.templates)
     return origin
 
 

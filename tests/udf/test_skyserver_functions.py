@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.skydata.index import SkyGridIndex
-from repro.skydata.sphere import angular_distance_arcmin
+from repro.skydata.index import ZoneIndex
+from repro.skydata.sphere import angular_distance_arcmin, radec_to_unit
 from repro.udf.registry import UdfError
 
 
@@ -82,14 +82,15 @@ class TestNearbyObjEq:
         builds the centre's once; the reference recomputes both from
         degrees for every candidate.  Whole tuples, float distance
         included, must be ``==``."""
-        index = SkyGridIndex(photo_primary)
+        index = ZoneIndex(photo_primary)
         schema = photo_primary.schema
         at = {name: schema.position(name) for name in schema.names}
 
         def reference(ra, dec, radius):
             rows = []
-            for i in index.candidates_in_circle(ra, dec, radius):
-                row = photo_primary.rows[i]
+            for row in index.candidates_in_cone(
+                radec_to_unit(ra, dec), radius
+            ):
                 distance = angular_distance_arcmin(
                     ra, dec, row[at["ra"]], row[at["dec"]]
                 )

@@ -74,11 +74,7 @@ def serving(app, profile=None):
 def site():
     """A private origin with all four templates, the triangle too."""
     origin = OriginServer.skyserver(SMALL_SKY)
-    register_triangle_search(
-        origin.catalog.functions,
-        origin.catalog.table("PhotoPrimary"),
-        origin.templates,
-    )
+    register_triangle_search(origin.catalog.functions, origin.templates)
     return origin
 
 
