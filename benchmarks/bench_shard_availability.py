@@ -119,6 +119,6 @@ def test_shard_availability(
     )
 
     def route_once():
-        return router.route(bound, router.clock.now_ms)
+        return router.route(bound)
 
     benchmark(route_once)

@@ -64,7 +64,6 @@ class AdmissionListener(Protocol):
     def telemetry_event(
         self,
         code: str,
-        at_ms: float,
         trace_id: str | None = None,
         query_index: int | None = None,
         **payload: Any,
@@ -202,15 +201,13 @@ class AdmissionController:
 
         def on_transition(state: BreakerState) -> None:
             instrumentation.admission_overload_transition(state)
-            now_ms = self._now_ms
             instrumentation.telemetry_event(
                 BREAKER_EVENT_CODES[state.value],
-                at_ms=now_ms,
                 breaker="admission-overload",
             )
             shed_code = SHED_POLICY_EVENT_CODES.get(state.value)
             if shed_code is not None:
-                instrumentation.telemetry_event(shed_code, at_ms=now_ms)
+                instrumentation.telemetry_event(shed_code)
 
         return on_transition
 

@@ -73,9 +73,8 @@ class ClusterFrontend:
         a structured shed and completes on the loop after its
         simulated response time.
         """
-        now_ms = self.loop.now_ms
-        self.router.check_faults(now_ms)
-        decision = self.router.route(bound, now_ms)
+        self.router.check_faults()
+        decision = self.router.route(bound)
         self.submitted += 1
 
         def finish(response: ProxyResponse) -> None:
@@ -97,5 +96,5 @@ class ClusterFrontend:
             self.loop.after(
                 response.record.response_ms, lambda: finish(response)
             )
-        self.router.sample_telemetry(self.loop.now_ms)
+        self.router.sample_telemetry()
         return decision

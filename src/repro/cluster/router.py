@@ -56,7 +56,7 @@ from repro.faults.plan import Fate, FaultSession
 from repro.faults.shard import ShardCrashPlan
 from repro.geometry.regions import ConvexPolytope, HyperRect, HyperSphere, Region
 from repro.locking import guarded_by, named_lock, read_only, unshared
-from repro.network.clock import SimulatedClock
+from repro.network.clock import Clock, SimulatedClock
 from repro.obs.decisions import DECISION_CAPACITY
 from repro.obs.events import (
     EV_FAILOVER_REROUTE,
@@ -205,11 +205,12 @@ class ShardRouter:
     router's own metrics registry (the five ``router_*`` families the
     pinned ``ROUTER_LANES`` sample).
 
-    ``clock`` is the router's own simulated time.  On the direct path
-    (:meth:`serve_routed`) it advances by each answer's simulated
-    response time, so fault windows and telemetry samples follow the
-    time served; the event-loop frontend rebinds it to the loop during
-    single-threaded wiring, hence ``unshared``.
+    ``clock`` is the router's own simulated time, and every method
+    reads it.  On the direct path (:meth:`serve_routed`) it advances
+    by each answer's simulated response time, so fault windows and
+    telemetry samples follow the time served; the event-loop frontend
+    rebinds it to the loop during single-threaded wiring (hence
+    ``unshared``), and then the loop alone moves it.
     """
 
     def __init__(
@@ -232,7 +233,7 @@ class ShardRouter:
         }
         self._ring = HashRing(ids)
         self.fallback = fallback
-        self.clock: Any = SimulatedClock()
+        self.clock: Clock = SimulatedClock()
         self.events = events if events is not None else NULL_EVENTS
         self.timeseries = (
             timeseries if timeseries is not None else NULL_TIMESERIES
@@ -299,15 +300,17 @@ class ShardRouter:
         return bound.template_id
 
     # ------------------------------------------------------------ health
-    def _shard_statuses(self, now_ms: float) -> dict[str, str]:
-        """Every shard's dispatch verdict at ``now_ms``.
+    def _shard_statuses(self) -> dict[str, str]:
+        """Every shard's dispatch verdict now.
 
-        Fault-session reachability wins over the shard's own verdict
-        (a crashed shard's telemetry would happily report healthy).
+        Fault-session reachability (on the router's clock) wins over
+        the shard's own verdict (on its bundle's clock): a crashed
+        shard's telemetry would happily report healthy.
         Health is evaluated *before* ``router.state`` is taken — the
         verdicts acquire shard-side locks the router must never hold
         its own lock across.
         """
+        now_ms = self.clock.now_ms
         with self._lock:
             drained = set(self._drained)
             session = self._session
@@ -318,23 +321,22 @@ class ShardRouter:
             elif session is not None and session.down(shard_id, now_ms):
                 statuses[shard_id] = "unreachable"
             else:
-                statuses[shard_id] = str(
-                    shard.proxy.obs.health(now_ms)["status"]
-                )
+                statuses[shard_id] = str(shard.proxy.obs.health()["status"])
         return statuses
 
-    def shards_up(self, now_ms: float) -> int:
+    def shards_up(self) -> int:
         """How many shards the router would currently dispatch to."""
-        statuses = self._shard_statuses(now_ms)
+        statuses = self._shard_statuses()
         return sum(
             1
             for status in statuses.values()
             if status not in _NOT_DISPATCHABLE
         )
 
-    def health(self, now_ms: float) -> dict[str, Any]:
+    def health(self) -> dict[str, Any]:
         """The aggregate tier verdict (HR06 active) plus per-shard detail."""
-        statuses = self._shard_statuses(now_ms)
+        now_ms = self.clock.now_ms
+        statuses = self._shard_statuses()
         down = sum(
             1
             for status in statuses.values()
@@ -355,10 +357,9 @@ class ShardRouter:
     def route(
         self,
         bound: "BoundQuery",
-        now_ms: float,
         statuses: Mapping[str, str] | None = None,
     ) -> RouteDecision:
-        """Pick the shard for ``bound`` at ``now_ms``; never raises.
+        """Pick the shard for ``bound`` now; never raises.
 
         The walk follows the key's ring preference order (truncated to
         the primary when failover is off).  Each live candidate costs
@@ -367,8 +368,9 @@ class ShardRouter:
         so plan variants sharing a seed stay draw-aligned.
         """
         key = self.route_key(bound)
+        now_ms = self.clock.now_ms
         if statuses is None:
-            statuses = self._shard_statuses(now_ms)
+            statuses = self._shard_statuses()
         with self._lock:
             self._seq += 1
             seq = self._seq
@@ -432,19 +434,20 @@ class ShardRouter:
         falls back to the origin tunnel or a structured shed when no
         shard can take the query.  The router's clock then advances by
         the answer's simulated response time, before the telemetry
-        sample.
+        sample — when the router owns its clock; a router bound to the
+        event loop leaves time to the loop.
         """
-        now_ms = self.clock.now_ms
-        self.check_faults(now_ms)
-        statuses = self._shard_statuses(now_ms)
-        decision = self.route(bound, now_ms, statuses)
+        self.check_faults()
+        statuses = self._shard_statuses()
+        decision = self.route(bound, statuses)
         if decision.dispatched is not None:
             shard = self._shards[decision.dispatched]
             response = shard.proxy.serve(bound, tenant=tenant)
         else:
             response = self.undispatched_response(bound, tenant, decision)
-        self.clock.advance(response.record.response_ms)
-        self.sample_telemetry(self.clock.now_ms, statuses)
+        if isinstance(self.clock, SimulatedClock):
+            self.clock.advance(response.record.response_ms)
+        self.sample_telemetry(statuses)
         return response, decision
 
     def serve(
@@ -478,8 +481,8 @@ class ShardRouter:
         )
 
     # ------------------------------------------------------------ faults
-    def check_faults(self, now_ms: float) -> None:
-        """Advance the fault schedule to ``now_ms``.
+    def check_faults(self) -> None:
+        """Advance the fault schedule to the router's now.
 
         Each crash/hang window that has begun fires one EV12; each
         *crash* additionally loses the shard's memory (cache cleared
@@ -487,6 +490,7 @@ class ShardRouter:
         when configured, warm-hands the durable image to the first
         live ring successor.
         """
+        now_ms = self.clock.now_ms
         with self._lock:
             session = self._session
             if session is None:
@@ -510,9 +514,9 @@ class ShardRouter:
                 start_ms=start_ms,
             )
         for shard_id in crashes:
-            self._handle_crash(shard_id, now_ms)
+            self._handle_crash(shard_id)
 
-    def _handle_crash(self, shard_id: str, now_ms: float) -> None:
+    def _handle_crash(self, shard_id: str) -> None:
         """Model the process death: memory gone, disk intact, hand off."""
         shard = self._shards[shard_id]
         persister = shard.proxy.persistence
@@ -528,13 +532,10 @@ class ShardRouter:
             shard.proxy.cache.clear()
         if not self.config.failover or persister is None:
             return
-        self._hand_off(shard_id, persisted_records(persister), now_ms)
+        self._hand_off(shard_id, persisted_records(persister))
 
     def _hand_off(
-        self,
-        source: str,
-        records: tuple[AdmitRecord, ...],
-        now_ms: float,
+        self, source: str, records: tuple[AdmitRecord, ...]
     ) -> HandoffReport | None:
         """Replay ``records`` into ``source``'s first live successor.
 
@@ -543,7 +544,7 @@ class ShardRouter:
         Returns ``None`` (nothing moved, nothing logged) when no
         successor is live.
         """
-        target = self._successor(source, now_ms)
+        target = self._successor(source)
         if target is None:
             return None
         report = replay_records(
@@ -557,7 +558,7 @@ class ShardRouter:
             self.handoffs.append(report)
         self.events.emit(
             EV_HANDOFF_COMPLETED,
-            at_ms=now_ms,
+            at_ms=self.clock.now_ms,
             source=report.source,
             target=report.target,
             entries=report.entries,
@@ -566,8 +567,9 @@ class ShardRouter:
         )
         return report
 
-    def _successor(self, shard_id: str, now_ms: float) -> str | None:
+    def _successor(self, shard_id: str) -> str | None:
         """The first live, undrained ring successor of ``shard_id``."""
+        now_ms = self.clock.now_ms
         with self._lock:
             drained = set(self._drained)
             session = self._session
@@ -580,9 +582,7 @@ class ShardRouter:
         return None
 
     # ------------------------------------------------------------- drain
-    def drain(
-        self, shard_id: str, now_ms: float | None = None
-    ) -> HandoffReport | None:
+    def drain(self, shard_id: str) -> HandoffReport | None:
         """Administratively retire ``shard_id``, warm-handing its cache.
 
         The planned twin of the crash path: the *live* cache is
@@ -593,16 +593,14 @@ class ShardRouter:
         """
         if shard_id not in self._shards:
             raise ValueError(f"unknown shard {shard_id!r}")
-        if now_ms is None:
-            now_ms = self.clock.now_ms
         with self._lock:
             if shard_id in self._drained:
                 return None
             self._drained.add(shard_id)
         records = export_records(
-            self._shards[shard_id].proxy, shard_id, now_ms
+            self._shards[shard_id].proxy, shard_id, self.clock.now_ms
         )
-        report = self._hand_off(shard_id, records, now_ms)
+        report = self._hand_off(shard_id, records)
         if report is None:
             report = HandoffReport(
                 source=shard_id,
@@ -625,20 +623,18 @@ class ShardRouter:
 
     # --------------------------------------------------------- telemetry
     def sample_telemetry(
-        self,
-        now_ms: float,
-        statuses: Mapping[str, str] | None = None,
+        self, statuses: Mapping[str, str] | None = None
     ) -> None:
         """Refresh the tier gauges and offer the recorder a sample."""
         if statuses is None:
-            statuses = self._shard_statuses(now_ms)
+            statuses = self._shard_statuses()
         up = sum(
             1
             for status in statuses.values()
             if status not in _NOT_DISPATCHABLE
         )
         self._metric_shards_up.set(float(up))
-        self.timeseries.maybe_sample(now_ms)
+        self.timeseries.maybe_sample(self.clock.now_ms)
 
     def recent_decisions(self, n: int | None = None) -> list[RouteDecision]:
         """The newest ``n`` of the last ``DECISION_CAPACITY`` routing
@@ -650,8 +646,7 @@ class ShardRouter:
 
     def status(self) -> dict[str, Any]:
         """The ``GET /shards`` payload."""
-        now_ms = self.clock.now_ms
-        statuses = self._shard_statuses(now_ms)
+        statuses = self._shard_statuses()
         with self._lock:
             seq = self._seq
             handoffs = [report.to_dict() for report in self.handoffs]

@@ -222,13 +222,10 @@ class FunctionProxy:
         self.invalidations = 0
         # ---------------------------------------------------- resilience
         self.clock = clock or SimulatedClock()
-        #: The time axis telemetry carries (flight-recorder events,
-        #: time-series samples, health verdicts).  Defaults to the
-        #: proxy's own work clock; an event-driven frontend rebinds it
-        #: to the event loop at construction, so one run's telemetry
-        #: lives on one monotone axis — the load timeline — instead of
-        #: mixing the work clock into it.
-        self.telemetry_clock = self.clock
+        # Telemetry (events, samples, health) is stamped on the
+        # bundle's clock: the work clock here; an event-driven
+        # frontend rebinds it to the loop.
+        self.obs.clock = self.clock
         self.breaker = CircuitBreaker(
             self.clock, on_state_change=self._on_breaker_transition
         )
@@ -281,7 +278,6 @@ class FunctionProxy:
                 report = self.recovery_report
                 self.obs.telemetry_event(
                     EV_RECOVERY_COMPLETED,
-                    at_ms=self.telemetry_clock.now_ms,
                     restored=report.entries_restored,
                     stale=report.entries_stale,
                     replayed=report.records_replayed,
@@ -332,7 +328,6 @@ class FunctionProxy:
         self.obs.breaker_transition(BREAKER_STATE_VALUES[state])
         self.obs.telemetry_event(
             BREAKER_EVENT_CODES[state.value],
-            at_ms=self.telemetry_clock.now_ms,
             breaker="origin",
         )
 
@@ -495,7 +490,6 @@ class FunctionProxy:
         if flushed is not None:
             self.obs.telemetry_event(
                 EV_DATA_VERSION_FLUSH,
-                at_ms=self.telemetry_clock.now_ms,
                 query_index=index,
                 entries_flushed=flushed,
             )
@@ -707,7 +701,6 @@ class FunctionProxy:
         if report.evicted_entries >= EVICTION_STORM_THRESHOLD:
             self.obs.telemetry_event(
                 EV_EVICTION_STORM,
-                at_ms=self.telemetry_clock.now_ms,
                 trace_id=observation.trace_id,
                 query_index=observation.index,
                 evicted=report.evicted_entries,
@@ -1003,6 +996,6 @@ class FunctionProxy:
         decision.finish(status.value, outcome.value, trace_id=trace_id)
         self.obs.decisions.record(decision)
         self.obs.observe_record(record, trace_id=trace_id)
-        self.obs.sample_telemetry(self.telemetry_clock.now_ms)
+        self.obs.sample_telemetry()
         self.stats.add(record)
         return ProxyResponse(result=result, record=record)

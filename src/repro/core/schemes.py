@@ -64,10 +64,6 @@ class CachingScheme(enum.Enum):
     def policy(self) -> SchemePolicy:
         return _POLICIES[self]
 
-    @property
-    def is_active(self) -> bool:
-        return self.policy.handles_containment
-
 
 _POLICIES = {
     CachingScheme.NO_CACHE: SchemePolicy(

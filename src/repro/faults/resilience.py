@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from random import Random
-from typing import Any, Callable, Protocol
+from typing import Callable, Protocol
 
 from repro.faults.errors import (
     OriginQueryError,
@@ -38,6 +38,7 @@ from repro.faults.errors import (
 )
 from repro.faults.plan import ORIGIN, Fate, FaultSession
 from repro.locking import guarded_by, named_lock
+from repro.network.clock import Clock
 from repro.relational.errors import RelationalError
 from repro.server.origin import OriginResponse
 from repro.sqlparser.errors import ParseError
@@ -107,7 +108,7 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        clock: Any,
+        clock: Clock,
         failure_threshold: int = BREAKER_FAILURE_THRESHOLD,
         cooldown_ms: float = BREAKER_COOLDOWN_MS,
         on_state_change: Callable[[BreakerState], None] | None = None,
@@ -119,8 +120,8 @@ class CircuitBreaker:
         if cooldown_ms <= 0:
             raise ValueError(f"cooldown must be positive: {cooldown_ms}")
         self._lock = named_lock("proxy.admission")
-        #: Anything with a ``now_ms``: the proxy's work clock, or the
-        #: admission controller's event time.
+        #: The proxy's work clock, or the admission controller's event
+        #: time.
         self.clock = clock
         self.failure_threshold = failure_threshold
         self.cooldown_ms = cooldown_ms

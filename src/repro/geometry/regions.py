@@ -211,10 +211,6 @@ class HyperSphere(Region):
     def bounding_box(self) -> HyperRect:
         return HyperRect.from_center(self.center, (self.radius,) * self.dims)
 
-    def center_distance(self, other: "HyperSphere") -> float:
-        _check_dims(self, other)
-        return math.dist(self.center, other.center)
-
 
 @dataclass(frozen=True)
 class Halfspace:

@@ -197,7 +197,7 @@ class ExperimentRunner:
             ("profile", proxy.profiler.enabled, proxy.profiler.snapshot),
             ("timeseries", proxy.timeseries.enabled, lambda: {
                 **proxy.timeseries.snapshot(),
-                "health": proxy.obs.health(proxy.telemetry_clock.now_ms),
+                "health": proxy.obs.health(),
             }),
             ("events", proxy.events.enabled, proxy.events.snapshot),
         )

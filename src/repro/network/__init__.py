@@ -14,7 +14,7 @@ server execution dominate; local cache answering is cheap; remainder
 queries cost the server more than plain ones.
 """
 
-from repro.network.clock import SimulatedClock
+from repro.network.clock import Clock, SimulatedClock
 from repro.network.link import NetworkLink, Topology
 
-__all__ = ["NetworkLink", "SimulatedClock", "Topology"]
+__all__ = ["Clock", "NetworkLink", "SimulatedClock", "Topology"]

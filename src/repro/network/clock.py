@@ -1,8 +1,25 @@
-"""A simulated millisecond clock."""
+"""Simulated time: the read-only :class:`Clock` protocol and the
+:class:`SimulatedClock` work clock."""
 
 from __future__ import annotations
 
+from typing import Protocol
+
 from repro.locking import guarded_by, named_lock
+
+
+class Clock(Protocol):
+    """Anything that tells simulated time in milliseconds.
+
+    A component that owns a clock, or is bound to one, reads it
+    itself: the proxy's :class:`SimulatedClock`, the ``sched``
+    :class:`~repro.sched.loop.EventLoop` and the admission controller
+    (whose time is the latest event time it was handed) all qualify.
+    Only clock-less sinks take a time argument.
+    """
+
+    @property
+    def now_ms(self) -> float: ...
 
 
 @guarded_by("proxy.clock", "_now_ms")

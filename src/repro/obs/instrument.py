@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.locking import guarded_by, named_lock, read_only, unshared
+from repro.network.clock import Clock, SimulatedClock
 from repro.obs.decisions import DecisionLog, DecisionTrace
 from repro.obs.events import EV_HEALTH_STATE_CHANGE, NULL_EVENTS
 from repro.obs.health import HEALTHY, evaluate_window
@@ -193,19 +194,24 @@ class _HeldChildren(dict[Any, Any]):
 
 
 @guarded_by("proxy.telemetry", "_last_status")
-@unshared("timeseries", "events", "_queue_limit")
+@unshared("timeseries", "events", "_queue_limit", "clock")
 class TelemetryBundle(ScopeStack):
     """What the proxy's and the origin's instrumentation share: one
     registry, the stage stack with its two readers (tracer and
-    profiler), the live-telemetry pair, and the health verdict judged
-    from them.
+    profiler), the live-telemetry pair, the health verdict judged
+    from them, and the ``clock`` that stamps all three.
 
-    ``tracer`` / ``profiler`` — and the telemetry pair ``timeseries``
-    / ``events`` — are rebound only during single-threaded deployment
-    wiring (the web apps swap in live recorders before any request
-    thread starts), hence the ``unshared`` waiver; the objects behind
-    them synchronize internally.  The last verdict (EV11 fires when it
-    changes) is guarded by the ``proxy.telemetry`` lock.
+    ``clock`` is the one time axis of the bundle's events, samples and
+    health verdicts: a proxy binds its work clock at construction and
+    an event-driven frontend rebinds it to the loop; an origin's
+    bundle keeps its own (the simulated server time it has charged).
+    It, ``tracer`` / ``profiler`` and the telemetry pair
+    ``timeseries`` / ``events`` are rebound only during
+    single-threaded deployment wiring (the web apps swap in live
+    recorders before any request thread starts), hence the
+    ``unshared`` waiver; the objects behind them synchronize
+    internally.  The last verdict (EV11 fires when it changes) is
+    guarded by the ``proxy.telemetry`` lock.
     """
 
     def __init__(
@@ -219,12 +225,14 @@ class TelemetryBundle(ScopeStack):
         #: when an admission controller binds.
         self._queue_limit: int | None = None
         self._last_status: str | None = None
+        self.clock: Clock = SimulatedClock()
         self.timeseries: Any = NULL_TIMESERIES
         self.events: Any = NULL_EVENTS
         self.install_telemetry(timeseries, events)
 
-    def health(self, now_ms: float) -> dict[str, Any]:
-        """The health verdict at ``now_ms`` (``GET /health``).
+    def health(self) -> dict[str, Any]:
+        """The health verdict now, on the bundle's clock
+        (``GET /health``).
 
         Every pinned rule over the windows the time series keeps
         ready (``TimeSeriesRecorder.health_window``, so the ring is
@@ -232,6 +240,7 @@ class TelemetryBundle(ScopeStack):
         With the time series off, the pinned disabled payload: always
         healthy, no rules.
         """
+        now_ms = self.clock.now_ms
         if not self.timeseries.enabled:
             return {
                 "enabled": False,
@@ -261,16 +270,16 @@ class TelemetryBundle(ScopeStack):
             report["queue_limit"] = queue_limit
         return report
 
-    def sample_telemetry(self, now_ms: float) -> None:
-        """Serve-path hook: advance the time series to ``now_ms``.
+    def sample_telemetry(self) -> None:
+        """Serve-path hook: advance the time series to the clock's now.
 
         When the call lands a new sample (an interval boundary was
         crossed) the health rules are re-evaluated against the updated
         series, so verdict flips land at window granularity.  With the
         null recorder this is one no-op method call per query.
         """
-        if self.timeseries.maybe_sample(now_ms) is not None:
-            self.health(now_ms)
+        if self.timeseries.maybe_sample(self.clock.now_ms) is not None:
+            self.health()
 
     def install_telemetry(
         self, timeseries: Any = None, events: Any = None
@@ -461,15 +470,15 @@ class ProxyInstrumentation(TelemetryBundle):
     def telemetry_event(
         self,
         code: str,
-        at_ms: float,
         trace_id: str | None = None,
         query_index: int | None = None,
         **payload: Any,
     ) -> None:
-        """Serve-path hook: one pinned-code flight-recorder event."""
+        """Serve-path hook: one pinned-code flight-recorder event,
+        stamped on the bundle's clock."""
         self.events.emit(
             code,
-            at_ms,
+            self.clock.now_ms,
             trace_id=trace_id,
             query_index=query_index,
             **payload,
@@ -602,10 +611,6 @@ class ProxyInstrumentation(TelemetryBundle):
         if count:
             self._held[self.recovery_entries, disposition].inc(count)
 
-    def set_snapshot_age(self, seconds: float) -> None:
-        """Persister hook: the snapshot-age gauge's new value."""
-        self.snapshot_age.set(seconds)
-
     # ------------------------------------------------- cache observation
     def cache_event(
         self, kind: str, n_bytes: int, current_bytes: int, entries: int
@@ -630,7 +635,13 @@ class ProxyInstrumentation(TelemetryBundle):
 
 
 class OriginInstrumentation(TelemetryBundle):
-    """The origin server's metric families and tracer."""
+    """The origin server's metric families and tracer.
+
+    The origin has no work clock: its bundle keeps its own, advanced
+    by the simulated server cost of every request it observes.
+    """
+
+    clock: SimulatedClock
 
     def __init__(
         self,
@@ -664,6 +675,7 @@ class OriginInstrumentation(TelemetryBundle):
         self.data_version.set(1)
 
     def observe(self, kind: str, result_bytes: int, server_ms: float) -> None:
+        self.clock.advance(server_ms)
         self._held[self.requests, kind].inc()
         self._held[self.server_ms, kind].observe(server_ms)
         self._held[self.result_bytes, kind].observe(result_bytes)

@@ -24,9 +24,8 @@ When the clock jumps several intervals at once, one sample covers the
 whole gap with rates averaged over it — the buffer never floods on a
 time warp.
 
-The recorder is clock-agnostic: callers pass ``now_ms`` (the proxy
-passes its simulated work clock; tests may drive it from an event
-loop).  State is guarded by the ``proxy.telemetry`` named lock — a
+The recorder is a clock-less sink: callers pass ``now_ms`` (a
+bundle passes its clock's, the router its own).  State is guarded by the ``proxy.telemetry`` named lock — a
 pure sink in the lock order (:data:`repro.locking.LOCK_ORDER`).
 :class:`NullTimeSeries` is the shared no-op default, keeping the
 disabled-overhead contract (one method call per query, no allocation).

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.faults.errors import SimulatedCrash
 from repro.locking import guarded_by, named_lock, unshared
+from repro.network.clock import Clock
 from repro.obs.events import EV_SNAPSHOT_CHECKPOINT
 from repro.persistence.errors import PersistenceError
 from repro.persistence.image import admit_record
@@ -60,6 +61,7 @@ SNAPSHOT_NAME = "snapshot.bin"
     "suspended",
     "total_records",
     "last_snapshot_ts_ms",
+    "_written_ms",
     "last_recovery",
     "crash_plan",
     "_crash_session",
@@ -118,9 +120,12 @@ class CachePersister:
         self.suspended = False
         self.total_records = 0  # lifetime appends, unaffected by resets
         self.last_snapshot_ts_ms: float | None = None
+        #: Work-clock time of the last append or checkpoint: the
+        #: snapshot-age gauge reads the age as of this write.
+        self._written_ms = 0.0
         self.last_recovery: dict[str, Any] | None = None
         self._cache: "CacheManager | None" = None
-        self._clock: Any = None
+        self._clock: Clock | None = None
         self._version_of: Callable[[], int | None] = lambda: None
         self._admitted_under: Callable[[], int | None] = lambda: None
         self._obs: Any = None
@@ -136,7 +141,7 @@ class CachePersister:
     def bind(
         self,
         cache: "CacheManager",
-        clock: Any,
+        clock: Clock,
         version_of: Callable[[], int | None],
         obs: Any = None,
         *,
@@ -149,7 +154,8 @@ class CachePersister:
         version, which recovery fences against (the proxy's
         ``origin_data_version``).  ``admitted_under`` is the version
         the cache admits entries under (the proxy's
-        ``seen_data_version``), stamped on every record.
+        ``seen_data_version``), stamped on every record.  ``clock``
+        (the proxy's work clock) stamps the records.
         """
         self._cache = cache
         self._clock = clock
@@ -168,10 +174,6 @@ class CachePersister:
             self._crash_session = (
                 plan.session() if plan is not None else None
             )
-
-    @property
-    def crash_session(self) -> "CrashSession | None":
-        return self._crash_session
 
     # -------------------------------------------------- recovery bookkeeping
     def set_suspended(self, flag: bool) -> None:
@@ -252,15 +254,15 @@ class CachePersister:
         ts_ms = self._now_ms()
         with self._lock:
             self.journal.reset()
-            self.last_snapshot_ts_ms = ts_ms
-        self._update_snapshot_age()
-        # The flight-recorder mark; getattr-guarded because bind()
-        # accepts any object with the metrics hooks.
-        emit = getattr(self._obs, "telemetry_event", None)
-        if emit is not None:
-            emit(
+            first = self.last_snapshot_ts_ms is None
+            self.last_snapshot_ts_ms = self._written_ms = ts_ms
+        obs = self._obs
+        if obs is not None:
+            if first:  # from now on the age gauge reads this persister
+                obs.snapshot_age.computed(self._snapshot_age_when_written)
+            # The flight-recorder mark, on the bundle's own clock.
+            obs.telemetry_event(
                 EV_SNAPSHOT_CHECKPOINT,
-                at_ms=ts_ms,
                 entries=len(frames),
                 data_version=self._admitted_under(),
             )
@@ -306,9 +308,9 @@ class CachePersister:
         with self._lock:
             self.journal.append(frame, durable=self.durable)
             self.total_records += 1
+            self._written_ms = self._now_ms()
             if self._obs is not None:
                 self._obs.journal_append(record_type)
-            self._update_snapshot_age()
             session = self._crash_session
             if session is not None and session.should_crash(
                 self.total_records
@@ -327,7 +329,8 @@ class CachePersister:
             return None
         return max(0.0, self._clock.now_ms - self.last_snapshot_ts_ms) / 1e3
 
-    def _update_snapshot_age(self) -> None:
-        age = self._snapshot_age_seconds()
-        if age is not None and self._obs is not None:
-            self._obs.set_snapshot_age(age)
+    def _snapshot_age_when_written(self) -> float:
+        """The snapshot-age gauge: seconds from the last snapshot to
+        the last write."""
+        snapshot_ms = self.last_snapshot_ts_ms or 0.0
+        return max(0.0, self._written_ms - snapshot_ms) / 1e3

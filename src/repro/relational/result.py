@@ -13,7 +13,6 @@ probe result with a remainder result.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.relational.errors import ExecutionError, SchemaError
@@ -142,11 +141,6 @@ class ResultTable:
         position = self.schema.position(name)
         return [row[position] for row in self._rows]
 
-    def row_dicts(self) -> Iterator[dict[str, Any]]:
-        names = self.schema.names
-        for row in self._rows:
-            yield dict(zip(names, row))
-
     # ------------------------------------------------------------- sizes
     def byte_size(self) -> int:
         """Approximate serialized (XML) size in bytes; cached.
@@ -181,18 +175,6 @@ class ResultTable:
         if limit < 0:
             raise ExecutionError(f"negative TOP limit: {limit}")
         return ResultTable(self.schema, self._rows[:limit])
-
-    def sorted_by(
-        self, names: Sequence[str], descending: Sequence[bool] | None = None
-    ) -> "ResultTable":
-        """Stable multi-key sort (NULLs last, per SQL Server default)."""
-        if descending is None:
-            descending = [False] * len(names)
-        keys = [
-            (itemgetter(self.schema.position(name)), desc)
-            for name, desc in zip(names, descending)
-        ]
-        return ResultTable(self.schema, sort_rows(self._rows, keys))
 
     def merge_dedup(self, other: "ResultTable", key: str) -> "ResultTable":
         """Union with ``other``, deduplicating on ``key`` (first wins).

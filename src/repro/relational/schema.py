@@ -132,16 +132,3 @@ class Schema:
     def project(self, names: Iterable[str]) -> "Schema":
         """A new schema restricted to ``names``, in the given order."""
         return Schema(tuple(self.column(name) for name in names))
-
-    def concat(self, other: "Schema") -> "Schema":
-        """Schema of a join result; duplicate names raise ``SchemaError``."""
-        return Schema(self.columns + other.columns)
-
-    def rename_prefix(self, prefix: str) -> "Schema":
-        """Qualify every column name with ``prefix.`` (join disambiguation)."""
-        return Schema(
-            tuple(
-                Column(f"{prefix}.{column.name}", column.type)
-                for column in self.columns
-            )
-        )

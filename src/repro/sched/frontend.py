@@ -69,7 +69,7 @@ class ProxyFrontend:
         # Telemetry joins the load timeline: events and samples from
         # inside serve stages stamp event time, matching the admission
         # controller's breaker clock (synced to each enqueue/dequeue).
-        proxy.telemetry_clock = loop
+        proxy.obs.clock = loop
         self.submitted = 0
         self.completed = 0
         self.rejected = 0
@@ -105,9 +105,7 @@ class ProxyFrontend:
             )
             if expired:
                 self.proxy.obs.telemetry_event(
-                    EV_QUEUE_DEADLINE_DROPS,
-                    at_ms=self.loop.now_ms,
-                    count=len(expired),
+                    EV_QUEUE_DEADLINE_DROPS, count=len(expired)
                 )
             for stale in expired:
                 self._reject(

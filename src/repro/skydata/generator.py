@@ -93,10 +93,6 @@ class SkyCatalogConfig:
         if self.cluster_fraction > 0 and self.n_clusters < 1:
             raise ValueError("clustered generation needs at least one cluster")
 
-    @property
-    def area_sq_deg(self) -> float:
-        return (self.ra_max - self.ra_min) * (self.dec_max - self.dec_min)
-
 
 def generate_positions(config: SkyCatalogConfig) -> np.ndarray:
     """(n, 2) array of (ra, dec) positions for the configured mixture."""

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 from repro.analysis.analyzer import analyze_manager
 from repro.geometry.regions import Region, region_from_dict
-from repro.network.clock import SimulatedClock
 from repro.obs.propagation import parse_traceparent
 from repro.obs.timeseries import ORIGIN_LANES
 from repro.server.origin import OriginServer
@@ -105,10 +104,6 @@ def create_origin_app(
         event_capacity,
         lanes=ORIGIN_LANES,
     )
-    # The origin has no work clock of its own; its telemetry axis is
-    # the cumulative simulated server time it has charged.
-    served_clock = SimulatedClock()
-
     startup = analyze_manager(origin.templates, origin.catalog.functions)
     app.logger.info("template analysis at startup: %s", startup.summary())
     for diagnostic in startup:
@@ -124,8 +119,7 @@ def create_origin_app(
                 response = execute()
         except QUERY_ERRORS as exc:
             return {"error": str(exc)}, 400
-        served_clock.advance(response.server_ms)
-        origin.instrumentation.sample_telemetry(served_clock.now_ms)
+        origin.instrumentation.sample_telemetry()
         headers = {
             "Content-Type": BINARY_TABLE if binary else "application/xml",
             "X-Server-Ms": f"{response.server_ms:.3f}",
@@ -193,7 +187,7 @@ def create_origin_app(
 
     @app.get("/health")
     def health():
-        report = origin.instrumentation.health(served_clock.now_ms)
+        report = origin.instrumentation.health()
         report.update(
             {
                 "tables": [t.name for t in origin.catalog.tables()],

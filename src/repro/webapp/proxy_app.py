@@ -276,7 +276,7 @@ def create_proxy_app(
 
     @app.get("/health")
     def health():
-        report = proxy.obs.health(proxy.telemetry_clock.now_ms)
+        report = proxy.obs.health()
         status_code = 503 if report["status"] == "unhealthy" else 200
         return report, status_code
 

@@ -88,7 +88,7 @@ def create_router_app(router: ShardRouter):
 
     @app.get("/health")
     def health():
-        report = router.health(router.clock.now_ms)
+        report = router.health()
         status_code = 503 if report["status"] == "unhealthy" else 200
         return report, status_code
 

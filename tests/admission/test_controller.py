@@ -46,9 +46,9 @@ class Listener:
     def admission_overload_transition(self, state):
         self.overload.append(state)
 
-    def telemetry_event(self, code, at_ms, trace_id=None,
-                        query_index=None, **payload):
-        self.events.append((code, at_ms, payload))
+    def telemetry_event(self, code, trace_id=None, query_index=None,
+                        **payload):
+        self.events.append((code, payload))
 
 
 def make(

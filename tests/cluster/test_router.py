@@ -38,7 +38,7 @@ class TestPlacement:
     def test_same_template_same_shard(self, make_tier, bind):
         router = make_tier(persist=False)
         shards = {
-            router.route(bind(ra=160.0 + i), 0.0).dispatched
+            router.route(bind(ra=160.0 + i)).dispatched
             for i in range(5)
         }
         assert len(shards) == 1
@@ -130,7 +130,7 @@ class TestFailover:
         primary = router.ring.primary(router.route_key(bind()))
         statuses = {sid: "healthy" for sid in router.shard_ids}
         statuses[primary] = UNHEALTHY
-        decision = router.route(bind(), 0.0, statuses)
+        decision = router.route(bind(), statuses)
         assert decision.attempts[0].fate == "unhealthy"
         assert decision.dispatched != primary
 
@@ -171,7 +171,7 @@ class TestCrashHandoff:
         victim = router.shard(primary).proxy
         assert len(victim.cache.entries()) == 1
         router.clock.advance(6_000.0)
-        router.check_faults(router.clock.now_ms)
+        router.check_faults()
         assert len(victim.cache.entries()) == 0
         assert len(router.handoffs) == 1
         report = router.handoffs[0]
@@ -194,7 +194,7 @@ class TestCrashHandoff:
         router = make_tier(persist=False, crash_plan=plan)
         router.serve(bind())
         router.clock.advance(6_000.0)
-        router.check_faults(router.clock.now_ms)
+        router.check_faults()
         assert router.handoffs == []
 
     def test_handoff_disabled_still_clears(self, make_tier, bind):
@@ -209,7 +209,7 @@ class TestCrashHandoff:
         )
         router.serve(bind())
         router.clock.advance(6_000.0)
-        router.check_faults(router.clock.now_ms)
+        router.check_faults()
         assert len(router.shard(primary).proxy.cache.entries()) == 0
         assert router.handoffs == []
 
@@ -222,11 +222,11 @@ class TestCrashHandoff:
         router = make_tier(persist=False, crash_plan=plan)
         router.serve(bind())
         router.clock.advance(6_000.0)
-        router.check_faults(router.clock.now_ms)
+        router.check_faults()
         # Hung, not crashed: memory intact, no handoff, not dispatchable.
         assert len(router.shard(primary).proxy.cache.entries()) == 1
         assert router.handoffs == []
-        decision = router.route(bind(), router.clock.now_ms)
+        decision = router.route(bind())
         assert decision.attempts[0].fate == "hang"
         assert decision.dispatched != primary
 
@@ -278,7 +278,7 @@ class TestDrain:
         # Routing now skips the drained shard without a fault draw.
         # (The reroute target is the key's next preference, which need
         # not coincide with the shard's ring successor.)
-        decision = router.route(bind(), router.clock.now_ms)
+        decision = router.route(bind())
         assert decision.attempts[0].fate == "drained"
         assert decision.dispatched is not None
         assert decision.dispatched != primary
@@ -337,8 +337,9 @@ class TestStatusAndHealth:
             faults=(ShardFaultWindow("shard-0", "crash", 0.0),)
         )
         router = make_tier(persist=False, crash_plan=plan)
-        report = router.health(10.0)
+        router.clock.advance(10.0)
+        report = router.health()
         assert report["shards_total"] == 3
         assert report["shards_up"] == 2
         assert report["shards"]["shard-0"] == "unreachable"
-        assert router.shards_up(10.0) == 2
+        assert router.shards_up() == 2

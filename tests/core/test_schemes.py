@@ -10,7 +10,6 @@ class TestPolicies:
         policy = CachingScheme.NO_CACHE.policy
         assert not policy.caches
         assert not policy.handles_containment
-        assert not CachingScheme.NO_CACHE.is_active
 
     def test_passive_caches_but_is_not_active(self):
         policy = CachingScheme.PASSIVE.policy

@@ -30,6 +30,7 @@ from repro.faults.crash import CrashPlan
 from repro.faults.plan import FaultPlan, OutageWindow, SlowdownWindow
 from repro.faults.shard import ShardCrashPlan, ShardFaultWindow
 from repro.persistence import CachePersister
+from repro.sched import EventLoop
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "faulted_streams.json"
@@ -80,19 +81,6 @@ def origin_stream(origin) -> dict:
     }
 
 
-class ArrivalClock:
-    """The router's clock for the shard scenario: arrivals exactly
-    700 ms apart, set by the driver.  ``serve_routed`` advances its
-    clock by each answer's response time; this one ignores that, so
-    the fault windows fire at the arrival times the golden pins."""
-
-    def __init__(self) -> None:
-        self.now_ms = 0.0
-
-    def advance(self, delta_ms: float) -> None:
-        del delta_ms
-
-
 def shard_stream(origin, state_dir: Path) -> dict:
     shards = [
         Shard(
@@ -116,13 +104,20 @@ def shard_stream(origin, state_dir: Path) -> dict:
         config=RouterConfig(region_partitions={RADIAL_TEMPLATE_ID: 0.02}),
         crash_plan=SHARD_PLAN,
     )
-    router.clock = ArrivalClock()
+    # Arrivals exactly 700 ms apart: on the loop the router's time is
+    # the arrival time, not advanced by each answer's response time.
+    loop = EventLoop()
+    router.clock = loop
     records = []
-    for i in range(32):
-        router.clock.now_ms = 700.0 * i
+
+    def arrive(i: int) -> None:
         bound = radial(origin, ra=160.5 + (i % 8), dec=6.0 + (i % 3))
         response, _ = router.serve_routed(bound)
         records.append(response.record.to_dict(include_wall=False))
+
+    for i in range(32):
+        loop.at(700.0 * i, lambda i=i: arrive(i))
+    loop.run()
     return {
         "decisions": [d.to_dict() for d in router.decisions],
         "records": records,

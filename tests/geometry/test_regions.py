@@ -135,11 +135,6 @@ class TestHyperSphere:
         sphere = HyperSphere((1.0, -1.0), 2.0)
         assert sphere.bounding_box() == HyperRect((-1.0, -3.0), (3.0, 1.0))
 
-    def test_center_distance(self):
-        a = HyperSphere((0.0, 0.0), 1.0)
-        b = HyperSphere((3.0, 4.0), 1.0)
-        assert a.center_distance(b) == pytest.approx(5.0)
-
 
 class TestHalfspaceAndPolytope:
     def test_halfspace_membership(self):

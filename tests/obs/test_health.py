@@ -192,6 +192,12 @@ class FixedSeries:
         return summarize(self._samples)
 
 
+def health_at(obs, now_ms):
+    """The bundle's verdict, its clock moved on to ``now_ms``."""
+    obs.clock.advance(now_ms - obs.clock.now_ms)
+    return obs.health()
+
+
 def live(samples, events=None):
     """A proxy bundle judging ``samples`` as its live time series."""
     series = FixedSeries(samples)
@@ -204,17 +210,17 @@ class TestHealthMonitor:
     def test_first_healthy_verdict_is_silent(self):
         events = EventRecorder()
         _, obs = live([sample()], events)
-        report = obs.health(1_000.0)
+        report = health_at(obs, 1_000.0)
         assert report["status"] == HEALTHY
         assert events.total == 0
 
     def test_verdict_flip_fires_ev11(self):
         events = EventRecorder()
         series, obs = live([sample()], events)
-        obs.health(1_000.0)
+        health_at(obs, 1_000.0)
         series._samples = [sample(breaker=2.0)]
-        obs.health(2_000.0)
-        obs.health(3_000.0)  # unchanged verdict: no second event
+        health_at(obs, 2_000.0)
+        health_at(obs, 3_000.0)  # unchanged verdict: no second event
         (event,) = events.recent()
         assert event["code"] == "EV11"
         assert event["at_ms"] == 2_000.0
@@ -225,14 +231,14 @@ class TestHealthMonitor:
     def test_first_verdict_already_degraded_fires_ev11(self):
         events = EventRecorder()
         _, obs = live([sample(breaker=2.0)], events)
-        obs.health(500.0)
+        health_at(obs, 500.0)
         (event,) = events.recent()
         assert event["payload"]["previous"] is None
 
     def test_report_carries_config_fields(self):
         _, obs = live([sample(queue=10.0)] * 3)
         obs.set_admission_queue_limit(10)
-        report = obs.health(1_000.0)
+        report = health_at(obs, 1_000.0)
         assert report["enabled"] is True
         assert report["at_ms"] == 1_000.0
         assert report["queue_limit"] == 10
@@ -242,7 +248,7 @@ class TestHealthMonitor:
         # A live proxy configures no latency objective: HR03 passes a
         # window whose p95 is far over any objective.
         _, obs = live([sample(p95=9_999.0)])
-        report = obs.health(1_000.0)
+        report = health_at(obs, 1_000.0)
         assert rule(report, "HR03") == rule(
             evaluate_samples([sample(p95=9_999.0)]), "HR03"
         )
@@ -252,7 +258,7 @@ class TestHealthMonitor:
     def test_null_monitor_is_always_healthy(self):
         obs = ProxyInstrumentation()  # time series off
         obs.set_admission_queue_limit(5)
-        assert obs.health(42.0) == {
+        assert health_at(obs, 42.0) == {
             "enabled": False,
             "status": HEALTHY,
             "rules": [],

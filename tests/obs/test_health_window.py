@@ -47,6 +47,7 @@ class Deployment:
         )
         self.obs.set_admission_queue_limit(QUEUE_LIMIT)
         self.now_ms = 0.0
+        self.obs.clock = self  # time moves only when step() moves it
         self.reference_status = None
         self.reference_flips = []
         self.reports = []
@@ -85,7 +86,7 @@ class Deployment:
         if self.recorder.maybe_sample(self.now_ms) is None:
             return
         reads_before = self.recorder.ring_reads
-        report = self.obs.health(self.now_ms)
+        report = self.obs.health()
         assert self.recorder.ring_reads == reads_before
 
         reference = evaluate_samples(

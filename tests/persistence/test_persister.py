@@ -226,4 +226,4 @@ class TestCrashInjection:
             rig.admit(bind_radial())
         rig.persister.install_crash_plan(None)
         rig.admit(bind_radial(ra=166.0))  # no crash
-        assert rig.persister.crash_session is None
+        assert rig.persister.crash_plan is None

@@ -1,5 +1,7 @@
 """Result tables: sizing, operations, and the XML wire format."""
 
+from operator import itemgetter
+
 import pytest
 
 from repro.relational.errors import ExecutionError, SchemaError
@@ -35,10 +37,6 @@ class TestBasics:
 
     def test_column_values(self):
         assert table(SAMPLE).column_values("id") == [1, 2, 3]
-
-    def test_row_dicts(self):
-        first = next(table(SAMPLE).row_dicts())
-        assert first == {"id": 1, "name": "a", "score": 3.5}
 
     def test_equality_ignores_schema_types_but_not_names(self):
         other = ResultTable(
@@ -78,17 +76,18 @@ class TestOperations:
             table(SAMPLE).top_n(-1)
 
     def test_sorted_by_with_nulls_last(self):
-        result = table(SAMPLE).sorted_by(["name"])
-        assert [row[1] for row in result.rows] == ["a", "b", None]
+        ordered = sort_rows(SAMPLE, [(itemgetter(1), False)])
+        assert [row[1] for row in ordered] == ["a", "b", None]
 
     def test_sorted_by_descending(self):
-        result = table(SAMPLE).sorted_by(["score"], descending=[True])
-        assert [row[2] for row in result.rows] == [3.5, 2.5, 1.5]
+        ordered = sort_rows(SAMPLE, [(itemgetter(2), True)])
+        assert [row[2] for row in ordered] == [3.5, 2.5, 1.5]
 
     def test_sorted_by_leftmost_key_dominates(self):
         rows = [(1, "b", 1.0), (2, "a", 1.0), (3, None, 2.0), (4, "a", 2.0)]
-        result = table(rows).sorted_by(["score", "name"], [True, False])
-        assert [row[0] for row in result.rows] == [4, 3, 2, 1]
+        keys = [(itemgetter(2), True), (itemgetter(1), False)]
+        ordered = sort_rows(rows, keys)
+        assert [row[0] for row in ordered] == [4, 3, 2, 1]
 
     def test_sort_rows_is_stable_and_reads_each_key_once_per_row(self):
         """The one ORDER BY: the executor sorts environments with it,

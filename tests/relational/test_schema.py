@@ -51,13 +51,6 @@ class TestSchema:
         projected = people_schema().project(["age", "id"])
         assert projected.names == ("age", "id")
 
-    def test_concat_rejects_duplicates(self):
-        with pytest.raises(SchemaError):
-            people_schema().concat(Schema.of(("name", ColumnType.STR)))
-
-    def test_rename_prefix(self):
-        renamed = people_schema().rename_prefix("p")
-        assert renamed.names == ("p.id", "p.name", "p.age")
 
 
 class TestTable:

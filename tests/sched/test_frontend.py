@@ -154,13 +154,13 @@ class TestFrontend:
 class TestTelemetryClock:
     """Telemetry lives on the load timeline under the event loop."""
 
-    def test_default_telemetry_clock_is_the_work_clock(self, origin):
+    def test_the_bundle_clock_is_the_work_clock(self, origin):
         proxy = FunctionProxy(origin, origin.templates)
-        assert proxy.telemetry_clock is proxy.clock
+        assert proxy.obs.clock is proxy.clock
 
     def test_frontend_rebinds_to_the_loop(self, make_frontend):
         frontend = make_frontend(AdmissionConfig(max_inflight=2))
-        assert frontend.proxy.telemetry_clock is frontend.loop
+        assert frontend.proxy.obs.clock is frontend.loop
 
     def test_samples_align_to_the_loop_timeline(self, make_frontend, bind):
         from repro.obs import ProxyInstrumentation
@@ -185,4 +185,4 @@ class TestTelemetryClock:
             assert sample["t_ms"] <= frontend.loop.now_ms
         # The work clock accumulated the same serial service time, but
         # the telemetry axis is the loop's.
-        assert frontend.proxy.telemetry_clock is frontend.loop
+        assert frontend.proxy.obs.clock is frontend.loop

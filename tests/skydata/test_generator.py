@@ -30,9 +30,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SkyCatalogConfig(cluster_fraction=1.5)
 
-    def test_area(self):
-        assert SMALL.area_sq_deg == pytest.approx(100.0)
-
 
 class TestPositions:
     def test_count_and_window(self):

@@ -112,3 +112,16 @@ def test_summarize_mode_runs_nothing(tmp_path, capsys, monkeypatch):
     assert pairs_tool.main(["--summarize", str(log)]) == 0
     out = capsys.readouterr().out
     assert "throughput_qps (higher is better): change wins 2" in out
+
+
+def test_medians_by_position_in_the_pair(tmp_path):
+    lines = summary(tmp_path, CANNED)
+    [qps] = [line for line in lines
+             if line.startswith("throughput_qps by position:")]
+    # The parent went first in pairs 1 and 3, the change in 2 and 4.
+    assert qps == (
+        "throughput_qps by position: parent first 105 (2 runs), "
+        "second 97 (2 runs); change first 118 (1 runs), "
+        "second 112.5 (2 runs)"
+    )
+    assert "setup_s by position" not in "\n".join(lines)

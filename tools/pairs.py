@@ -14,7 +14,9 @@ is appended to the log, one JSON object per run.  After the runs, and
 with ``--summarize`` for a log written earlier, it prints per
 end-to-end metric of ``BENCHMARK.json``: how many pairs the change won
 (ties count for neither side), each side's median and quartiles, the
-change in the median, and failed / attempted operations per side.
+change in the median, each side's median by its position in the pair
+(the run that went first, the run that went second), and failed /
+attempted operations per side.
 
     python tools/pairs.py --parent DIR --change DIR --workload hot_hits \\
         --seed 339 --pairs 10 --log pairs.jsonl
@@ -77,7 +79,7 @@ def run_pairs(args: argparse.Namespace, benchmark: dict[str, Any]) -> None:
         default=0,
     )
     for pair in range(done + 1, done + args.pairs + 1):
-        order = SIDES if pair % 2 else SIDES[::-1]
+        order = SIDES if first_side(pair) == "parent" else SIDES[::-1]
         row = {}
         for side in order:
             result = run_side(
@@ -90,6 +92,11 @@ def run_pairs(args: argparse.Namespace, benchmark: dict[str, Any]) -> None:
                 handle.write(json.dumps(entry, sort_keys=True) + "\n")
             row[side] = result
         print(pair_row(pair, order[0], row, names), flush=True)
+
+
+def first_side(pair: int) -> str:
+    """Which tree runs first in ``pair``: the parent in odd pairs."""
+    return "parent" if pair % 2 else "change"
 
 
 def value(result: dict[str, Any] | None, metric: str) -> float | None:
@@ -146,8 +153,7 @@ def summarize(entries: list[dict[str, Any]],
 def summarize_pairs(pairs: dict[int, dict[str, Any]],
                     metrics: list[dict[str, Any]]) -> list[str]:
     lines = [
-        pair_row(pair, "parent" if pair % 2 else "change", row,
-                 [m["name"] for m in metrics])
+        pair_row(pair, first_side(pair), row, [m["name"] for m in metrics])
         for pair, row in sorted(pairs.items())
     ]
     for side in SIDES:
@@ -162,18 +168,25 @@ def summarize_pairs(pairs: dict[int, dict[str, Any]],
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         wins = losses = 0
-        sides: dict[str, list[float]] = {side: [] for side in SIDES}
-        for row in pairs.values():
+        # Each side's values by position: the first run of a pair,
+        # then the second.
+        positions: dict[str, tuple[list[float], list[float]]] = {
+            side: ([], []) for side in SIDES
+        }
+        for pair, row in pairs.items():
             parent, change = (value(row.get(side), name) for side in SIDES)
             for side, number in zip(SIDES, (parent, change)):
                 if number is not None:
-                    sides[side].append(number)
+                    slot = 0 if side == first_side(pair) else 1
+                    positions[side][slot].append(number)
             if parent is None or change is None or parent == change:
                 continue
             if (change > parent) == higher:
                 wins += 1
             else:
                 losses += 1
+        sides = {side: first + second
+                 for side, (first, second) in positions.items()}
         if not (sides["parent"] and sides["change"]):
             lines.append(f"{name}: no complete pair")
             continue
@@ -188,7 +201,18 @@ def summarize_pairs(pairs: dict[int, dict[str, Any]],
             f"change median {cm:.6g} [q1 {c1:.6g}, q3 {c3:.6g}]; "
             f"median delta {delta:+.2%}"
         )
+        lines.append(f"{name} by position: " + "; ".join(
+            f"{side} first {_median(first)}, second {_median(second)}"
+            for side, (first, second) in positions.items()
+        ))
     return lines
+
+
+def _median(values: list[float]) -> str:
+    """``median (n runs)``, or ``-`` for no run."""
+    if not values:
+        return "-"
+    return f"{statistics.median(values):.6g} ({len(values)} runs)"
 
 
 def main(argv: list[str] | None = None) -> int:
