@@ -9,7 +9,6 @@ re-exported here.
 from repro.cluster.frontend import ClusterFrontend
 from repro.cluster.handoff import (
     HandoffReport,
-    decode_handoff,
     encode_handoff,
     export_records,
     persisted_records,
@@ -35,7 +34,6 @@ __all__ = [
     "RouterConfig",
     "Shard",
     "ShardRouter",
-    "decode_handoff",
     "encode_handoff",
     "export_records",
     "persisted_records",

@@ -74,7 +74,10 @@ class ClusterFrontend:
         simulated response time.
         """
         self.router.check_faults()
-        decision = self.router.route(bound)
+        # One health verdict per arrival, read by the route and by the
+        # telemetry sample alike (as ``serve_routed`` does).
+        statuses = self.router.shard_statuses()
+        decision = self.router.route(bound, statuses)
         self.submitted += 1
 
         def finish(response: ProxyResponse) -> None:
@@ -96,5 +99,5 @@ class ClusterFrontend:
             self.loop.after(
                 response.record.response_ms, lambda: finish(response)
             )
-        self.router.sample_telemetry()
+        self.router.sample_telemetry(statuses)
         return decision

@@ -1,14 +1,16 @@
 # concurrency: serve-path
 """Warm handoff: move one shard's cache into its ring successor.
 
-The transfer rides the persistence wire format: the departing shard's
-cache becomes a sequence of framed ``admit`` records — the same
-``[u32 len][u32 CRC32][payload]`` frames the journal and snapshot use,
-each result a binary table — each tagged with the departing shard's
-id.  The successor replays them through its normal
-``CacheManager.store`` path, so its replacement policy and byte budget
-apply exactly as they would under traffic, and the data-version fence drops entries computed
-against an origin version the successor no longer serves.
+The departing shard's cache becomes a sequence of ``admit`` records,
+each tagged with the departing shard's id, handed to the successor in
+memory.  Its size is that of the persistence wire format the records
+would take on disk — the same ``[u32 len][u32 CRC32][payload]`` frames
+the journal and snapshot use, each result a binary table
+(:func:`encode_handoff`).  The successor replays them through its
+normal ``CacheManager.store`` path, so its replacement policy and byte
+budget apply exactly as they would under traffic, and the data-version
+fence drops entries computed against an origin version the successor
+no longer serves.
 
 Two export sources exist:
 
@@ -19,19 +21,20 @@ Two export sources exist:
   the image is what recovery would have rebuilt.
 
 Because every exported record carries the departing shard's tag, a
-handoff file that ends up replayed by *recovery* on the wrong shard is
-skipped (``entries_foreign``), while this module's explicit
-:func:`replay_records` accepts the tag — the successor's own persister
-re-journals each stored entry under the successor's id.
+record that ends up replayed by *recovery* on the wrong shard (a
+copied state directory) is skipped (``entries_foreign``), while this
+module's explicit :func:`replay_records` accepts the tag — the
+successor's own persister re-journals each stored entry under the
+successor's id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.persistence.image import admit_records, load_image, replay_admits
-from repro.persistence.records import AdmitRecord, encode_record, iter_frames
+from repro.persistence.records import AdmitRecord, encode_record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.proxy import FunctionProxy
@@ -53,17 +56,7 @@ class HandoffReport:
     bytes_total: int  # framed wire size of the export
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "entries": self.entries,
-            "replayed": self.replayed,
-            "stale": self.stale,
-            "errors": self.errors,
-            "rejected": self.rejected,
-            "evicted": self.evicted,
-            "bytes_total": self.bytes_total,
-        }
+        return asdict(self)
 
 
 def export_records(
@@ -97,24 +90,9 @@ def persisted_records(
 
 
 def encode_handoff(records: tuple[AdmitRecord, ...]) -> bytes:
-    """The handoff wire form: the records as concatenated frames."""
+    """The records as the concatenated frames a handoff file would
+    hold; the router sizes each handoff (``bytes_total``) by them."""
     return b"".join(encode_record(record) for record in records)
-
-
-def decode_handoff(data: bytes) -> tuple[AdmitRecord, ...]:
-    """Parse a handoff byte stream back into its admit records.
-
-    Like journal replay, the walk stops cleanly at the first torn or
-    corrupt frame — a truncated transfer loses its tail, never raises.
-    Non-admit frames (not part of the handoff format) are ignored.
-    """
-    records = []
-    for outcome in iter_frames(data):
-        if outcome.stop_reason is not None:
-            break
-        if isinstance(outcome.record, AdmitRecord):
-            records.append(outcome.record)
-    return tuple(records)
 
 
 def replay_records(

@@ -300,7 +300,7 @@ class ShardRouter:
         return bound.template_id
 
     # ------------------------------------------------------------ health
-    def _shard_statuses(self) -> dict[str, str]:
+    def shard_statuses(self) -> dict[str, str]:
         """Every shard's dispatch verdict now.
 
         Fault-session reachability (on the router's clock) wins over
@@ -326,7 +326,7 @@ class ShardRouter:
 
     def shards_up(self) -> int:
         """How many shards the router would currently dispatch to."""
-        statuses = self._shard_statuses()
+        statuses = self.shard_statuses()
         return sum(
             1
             for status in statuses.values()
@@ -336,7 +336,7 @@ class ShardRouter:
     def health(self) -> dict[str, Any]:
         """The aggregate tier verdict (HR06 active) plus per-shard detail."""
         now_ms = self.clock.now_ms
-        statuses = self._shard_statuses()
+        statuses = self.shard_statuses()
         down = sum(
             1
             for status in statuses.values()
@@ -370,7 +370,7 @@ class ShardRouter:
         key = self.route_key(bound)
         now_ms = self.clock.now_ms
         if statuses is None:
-            statuses = self._shard_statuses()
+            statuses = self.shard_statuses()
         with self._lock:
             self._seq += 1
             seq = self._seq
@@ -438,7 +438,7 @@ class ShardRouter:
         event loop leaves time to the loop.
         """
         self.check_faults()
-        statuses = self._shard_statuses()
+        statuses = self.shard_statuses()
         decision = self.route(bound, statuses)
         if decision.dispatched is not None:
             shard = self._shards[decision.dispatched]
@@ -627,7 +627,7 @@ class ShardRouter:
     ) -> None:
         """Refresh the tier gauges and offer the recorder a sample."""
         if statuses is None:
-            statuses = self._shard_statuses()
+            statuses = self.shard_statuses()
         up = sum(
             1
             for status in statuses.values()
@@ -646,7 +646,7 @@ class ShardRouter:
 
     def status(self) -> dict[str, Any]:
         """The ``GET /shards`` payload."""
-        statuses = self._shard_statuses()
+        statuses = self.shard_statuses()
         with self._lock:
             seq = self._seq
             handoffs = [report.to_dict() for report in self.handoffs]

@@ -18,9 +18,10 @@ The paper's setting — a slow origin across a WAN — silently assumed a
   real one does;
 * :mod:`repro.faults.errors` — the retryable injected errors and the
   structured terminal outcomes;
-* :mod:`repro.faults.crash` — seeded crash plans for the *proxy
-  itself*: scheduled process deaths at journal-record offsets with
-  deterministic torn-write damage (see :mod:`repro.persistence`);
+* :mod:`repro.faults.crash` — seeded crash damage for the *proxy
+  itself*: once the proxy stops, a plan tears or flips the tail of its
+  journal the way a kill mid-append would (see
+  :mod:`repro.persistence`);
 * :mod:`repro.faults.shard` — seeded shard-level fault schedules for
   the sharded tier (:mod:`repro.cluster`): crash, hang, or slow one
   shard worker mid-trace.
@@ -29,7 +30,7 @@ Everything is deterministic under a fixed seed: replaying the same
 plan over the same trace yields identical query-record streams.
 """
 
-from repro.faults.crash import CrashPlan, CrashSession
+from repro.faults.crash import CrashPlan
 from repro.faults.errors import (
     FaultError,
     FaultPlanError,
@@ -37,7 +38,6 @@ from repro.faults.errors import (
     OriginTimeoutError,
     OriginUnavailable,
     OriginUnavailableError,
-    SimulatedCrash,
 )
 from repro.faults.plan import (
     Fate,
@@ -63,7 +63,6 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "CrashPlan",
-    "CrashSession",
     "Fate",
     "FaultError",
     "FaultPlan",
@@ -78,6 +77,5 @@ __all__ = [
     "SHARD_FAULT_KINDS",
     "ShardCrashPlan",
     "ShardFaultWindow",
-    "SimulatedCrash",
     "SlowdownWindow",
 ]

@@ -71,22 +71,3 @@ class OriginQueryError(FaultError):
         self.reason = "query-error"
         self.retries = retries
 
-
-class SimulatedCrash(FaultError):
-    """The proxy process "died" at a scheduled crash point.
-
-    Raised by the cache persister when a
-    :class:`~repro.faults.crash.CrashPlan` says the current journal
-    append is the one the process does not survive — *after* the
-    plan's tail damage was applied to the journal file.  Harness code
-    catches it where a supervisor would observe the process exit;
-    nothing else may swallow it.
-    """
-
-    def __init__(self, records_appended: int, damage: str) -> None:
-        super().__init__(
-            f"simulated crash after journal record {records_appended} "
-            f"(tail damage: {damage})"
-        )
-        self.records_appended = records_appended
-        self.damage = damage

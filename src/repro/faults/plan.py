@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from random import Random
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+from typing import Any, Iterable, Mapping
 
 from repro.faults.errors import FaultPlanError
-
-_Plan = TypeVar("_Plan")
 
 #: The target an origin plan's windows and draws apply to; a shard
 #: plan's targets are shard ids.
@@ -45,50 +43,6 @@ def check_window(start_ms: float, end_ms: float | None) -> None:
         raise FaultPlanError(
             f"empty or inverted window: [{start_ms}, {end_ms})"
         )
-
-
-def wire_form(plan: Any) -> dict[str, Any]:
-    """A plan dataclass as its JSON wire form: every field in
-    declaration order, nested windows as objects, tuples as arrays."""
-    return asdict(
-        plan,
-        dict_factory=lambda items: {
-            name: list(value) if isinstance(value, tuple) else value
-            for name, value in items
-        },
-    )
-
-
-def parse_plan(
-    label: str,
-    payload: Any,
-    known: set[str],
-    build: Callable[[Mapping[str, Any]], _Plan],
-    arrays: Iterable[str] = (),
-) -> _Plan:
-    """The envelope every plan's ``from_dict`` shares.
-
-    The wire form must be a JSON object carrying only ``known`` fields,
-    each of the ``arrays`` fields a JSON array when present; whatever
-    ``build`` trips over while reading them surfaces as a
-    :class:`FaultPlanError` naming the plan kind (``label``).
-    """
-    if not isinstance(payload, Mapping):
-        raise FaultPlanError(
-            f"{label} must be a JSON object, got {type(payload).__name__}"
-        )
-    unknown = set(payload) - known
-    if unknown:
-        raise FaultPlanError(f"unknown {label} fields: {sorted(unknown)}")
-    for name in arrays:
-        if not isinstance(payload.get(name, []), (list, tuple)):
-            raise FaultPlanError(f"{label} field {name!r} must be an array")
-    try:
-        return build(payload)
-    except FaultPlanError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FaultPlanError(f"malformed {label}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -169,51 +123,68 @@ class FaultPlan:
 
     # -------------------------------------------------------- wire form
     def to_dict(self) -> dict[str, Any]:
-        return wire_form(self)
+        """The ``POST /faults`` body: every field in declaration order,
+        windows as objects, tuples as arrays."""
+        return asdict(
+            self,
+            dict_factory=lambda items: {
+                name: list(value) if isinstance(value, tuple) else value
+                for name, value in items
+            },
+        )
 
     @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "FaultPlan":
+    def from_dict(payload: Any) -> "FaultPlan":
         """Parse the ``POST /faults`` body; raises
-        :class:`FaultPlanError` on anything malformed."""
-        known = {
-            "seed", "outages", "slowdowns", "error_rate", "timeout_rate",
-            "version_bumps",
-        }
+        :class:`FaultPlanError` on anything malformed.
 
-        def build(payload: Mapping[str, Any]) -> FaultPlan:
-            outages = tuple(
-                OutageWindow(
-                    start_ms=float(w["start_ms"]),
-                    end_ms=float(w["end_ms"]),
-                )
-                for w in payload.get("outages", ())
+        The body must be a JSON object carrying only the plan's fields,
+        each list field a JSON array when present; whatever the
+        constructors trip over while reading them is malformed too.
+        """
+        if not isinstance(payload, Mapping):
+            raise FaultPlanError(
+                "fault plan must be a JSON object, got "
+                f"{type(payload).__name__}"
             )
-            slowdowns = tuple(
-                SlowdownWindow(
-                    start_ms=float(w["start_ms"]),
-                    end_ms=float(w["end_ms"]),
-                    factor=float(w["factor"]),
-                )
-                for w in payload.get("slowdowns", ())
+        unknown = set(payload) - {f.name for f in fields(FaultPlan)}
+        if unknown:
+            raise FaultPlanError(
+                f"unknown fault plan fields: {sorted(unknown)}"
             )
+        for name in ("outages", "slowdowns", "version_bumps"):
+            if not isinstance(payload.get(name, []), (list, tuple)):
+                raise FaultPlanError(
+                    f"fault plan field {name!r} must be an array"
+                )
+        try:
             return FaultPlan(
                 seed=int(payload.get("seed", 0)),
-                outages=outages,
-                slowdowns=slowdowns,
+                outages=tuple(
+                    OutageWindow(
+                        start_ms=float(w["start_ms"]),
+                        end_ms=float(w["end_ms"]),
+                    )
+                    for w in payload.get("outages", ())
+                ),
+                slowdowns=tuple(
+                    SlowdownWindow(
+                        start_ms=float(w["start_ms"]),
+                        end_ms=float(w["end_ms"]),
+                        factor=float(w["factor"]),
+                    )
+                    for w in payload.get("slowdowns", ())
+                ),
                 error_rate=float(payload.get("error_rate", 0.0)),
                 timeout_rate=float(payload.get("timeout_rate", 0.0)),
                 version_bumps=tuple(
                     float(b) for b in payload.get("version_bumps", ())
                 ),
             )
-
-        return parse_plan(
-            "fault plan",
-            payload,
-            known,
-            build,
-            arrays=("outages", "slowdowns", "version_bumps"),
-        )
+        except FaultPlanError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FaultPlanError(f"malformed fault plan: {exc}") from exc
 
 
 class Fate(enum.Enum):

@@ -3,8 +3,8 @@
 A :class:`ShardCrashPlan` schedules what goes wrong *inside the tier*
 — a shard worker crashing, hanging, or slowing mid-trace — on the same
 simulated clock and with the same determinism contract as the origin
-:class:`~repro.faults.plan.FaultPlan`: plans are immutable and
-JSON-round-trippable, and a plan's session is the same
+:class:`~repro.faults.plan.FaultPlan`: plans are immutable, and a
+plan's session is the same
 :class:`~repro.faults.plan.FaultSession`, with shard ids as targets —
 one seeded rng draw per routing attempt regardless of the configured
 rates.  Nothing here may read the wall clock (FP301) or use unseeded
@@ -24,10 +24,9 @@ Fault kinds, per window:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.faults.errors import FaultPlanError
-from repro.faults.plan import FaultSession, check_window, parse_plan, wire_form
+from repro.faults.plan import FaultSession, check_window
 
 #: The pinned shard-fault kinds (wire values of ``ShardFaultWindow.kind``).
 SHARD_FAULT_KINDS = ("crash", "hang", "slow")
@@ -89,40 +88,3 @@ class ShardCrashPlan:
             error_rate=self.error_rate,
         )
 
-    # -------------------------------------------------------- wire form
-    def to_dict(self) -> dict[str, Any]:
-        return wire_form(self)
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "ShardCrashPlan":
-        """Parse a wire-form plan; raises :class:`FaultPlanError` on
-        anything malformed."""
-
-        def build(payload: Mapping[str, Any]) -> ShardCrashPlan:
-            faults = tuple(
-                ShardFaultWindow(
-                    shard_id=str(w["shard_id"]),
-                    kind=str(w["kind"]),
-                    start_ms=float(w["start_ms"]),
-                    end_ms=(
-                        None
-                        if w.get("end_ms") is None
-                        else float(w["end_ms"])
-                    ),
-                    factor=float(w.get("factor", 1.0)),
-                )
-                for w in payload.get("faults", ())
-            )
-            return ShardCrashPlan(
-                seed=int(payload.get("seed", 0)),
-                faults=faults,
-                error_rate=float(payload.get("error_rate", 0.0)),
-            )
-
-        return parse_plan(
-            "shard crash plan",
-            payload,
-            {"seed", "faults", "error_rate"},
-            build,
-            arrays=("faults",),
-        )

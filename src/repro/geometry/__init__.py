@@ -21,7 +21,6 @@ from repro.geometry.regions import (
     Region,
 )
 from repro.geometry.relations import RegionRelation, relate
-from repro.geometry.measure import region_volume
 
 __all__ = [
     "ConvexPolytope",
@@ -31,6 +30,5 @@ __all__ = [
     "HyperSphere",
     "Region",
     "RegionRelation",
-    "region_volume",
     "relate",
 ]

@@ -178,7 +178,7 @@ def _run_scheme(
 
     # Phase 2: the crash — the proxy stops here and the plan's seeded
     # damage tears the journal tail the way a kill mid-append would.
-    damage_report = plan.session().apply_damage(persister.journal.path)
+    damage_report = plan.apply_damage(persister.journal.path)
 
     # Phase 3: warm restart over the damaged directory.
     warm_persister = CachePersister(directory, snapshot_every=snapshot_every)

@@ -5,11 +5,11 @@ makes it restart warm:
 
 * :mod:`repro.persistence.atomic` — temp-file + ``os.replace`` writes,
   the only sanctioned way to write whole artifacts (lint rule FP307);
-* :mod:`repro.persistence.records` — the journal record types and
-  their length-prefixed, CRC32-checksummed wire format (version 3: a
-  result travels as its binary table, ``ResultTable.to_bytes``);
-* :mod:`repro.persistence.journal` — the append-only mutation journal
-  and its torn-tail-tolerant reader;
+* :mod:`repro.persistence.records` — the journal record types, their
+  length-prefixed, CRC32-checksummed wire format (version 3: a result
+  travels as its binary table, ``ResultTable.to_bytes``), and the one
+  torn-tail-tolerant walk over a file's whole bytes;
+* :mod:`repro.persistence.journal` — the append-only mutation journal;
 * :mod:`repro.persistence.snapshot` — periodic full-cache snapshots in
   the journal's own framing, atomically replaced, after which the
   journal is truncated;
@@ -17,8 +17,7 @@ makes it restart warm:
   :class:`~repro.persistence.persister.CachePersister` mutation-log
   hook the cache manager reports to: it encodes each result once, at
   admit, keeps the frame for every later snapshot, and runs the
-  snapshot cadence and seeded crash injection
-  (:class:`~repro.faults.crash.CrashPlan`);
+  snapshot cadence;
 * :mod:`repro.persistence.image` — the one cache-image codec, disk
   walk, and fence → re-bind → ``cache.store`` replay loop that
   recovery, crash handoff, and drain all run;
@@ -28,17 +27,14 @@ makes it restart warm:
   :class:`~repro.persistence.recovery.RecoveryReport`.
 
 Everything is deterministic: journal contents are a pure function of
-the mutation stream, and crash damage comes from seeded plans, so
-recovery experiments replay bit-identically.
+the mutation stream, and crash damage comes from seeded plans
+(:class:`~repro.faults.crash.CrashPlan`) applied to the files after
+the proxy stops, so recovery experiments replay bit-identically.
 """
 
 from repro.persistence.atomic import atomic_write_bytes, atomic_write_text
 from repro.persistence.errors import PersistenceError, SnapshotFormatError
-from repro.persistence.journal import (
-    Journal,
-    JournalReadResult,
-    READ_BUFFER_SIZE,
-)
+from repro.persistence.journal import Journal
 from repro.persistence.persister import (
     JOURNAL_NAME,
     SNAPSHOT_NAME,
@@ -49,6 +45,7 @@ from repro.persistence.records import (
     ClearRecord,
     EvictRecord,
     HEADER_SIZE,
+    JournalReadResult,
     JournalRecord,
     WIRE_FORMAT_VERSION,
     encode_record,
@@ -69,7 +66,6 @@ __all__ = [
     "JournalReadResult",
     "JournalRecord",
     "PersistenceError",
-    "READ_BUFFER_SIZE",
     "RecoveryReport",
     "SNAPSHOT_NAME",
     "SnapshotFormatError",

@@ -24,11 +24,11 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.obs.spans import ScopeStack
 from repro.persistence.errors import SnapshotFormatError
-from repro.persistence.journal import JournalReadResult
 from repro.persistence.records import (
     AdmitRecord,
     ClearRecord,
     EvictRecord,
+    JournalReadResult,
     region_from_dict,
     region_to_dict,
 )

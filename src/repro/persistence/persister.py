@@ -17,14 +17,11 @@ cache.  The write ordering is the crash-consistency argument:
    fsync'd *before* the journal is truncated, so every instant has a
    complete (snapshot, journal) pair to recover from.
 
-A seeded :class:`~repro.faults.crash.CrashPlan` can be installed to
-kill the process at scheduled journal offsets: the persister applies
-the plan's tail damage and raises
-:class:`~repro.faults.errors.SimulatedCrash` after the fatal append —
-the in-process equivalent of ``kill -9`` mid-write.
-
-The persister is deliberately ignorant of *how* to rebuild a cache;
-that is :mod:`repro.persistence.recovery`'s job.
+The write path carries no crash schedule: a crash is a state of the
+disk, made by stopping the proxy and applying a seeded
+:class:`~repro.faults.crash.CrashPlan` to the journal file.  The
+persister is deliberately ignorant of *how* to rebuild a cache; that
+is :mod:`repro.persistence.recovery`'s job.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.faults.errors import SimulatedCrash
 from repro.locking import guarded_by, named_lock, unshared
 from repro.network.clock import Clock
 from repro.obs.events import EV_SNAPSHOT_CHECKPOINT
@@ -50,7 +46,6 @@ from repro.persistence.snapshot import load_snapshot, write_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cache import CacheEntry, CacheManager
-    from repro.faults.crash import CrashPlan, CrashSession
 
 JOURNAL_NAME = "journal.bin"
 SNAPSHOT_NAME = "snapshot.bin"
@@ -63,8 +58,6 @@ SNAPSHOT_NAME = "snapshot.bin"
     "last_snapshot_ts_ms",
     "_written_ms",
     "last_recovery",
-    "crash_plan",
-    "_crash_session",
 )
 @guarded_by("proxy.cache", "_frames")
 @unshared("_cache", "_clock", "_version_of", "_admitted_under", "_obs")
@@ -72,9 +65,9 @@ class CachePersister:
     """Journal + snapshot management for one cache directory.
 
     Locking: the ``persistence.journal`` named lock serializes the
-    persister's bookkeeping (append counting, crash-plan state, the
-    recovery flags); the journal file itself has its own innermost
-    lock (``persistence.journal.file``), taken by :class:`Journal`.
+    persister's bookkeeping (append counting, the recovery flags); the
+    journal file itself has its own innermost lock
+    (``persistence.journal.file``), taken by :class:`Journal`.
     The kept admit frames change only in the ``mutation_log`` hooks,
     which fire under ``proxy.cache``; the snapshot-cadence checkpoint
     runs inside those hooks too, and recovery's repair checkpoint
@@ -90,7 +83,6 @@ class CachePersister:
         directory: str | Path,
         snapshot_every: int = 64,
         durable: bool = False,
-        crash_plan: "CrashPlan | None" = None,
         shard_id: str | None = None,
     ) -> None:
         if snapshot_every < 1:
@@ -108,7 +100,7 @@ class CachePersister:
         self.snapshot_every = snapshot_every
         self.durable = durable
         #: The owning shard worker's id; stamped onto every admit
-        #: record so handoff files can be replayed anywhere (recovery
+        #: record so its records can be replayed anywhere (recovery
         #: skips records tagged with a *different* shard).  ``None`` on
         #: a single-proxy deployment keeps the wire form unchanged.
         self.shard_id = shard_id
@@ -132,10 +124,6 @@ class CachePersister:
         #: Each live entry's admit frame, by ``entry_id``: encoded once
         #: at admit, written again by every checkpoint.
         self._frames: dict[int, bytes] = {}
-        self._crash_session: "CrashSession | None" = (
-            crash_plan.session() if crash_plan is not None else None
-        )
-        self.crash_plan = crash_plan
 
     # ------------------------------------------------------------ wiring
     def bind(
@@ -166,14 +154,6 @@ class CachePersister:
     def current_version(self) -> int | None:
         """The origin's current data version (``version_of``)."""
         return self._version_of()
-
-    def install_crash_plan(self, plan: "CrashPlan | None") -> None:
-        """Arm (or disarm) a seeded crash schedule."""
-        with self._lock:
-            self.crash_plan = plan
-            self._crash_session = (
-                plan.session() if plan is not None else None
-            )
 
     # -------------------------------------------------- recovery bookkeeping
     def set_suspended(self, flag: bool) -> None:
@@ -292,11 +272,6 @@ class CachePersister:
                 "ts_ms": self.last_snapshot_ts_ms,
                 "age_seconds": self._snapshot_age_seconds(),
             },
-            "crash_plan": (
-                self.crash_plan.to_dict()
-                if self.crash_plan is not None
-                else None
-            ),
             "last_recovery": self.last_recovery,
         }
 
@@ -311,12 +286,6 @@ class CachePersister:
             self._written_ms = self._now_ms()
             if self._obs is not None:
                 self._obs.journal_append(record_type)
-            session = self._crash_session
-            if session is not None and session.should_crash(
-                self.total_records
-            ):
-                damage = session.apply_damage(self.journal.path)
-                raise SimulatedCrash(self.total_records, damage["damage"])
             due = self.journal.records_appended >= self.snapshot_every
         # Checkpoint outside the journal lock, which it takes itself.
         # A race on the threshold at worst checkpoints twice, which is

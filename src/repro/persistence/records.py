@@ -34,11 +34,12 @@ the entry is replayed; one that does not decode is that entry's
 ``error``, never a stop of the walk.  Versions 1 and 2 were JSON
 throughout; such a payload is refused by the version it names.
 
-A reader walks frames until the file ends; a header or payload cut
-short is a *torn* record, a checksum mismatch is a *corrupt* record,
-and either one terminates replay cleanly at the last good record —
-exactly the crash-consistency contract an append-only journal buys.
-The journal, the snapshot and a handoff file are all such frames.
+One walk (:func:`walk_frames`) reads both such files, the journal
+and the snapshot, as whole bytes, frame by frame until the data ends;
+a header or payload cut short is a *torn* record, a checksum mismatch
+is a *corrupt* record, and either one terminates replay cleanly at the
+last good record — exactly the crash-consistency contract an
+append-only journal buys.
 
 Region codec
 ------------
@@ -52,11 +53,12 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 from repro.geometry import regions
 from repro.geometry.regions import DifferenceRegion, GeometryError, Region
+from repro.locking import unshared
 from repro.persistence.errors import PersistenceError
 
 #: Bump when the payload schema changes incompatibly; readers refuse
@@ -282,54 +284,67 @@ def parse_payload(payload: bytes) -> JournalRecord:
         raise PersistenceError(f"malformed record fields: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class FrameOutcome:
-    """One step of the frame walk: a record, or why the walk stopped.
+@unshared(
+    "records", "bytes_replayed", "bytes_total", "stop_reason", "stop_detail"
+)
+@dataclass
+class JournalReadResult:
+    """Everything one walk over a file's frames learned.
 
-    ``stop_reason`` is ``None`` for good frames, ``"torn"`` when the
-    file ends mid-frame (the classic torn write), and ``"corrupt"``
-    when the frame is complete but fails its checksum or cannot be
-    decoded.  ``consumed`` is the frame's total size for good frames
-    and 0 otherwise (a stopper contributes no replayed bytes).
+    Built and filled by the single thread running the walk, then
+    treated as read-only — hence the ``unshared`` registration.
     """
 
-    record: JournalRecord | None
-    consumed: int
-    stop_reason: str | None = None
-    detail: str = ""
+    records: list[JournalRecord] = field(default_factory=list)
+    bytes_replayed: int = 0  # bytes of intact frames
+    bytes_total: int = 0  # file size, damaged tail included
+    stop_reason: str | None = None  # None (clean EOF) | "torn" | "corrupt"
+    stop_detail: str = ""
+
+    @property
+    def clean(self) -> bool:
+        return self.stop_reason is None
 
 
-def iter_frames(data: bytes, offset: int = 0) -> Iterator[FrameOutcome]:
-    """Walk frames in ``data``; the final item may be a stopper."""
-    position = offset
-    total = len(data)
+def walk_frames(data: bytes) -> JournalReadResult:
+    """Decode ``data``'s frames up to the first torn or corrupt one.
+
+    A frame the data ends inside is *torn* (the classic torn write); a
+    whole frame that fails its checksum or does not decode is
+    *corrupt*.  Either one stops the walk: ``bytes_replayed`` ends at
+    the last intact frame, ``bytes_total`` is ``len(data)``.
+    """
+    result = JournalReadResult(bytes_total=len(data))
+    position, total = 0, len(data)
     while position < total:
         if total - position < HEADER_SIZE:
-            yield FrameOutcome(
-                None, 0, "torn",
+            return _stop(
+                result, "torn",
                 f"{total - position} trailing bytes, header needs "
                 f"{HEADER_SIZE}",
             )
-            return
         length, crc = _HEADER.unpack_from(data, position)
         start = position + HEADER_SIZE
         end = start + length
         if end > total:
-            yield FrameOutcome(
-                None, 0, "torn",
+            return _stop(
+                result, "torn",
                 f"payload cut short: {total - start} of {length} bytes",
             )
-            return
         payload = data[start:end]
         if zlib.crc32(payload) != crc:
-            yield FrameOutcome(
-                None, 0, "corrupt", "CRC32 mismatch"
-            )
-            return
+            return _stop(result, "corrupt", "CRC32 mismatch")
         try:
-            record = parse_payload(payload)
+            result.records.append(parse_payload(payload))
         except PersistenceError as exc:
-            yield FrameOutcome(None, 0, "corrupt", str(exc))
-            return
-        yield FrameOutcome(record, HEADER_SIZE + length)
-        position = end
+            return _stop(result, "corrupt", str(exc))
+        position = result.bytes_replayed = end
+    return result
+
+
+def _stop(
+    result: JournalReadResult, reason: str, detail: str
+) -> JournalReadResult:
+    result.stop_reason = reason
+    result.stop_detail = detail
+    return result

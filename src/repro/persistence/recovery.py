@@ -39,7 +39,7 @@ state — only for programmer errors (an unbound persister).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.spans import ScopeStack
@@ -80,26 +80,7 @@ class RecoveryReport:
         return self.stop_reason is None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "snapshot_loaded": self.snapshot_loaded,
-            "snapshot_entries": self.snapshot_entries,
-            "snapshot_error": self.snapshot_error,
-            "records_replayed": self.records_replayed,
-            "record_counts": dict(self.record_counts),
-            "bytes_replayed": self.bytes_replayed,
-            "bytes_total": self.bytes_total,
-            "stop_reason": self.stop_reason,
-            "stop_detail": self.stop_detail,
-            "data_version": self.data_version,
-            "entries_restored": self.entries_restored,
-            "entries_stale": self.entries_stale,
-            "entries_foreign": self.entries_foreign,
-            "entries_error": self.entries_error,
-            "entries_rejected": self.entries_rejected,
-            "entries_evicted": self.entries_evicted,
-            "evictions": list(self.evictions),
-            "errors": list(self.errors),
-        }
+        return asdict(self)
 
 
 def recover_cache(
@@ -144,9 +125,9 @@ def recover_cache(
             # (that would invert the cache -> journal lock order).
             persister.set_suspended(True)
             try:
-                # Foreign-tagged records (a handoff file replayed on
-                # the wrong shard, or a copied directory) are skipped,
-                # not re-admitted: the ring owner serves them now.
+                # Foreign-tagged records (another shard's copied
+                # directory) are skipped, not re-admitted: the ring
+                # owner serves them now.
                 tally = replay_admits(
                     image.admits.values(),
                     cache,

@@ -10,10 +10,10 @@ durably in place is the journal truncated, so every instant in time
 has a complete recovery story: either the old snapshot + old journal,
 or the new snapshot + empty journal.
 
-The snapshot is read back by the same frame walk as the journal and a
-handoff file (:func:`~repro.persistence.records.iter_frames`); unlike
-the journal it must be whole, so a torn or corrupt frame condemns the
-file.  The entries carry serialized region descriptions; recovery
+The snapshot is read back whole by the same frame walk as the journal
+(:func:`~repro.persistence.records.walk_frames`); unlike the journal
+it must be whole admit frames, so any stop of the walk, or any frame
+that is not an admit, condemns the file.  The entries carry serialized region descriptions; recovery
 re-admits them through the cache manager, which rebuilds whichever
 cache description (array or R-tree) the restarted proxy was
 configured with.
@@ -26,7 +26,7 @@ from typing import Iterable
 
 from repro.persistence.atomic import atomic_write_bytes
 from repro.persistence.errors import SnapshotFormatError
-from repro.persistence.records import AdmitRecord, iter_frames
+from repro.persistence.records import AdmitRecord, walk_frames
 
 
 def write_snapshot(path: str | Path, frames: Iterable[bytes]) -> int:
@@ -50,16 +50,17 @@ def load_snapshot(path: str | Path) -> tuple[AdmitRecord, ...] | None:
         return None
     except OSError as exc:
         raise SnapshotFormatError(f"unreadable snapshot: {exc}") from exc
+    read = walk_frames(data)
     entries = []
-    for outcome in iter_frames(data):
-        if outcome.stop_reason is not None:
+    for record in read.records:
+        if not isinstance(record, AdmitRecord):
             raise SnapshotFormatError(
-                f"{outcome.stop_reason} snapshot frame after "
-                f"{len(entries)} entries: {outcome.detail}"
+                f"snapshot holds a {record.type!r} record"
             )
-        if not isinstance(outcome.record, AdmitRecord):
-            raise SnapshotFormatError(
-                f"snapshot holds a {outcome.record.type!r} record"
-            )
-        entries.append(outcome.record)
+        entries.append(record)
+    if read.stop_reason is not None:
+        raise SnapshotFormatError(
+            f"{read.stop_reason} snapshot frame after "
+            f"{len(entries)} entries: {read.stop_detail}"
+        )
     return tuple(entries)

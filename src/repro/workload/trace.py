@@ -1,15 +1,9 @@
-"""Trace files: sequences of template-parameter bindings."""
+"""Traces: sequences of template-parameter bindings."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterator, Sequence
-
-
-class TraceError(ValueError):
-    """Malformed trace files."""
 
 
 @dataclass(frozen=True)
@@ -33,10 +27,10 @@ class TraceQuery:
 
 
 class Trace:
-    """An ordered sequence of :class:`TraceQuery`, file round-trippable.
+    """An ordered sequence of :class:`TraceQuery`.
 
-    The on-disk format is JSON Lines: one object per query.  Append-only
-    construction mirrors how the paper extracted traces from web logs.
+    Append-only construction mirrors how the paper extracted traces
+    from web logs.
     """
 
     def __init__(self, queries: Sequence[TraceQuery] = ()) -> None:
@@ -62,41 +56,3 @@ class Trace:
 
     def distinct_count(self) -> int:
         return len(set(self.queries))
-
-    # --------------------------------------------------------------- io
-    def save(self, path: str | Path) -> None:
-        # Atomic (temp + rename): an interrupted save never leaves a
-        # truncated trace that a later load would replay short.
-        from repro.persistence.atomic import atomic_write_text
-
-        lines = [
-            json.dumps(
-                {
-                    "template": query.template_id,
-                    "params": query.param_dict(),
-                },
-                sort_keys=True,
-            )
-            for query in self.queries
-        ]
-        atomic_write_text(path, "".join(line + "\n" for line in lines))
-
-    @staticmethod
-    def load(path: str | Path) -> "Trace":
-        path = Path(path)
-        queries = []
-        with path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                    queries.append(
-                        TraceQuery.of(payload["template"], payload["params"])
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise TraceError(
-                        f"{path}:{line_number}: bad trace line: {exc}"
-                    ) from None
-        return Trace(queries)

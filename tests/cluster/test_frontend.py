@@ -11,6 +11,7 @@ from repro.cluster import ClusterFrontend, RouterConfig
 from repro.core.stats import QueryOutcome
 from repro.faults.shard import ShardCrashPlan, ShardFaultWindow
 from repro.obs.events import EventRecorder
+from repro.obs.instrument import TelemetryBundle
 from repro.sched import EventLoop
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 from repro.workload.closed_loop import ClosedLoopConfig, ClosedLoopDriver
@@ -30,6 +31,26 @@ class TestClusterFrontend:
         assert done[0].record.outcome is QueryOutcome.SERVED
         assert frontend.completed == 1
         assert frontend.rejected == 0
+
+    def test_one_health_verdict_per_shard_per_arrival(
+        self, make_tier, bind, monkeypatch
+    ):
+        """The route and the telemetry sample share one verdict."""
+        router = make_tier(n_shards=2, persist=False, admission=ADMISSION)
+        frontend = ClusterFrontend(router, EventLoop())
+        verdicts = []
+        health = TelemetryBundle.health
+
+        def counted(bundle):
+            verdicts.append(bundle)
+            return health(bundle)
+
+        monkeypatch.setattr(TelemetryBundle, "health", counted)
+        for index in range(10):
+            frontend.submit(bind(ra=160.0 + index))
+        assert len(verdicts) == 20
+        frontend.loop.run()
+        assert frontend.completed == 10
 
     def test_rebinds_router_clock_to_the_loop(self, make_tier):
         router = make_tier(persist=False, admission=ADMISSION)

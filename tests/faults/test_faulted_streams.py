@@ -8,8 +8,8 @@ Three scenarios, each a fixed plan over fixed inputs:
 * a 4-shard :class:`ShardRouter` under a :class:`ShardCrashPlan` (one
   crash window, one hang window, one slow window, transient errors):
   every routing decision, record and handoff;
-* a truncate and a bitflip :class:`CrashPlan` applied to a fixed
-  journal: every damage report.
+* a truncate and a bitflip :class:`CrashPlan` applied three times to a
+  fixed journal from one seeded stream: every damage report.
 
 ``golden/faulted_streams.json`` holds what these scenarios produced
 when faults were still injected by wrapping the origin and the
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import tempfile
 from pathlib import Path
+from random import Random
 
 from repro.cluster import RouterConfig, Shard, ShardRouter
 from repro.core.proxy import FunctionProxy
@@ -130,10 +131,12 @@ def damage_reports(work_dir: Path) -> dict:
     for damage in ("truncate", "bitflip"):
         journal = work_dir / f"{damage}.bin"
         journal.write_bytes(bytes(range(256)) * 3)
-        session = CrashPlan(
-            seed=13, damage=damage, tail_window_bytes=48
-        ).session()
-        reports[damage] = [session.apply_damage(journal) for _ in range(3)]
+        # Three crashes in a row, drawn from one seeded stream.
+        plan = CrashPlan(seed=13, damage=damage, tail_window_bytes=48)
+        rng = Random(13)
+        reports[damage] = [
+            plan.apply_damage(journal, rng) for _ in range(3)
+        ]
     return reports
 
 

@@ -1,5 +1,7 @@
 """Fault plans: validation, wire form, and decision determinism."""
 
+import json
+
 import pytest
 
 from repro.faults.errors import FaultPlanError
@@ -64,6 +66,26 @@ class TestWireForm:
             version_bumps=(42.0,),
         )
         assert FaultPlan.from_dict(plan.to_dict()) == plan
+
+    def test_fields_in_declaration_order_windows_as_objects(self):
+        plan = FaultPlan(
+            seed=2,
+            outages=(OutageWindow(1.0, 2.0),),
+            slowdowns=(SlowdownWindow(0.0, 5.0, factor=2.0),),
+            version_bumps=(7.0,),
+        )
+        assert json.dumps(plan.to_dict()) == json.dumps(
+            {
+                "seed": 2,
+                "outages": [{"start_ms": 1.0, "end_ms": 2.0}],
+                "slowdowns": [
+                    {"start_ms": 0.0, "end_ms": 5.0, "factor": 2.0}
+                ],
+                "error_rate": 0.0,
+                "timeout_rate": 0.0,
+                "version_bumps": [7.0],
+            }
+        )
 
     def test_defaults_round_trip(self):
         assert FaultPlan.from_dict(FaultPlan().to_dict()) == FaultPlan()

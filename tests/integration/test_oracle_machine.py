@@ -306,8 +306,9 @@ class ProxyOracle(RuleBasedStateMachine):
         seed=st.integers(0, 1_000),
     )
     def crash_and_restart(self, damage, seed):
-        session = CrashPlan(seed=seed, damage=damage).session()
-        session.apply_damage(self.proxy.persistence.journal.path)
+        CrashPlan(seed=seed, damage=damage).apply_damage(
+            self.proxy.persistence.journal.path
+        )
         self.proxy = self.build()
         assert self.proxy.recovery_report is not None
 

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.cluster import export_records, persisted_records, replay_records
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryStatus
-from repro.faults import CrashPlan, SimulatedCrash
+from repro.faults import CrashPlan
 from repro.persistence import (
     AdmitRecord,
     CachePersister,
@@ -110,7 +110,7 @@ def trace_for(origin, seed):
     return queries
 
 
-def build_source(origin, directory, seed, snapshot_every, crash_plan=None):
+def build_source(origin, directory, seed, snapshot_every):
     """Serve the trace with a version bump in the middle; returns the
     source proxy (byte budget, journal, snapshot cadence)."""
     source = FunctionProxy(
@@ -121,7 +121,6 @@ def build_source(origin, directory, seed, snapshot_every, crash_plan=None):
             directory,
             snapshot_every=snapshot_every,
             shard_id=SHARD,
-            crash_plan=crash_plan,
         ),
     )
     queries = trace_for(origin, seed)
@@ -246,22 +245,12 @@ def test_torn_journal_tail_loses_only_the_tail(private_origin, seed):
     both rebuild exactly the intact prefix."""
     origin = private_origin
     with tempfile.TemporaryDirectory() as tmp:
-        # The record stream is a pure function of the trace: a dry run
-        # tells where "two appends before the end" is.
-        dry = build_source(origin, Path(tmp) / "dry", seed, 16)
-        crash_point = dry.persistence.total_records - 2
-        with pytest.raises(SimulatedCrash):
-            build_source(
-                origin,
-                Path(tmp) / "a",
-                seed,
-                snapshot_every=16,
-                crash_plan=CrashPlan(
-                    seed=seed,
-                    crash_after_records=(crash_point,),
-                    damage="truncate",
-                ),
-            )
+        source = build_source(origin, Path(tmp) / "a", seed, 16)
+        # The proxy stops here; the crash tears its journal's tail.
+        assert source.persistence.journal.records_appended > 0
+        CrashPlan(seed=seed, damage="truncate").apply_damage(
+            source.persistence.journal.path
+        )
         dead = CachePersister(Path(tmp) / "a", shard_id=SHARD)
         image = load_image(dead)
         assert image.journal.stop_reason == "torn"

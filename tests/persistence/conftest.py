@@ -29,7 +29,6 @@ class PersistenceRig:
         snapshot_every: int = 1_000,
         max_bytes: int | None = None,
         policy=None,
-        crash_plan=None,
         recovered: bool = False,
         shard_id: str | None = None,
     ) -> None:
@@ -40,7 +39,6 @@ class PersistenceRig:
         self.persister = CachePersister(
             directory,
             snapshot_every=snapshot_every,
-            crash_plan=crash_plan,
             shard_id=shard_id,
         )
         self.cache = CacheManager(

@@ -1,19 +1,22 @@
-"""The append-only journal: streaming reads and damaged tails.
+"""The append-only journal: whole-bytes reads and damaged tails.
 
 Covers the edge cases the wire format was designed around: an empty or
-missing journal, a record ending exactly on the read-buffer boundary,
-a record straddling it, CRC failure in the *middle* of a file (replay
-must stop there, not skip over), and trailing garbage.
+missing journal, a cut at every byte of a mixed journal, a flipped bit
+in every frame, CRC failure in the *middle* of a file (replay must stop
+there, not skip over), and trailing garbage.
 """
 
-import dataclasses
+from bisect import bisect_right
+from itertools import accumulate
 
-from repro.persistence.journal import READ_BUFFER_SIZE, Journal
+from repro.persistence.journal import Journal
 from repro.persistence.records import (
     AdmitRecord,
+    ClearRecord,
     EvictRecord,
     HEADER_SIZE,
     encode_record,
+    walk_frames,
 )
 from repro.relational.result import ResultTable
 from repro.relational.schema import Schema
@@ -37,22 +40,6 @@ def admit(entry_id=1, pad: str = "") -> AdmitRecord:
         data_version=1,
         ts_ms=0.0,
     )
-
-
-def sized_admit(entry_id: int, frame_size: int) -> AdmitRecord:
-    """An admit record whose encoded frame is exactly ``frame_size``.
-
-    Padding goes through a string cell of ``result`` with ASCII
-    characters, so every padding character is exactly one payload byte.
-    """
-    base = admit(entry_id)
-    shortfall = frame_size - len(encode_record(base))
-    assert shortfall >= 0, "frame_size smaller than the minimal record"
-    record = dataclasses.replace(
-        base, result=padded("x" * shortfall)
-    )
-    assert len(encode_record(record)) == frame_size
-    return record
 
 
 class TestEmptyJournals:
@@ -101,39 +88,51 @@ class TestAppendAndRead:
         assert journal.append(frame) == len(frame)
 
 
-class TestBufferBoundaries:
-    def test_record_ending_exactly_on_buffer_boundary(self, tmp_path):
-        """First frame fills the read buffer exactly; the next frame
-        must still be decoded from the following chunk."""
-        journal = Journal(tmp_path / "journal.bin")
-        first = sized_admit(1, READ_BUFFER_SIZE)
-        second = admit(2)
-        journal.append(encode_record(first))
-        journal.append(encode_record(second))
-        result = journal.read()
-        assert result.records == [first, second]
-        assert result.clean
+class TestWalkAtEveryCut:
+    """The one frame walk over whole bytes, cut anywhere: exactly the
+    frames wholly inside the cut come back, and the walk says where
+    they end and why it stopped."""
 
-    def test_record_straddling_the_buffer_boundary(self, tmp_path):
-        """The second frame's header is split across two read chunks —
-        the reader must wait for more data, not call it torn."""
-        journal = Journal(tmp_path / "journal.bin")
-        first = sized_admit(1, READ_BUFFER_SIZE - HEADER_SIZE // 2)
-        second = admit(2)
-        journal.append(encode_record(first))
-        journal.append(encode_record(second))
-        result = journal.read()
-        assert result.records == [first, second]
-        assert result.clean
+    RECORDS = [
+        admit(1),
+        EvictRecord(entry_id=1, reason="evict", data_version=1, ts_ms=2.0),
+        admit(2, pad="abc"),
+        ClearRecord(data_version=2, removed=1, ts_ms=3.0),
+        admit(3, pad="x" * 40),
+        EvictRecord(entry_id=3, reason="consolidate", data_version=2,
+                    ts_ms=4.0),
+    ]
 
-    def test_many_records_across_many_buffers(self, tmp_path):
-        journal = Journal(tmp_path / "journal.bin")
-        records = [sized_admit(i, 900) for i in range(1, 21)]
-        for record in records:
-            journal.append(encode_record(record))
-        assert journal.size_bytes > READ_BUFFER_SIZE * 4
-        result = journal.read()
-        assert result.records == records
+    def frames(self):
+        return [encode_record(record) for record in self.RECORDS]
+
+    def test_every_prefix(self):
+        frames = self.frames()
+        data = b"".join(frames)
+        boundaries = list(accumulate(map(len, frames), initial=0))
+        for cut in range(len(data) + 1):
+            read = walk_frames(data[:cut])
+            whole = bisect_right(boundaries, cut) - 1
+            assert read.records == self.RECORDS[:whole], cut
+            assert read.bytes_replayed == boundaries[whole], cut
+            assert read.bytes_total == cut
+            at_boundary = cut == boundaries[whole]
+            assert read.stop_reason == (None if at_boundary else "torn")
+
+    def test_a_flipped_bit_stops_the_walk_at_its_frame(self):
+        frames = self.frames()
+        data = b"".join(frames)
+        start = 0
+        for index, frame in enumerate(frames):
+            # Past the length prefix, any flip fails the checksum.
+            for offset in range(4, len(frame)):
+                damaged = bytearray(data)
+                damaged[start + offset] ^= 1 << (offset % 8)
+                read = walk_frames(bytes(damaged))
+                assert read.records == self.RECORDS[:index], offset
+                assert read.bytes_replayed == start
+                assert read.stop_reason == "corrupt"
+            start += len(frame)
 
 
 class TestDamagedTails:

@@ -1,9 +1,8 @@
-"""The cache persister: mutation hooks, snapshot cadence, crashes."""
+"""The cache persister: mutation hooks, snapshot cadence, crash damage."""
 
 import pytest
 
 from repro.faults.crash import CrashPlan
-from repro.faults.errors import SimulatedCrash
 from repro.persistence import (
     AdmitRecord,
     CachePersister,
@@ -166,64 +165,35 @@ class TestStatus:
         assert status["journal"]["size_bytes"] > 0
         assert status["total_records"] == 1
         assert status["snapshot"]["exists"] is False
-        assert status["crash_plan"] is None
         rig.persister.checkpoint()
         status = rig.persister.status()
         assert status["snapshot"]["exists"] is True
         assert status["journal"]["size_bytes"] == 0
 
-    def test_status_carries_installed_crash_plan(self, make_rig):
-        rig = make_rig(
-            crash_plan=CrashPlan(seed=3, crash_after_records=(5,))
-        )
-        assert rig.persister.status()["crash_plan"] == {
-            "seed": 3,
-            "crash_after_records": [5],
-            "damage": "truncate",
-            "tail_window_bytes": 64,
-        }
-
 
 class TestCrashInjection:
-    def test_scheduled_crash_raises_after_damage(
+    """A crash is a state of the disk: mutate, stop, damage the files."""
+
+    def test_torn_tail_after_a_stop_loses_only_the_last_append(
         self, make_rig, bind_radial
     ):
-        rig = make_rig(
-            crash_plan=CrashPlan(
-                seed=3, crash_after_records=(2,), damage="truncate"
-            )
-        )
+        rig = make_rig()
         rig.admit(bind_radial())
         intact_size = rig.persister.journal.size_bytes
-        with pytest.raises(SimulatedCrash) as excinfo:
-            rig.admit(bind_radial(ra=166.0))
-        assert excinfo.value.records_appended == 2
-        assert excinfo.value.damage == "truncate"
-        # Damage landed before the exception: the tail is torn.
+        rig.admit(bind_radial(ra=166.0))
+        report = CrashPlan(seed=3, damage="truncate").apply_damage(
+            rig.persister.journal.path
+        )
+        assert report["damage"] == "truncate"
         assert rig.persister.journal.size_bytes > intact_size
         read = rig.persister.journal.read()
         assert read.stop_reason == "torn"
         assert len(read.records) == 1
 
     def test_clean_kill_leaves_journal_intact(self, make_rig, bind_radial):
-        rig = make_rig(
-            crash_plan=CrashPlan(crash_after_records=(1,), damage="none")
-        )
-        with pytest.raises(SimulatedCrash):
-            rig.admit(bind_radial())
+        rig = make_rig()
+        rig.admit(bind_radial())
+        CrashPlan(damage="none").apply_damage(rig.persister.journal.path)
         read = rig.persister.journal.read()
         assert read.clean
         assert len(read.records) == 1
-
-    def test_install_crash_plan_arms_and_disarms(
-        self, make_rig, bind_radial
-    ):
-        rig = make_rig()
-        rig.persister.install_crash_plan(
-            CrashPlan(crash_after_records=(1,))
-        )
-        with pytest.raises(SimulatedCrash):
-            rig.admit(bind_radial())
-        rig.persister.install_crash_plan(None)
-        rig.admit(bind_radial(ra=166.0))  # no crash
-        assert rig.persister.crash_plan is None

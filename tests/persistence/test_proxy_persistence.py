@@ -10,7 +10,6 @@ import pytest
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryStatus
 from repro.faults.crash import CrashPlan
-from repro.faults.errors import SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.obs import ProxyInstrumentation
 from repro.persistence import CachePersister, region_to_dict
@@ -216,15 +215,15 @@ def assert_restarts_cold_and_is_rewritten(
 
 
 class TestProxyCrash:
-    def test_simulated_crash_escapes_serve(self, origin, tmp_path, bind):
+    def test_a_crash_after_serving_tears_only_the_last_append(
+        self, origin, tmp_path, bind
+    ):
         proxy = build_proxy(origin, tmp_path)
-        proxy.persistence.install_crash_plan(
-            CrashPlan(seed=5, crash_after_records=(2,))
-        )
         proxy.serve(bind())
-        with pytest.raises(SimulatedCrash):
-            proxy.serve(bind(ra=166.0))
-        # The crash model: recover in a fresh process, prefix intact.
+        proxy.serve(bind(ra=166.0))
+        # The crash model: the proxy stops, its last append is torn,
+        # and a fresh process recovers the intact prefix.
+        CrashPlan(seed=5).apply_damage(proxy.persistence.journal.path)
         restarted = build_proxy(origin, tmp_path)
         report = restarted.recovery_report
         assert report.stop_reason == "torn"

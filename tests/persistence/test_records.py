@@ -21,10 +21,10 @@ from repro.persistence.records import (
     HEADER_SIZE,
     WIRE_FORMAT_VERSION,
     encode_record,
-    iter_frames,
     parse_payload,
     region_from_dict,
     region_to_dict,
+    walk_frames,
 )
 from repro.relational.result import ResultTable
 from repro.relational.schema import Schema
@@ -154,33 +154,38 @@ class TestFrameWalk:
     def test_walks_consecutive_frames(self):
         records = [admit(1), admit(2), admit(3)]
         data = b"".join(encode_record(r) for r in records)
-        outcomes = list(iter_frames(data))
-        assert [o.record for o in outcomes] == records
-        assert sum(o.consumed for o in outcomes) == len(data)
+        read = walk_frames(data)
+        assert read.records == records
+        assert read.clean
+        assert read.bytes_replayed == read.bytes_total == len(data)
 
     def test_truncated_header_is_torn(self):
         data = encode_record(admit()) + b"\x03\x00"
-        outcomes = list(iter_frames(data))
-        assert outcomes[-1].stop_reason == "torn"
-        assert "header" in outcomes[-1].detail
+        read = walk_frames(data)
+        assert read.stop_reason == "torn"
+        assert read.stop_detail == "2 trailing bytes, header needs 8"
 
     def test_truncated_payload_is_torn(self):
         frame = encode_record(admit())
-        outcomes = list(iter_frames(frame[:-5]))
-        assert outcomes[-1].stop_reason == "torn"
-        assert "cut short" in outcomes[-1].detail
+        read = walk_frames(frame[:-5])
+        assert read.stop_reason == "torn"
+        assert read.stop_detail == (
+            f"payload cut short: {len(frame) - HEADER_SIZE - 5} of "
+            f"{len(frame) - HEADER_SIZE} bytes"
+        )
 
     def test_crc_mismatch_is_corrupt(self):
         frame = bytearray(encode_record(admit()))
         frame[-1] ^= 0xFF
-        outcomes = list(iter_frames(bytes(frame)))
-        assert outcomes[-1].stop_reason == "corrupt"
-        assert "CRC32" in outcomes[-1].detail
+        read = walk_frames(bytes(frame))
+        assert read.stop_reason == "corrupt"
+        assert read.stop_detail == "CRC32 mismatch"
 
     def test_valid_crc_but_unparseable_payload_is_corrupt(self):
         payload = b"not json at all"
         frame = (
             struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
         )
-        outcomes = list(iter_frames(frame))
-        assert outcomes[-1].stop_reason == "corrupt"
+        read = walk_frames(frame)
+        assert read.stop_reason == "corrupt"
+        assert read.records == []

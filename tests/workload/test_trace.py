@@ -1,8 +1,6 @@
-"""Trace files."""
+"""Traces."""
 
-import pytest
-
-from repro.workload.trace import Trace, TraceError, TraceQuery
+from repro.workload.trace import Trace, TraceQuery
 
 
 def query(ra=1.0):
@@ -37,24 +35,3 @@ class TestTrace:
     def test_distinct_count(self):
         trace = Trace([query(1.0), query(1.0), query(2.0)])
         assert trace.distinct_count() == 2
-
-    def test_save_load_roundtrip(self, tmp_path):
-        trace = Trace([query(1.5), query(2.5)])
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        restored = Trace.load(path)
-        assert restored.queries == trace.queries
-
-    def test_load_skips_blank_lines(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            '{"template": "t", "params": {"x": 1}}\n\n'
-            '{"template": "t", "params": {"x": 2}}\n'
-        )
-        assert len(Trace.load(path)) == 2
-
-    def test_load_reports_bad_line(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(TraceError, match="trace.jsonl:1"):
-            Trace.load(path)
