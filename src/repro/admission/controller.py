@@ -120,7 +120,6 @@ class TokenBucket:
     "_queue",
     "_now_ms",
     "_inflight",
-    "_overload",
     "_obs",
     "submitted",
     "admitted",
@@ -147,12 +146,13 @@ class AdmissionController:
         #: the overload breaker reads it as its clock, so breaker
         #: cooldowns run on the load timeline.
         self._now_ms = 0.0
-        self._overload: CircuitBreaker = CircuitBreaker(
+        self._obs: AdmissionListener | None = None
+        self._overload = CircuitBreaker(
             self,
             failure_threshold=self.config.overload_threshold,
             cooldown_ms=OVERLOAD_COOLDOWN_MS,
+            on_state_change=self._overload_transition,
         )
-        self._obs: AdmissionListener | None = None
         self.submitted = 0
         self.admitted = 0
         self.shed = 0
@@ -161,34 +161,18 @@ class AdmissionController:
         self._quota_denials: dict[str, int] = {}
 
     # ---------------------------------------------------------- binding
-    def bind(self, instrumentation: AdmissionListener | None = None) -> None:
-        """Attach the proxy's instrumentation.
-
-        Rebuilds the overload breaker so its state transitions reach
-        the metrics gauge; called once by the proxy's constructor.
+    def bind(self, instrumentation: AdmissionListener) -> None:
+        """Attach the proxy's instrumentation: every hook, and the
+        overload breaker's transitions from now on, reach it, starting
+        with the CLOSED gauge.  Called once by the proxy's constructor.
         """
-        callback = (
-            self._overload_transition_hook(instrumentation)
-            if instrumentation is not None
-            else None
-        )
         with self._lock:
             self._obs = instrumentation
-            self._overload = CircuitBreaker(
-                self,
-                failure_threshold=self.config.overload_threshold,
-                cooldown_ms=OVERLOAD_COOLDOWN_MS,
-                on_state_change=callback,
-            )
-        if instrumentation is not None:
-            instrumentation.admission_overload_transition(
-                BreakerState.CLOSED
-            )
+        instrumentation.admission_overload_transition(BreakerState.CLOSED)
 
-    def _overload_transition_hook(
-        self, instrumentation: AdmissionListener
-    ) -> Any:
-        """The overload breaker's state-change callback.
+    def _overload_transition(self, state: BreakerState) -> None:
+        """The overload breaker's state-change callback, forwarded to
+        the bound listener.
 
         Each transition updates the overload gauge, lands on the
         flight recorder as an EV01-03 breaker event (payload
@@ -198,18 +182,16 @@ class AdmissionController:
         held; ``proxy.telemetry`` is a pure sink, so the nesting is
         safe.
         """
-
-        def on_transition(state: BreakerState) -> None:
-            instrumentation.admission_overload_transition(state)
-            instrumentation.telemetry_event(
-                BREAKER_EVENT_CODES[state.value],
-                breaker="admission-overload",
-            )
-            shed_code = SHED_POLICY_EVENT_CODES.get(state.value)
-            if shed_code is not None:
-                instrumentation.telemetry_event(shed_code)
-
-        return on_transition
+        obs = self._obs
+        if obs is None:
+            return
+        obs.admission_overload_transition(state)
+        obs.telemetry_event(
+            BREAKER_EVENT_CODES[state.value], breaker="admission-overload"
+        )
+        shed_code = SHED_POLICY_EVENT_CODES.get(state.value)
+        if shed_code is not None:
+            obs.telemetry_event(shed_code)
 
     # ------------------------------------------------------- direct gate
     def try_admit(self, tenant: str, now_ms: float) -> AdmissionVerdict:

@@ -67,7 +67,7 @@ from repro.obs.events import (
 )
 from repro.obs.health import HEALTHY, UNHEALTHY, evaluate_samples
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import NULL_TIMESERIES
+from repro.obs.timeseries import NULL_TIMESERIES, ROUTER_LANES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.proxy import FunctionProxy, ProxyResponse
@@ -265,7 +265,7 @@ class ShardRouter:
         self._metric_shards_total = self.registry.gauge(
             "router_shards_total", "Shards configured"
         )
-        self.timeseries.bind(self.registry)
+        self.timeseries.bind(self.registry, ROUTER_LANES)
         self._metric_shards_total.set(float(len(self._shards)))
         self._metric_shards_up.set(float(len(self._shards)))
 

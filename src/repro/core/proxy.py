@@ -186,7 +186,6 @@ class FunctionProxy:
         fault_plan: FaultPlan | None = None,
         clock: SimulatedClock | None = None,
         persistence: CachePersister | None = None,
-        recover: bool = True,
         admission: AdmissionController | None = None,
     ) -> None:
         self._lock = named_lock("proxy.state")
@@ -257,7 +256,7 @@ class FunctionProxy:
         #: mutation is journaled and a warm restart replays it back.
         self.persistence = persistence
         #: The report of the warm-restart replay run at construction, or
-        #: None (no persister, or ``recover=False`` for a cold start).
+        #: None (no persister).
         self.recovery_report: RecoveryReport | None = None
         if persistence is not None:
             persistence.bind(
@@ -271,18 +270,16 @@ class FunctionProxy:
                 admitted_under=lambda: self._seen_data_version,
             )
             self.cache.mutation_log = persistence
-            if recover:
-                self.recovery_report = recover_cache(
-                    persistence, self.cache, self.templates, obs=self.obs
-                )
-                report = self.recovery_report
-                self.obs.telemetry_event(
-                    EV_RECOVERY_COMPLETED,
-                    restored=report.entries_restored,
-                    stale=report.entries_stale,
-                    replayed=report.records_replayed,
-                    clean=report.clean,
-                )
+            report = self.recovery_report = recover_cache(
+                persistence, self.cache, self.templates, obs=self.obs
+            )
+            self.obs.telemetry_event(
+                EV_RECOVERY_COMPLETED,
+                restored=report.entries_restored,
+                stale=report.entries_stale,
+                replayed=report.records_replayed,
+                clean=report.clean,
+            )
 
     @property
     def metrics(self):

@@ -42,7 +42,7 @@ from repro.harness.config import ExperimentScale
 from repro.harness.render import Result, flat, render_table
 from repro.harness.runner import ExperimentRunner
 from repro.obs.events import EventRecorder
-from repro.obs.timeseries import ROUTER_LANES, TimeSeriesRecorder
+from repro.obs.timeseries import TimeSeriesRecorder
 from repro.persistence.persister import CachePersister
 from repro.sched import EventLoop
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
@@ -223,7 +223,7 @@ def build_tier(
         ),
         crash_plan=crash_plan,
         events=EventRecorder(),
-        timeseries=TimeSeriesRecorder(lanes=ROUTER_LANES),
+        timeseries=TimeSeriesRecorder(),
     )
 
 

@@ -35,7 +35,7 @@ from repro.obs.health import HEALTHY, evaluate_window
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloTracker
 from repro.obs.spans import NULL_STAGE, NullStage, ScopeStack, Stage
-from repro.obs.timeseries import NULL_TIMESERIES
+from repro.obs.timeseries import NULL_TIMESERIES, ORIGIN_LANES, PROXY_LANES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.stats import QueryRecord
@@ -194,24 +194,25 @@ class _HeldChildren(dict[Any, Any]):
 
 
 @guarded_by("proxy.telemetry", "_last_status")
-@unshared("timeseries", "events", "_queue_limit", "clock")
+@unshared("_queue_limit", "clock")
+@read_only("timeseries", "events")
 class TelemetryBundle(ScopeStack):
     """What the proxy's and the origin's instrumentation share: one
     registry, the stage stack with its two readers (tracer and
     profiler), the live-telemetry pair, the health verdict judged
     from them, and the ``clock`` that stamps all three.
 
+    The recorders — ``tracer`` / ``profiler`` and the telemetry pair
+    ``timeseries`` / ``events`` — are the ones the bundle is built
+    with; each subclass binds the time series to its registry under
+    its own lane set.  The objects behind them synchronize internally.
     ``clock`` is the one time axis of the bundle's events, samples and
     health verdicts: a proxy binds its work clock at construction and
-    an event-driven frontend rebinds it to the loop; an origin's
-    bundle keeps its own (the simulated server time it has charged).
-    It, ``tracer`` / ``profiler`` and the telemetry pair
-    ``timeseries`` / ``events`` are rebound only during
-    single-threaded deployment wiring (the web apps swap in live
-    recorders before any request thread starts), hence the
-    ``unshared`` waiver; the objects behind them synchronize
-    internally.  The last verdict (EV11 fires when it changes) is
-    guarded by the ``proxy.telemetry`` lock.
+    an event-driven frontend rebinds it to the loop during
+    single-threaded wiring (hence ``unshared``); an origin's bundle
+    keeps its own (the simulated server time it has charged).  The
+    last verdict (EV11 fires when it changes) is guarded by the
+    ``proxy.telemetry`` lock.
     """
 
     def __init__(
@@ -226,9 +227,10 @@ class TelemetryBundle(ScopeStack):
         self._queue_limit: int | None = None
         self._last_status: str | None = None
         self.clock: Clock = SimulatedClock()
-        self.timeseries: Any = NULL_TIMESERIES
-        self.events: Any = NULL_EVENTS
-        self.install_telemetry(timeseries, events)
+        self.timeseries: Any = (
+            timeseries if timeseries is not None else NULL_TIMESERIES
+        )
+        self.events: Any = events if events is not None else NULL_EVENTS
 
     def health(self) -> dict[str, Any]:
         """The health verdict now, on the bundle's clock
@@ -280,23 +282,6 @@ class TelemetryBundle(ScopeStack):
         """
         if self.timeseries.maybe_sample(self.clock.now_ms) is not None:
             self.health()
-
-    def install_telemetry(
-        self, timeseries: Any = None, events: Any = None
-    ) -> None:
-        """Deployment wiring: swap in live telemetry recorders, and
-        judge health afresh from them.
-
-        Like tracer/profiler rebinding, legal only during
-        single-threaded wiring before any request thread starts.
-        """
-        if timeseries is not None:
-            self.timeseries = timeseries
-            self.timeseries.bind(self.registry)
-        if events is not None:
-            self.events = events
-        with self._lock:
-            self._last_status = None
 
 
 class ProxyInstrumentation(TelemetryBundle):
@@ -465,6 +450,7 @@ class ProxyInstrumentation(TelemetryBundle):
             "bucket.",
             ("tenant",),
         )
+        self.timeseries.bind(r, PROXY_LANES)
 
     # --------------------------------------------------------- telemetry
     def telemetry_event(
@@ -673,6 +659,7 @@ class OriginInstrumentation(TelemetryBundle):
             "origin_data_version", "Current base-data version."
         )
         self.data_version.set(1)
+        self.timeseries.bind(r, ORIGIN_LANES)
 
     def observe(self, kind: str, result_bytes: int, server_ms: float) -> None:
         self.clock.advance(server_ms)

@@ -53,7 +53,7 @@ from contextlib import contextmanager
 from types import TracebackType
 from typing import Any, Callable, Iterator
 
-from repro.locking import guarded_by, named_lock, unshared
+from repro.locking import guarded_by, named_lock, read_only, unshared
 from repro.obs.events import newest
 from repro.obs.profiling import NULL_PROFILER
 from repro.obs.propagation import IdGenerator, TraceContext
@@ -135,10 +135,9 @@ class Stage:
         tracer = owner.tracer
         if tracer.enabled and not self.hidden:
             tracer._identify(self, open_.top or open_.remote_parent)
-        clock = tracer._clock if tracer.enabled else owner.profiler._clock
         self._parent = open_.top
         open_.top = self
-        self._start = clock()
+        self._start = owner._clock()
         return self
 
     def __exit__(
@@ -149,9 +148,7 @@ class Stage:
     ) -> bool:
         open_ = self._open
         owner = open_.owner
-        tracer = owner.tracer
-        clock = tracer._clock if tracer.enabled else owner.profiler._clock
-        self.wall_ms = (clock() - self._start) * 1000.0
+        self.wall_ms = (owner._clock() - self._start) * 1000.0
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
         steps = self._steps
@@ -290,21 +287,24 @@ class _OpenStages:
             owner._hand_off(stage)
 
 
-@unshared("tracer", "profiler", "_local")
+@unshared("_local")
+@read_only("tracer", "profiler", "_clock")
 class ScopeStack:
     """The per-thread open-stage stack and the hand-off at root close.
 
     ``tracer`` and ``profiler`` are the two readers of a finished
-    tree; both are looked up at hand-off time, so rebinding either
-    (single-threaded deployment wiring) takes effect on the next root.
-    Stages are timed on the tracer's clock when tracing is on and on
-    the profiler's otherwise (the disabled profiler reads
-    ``time.perf_counter``).
+    tree, fixed at construction.  Stages are timed on the tracer's
+    clock when tracing is on and on the profiler's otherwise (the
+    disabled profiler reads ``time.perf_counter``); the choice is made
+    here, once.
     """
 
     def __init__(self, tracer: Any = None, profiler: Any = None) -> None:
         self.tracer = tracer if tracer is not None else NullTracer()
         self.profiler = profiler if profiler is not None else NULL_PROFILER
+        self._clock: Callable[[], float] = (
+            self.tracer._clock if self.tracer.enabled else self.profiler._clock
+        )
         #: Bound only here; the state behind it is thread-local by
         #: construction.
         self._local = threading.local()
@@ -370,13 +370,11 @@ class ScopeStack:
 
 
 @guarded_by("proxy.trace", "_finished", "spans_started")
-class SpanTracer(ScopeStack):
+class SpanTracer:
     """Keeps the last ``capacity`` finished roots and mints trace ids.
 
-    Inside an instrumentation bundle the tracer is a reader: the
-    bundle's stack asks it for ids and hands it finished roots.  On
-    its own it is also a stack whose only reader is itself, so
-    ``with tracer.span(...)`` works without a bundle.
+    A reader of a :class:`ScopeStack`: the stack asks it for ids and
+    hands it finished roots.
     """
 
     enabled = True
@@ -389,7 +387,6 @@ class SpanTracer(ScopeStack):
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive: {capacity}")
-        super().__init__(tracer=self)
         #: The ring-buffer bound on retained root stages.
         self.capacity = capacity
         self._clock = clock
@@ -397,8 +394,6 @@ class SpanTracer(ScopeStack):
         self._lock = named_lock("proxy.trace")
         self._finished: deque[Stage] = deque(maxlen=capacity)
         self.spans_started = 0
-
-    span = ScopeStack.scope
 
     # ------------------------------------------------------------ record
     def _identify(

@@ -6,8 +6,8 @@ interval boundary on the sim/event time axis it takes one sample:
 
 * **counter lanes** become rates — the counter delta over the window
   divided by the window's simulated seconds, clamped non-negative so a
-  counter reset (warm restart rebinding a fresh registry) reads as a
-  momentary zero rather than a negative spike;
+  counter reset (a fresh registry bound in) reads as a momentary zero
+  rather than a negative spike;
 * **gauge lanes** are point samples (queue depth, in-flight, cache
   bytes, breaker state, snapshot age);
 * **quantile lanes** diff a histogram's per-bucket counts across the
@@ -24,9 +24,12 @@ When the clock jumps several intervals at once, one sample covers the
 whole gap with rates averaged over it — the buffer never floods on a
 time warp.
 
-The recorder is a clock-less sink: callers pass ``now_ms`` (a
-bundle passes its clock's, the router its own).  State is guarded by the ``proxy.telemetry`` named lock — a
-pure sink in the lock order (:data:`repro.locking.LOCK_ORDER`).
+The recorder is a clock-less sink, and it does not know whose lanes
+it samples: the owner that binds it names them (a proxy bundle
+:data:`PROXY_LANES`, an origin bundle :data:`ORIGIN_LANES`, the shard
+router :data:`ROUTER_LANES`) and passes ``now_ms`` (its own clock's).
+State is guarded by the ``proxy.telemetry`` named lock — a pure sink
+in the lock order (:data:`repro.locking.LOCK_ORDER`).
 :class:`NullTimeSeries` is the shared no-op default, keeping the
 disabled-overhead contract (one method call per query, no allocation).
 """
@@ -85,8 +88,8 @@ class LaneSet:
     quantiles: tuple[QuantileLane, ...] = ()
 
 
-#: The proxy-side lane set (the default; lane names are part of the
-#: wire schema pinned in DESIGN.md).
+#: The proxy-side lane set (lane names are part of the wire schema
+#: pinned in DESIGN.md).
 PROXY_LANES = LaneSet(
     counters=(
         CounterLane("throughput_qps", "proxy_queries_total"),
@@ -159,18 +162,19 @@ def _window_quantiles(
 @guarded_by(
     "proxy.telemetry",
     "_registry",
+    "lanes",
     "_samples",
     "_hit_ratios",
     "_last_t_ms",
     "_counter_totals",
     "_bucket_counts",
 )
-@read_only("interval_ms", "capacity", "lanes")
+@read_only("interval_ms", "capacity")
 class TimeSeriesRecorder:
     """Ring-buffered fixed-interval sampler over a metrics registry.
 
-    ``bind`` attaches (or re-attaches, on warm restart) the registry
-    to read from; ``maybe_sample(now_ms)`` is the hot-path call — it
+    ``bind`` attaches the registry to read from and the lanes to read
+    in it; ``maybe_sample(now_ms)`` is the hot-path call — it
     returns the new sample when ``now_ms`` crossed an interval
     boundary and ``None`` otherwise (including when time stands still
     or runs backwards).  The first call only seeds the counter
@@ -183,7 +187,6 @@ class TimeSeriesRecorder:
         self,
         interval_ms: float = 1_000.0,
         capacity: int = 512,
-        lanes: LaneSet = PROXY_LANES,
     ) -> None:
         if interval_ms <= 0:
             raise ValueError(f"interval must be positive: {interval_ms}")
@@ -191,9 +194,9 @@ class TimeSeriesRecorder:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.interval_ms = float(interval_ms)
         self.capacity = capacity
-        self.lanes = lanes
         self._lock = named_lock("proxy.telemetry")
         self._registry: MetricsRegistry | None = None
+        self.lanes = LaneSet()
         self._samples: deque[dict[str, Any]] = deque(maxlen=capacity)
         #: Each retained sample's hit ratio (``None``: no traffic), in
         #: a ring of the same capacity so the two evict together.
@@ -203,15 +206,17 @@ class TimeSeriesRecorder:
         self._bucket_counts: dict[str, list[int]] = {}
 
     # ----------------------------------------------------------- binding
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Attach the registry to sample from.
+    def bind(self, registry: MetricsRegistry, lanes: LaneSet) -> None:
+        """Sample ``lanes`` from ``registry``; the owner of the
+        registry calls this once, when it is built.
 
-        Rebinding (a warm restart swapping in a fresh registry) keeps
-        the counter baselines: the next window's deltas go negative
-        and clamp to zero — one flat sample, never a negative rate.
+        Binding a fresh registry later keeps the counter baselines:
+        the next window's deltas go negative and clamp to zero — one
+        flat sample, never a negative rate.
         """
         with self._lock:
             self._registry = registry
+            self.lanes = lanes
 
     # ---------------------------------------------------------- sampling
     def maybe_sample(self, now_ms: float) -> dict[str, Any] | None:
@@ -347,9 +352,8 @@ class NullTimeSeries:
     enabled = False
     interval_ms = 0.0
     capacity = 0
-    lanes = LaneSet()
 
-    def bind(self, registry: MetricsRegistry) -> None:
+    def bind(self, registry: MetricsRegistry, lanes: LaneSet) -> None:
         return None
 
     def maybe_sample(self, now_ms: float) -> dict[str, Any] | None:

@@ -130,18 +130,20 @@ class Plan:
     With ``slots`` the statement is a query template: each ``$name``
     is read from the run's ``params``, and :meth:`run` is given the
     FROM call's ``arguments`` already computed.  Without, the arguments
-    must be constants, evaluated here.
+    must be constants, evaluated here.  Every run's operator counters
+    go to ``profiler`` (``executor.*`` rows).
 
-    A plan holds no per-run state — a run's values, exclusion and
-    profiler are its arguments — so threads may share it.
+    A plan holds no per-run state — a run's values and exclusion are
+    its arguments — so threads may share it.
     """
 
     def __init__(
         self, catalog: Catalog, statement: SelectStatement,
-        slots: bool = False,
+        slots: bool = False, profiler: Any = NULL_PROFILER,
     ) -> None:
         self.catalog = catalog
         self.statement = statement
+        self.profiler = profiler
         source = statement.source
         self.slots = tuple(statement.parameter_names()) if slots else ()
         self.arguments: list[Any] | None = None
@@ -166,7 +168,7 @@ class Plan:
         )
         where = statement.where
         self.where = None if where is None else self.compile(where)
-        self.finish: Callable[[Rows, Any], ResultTable]
+        self.finish: Callable[[Rows], ResultTable]
         if statement.group_by or not statement.star and any(
             contains_aggregate(item.expression)
             for item in statement.select_items
@@ -174,9 +176,7 @@ class Plan:
             self.finish = self._plan_grouped(statement, scope)
         elif statement.distinct:
             project = self._plan_project(statement, scope)
-            self.finish = lambda rows, profiler: self._finish_output(
-                project(rows, profiler)
-            )
+            self.finish = lambda rows: self._finish_output(project(rows))
         else:
             self.finish = self._plan_ordered(statement, scope)
 
@@ -186,13 +186,12 @@ class Plan:
         arguments: Sequence[Any] | None = None,
         params: Mapping[str, Any] | None = None,
         exclude: Callable[[tuple[Any, ...]], bool] | None = None,
-        profiler: Any = NULL_PROFILER,
     ) -> ResultTable:
         """The statement's result.  ``arguments`` are the FROM call's
         (a template plan's run needs them), ``params`` the slots'
         values; a row ``exclude`` is true of is dropped after WHERE,
-        before ORDER BY and TOP.  Operator counters go to ``profiler``
-        (``executor.*`` rows)."""
+        before ORDER BY and TOP."""
+        profiler = self.profiler
         rows = self._scan(
             self.arguments if arguments is None else arguments
         )
@@ -204,7 +203,7 @@ class Plan:
             values = tuple([params[name] for name in self.slots])
             rows = [values + row for row in rows]
         for join in self.joins:
-            rows = join(rows, profiler)
+            rows = join(rows)
         keep = where = self.where
         if exclude is not None:
             keep = lambda row: (  # noqa: E731
@@ -217,7 +216,7 @@ class Plan:
                 profiler.hit("executor.filter")
                 profiler.count("executor.filter", "rows_in", rows_in)
                 profiler.count("executor.filter", "rows_out", len(rows))
-        return self.finish(rows, profiler)
+        return self.finish(rows)
 
     def reader(
         self, exprs: Sequence[Expression]
@@ -257,7 +256,7 @@ class Plan:
     # ------------------------------------------------------------- joins
     def _plan_join(
         self, join: JoinClause, scope: Scope
-    ) -> Callable[[Rows, Any], Rows]:
+    ) -> Callable[[Rows], Rows]:
         """One join step over outer rows; adds its binding to ``scope``."""
         table = self.catalog.table(join.table.name)
         binding = join.table.binding_name
@@ -271,17 +270,17 @@ class Plan:
                 # Primary-key lookup join: one hash probe per outer row.
                 lookup = table.lookup
 
-                def pk_lookup(rows: Rows, profiler: Any) -> Rows:
+                def pk_lookup(rows: Rows) -> Rows:
                     joined = []
                     for row in rows:
                         match = lookup(row[outer])
                         if match is not None:
                             joined.append(row + match)
-                    return _count_join(profiler, "pk_lookup", joined)
+                    return self._count_join("pk_lookup", joined)
 
                 return pk_lookup
 
-            def hash_join(rows: Rows, profiler: Any) -> Rows:
+            def hash_join(rows: Rows) -> Rows:
                 # Built on the (usually smaller) inner table.
                 buckets: dict[Any, list[tuple[Any, ...]]] = {}
                 for match in table.rows:
@@ -292,7 +291,7 @@ class Plan:
                     for row in rows
                     for match in buckets.get(row[outer], ())
                 ]
-                return _count_join(profiler, "hash", joined)
+                return self._count_join("hash", joined)
 
             return hash_join
 
@@ -301,16 +300,24 @@ class Plan:
             join.condition, scope.read, self.catalog.functions
         )
 
-        def nested_loop(rows: Rows, profiler: Any) -> Rows:
+        def nested_loop(rows: Rows) -> Rows:
             joined = [
                 merged
                 for row in rows
                 for match in table.rows
                 if condition(merged := row + match) is True
             ]
-            return _count_join(profiler, "nested_loop", joined)
+            return self._count_join("nested_loop", joined)
 
         return nested_loop
+
+    def _count_join(self, strategy: str, joined: Rows) -> Rows:
+        profiler = self.profiler
+        if profiler.enabled:
+            profiler.hit("executor.join")
+            profiler.count("executor.join", strategy, 1)
+            profiler.count("executor.join", "rows_out", len(joined))
+        return joined
 
     @staticmethod
     def _equi_join_positions(
@@ -344,7 +351,7 @@ class Plan:
     # ---------------------------------------------------------- finishing
     def _plan_ordered(
         self, statement: SelectStatement, scope: Scope
-    ) -> Callable[[Rows, Any], ResultTable]:
+    ) -> Callable[[Rows], ResultTable]:
         """ORDER BY over source rows, TOP, then the select list."""
         keys = [
             (self.compile(item.expression), item.descending)
@@ -353,18 +360,18 @@ class Plan:
         project = self._plan_project(statement, scope)
         top = statement.top
 
-        def finish(rows: Rows, profiler: Any) -> ResultTable:
+        def finish(rows: Rows) -> ResultTable:
             if keys:
                 rows = sort_rows(rows, keys)
             if top is not None:
                 rows = rows[:top]
-            return project(rows, profiler)
+            return project(rows)
 
         return finish
 
     def _plan_grouped(
         self, statement: SelectStatement, scope: Scope
-    ) -> Callable[[Rows, Any], ResultTable]:
+    ) -> Callable[[Rows], ResultTable]:
         """GROUP BY / aggregate evaluation.
 
         Non-aggregated select items must be grouping expressions (or
@@ -403,8 +410,9 @@ class Plan:
             for item in statement.select_items
         ]
         schema = self._output_schema(statement, scope)
+        profiler = self.profiler
 
-        def finish(rows: Rows, profiler: Any) -> ResultTable:
+        def finish(rows: Rows) -> ResultTable:
             groups: dict[tuple, Any] = {}
             if keys:
                 for row in rows:
@@ -461,8 +469,9 @@ class Plan:
 
     def _plan_project(
         self, statement: SelectStatement, scope: Scope
-    ) -> Callable[[Rows, Any], ResultTable]:
+    ) -> Callable[[Rows], ResultTable]:
         schema = self._output_schema(statement, scope)
+        profiler = self.profiler
         exprs = [item.expression for item in statement.select_items]
         pick: Callable[[tuple[Any, ...]], tuple[Any, ...]] | None
         if statement.star:
@@ -478,7 +487,7 @@ class Plan:
             def pick(row: tuple[Any, ...]) -> tuple[Any, ...]:
                 return tuple([item(row) for item in items])
 
-        def project(rows: Rows, profiler: Any) -> ResultTable:
+        def project(rows: Rows) -> ResultTable:
             if pick is not None:
                 rows = [pick(row) for row in rows]
             if profiler.enabled:
@@ -521,14 +530,6 @@ class Plan:
         )
 
 
-def _count_join(profiler: Any, strategy: str, joined: Rows) -> Rows:
-    if profiler.enabled:
-        profiler.hit("executor.join")
-        profiler.count("executor.join", strategy, 1)
-        profiler.count("executor.join", "rows_out", len(joined))
-    return joined
-
-
 class Executor:
     """Runs free SQL against one catalog: each statement is planned,
     then run once."""
@@ -539,5 +540,4 @@ class Executor:
         self.profiler = profiler if profiler is not None else NULL_PROFILER
 
     def execute(self, statement: SelectStatement) -> ResultTable:
-        plan = Plan(self.catalog, statement)
-        return plan.run(profiler=self.profiler)
+        return Plan(self.catalog, statement, profiler=self.profiler).run()

@@ -49,23 +49,15 @@ class ProxyFrontend:
     time).  Completion callbacks run on the event loop.
     """
 
-    def __init__(
-        self,
-        proxy: FunctionProxy,
-        loop: EventLoop,
-        controller: AdmissionController | None = None,
-    ) -> None:
-        controller = controller or proxy.admission
-        if controller is None:
-            raise ValueError(
-                "the frontend needs an admission controller: pass one "
-                "or build the proxy with admission=..."
-            )
+    def __init__(self, proxy: FunctionProxy, loop: EventLoop) -> None:
         if proxy.admission is None:
-            controller.bind(proxy.obs)
+            raise ValueError(
+                "the frontend needs an admission controller: build the "
+                "proxy with admission=..."
+            )
         self.proxy = proxy
         self.loop = loop
-        self.controller = controller
+        self.controller: AdmissionController = proxy.admission
         # Telemetry joins the load timeline: events and samples from
         # inside serve stages stamp event time, matching the admission
         # controller's breaker clock (synced to each enqueue/dequeue).

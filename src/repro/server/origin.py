@@ -95,9 +95,13 @@ class _TemplatePlan:
     the template's first remainder — a template that cannot locate its
     points still serves forwards)."""
 
-    def __init__(self, template: QueryTemplate, catalog: Catalog) -> None:
+    def __init__(
+        self, template: QueryTemplate, catalog: Catalog, profiler: Any
+    ) -> None:
         self.template = template
-        self.plan = Plan(catalog, template.statement, slots=True)
+        self.plan = Plan(
+            catalog, template.statement, slots=True, profiler=profiler
+        )
 
     @cached_property
     def points(self) -> Callable[[tuple[Any, ...]], tuple[Any, ...]]:
@@ -171,16 +175,14 @@ class OriginServer:
 
     # ----------------------------------------------------------- serving
     def _execute(
-        self, run: Callable[[Any], ResultTable], kind: str, **attrs: Any
+        self, run: Callable[[], ResultTable], kind: str, **attrs: Any
     ) -> OriginResponse:
-        """``run(profiler)`` under an ``origin.<kind>`` stage, counted
-        and charged: the remainder price for a stage with ``holes``,
-        the query price otherwise."""
+        """``run()`` under an ``origin.<kind>`` stage, counted and
+        charged: the remainder price for a stage with ``holes``, the
+        query price otherwise."""
         obs = self.instrumentation
         with obs.scope(f"origin.{kind}", **attrs) as stage:
-            # The operator counters go to whatever profiler the bundle
-            # holds now (web apps swap one in after construction).
-            result = run(obs.profiler)
+            result = run()
             stage.count("rows", len(result))
             stage.annotate(rows=len(result))
         self.queries_served += 1
@@ -193,25 +195,27 @@ class OriginServer:
         return OriginResponse(result, server_ms)
 
     def _run(
-        self, bound: BoundQuery, inside: Callable[[Point], bool] | None,
-        profiler: Any,
+        self, bound: BoundQuery, inside: Callable[[Point], bool] | None
     ) -> ResultTable:
         """``bound`` through its template's plan, without the rows whose
         point ``inside`` is true of.  The plan is built on the
-        template's first query and reused only for the template object
-        it was built from; two threads building one at once store
-        equal plans, and the last write wins."""
+        template's first query, counting into the bundle's profiler,
+        and reused only for the template object it was built from; two
+        threads building one at once store equal plans, and the last
+        write wins."""
         template = bound.template
         entry = self._plans.get(template.template_id)
         if entry is None or entry.template is not template:
-            entry = _TemplatePlan(template, self.catalog)
+            entry = _TemplatePlan(
+                template, self.catalog, self.instrumentation.profiler
+            )
             self._plans[template.template_id] = entry
         exclude = None
         if inside is not None:
             points = entry.points
             exclude = lambda row: inside(points(row))  # noqa: E731
         arguments = list(bound.function_params.values())
-        return entry.plan.run(arguments, bound.params, exclude, profiler)
+        return entry.plan.run(arguments, bound.params, exclude)
 
     def execute_bound(self, bound: BoundQuery) -> OriginResponse:
         """Execute a concrete template query (a form submission, or a
@@ -233,12 +237,8 @@ class OriginServer:
 
     def execute_statement(self, statement: SelectStatement) -> OriginResponse:
         """Execute a parsed statement through the free-SQL facility."""
-        return self._execute(
-            lambda profiler: Executor(self.catalog, profiler).execute(
-                statement
-            ),
-            "sql",
-        )
+        executor = Executor(self.catalog, self.instrumentation.profiler)
+        return self._execute(partial(executor.execute, statement), "sql")
 
     def execute_sql(self, sql: str) -> OriginResponse:
         """Execute raw SQL text (the public free-SQL search page).

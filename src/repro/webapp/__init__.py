@@ -19,14 +19,36 @@ proxy servlet that talks HTTP to the origin web site:
   ``POST /drain/<shard_id>``;
 * :mod:`~repro.webapp.surface` — what the three apps share: the
   telemetry routes (``/metrics``, ``/timeseries``, ``/events``, and
-  ``/trace/recent`` / ``/profile`` where a tracer and profiler exist),
-  the outcome → HTTP response mapping of ``/search``, and the recorder
-  swap behind the factories' capacity arguments;
+  ``/trace/recent`` / ``/profile`` where a tracer and profiler exist)
+  and the outcome → HTTP response mapping of ``/search``;
 * :class:`~repro.webapp.http_origin.HttpOriginClient` — an
   origin-server adapter that forwards over HTTP (bound queries and
   remainders to ``/query``, free SQL to ``/sql``), so a
   :class:`~repro.core.proxy.FunctionProxy` can front a *remote* origin
   process exactly as the paper's Tomcat servlet fronted the SkyServer.
+
+The telemetry routes serve the recorders the instrumentation was
+built with; an app adds none.  A proxy with live telemetry::
+
+    instrumentation = ProxyInstrumentation(
+        tracer=SpanTracer(capacity=64),
+        profiler=Profiler(top_k=10),
+        timeseries=TimeSeriesRecorder(interval_ms=1_000.0),
+        events=EventRecorder(capacity=64),
+    )
+    proxy = FunctionProxy(
+        origin, origin.templates, instrumentation=instrumentation
+    )
+    app = create_proxy_app(proxy)
+
+and a traced origin, over an existing one's catalog and templates::
+
+    origin = OriginServer(
+        base.catalog,
+        base.templates,
+        instrumentation=OriginInstrumentation(tracer=SpanTracer(capacity=64)),
+    )
+    app = create_origin_app(origin)
 
 Flask is an optional dependency; importing this package without Flask
 installed raises a clear error only when an app is actually created.

@@ -64,7 +64,6 @@ from __future__ import annotations
 from repro.analysis.analyzer import analyze_manager
 from repro.geometry.regions import Region, region_from_dict
 from repro.obs.propagation import parse_traceparent
-from repro.obs.timeseries import ORIGIN_LANES
 from repro.server.origin import OriginServer
 from repro.templates.errors import TemplateError
 from repro.webapp.http_origin import BINARY_TABLE
@@ -72,38 +71,19 @@ from repro.webapp.surface import (
     QUERY_ERRORS,
     add_telemetry_routes,
     flask_app,
-    install_recorders,
 )
 
 
-def create_origin_app(
-    origin: OriginServer,
-    trace_capacity: int | None = None,
-    profile_top_k: int | None = None,
-    timeseries_interval_ms: float | None = None,
-    event_capacity: int | None = None,
-):
+def create_origin_app(origin: OriginServer):
     """Build the Flask app for an origin server.
 
-    ``trace_capacity`` replaces the origin's tracer with a fresh
-    :class:`~repro.obs.spans.SpanTracer` retaining that many root
-    spans (harness-configurable; default: whatever tracer the origin
-    was built with, usually the null tracer); ``profile_top_k``
-    likewise swaps in a real profiler for ``/profile``;
-    ``timeseries_interval_ms`` / ``event_capacity`` install live
-    telemetry recorders (origin lanes) behind ``/timeseries`` and
-    ``/events``, sampled on the origin's cumulative simulated server
-    time.
+    The telemetry routes serve the recorders the origin's
+    :class:`~repro.obs.instrument.OriginInstrumentation` was built
+    with; a traced origin is
+    ``OriginServer(base.catalog, base.templates,
+    instrumentation=OriginInstrumentation(tracer=...))``.
     """
     app, request = flask_app("repro-origin")
-    install_recorders(
-        origin.instrumentation,
-        trace_capacity,
-        profile_top_k,
-        timeseries_interval_ms,
-        event_capacity,
-        lanes=ORIGIN_LANES,
-    )
     startup = analyze_manager(origin.templates, origin.catalog.functions)
     app.logger.info("template analysis at startup: %s", startup.summary())
     for diagnostic in startup:

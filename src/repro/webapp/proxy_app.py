@@ -98,37 +98,18 @@ from repro.webapp.surface import (
     QUERY_ERRORS,
     add_telemetry_routes,
     flask_app,
-    install_recorders,
     search_response,
 )
 
 
-def create_proxy_app(
-    proxy: FunctionProxy,
-    trace_capacity: int | None = None,
-    profile_top_k: int | None = None,
-    timeseries_interval_ms: float | None = None,
-    event_capacity: int | None = None,
-):
+def create_proxy_app(proxy: FunctionProxy):
     """Build the Flask app for a function proxy.
 
-    ``trace_capacity`` replaces the proxy's tracer with a fresh
-    :class:`~repro.obs.spans.SpanTracer` retaining that many root
-    spans; ``profile_top_k`` swaps the proxy's profiler for a real
-    :class:`~repro.obs.profiling.Profiler` retaining that many slowest
-    queries (``/profile`` source); ``timeseries_interval_ms`` / ``event_capacity`` install live
-    telemetry recorders behind ``/timeseries``, ``/events``, and
-    ``/health``.  All default to whatever the proxy's instrumentation
-    was built with.
+    The telemetry routes serve the recorders the proxy's
+    :class:`~repro.obs.instrument.ProxyInstrumentation` was built with
+    (``tracer``, ``profiler``, ``timeseries``, ``events``).
     """
     app, request = flask_app("repro-proxy")
-    install_recorders(
-        proxy.obs,
-        trace_capacity,
-        profile_top_k,
-        timeseries_interval_ms,
-        event_capacity,
-    )
 
     def _function_registry():
         catalog = getattr(proxy.origin, "catalog", None)

@@ -1,13 +1,10 @@
 """What the proxy, origin, and router apps share.
 
-Five things used to be written once per app and had drifted:
+Four things used to be written once per app and had drifted:
 
 * :func:`flask_app` — the app itself, behind the one import of the
   optional Flask dependency;
 * :data:`QUERY_ERRORS` — the errors a query route answers with a 400;
-* :func:`install_recorders` — the recorder swap behind the
-  ``trace_capacity`` / ``profile_top_k`` / ``timeseries_interval_ms`` /
-  ``event_capacity`` factory arguments;
 * :func:`add_telemetry_routes` — ``/metrics``, ``/timeseries`` and
   ``/events`` on every app, plus ``/trace/recent`` and ``/profile``
   where the telemetry source has a tracer and a profiler;
@@ -24,11 +21,8 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.admission.config import RETRY_AFTER_SECONDS
 from repro.core.stats import QueryOutcome
-from repro.obs.events import EventRecorder, newest
+from repro.obs.events import newest
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
-from repro.obs.profiling import Profiler
-from repro.obs.spans import SpanTracer
-from repro.obs.timeseries import PROXY_LANES, LaneSet, TimeSeriesRecorder
 from repro.relational.errors import RelationalError
 from repro.sqlparser.errors import ParseError
 from repro.templates.errors import TemplateError
@@ -59,46 +53,14 @@ def flask_app(name: str) -> tuple[Any, Any]:
     return Flask(name), request
 
 
-def install_recorders(
-    instrumentation: Any,
-    trace_capacity: int | None,
-    profile_top_k: int | None,
-    timeseries_interval_ms: float | None,
-    event_capacity: int | None,
-    lanes: LaneSet = PROXY_LANES,
-) -> None:
-    """Swap live recorders into ``instrumentation``; ``None`` keeps
-    whatever it was built with.  Legal only during single-threaded
-    wiring, before any request thread starts."""
-    if trace_capacity is not None:
-        instrumentation.tracer = SpanTracer(capacity=trace_capacity)
-    if profile_top_k is not None:
-        instrumentation.profiler = Profiler(top_k=profile_top_k)
-    if timeseries_interval_ms is not None or event_capacity is not None:
-        instrumentation.install_telemetry(
-            timeseries=(
-                TimeSeriesRecorder(
-                    interval_ms=timeseries_interval_ms, lanes=lanes
-                )
-                if timeseries_interval_ms is not None
-                else None
-            ),
-            events=(
-                EventRecorder(capacity=event_capacity)
-                if event_capacity is not None
-                else None
-            ),
-        )
-
-
 def add_telemetry_routes(app: Any, source: Any) -> None:
     """Register the telemetry endpoints over ``source``.
 
     ``source`` is whatever owns the recorders — a proxy's or origin's
     instrumentation bundle, or the shard router itself — read through
     its ``registry`` / ``timeseries`` / ``events`` attributes (and
-    ``tracer`` / ``profiler`` when it has them) at request time, so a
-    recorder rebound after the app was built is the one served.
+    ``tracer`` / ``profiler`` when it has them): the recorders it was
+    built with.
     """
     from flask import request
 

@@ -130,7 +130,6 @@ def test_eight_threads_answer_what_the_origin_answers(
         origin.templates,
         cache_bytes=budget,
         persistence=CachePersister(tmp_path / "state", snapshot_every=8),
-        recover=False,
     )
 
     responses = serve_in_threads(proxy, queries)
@@ -156,7 +155,6 @@ def test_eight_threads_answer_what_the_origin_answers(
         origin.templates,
         cache_bytes=budget,
         persistence=CachePersister(tmp_path / "state", snapshot_every=8),
-        recover=True,
     )
     assert len(restarted.cache) == len(proxy.cache)
 

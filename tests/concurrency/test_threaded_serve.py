@@ -160,7 +160,6 @@ class TestInterleavedServes:
         # persistence.journal -> persistence.journal.file).
         proxy = make_proxy(
             persistence=CachePersister(tmp_path / "state"),
-            recover=False,
         )
         queries = [bind(ra=162.0 + i, radius=5.0) for i in range(4)]
         serve_in_threads(proxy, queries)
@@ -237,7 +236,6 @@ class TestInterleavedServes:
 
         proxy = make_proxy(
             persistence=CachePersister(tmp_path / "state"),
-            recover=False,
         )
         queries = [bind(ra=161.5 + i, radius=3.5) for i in range(4)]
         serve_in_threads(proxy, queries)
@@ -246,6 +244,5 @@ class TestInterleavedServes:
         # restart into a fresh proxy restores the same cache.
         restarted = make_proxy(
             persistence=CachePersister(tmp_path / "state"),
-            recover=True,
         )
         assert len(restarted.cache) == len(proxy.cache)

@@ -185,7 +185,7 @@ class FixedSeries:
     def __init__(self, samples):
         self._samples = samples
 
-    def bind(self, registry):
+    def bind(self, registry, lanes):
         pass
 
     def health_window(self):

@@ -20,7 +20,7 @@ from repro.obs.health import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.instrument import SIM_MS_BUCKETS, ProxyInstrumentation
-from repro.obs.timeseries import TimeSeriesRecorder
+from repro.obs.timeseries import PROXY_LANES, TimeSeriesRecorder
 
 QUEUE_LIMIT = 10
 
@@ -67,7 +67,7 @@ class Deployment:
         self.latency = registry.histogram(
             "proxy_response_sim_ms", "latency", buckets=SIM_MS_BUCKETS
         )
-        self.recorder.bind(registry)
+        self.recorder.bind(registry, PROXY_LANES)
 
     def step(
         self, dt_ms, served=0, origin=0, shed=0, depth=0, breaker=0,

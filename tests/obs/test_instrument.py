@@ -176,13 +176,17 @@ class TestOriginInstrumentation:
         from repro.server.origin import OriginServer
         from repro.skydata.generator import SkyCatalogConfig
 
-        traced = OriginServer.skyserver(
+        base = OriginServer.skyserver(
             SkyCatalogConfig(
                 n_objects=500, ra_min=160.0, ra_max=168.0,
                 dec_min=5.0, dec_max=11.0, seed=7,
             )
         )
-        traced.instrumentation = OriginInstrumentation(tracer=SpanTracer())
+        traced = OriginServer(
+            base.catalog,
+            base.templates,
+            instrumentation=OriginInstrumentation(tracer=SpanTracer()),
+        )
         traced.execute_sql("SELECT TOP 2 objID FROM PhotoPrimary")
         [root] = traced.instrumentation.tracer.recent()
         assert root["name"] == "origin.sql"

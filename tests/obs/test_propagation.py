@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.propagation import IdGenerator, TraceContext, parse_traceparent
-from repro.obs.spans import SpanTracer
+from repro.obs.spans import ScopeStack, SpanTracer
 
 TRACE = "0af7651916cd43dd8448eb211c80319c"
 SPAN = "b7ad6b7169203331"
@@ -87,48 +87,48 @@ class TestIdGenerator:
 
 class TestTracerPropagation:
     def test_spans_carry_ids(self):
-        tracer = SpanTracer(ids=IdGenerator(seed=3))
-        with tracer.span("parent") as parent:
-            with tracer.span("child") as child:
+        stack = ScopeStack(tracer=SpanTracer(ids=IdGenerator(seed=3)))
+        with stack.scope("parent") as parent:
+            with stack.scope("child") as child:
                 assert child.trace_id == parent.trace_id
                 assert child.parent_id == parent.span_id
         assert parent.parent_id is None
 
     def test_current_traceparent_inside_span(self):
-        tracer = SpanTracer(ids=IdGenerator(seed=3))
-        assert tracer.current_traceparent() is None
-        with tracer.span("serve") as span:
-            header = tracer.current_traceparent()
+        stack = ScopeStack(tracer=SpanTracer(ids=IdGenerator(seed=3)))
+        assert stack.current_traceparent() is None
+        with stack.scope("serve") as span:
+            header = stack.current_traceparent()
             parsed = parse_traceparent(header)
             assert parsed is not None
             assert parsed.trace_id == span.trace_id
             assert parsed.span_id == span.span_id
-        assert tracer.current_traceparent() is None
+        assert stack.current_traceparent() is None
 
     def test_remote_context_adopts_incoming_trace(self):
-        tracer = SpanTracer(ids=IdGenerator(seed=3))
+        stack = ScopeStack(tracer=SpanTracer(ids=IdGenerator(seed=3)))
         incoming = TraceContext(trace_id=TRACE, span_id=SPAN)
-        with tracer.remote_context(incoming):
-            with tracer.span("execute") as span:
+        with stack.remote_context(incoming):
+            with stack.scope("execute") as span:
                 assert span.trace_id == TRACE
                 assert span.parent_id == SPAN
-        # Outside the context the tracer is back to minting fresh traces.
-        with tracer.span("later") as span:
+        # Outside the context the stack is back to minting fresh traces.
+        with stack.scope("later") as span:
             assert span.trace_id != TRACE
 
     def test_remote_context_none_is_a_noop(self):
-        tracer = SpanTracer(ids=IdGenerator(seed=3))
-        with tracer.remote_context(None):
-            with tracer.span("execute") as span:
+        stack = ScopeStack(tracer=SpanTracer(ids=IdGenerator(seed=3)))
+        with stack.remote_context(None):
+            with stack.scope("execute") as span:
                 assert span.trace_id != TRACE
                 assert span.parent_id is None
 
     def test_export_includes_ids(self):
-        tracer = SpanTracer(ids=IdGenerator(seed=3))
-        with tracer.span("serve"):
-            with tracer.span("check"):
+        stack = ScopeStack(tracer=SpanTracer(ids=IdGenerator(seed=3)))
+        with stack.scope("serve"):
+            with stack.scope("check"):
                 pass
-        [root] = tracer.recent(1)
+        [root] = stack.tracer.recent(1)
         assert set(root) >= {"trace_id", "span_id"}
         assert "parent_id" not in root  # roots omit the absent parent
         [child] = root["children"]

@@ -21,14 +21,20 @@ class FakeClock:
         return self.now
 
 
+def traced(**kwargs):
+    """A tracer and a stack whose only reader it is."""
+    tracer = SpanTracer(**kwargs)
+    return tracer, ScopeStack(tracer=tracer)
+
+
 class TestSpanTracer:
     def test_nesting_and_ordering(self):
-        tracer = SpanTracer(clock=FakeClock())
-        with tracer.span("query", index=1):
-            with tracer.span("check"):
-                with tracer.span("relate"):
+        tracer, stack = traced(clock=FakeClock())
+        with stack.scope("query", index=1):
+            with stack.scope("check"):
+                with stack.scope("relate"):
                     pass
-            with tracer.span("origin"):
+            with stack.scope("origin"):
                 pass
         [root] = tracer.recent()
         assert root["name"] == "query"
@@ -38,8 +44,8 @@ class TestSpanTracer:
         assert root["children"][0]["children"][0]["name"] == "relate"
 
     def test_wall_clock_measured(self):
-        tracer = SpanTracer(clock=FakeClock(step_s=0.001))
-        with tracer.span("work"):
+        tracer, stack = traced(clock=FakeClock(step_s=0.001))
+        with stack.scope("work"):
             pass
         [root] = tracer.recent()
         # One clock call on enter, one on exit: exactly one step = 1 ms.
@@ -59,9 +65,9 @@ class TestSpanTracer:
         assert query.steps == {"origin": pytest.approx(150.0)}
 
     def test_event_is_a_zero_duration_child(self):
-        tracer = SpanTracer(clock=FakeClock(step_s=0.0))
-        with tracer.span("query"):
-            tracer.event("parse", sim_ms=2.0)
+        tracer, stack = traced(clock=FakeClock(step_s=0.0))
+        with stack.scope("query"):
+            stack.event("parse", sim_ms=2.0)
         [root] = tracer.recent()
         [child] = root["children"]
         assert child["name"] == "parse"
@@ -69,27 +75,27 @@ class TestSpanTracer:
         assert child["wall_ms"] == 0.0
 
     def test_exception_annotates_and_unwinds(self):
-        tracer = SpanTracer()
+        tracer, stack = traced()
         with pytest.raises(RuntimeError):
-            with tracer.span("query"):
-                with tracer.span("origin"):
+            with stack.scope("query"):
+                with stack.scope("origin"):
                     raise RuntimeError("origin down")
         [root] = tracer.recent()
         assert root["attrs"]["error"] == "RuntimeError"
         assert root["children"][0]["attrs"]["error"] == "RuntimeError"
 
     def test_ring_buffer_keeps_most_recent(self):
-        tracer = SpanTracer(capacity=3)
+        tracer, stack = traced(capacity=3)
         for i in range(10):
-            with tracer.span("query", index=i):
+            with stack.scope("query", index=i):
                 pass
         roots = tracer.recent()
         assert [r["attrs"]["index"] for r in roots] == [7, 8, 9]
         assert [r["attrs"]["index"] for r in tracer.recent(2)] == [8, 9]
 
     def test_recent_nonpositive_limits_yield_nothing(self):
-        tracer = SpanTracer()
-        with tracer.span("query"):
+        tracer, stack = traced()
+        with stack.scope("query"):
             pass
         assert tracer.recent(0) == []
         assert tracer.recent(-5) == []
@@ -99,10 +105,10 @@ class TestSpanTracer:
             SpanTracer(capacity=0)
 
     def test_jsonl_export_round_trips(self, tmp_path):
-        tracer = SpanTracer()
+        tracer, stack = traced()
         for i in range(3):
-            with tracer.span("query", index=i):
-                with tracer.span("check"):
+            with stack.scope("query", index=i):
+                with stack.scope("check"):
                     pass
         lines = tracer.export_jsonl().splitlines()
         assert len(lines) == 3
@@ -115,8 +121,8 @@ class TestSpanTracer:
         assert len(path.read_text().splitlines()) == 6
 
     def test_clear(self):
-        tracer = SpanTracer()
-        with tracer.span("query"):
+        tracer, stack = traced()
+        with stack.scope("query"):
             pass
         tracer.clear()
         assert tracer.recent() == []
@@ -144,11 +150,11 @@ class TestNullTracer:
 
 class TestHiddenStages:
     def test_hidden_stage_is_left_out_of_the_trace(self):
-        tracer = SpanTracer()
-        with tracer.span("check"):
-            with tracer.scope("probe.array", hidden=True) as probe:
+        tracer, stack = traced()
+        with stack.scope("check"):
+            with stack.scope("probe.array", hidden=True) as probe:
                 probe.count("candidates", 3)
-            with tracer.span("relate"):
+            with stack.scope("relate"):
                 pass
         [root] = tracer.recent()
         assert [c["name"] for c in root["children"]] == ["relate"]
@@ -157,9 +163,9 @@ class TestHiddenStages:
         assert tracer.spans_started == 2
 
     def test_only_hidden_children_leave_no_children_key(self):
-        tracer = SpanTracer()
-        with tracer.span("query"):
-            with tracer.scope("admit.shed", hidden=True):
+        tracer, stack = traced()
+        with stack.scope("query"):
+            with stack.scope("admit.shed", hidden=True):
                 pass
         [root] = tracer.recent()
         assert "children" not in root

@@ -1,12 +1,17 @@
-"""TimeSeriesRecorder: alignment, clamping, wraparound, quantiles."""
+"""TimeSeriesRecorder: alignment, clamping, wraparound, quantiles,
+and the lanes its owner names."""
 
 import pytest
 
+from repro.cluster import Shard, ShardRouter
+from repro.core.proxy import FunctionProxy
+from repro.obs.instrument import OriginInstrumentation, ProxyInstrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     NULL_TIMESERIES,
     ORIGIN_LANES,
     PROXY_LANES,
+    ROUTER_LANES,
     CounterLane,
     GaugeLane,
     LaneSet,
@@ -14,6 +19,7 @@ from repro.obs.timeseries import (
     QuantileLane,
     TimeSeriesRecorder,
 )
+from repro.server.origin import OriginServer
 
 LANES = LaneSet(
     counters=(CounterLane("served_per_s", "served_total"),),
@@ -29,16 +35,14 @@ def make(interval_ms=1_000.0, capacity=8):
     hist = registry.histogram(
         "latency_hist", buckets=(10.0, 100.0, 1_000.0)
     )
-    recorder = TimeSeriesRecorder(
-        interval_ms=interval_ms, capacity=capacity, lanes=LANES
-    )
-    recorder.bind(registry)
+    recorder = TimeSeriesRecorder(interval_ms=interval_ms, capacity=capacity)
+    recorder.bind(registry, LANES)
     return recorder, registry, counter, gauge, hist
 
 
 class TestSampling:
     def test_unbound_recorder_never_samples(self):
-        recorder = TimeSeriesRecorder(lanes=LANES)
+        recorder = TimeSeriesRecorder()
         assert recorder.maybe_sample(0.0) is None
         assert recorder.maybe_sample(5_000.0) is None
         assert recorder.samples() == []
@@ -120,7 +124,7 @@ class TestCounterReset:
         fresh.counter("served_total")
         fresh.gauge("depth_gauge")
         fresh.histogram("latency_hist", buckets=(10.0, 100.0, 1_000.0))
-        recorder.bind(fresh)
+        recorder.bind(fresh, LANES)
         sample = recorder.maybe_sample(2_000.0)
         assert sample["rates"]["served_per_s"] == 0.0
 
@@ -211,9 +215,76 @@ class TestValidationAndNull:
 
     def test_null_recorder_is_inert(self):
         null = NullTimeSeries()
-        null.bind(MetricsRegistry())
+        null.bind(MetricsRegistry(), LANES)
         assert null.enabled is False
         assert null.maybe_sample(1_000.0) is None
         assert null.samples() == []
         assert null.snapshot()["enabled"] is False
         assert NULL_TIMESERIES.enabled is False
+
+
+def _drive_proxy(origin, recorder, queries):
+    proxy = FunctionProxy(
+        origin,
+        origin.templates,
+        instrumentation=ProxyInstrumentation(timeseries=recorder),
+    )
+    for bound in queries:
+        proxy.serve(bound)
+
+
+def _drive_origin(origin, recorder, queries):
+    # What the origin app does per request: execute, then sample.
+    site = OriginServer(
+        origin.catalog,
+        origin.templates,
+        instrumentation=OriginInstrumentation(timeseries=recorder),
+    )
+    for bound in queries:
+        site.execute_bound(bound)
+        site.instrumentation.sample_telemetry()
+
+
+def _drive_router(origin, recorder, queries):
+    shards = [
+        Shard(f"shard-{i}", FunctionProxy(origin, origin.templates))
+        for i in range(2)
+    ]
+    router = ShardRouter(shards, timeseries=recorder)
+    for bound in queries:
+        router.serve(bound)
+
+
+class TestOwnerLanes:
+    """A recorder samples the lanes of whoever binds it."""
+
+    @pytest.mark.parametrize(
+        "drive, lanes",
+        [
+            (_drive_proxy, PROXY_LANES),
+            (_drive_origin, ORIGIN_LANES),
+            (_drive_router, ROUTER_LANES),
+        ],
+        ids=["proxy", "origin", "router"],
+    )
+    def test_a_plain_recorder_samples_its_owners_lanes(
+        self, origin, radial_params, drive, lanes
+    ):
+        queries = [
+            origin.templates.bind(
+                "skyserver.radial", dict(radial_params, ra=161.0 + i)
+            )
+            for i in range(6)
+        ]
+        recorder = TimeSeriesRecorder(interval_ms=100.0)
+        drive(origin, recorder, queries)
+        snapshot = recorder.snapshot()
+        assert snapshot["lanes"] == {
+            "rates": [lane.name for lane in lanes.counters],
+            "gauges": [lane.name for lane in lanes.gauges],
+            "quantiles": [lane.name for lane in lanes.quantiles],
+        }
+        rate = lanes.counters[0].name
+        assert any(
+            sample["rates"][rate] > 0 for sample in snapshot["samples"]
+        ), snapshot["samples"]

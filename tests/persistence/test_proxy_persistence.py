@@ -51,13 +51,6 @@ class TestProxyWarmRestart:
             origin.execute_bound(bind()).result.to_xml()
         )
 
-    def test_cold_start_skips_recovery(self, origin, tmp_path, bind):
-        warm = build_proxy(origin, tmp_path)
-        warm.serve(bind())
-        cold = build_proxy(origin, tmp_path, recover=False)
-        assert cold.recovery_report is None
-        assert cold.serve(bind()).record.contacted_origin
-
     def test_no_persister_means_no_report(self, origin):
         proxy = FunctionProxy(origin, origin.templates)
         assert proxy.persistence is None

@@ -23,7 +23,7 @@ from repro.extensions.triangle import (
     register_triangle_search,
 )
 from repro.geometry.regions import region_to_dict
-from repro.obs import ProxyInstrumentation, SpanTracer
+from repro.obs import OriginInstrumentation, ProxyInstrumentation, SpanTracer
 from repro.relational.errors import RelationalError
 from repro.server.origin import OriginServer
 from repro.templates.errors import TemplateError
@@ -345,7 +345,13 @@ class TestWireParity:
 class TestStitchedTrace:
     def test_a_forward_is_a_form_and_a_remainder_a_remainder(self, site):
         # Own instrumentation (tracer, counters) over the shared data.
-        origin = OriginServer(site.catalog, site.templates)
+        origin = OriginServer(
+            site.catalog,
+            site.templates,
+            instrumentation=OriginInstrumentation(
+                tracer=SpanTracer(capacity=16)
+            ),
+        )
         parser = repro.sqlparser.parser.__file__
         parser_calls = []
 
@@ -353,7 +359,7 @@ class TestStitchedTrace:
             if event == "call" and frame.f_code.co_filename == parser:
                 parser_calls.append(frame.f_code.co_name)
 
-        app = create_origin_app(origin, trace_capacity=16)
+        app = create_origin_app(origin)
         with serving(app, profile) as url:
             client = HttpOriginClient(url)
             obs = ProxyInstrumentation(tracer=SpanTracer())
@@ -403,7 +409,13 @@ class TestProxyAppToOriginApp:
     trace under its ``origin`` phase."""
 
     def test_remainders_travel_without_sql(self, site):
-        origin = OriginServer(site.catalog, site.templates)
+        origin = OriginServer(
+            site.catalog,
+            site.templates,
+            instrumentation=OriginInstrumentation(
+                tracer=SpanTracer(capacity=16)
+            ),
+        )
         parser = repro.sqlparser.parser.__file__
         parser_calls = []
 
@@ -411,7 +423,7 @@ class TestProxyAppToOriginApp:
             if event == "call" and frame.f_code.co_filename == parser:
                 parser_calls.append(frame.f_code.co_name)
 
-        origin_app = create_origin_app(origin, trace_capacity=16)
+        origin_app = create_origin_app(origin)
         with serving(origin_app, profile) as origin_url:
             client = HttpOriginClient(origin_url)
             obs = ProxyInstrumentation(tracer=SpanTracer())

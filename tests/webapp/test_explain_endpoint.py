@@ -17,8 +17,14 @@ import pytest
 flask = pytest.importorskip("flask")
 
 from repro.core.proxy import FunctionProxy
-from repro.obs import IdGenerator, ProxyInstrumentation, SpanTracer
+from repro.obs import (
+    IdGenerator,
+    OriginInstrumentation,
+    ProxyInstrumentation,
+    SpanTracer,
+)
 from repro.obs.decisions import DECISION_CAPACITY
+from repro.server.origin import OriginServer
 from repro.webapp.http_origin import HttpOriginClient
 from repro.webapp.origin_app import create_origin_app
 from repro.webapp.proxy_app import create_proxy_app
@@ -96,10 +102,15 @@ class TestExplainEndpoint:
         assert "error" in payload
         assert payload["retained"] == 0
 
-    def test_trace_capacity_kwarg(self, traced_proxy):
-        client = create_proxy_app(
-            traced_proxy, trace_capacity=1
-        ).test_client()
+    def test_trace_capacity_kwarg(self, origin):
+        proxy = FunctionProxy(
+            origin,
+            origin.templates,
+            instrumentation=ProxyInstrumentation(
+                tracer=SpanTracer(capacity=1)
+            ),
+        )
+        client = create_proxy_app(proxy).test_client()
         for _ in range(3):
             client.get(RADIAL)
         payload = client.get("/trace/recent?n=10").get_json()
@@ -137,18 +148,23 @@ class TestExemplars:
 class TestStitchedTrace:
     @pytest.fixture(scope="class")
     def live_origin(self, origin):
-        # The origin fixture is session-shared; put its (null) tracer
-        # back afterwards so tracing stays off for other test files.
-        original_tracer = origin.instrumentation.tracer
-        app = create_origin_app(origin, trace_capacity=64)
+        # A traced origin over the session's catalog and templates;
+        # the shared origin itself stays untraced.
+        traced = OriginServer(
+            origin.catalog,
+            origin.templates,
+            instrumentation=OriginInstrumentation(
+                tracer=SpanTracer(capacity=64)
+            ),
+        )
+        app = create_origin_app(traced)
         server = make_server("127.0.0.1", 0, app)
         thread = threading.Thread(
             target=server.serve_forever, daemon=True
         )
         thread.start()
-        yield f"http://127.0.0.1:{server.server_port}", origin
+        yield f"http://127.0.0.1:{server.server_port}", traced
         server.shutdown()
-        origin.instrumentation.tracer = original_tracer
 
     def test_one_query_one_trace_across_both_sides(self, live_origin):
         url, origin = live_origin

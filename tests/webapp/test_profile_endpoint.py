@@ -12,6 +12,9 @@ import pytest
 flask = pytest.importorskip("flask")
 
 from repro.core.proxy import FunctionProxy
+from repro.obs.instrument import OriginInstrumentation, ProxyInstrumentation
+from repro.obs.profiling import Profiler
+from repro.server.origin import OriginServer
 from repro.webapp.origin_app import create_origin_app
 from repro.webapp.proxy_app import create_proxy_app
 
@@ -24,8 +27,12 @@ OVERLAP = "/search/Radial?ra=164.2&dec=8&radius=10"
 
 @pytest.fixture()
 def profiled_client(origin):
-    proxy = FunctionProxy(origin, origin.templates)
-    return create_proxy_app(proxy, profile_top_k=5).test_client()
+    proxy = FunctionProxy(
+        origin,
+        origin.templates,
+        instrumentation=ProxyInstrumentation(profiler=Profiler(top_k=5)),
+    )
+    return create_proxy_app(proxy).test_client()
 
 
 class TestProxyProfile:
@@ -84,18 +91,15 @@ class TestProxyProfile:
 
 
 class TestOriginProfile:
-    @pytest.fixture()
-    def restored_origin(self, origin):
-        # The origin fixture is session-shared; put its (null) profiler
-        # back so enabling one here cannot leak into other tests.
-        before = origin.instrumentation.profiler
-        yield origin
-        origin.instrumentation.profiler = before
-
-    def test_form_executions_profiled(self, restored_origin):
-        client = create_origin_app(
-            restored_origin, profile_top_k=5
-        ).test_client()
+    def test_form_executions_profiled(self, origin):
+        # A profiled origin over the session's catalog and templates;
+        # the shared origin itself keeps its null profiler.
+        profiled = OriginServer(
+            origin.catalog,
+            origin.templates,
+            instrumentation=OriginInstrumentation(profiler=Profiler(top_k=5)),
+        )
+        client = create_origin_app(profiled).test_client()
         assert client.get(BASE).status_code == 200
         stages = client.get("/profile").get_json()["stages"]
         assert stages["origin.form"]["calls"] > 0
@@ -106,6 +110,6 @@ class TestOriginProfile:
         assert stages["executor.scan"]["counters"]["rows"] > 0
         assert stages["executor.project"]["counters"]["rows"] > 0
 
-    def test_disabled_by_default(self, restored_origin):
-        client = create_origin_app(restored_origin).test_client()
+    def test_disabled_by_default(self, origin):
+        client = create_origin_app(origin).test_client()
         assert client.get("/profile").get_json()["enabled"] is False

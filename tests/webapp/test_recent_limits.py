@@ -12,6 +12,8 @@ from repro.obs.events import (
     EV_SHED_ACTIVATED,
     EventRecorder,
 )
+from repro.obs.instrument import OriginInstrumentation, ProxyInstrumentation
+from repro.server.origin import OriginServer
 from repro.webapp.origin_app import create_origin_app
 from repro.webapp.proxy_app import create_proxy_app
 from repro.webapp.router_app import create_router_app
@@ -25,15 +27,26 @@ def two_events(recorder):
 
 
 def proxy_events(origin):
-    proxy = FunctionProxy(origin, origin.templates)
-    client = create_proxy_app(proxy, event_capacity=8).test_client()
+    proxy = FunctionProxy(
+        origin,
+        origin.templates,
+        instrumentation=ProxyInstrumentation(events=EventRecorder(capacity=8)),
+    )
+    client = create_proxy_app(proxy).test_client()
     two_events(proxy.obs.events)
     return client, "/events", "events"
 
 
 def origin_events(origin):
-    client = create_origin_app(origin, event_capacity=8).test_client()
-    two_events(origin.instrumentation.events)
+    recording = OriginServer(
+        origin.catalog,
+        origin.templates,
+        instrumentation=OriginInstrumentation(
+            events=EventRecorder(capacity=8)
+        ),
+    )
+    client = create_origin_app(recording).test_client()
+    two_events(recording.instrumentation.events)
     return client, "/events", "events"
 
 

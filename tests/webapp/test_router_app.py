@@ -15,7 +15,7 @@ from repro.core.proxy import FunctionProxy
 from repro.core.schemes import CachingScheme
 from repro.faults.shard import ShardCrashPlan, ShardFaultWindow
 from repro.obs.events import EV_SHARD_CRASH, EventRecorder
-from repro.obs.timeseries import ROUTER_LANES, TimeSeriesRecorder
+from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sqlparser.errors import ParseError
 from repro.webapp.proxy_app import create_proxy_app
 from repro.webapp.router_app import create_router_app
@@ -199,9 +199,7 @@ class TestRouterTelemetryEndpoints:
         router = make_router(
             origin,
             events=EventRecorder(capacity=8),
-            timeseries=TimeSeriesRecorder(
-                interval_ms=1_000.0, lanes=ROUTER_LANES
-            ),
+            timeseries=TimeSeriesRecorder(interval_ms=1_000.0),
             crash_plan=ShardCrashPlan(
                 faults=(
                     ShardFaultWindow("shard-0", "hang", 0.0),

@@ -14,8 +14,11 @@ from repro.admission import (
     TenantQuota,
 )
 from repro.core.proxy import FunctionProxy
-from repro.obs.events import EV_BREAKER_OPEN, EV_SHED_ACTIVATED
+from repro.obs.events import EV_BREAKER_OPEN, EV_SHED_ACTIVATED, EventRecorder
+from repro.obs.instrument import OriginInstrumentation, ProxyInstrumentation
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
+from repro.obs.timeseries import TimeSeriesRecorder
+from repro.server.origin import OriginServer
 from repro.webapp.origin_app import create_origin_app
 from repro.webapp.proxy_app import create_proxy_app
 
@@ -24,13 +27,27 @@ RADIAL = "/search/Radial?ra=164&dec=8&radius=10"
 
 @pytest.fixture()
 def proxy(origin):
-    return FunctionProxy(origin, origin.templates)
+    """A proxy built with live telemetry recorders."""
+    return FunctionProxy(
+        origin,
+        origin.templates,
+        instrumentation=ProxyInstrumentation(
+            timeseries=TimeSeriesRecorder(interval_ms=1_000.0),
+            events=EventRecorder(capacity=16),
+        ),
+    )
 
 
 @pytest.fixture()
 def client(proxy):
+    return create_proxy_app(proxy).test_client()
+
+
+@pytest.fixture()
+def bare(origin):
+    """The app of a proxy built with the default recorders."""
     return create_proxy_app(
-        proxy, timeseries_interval_ms=1_000.0, event_capacity=16
+        FunctionProxy(origin, origin.templates)
     ).test_client()
 
 
@@ -68,8 +85,7 @@ class TestTimeseriesEndpoint:
         for sample in payload["samples"]:
             assert sample["t_ms"] % 1_000.0 == 0.0
 
-    def test_disabled_by_default(self, proxy):
-        bare = create_proxy_app(proxy).test_client()
+    def test_disabled_by_default(self, bare):
         payload = bare.get("/timeseries").get_json()
         assert payload == {
             "enabled": False,
@@ -93,8 +109,7 @@ class TestEventsEndpoint:
         assert [e["code"] for e in limited["events"]] == ["EV04"]
         assert limited["total"] == 2  # lifetime count is untouched
 
-    def test_disabled_by_default(self, proxy):
-        bare = create_proxy_app(proxy).test_client()
+    def test_disabled_by_default(self, bare):
         payload = bare.get("/events").get_json()
         assert payload["enabled"] is False
         assert payload["events"] == []
@@ -133,8 +148,7 @@ class TestHealthEndpoint:
         (hr02,) = [r for r in payload["rules"] if r["id"] == "HR02"]
         assert hr02["status"] == "unhealthy"
 
-    def test_disabled_monitor_reports_200(self, proxy):
-        bare = create_proxy_app(proxy).test_client()
+    def test_disabled_monitor_reports_200(self, bare):
         response = bare.get("/health")
         assert response.status_code == 200
         assert response.get_json()["enabled"] is False
@@ -142,10 +156,21 @@ class TestHealthEndpoint:
 
 class TestOriginTelemetry:
     @pytest.fixture()
-    def origin_client(self, origin):
-        return create_origin_app(
-            origin, timeseries_interval_ms=100.0, event_capacity=8
-        ).test_client()
+    def live_origin(self, origin):
+        """An origin over the session's data, built with live
+        telemetry recorders."""
+        return OriginServer(
+            origin.catalog,
+            origin.templates,
+            instrumentation=OriginInstrumentation(
+                timeseries=TimeSeriesRecorder(interval_ms=100.0),
+                events=EventRecorder(capacity=8),
+            ),
+        )
+
+    @pytest.fixture()
+    def origin_client(self, live_origin):
+        return create_origin_app(live_origin).test_client()
 
     def test_timeseries_uses_origin_lanes(self, origin_client):
         for _ in range(4):
@@ -164,8 +189,10 @@ class TestOriginTelemetry:
         assert payload["enabled"] is True
         assert payload["events"] == []
 
-    def test_events_honours_n_like_the_proxy_app(self, origin, origin_client):
-        recorder = origin.instrumentation.events
+    def test_events_honours_n_like_the_proxy_app(
+        self, live_origin, origin_client
+    ):
+        recorder = live_origin.instrumentation.events
         recorder.emit(EV_BREAKER_OPEN, at_ms=10.0)
         recorder.emit(EV_SHED_ACTIVATED, at_ms=20.0)
         limited = origin_client.get("/events?n=1").get_json()

@@ -38,6 +38,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.proxy import FunctionProxy  # noqa: E402
 from repro.faults.resilience import BreakerState  # noqa: E402
+from repro.obs.events import EventRecorder  # noqa: E402
+from repro.obs.instrument import ProxyInstrumentation  # noqa: E402
+from repro.obs.timeseries import TimeSeriesRecorder  # noqa: E402
 from repro.server.origin import OriginServer  # noqa: E402
 from repro.skydata.generator import SkyCatalogConfig  # noqa: E402
 from repro.webapp.proxy_app import create_proxy_app  # noqa: E402
@@ -68,10 +71,15 @@ def main(argv: list[str]) -> int:
     results_dir.mkdir(parents=True, exist_ok=True)
 
     origin = OriginServer.skyserver(SMOKE_SKY)
-    proxy = FunctionProxy(origin, origin.templates)
-    app = create_proxy_app(
-        proxy, timeseries_interval_ms=1_000.0, event_capacity=256
-    ).test_client()
+    proxy = FunctionProxy(
+        origin,
+        origin.templates,
+        instrumentation=ProxyInstrumentation(
+            timeseries=TimeSeriesRecorder(interval_ms=1_000.0),
+            events=EventRecorder(capacity=256),
+        ),
+    )
+    app = create_proxy_app(proxy).test_client()
 
     def serve(ra: float, dec: float, radius: float = 10.0) -> None:
         bound = origin.templates.bind(

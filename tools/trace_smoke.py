@@ -35,9 +35,14 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.proxy import FunctionProxy  # noqa: E402
-from repro.obs.instrument import ProxyInstrumentation  # noqa: E402
+from repro.obs.events import EventRecorder  # noqa: E402
+from repro.obs.instrument import (  # noqa: E402
+    OriginInstrumentation,
+    ProxyInstrumentation,
+)
 from repro.obs.propagation import IdGenerator  # noqa: E402
 from repro.obs.spans import SpanTracer  # noqa: E402
+from repro.obs.timeseries import TimeSeriesRecorder  # noqa: E402
 from repro.server.origin import OriginServer  # noqa: E402
 from repro.skydata.generator import SkyCatalogConfig  # noqa: E402
 from repro.webapp.http_origin import HttpOriginClient  # noqa: E402
@@ -67,8 +72,13 @@ def main(argv: list[str]) -> int:
     )
     results_dir.mkdir(parents=True, exist_ok=True)
 
-    origin = OriginServer.skyserver(SMOKE_SKY)
-    origin_app = create_origin_app(origin, trace_capacity=64)
+    site = OriginServer.skyserver(SMOKE_SKY)
+    origin = OriginServer(
+        site.catalog,
+        site.templates,
+        instrumentation=OriginInstrumentation(tracer=SpanTracer(capacity=64)),
+    )
+    origin_app = create_origin_app(origin)
     server = make_server("127.0.0.1", 0, origin_app)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -81,12 +91,12 @@ def main(argv: list[str]) -> int:
             client,
             client.templates,
             instrumentation=ProxyInstrumentation(
-                tracer=SpanTracer(capacity=64, ids=IdGenerator(7))
+                tracer=SpanTracer(capacity=64, ids=IdGenerator(7)),
+                timeseries=TimeSeriesRecorder(interval_ms=1_000.0),
+                events=EventRecorder(capacity=64),
             ),
         )
-        proxy_app = create_proxy_app(
-            proxy, timeseries_interval_ms=1_000.0, event_capacity=64
-        ).test_client()
+        proxy_app = create_proxy_app(proxy).test_client()
 
         # Miss (full fetch), exact hit, then a contained sub-query:
         # every decision path that the explain snapshot should cover
