@@ -35,7 +35,7 @@ from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.types import ColumnType
 from repro.sqlparser.parser import parse_expression
-from repro.udf.registry import TableFunction
+from repro.udf.registry import FunctionRegistry, TableFunction
 
 # Feature normalization: price in [0, 200] dollars, pages in [0, 1500],
 # year in [1950, 2010] — each mapped to [0, 1] so Euclidean distance is
@@ -129,7 +129,10 @@ def build_bookstore(n_books: int = 20_000, seed: int = 7) -> Catalog:
     return catalog
 
 
-def build_templates() -> TemplateManager:
+def build_templates(functions: FunctionRegistry) -> TemplateManager:
+    """The bookstore's templates, registered against ``functions`` —
+    the registry ``fSimilarBooks`` lives in — so registration checks
+    that the function is deterministic."""
     function_template = FunctionTemplate(
         name="fSimilarBooks",
         params=("price", "pages", "year", "distance"),
@@ -174,7 +177,7 @@ def build_templates() -> TemplateManager:
         key_column="bookID",
         description="The bookstore's 'find similar books' search.",
     )
-    manager = TemplateManager()
+    manager = TemplateManager(functions)
     manager.register_function_template(function_template)
     manager.register_query_template(query_template)
     manager.register_info_file(
@@ -196,10 +199,8 @@ def build_templates() -> TemplateManager:
 def main() -> None:
     print("Building the bookstore...")
     catalog = build_bookstore()
-    templates = build_templates()
+    templates = build_templates(catalog.functions)
     origin = OriginServer(catalog, templates)
-    for template_id in templates.query_template_ids():
-        templates.query_template(template_id).validate(catalog.functions)
     proxy = FunctionProxy(
         origin, templates, scheme=CachingScheme.FULL_SEMANTIC
     )

@@ -16,14 +16,15 @@ import json
 import sys
 from typing import Sequence
 
-from repro.analysis.analyzer import analyze_manager, analyze_path
+from repro.analysis.analyzer import analyze_path
 from repro.analysis.diagnostics import AnalysisReport, merge_reports
 
 
 def _builtin_report() -> AnalysisReport:
-    """Analyze the shipped SkyServer templates against the SkyServer
-    function library (bound to an empty PhotoPrimary); a built-in that
-    registration refuses reports only its own diagnostics."""
+    """The shipped SkyServer templates, registered into a manager that
+    holds the SkyServer function library (bound to an empty
+    PhotoPrimary): registration's own analysis is the report, and a
+    built-in that registration refuses reports its own diagnostics."""
     from repro.relational.table import Table
     from repro.skydata.generator import PHOTO_PRIMARY_SCHEMA
     from repro.templates.errors import TemplateAnalysisError
@@ -38,14 +39,14 @@ def _builtin_report() -> AnalysisReport:
     register_skyserver_functions(
         functions, Table("PhotoPrimary", PHOTO_PRIMARY_SCHEMA)
     )
-    manager = TemplateManager()
+    manager = TemplateManager(functions)
     try:
         register_skyserver_templates(manager)
     except TemplateAnalysisError as exc:
         # Registration is strict: a broken built-in stops it, and the
         # refusal carries the failing template's full report.
         return exc.report
-    return analyze_manager(manager, functions)
+    return AnalysisReport(manager.analysis_diagnostics())
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -120,11 +120,10 @@ def analyze_info_file_xml(
     return ctx.report
 
 
-def analyze_manager(
-    manager: "TemplateManager",
-    registry: FunctionCatalog | None = None,
-) -> AnalysisReport:
-    """Analyze everything registered with a template manager."""
+def analyze_manager(manager: "TemplateManager") -> AnalysisReport:
+    """Analyze everything registered with a template manager, against
+    the function registry it holds (if any)."""
+    registry = manager.functions
     reports: list[AnalysisReport] = []
     for function_template in manager.function_templates():
         reports.append(

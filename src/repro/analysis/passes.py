@@ -34,6 +34,8 @@ from repro.analysis.diagnostics import (
 )
 from repro.relational.expressions import (
     SCALAR_BUILTINS,
+    BinaryOp,
+    BinaryOperator,
     ColumnRef,
     Expression,
     FuncCall,
@@ -52,6 +54,8 @@ class FunctionCatalog(Protocol):
     def has_scalar(self, name: str) -> bool: ...
 
     def has_table(self, name: str) -> bool: ...
+
+    def table(self, name: str) -> TableFunction: ...
 
     def is_deterministic(self, name: str) -> bool: ...
 
@@ -265,10 +269,19 @@ def check_from_clause(template: QueryTemplate, ctx: PassContext) -> bool:
     return True
 
 
+def _is_semantics_preserving_join(condition: Expression) -> bool:
+    return (
+        isinstance(condition, BinaryOp)
+        and condition.op is BinaryOperator.EQ
+        and isinstance(condition.left, ColumnRef)
+        and isinstance(condition.right, ColumnRef)
+    )
+
+
 def check_joins(template: QueryTemplate, ctx: PassContext) -> None:
     """FP205: semantics-preserving joins (paper property 3)."""
     for join in template.statement.joins:
-        if not QueryTemplate._is_semantics_preserving_join(join.condition):
+        if not _is_semantics_preserving_join(join.condition):
             ctx.emit(
                 "FP205",
                 f"join ON {join.condition.to_sql()} is not a plain "
@@ -356,38 +369,32 @@ def check_against_registry(
 ) -> None:
     """FP209 / FP210 / FP211 (determinism, paper property 1) and FP215.
 
-    Needs a function registry; without one the pass is skipped (the
-    proxy re-checks determinism per query anyway and tunnels when in
-    doubt).  Partial registries — e.g. the HTTP proxy's remote-origin
-    stub, which only answers ``is_deterministic`` — get only the checks
-    they can answer.
+    Needs the function registry of the site that runs the template;
+    without one the pass is skipped — a proxy's manager holds none,
+    because the site that published its templates registered them
+    against its own.
     """
     registry = ctx.registry
     if registry is None:
         return
-    has_table = getattr(registry, "has_table", None)
-    has_scalar = getattr(registry, "has_scalar", None)
-    table = getattr(registry, "table", None)
-    source = template.statement.source
-    if isinstance(source, FunctionSource) and callable(has_table):
-        if not has_table(source.name):
-            ctx.emit(
-                "FP209",
-                f"function {source.name!r} is not registered at the "
-                "origin",
-                span=ctx.span(source.name),
-            )
-        elif not registry.is_deterministic(source.name):
-            ctx.emit(
-                "FP210",
-                f"function {source.name!r} is non-deterministic and "
-                "cannot be actively cached (paper property 1)",
-                span=ctx.span(source.name),
-            )
-        elif callable(table):
-            check_query_dependent_columns(template, table(source.name), ctx)
-    if not callable(has_scalar):
-        return
+    source = template.statement.source  # a call: check_from_clause ran
+    if not registry.has_table(source.name):
+        ctx.emit(
+            "FP209",
+            f"function {source.name!r} is not registered at the origin",
+            span=ctx.span(source.name),
+        )
+    elif not registry.is_deterministic(source.name):
+        ctx.emit(
+            "FP210",
+            f"function {source.name!r} is non-deterministic and "
+            "cannot be actively cached (paper property 1)",
+            span=ctx.span(source.name),
+        )
+    else:
+        check_query_dependent_columns(
+            template, registry.table(source.name), ctx
+        )
     seen: set[str] = set()
     for expr in template.statement.expressions():
         for call in function_calls(expr):
@@ -395,7 +402,7 @@ def check_against_registry(
             if key in seen or key in SCALAR_BUILTINS:
                 continue
             seen.add(key)
-            if has_scalar(call.name):
+            if registry.has_scalar(call.name):
                 if not registry.is_deterministic(call.name):
                     ctx.emit(
                         "FP211",

@@ -16,10 +16,11 @@ Failover never raises: a shard that is crashed or hung (the seeded
 ``unhealthy`` by its own health verdict
 (:meth:`~repro.obs.instrument.TelemetryBundle.health`) is skipped and
 the walk continues down the key's preference order.
-When no shard can take the query, the router degrades to the origin
-tunnel (``fallback.serve_admitted(degrade=True)``) or, without a
-fallback, sheds with the structured ``shed`` outcome — the same
-turned-away vocabulary single-proxy admission uses.
+When no shard can take the query, the router tunnels it to the origin
+through its fallback, a proxy whose scheme never caches (so
+``fallback.serve_admitted`` does no cache work).  Without a fallback
+it sheds with the structured ``shed`` outcome — the same turned-away
+vocabulary single-proxy admission uses.
 
 A *crash* loses the shard's memory but not its disk: the router clears
 the dead shard's cache (persister suspended, so the durable image
@@ -227,6 +228,11 @@ class ShardRouter:
         ids = [shard.shard_id for shard in shards]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate shard ids: {sorted(ids)}")
+        if fallback is not None and fallback.scheme.policy.caches:
+            raise ValueError(
+                "the origin fallback must be a proxy that never caches, "
+                f"not {fallback.scheme.value!r}"
+            )
         self.config = config if config is not None else RouterConfig()
         self._shards: dict[str, Shard] = {
             shard.shard_id: shard for shard in shards
@@ -465,16 +471,15 @@ class ShardRouter:
     ) -> "ProxyResponse":
         """The no-shard-took-it path: origin tunnel, else structured shed.
 
-        The tunnel is the single-proxy overload degrade (no cache
-        work); the shed is recorded against the primary shard so
-        turned-away traffic shows up in that shard's stats and outcome
-        counts.  ``tenant`` is accepted for signature symmetry — the
+        The fallback tunnels by its own scheme (no cache work); the
+        shed is recorded against the primary shard so turned-away
+        traffic shows up in that shard's stats and outcome counts.  ``tenant`` is accepted for signature symmetry — the
         fallback proxy runs without admission, so no quota applies.
         """
         del tenant
         if self.config.failover and self.fallback is not None:
             self._metric_tunnel.inc()
-            return self.fallback.serve_admitted(bound, degrade=True)
+            return self.fallback.serve_admitted(bound)
         primary = self._shards[decision.primary]
         return primary.proxy.reject(
             bound, REASON_SHARD_DOWN, QueryOutcome.SHED

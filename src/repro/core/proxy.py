@@ -17,7 +17,7 @@ statuses and acts accordingly:
 (d) **disjoint** — forward the query, cache the result, return it.
 
 Which of (b)/(c) the proxy attempts is the caching scheme's policy
-(:mod:`repro.core.schemes`); unhandled cases degrade to (d)'s
+(:mod:`repro.core.schemes`); unhandled cases fall back to (d)'s
 forwarding, minus the redundant caching of a result that a cached
 superset already covers.
 
@@ -27,12 +27,13 @@ Soundness guards beyond the paper's text:
   in containment/overlap reasoning (two queries whose non-spatial
   predicates differ are spatially incomparable);
 * entries whose producing query was TOP-N truncated serve exact matches
-  only;
-* queries on templates whose embedded function is non-deterministic are
-  tunneled, never cached (paper property 1).
+  only.
 
-The other properties are checked once, at registration: the template
-manager refuses a template the static analyzer finds fault with.
+The paper's four properties, determinism included, are checked once,
+at registration: the site's template manager holds its function
+registry and refuses a template the static analyzer finds fault with,
+so every template the proxy serves may be cached and only the scheme
+decides whether a query is tunneled.
 
 Observability: every query runs under a
 :class:`~repro.obs.instrument.QueryObservation` — the one mechanism
@@ -154,7 +155,7 @@ class FunctionProxy:
     """A template-based caching proxy for function-embedded queries.
 
     ``serve`` runs as a sequence of explicitly named, reentrant stages
-    — ``_begin_query`` (admission), ``_stage_parse_bind``,
+    — ``_begin_query`` (admission), ``_classify`` (parse/bind),
     ``_stage_cache_probe``, ``_stage_local_eval``, ``_origin_fetch``,
     ``_stage_merge``, ``_stage_admit``, ``_respond`` — each owning its
     step charge, so concurrent serves interleave at stage boundaries.
@@ -395,17 +396,13 @@ class FunctionProxy:
             self.admission.release()
 
     def serve_admitted(
-        self,
-        bound: BoundQuery,
-        queue_wait_ms: float = 0.0,
-        degrade: bool = False,
+        self, bound: BoundQuery, queue_wait_ms: float = 0.0
     ) -> ProxyResponse:
         """Serve one query that already passed admission.
 
         ``queue_wait_ms`` is the simulated time the query spent in the
         accept queue (charged to the ``admit.queue`` step so response
-        times include the wait); ``degrade`` forces tunnel mode — the
-        shard router's origin fallback, which skips all cache work.
+        times include the wait).
         """
         index, data_version = self._begin_query()
         with self.obs.observe_query(
@@ -414,7 +411,7 @@ class FunctionProxy:
             observation.data_version = data_version
             self._open_record(bound, observation, queue_wait_ms)
             try:
-                answer = self._classify(bound, observation, degrade)
+                answer = self._classify(bound, observation)
             except (OriginUnavailable, OriginQueryError) as exc:
                 # The promise that ``serve`` never raises for origin
                 # trouble: a structured, empty ``failed`` answer.  It
@@ -513,38 +510,16 @@ class FunctionProxy:
         if queue_wait_ms > 0:
             observation.charge("admit.queue", queue_wait_ms)
 
-    def _classify(self, bound, observation, degrade) -> Answer:
-        """Stages 1-2: tunnel, or dispatch on the cache relation."""
+    def _classify(self, bound, observation) -> Answer:
+        """Stages 1-2 (parse/bind, cache probe): charge parsing, then
+        tunnel when the scheme never caches, else dispatch on the cache
+        relation."""
         policy = self.scheme.policy
-        if degrade:
-            observation.decision.note(
-                "admission overload: degraded to tunnel (no cache work)"
-            )
-            observation.charge("parse", self.costs.parse_ms)
-            return self._tunnel(bound, observation)
-        if self._stage_parse_bind(bound, observation, policy):
+        observation.charge("parse", self.costs.parse_ms)
+        if not policy.caches:
+            observation.decision.note("tunneled: scheme never caches")
             return self._tunnel(bound, observation)
         return self._stage_cache_probe(bound, observation, policy)
-
-    def _stage_parse_bind(self, bound, observation, policy) -> bool:
-        """Stage 1 (parse/bind): charge parsing, classify tunneling.
-
-        Returns True when the query must be tunneled — the scheme
-        never caches, or the embedded function is not deterministic —
-        noting each reason on the decision trace.
-        """
-        decision = observation.decision
-        observation.charge("parse", self.costs.parse_ms)
-        deterministic = self._is_deterministic(bound)
-        if policy.caches and deterministic:
-            return False
-        if not policy.caches:
-            decision.note("tunneled: scheme never caches")
-        if not deterministic:
-            decision.note(
-                "tunneled: embedded function is not deterministic"
-            )
-        return True
 
     def _stage_cache_probe(self, bound, observation, policy) -> Answer:
         """Stage 2 (cache probe): dispatch on the cache relation."""
@@ -766,15 +741,6 @@ class FunctionProxy:
             )
             check.annotate(candidates=len(candidates), usable=len(usable))
         return usable, relations
-
-    def _is_deterministic(self, bound: BoundQuery) -> bool:
-        source = bound.template.statement.source
-        registry = self.origin.catalog.functions
-        try:
-            return registry.is_deterministic(source.name)
-        except Exception:
-            # An unregistered function cannot be reasoned about; tunnel.
-            return False
 
     # ------------------------------------------------------- degradation
     def _cache_answer_outcome(self) -> QueryOutcome:

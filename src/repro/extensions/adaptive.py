@@ -20,7 +20,7 @@ path on a running cost comparison:
   still handled regardless, so the estimate keeps tracking a changing
   environment.
 
-Declined overlaps degrade exactly as the paper's Second/Third schemes:
+Declined overlaps fall back exactly as the paper's Second/Third schemes:
 region containment is still consolidated (when the scheme allows), and
 the query is forwarded whole and cached.
 """

@@ -19,7 +19,7 @@ FP diagnostic and EV event codes; see DESIGN.md):
 * ``HR04`` *queue-saturation* — the accept queue pinned near its
   configured limit for several consecutive windows.
 * ``HR05`` *breaker-open* — the origin circuit breaker not closed at
-  the newest sample (the origin is presumed down; answers degrade).
+  the newest sample (the origin is presumed down; answers are degraded).
 * ``HR06`` *shard-down* — one or more shard workers behind the
   :class:`~repro.cluster.router.ShardRouter` are down or unhealthy;
   inactive on a single proxy with no shard tier configured.

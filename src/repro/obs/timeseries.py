@@ -5,9 +5,8 @@ time-series recorder answers "what was it doing *then*".  At every
 interval boundary on the sim/event time axis it takes one sample:
 
 * **counter lanes** become rates — the counter delta over the window
-  divided by the window's simulated seconds, clamped non-negative so a
-  counter reset (a fresh registry bound in) reads as a momentary zero
-  rather than a negative spike;
+  divided by the window's simulated seconds (the recorder binds one
+  registry, once, so its counters only grow);
 * **gauge lanes** are point samples (queue depth, in-flight, cache
   bytes, breaker state, snapshot age);
 * **quantile lanes** diff a histogram's per-bucket counts across the
@@ -208,13 +207,10 @@ class TimeSeriesRecorder:
     # ----------------------------------------------------------- binding
     def bind(self, registry: MetricsRegistry, lanes: LaneSet) -> None:
         """Sample ``lanes`` from ``registry``; the owner of the
-        registry calls this once, when it is built.
-
-        Binding a fresh registry later keeps the counter baselines:
-        the next window's deltas go negative and clamp to zero — one
-        flat sample, never a negative rate.
-        """
+        registry calls this once, when it is built."""
         with self._lock:
+            if self._registry is not None:
+                raise RuntimeError("a time-series recorder binds once")
             self._registry = registry
             self.lanes = lanes
 
@@ -265,9 +261,8 @@ class TimeSeriesRecorder:
             )
             previous = self._counter_totals.get(counter_lane.name, 0.0)
             self._counter_totals[counter_lane.name] = total
-            delta = max(0.0, total - previous)
             rates[counter_lane.name] = (
-                delta / elapsed_s if elapsed_s > 0 else 0.0
+                (total - previous) / elapsed_s if elapsed_s > 0 else 0.0
             )
         gauges: dict[str, float] = {}
         for gauge_lane in self.lanes.gauges:
@@ -284,14 +279,12 @@ class TimeSeriesRecorder:
                 }
                 continue
             counts = family.merged_counts()
-            previous_counts = self._bucket_counts.get(quantile_lane.name)
-            if previous_counts is None or len(previous_counts) != len(
-                counts
-            ):
-                previous_counts = [0] * len(counts)
+            previous_counts = self._bucket_counts.get(
+                quantile_lane.name, [0] * len(counts)
+            )
             self._bucket_counts[quantile_lane.name] = counts
             deltas = [
-                max(0, current - before)
+                current - before
                 for current, before in zip(counts, previous_counts)
             ]
             quantiles[quantile_lane.name] = _window_quantiles(

@@ -123,6 +123,9 @@ class OriginServer:
     to parameterized queries).  The same template objects are shared
     with the proxy in experiments — exactly the paper's setup, where
     the site publishes its templates for registration at the proxy.
+    The manager must hold ``catalog.functions``, so each template was
+    checked against the functions it runs on (determinism, paper
+    property 1) when it was registered.
     """
 
     def __init__(
@@ -132,6 +135,11 @@ class OriginServer:
         costs: ServerCostModel | None = None,
         instrumentation: OriginInstrumentation | None = None,
     ) -> None:
+        if templates.functions is not catalog.functions:
+            raise ValueError(
+                "the site's template manager must hold its catalog's "
+                "function registry: TemplateManager(catalog.functions)"
+            )
         self.catalog = catalog
         self.templates = templates
         self.costs = costs or ServerCostModel()
@@ -166,12 +174,9 @@ class OriginServer:
         register_skyserver_functions(
             catalog.functions, catalog.table("PhotoPrimary")
         )
-        templates = TemplateManager()
+        templates = TemplateManager(catalog.functions)
         register_skyserver_templates(templates)
-        server = OriginServer(catalog, templates, costs)
-        for template_id in templates.query_template_ids():
-            templates.query_template(template_id).validate(catalog.functions)
-        return server
+        return OriginServer(catalog, templates, costs)
 
     # ----------------------------------------------------------- serving
     def _execute(

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.geometry.regions import Region
-from repro.locking import guarded_by, named_lock
+from repro.locking import guarded_by, named_lock, read_only
 from repro.sqlparser.ast import SelectStatement
 from repro.templates.errors import TemplateAnalysisError, TemplateError
 from repro.templates.function_template import FunctionTemplate
@@ -23,6 +23,7 @@ from repro.templates.query_template import QueryTemplate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.diagnostics import AnalysisReport, Diagnostic
+    from repro.udf.registry import FunctionRegistry
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,7 @@ class BoundQuery:
     "_analysis_log",
     "_observers",
 )
+@read_only("functions")
 class TemplateManager:
     """Registry of templates and info files; builds bound queries.
 
@@ -99,13 +101,19 @@ class TemplateManager:
     Every registration runs the static cacheability analyzer
     (:mod:`repro.analysis`); an error diagnostic rejects the template
     with :class:`TemplateAnalysisError`, so every registered template
-    may be cached.  All diagnostics (including warnings) are kept in
-    :meth:`analysis_diagnostics` and streamed to observers registered
-    via :meth:`add_analysis_observer`, which is how they reach the
-    metrics registry.
+    may be cached.  ``functions`` is the registry of the functions the
+    templates call: with it, registration also decides determinism
+    (paper property 1) and refuses a template over a non-deterministic
+    or unregistered function.  A site passes its catalog's registry; a
+    proxy that learned its templates from a site passes none, because
+    that site already decided.  All diagnostics (including warnings)
+    are kept in :meth:`analysis_diagnostics` and streamed to observers
+    registered via :meth:`add_analysis_observer`, which is how they
+    reach the metrics registry.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, functions: "FunctionRegistry | None" = None) -> None:
+        self.functions = functions
         self._lock = named_lock("proxy.templates")
         self._function_templates: dict[str, FunctionTemplate] = {}
         self._query_templates: dict[str, QueryTemplate] = {}
@@ -165,7 +173,10 @@ class TemplateManager:
                 )
             from repro.analysis.analyzer import analyze_function_template
 
-            self._admit(template.name, analyze_function_template(template))
+            self._admit(
+                template.name,
+                analyze_function_template(template, self.functions),
+            )
             self._function_templates[key] = template
 
     def register_query_template(self, template: QueryTemplate) -> None:
@@ -179,7 +190,8 @@ class TemplateManager:
             from repro.analysis.analyzer import analyze_query_template
 
             self._admit(
-                template.template_id, analyze_query_template(template)
+                template.template_id,
+                analyze_query_template(template, self.functions),
             )
             self._query_templates[key] = template
 

@@ -10,11 +10,14 @@ caching:
 * the select list, optional join, optional "other predicates", and an
   optional TOP-N — the complete shape of the paper's common query class.
 
-``validate`` enforces the four properties of Section 3.1 as far as they
-are checkable statically:
+Registration (:meth:`TemplateManager.register_query_template
+<repro.templates.manager.TemplateManager.register_query_template>`)
+checks the four properties of Section 3.1 as far as they are checkable
+statically, in one pass of :mod:`repro.analysis`:
 
 1. *Determinism* — the embedded function (and any scalar functions in
-   the WHERE clause) must be registered as deterministic.
+   the WHERE clause) must be registered as deterministic; decided when
+   the manager holds the site's function registry.
 2. *Spatial region selection semantics* — the FROM source must be a
    call to the declared function template, with matching arity.
 3. *Semantics-preserving join* — every join must be an equi-join
@@ -24,6 +27,8 @@ are checkable statically:
 4. *Result attribute availability* — every attribute the function
    template's point expressions read must appear in the select list, so
    cached tuples can be re-evaluated spatially.
+
+:meth:`QueryTemplate.from_sql` only parses.
 """
 
 from __future__ import annotations
@@ -34,13 +39,7 @@ from functools import cached_property
 from typing import Any, Callable, Mapping
 
 from repro.geometry.regions import Region
-from repro.relational.expressions import (
-    BinaryOp,
-    BinaryOperator,
-    ColumnRef,
-    compile_expression,
-    sql_literal,
-)
+from repro.relational.expressions import compile_expression, sql_literal
 from repro.relational.types import is_finite
 from repro.sqlparser.ast import (
     FunctionSource,
@@ -72,14 +71,14 @@ class QueryTemplate:
         key_column: str,
         description: str = "",
     ) -> "QueryTemplate":
-        """Parse and statically check a query template."""
+        """Parse a query template; registration checks it."""
         try:
             statement = parse_select(sql)
         except Exception as exc:
             raise TemplateError(
                 f"template {template_id!r}: cannot parse SQL: {exc}"
             ) from exc
-        template = QueryTemplate(
+        return QueryTemplate(
             template_id=template_id,
             sql=sql,
             statement=statement,
@@ -87,48 +86,6 @@ class QueryTemplate:
             key_column=key_column,
             description=description,
         )
-        template._check_structure()
-        return template
-
-    # -------------------------------------------------------- validation
-    def _check_structure(self) -> None:
-        """Run the analyzer's property passes; raise on any error.
-
-        The static checks (paper properties 2–4) are owned by
-        :mod:`repro.analysis`; this method is the constructor's
-        fail-fast façade.  Imported lazily
-        because the analyzer inspects template types from this module.
-        """
-        from repro.analysis.analyzer import analyze_query_template
-        from repro.templates.errors import TemplateAnalysisError
-
-        report = analyze_query_template(self)
-        if report.has_errors:
-            raise TemplateAnalysisError(self.template_id, report)
-
-    @staticmethod
-    def _is_semantics_preserving_join(condition) -> bool:
-        return (
-            isinstance(condition, BinaryOp)
-            and condition.op is BinaryOperator.EQ
-            and isinstance(condition.left, ColumnRef)
-            and isinstance(condition.right, ColumnRef)
-        )
-
-    def validate(self, registry) -> None:
-        """Check determinism against a function registry (property 1)."""
-        source = self.statement.source
-        if not registry.has_table(source.name):
-            raise TemplateError(
-                f"template {self.template_id!r}: function {source.name!r} "
-                "is not registered at the origin"
-            )
-        if not registry.is_deterministic(source.name):
-            raise TemplateError(
-                f"template {self.template_id!r}: function {source.name!r} "
-                "is non-deterministic and cannot be actively cached "
-                "(paper property 1)"
-            )
 
     # ----------------------------------------------------------- binding
     @property

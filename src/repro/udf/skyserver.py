@@ -11,8 +11,8 @@ All spatial functions run against a PhotoPrimary table through one
 the zone scan of the SkyServer's own spatial library), so a cone across
 RA 0°/360° or over a pole finds every row inside it, and are registered
 as deterministic.  A deliberately *non-deterministic* specimen,
-``fRandomSample``, is also provided so tests and examples can exercise
-the proxy's refusal to cache non-deterministic functions (paper Section
+``fRandomSample``, is also provided so tests can exercise registration's
+refusal of a template over a non-deterministic function (paper Section
 3.1, property 1).
 """
 
@@ -240,7 +240,7 @@ def register_skyserver_functions(
             impl=f_random_sample,
             deterministic=False,
             description="A random object sample (non-deterministic; "
-            "exists to exercise the proxy's determinism check).",
+            "exists to exercise registration's determinism check).",
         )
     )
 

@@ -20,10 +20,10 @@ or parses SQL for it.  Only a free statement travels as SQL, to
 
 The simulated server cost is carried back in the ``X-Server-Ms``
 response header, so experiment timing composes identically in both
-deployments.  The proxy also needs a catalog for its determinism check;
-the client fetches the origin's template registry (and its data
-version) once, in one request, and exposes a minimal
-``catalog.functions`` shim backed by the declared metadata.
+deployments.  The client fetches the origin's templates (and its data
+version) once, in one request, and registers them into a manager that
+holds no function registry: the origin checked each template against
+its functions (determinism, paper property 1) before publishing it.
 
 Data-version coherence over HTTP is *eventually consistent*: the
 client updates ``data_version`` from the ``X-Data-Version`` header of
@@ -55,7 +55,6 @@ import http.client
 import json
 import urllib.error
 import urllib.request
-from types import SimpleNamespace
 from typing import Sequence
 
 from repro.faults.errors import OriginTimeoutError, OriginUnavailableError
@@ -78,24 +77,6 @@ class HttpOriginError(RelationalError):
     """The remote origin rejected a request (a 4xx): the origin is
     alive and the query is bad, which is what the engine's own errors
     mean in process — hence the shared root."""
-
-
-class _RemoteFunctions:
-    """Determinism metadata for remote functions.
-
-    The proxy only asks ``is_deterministic``; templates fetched from
-    ``/templates`` are by construction deterministic (the origin
-    validates property 1 before publishing), so any function named by
-    a registered template answers True and everything else errors.
-    """
-
-    def __init__(self, function_names: set[str]) -> None:
-        self._names = {name.lower() for name in function_names}
-
-    def is_deterministic(self, name: str) -> bool:
-        if name.lower() not in self._names:
-            raise HttpOriginError(f"unknown remote function {name!r}")
-        return True
 
 
 class HttpOriginClient:
@@ -146,8 +127,6 @@ class HttpOriginClient:
             self.templates.register_info_file(
                 TemplateInfoFile.from_xml(info_xml)
             )
-        functions = _RemoteFunctions(function_names)
-        self.catalog = SimpleNamespace(functions=functions)
         self.data_version: int = payload["data_version"]
 
     def _post(

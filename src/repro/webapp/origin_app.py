@@ -84,7 +84,7 @@ def create_origin_app(origin: OriginServer):
     instrumentation=OriginInstrumentation(tracer=...))``.
     """
     app, request = flask_app("repro-origin")
-    startup = analyze_manager(origin.templates, origin.catalog.functions)
+    startup = analyze_manager(origin.templates)
     app.logger.info("template analysis at startup: %s", startup.summary())
     for diagnostic in startup:
         app.logger.warning("%s", diagnostic.format())
@@ -162,8 +162,7 @@ def create_origin_app(origin: OriginServer):
 
     @app.get("/analyze")
     def analyze():
-        report = analyze_manager(origin.templates, origin.catalog.functions)
-        return report.to_dict()
+        return analyze_manager(origin.templates).to_dict()
 
     @app.get("/health")
     def health():

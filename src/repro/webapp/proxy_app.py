@@ -111,13 +111,9 @@ def create_proxy_app(proxy: FunctionProxy):
     """
     app, request = flask_app("repro-proxy")
 
-    def _function_registry():
-        catalog = getattr(proxy.origin, "catalog", None)
-        return getattr(catalog, "functions", None)
-
     # Startup report: analyze what the proxy booted with, so a template
     # problem is visible in the log before the first query hits it.
-    startup = analyze_manager(proxy.templates, _function_registry())
+    startup = analyze_manager(proxy.templates)
     app.logger.info("template analysis at startup: %s", startup.summary())
     for diagnostic in startup:
         app.logger.warning("%s", diagnostic.format())
@@ -188,9 +184,7 @@ def create_proxy_app(proxy: FunctionProxy):
 
     @app.get("/analyze")
     def analyze():
-        return analyze_manager(
-            proxy.templates, _function_registry()
-        ).to_dict()
+        return analyze_manager(proxy.templates).to_dict()
 
     @app.post("/cache/clear")
     def clear():

@@ -10,6 +10,7 @@ from repro.analysis.codes import code_info
 from repro.analysis.diagnostics import Severity
 from repro.sqlparser.parser import parse_select
 from repro.templates.errors import TemplateAnalysisError, TemplateError
+from repro.templates.manager import TemplateManager
 from repro.templates.query_template import QueryTemplate
 from repro.templates.skyserver_templates import (
     nearest_query_template,
@@ -145,45 +146,49 @@ class TestRegistryPasses:
         )
         assert len(report) == 0
 
-    def test_partial_registry_is_tolerated(self):
-        class DeterminismOnly:
-            def is_deterministic(self, name):
-                return True
-
-        report = analyze_query_template(
-            build(GOOD_SQL), registry=DeterminismOnly()
-        )
-        assert len(report) == 0
-
 
 class TestConstructorFacade:
-    def test_from_sql_still_rejects_bad_templates(self):
+    """``from_sql`` only parses; registration is the one analysis, and
+    its refusal carries the report."""
+
+    def test_registration_rejects_bad_templates(self):
         with pytest.raises(TemplateAnalysisError, match="cz"):
-            QueryTemplate.from_sql(
-                template_id="t.bad",
-                sql=(
-                    "SELECT p.objID, p.cx, p.cy "
-                    "FROM fGetNearbyObjEq($ra, $dec, $radius) n "
-                    "JOIN PhotoPrimary p ON n.objID = p.objID"
-                ),
-                function_template=radial_function_template(),
-                key_column="objID",
+            TemplateManager().register_query_template(
+                QueryTemplate.from_sql(
+                    template_id="t.bad",
+                    sql=(
+                        "SELECT p.objID, p.cx, p.cy "
+                        "FROM fGetNearbyObjEq($ra, $dec, $radius) n "
+                        "JOIN PhotoPrimary p ON n.objID = p.objID"
+                    ),
+                    function_template=radial_function_template(),
+                    key_column="objID",
+                )
             )
 
     def test_analysis_error_carries_the_report(self):
         with pytest.raises(TemplateAnalysisError) as excinfo:
-            build(GOOD_SQL.replace("p.cz", "p.type"))._check_structure()
+            TemplateManager().register_query_template(
+                build(GOOD_SQL.replace("p.cz", "p.type"))
+            )
         assert "FP206" in excinfo.value.report.codes()
         assert excinfo.value.subject == "t.bad"
 
     def test_analysis_error_is_a_template_error(self):
         with pytest.raises(TemplateError):
-            build("SELECT p.objID FROM PhotoPrimary p")._check_structure()
+            TemplateManager().register_query_template(
+                build("SELECT p.objID FROM PhotoPrimary p")
+            )
 
-    def test_builtin_templates_construct_checked(self):
-        assert radial_query_template()
-        assert rect_query_template()
-        assert nearest_query_template()
+    def test_builtin_templates_construct_checked(self, origin):
+        manager = TemplateManager(origin.catalog.functions)
+        for template in (
+            radial_query_template(),
+            rect_query_template(),
+            nearest_query_template(),
+        ):
+            manager.register_query_template(template)
+        assert len(manager.query_template_ids()) == 3
 
 
 class TestQueryDependentColumns:

@@ -9,7 +9,9 @@ from repro.admission import (
     AdmissionController,
     TenantQuota,
 )
+from repro.cluster import Shard, ShardRouter
 from repro.core.proxy import FunctionProxy
+from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome, QueryStatus
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 
@@ -143,17 +145,17 @@ class TestShedIsNoHit:
 
 
 class TestDegradeToTunnel:
-    def test_degraded_admission_tunnels_without_caching(
-        self, make_proxy, bind
-    ):
-        # The shard router's origin fallback forces tunnel mode.
-        proxy = make_proxy()
-        response = proxy.serve_admitted(bind(), degrade=True)
+    def test_a_caching_fallback_is_refused(self, make_proxy, bind):
+        """The shard router's origin fallback tunnels by its own
+        scheme, so a fallback that could cache is refused up front."""
+        with pytest.raises(ValueError, match="never caches"):
+            ShardRouter([Shard("s", make_proxy())], fallback=make_proxy())
+        tunnel = make_proxy(scheme=CachingScheme.NO_CACHE)
+        ShardRouter([Shard("s", make_proxy())], fallback=tunnel)
+        response = tunnel.serve_admitted(bind())
         assert response.record.status is QueryStatus.NO_CACHE
         assert response.record.outcome is QueryOutcome.SERVED
-        assert len(proxy.cache) == 0
-        trace = proxy.obs.decisions.get(response.record.index)
-        assert any("degraded to tunnel" in n for n in trace.notes)
+        assert len(tunnel.cache) == 0
 
     def test_backlog_is_served_through_the_cache(self, make_proxy, bind):
         proxy = make_proxy(AdmissionConfig(max_inflight=1, max_queue_depth=4))

@@ -153,7 +153,7 @@ def sky():
 def bookstore():
     module = load_bookstore()
     catalog = module.build_bookstore(n_books=600)
-    return OriginServer(catalog, module.build_templates())
+    return OriginServer(catalog, module.build_templates(catalog.functions))
 
 
 def cached(origin, template_id, params, entry_id=0):

@@ -214,8 +214,14 @@ class TestSoundnessGuards:
             origin.execute_bound(outer).result
         )
 
-    def test_nondeterministic_function_is_tunneled(self, origin, make_proxy):
+    def test_nondeterministic_function_is_refused_at_registration(
+        self, origin
+    ):
+        """Paper property 1 is decided once, by the site's manager: a
+        template over a non-deterministic function never registers, so
+        no query over it reaches a proxy, let alone its cache."""
         from repro.sqlparser.parser import parse_expression
+        from repro.templates.errors import TemplateAnalysisError
         from repro.templates.function_template import FunctionTemplate, Shape
         from repro.templates.query_template import QueryTemplate
 
@@ -240,20 +246,29 @@ class TestSoundnessGuards:
             ftemplate,
             key_column="objID",
         )
-        origin.templates.register_function_template(ftemplate)
-        origin.templates.register_query_template(template)
-        try:
-            proxy = make_proxy()
-            bound = origin.templates.bind("t.random", {"count": 5})
-            first = proxy.serve(bound)
-            second = proxy.serve(bound)
-            assert first.record.status is QueryStatus.NO_CACHE
-            assert second.record.status is QueryStatus.NO_CACHE
-            assert len(proxy.cache) == 0
-        finally:
-            # Keep the session-scoped origin clean for other tests.
-            origin.templates._query_templates.pop("t.random")
-            origin.templates._function_templates.pop("frandomsample")
+        with pytest.raises(TemplateAnalysisError) as refused:
+            origin.templates.register_query_template(template)
+        assert refused.value.report.codes() == {"FP210"}
+        assert "t.random" not in origin.templates.query_template_ids()
+
+    def test_the_proxy_never_reads_the_origin_catalog(
+        self, origin, bind
+    ):
+        """The serve path asks nothing of the origin's functions: an
+        origin with no ``catalog`` serves, and its answers are cached."""
+
+        class CatalogFree:
+            def __getattr__(self, name):
+                if name == "catalog":
+                    raise AttributeError(name)
+                return getattr(origin, name)
+
+        proxy = FunctionProxy(CatalogFree(), origin.templates)
+        first = proxy.serve(bind())
+        second = proxy.serve(bind())
+        assert first.record.status is QueryStatus.DISJOINT
+        assert second.record.status is QueryStatus.EXACT
+        assert len(proxy.cache) == 1
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_function_argument_is_a_structured_failure(

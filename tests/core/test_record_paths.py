@@ -24,9 +24,6 @@ from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.resilience import BreakerState
 from repro.server.origin import OriginServer
 from repro.sqlparser.errors import ParseError
-from repro.sqlparser.parser import parse_expression
-from repro.templates.function_template import FunctionTemplate, Shape
-from repro.templates.query_template import QueryTemplate
 from repro.templates.skyserver_templates import RADIAL_TEMPLATE_ID
 from tests.conftest import SMALL_SKY
 
@@ -160,40 +157,6 @@ def tunnel_scheme_never_caches(origin):
     return run
 
 
-def tunnel_nondeterministic_function(origin):
-    # fRandomSample draws from a generator that lives as long as the
-    # origin does, so this scenario gets an origin of its own.
-    origin = OriginServer.skyserver(SMALL_SKY)
-    ftemplate = FunctionTemplate(
-        name="fRandomSample",
-        params=("count",),
-        shape=Shape.HYPERRECT,
-        dims=2,
-        point_exprs=(parse_expression("ra"), parse_expression("dec")),
-        low_exprs=(parse_expression("0"), parse_expression("0")),
-        high_exprs=(parse_expression("$count"), parse_expression("$count")),
-    )
-    origin.templates.register_function_template(ftemplate)
-    origin.templates.register_query_template(
-        QueryTemplate.from_sql(
-            "t.random",
-            "SELECT objID, ra, dec FROM fRandomSample($count) n",
-            ftemplate,
-            key_column="objID",
-        )
-    )
-    run = drive(origin)
-    run(run.proxy.serve, origin.templates.bind("t.random", {"count": 5}))
-    return run
-
-
-def degrade_to_tunnel(origin):
-    run = drive(origin)
-    run(run.proxy.serve, radial(origin))
-    run(run.proxy.serve_admitted, radial(origin), degrade=True)
-    return run
-
-
 def queue_wait_is_charged(origin):
     run = drive(origin)
     run(run.proxy.serve_admitted, radial(origin), queue_wait_ms=123.0)
@@ -274,8 +237,6 @@ SCENARIOS = [
     region_containment,
     forwarded_by_scheme,
     tunnel_scheme_never_caches,
-    tunnel_nondeterministic_function,
-    degrade_to_tunnel,
     queue_wait_is_charged,
     degraded_while_breaker_open,
     partial_after_retries,
@@ -327,12 +288,9 @@ def test_the_golden_covers_every_path(golden):
         last["overlap"]["tuples_total"]
     )
     assert facts("forwarded_by_scheme")[0] == "forwarded"
-    for name in (
-        "tunnel_scheme_never_caches",
-        "tunnel_nondeterministic_function",
-        "degrade_to_tunnel",
-    ):
-        assert facts(name) == ("no-cache", "served", "", True, 0)
+    assert facts("tunnel_scheme_never_caches") == (
+        "no-cache", "served", "", True, 0,
+    )
     assert last["queue_wait_is_charged"]["steps_ms"][0] == [
         "admit.queue", 123.0,
     ]

@@ -55,7 +55,7 @@ def mutable_origin():
             impl=f_in_box,
         )
     )
-    templates = TemplateManager()
+    templates = TemplateManager(catalog.functions)
     ftemplate = FunctionTemplate(
         name="fInBox",
         params=("x_min", "x_max", "y_min", "y_max"),

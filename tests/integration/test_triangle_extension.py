@@ -20,10 +20,8 @@ MAG_OPEN = {"r_min": -9999.0, "r_max": 9999.0}
 def triangle_origin():
     """A dedicated origin with the triangle extension registered."""
     origin = OriginServer.skyserver(SMALL_SKY)
+    # Registration checks the template against the site's functions.
     register_triangle_search(origin.catalog.functions, origin.templates)
-    origin.templates.query_template(TRIANGLE_TEMPLATE_ID).validate(
-        origin.catalog.functions
-    )
     return origin
 
 

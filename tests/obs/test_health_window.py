@@ -18,9 +18,8 @@ from repro.obs.health import (
     UNHEALTHY,
     evaluate_samples,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.instrument import SIM_MS_BUCKETS, ProxyInstrumentation
-from repro.obs.timeseries import PROXY_LANES, TimeSeriesRecorder
+from repro.obs.instrument import ProxyInstrumentation
+from repro.obs.timeseries import TimeSeriesRecorder
 
 QUEUE_LIMIT = 10
 
@@ -36,8 +35,8 @@ class CountingRecorder(TimeSeriesRecorder):
 
 
 class Deployment:
-    """A recorder over hand-driven metric families, and the bundle
-    judging it."""
+    """A recorder over the bundle's own metric families, driven by
+    hand, and the bundle judging it."""
 
     def __init__(self):
         self.recorder = CountingRecorder(interval_ms=1_000.0, capacity=8)
@@ -51,37 +50,20 @@ class Deployment:
         self.reference_status = None
         self.reference_flips = []
         self.reports = []
-        self.fresh_registry()
         self.recorder.maybe_sample(self.now_ms)  # seeds the baselines
-
-    def fresh_registry(self):
-        """A warm restart: new families, counters back at zero."""
-        registry = MetricsRegistry()
-        self.queries = registry.counter("proxy_queries_total", "served")
-        self.origin = registry.counter(
-            "proxy_origin_requests_total", "origin"
-        )
-        self.sheds = registry.counter("admission_shed_total", "shed")
-        self.depth = registry.gauge("admission_queue_depth", "depth")
-        self.breaker = registry.gauge("breaker_state", "breaker")
-        self.latency = registry.histogram(
-            "proxy_response_sim_ms", "latency", buckets=SIM_MS_BUCKETS
-        )
-        self.recorder.bind(registry, PROXY_LANES)
 
     def step(
         self, dt_ms, served=0, origin=0, shed=0, depth=0, breaker=0,
-        latency_ms=None, reset=False,
+        latency_ms=None,
     ):
-        if reset:
-            self.fresh_registry()
-        self.queries.inc(served)
-        self.origin.inc(min(origin, served))
-        self.sheds.inc(shed)
-        self.depth.set(depth)
-        self.breaker.set(breaker)
+        obs = self.obs
+        obs.queries.labels(status="exact", template="t").inc(served)
+        obs.origin_requests.inc(min(origin, served))
+        obs.admission_sheds.labels(reason="queue-full").inc(shed)
+        obs.admission_depth.set(depth)
+        obs.breaker_state.set(breaker)
         if latency_ms is not None:
-            self.latency.observe(latency_ms)
+            obs.response_ms.observe(latency_ms)
         self.now_ms += dt_ms
         if self.recorder.maybe_sample(self.now_ms) is None:
             return
@@ -125,8 +107,8 @@ def test_scripted_run_with_every_hard_case():
     # Hit-ratio collapse, then a breaker-open window.
     run.step(1_000.0, served=20, origin=19, latency_ms=150.0)
     run.step(1_000.0, served=20, origin=2, breaker=2)
-    # A counter reset (rates clamp to zero for one window).
-    run.step(1_000.0, served=5, origin=1, reset=True)
+    # An idle window: every rate reads zero.
+    run.step(1_000.0)
     # A shed spike with the queue pinned at its limit for three windows.
     for _ in range(3):
         run.step(
@@ -163,7 +145,6 @@ STEPS = st.lists(
             "depth": st.sampled_from([0, 0, 8, 10, 12]),
             "breaker": st.sampled_from([0, 0, 0, 1, 2]),
             "latency_ms": st.sampled_from([None, 40.0, 150.0, 900.0]),
-            "reset": st.sampled_from([False] * 9 + [True]),
         }
     ),
     min_size=12,

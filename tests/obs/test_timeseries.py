@@ -1,4 +1,4 @@
-"""TimeSeriesRecorder: alignment, clamping, wraparound, quantiles,
+"""TimeSeriesRecorder: alignment, binding once, wraparound, quantiles,
 and the lanes its owner names."""
 
 import pytest
@@ -110,23 +110,21 @@ class TestRingBuffer:
 
 
 class TestCounterReset:
-    def test_rebind_clamps_the_rate_to_zero(self):
+    def test_a_second_bind_raises(self):
+        """The recorder reads one registry: counters never go back, so
+        no window's rate can go negative."""
         recorder, _, counter, _, _ = make()
         recorder.maybe_sample(0.0)
         counter.inc(50.0)
         assert (
             recorder.maybe_sample(1_000.0)["rates"]["served_per_s"] == 50.0
         )
-        # A warm restart swaps in a fresh registry: the counter total
-        # drops from 50 to 0.  The delta clamps to a flat zero sample
-        # rather than a negative spike.
-        fresh = MetricsRegistry()
-        fresh.counter("served_total")
-        fresh.gauge("depth_gauge")
-        fresh.histogram("latency_hist", buckets=(10.0, 100.0, 1_000.0))
-        recorder.bind(fresh, LANES)
-        sample = recorder.maybe_sample(2_000.0)
-        assert sample["rates"]["served_per_s"] == 0.0
+        with pytest.raises(RuntimeError, match="binds once"):
+            recorder.bind(MetricsRegistry(), LANES)
+        counter.inc(5.0)
+        assert (
+            recorder.maybe_sample(2_000.0)["rates"]["served_per_s"] == 5.0
+        )
 
 
 class TestWindowQuantiles:

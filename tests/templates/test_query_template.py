@@ -1,8 +1,10 @@
-"""Query template validation: the paper's four properties, statically."""
+"""Query template registration: the paper's four properties,
+statically, decided once when a template is registered."""
 
 import pytest
 
 from repro.templates.errors import TemplateError
+from repro.templates.manager import TemplateManager
 from repro.templates.query_template import QueryTemplate
 from repro.templates.skyserver_templates import (
     radial_function_template,
@@ -21,50 +23,67 @@ def make(sql, **kwargs):
     )
 
 
+def register(template, functions=None):
+    """``template`` registered into a manager holding ``functions``."""
+    TemplateManager(functions).register_query_template(template)
+
+
 class TestStructure:
     def test_builtin_radial_template_is_valid(self):
         template = radial_query_template()
+        register(template)
         assert template.parameter_names == [
             "ra", "dec", "radius", "r_min", "r_max",
         ]
 
     def test_from_clause_must_call_function(self):
         with pytest.raises(TemplateError, match="table-valued function"):
-            make("SELECT objID, cx, cy, cz FROM PhotoPrimary")
+            register(make("SELECT objID, cx, cy, cz FROM PhotoPrimary"))
 
     def test_function_name_must_match_template(self):
         with pytest.raises(TemplateError, match="function template"):
-            make("SELECT objID, cx, cy, cz FROM fOther($ra, $dec, $r) n")
+            register(
+                make("SELECT objID, cx, cy, cz FROM fOther($ra, $dec, $r) n")
+            )
 
     def test_arity_must_match(self):
         with pytest.raises(TemplateError, match="arguments"):
-            make("SELECT objID, cx, cy, cz FROM fGetNearbyObjEq($ra) n")
+            register(
+                make("SELECT objID, cx, cy, cz FROM fGetNearbyObjEq($ra) n")
+            )
 
     def test_point_attributes_must_be_selected(self):
         # Missing cz: the proxy could not re-evaluate cached tuples.
         with pytest.raises(TemplateError, match="cz"):
-            make(
-                "SELECT n.objID, n.cx, n.cy "
-                "FROM fGetNearbyObjEq($ra, $dec, $r) n"
+            register(
+                make(
+                    "SELECT n.objID, n.cx, n.cy "
+                    "FROM fGetNearbyObjEq($ra, $dec, $r) n"
+                )
             )
 
     def test_key_column_must_be_selected(self):
         with pytest.raises(TemplateError, match="key column"):
-            make(
-                "SELECT n.cx, n.cy, n.cz "
-                "FROM fGetNearbyObjEq($ra, $dec, $r) n"
+            register(
+                make(
+                    "SELECT n.cx, n.cy, n.cz "
+                    "FROM fGetNearbyObjEq($ra, $dec, $r) n"
+                )
             )
 
     def test_select_star_is_accepted(self):
         template = make("SELECT * FROM fGetNearbyObjEq($ra, $dec, $r) n")
+        register(template)
         assert template.statement.star
 
     def test_join_must_be_equi_join(self):
         with pytest.raises(TemplateError, match="equi-join"):
-            make(
-                "SELECT n.objID, n.cx, n.cy, n.cz "
-                "FROM fGetNearbyObjEq($ra, $dec, $r) n "
-                "JOIN PhotoPrimary p ON n.objID < p.objID"
+            register(
+                make(
+                    "SELECT n.objID, n.cx, n.cy, n.cz "
+                    "FROM fGetNearbyObjEq($ra, $dec, $r) n "
+                    "JOIN PhotoPrimary p ON n.objID < p.objID"
+                )
             )
 
     def test_unparsable_sql_raises(self):
@@ -74,7 +93,7 @@ class TestStructure:
 
 class TestDeterminismValidation:
     def test_deterministic_function_passes(self, origin):
-        radial_query_template().validate(origin.catalog.functions)
+        register(radial_query_template(), origin.catalog.functions)
 
     def test_nondeterministic_function_fails(self, origin):
         from repro.sqlparser.parser import parse_expression
@@ -102,7 +121,7 @@ class TestDeterminismValidation:
             key_column="objID",
         )
         with pytest.raises(TemplateError, match="non-deterministic"):
-            template.validate(origin.catalog.functions)
+            register(template, origin.catalog.functions)
 
     def test_unregistered_function_fails(self, origin):
         template = make(
@@ -121,7 +140,7 @@ class TestDeterminismValidation:
         from repro.udf.registry import FunctionRegistry
 
         with pytest.raises(TemplateError, match="not registered"):
-            renamed.validate(FunctionRegistry())
+            register(renamed, FunctionRegistry())
 
 
 class TestBinding:

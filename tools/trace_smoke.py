@@ -18,6 +18,9 @@ Artifacts written next to the benchmark results:
   ``/explain/recent`` snapshot (decision actions, candidate verdicts,
   SLO state).
 
+Both tracers mint their ids from fixed seeds, so two runs write the
+same span export apart from each span's ``wall_ms``.
+
 Usage::
 
     python tools/trace_smoke.py [results_dir]
@@ -76,7 +79,9 @@ def main(argv: list[str]) -> int:
     origin = OriginServer(
         site.catalog,
         site.templates,
-        instrumentation=OriginInstrumentation(tracer=SpanTracer(capacity=64)),
+        instrumentation=OriginInstrumentation(
+            tracer=SpanTracer(capacity=64, ids=IdGenerator(11))
+        ),
     )
     origin_app = create_origin_app(origin)
     server = make_server("127.0.0.1", 0, origin_app)
