@@ -12,8 +12,9 @@ a fix hint.
 The analyzer (``analyze_*``) is a set of pass pipelines over function
 template XML, query templates, and info files (codes ``FP1xx`` /
 ``FP2xx``), wired into :class:`repro.templates.manager.TemplateManager`
-registration (an error rejects the template), the Flask apps'
-``GET /analyze``, and the offline CLI ``python -m repro.analysis``.
+registration (an error rejects the template; the manager keeps every
+diagnostic, which the Flask apps' ``GET /analyze`` serves), and the
+offline CLI ``python -m repro.analysis``.
 The repository's own lint (``FP3xx`` / ``FP401``) lives outside the
 package, in ``tools/lint.py``; it shares this package's diagnostic
 model and code registry.
@@ -27,7 +28,6 @@ from repro.analysis.analyzer import (
     analyze_function_template_xml,
     analyze_info_file,
     analyze_info_file_xml,
-    analyze_manager,
     analyze_path,
     analyze_query_template,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "analyze_function_template_xml",
     "analyze_info_file",
     "analyze_info_file_xml",
-    "analyze_manager",
     "analyze_path",
     "analyze_query_template",
     "code_info",

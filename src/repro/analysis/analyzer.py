@@ -5,8 +5,9 @@ relevant pass pipeline, and returns an :class:`AnalysisReport`.  The
 callers are:
 
 * :class:`repro.templates.manager.TemplateManager` — at registration,
-  rejecting artifacts with error diagnostics;
-* the Flask apps' ``GET /analyze`` endpoints and their startup report;
+  rejecting artifacts with error diagnostics and keeping every
+  diagnostic, which the Flask apps' ``GET /analyze`` and startup log
+  serve;
 * the offline CLI, ``python -m repro.analysis``.
 
 The XML entry points (``analyze_function_template_xml``,
@@ -19,7 +20,6 @@ problem into a diagnostic anchored in the text.
 from __future__ import annotations
 
 import pathlib
-from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import AnalysisReport, merge_reports
 from repro.analysis.passes import (
@@ -35,9 +35,6 @@ from repro.templates.function_template import (
 )
 from repro.templates.info_file import TemplateInfoFile, read_info_file
 from repro.templates.query_template import QueryTemplate
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.templates.manager import TemplateManager
 
 
 def analyze_function_template(
@@ -118,32 +115,6 @@ def analyze_info_file_xml(
     ctx = PassContext(subject=source, text=text, source=source)
     read_info_file(text, ctx.emit_at)
     return ctx.report
-
-
-def analyze_manager(manager: "TemplateManager") -> AnalysisReport:
-    """Analyze everything registered with a template manager, against
-    the function registry it holds (if any)."""
-    registry = manager.functions
-    reports: list[AnalysisReport] = []
-    for function_template in manager.function_templates():
-        reports.append(
-            analyze_function_template(function_template, registry)
-        )
-    for template_id in manager.query_template_ids():
-        reports.append(
-            analyze_query_template(
-                manager.query_template(template_id), registry
-            )
-        )
-    for info in manager.info_files():
-        try:
-            template: QueryTemplate | None = manager.query_template(
-                info.template_id
-            )
-        except Exception:
-            template = None
-        reports.append(analyze_info_file(info, template))
-    return merge_reports(reports)
 
 
 def analyze_path(path: str | pathlib.Path) -> AnalysisReport:

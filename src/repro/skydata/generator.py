@@ -18,6 +18,7 @@ Generation is deterministic given ``seed``.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,17 @@ PHOTO_PRIMARY_SCHEMA = Schema.of(
     ("camcol", ColumnType.INT),
     ("field", ColumnType.INT),
 )
+
+# A PhotoPrimary row as a numpy record and as the same bytes to unpack,
+# and the rows generated per batch.
+_CELLS = {ColumnType.INT: ("<i8", "q"), ColumnType.FLOAT: ("<f8", "d")}
+_ROW_DTYPE = np.dtype(
+    [(c.name, _CELLS[c.type][0]) for c in PHOTO_PRIMARY_SCHEMA]
+)
+_ROW_STRUCT = struct.Struct(
+    "<" + "".join(_CELLS[c.type][1] for c in PHOTO_PRIMARY_SCHEMA)
+)
+_CHUNK_ROWS = 4_096
 
 
 @dataclass(frozen=True)
@@ -140,32 +152,28 @@ def build_photo_primary(config: SkyCatalogConfig) -> Table:
     runs = rng.integers(100, 200, n)
     camcols = rng.integers(1, 7, n)
     fields = rng.integers(1, 1000, n)
+    columns = dict(
+        magnitudes, type=types, flags=flags, run=runs, camcol=camcols,
+        field=fields,
+    )
 
+    # The rows skip per-cell coercion: unpacking a record gives a tuple
+    # of the Python ints and floats the schema declares.  Records, not
+    # column lists, so each row's floats are allocated together and a
+    # query that reads a row reads adjacent memory; and a chunk at a
+    # time, so no whole-catalogue copy raises peak memory.
     table = Table("PhotoPrimary", PHOTO_PRIMARY_SCHEMA, primary_key="objID")
-    for idx in range(n):
-        ra = float(positions[idx, 0])
-        dec = float(positions[idx, 1])
-        cx, cy, cz = radec_to_unit(ra, dec)
-        table.insert(
-            (
-                idx + 1,
-                ra,
-                dec,
-                cx,
-                cy,
-                cz,
-                float(magnitudes["u"][idx]),
-                float(magnitudes["g"][idx]),
-                float(magnitudes["r"][idx]),
-                float(magnitudes["i"][idx]),
-                float(magnitudes["z"][idx]),
-                int(types[idx]),
-                int(flags[idx]),
-                int(runs[idx]),
-                int(camcols[idx]),
-                int(fields[idx]),
-            )
+    for start in range(0, n, _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        block = np.empty(len(positions[chunk]), _ROW_DTYPE)
+        block["objID"] = np.arange(start + 1, start + 1 + len(block))
+        block["ra"], block["dec"] = positions[chunk].T
+        block["cx"], block["cy"], block["cz"] = zip(
+            *map(radec_to_unit, block["ra"].tolist(), block["dec"].tolist())
         )
+        for name, column in columns.items():
+            block[name] = column[chunk]
+        table.append_typed(list(_ROW_STRUCT.iter_unpack(block.tobytes())))
     return table
 
 

@@ -46,9 +46,10 @@ the same trace id for one query.  A malformed header degrades to a
 fresh local trace, never an error.
 
 ``GET /analyze``
-    A fresh static-cacheability analysis of the site's registered
-    templates, checked against the origin's own function catalog (so
-    determinism, property 1, is verified too).
+    The static-cacheability diagnostics registration recorded for the
+    site's templates, refused ones included, checked there against the
+    origin's own function catalog (so determinism, property 1, is
+    verified too).
 
 ``GET /timeseries`` / ``GET /events`` / ``GET /health``
     The live-telemetry surface (origin lanes, sampled on the origin's
@@ -61,7 +62,7 @@ caller should charge to its clock.
 
 from __future__ import annotations
 
-from repro.analysis.analyzer import analyze_manager
+from repro.analysis.diagnostics import AnalysisReport
 from repro.geometry.regions import Region, region_from_dict
 from repro.obs.propagation import parse_traceparent
 from repro.server.origin import OriginServer
@@ -84,7 +85,7 @@ def create_origin_app(origin: OriginServer):
     instrumentation=OriginInstrumentation(tracer=...))``.
     """
     app, request = flask_app("repro-origin")
-    startup = analyze_manager(origin.templates)
+    startup = AnalysisReport(origin.templates.analysis_diagnostics())
     app.logger.info("template analysis at startup: %s", startup.summary())
     for diagnostic in startup:
         app.logger.warning("%s", diagnostic.format())
@@ -162,7 +163,9 @@ def create_origin_app(origin: OriginServer):
 
     @app.get("/analyze")
     def analyze():
-        return analyze_manager(origin.templates).to_dict()
+        return AnalysisReport(
+            origin.templates.analysis_diagnostics()
+        ).to_dict()
 
     @app.get("/health")
     def health():

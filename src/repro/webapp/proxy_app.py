@@ -52,9 +52,9 @@ The HTTP face of :class:`~repro.core.proxy.FunctionProxy`:
     victim rationale, and the linked trace id.
 
 ``GET /analyze``
-    A fresh static-cacheability analysis of every registered template
-    (codes, severities, source spans, hints) as JSON — the same report
-    logged once at startup.
+    The static-cacheability diagnostics registration recorded (codes,
+    severities, source spans, hints), refused templates included, as
+    JSON — the same report logged once at startup.
 
 ``POST /cache/clear``
     Drops every cached entry (for experiment hygiene between runs).
@@ -90,7 +90,7 @@ The HTTP face of :class:`~repro.core.proxy.FunctionProxy`:
 
 from __future__ import annotations
 
-from repro.analysis.analyzer import analyze_manager
+from repro.analysis.diagnostics import AnalysisReport
 from repro.core.proxy import FunctionProxy
 from repro.faults.errors import FaultPlanError
 from repro.faults.plan import FaultPlan
@@ -111,9 +111,10 @@ def create_proxy_app(proxy: FunctionProxy):
     """
     app, request = flask_app("repro-proxy")
 
-    # Startup report: analyze what the proxy booted with, so a template
-    # problem is visible in the log before the first query hits it.
-    startup = analyze_manager(proxy.templates)
+    # Startup report: what registration found in the templates the
+    # proxy booted with, so a template problem is visible in the log
+    # before the first query hits it.
+    startup = AnalysisReport(proxy.templates.analysis_diagnostics())
     app.logger.info("template analysis at startup: %s", startup.summary())
     for diagnostic in startup:
         app.logger.warning("%s", diagnostic.format())
@@ -184,7 +185,9 @@ def create_proxy_app(proxy: FunctionProxy):
 
     @app.get("/analyze")
     def analyze():
-        return analyze_manager(proxy.templates).to_dict()
+        return AnalysisReport(
+            proxy.templates.analysis_diagnostics()
+        ).to_dict()
 
     @app.post("/cache/clear")
     def clear():

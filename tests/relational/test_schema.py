@@ -87,3 +87,69 @@ class TestTable:
         table = Table("people", people_schema())
         with pytest.raises(SchemaError):
             table.insert(("one", "ada", 36))
+
+
+class TestAppendTyped:
+    """The bulk path skips cell coercion and nothing else: a refused
+    batch leaves the table as it was."""
+
+    @pytest.fixture()
+    def table(self):
+        table = Table("people", people_schema(), primary_key="id")
+        table.insert((1, "ada", 36))
+        return table
+
+    def assert_unchanged(self, table):
+        assert len(table) == 1
+        assert table.lookup(1) == (1, "ada", 36)
+        assert table.lookup(2) is None
+
+    def test_appended_rows_are_found_by_lookup(self, table):
+        table.append_typed([(2, "alan", 41), (3, "grace", 85)])
+        assert len(table) == 3
+        assert table.lookup(3) == (3, "grace", 85)
+        assert table.rows[1] == (2, "alan", 41)
+
+    def test_null_key_refuses_the_batch(self, table):
+        with pytest.raises(
+            SchemaError, match="^NULL primary key in table 'people'$"
+        ):
+            table.append_typed([(2, "alan", 41), (None, "grace", 85)])
+        self.assert_unchanged(table)
+
+    def test_key_duplicated_within_the_batch_refuses_it(self, table):
+        with pytest.raises(
+            SchemaError, match="^duplicate primary key 2 in table 'people'$"
+        ):
+            table.append_typed([(2, "alan", 41), (2, "grace", 85)])
+        self.assert_unchanged(table)
+
+    def test_key_duplicated_against_an_insert_refuses_the_batch(self, table):
+        with pytest.raises(
+            SchemaError, match="^duplicate primary key 1 in table 'people'$"
+        ):
+            table.append_typed([(2, "alan", 41), (1, "grace", 85)])
+        self.assert_unchanged(table)
+
+    def test_wrong_width_refuses_the_batch(self, table):
+        with pytest.raises(
+            SchemaError, match="^row has 2 values, schema has 3 columns$"
+        ):
+            table.append_typed([(2, "alan", 41), (3, "grace")])
+        self.assert_unchanged(table)
+
+    def test_insert_keeps_the_same_texts(self, table):
+        with pytest.raises(
+            SchemaError, match="^duplicate primary key 1 in table 'people'$"
+        ):
+            table.insert((1, "alan", 41))
+        with pytest.raises(
+            SchemaError, match="^NULL primary key in table 'people'$"
+        ):
+            table.insert((None, "alan", 41))
+        self.assert_unchanged(table)
+
+    def test_insert_many_refuses_a_batch_whole(self, table):
+        with pytest.raises(SchemaError, match="^expected int, got 'x'$"):
+            table.insert_many([(2, "alan", 41), ("x", "grace", 85)])
+        self.assert_unchanged(table)

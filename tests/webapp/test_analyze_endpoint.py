@@ -5,6 +5,7 @@ import pytest
 flask = pytest.importorskip("flask")
 
 from repro.core.proxy import FunctionProxy
+from repro.server.origin import OriginServer
 from repro.sqlparser.parser import parse_select
 from repro.templates.errors import TemplateAnalysisError
 from repro.templates.manager import TemplateManager
@@ -15,11 +16,20 @@ from repro.templates.skyserver_templates import (
 )
 from repro.webapp.origin_app import create_origin_app
 from repro.webapp.proxy_app import create_proxy_app
+from tests.conftest import SMALL_SKY
+
+
+@pytest.fixture(scope="module")
+def own_origin():
+    """An origin of its own: ``/analyze`` serves every diagnostic its
+    manager's registrations recorded, so the shared origin would also
+    list what other tests tried to register there."""
+    return OriginServer.skyserver(SMALL_SKY)
 
 
 @pytest.fixture()
-def origin_client(origin):
-    return create_origin_app(origin).test_client()
+def origin_client(own_origin):
+    return create_origin_app(own_origin).test_client()
 
 
 class TestOriginAnalyze:
@@ -38,15 +48,17 @@ class TestOriginAnalyze:
 
 
 class TestProxyAnalyze:
-    def test_clean_proxy_reports_no_errors(self, origin):
+    def test_clean_proxy_reports_no_errors(self, own_origin):
         client = create_proxy_app(
-            FunctionProxy(origin, origin.templates)
+            FunctionProxy(own_origin, own_origin.templates)
         ).test_client()
         payload = client.get("/analyze").get_json()
         assert payload["errors"] == 0
         assert "degraded_templates" not in payload
 
-    def test_refused_template_is_absent(self, origin):
+    def test_refused_template_is_reported(self, origin):
+        """``/analyze`` serves what registration recorded, so a refused
+        template's diagnostics are listed although it is not registered."""
         manager = TemplateManager()
         register_skyserver_templates(manager)
         sql = (
@@ -68,5 +80,10 @@ class TestProxyAnalyze:
             FunctionProxy(origin, manager)
         ).test_client()
         payload = client.get("/analyze").get_json()
-        assert payload["errors"] == 0
+        assert payload["errors"] == 1
+        (refusal,) = [
+            d for d in payload["diagnostics"] if d["severity"] == "error"
+        ]
+        assert refusal["code"] == "FP206"
+        assert refusal["subject"] == "t.bad"
         assert "t.bad" not in manager.query_template_ids()
