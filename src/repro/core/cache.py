@@ -22,11 +22,15 @@ Design notes
   ever called from inside those scopes (see DESIGN.md, lock roles).
   The cache *description* is owned
   by this manager and mutated only under the same lock — that
-  ownership convention is why ``core/description.py`` itself carries
-  no registrations.  Multi-step lookups also take the lock:
-  ``exact_match`` reads ``_by_key`` and ``_entries`` in one critical
-  section (a lock-free reader could see the gap a concurrent eviction
-  opens between the two dicts).  ``entries()`` snapshots under the
+  ownership convention is why ``core/description.py`` registers its
+  fields under ``proxy.cache`` and takes no lock of its own.
+  Multi-step lookups also take the lock: ``exact_match`` reads
+  ``_by_key`` and ``_entries`` in one critical section (a lock-free
+  reader could see the gap a concurrent eviction opens between the
+  two dicts), and ``candidates`` runs the description's probe, which
+  bisects a sorted list and then slices it (a concurrent insert or
+  delete between the two would shift the slice off the rows it
+  meant).  ``entries()`` snapshots under the
   lock so callers can iterate while another thread stores.
   Single-dict reads (``__len__``, ``entry``) stay lock-free — CPython
   dict gets are atomic.  Candidates handed out by the description can
@@ -175,6 +179,14 @@ class CacheManager:
             if entry_id is None:
                 return None
             return self._entries[entry_id]
+
+    def candidates(
+        self, template_id: str, region: Region
+    ) -> tuple[list[CacheEntry], float]:
+        """The description's probe, under the lock: it bisects and then
+        slices the rows ``store`` inserts and deletes in place."""
+        with self._lock:
+            return self.description.candidates(template_id, region)
 
     def exact_match_pinned(
         self, bound: BoundQuery

@@ -690,14 +690,14 @@ class FunctionProxy:
         time, not modelled time).
         """
         decision = observation.decision
-        description = self.cache.description
-        probe_stage = f"probe.{getattr(description, 'kind', 'custom')}"
+        kind = getattr(self.cache.description, "kind", "custom")
+        probe_stage = f"probe.{kind}"
         with observation.phase("check") as check:
             # The probe sub-stage carries calls, wall time, and region
             # counters; its simulated cost is charged to the enclosing
             # ``check`` step (the cost model's unit of account).
             with observation.stage(probe_stage, hidden=True) as probe:
-                candidates, probe_ms = description.candidates(
+                candidates, probe_ms = self.cache.candidates(
                     bound.template_id, bound.region
                 )
                 probe.count("candidates", len(candidates))

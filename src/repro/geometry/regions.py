@@ -109,8 +109,8 @@ class HyperRect(Region):
             raise GeometryError("lows and highs must have the same length")
         if not self.lows:
             raise GeometryError("a hyperrectangle needs at least one dimension")
-        object.__setattr__(self, "lows", tuple(float(x) for x in self.lows))
-        object.__setattr__(self, "highs", tuple(float(x) for x in self.highs))
+        object.__setattr__(self, "lows", tuple(map(float, self.lows)))
+        object.__setattr__(self, "highs", tuple(map(float, self.highs)))
 
     @property
     def dims(self) -> int:  # type: ignore[override]
@@ -209,7 +209,17 @@ class HyperSphere(Region):
         return lambda row: sum([(row[p] - c) ** 2 for p, c in pairs]) <= limit
 
     def bounding_box(self) -> HyperRect:
-        return HyperRect.from_center(self.center, (self.radius,) * self.dims)
+        # Built once per sphere: a query's box is read by the probe and
+        # again by ``add`` when its result is cached.
+        box = self.__dict__.get("_box")
+        if box is None:
+            center, radius = self.center, self.radius
+            box = HyperRect(
+                tuple([c - radius for c in center]),
+                tuple([c + radius for c in center]),
+            )
+            object.__setattr__(self, "_box", box)
+        return box
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ Generation is deterministic given ``seed``.
 
 from __future__ import annotations
 
+import gc
 import struct
 from dataclasses import dataclass, field
 
@@ -161,19 +162,27 @@ def build_photo_primary(config: SkyCatalogConfig) -> Table:
     # of the Python ints and floats the schema declares.  Records, not
     # column lists, so each row's floats are allocated together and a
     # query that reads a row reads adjacent memory; and a chunk at a
-    # time, so no whole-catalogue copy raises peak memory.
+    # time, so no whole-catalogue copy raises peak memory.  Cyclic GC
+    # is off meanwhile: tuples of numbers cannot form a cycle, yet each
+    # chunk's new rows would trigger young-generation passes over them.
     table = Table("PhotoPrimary", PHOTO_PRIMARY_SCHEMA, primary_key="objID")
-    for start in range(0, n, _CHUNK_ROWS):
-        chunk = slice(start, start + _CHUNK_ROWS)
-        block = np.empty(len(positions[chunk]), _ROW_DTYPE)
-        block["objID"] = np.arange(start + 1, start + 1 + len(block))
-        block["ra"], block["dec"] = positions[chunk].T
-        block["cx"], block["cy"], block["cz"] = zip(
-            *map(radec_to_unit, block["ra"].tolist(), block["dec"].tolist())
-        )
-        for name, column in columns.items():
-            block[name] = column[chunk]
-        table.append_typed(list(_ROW_STRUCT.iter_unpack(block.tobytes())))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for start in range(0, n, _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            block = np.empty(len(positions[chunk]), _ROW_DTYPE)
+            block["objID"] = np.arange(start + 1, start + 1 + len(block))
+            block["ra"], block["dec"] = positions[chunk].T
+            block["cx"], block["cy"], block["cz"] = zip(*map(
+                radec_to_unit, block["ra"].tolist(), block["dec"].tolist()
+            ))
+            for name, column in columns.items():
+                block[name] = column[chunk]
+            table.append_typed(list(_ROW_STRUCT.iter_unpack(block.tobytes())))
+    finally:
+        if collecting:
+            gc.enable()
     return table
 
 

@@ -170,6 +170,138 @@ def test_nan_coordinates_stay_candidates_as_intersect_keeps_them(kind):
         assert sorted(e.entry_id for e in found) == reference(live, query)
 
 
+def scan_reference(live, query):
+    """Insertion-ordered ids the flat linear scan keeps: the four
+    comparisons on every axis of every live entry.  It differs from
+    ``intersect`` only on a box with a NaN on one edge of an axis,
+    which the scan rejects by its other edge."""
+    box = query.bounding_box()
+
+    def kept(entry):
+        own = entry.region.bounding_box()
+        return not any(
+            lo > q_hi + EPSILON
+            or q_lo > hi + EPSILON
+            or lo > hi + EPSILON
+            or q_lo > q_hi + EPSILON
+            for lo, hi, q_lo, q_hi in zip(
+                own.lows, own.highs, box.lows, box.highs
+            )
+        )
+
+    return [entry.entry_id for entry in live.values() if kept(entry)]
+
+
+def check_array(description, live, queries, oracle=reference):
+    for query in queries:
+        found, _ = description.candidates(TEMPLATE, query)
+        assert [e.entry_id for e in found] == oracle(live, query)
+
+
+def add_all(description, regions, first_id=1):
+    live = {}
+    for entry_id, region in enumerate(regions, first_id):
+        live[entry_id] = entry_for(entry_id, region)
+        description.add(live[entry_id])
+    return live
+
+
+def test_array_sorts_on_a_spread_axis_when_one_is_degenerate():
+    """Every box at z = 0 (the scalability bench's grid): the array
+    must not sort on z, where every low edge is equal."""
+    description = ArrayDescription()
+    live = add_all(
+        description,
+        [
+            HyperSphere((i % 9 * 0.3, i // 9 * 0.2, 0.0), 0.25)
+            for i in range(90)
+        ],
+    )
+    assert description._zones[TEMPLATE].axis != 2
+    queries = [
+        HyperSphere((x * 0.35, y * 0.45, 0.0), r)
+        for x in range(8)
+        for y in range(5)
+        for r in (0.0, 0.3)
+    ] + [HyperRect((-9.0, -9.0, -EPSILON), (9.0, 9.0, -EPSILON))]
+    check_array(description, live, queries)
+
+
+def test_array_probe_after_the_widest_box_leaves():
+    description = ArrayDescription()
+    live = add_all(
+        description,
+        [HyperRect((0.0, 0.0), (5.0, 1.0))]
+        + [HyperSphere((i * 0.5, (i % 3) * 0.5), 0.1) for i in range(12)],
+    )
+    queries = [HyperSphere((x * 0.4, 0.5), 0.05) for x in range(16)]
+    check_array(description, live, queries)
+    description.remove(live.pop(1))
+    check_array(description, live, queries)
+    live.update(
+        add_all(description, [HyperRect((2.0, -1.0), (3.0, 2.0))], 100)
+    )
+    check_array(description, live, queries)
+
+
+def test_array_nan_on_the_sort_axis():
+    """A NaN edge on the sort axis cannot be bisected: such a row is
+    read by every probe, and a query with such a NaN reads every row,
+    as the scan did."""
+    nan = float("nan")
+    description = ArrayDescription()
+    live = add_all(
+        description,
+        [HyperSphere((0.0, y * 1.0), 0.5) for y in range(6)]
+        + [
+            HyperSphere((0.0, nan), 0.5),
+            HyperRect((-0.5, 2.0), (0.5, nan)),
+            HyperRect((-0.5, nan), (0.5, 9.0)),
+            HyperRect((-0.5, 30.0), (0.5, 30.0)),
+        ],
+    )
+    zone = description._zones[TEMPLATE]
+    assert zone.axis == 1
+    assert len(zone.side) == 3
+    queries = [
+        HyperSphere((0.0, nan), 1.0),
+        HyperRect((-1.0, nan), (1.0, 2.0)),
+        HyperRect((-1.0, 2.0), (1.0, nan)),
+        HyperSphere((0.0, 3.0), 0.2),
+        HyperSphere((nan, 3.0), 0.2),
+        HyperSphere((0.0, 40.0), 0.2),
+        HyperRect((-1.0, -50.0), (1.0, -40.0)),
+    ]
+    check_array(description, live, queries, scan_reference)
+    for entry_id in (8, 3, 7):
+        description.remove(live.pop(entry_id))
+        check_array(description, live, queries, scan_reference)
+
+
+def test_array_many_equal_sort_keys():
+    """Equal low edges keep their add order, and ``remove`` takes out
+    exactly the row it names among them."""
+    description = ArrayDescription()
+    live = add_all(
+        description,
+        [HyperRect((1.0, y * 0.1), (1.0 + w, y * 0.1 + 0.5))
+         for y in range(4)
+         for w in (0.0, 2.0, 0.5, 1.0)]
+        + [HyperRect((0.0, 0.0), (9.0, 0.0))],
+    )
+    queries = [
+        HyperSphere((x * 0.5, y * 0.25), 0.1)
+        for x in range(8)
+        for y in range(4)
+    ]
+    check_array(description, live, queries)
+    for victim in (6, 2, 14, 15, 1, 9):
+        description.remove(live.pop(victim))
+        check_array(description, live, queries)
+    live.update(add_all(description, [HyperRect((1.0, 0.0), (2.0, 0.2))], 50))
+    check_array(description, live, queries)
+
+
 @pytest.fixture()
 def hyperrects_built(monkeypatch):
     """Counts every ``HyperRect`` constructed, by any route."""
@@ -254,9 +386,9 @@ def test_boxes_reaching_a_description_were_checked_at_the_boundary(
 def test_probe_never_raises_while_another_thread_stores(
     kind, templates, origin, radial_params
 ):
-    """``candidates`` runs outside ``proxy.cache``; ``store`` adds and
-    evicts under it.  The probe works on a snapshot, so it may see a
-    stale description but never a dictionary that changed size."""
+    """``store`` adds and evicts under ``proxy.cache``, and the serve
+    path's probe, ``CacheManager.candidates``, takes the same lock: the
+    array's bisect and slice never see a list that moved between them."""
     bounds = [
         templates.bind(
             RADIAL_TEMPLATE_ID,
@@ -285,7 +417,7 @@ def test_probe_never_raises_while_another_thread_stores(
         try:
             i = 0
             while not done.is_set() or i < iterations:
-                cache.description.candidates(
+                cache.candidates(
                     RADIAL_TEMPLATE_ID, bounds[i % len(bounds)].region
                 )
                 i += 1

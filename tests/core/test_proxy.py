@@ -223,8 +223,12 @@ class TestSoundnessGuards:
         from repro.sqlparser.parser import parse_expression
         from repro.templates.errors import TemplateAnalysisError
         from repro.templates.function_template import FunctionTemplate, Shape
+        from repro.templates.manager import TemplateManager
         from repro.templates.query_template import QueryTemplate
 
+        # A fresh manager over the site's functions: the session-shared
+        # one would keep this refusal's diagnostics for later tests.
+        manager = TemplateManager(origin.catalog.functions)
         ftemplate = FunctionTemplate(
             name="fRandomSample",
             params=("count",),
@@ -247,9 +251,9 @@ class TestSoundnessGuards:
             key_column="objID",
         )
         with pytest.raises(TemplateAnalysisError) as refused:
-            origin.templates.register_query_template(template)
+            manager.register_query_template(template)
         assert refused.value.report.codes() == {"FP210"}
-        assert "t.random" not in origin.templates.query_template_ids()
+        assert "t.random" not in manager.query_template_ids()
 
     def test_the_proxy_never_reads_the_origin_catalog(
         self, origin, bind
