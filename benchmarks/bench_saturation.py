@@ -18,7 +18,7 @@ rejected at admission while the queue is full — the operation the
 proxy performs tens of thousands of times per run at the top rung.
 """
 
-from repro.admission import AdmissionConfig, AdmissionController
+from repro.admission import AdmissionConfig
 from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome
 from repro.harness.saturation import run_saturation, stitch_telemetry
@@ -96,12 +96,10 @@ def test_saturation(
         CachingScheme.FULL_SEMANTIC,
         "array",
         None,
-        admission=AdmissionController(
-            AdmissionConfig(max_inflight=1, max_queue_depth=1)
-        ),
+        admission=AdmissionConfig(max_inflight=1, max_queue_depth=1),
     )
     # Occupy the slot and the queue position and never release them.
-    while proxy.admission.try_admit("default", proxy.clock.now_ms).admitted:
+    while proxy.admission.try_admit("default").admitted:
         pass
     bound = runner.origin.templates.bind(
         RADIAL_TEMPLATE_ID, runner.trace[0].param_dict()

@@ -16,7 +16,10 @@ package owns that decision:
   runtime gate: a bounded accept queue, token buckets, and an overload
   :class:`~repro.faults.resilience.CircuitBreaker` fed by queue-full
   sheds so sustained overflow fast-fails new arrivals for
-  :data:`~repro.admission.config.OVERLOAD_COOLDOWN_MS`.
+  :data:`~repro.admission.config.OVERLOAD_COOLDOWN_MS`.  The proxy
+  builds it from ``FunctionProxy(admission=AdmissionConfig(...))``,
+  bound to its telemetry bundle; it reads time from the bundle's
+  clock, so no caller passes it one.
 
 Turned-away queries surface as structured ``shed`` /
 ``queued-timeout`` outcomes (HTTP 429/503) with full query records and

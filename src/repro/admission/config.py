@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
 #: Queued work older than this at dispatch time is dropped with a
 #: ``queued-timeout`` outcome.
@@ -86,3 +86,12 @@ class AdmissionConfig:
     def capacity(self) -> int:
         """Slots plus queue: the most work the proxy ever holds."""
         return self.max_inflight + self.max_queue_depth
+
+    def describe(self) -> dict[str, Any]:
+        """The JSON-able view ``GET /admission`` reports as ``config``."""
+        return {
+            "max_inflight": self.max_inflight,
+            "max_queue_depth": self.max_queue_depth,
+            "queue_deadline_ms": QUEUE_DEADLINE_MS,
+            "tenants": sorted(self.quotas),
+        }

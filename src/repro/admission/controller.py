@@ -14,13 +14,18 @@ One :class:`AdmissionController` sits in front of
   (:meth:`AdmissionController.dequeue`), dropping queued work whose
   deadline passed (``queued-timeout``).
 
+The controller is built by the proxy, bound to the proxy's telemetry
+bundle from birth, and reads time where the bundle keeps it
+(``obs.clock``): the proxy's work clock on the direct path, the event
+loop once a :mod:`repro.sched` frontend rebinds it.  No caller hands
+it a time.
+
 Backpressure: every queue-full shed records a failure on an internal
 :class:`~repro.faults.resilience.CircuitBreaker`; sustained overflow
 opens it and new arrivals fast-fail (``admission-open``) for the
 cooldown, after which a half-open probe re-tests capacity.  The
-breaker's clock is the controller itself: its ``now_ms`` is the latest
-caller-passed event time, so cooldowns follow the load timeline
-rather than the work clock.
+breaker's clock is the controller's ``now_ms``, the bundle's clock, so
+cooldowns follow the same timeline as the telemetry.
 
 All mutable state is guarded by the ``proxy.admission`` named lock;
 observer callbacks fire after the lock is released.
@@ -43,11 +48,17 @@ from repro.admission.config import (
 )
 from repro.faults.resilience import BreakerState, CircuitBreaker
 from repro.locking import guarded_by, named_lock
+from repro.network.clock import Clock
 from repro.obs.events import BREAKER_EVENT_CODES, SHED_POLICY_EVENT_CODES
 
 
 class AdmissionListener(Protocol):
-    """Metrics hooks the controller drives (outside its lock)."""
+    """The telemetry bundle the controller is bound to: the clock it
+    reads, and the metrics hooks it drives (outside its lock)."""
+
+    clock: Clock
+
+    def set_admission_queue_limit(self, limit: int | None) -> None: ...
 
     def admission_queue_depth(self, depth: int) -> None: ...
 
@@ -88,7 +99,8 @@ class QueuedRequest:
 
 @guarded_by("proxy.admission", "_tokens", "_stamp_ms")
 class TokenBucket:
-    """A token bucket on explicit event time (caller passes now)."""
+    """A token bucket on event time; its controller passes the gate's
+    one clock reading."""
 
     def __init__(self, quota: TenantQuota) -> None:
         self._lock = named_lock("proxy.admission")
@@ -118,9 +130,7 @@ class TokenBucket:
 @guarded_by(
     "proxy.admission",
     "_queue",
-    "_now_ms",
     "_inflight",
-    "_obs",
     "submitted",
     "admitted",
     "shed",
@@ -131,8 +141,10 @@ class TokenBucket:
 class AdmissionController:
     """The admission gate in front of the proxy's serve path."""
 
-    def __init__(self, config: AdmissionConfig | None = None) -> None:
-        self.config = config or AdmissionConfig()
+    def __init__(
+        self, config: AdmissionConfig, obs: AdmissionListener
+    ) -> None:
+        self.config = config
         self._lock = named_lock("proxy.admission")
         self._queue: deque[QueuedRequest] = deque(
             maxlen=self.config.max_queue_depth
@@ -142,11 +154,9 @@ class AdmissionController:
             for tenant, quota in self.config.quotas.items()
         }
         self._inflight = 0
-        #: Event time, fast-forwarded to each caller-passed ``now_ms``:
-        #: the overload breaker reads it as its clock, so breaker
-        #: cooldowns run on the load timeline.
-        self._now_ms = 0.0
-        self._obs: AdmissionListener | None = None
+        #: Read-only after construction; its ``clock`` is read at each
+        #: call, never kept, because a frontend rebinds it to the loop.
+        self._obs = obs
         self._overload = CircuitBreaker(
             self,
             failure_threshold=self.config.overload_threshold,
@@ -159,20 +169,12 @@ class AdmissionController:
         self.timeouts = 0
         self._shed_by_reason: dict[str, int] = {}
         self._quota_denials: dict[str, int] = {}
-
-    # ---------------------------------------------------------- binding
-    def bind(self, instrumentation: AdmissionListener) -> None:
-        """Attach the proxy's instrumentation: every hook, and the
-        overload breaker's transitions from now on, reach it, starting
-        with the CLOSED gauge.  Called once by the proxy's constructor.
-        """
-        with self._lock:
-            self._obs = instrumentation
-        instrumentation.admission_overload_transition(BreakerState.CLOSED)
+        obs.admission_overload_transition(BreakerState.CLOSED)
+        obs.set_admission_queue_limit(self.config.max_queue_depth)
 
     def _overload_transition(self, state: BreakerState) -> None:
         """The overload breaker's state-change callback, forwarded to
-        the bound listener.
+        the bundle.
 
         Each transition updates the overload gauge, lands on the
         flight recorder as an EV01-03 breaker event (payload
@@ -183,8 +185,6 @@ class AdmissionController:
         safe.
         """
         obs = self._obs
-        if obs is None:
-            return
         obs.admission_overload_transition(state)
         obs.telemetry_event(
             BREAKER_EVENT_CODES[state.value], breaker="admission-overload"
@@ -194,14 +194,14 @@ class AdmissionController:
             obs.telemetry_event(shed_code)
 
     # ------------------------------------------------------- direct gate
-    def try_admit(self, tenant: str, now_ms: float) -> AdmissionVerdict:
+    def try_admit(self, tenant: str) -> AdmissionVerdict:
         """Admission for a direct (threaded) ``serve()`` call.
 
         Capacity is slots plus backlog: callers beyond ``max_inflight``
         count as queued backlog even though their threads run
         immediately (the simulated clock carries the waiting).
         """
-        return self._gate(tenant, now_ms, self._take_slot)
+        return self._gate(tenant, lambda now_ms: self._take_slot())
 
     def release(self) -> None:
         """An admitted query finished (however it ended)."""
@@ -211,29 +211,28 @@ class AdmissionController:
         self._notify_depth()
 
     # ------------------------------------------------------ queued gate
-    def enqueue(
-        self, item: Any, tenant: str, now_ms: float
-    ) -> AdmissionVerdict:
+    def enqueue(self, item: Any, tenant: str) -> AdmissionVerdict:
         """Park one arrival in the accept queue; a full queue sheds it."""
-        return self._gate(tenant, now_ms, lambda: self._park(item, now_ms))
+        return self._gate(tenant, lambda now_ms: self._park(item, now_ms))
 
     def _gate(
-        self, tenant: str, now_ms: float, take: Callable[[], bool]
+        self, tenant: str, take: Callable[[float], bool]
     ) -> AdmissionVerdict:
         """Both gates' checks, in order: quota (per-tenant, independent
         of load), then the overload breaker, then ``take`` — which
         claims room (a slot or a queue place) and says whether there
         was any — so a breaker probe always resolves against a real
-        capacity test."""
+        capacity test.  The bucket and ``take`` share one clock
+        reading."""
+        now_ms = self.now_ms
         shed_reason = ""
         with self._lock:
             self.submitted += 1
-            self._advance_event_time(now_ms)
             if not self._take_token(tenant, now_ms):
                 shed_reason = REASON_QUOTA
             elif not self._overload.allow():
                 shed_reason = REASON_ADMISSION_OPEN
-            elif take():
+            elif take(now_ms):
                 self._overload.record_success()
             else:
                 shed_reason = REASON_QUEUE_FULL
@@ -241,13 +240,13 @@ class AdmissionController:
             if shed_reason:
                 self._count_shed(shed_reason)
         if shed_reason == REASON_QUOTA:
-            self._notify_quota_denied(tenant)
+            self._obs.admission_quota_denied(tenant)
         self._notify_depth()
         self._notify_quota(tenant)
         return AdmissionVerdict(admitted=not shed_reason, reason=shed_reason)
 
     def dequeue(
-        self, now_ms: float
+        self,
     ) -> tuple[QueuedRequest | None, float, list[QueuedRequest]]:
         """Dispatch the next queued request, if a slot is free.
 
@@ -257,10 +256,10 @@ class AdmissionController:
         past the deadline (the caller owes each a ``queued-timeout``
         record).
         """
+        now_ms = self.now_ms
         expired: list[QueuedRequest] = []
         got: QueuedRequest | None = None
         with self._lock:
-            self._advance_event_time(now_ms)
             if self._inflight < self.config.max_inflight:
                 while self._queue:
                     head = self._queue.popleft()
@@ -274,17 +273,12 @@ class AdmissionController:
                     self.admitted += 1
                     break
         waited_ms = 0.0 if got is None else now_ms - got.enqueued_at_ms
-        obs = self._obs
-        if obs is not None and got is not None:
-            obs.admission_queue_wait(waited_ms)
+        if got is not None:
+            self._obs.admission_queue_wait(waited_ms)
         self._notify_depth()
         return got, waited_ms, expired
 
     # --------------------------------------------------------- lock-held
-    def _advance_event_time(self, now_ms: float) -> None:
-        """Fast-forward the event time to ``now_ms``."""
-        self._now_ms = max(self._now_ms, now_ms)
-
     def _take_token(self, tenant: str, now_ms: float) -> bool:
         bucket = self._buckets.get(tenant)
         if bucket is None:
@@ -316,28 +310,20 @@ class AdmissionController:
         )
 
     # -------------------------------------------------------- observers
-    def _notify_quota_denied(self, tenant: str) -> None:
-        obs = self._obs
-        if obs is not None:
-            obs.admission_quota_denied(tenant)
-
     def _notify_depth(self) -> None:
-        obs = self._obs
-        if obs is not None:
-            obs.admission_queue_depth(len(self._queue))
-            obs.admission_inflight(self._inflight)
+        self._obs.admission_queue_depth(len(self._queue))
+        self._obs.admission_inflight(self._inflight)
 
     def _notify_quota(self, tenant: str) -> None:
-        obs = self._obs
         bucket = self._buckets.get(tenant)
-        if obs is not None and bucket is not None:
-            obs.admission_quota_tokens(tenant, bucket.tokens)
+        if bucket is not None:
+            self._obs.admission_quota_tokens(tenant, bucket.tokens)
 
     # ------------------------------------------------------- monitoring
     @property
     def now_ms(self) -> float:
-        """The event time: the overload breaker's clock."""
-        return self._now_ms
+        """The bundle's time: the overload breaker's clock."""
+        return self._obs.clock.now_ms
 
     @property
     def queue_depth(self) -> int:
@@ -359,12 +345,7 @@ class AdmissionController:
         """A JSON-able status view (the ``GET /admission`` payload)."""
         with self._lock:
             return {
-                "config": {
-                    "max_inflight": self.config.max_inflight,
-                    "max_queue_depth": self.config.max_queue_depth,
-                    "queue_deadline_ms": QUEUE_DEADLINE_MS,
-                    "tenants": sorted(self._buckets),
-                },
+                "config": self.config.describe(),
                 "queue_depth": len(self._queue),
                 "inflight": self._inflight,
                 "submitted": self.submitted,

@@ -182,12 +182,6 @@ class AnalysisReport:
     def codes(self) -> set[str]:
         return {d.code for d in self.diagnostics}
 
-    def count_by_code(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for diagnostic in self.diagnostics:
-            counts[diagnostic.code] = counts.get(diagnostic.code, 0) + 1
-        return counts
-
     # --------------------------------------------------------- rendering
     def summary(self) -> str:
         n_errors = len(self.errors)

@@ -93,9 +93,7 @@ class ClusterFrontend:
                 bound, tenant=tenant, on_done=finish
             )
         else:
-            response = self.router.undispatched_response(
-                bound, tenant, decision
-            )
+            response = self.router.undispatched_response(bound, decision)
             self.loop.after(
                 response.record.response_ms, lambda: finish(response)
             )

@@ -450,7 +450,7 @@ class ShardRouter:
             shard = self._shards[decision.dispatched]
             response = shard.proxy.serve(bound, tenant=tenant)
         else:
-            response = self.undispatched_response(bound, tenant, decision)
+            response = self.undispatched_response(bound, decision)
         if isinstance(self.clock, SimulatedClock):
             self.clock.advance(response.record.response_ms)
         self.sample_telemetry(statuses)
@@ -464,19 +464,15 @@ class ShardRouter:
         return response
 
     def undispatched_response(
-        self,
-        bound: "BoundQuery",
-        tenant: str,
-        decision: RouteDecision,
+        self, bound: "BoundQuery", decision: RouteDecision
     ) -> "ProxyResponse":
         """The no-shard-took-it path: origin tunnel, else structured shed.
 
-        The fallback tunnels by its own scheme (no cache work); the
-        shed is recorded against the primary shard so turned-away
-        traffic shows up in that shard's stats and outcome counts.  ``tenant`` is accepted for signature symmetry — the
-        fallback proxy runs without admission, so no quota applies.
+        The fallback tunnels by its own scheme (no cache work, and no
+        admission, so no quota applies); the shed is recorded against
+        the primary shard so turned-away traffic shows up in that
+        shard's stats and outcome counts.
         """
-        del tenant
         if self.config.failover and self.fallback is not None:
             self._metric_tunnel.inc()
             return self.fallback.serve_admitted(bound)

@@ -65,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
+from repro.admission.config import AdmissionConfig
 from repro.admission.controller import AdmissionController
 from repro.core.cache import CacheEntry, CacheManager, MaintenanceReport
 from repro.core.costs import ProxyCostModel
@@ -120,10 +121,6 @@ class ProxyResponse:
 
     result: ResultTable
     record: QueryRecord
-
-    @property
-    def proxy_ms(self) -> float:
-        return self.record.response_ms
 
 
 class Answer(NamedTuple):
@@ -187,7 +184,7 @@ class FunctionProxy:
         fault_plan: FaultPlan | None = None,
         clock: SimulatedClock | None = None,
         persistence: CachePersister | None = None,
-        admission: AdmissionController | None = None,
+        admission: AdmissionConfig | None = None,
     ) -> None:
         self._lock = named_lock("proxy.state")
         self.origin = origin
@@ -243,12 +240,9 @@ class FunctionProxy:
         #: Optional admission gate: when set, ``serve`` consults it
         #: before starting any query work and turned-away queries get
         #: structured ``shed`` records instead of service.
-        self.admission = admission
+        self.admission: AdmissionController | None = None
         if admission is not None:
-            admission.bind(self.obs)
-            self.obs.set_admission_queue_limit(
-                admission.config.max_queue_depth
-            )
+            self.admission = AdmissionController(admission, self.obs)
         self.fault_plan: FaultPlan | None = None
         if fault_plan is not None:
             self.install_fault_plan(fault_plan)
@@ -281,31 +275,6 @@ class FunctionProxy:
                 replayed=report.records_replayed,
                 clean=report.clean,
             )
-
-    @property
-    def metrics(self):
-        """The proxy's metrics registry (``GET /metrics`` source)."""
-        return self.obs.registry
-
-    @property
-    def tracer(self):
-        """The proxy's span tracer (``GET /trace/recent`` source)."""
-        return self.obs.tracer
-
-    @property
-    def profiler(self):
-        """The proxy's hot-path profiler (``GET /profile`` source)."""
-        return self.obs.profiler
-
-    @property
-    def timeseries(self):
-        """The proxy's time-series recorder (``GET /timeseries``)."""
-        return self.obs.timeseries
-
-    @property
-    def events(self):
-        """The proxy's flight recorder (``GET /events`` source)."""
-        return self.obs.events
 
     @property
     def seen_data_version(self) -> int | None:
@@ -387,7 +356,7 @@ class FunctionProxy:
         """
         if self.admission is None:
             return self.serve_admitted(bound)
-        verdict = self.admission.try_admit(tenant, self.clock.now_ms)
+        verdict = self.admission.try_admit(tenant)
         if not verdict.admitted:
             return self.reject(bound, verdict.reason, QueryOutcome.SHED)
         try:

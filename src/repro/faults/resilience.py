@@ -120,8 +120,8 @@ class CircuitBreaker:
         if cooldown_ms <= 0:
             raise ValueError(f"cooldown must be positive: {cooldown_ms}")
         self._lock = named_lock("proxy.admission")
-        #: The proxy's work clock, or the admission controller's event
-        #: time.
+        #: The proxy's work clock, or the admission controller, whose
+        #: ``now_ms`` reads its telemetry bundle's clock.
         self.clock = clock
         self.failure_threshold = failure_threshold
         self.cooldown_ms = cooldown_ms

@@ -138,9 +138,6 @@ class HyperRect(Region):
         for choice in itertools.product(*zip(self.lows, self.highs)):
             yield choice
 
-    def side_lengths(self) -> tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in zip(self.lows, self.highs))
-
     def intersect(self, other: "HyperRect") -> "HyperRect | None":
         """The intersection box, or None when the boxes are disjoint."""
         _check_dims(self, other)

@@ -169,13 +169,13 @@ class ExperimentRunner:
             stats=stats,
             final_cache_bytes=proxy.cache.current_bytes,
             final_cache_entries=len(proxy.cache),
-            metrics_snapshot=proxy.metrics.snapshot(),
+            metrics_snapshot=proxy.obs.registry.snapshot(),
         )
-        self._write_snapshot(result, proxy)
+        self._write_snapshot(result, proxy.obs)
         return result
 
     def _write_snapshot(
-        self, result: RunResult, proxy: FunctionProxy
+        self, result: RunResult, obs: ProxyInstrumentation
     ) -> None:
         """Persist the run's observability artifacts beside the results:
         the metrics snapshot and the decision-explain dump always, the
@@ -189,17 +189,17 @@ class ExperimentRunner:
         artifacts = (
             ("metrics", True, lambda: result.metrics_snapshot),
             ("decisions", True, lambda: {
-                "actions": proxy.obs.decisions.action_counts(),
-                "slo": proxy.obs.slo.snapshot(),
-                "decisions": proxy.obs.decisions.recent(),
+                "actions": obs.decisions.action_counts(),
+                "slo": obs.slo.snapshot(),
+                "decisions": obs.decisions.recent(),
             }),
-            ("trace", proxy.tracer.enabled, proxy.tracer.export_jsonl),
-            ("profile", proxy.profiler.enabled, proxy.profiler.snapshot),
-            ("timeseries", proxy.timeseries.enabled, lambda: {
-                **proxy.timeseries.snapshot(),
-                "health": proxy.obs.health(),
+            ("trace", obs.tracer.enabled, obs.tracer.export_jsonl),
+            ("profile", obs.profiler.enabled, obs.profiler.snapshot),
+            ("timeseries", obs.timeseries.enabled, lambda: {
+                **obs.timeseries.snapshot(),
+                "health": obs.health(),
             }),
-            ("events", proxy.events.enabled, proxy.events.snapshot),
+            ("events", obs.events.enabled, obs.events.snapshot),
         )
         for name, enabled, produce in artifacts:
             if not enabled:

@@ -15,8 +15,8 @@ every response time would diverge.  With the admission layer
   load while ``serve`` never raises.
 
 Protocol: for each rung of a client ladder (8 clients up to 10,000 at
-bench scale), build a fresh proxy + :class:`~repro.admission.controller.
-AdmissionController` + :class:`~repro.sched.loop.EventLoop` and drive a
+bench scale), build a fresh proxy with admission + a
+:class:`~repro.sched.loop.EventLoop` and drive a
 seeded :class:`~repro.workload.closed_loop.ClosedLoopDriver` population
 to completion.  Everything runs on the deterministic event-time axis,
 so the whole curve is reproducible bit for bit.
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from repro.admission import AdmissionConfig, AdmissionController
+from repro.admission import AdmissionConfig
 from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome
 from repro.harness.config import ExperimentScale
@@ -180,18 +180,18 @@ def run_load_point(
         CachingScheme.FULL_SEMANTIC,
         "array",
         cache_fraction=None,
-        admission=AdmissionController(admission),
+        admission=admission,
     )
     frontend = ProxyFrontend(proxy, EventLoop())
     driver = ClosedLoopDriver(frontend, runner.trace, load)
     stats = driver.run()
     telemetry = None
-    if proxy.timeseries.enabled or proxy.events.enabled:
-        series = proxy.timeseries.snapshot()
+    if proxy.obs.timeseries.enabled or proxy.obs.events.enabled:
+        series = proxy.obs.timeseries.snapshot()
         series["health"] = proxy.obs.health()
         telemetry = {
             "timeseries": series,
-            "events": proxy.events.snapshot(),
+            "events": proxy.obs.events.snapshot(),
         }
     snapshot = proxy.admission.snapshot()
     counts = {
@@ -236,7 +236,7 @@ def run_saturation(
         run_load_point(runner, admission, replace(load, n_clients=n_clients))
         for n_clients in rungs
     )
-    config = AdmissionController(admission).snapshot()["config"]
+    config = admission.describe()
     return SaturationResult(
         points=points, admission={"config": config}, load=load
     )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from repro.admission import AdmissionConfig, AdmissionController
+from repro.admission import AdmissionConfig
 from repro.cluster import ClusterFrontend, RouterConfig, Shard, ShardRouter
 from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome, QueryRecord, TraceStats
@@ -205,7 +205,7 @@ def build_tier(
             CachingScheme.FULL_SEMANTIC,
             "array",
             cache_fraction=None,
-            admission=AdmissionController(admission),
+            admission=admission,
             persistence=CachePersister(
                 Path(persistence_dir) / shard_id, shard_id=shard_id
             ),

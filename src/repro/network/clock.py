@@ -14,8 +14,8 @@ class Clock(Protocol):
     A component that owns a clock, or is bound to one, reads it
     itself: the proxy's :class:`SimulatedClock`, the ``sched``
     :class:`~repro.sched.loop.EventLoop` and the admission controller
-    (whose time is the latest event time it was handed) all qualify.
-    Only clock-less sinks take a time argument.
+    (which reads its telemetry bundle's clock) all qualify.  Only
+    clock-less sinks take a time argument.
     """
 
     @property

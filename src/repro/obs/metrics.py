@@ -311,10 +311,6 @@ class Histogram(_Metric):
     def observe(self, value: float, trace_id: str | None = None) -> None:
         self._default_child().observe(value, trace_id=trace_id)
 
-    @property
-    def total_count(self) -> int:
-        return sum(child.count for child in self._children.values())
-
     def merged_counts(self) -> list[int]:
         """Per-bucket *non-cumulative* counts summed across children.
 

@@ -10,13 +10,15 @@ deterministically (or cheaply), so this package provides:
   touches the proxy's :class:`~repro.network.clock.SimulatedClock`:
   the work clock keeps charging per-query costs exactly as before,
   while the loop decides *when* each client's next arrival happens.
-* :class:`~repro.sched.frontend.ProxyFrontend` — the bridge: arrivals
-  enter the :class:`~repro.admission.AdmissionController`'s bounded
-  accept queue, dispatch first in, first out as serve slots free up
-  (queue wait charged to the query's ``admit.queue`` step), and turn
-  into structured ``shed`` / ``queued-timeout`` records when admission
-  turns them away (a full queue sheds the arrival; queued work past
-  the 15 s deadline times out at dispatch).
+* :class:`~repro.sched.frontend.ProxyFrontend` — the bridge: it
+  rebinds the proxy's bundle clock to the loop, so telemetry and the
+  :class:`~repro.admission.AdmissionController` read event time;
+  arrivals enter the controller's bounded accept queue, dispatch
+  first in, first out as serve slots free up (queue wait charged to
+  the query's ``admit.queue`` step), and turn into structured
+  ``shed`` / ``queued-timeout`` records when admission turns them
+  away (a full queue sheds the arrival; queued work past the 15 s
+  deadline times out at dispatch).
 
 Determinism: with the same seeds, client mix, and config, a run
 produces the same dispatch order, the same records, and the same

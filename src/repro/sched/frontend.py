@@ -58,9 +58,9 @@ class ProxyFrontend:
         self.proxy = proxy
         self.loop = loop
         self.controller: AdmissionController = proxy.admission
-        # Telemetry joins the load timeline: events and samples from
-        # inside serve stages stamp event time, matching the admission
-        # controller's breaker clock (synced to each enqueue/dequeue).
+        # Telemetry and admission join the load timeline: events,
+        # samples, queue stamps and the overload breaker all read
+        # event time from the bundle's clock.
         proxy.obs.clock = loop
         self.submitted = 0
         self.completed = 0
@@ -80,7 +80,7 @@ class ProxyFrontend:
         """One arrival at the current event time."""
         self.submitted += 1
         submission = _Submission(bound, on_done)
-        verdict = self.controller.enqueue(submission, tenant, self.loop.now_ms)
+        verdict = self.controller.enqueue(submission, tenant)
         if not verdict.admitted:
             response = self.proxy.reject(
                 bound, verdict.reason, QueryOutcome.SHED
@@ -92,9 +92,7 @@ class ProxyFrontend:
     def pump(self) -> None:
         """Dispatch queued work while serve slots are free."""
         while True:
-            got, waited_ms, expired = self.controller.dequeue(
-                self.loop.now_ms
-            )
+            got, waited_ms, expired = self.controller.dequeue()
             if expired:
                 self.proxy.obs.telemetry_event(
                     EV_QUEUE_DEADLINE_DROPS, count=len(expired)

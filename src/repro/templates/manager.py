@@ -239,9 +239,6 @@ class TemplateManager:
                 f"no info file for form {form_name!r}"
             ) from None
 
-    def function_templates(self) -> list[FunctionTemplate]:
-        return list(self._function_templates.values())
-
     def query_template_ids(self) -> list[str]:
         return [t.template_id for t in self._query_templates.values()]
 

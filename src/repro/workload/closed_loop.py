@@ -151,9 +151,6 @@ class ClosedLoopDriver:
         self.loop.after(pause, self._submitter(client))
 
     # --------------------------------------------------------- reporting
-    def completed_queries(self) -> int:
-        return sum(len(c.outcomes) for c in self._clients)
-
     def outcome_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for client in self._clients:

@@ -94,7 +94,7 @@ class TestStrictMode:
         with pytest.raises(TemplateAnalysisError) as excinfo:
             manager.register_function_template(broken)
         assert any(d.code == "FP109" for d in excinfo.value.report)
-        assert manager.function_templates() == []
+        assert list(manager._function_templates.values()) == []
 
     def test_observers_stream_diagnostics(self):
         manager = radial_manager()
@@ -132,7 +132,7 @@ class TestProxyIntegration:
         assert repeat.record.status is QueryStatus.EXACT
 
     def test_violation_visible_in_metrics(self, proxy):
-        exposition = proxy.metrics.exposition()
+        exposition = proxy.obs.registry.exposition()
         assert "analysis_diagnostics_total" in exposition
         assert 'code="FP206"' in exposition
         assert 'severity="error"' in exposition
@@ -143,5 +143,5 @@ class TestProxyIntegration:
         )
         with pytest.raises(TemplateAnalysisError):
             proxy.templates.register_query_template(template)
-        exposition = proxy.metrics.exposition()
+        exposition = proxy.obs.registry.exposition()
         assert 'code="FP207"' in exposition

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.admission import AdmissionConfig, AdmissionController
+from repro.admission import AdmissionConfig
 from repro.cluster import RouterConfig, Shard, ShardRouter
 from repro.core.proxy import FunctionProxy
 from repro.core.schemes import CachingScheme
@@ -55,7 +55,7 @@ def make_tier(tmp_path, origin):
                     tmp_path / shard_id, shard_id=shard_id
                 )
             if admission is not None:
-                kwargs["admission"] = AdmissionController(admission)
+                kwargs["admission"] = admission
             shards.append(
                 Shard(
                     shard_id,

@@ -153,7 +153,7 @@ class TestFailover:
         record = response.record
         assert "router.slow" not in record.steps_ms
         assert record.response_ms == sum(record.steps_ms.values())
-        shard_metrics = router.shard(primary).proxy.metrics
+        shard_metrics = router.shard(primary).proxy.obs.registry
         emitted = shard_metrics.get("proxy_response_sim_ms")
         assert emitted.snapshot_values()[""]["sum"] == record.response_ms
 

@@ -162,7 +162,7 @@ def profile_of(origin, queries, workers):
         assert not failures, failures
     assert all(r.answered for r in proxy.stats.records)
     assert len(proxy.stats.records) == len(queries)
-    return proxy.profiler.snapshot()["stages"]
+    return proxy.obs.profiler.snapshot()["stages"]
 
 
 def test_eight_threads_profile_like_one(

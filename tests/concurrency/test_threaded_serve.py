@@ -177,25 +177,21 @@ class TestInterleavedServes:
         self, sanitizer, make_proxy, bind
     ):
         """The admission gate's locking, validated at runtime: the
-        controller keeps its event time under its own lock and is the
+        controller reads the bundle's clock without its lock and is the
         overload breaker's clock, so no ``proxy.admission ->
         proxy.clock`` edge exists, and every edge the sanitizer
         observes must already be declared."""
-        from repro.admission import AdmissionConfig, AdmissionController
+        from repro.admission import AdmissionConfig
         from repro.core.stats import QueryOutcome
 
         proxy = make_proxy(
-            admission=AdmissionController(
-                AdmissionConfig(max_inflight=2, max_queue_depth=2)
-            )
+            admission=AdmissionConfig(max_inflight=2, max_queue_depth=2)
         )
         # Pre-occupy every capacity slot so the whole thread burst
         # overflows (thread staggering under the GIL can otherwise
         # serialize the serves and never overlap them).
         holds = 0
-        while proxy.admission.try_admit(
-            "default", proxy.clock.now_ms
-        ).admitted:
+        while proxy.admission.try_admit("default").admitted:
             holds += 1
         queries = [bind(ra=161.0 + 0.7 * i, radius=3.0) for i in range(10)]
         serve_in_threads(proxy, queries)
@@ -203,9 +199,8 @@ class TestInterleavedServes:
             proxy.admission.release()
         # Two more admissions from the main thread.  The first serve
         # advances the work clock with its stage charges; the second's
-        # admission then fast-forwards the controller's event time —
-        # a float under its own lock, no clock lock taken (asserted
-        # below).
+        # admission then reads it through the bundle — a lock-free
+        # float read, no clock lock taken (asserted below).
         proxy.serve(queries[0])
         proxy.serve(queries[1])
 

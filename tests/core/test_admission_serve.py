@@ -6,7 +6,6 @@ import pytest
 
 from repro.admission import (
     AdmissionConfig,
-    AdmissionController,
     TenantQuota,
 )
 from repro.cluster import Shard, ShardRouter
@@ -36,11 +35,8 @@ def bind(templates):
 @pytest.fixture()
 def make_proxy(origin):
     def build(config=None, **kwargs):
-        admission = (
-            AdmissionController(config) if config is not None else None
-        )
         return FunctionProxy(
-            origin, origin.templates, admission=admission, **kwargs
+            origin, origin.templates, admission=config, **kwargs
         )
 
     return build
@@ -86,8 +82,8 @@ class TestServeGate:
     ):
         proxy = make_proxy(AdmissionConfig(max_inflight=1, max_queue_depth=1))
         # Fill capacity from the outside so the next serve sheds.
-        assert proxy.admission.try_admit("t", 0.0).admitted
-        assert proxy.admission.try_admit("t", 0.0).admitted
+        assert proxy.admission.try_admit("t").admitted
+        assert proxy.admission.try_admit("t").admitted
         response = proxy.serve(bind())
         assert response.record.outcome is QueryOutcome.SHED
         assert response.record.failure_reason == "queue-full"
@@ -113,7 +109,7 @@ class TestServeGate:
         )
         proxy.serve(bind(), tenant="m")
         proxy.serve(bind(ra=165.0), tenant="m")
-        exposition = proxy.metrics.exposition()
+        exposition = proxy.obs.registry.exposition()
         assert 'admission_shed_total{reason="quota"} 1' in exposition
         assert (
             'admission_quota_denials_total{tenant="m"} 1' in exposition
@@ -136,7 +132,7 @@ class TestShedIsNoHit:
         assert proxy.stats.hit_ratio == 0.0
         assert (
             'slo_hit_ratio{template="skyserver.radial"} 0'
-            in proxy.metrics.exposition().splitlines()
+            in proxy.obs.registry.exposition().splitlines()
         )
         # A cache answer is a hit in both.
         assert proxy.serve(bound).record.hit
@@ -161,7 +157,7 @@ class TestDegradeToTunnel:
         proxy = make_proxy(AdmissionConfig(max_inflight=1, max_queue_depth=4))
         # Occupy the only slot: the next serve is backlog, and admission
         # never degrades it.
-        assert proxy.admission.try_admit("t", 0.0).admitted
+        assert proxy.admission.try_admit("t").admitted
         response = proxy.serve(bind())
         assert response.record.status is not QueryStatus.NO_CACHE
         assert len(proxy.cache) == 1

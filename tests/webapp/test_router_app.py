@@ -7,7 +7,6 @@ flask = pytest.importorskip("flask")
 from repro.admission import (
     RETRY_AFTER_SECONDS,
     AdmissionConfig,
-    AdmissionController,
     TenantQuota,
 )
 from repro.cluster import RouterConfig, Shard, ShardRouter
@@ -32,7 +31,7 @@ def make_router(origin, n_shards=3, fallback=True, **kwargs):
             FunctionProxy(
                 origin,
                 origin.templates,
-                admission=AdmissionController(QUOTA_CONFIG),
+                admission=QUOTA_CONFIG,
             ),
         )
         for i in range(n_shards)

@@ -10,7 +10,6 @@ flask = pytest.importorskip("flask")
 
 from repro.admission import (
     AdmissionConfig,
-    AdmissionController,
     TenantQuota,
 )
 from repro.core.proxy import FunctionProxy
@@ -99,8 +98,8 @@ class TestTimeseriesEndpoint:
 
 class TestEventsEndpoint:
     def test_snapshot_and_limit(self, proxy, client):
-        proxy.events.emit(EV_BREAKER_OPEN, at_ms=10.0)
-        proxy.events.emit(EV_SHED_ACTIVATED, at_ms=20.0)
+        proxy.obs.events.emit(EV_BREAKER_OPEN, at_ms=10.0)
+        proxy.obs.events.emit(EV_SHED_ACTIVATED, at_ms=20.0)
         payload = client.get("/events").get_json()
         assert payload["enabled"] is True
         assert payload["total"] == 2
@@ -131,8 +130,8 @@ class TestHealthEndpoint:
     def test_unhealthy_answers_503(self, proxy, client):
         # Drive a shed spike straight through the metrics registry:
         # one window where nearly every arrival was turned away.
-        proxy.timeseries.maybe_sample(proxy.clock.now_ms)
-        registry = proxy.metrics
+        proxy.obs.timeseries.maybe_sample(proxy.clock.now_ms)
+        registry = proxy.obs.registry
         registry.get("admission_shed_total").labels(
             reason="queue-full"
         ).inc(60.0)
@@ -140,7 +139,7 @@ class TestHealthEndpoint:
             status="exact", template="t"
         ).inc(1.0)
         proxy.clock.advance(2_000.0)
-        proxy.timeseries.maybe_sample(proxy.clock.now_ms)
+        proxy.obs.timeseries.maybe_sample(proxy.clock.now_ms)
         response = client.get("/health")
         assert response.status_code == 503
         payload = response.get_json()
@@ -213,14 +212,10 @@ class TestOriginTelemetry:
 class TestAdmissionGauges:
     @pytest.fixture()
     def metered_proxy(self, origin):
-        controller = AdmissionController(
-            AdmissionConfig(
-                quotas={"metered": TenantQuota(rate_per_s=0.001, burst=2.0)}
-            )
+        config = AdmissionConfig(
+            quotas={"metered": TenantQuota(rate_per_s=0.001, burst=2.0)}
         )
-        return FunctionProxy(
-            origin, origin.templates, admission=controller
-        )
+        return FunctionProxy(origin, origin.templates, admission=config)
 
     def test_quota_tokens_in_admission_payload(self, metered_proxy):
         client = create_proxy_app(metered_proxy).test_client()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.admission import (
     AdmissionConfig,
-    AdmissionController,
     TenantQuota,
 )
 from repro.core.proxy import FunctionProxy
@@ -28,7 +27,7 @@ def make_driver(origin, trace, config, loop_config):
     proxy = FunctionProxy(
         origin,
         origin.templates,
-        admission=AdmissionController(config),
+        admission=config,
     )
     frontend = ProxyFrontend(proxy, EventLoop())
     return ClosedLoopDriver(frontend, trace, loop_config)
@@ -60,7 +59,7 @@ class TestClosedLoopDriver:
         stats = driver.run()
         expected = config.n_clients * config.queries_per_client
         assert len(stats) == expected
-        assert driver.completed_queries() == expected
+        assert sum(len(c.outcomes) for c in driver._clients) == expected
         counts = driver.outcome_counts()
         assert sum(counts.values()) == expected
         snapshot = driver.frontend.proxy.admission.snapshot()
@@ -139,4 +138,4 @@ class TestClosedLoopDriver:
         driver.run(until_ms=5_000.0)
         assert driver.loop.now_ms <= 5_000.0
         total = 10 * 50
-        assert driver.completed_queries() < total
+        assert sum(len(c.outcomes) for c in driver._clients) < total

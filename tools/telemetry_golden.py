@@ -36,11 +36,7 @@ from typing import Any
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.admission import (  # noqa: E402
-    AdmissionConfig,
-    AdmissionController,
-    TenantQuota,
-)
+from repro.admission import AdmissionConfig, TenantQuota  # noqa: E402
 from repro.core.proxy import FunctionProxy  # noqa: E402
 from repro.faults.plan import FaultPlan, OutageWindow  # noqa: E402
 from repro.obs import (  # noqa: E402
@@ -202,14 +198,10 @@ def capture() -> dict[str, Any]:
                 cache_bytes=CACHE_BYTES,
                 instrumentation=obs,
                 persistence=CachePersister(state, snapshot_every=16),
-                admission=AdmissionController(
-                    AdmissionConfig(
-                        quotas={
-                            "metered": TenantQuota(
-                                rate_per_s=0.0001, burst=1.0
-                            )
-                        }
-                    )
+                admission=AdmissionConfig(
+                    quotas={
+                        "metered": TenantQuota(rate_per_s=0.0001, burst=1.0)
+                    }
                 ),
                 **kwargs,
             )

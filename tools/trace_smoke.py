@@ -116,7 +116,7 @@ def main(argv: list[str]) -> int:
                 f"outcome={response.record.outcome.value}"
             )
 
-        proxy_spans = proxy.tracer.recent(50)
+        proxy_spans = proxy.obs.tracer.recent(50)
         origin_spans = origin.instrumentation.tracer.recent(50)
         proxy_trace_ids = {s["trace_id"] for s in proxy_spans}
         origin_trace_ids = {s["trace_id"] for s in origin_spans}
@@ -156,7 +156,7 @@ def main(argv: list[str]) -> int:
 
         export = results_dir / "trace_export.jsonl"
         export.write_text(
-            proxy.tracer.export_jsonl()
+            proxy.obs.tracer.export_jsonl()
             + origin.instrumentation.tracer.export_jsonl()
         )
         snapshot = results_dir / "explain_recent.json"
