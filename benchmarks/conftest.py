@@ -6,14 +6,14 @@ printed and also written to ``benchmarks/results/<name>.txt`` so a
 ``--benchmark-only`` run leaves the full comparison on disk;
 EXPERIMENTS.md records a reference run.
 
-Headline numbers additionally flow through the shared
-:class:`~repro.perf.reporter.BenchReporter` (the ``bench_report``
-fixture): every bench writes a schema-valid
-``results/<bench_id>.bench.json`` and appends to the repo-root
-``BENCH_<bench_id>.json`` trajectory.  The CI jobs gate each document
-against its golden in ``results/baselines/`` with ``python -m
-repro.perf compare``, which requires every value to be equal; after an
-intended change, copy the new document over the golden.
+Headline numbers go through the ``bench_report`` fixture, a
+:class:`BenchRecorder`: ``finish()`` writes
+``results/<bench_id>.bench.json`` and then asserts that the numbers
+equal the committed golden ``results/baselines/<bench_id>.bench.json``
+when that golden was recorded at the run's scale, so the bench run is
+the gate.  The numbers are the simulated cost model's, the same on
+every run of the same code; after an intended change, copy the new
+document over the golden.  Nothing outside ``results/`` is written.
 
 Scale selection: set ``REPRO_SCALE`` to ``quick`` / ``default`` /
 ``paper`` (default: ``default``).  All scales share the calibrated cost
@@ -39,11 +39,91 @@ import pytest
 from repro.harness.config import ExperimentScale
 from repro.harness.runner import ExperimentRunner
 from repro.network.clock import SimulatedClock
-from repro.perf.reporter import BenchReporter
+from repro.obs.wallclock import utc_timestamp
 from repro.persistence.atomic import atomic_write_text
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
+
+#: The ``schema_version`` of a ``*.bench.json`` document (DESIGN.md).
+SCHEMA_VERSION = 2
+
+
+class BenchRecorder:
+    """One bench's headline numbers, written and held to the golden.
+
+    ::
+
+        report = bench_report("fig5")
+        report.metric("nc_response_ms", 2029.7, unit="ms")
+        report.finish()
+    """
+
+    def __init__(
+        self, bench_id: str, scale: str, results_dir: Path = RESULTS_DIR
+    ) -> None:
+        self.bench_id = bench_id
+        self.scale = scale
+        self.results_dir = results_dir
+        self.metrics: dict[str, dict] = {}
+
+    def metric(self, name: str, value: float, unit: str) -> None:
+        if name in self.metrics:
+            raise ValueError(
+                f"bench {self.bench_id!r}: duplicate metric {name!r}"
+            )
+        self.metrics[name] = {"unit": unit, "value": float(value)}
+
+    def finish(self) -> None:
+        """Write the document, print it, and assert it equals the golden
+        (every ``(unit, value)``, one ulp included) when the golden was
+        recorded at this run's scale."""
+        document = {
+            "schema_version": SCHEMA_VERSION,
+            "bench_id": self.bench_id,
+            "run": {"scale": self.scale, "timestamp_utc": utc_timestamp()},
+            "metrics": self.metrics,
+        }
+        self.results_dir.mkdir(parents=True, exist_ok=True)
+        name = f"{self.bench_id}.bench.json"
+        atomic_write_text(
+            self.results_dir / name,
+            json.dumps(document, indent=2, sort_keys=True) + "\n",
+        )
+        print(f"\nbench {self.bench_id} (scale={self.scale})")
+        for metric, entry in self.metrics.items():
+            print(f"  {metric:<28} {entry['value']:>14g} {entry['unit']}")
+        golden_path = self.results_dir / "baselines" / name
+        if not golden_path.exists():
+            return
+        golden = json.loads(golden_path.read_text(encoding="utf-8"))
+        golden_scale = golden["run"]["scale"]
+        if golden_scale != self.scale:
+            print(f"  golden is at scale {golden_scale}: not compared")
+            return
+        differences = _differences(golden["metrics"], self.metrics)
+        if differences:
+            raise AssertionError(
+                f"bench {self.bench_id} differs from {golden_path}:\n"
+                + "\n".join(differences)
+                + f"\nafter an intended change: cp {self.results_dir / name} "
+                f"{golden_path.parent}/"
+            )
+
+
+def _differences(golden: dict, current: dict) -> list[str]:
+    """One line per metric whose ``(unit, value)`` is not the golden's."""
+
+    def side(entry: dict | None) -> str:
+        if entry is None:
+            return "missing"
+        return f"{entry['value']!r} {entry['unit']}"
+
+    return [
+        f"  {name}: golden {side(golden.get(name))}, "
+        f"this run {side(current.get(name))}"
+        for name in sorted(golden.keys() | current.keys())
+        if golden.get(name) != current.get(name)
+    ]
 
 
 def _select_scale() -> ExperimentScale:
@@ -95,22 +175,11 @@ def runner(scale) -> ExperimentRunner:
 
 @pytest.fixture(scope="session")
 def bench_report(scale):
-    """Factory for the one sanctioned result emitter.
+    """``bench_report("fig5")``: a :class:`BenchRecorder` at this run's
+    scale; the bench records metrics and calls ``finish()``."""
 
-    ``bench_report("fig5")`` returns a
-    :class:`~repro.perf.reporter.BenchReporter` wired to this run's
-    scale, the shared results directory, and the repo-root trajectory
-    store; the bench records metrics and calls ``finish()``.
-    """
-
-    def make(bench_id: str) -> BenchReporter:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        return BenchReporter(
-            bench_id,
-            scale=scale.name,
-            results_dir=RESULTS_DIR,
-            trajectory_dir=REPO_ROOT,
-        )
+    def make(bench_id: str) -> BenchRecorder:
+        return BenchRecorder(bench_id, scale.name)
 
     return make
 

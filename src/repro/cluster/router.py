@@ -618,10 +618,6 @@ class ShardRouter:
                 self.handoffs.append(report)
         return report
 
-    def drained(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._drained))
-
     # --------------------------------------------------------- telemetry
     def sample_telemetry(
         self, statuses: Mapping[str, str] | None = None

@@ -50,7 +50,7 @@ class _Entry:
 
 
 def _union(a: Box, b: Box) -> Box:
-    """The minimum box enclosing both (``HyperRect.union_box``)."""
+    """The minimum box enclosing both: an internal entry's expansion."""
     return tuple(map(min, a[0], b[0])), tuple(map(max, a[1], b[1]))
 
 

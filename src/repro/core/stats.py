@@ -272,8 +272,3 @@ class TraceStats:
             "p95": self.check_wall_percentile(0.95),
             "max": self.max_check_wall_ms(),
         }
-
-    def first(self, n: int) -> "TraceStats":
-        """Stats over the first ``n`` queries (Figure 5 uses the first
-        10,000 of the trace)."""
-        return TraceStats(self.records[:n])

@@ -147,23 +147,6 @@ class HyperRect(Region):
             return None
         return HyperRect(lows, highs)
 
-    def union_box(self, other: "HyperRect") -> "HyperRect":
-        """The minimum box enclosing both; the R-tree's node expansion."""
-        _check_dims(self, other)
-        return HyperRect(
-            tuple(min(a, b) for a, b in zip(self.lows, other.lows)),
-            tuple(max(a, b) for a, b in zip(self.highs, other.highs)),
-        )
-
-    @staticmethod
-    def from_center(center: Point, half_widths: Point) -> "HyperRect":
-        if len(center) != len(half_widths):
-            raise GeometryError("center and half_widths must agree in length")
-        return HyperRect(
-            tuple(c - h for c, h in zip(center, half_widths)),
-            tuple(c + h for c, h in zip(center, half_widths)),
-        )
-
 
 @dataclass(frozen=True)
 class HyperSphere(Region):

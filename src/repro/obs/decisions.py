@@ -351,7 +351,3 @@ class DecisionLog:
                 key = trace.action.value
                 counts[key] = counts.get(key, 0) + 1
         return counts
-
-    def clear(self) -> None:
-        with self._lock:
-            self._traces.clear()

@@ -341,12 +341,6 @@ class Profiler:
         """The aggregated stats of one stage, if it ever ran."""
         return self._stats.get(name)
 
-    def reset(self) -> None:
-        """Drop every aggregate and the slowest-query capture."""
-        with self._lock:
-            self._stats.clear()
-            self._slowest.clear()
-
 
 class NullProfiler:
     """The disabled profiler: nothing is folded into it or counted on

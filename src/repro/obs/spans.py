@@ -446,7 +446,3 @@ class SpanTracer:
             with open(path, "a", encoding="utf-8") as handle:
                 handle.write("\n".join(lines) + "\n")
         return len(lines)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._finished.clear()

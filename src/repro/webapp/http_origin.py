@@ -53,8 +53,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import urllib.error
-import urllib.request
 from typing import Sequence
 
 from repro.faults.errors import OriginTimeoutError, OriginUnavailableError
@@ -80,7 +78,8 @@ class HttpOriginError(RelationalError):
 
 
 class HttpOriginClient:
-    """Speaks the origin app's HTTP protocol."""
+    """Speaks the origin app's HTTP protocol to ``base_url``
+    (``http://host:port``)."""
 
     def __init__(self, base_url: str, timeout_s: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
@@ -101,10 +100,8 @@ class HttpOriginClient:
 
     # ---------------------------------------------------------- protocol
     def _bootstrap_templates(self) -> None:
-        with urllib.request.urlopen(
-            f"{self.base_url}/templates", timeout=self.timeout_s
-        ) as response:
-            payload = json.loads(response.read().decode("utf-8"))
+        _headers, answer = self._request("GET", "/templates", None, {})
+        payload = json.loads(answer.decode("utf-8"))
         function_names: set[str] = set()
         for entry in payload["query_templates"]:
             function_template = FunctionTemplate.from_xml(
@@ -129,45 +126,55 @@ class HttpOriginClient:
             )
         self.data_version: int = payload["data_version"]
 
-    def _post(
-        self, path: str, body: str, content_type: str = "text/plain"
-    ) -> OriginResponse:
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=body.encode("utf-8"),
-            method="POST",
-            headers={"Content-Type": content_type},
+    def _request(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[http.client.HTTPMessage, bytes]:
+        """One request on its own connection (the origin may speak
+        HTTP/1.0); the answer's headers and body, or the failure mapped
+        onto the resilience layer's types."""
+        connection = http.client.HTTPConnection(
+            self.base_url.split("://", 1)[-1], timeout=self.timeout_s
         )
-        if self._scopes is not None:
-            traceparent = self._scopes.current_traceparent()
-            if traceparent is not None:
-                request.add_header("traceparent", traceparent)
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                answer = response.read()
-                binary = response.headers.get_content_type() == BINARY_TABLE
-                server_ms = float(response.headers.get("X-Server-Ms", "0"))
-                version = response.headers.get("X-Data-Version")
-                if version is not None:
-                    self.data_version = int(version)
-        except urllib.error.HTTPError as exc:
-            detail = f"({exc.code}): {exc.read().decode('utf-8', 'replace')}"
-            if exc.code >= 500:
-                raise OriginUnavailableError(
-                    f"origin failed {detail}", reason="unreachable"
-                ) from None
-            raise HttpOriginError(f"origin rejected query {detail}") from None
+            connection.request(method, path, body, headers)
+            response = connection.getresponse()
+            answer = response.read()
         except (OSError, http.client.HTTPException) as exc:
-            # Refused, reset, unresolvable, cut off mid-response — or,
-            # raw or as a URLError's reason, a connect / read timeout.
-            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+            # Refused, reset, unresolvable, cut off mid-response, or a
+            # connect / read timeout.
+            if isinstance(exc, TimeoutError):
                 raise OriginTimeoutError(f"origin timed out: {exc}") from None
             raise OriginUnavailableError(
                 f"origin unreachable: {exc}", reason="unreachable"
             ) from None
-        if binary:
+        finally:
+            connection.close()
+        if response.status >= 400:
+            text = answer.decode("utf-8", "replace")
+            detail = f"({response.status}): {text}"
+            if response.status >= 500:
+                raise OriginUnavailableError(
+                    f"origin failed {detail}", reason="unreachable"
+                )
+            raise HttpOriginError(f"origin rejected query {detail}")
+        return response.msg, answer
+
+    def _post(
+        self, path: str, body: str, content_type: str = "text/plain"
+    ) -> OriginResponse:
+        headers = {"Content-Type": content_type}
+        if self._scopes is not None:
+            traceparent = self._scopes.current_traceparent()
+            if traceparent is not None:
+                headers["traceparent"] = traceparent
+        response_headers, answer = self._request(
+            "POST", path, body.encode("utf-8"), headers
+        )
+        server_ms = float(response_headers.get("X-Server-Ms", "0"))
+        version = response_headers.get("X-Data-Version")
+        if version is not None:
+            self.data_version = int(version)
+        if response_headers.get_content_type() == BINARY_TABLE:
             return OriginResponse(ResultTable.from_bytes(answer), server_ms)
         return OriginResponse(
             ResultTable.from_xml(answer.decode("utf-8")), server_ms

@@ -272,7 +272,7 @@ class TestDrain:
         assert report is not None
         assert report.source == primary
         assert report.replayed == 1
-        assert router.drained() == (primary,)
+        assert router.status()["drained"] == [primary]
         successor = router.shard(report.target).proxy
         assert len(successor.cache.entries()) == 1
         # Routing now skips the drained shard without a fault draw.

@@ -391,8 +391,10 @@ def regions_and_points(draw):
     if kind == "sphere":
         region = HyperSphere(center, draw(extent))
     else:
-        box = HyperRect.from_center(
-            center, tuple(draw(extent) for _ in range(dims))
+        half = tuple(draw(extent) for _ in range(dims))
+        box = HyperRect(
+            tuple(c - h for c, h in zip(center, half)),
+            tuple(c + h for c, h in zip(center, half)),
         )
         region = box
         if kind == "polytope":

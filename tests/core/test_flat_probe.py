@@ -77,6 +77,13 @@ points = st.tuples(coordinates, coordinates)
 half_widths = st.sampled_from([0.0, EPSILON / 2, 0.5, 1.0, 2.5, -0.25, -1.0])
 
 
+def box_around(center, half_widths):
+    return HyperRect(
+        tuple(c - h for c, h in zip(center, half_widths)),
+        tuple(c + h for c, h in zip(center, half_widths)),
+    )
+
+
 def polytope(center, widths):
     """A diamond's halfspaces inside an arbitrary (declared) bbox: the
     description must use the declared box, not the facets."""
@@ -85,7 +92,7 @@ def polytope(center, widths):
         for sx in (1.0, -1.0)
         for sy in (1.0, -1.0)
     )
-    return ConvexPolytope(facets, HyperRect.from_center(center, widths))
+    return ConvexPolytope(facets, box_around(center, widths))
 
 
 regions = st.one_of(
@@ -95,7 +102,7 @@ regions = st.one_of(
         st.sampled_from([0.0, EPSILON / 2, 0.5, 1.0, 2.5]),
     ),
     st.builds(
-        HyperRect.from_center, points, st.tuples(half_widths, half_widths)
+        box_around, points, st.tuples(half_widths, half_widths)
     ),
     st.builds(polytope, points, st.tuples(half_widths, half_widths)),
 )

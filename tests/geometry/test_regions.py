@@ -68,21 +68,11 @@ class TestHyperRect:
         b = HyperRect((2.0,), (3.0,))
         assert a.intersect(b) is None
 
-    def test_union_box_covers_both(self):
-        a = HyperRect((0.0, 0.0), (1.0, 1.0))
-        b = HyperRect((2.0, -1.0), (3.0, 0.5))
-        union = a.union_box(b)
-        assert union == HyperRect((0.0, -1.0), (3.0, 1.0))
-
-    def test_from_center(self):
-        rect = HyperRect.from_center((1.0, 1.0), (0.5, 2.0))
-        assert rect == HyperRect((0.5, -1.0), (1.5, 3.0))
-
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: HyperRect.from_center((1.0, 1.0), (0.5,)),
-            lambda: HyperRect.from_center((), ()),
+            lambda: HyperRect((1.0, 1.0), (0.5,)),
+            lambda: HyperRect((), ()),
             lambda: HyperRect([0, 1], [1]),
             lambda: HyperSphere((), 1.0),
         ],

@@ -34,7 +34,10 @@ def spheres(draw):
 def rects(draw):
     center = tuple(draw(coordinate) for _ in range(DIMS))
     half = tuple(draw(radius) for _ in range(DIMS))
-    return HyperRect.from_center(center, half)
+    return HyperRect(
+        tuple(c - h for c, h in zip(center, half)),
+        tuple(c + h for c, h in zip(center, half)),
+    )
 
 
 regions = st.one_of(spheres(), rects())

@@ -205,13 +205,6 @@ class TestDecisionLog:
         self._finished(log, 3, status="disjoint")
         assert log.action_counts() == {"exact": 2, "miss": 1}
 
-    def test_clear(self):
-        log = DecisionLog()
-        self._finished(log, 1)
-        log.clear()
-        assert len(log) == 0
-        assert log.get(1) is None
-
 
 class TestSloTracker:
     def _tracker(self):

@@ -237,14 +237,6 @@ class TestExport:
         with pytest.raises(ValueError, match="unknown sort"):
             profiler.render_text(sort="rows")
 
-    def test_reset(self, profiler):
-        profiler.add_sim("parse", 1.0)
-        profiler.record_query(0, "Radial", 1.0)
-        profiler.reset()
-        snapshot = profiler.snapshot()
-        assert snapshot["stages"] == {}
-        assert snapshot["slowest_queries"] == []
-
     def test_top_k_must_be_positive(self):
         with pytest.raises(ValueError):
             Profiler(top_k=0)

@@ -120,13 +120,6 @@ class TestSpanTracer:
         assert tracer.write_jsonl(path) == 3  # appends
         assert len(path.read_text().splitlines()) == 6
 
-    def test_clear(self):
-        tracer, stack = traced()
-        with stack.scope("query"):
-            pass
-        tracer.clear()
-        assert tracer.recent() == []
-
 
 class TestNullTracer:
     def test_emits_nothing_and_adds_no_spans(self):
