@@ -24,19 +24,21 @@ Design notes
   by this manager and mutated only under the same lock — that
   ownership convention is why ``core/description.py`` registers its
   fields under ``proxy.cache`` and takes no lock of its own.
-  Multi-step lookups also take the lock: ``exact_match`` reads
-  ``_by_key`` and ``_entries`` in one critical section (a lock-free
-  reader could see the gap a concurrent eviction opens between the
-  two dicts), and ``candidates`` runs the description's probe, which
-  bisects a sorted list and then slices it (a concurrent insert or
-  delete between the two would shift the slice off the rows it
-  meant).  ``entries()`` snapshots under the
-  lock so callers can iterate while another thread stores.
-  Single-dict reads (``__len__``, ``entry``) stay lock-free — CPython
-  dict gets are atomic.  Candidates handed out by the description can
-  lose a race with eviction after the probe returns; that needs no
-  handling, because an entry carries its own result: an evicted entry
-  still holds exactly the rows its region selected.
+  Single-dict reads stay lock-free — CPython dict gets are atomic:
+  ``_by_key`` maps each key straight to its entry, so ``exact_match``
+  is one read with no gap between two dicts for a concurrent eviction
+  to open, and ``__len__`` / ``entry`` read one dict too.  The
+  multi-step lookup takes the lock: ``candidates`` runs the
+  description's probe, which bisects a sorted list and then slices it
+  (a concurrent insert or delete between the two would shift the
+  slice off the rows it meant).  ``entries()`` snapshots under the
+  lock so callers can iterate while another thread stores.  So an
+  exact hit takes ``proxy.cache`` once (``touch``) and a contained
+  hit twice (the probe and ``touch``).  An entry found without the
+  lock, or handed out by the probe, can lose a race with eviction
+  right after; that needs no handling, because an entry carries its
+  own result: an evicted entry still holds exactly the rows its
+  region selected, and ``touch`` skips an entry no longer cached.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ class CacheManager:
         self.mutation_log = None  # lock-class: CachePersister
         self._lock = named_lock("proxy.cache")
         self._entries: dict[int, CacheEntry] = {}
-        self._by_key: dict[tuple, int] = {}
+        self._by_key: dict[tuple, CacheEntry] = {}
         self._ids = itertools.count(1)
         self._tick = itertools.count(1)
         self.current_bytes = 0
@@ -173,12 +175,9 @@ class CacheManager:
         return len(self._entries)
 
     def exact_match(self, bound: BoundQuery) -> CacheEntry | None:
-        """The entry produced by an identical query, if cached."""
-        with self._lock:
-            entry_id = self._by_key.get(bound.cache_key())
-            if entry_id is None:
-                return None
-            return self._entries[entry_id]
+        """The entry produced by an identical query, if cached: one
+        dict read, so no lock."""
+        return self._by_key.get(bound.cache_key())
 
     def candidates(
         self, template_id: str, region: Region
@@ -236,16 +235,15 @@ class CacheManager:
         report = MaintenanceReport()
         with self._lock:
             key = bound.cache_key()
-            existing = self._by_key.get(key)
-            if existing is not None:
+            old = self._by_key.get(key)
+            if old is not None:
                 # Identical query raced in (e.g. after an eviction);
                 # replace.
-                old = self._entries[existing]
                 report.description_work += self._remove(old)
                 self._log_removed(old, "replace")
             size = result.byte_size()
             if self.max_bytes is not None and size > self.max_bytes:
-                if existing is not None:
+                if old is not None:
                     self._notify("replace", old.byte_size)
                 return None, report
             report.description_work += self._make_room(size, report)
@@ -262,7 +260,7 @@ class CacheManager:
                 last_used=next(self._tick),
             )
             self._entries[entry.entry_id] = entry
-            self._by_key[key] = entry.entry_id
+            self._by_key[key] = entry
             self.policy.on_insert(entry)
             self.current_bytes += size
             self.insertions += 1
@@ -336,9 +334,6 @@ class CacheManager:
             )
 
     def _remove(self, entry: CacheEntry) -> float:
-        # Key index first: a reader that found the key must still find
-        # the entry (the inverse order would open a KeyError window for
-        # any future lock-free lookup).
         self._by_key.pop(entry.cache_key, None)
         del self._entries[entry.entry_id]
         self.current_bytes -= entry.byte_size

@@ -752,9 +752,9 @@ class FunctionProxy:
     def _serve_exact(
         self, bound, entry: CacheEntry, result: ResultTable, observation
     ) -> Answer:
-        """``result`` is the entry's stored result, read by the probe
-        stage under ``proxy.cache`` (pinned): reading it here instead
-        would race a concurrent eviction of ``entry``."""
+        """``result`` is the entry's stored result, the one the probe
+        stage read: an entry's result is never replaced, so an eviction
+        racing this answer leaves it whole."""
         outcome = self._cache_answer_outcome()
         observation.decision.record_candidate(
             entry.entry_id,

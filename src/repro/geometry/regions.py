@@ -165,7 +165,7 @@ class HyperSphere(Region):
             raise GeometryError("a hypersphere needs at least one dimension")
         if self.radius < 0:
             raise GeometryError(f"negative radius: {self.radius}")
-        object.__setattr__(self, "center", tuple(float(x) for x in self.center))
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
         object.__setattr__(self, "radius", float(self.radius))
 
     @property
@@ -219,7 +219,7 @@ class Halfspace:
             raise GeometryError("a halfspace needs at least one dimension")
         if all(_close(n, 0.0) for n in self.normal):
             raise GeometryError("halfspace normal must be non-zero")
-        object.__setattr__(self, "normal", tuple(float(x) for x in self.normal))
+        object.__setattr__(self, "normal", tuple(map(float, self.normal)))
         object.__setattr__(self, "offset", float(self.offset))
 
     @property

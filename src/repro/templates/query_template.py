@@ -33,21 +33,14 @@ statically, in one pass of :mod:`repro.analysis`:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Mapping
 
 from repro.geometry.regions import Region
-from repro.relational.expressions import compile_expression, sql_literal
-from repro.relational.types import is_finite
-from repro.sqlparser.ast import (
-    FunctionSource,
-    SelectStatement,
-    parameter_slot,
-    require_parameters,
-)
+from repro.sqlparser.ast import SelectStatement
 from repro.sqlparser.parser import parse_select
+from repro.templates.binding import compile_binder
 from repro.templates.errors import TemplateError
 from repro.templates.function_template import FunctionTemplate
 
@@ -93,88 +86,19 @@ class QueryTemplate:
         return self.statement.parameter_names()
 
     @cached_property
-    def binder(self) -> "Binder":
-        """This template compiled for binding, on first use."""
-        return Binder(self)
-
-
-#: A ``$``-parameter of rendered SQL, or a string literal (matched whole
-#: so a ``$`` inside one is not taken for a parameter).
-_SLOT = re.compile(r"'(?:[^']|'')*'|\$(\w+)")
-
-
-def _renderer(sql: str) -> Callable[[Mapping[str, Any]], str]:
-    """``sql`` with each ``$``-parameter replaced by its value's literal.
-
-    The text is split once, here, into a format string with one field
-    per parameter; rendering fills the fields with ``sql_literal``, the
-    text each bound :class:`Literal` renders, so the result is what the
-    bound tree's ``to_sql()`` gives, byte for byte.
-    """
-    names: list[str] = []
-
-    def field(match: re.Match) -> str:
-        if match.group(1) is None:  # a string literal
-            return match.group(0)
-        names.append(match.group(1))
-        return f"{{{len(names) - 1}}}"
-
-    text = _SLOT.sub(field, sql.replace("{", "{{").replace("}", "}}"))
-
-    def render(params: Mapping[str, Any]) -> str:
-        return text.format(*[sql_literal(params[name]) for name in names])
-
-    return render
-
-
-class Binder:
-    """A query template compiled once, applied per query.
-
-    Applied to parameter values it yields what the proxy reasons with —
-    the function call's arguments by the function template's parameter
-    names, and the region they select — without building a statement.
-    The template's WHERE text is pre-split for rendering the residual
-    signature (:attr:`signature`); no serve path builds the bound
-    statement (``BoundQuery.statement``).
-    """
-
-    def __init__(self, template: QueryTemplate) -> None:
-        statement = template.statement
-        source = statement.source
-        args = source.args if isinstance(source, FunctionSource) else ()
-        self.names = tuple(statement.parameter_names())
-        self.function_template = template.function_template
-        self.arguments = [
-            (name, compile_expression(arg, parameter_slot))
-            for name, arg in zip(self.function_template.params, args)
-        ]
-        where = statement.where
-        self.signature = _renderer("" if where is None else where.to_sql())
-        self.template_id = template.template_id
-
-    def __call__(
-        self, params: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], Region]:
-        """``(function parameters, region)`` for one query's values.
+    def binder(
+        self,
+    ) -> Callable[[Mapping[str, Any]], tuple[dict[str, Any], Region, str]]:
+        """This template's binding as generated code
+        (:func:`~repro.templates.binding.compile_binder`), compiled
+        when the template is registered: for one query's parameter
+        values, ``(function parameters, region, signature)``.
 
         Refuses what the template cannot bind: a missing parameter
-        (``ExecutionError``, as binding the statement would), a
-        region its function template refuses, and a number that is not
-        finite in any parameter (:class:`TemplateError`) — such a value
+        (``ExecutionError``, as binding the statement would), a region
+        its function template refuses, and a number that is not finite
+        in any parameter (:class:`TemplateError`) — such a value
         renders a residual signature that does not parse back (``inf``
         reads as a column).
         """
-        if not all(map(params.__contains__, self.names)):
-            require_parameters(self.names, params)  # raises, naming them
-        function_params = {
-            name: argument(params) for name, argument in self.arguments
-        }
-        region = self.function_template.region_for(function_params)
-        for name in self.names:
-            value = params[name]
-            if isinstance(value, (int, float)) and not is_finite(value):
-                raise TemplateError(
-                    f"{self.template_id}: ${name}={value!r} is not a "
-                    "finite number"
-                )
-        return function_params, region
+        return compile_binder(self)

@@ -112,12 +112,15 @@ class TestFinalize:
         )
         from repro.templates.manager import BoundQuery
 
-        function_params, region = ordered_template.binder(radial_params)
+        function_params, region, signature = ordered_template.binder(
+            radial_params
+        )
         bq = BoundQuery(
             template=ordered_template,
             params=dict(radial_params),
             function_params=function_params,
             region=region,
+            signature=signature,
         )
         raw = origin.execute_bound(
             templates.bind(RADIAL_TEMPLATE_ID, radial_params)

@@ -291,6 +291,7 @@ class TestSoundnessGuards:
             params=dict(good.params, ra=bad),
             function_params=dict(good.function_params, ra=bad),
             region=good.region,
+            signature=good.signature,
         )
         # The statement the origin is sent carries the forged argument.
         first = forged.statement.source.args[0]

@@ -150,14 +150,14 @@ class TestBinding:
             "ra": 164.0, "dec": 8.0, "radius": 10.0,
             "r_min": 0.0, "r_max": 30.0,
         }
-        function_params, _ = template.binder(params)
+        function_params, _, _ = template.binder(params)
         assert function_params == {
             "ra": 164.0, "dec": 8.0, "radius": 10.0,
         }
 
     def test_region_for_binding(self):
         template = radial_query_template()
-        _, region = template.binder(
+        _, region, _ = template.binder(
             {
                 "ra": 164.0, "dec": 8.0, "radius": 10.0,
                 "r_min": 0.0, "r_max": 30.0,
@@ -175,12 +175,12 @@ class TestBinding:
         )
         params = {"ra": -1, "dec": 2.5, "radius": 3.0, "note": "{}'$dec"}
         statement = template.statement.bind(params)
-        assert template.binder.signature(params) == statement.where.to_sql()
+        assert template.binder(params)[2] == statement.where.to_sql()
 
     def test_expression_arguments_are_evaluated(self):
         template = make(
             "SELECT objID, cx, cy, cz "
             "FROM fGetNearbyObjEq($ra + 1.0, $dec, $r * 2) n"
         )
-        params, _ = template.binder({"ra": 10.0, "dec": 0.0, "r": 3.0})
+        params, _, _ = template.binder({"ra": 10.0, "dec": 0.0, "r": 3.0})
         assert params == {"ra": 11.0, "dec": 0.0, "radius": 6.0}
