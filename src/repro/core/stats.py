@@ -22,7 +22,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.locking import guarded_by, named_lock, unshared
+from repro.locking import read_only, unshared
 
 
 class QueryStatus(enum.Enum):
@@ -149,23 +149,19 @@ class QueryRecord:
         return self.tuples_from_cache / self.tuples_total
 
 
-@guarded_by("proxy.stats", "records")
+# ``records`` is bound once; ``add``, its only mutator, is one
+# ``list.append``, atomic under the GIL, so no lock guards it.  The
+# aggregates read the list as it stands: they are monitoring output,
+# not control flow.
+@read_only("records")
 class TraceStats:
-    """Aggregates over a sequence of query records.
-
-    ``add`` is the only mutator and takes the ``proxy.stats`` lock;
-    the aggregate properties read the list without it (appends are
-    atomic under the GIL, and the aggregates are monitoring output,
-    not control flow).
-    """
+    """Aggregates over a sequence of query records."""
 
     def __init__(self, records: Iterable[QueryRecord] | None = None) -> None:
-        self._lock = named_lock("proxy.stats")
         self.records: list[QueryRecord] = list(records or [])
 
     def add(self, record: QueryRecord) -> None:
-        with self._lock:
-            self.records.append(record)
+        self.records.append(record)
 
     def __len__(self) -> int:
         return len(self.records)
